@@ -55,12 +55,10 @@ from .alignment import (
     BeamformerSet,
     IaParameters,
     MimoReduction,
-    PseudoBeamformer,
     build_beamformers,
     cj3_parameters,
     ia_parameters,
     mimo_reduce,
-    pseudo_beamformer,
     verify_alignment,
 )
 from .rates import (

@@ -32,12 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ReconstructedChannel
-from .rng import as_generator
+from .rng import as_generator, complex_normal
 
 __all__ = [
     "IaParameters",
     "BeamformerSet",
-    "PseudoBeamformer",
     "MimoReduction",
     "AlignmentReport",
     "AlignmentError",
@@ -45,7 +44,6 @@ __all__ = [
     "cj3_parameters",
     "build_beamformers",
     "verify_alignment",
-    "pseudo_beamformer",
     "mimo_reduce",
 ]
 
@@ -156,17 +154,6 @@ class BeamformerSet:
 
 
 @dataclass(frozen=True)
-class PseudoBeamformer:
-    """Hadamard combination conj(u) * (v kron ones(R)) of a filter pair.
-
-    Lets the filtered channel value u^H Hbar v be written as a single
-    inner product hbar^H b with the stacked tone channel.
-    """
-
-    b: np.ndarray
-
-
-@dataclass(frozen=True)
 class MimoReduction:
     """Antenna-discarding reduction of a MIMO network to a virtual SIMO one."""
 
@@ -219,25 +206,12 @@ def mimo_reduce(K: int, M_t: int, M_r: int, L: int, P: float) -> MimoReduction:
     )
 
 
-def pseudo_beamformer(u: np.ndarray, v: np.ndarray, R: int) -> PseudoBeamformer:
-    """Combine a receive filter and a transmit direction entrywise.
-
-    ``u`` has length R*N (tone-major blocks of R), ``v`` length N; the
-    result is conj(u) * (v kron ones(R)).
-    """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.ndim != 1 or v.ndim != 1 or u.size != R * v.size:
-        raise ValueError("need len(u) == R * len(v)")
-    return PseudoBeamformer(b=np.conj(u) * np.repeat(v, R))
-
-
 def _wtilde_matrices(rec: ReconstructedChannel):
     return [[rec.wtilde_matrix(i, k) for k in range(rec.K)] for i in range(rec.K)]
 
 
 def _rand_orthonormal(rng, rows: int, cols: int) -> np.ndarray:
-    mat = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    mat = complex_normal(rng, (rows, cols))
     q, _ = np.linalg.qr(mat)
     return q
 

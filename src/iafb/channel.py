@@ -25,7 +25,7 @@ import numpy as np
 
 from .grassmann import CompositeGrassmannPoint, GrassmannPoint
 from .quantizer import Codebook, FeedbackBudget, decode, distortion_oracle_quantize, encode
-from .rng import as_generator
+from .rng import as_generator, complex_normal
 
 __all__ = [
     "ChannelRealization",
@@ -109,14 +109,6 @@ class ToneChannel:
         """
         return _block_diag_from_rows(np.conj(self.tones[i, k]) / np.sqrt(self.N))
 
-    def hbar_apply(self, i: int, k: int, x: np.ndarray) -> np.ndarray:
-        """Fast per-tone product hbar_matrix(i, k) @ x for a length-N vector."""
-        x = np.asarray(x)
-        if x.shape != (self.N,):
-            raise ValueError("input must be a length-N tone vector")
-        out = np.conj(self.tones[i, k]) / np.sqrt(self.N) * x[:, None]
-        return out.reshape(-1)
-
 
 @dataclass(frozen=True)
 class FeedbackMessage:
@@ -196,11 +188,11 @@ def generate_channel(K: int, R: int, L: int, dist: str = "cn", seed=None) -> Cha
         raise ValueError(f"unknown tap distribution {dist!r}; choose from {TAP_DISTRIBUTIONS}")
     rng = as_generator(seed)
     shape = (K, K, L, R)
-    taps = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    taps = complex_normal(rng, shape) / np.sqrt(2.0)
     if dist == "truncated-cn":
         bad = np.abs(taps) > _TRUNCATION_RADIUS
         while np.any(bad):
-            redraw = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+            redraw = complex_normal(rng, shape) / np.sqrt(2.0)
             taps = np.where(bad, redraw, taps)
             bad = np.abs(taps) > _TRUNCATION_RADIUS
     return ChannelRealization(K=K, R=R, L=L, taps=taps)

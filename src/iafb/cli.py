@@ -15,8 +15,8 @@ resolved config and seed, byte for byte, regardless of ``--jobs``:
 per-trial RNG streams are derived from (seed, trial index), and
 Monte Carlo chunks from (seed, task, chunk).
 
-Exit codes: 0 on pass, 1 when a built-in assertion fails (data is still
-written), 2 on usage errors.
+Exit codes: 0 on pass, 1 when a built-in assertion fails or a dof-sweep
+trial is dropped (data is still written), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .channel import (
     reconstruct,
     save_channel,
 )
-from .grassmann import BallVolumeSpec, ball_volume_normalized, sample_uniform
+from .grassmann import MC_CHUNK, BallVolumeSpec, ball_hit_count, ball_volume_normalized, sample_uniform
 from .quantizer import (
     FeedbackBudget,
     build_random_codebook,
@@ -54,10 +54,8 @@ from .quantizer import (
     measure_distortion,
     save_codebook,
 )
-from .rates import achievable_rates, dof_fit, interference_boundedness, rate_csv_rows
+from .rates import CSV_COLUMNS, achievable_rates, dof_fit, interference_boundedness, rate_csv_rows
 from .rng import trial_generator
-
-MC_CHUNK = 1 << 16
 
 
 # --------------------------------------------------------------------------
@@ -241,10 +239,7 @@ def _write_csv(path: str, config: ExperimentConfig, header, rows, trailer=()):
 def _volume_chunk_hits(args) -> int:
     n, K, delta, seed, task, chunk, count = args
     rng = np.random.default_rng(np.random.SeedSequence([seed, task, chunk]))
-    raw = rng.standard_normal((count, K, n)) + 1j * rng.standard_normal((count, K, n))
-    power = np.abs(raw) ** 2
-    dist_sq = np.sum(1.0 - power[:, :, 0] / power.sum(axis=2), axis=1)
-    return int(np.count_nonzero(dist_sq <= delta * delta))
+    return ball_hit_count(n, K, delta, count, rng)
 
 
 def cmd_volume_check(config: ExperimentConfig) -> int:
@@ -434,30 +429,40 @@ def cmd_ia_run(config: ExperimentConfig) -> int:
         f"# signal_min={bf.signal_min!r}",
         f"# rate_sum={report.rate_sum!r}",
     ]
-    _write_csv(config.out, config, _RATE_HEADER, rows, trailer)
+    _write_csv(config.out, config, CSV_COLUMNS, rows, trailer)
     return 0
-
-
-_RATE_HEADER = ("seed", "K", "R", "L", "n", "P_log2", "alpha", "user", "rate", "I1", "I2", "signal")
 
 
 # --------------------------------------------------------------------------
 # dof-sweep
 
 
-def _sweep_trial(args):
-    """One channel realization: per-(alpha, P, user) rates and power terms."""
-    (cfg_values, trial) = args
-    config = ExperimentConfig(command="dof-sweep", values=cfg_values)
+@dataclass(frozen=True)
+class SweepResult:
+    """Per-trial statistics of one dof-sweep run.
+
+    ``stats`` has shape (trial, alpha, P, user, 5) and holds the trials
+    that completed, in trial order. Per user the five stats are the rate,
+    the worst stream's I1 and I2, the weakest stream's signal, and the
+    worst stream's total interference (`RateReport.max_interference`).
+    ``failures`` lists (trial, reason) for every trial dropped because
+    alignment failed.
+    """
+
+    grid: list
+    stats: np.ndarray
+    failures: list
+
+
+def _trial_stats(config: ExperimentConfig, trial: int) -> np.ndarray:
+    """One channel realization: per-(alpha, P, user) stats."""
     from .channel import to_tone_domain
 
     params = _make_params(config.K, config.R, config.L, config.n, config.engine)
     grid = _power_grid(config)
     ch = generate_channel(config.K, config.R, config.L, seed=trial_generator(config.seed, trial))
     tone = to_tone_domain(ch, params.N)
-    n_alpha, n_p = len(config.alphas), len(grid)
-    # stats: rate, worst-stream I1, worst-stream I2, weakest-stream signal
-    stats = np.zeros((n_alpha, n_p, config.K, 4))
+    stats = np.zeros((len(config.alphas), len(grid), config.K, 5))
 
     def build(rec):
         return build_beamformers(
@@ -472,15 +477,16 @@ def _sweep_trial(args):
                 float(np.max(rep.interference_own[i])),
                 float(np.max(rep.interference_cross[i])),
                 float(np.min(rep.signal[i])),
+                rep.max_interference(i),
             )
 
     if config.feedback == "perfect":
         rec = reconstruct([receiver_feedback(ch, i) for i in range(config.K)], params.N)
         bf = build(rec)
-        for a in range(n_alpha):
+        for a in range(len(config.alphas)):
             for j, P in enumerate(grid):
                 fill(a, j, achievable_rates(tone, bf, P, noise_power=config.noise))
-        return trial, stats
+        return stats
 
     for a, alpha in enumerate(config.alphas):
         if config.alpha_user == "all":
@@ -496,13 +502,43 @@ def _sweep_trial(args):
             rec = reconstruct(msgs, params.N)
             bf = build(rec)
             fill(a, j, achievable_rates(tone, bf, P, noise_power=config.noise))
-    return trial, stats
+    return stats
+
+
+def _sweep_trial(args):
+    """(trial, stats, None), or (trial, None, reason) when alignment fails."""
+    values, trial = args
+    try:
+        return trial, _trial_stats(ExperimentConfig("dof-sweep", values), trial), None
+    except AlignmentError as exc:
+        return trial, None, str(exc)
 
 
 def _power_grid(config):
     lo, hi, step = config.p_log2_min, config.p_log2_max, config.p_log2_step
     count = int(round((hi - lo) / step)) + 1
     return [2.0 ** (lo + i * step) for i in range(count)]
+
+
+def run_dof_sweep(config: ExperimentConfig) -> SweepResult:
+    """Run dof-sweep's trials on `config.jobs` workers; gates and CSV aside.
+
+    Each trial's random streams derive from (seed, trial), so the result
+    does not depend on the worker count.
+    """
+    args = [(config.values, t) for t in range(config.trials)]
+    if config.jobs > 1:
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            results = list(pool.map(_sweep_trial, args))
+    else:
+        results = [_sweep_trial(a) for a in args]
+    grid = _power_grid(config)
+    done = [stats for _, stats, _ in results if stats is not None]
+    return SweepResult(
+        grid=grid,
+        stats=np.stack(done) if done else np.zeros((0, len(config.alphas), len(grid), config.K, 5)),
+        failures=[(t, reason) for t, _, reason in results if reason is not None],
+    )
 
 
 def cmd_dof_sweep(config: ExperimentConfig) -> int:
@@ -518,21 +554,18 @@ def cmd_dof_sweep(config: ExperimentConfig) -> int:
         print("dof-sweep supports feedback = perfect | oracle", file=sys.stderr)
         return 2
 
-    grid = _power_grid(config)
-    args = [(config.values, t) for t in range(config.trials)]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_sweep_trial, args))
-    else:
-        results = [_sweep_trial(a) for a in args]
-    results.sort(key=lambda r: r[0])
-    all_stats = np.stack([r[1] for r in results])        # (trial, alpha, P, user, 4)
-    mean_stats = all_stats.mean(axis=0)                  # (alpha, P, user, 4)
+    result = run_dof_sweep(config)
+    grid = result.grid
+    failed = [f"# failed trial={t} reason={reason}" for t, reason in result.failures]
+    if not len(result.stats):
+        _write_csv(config.out, config, CSV_COLUMNS, [], failed)
+        return 1
+    mean_stats = result.stats.mean(axis=0)                   # (alpha, P, user, 5)
     rates = mean_stats[..., 0]
-    # worst over trials and streams of I1 + I2, per (alpha, P, user)
-    worst = (all_stats[..., 1] + all_stats[..., 2]).max(axis=0)
+    # worst over trials of worst-stream I1 plus worst-stream I2, per (alpha, P, user)
+    worst = (result.stats[..., 1] + result.stats[..., 2]).max(axis=0)
 
-    rows, trailer, all_ok = [], [], True
+    rows, trailer, all_ok = [], [], not failed
     for a, alpha in enumerate(config.alphas):
         for j, P in enumerate(grid):
             for i in range(config.K):
@@ -576,7 +609,7 @@ def cmd_dof_sweep(config: ExperimentConfig) -> int:
             trailer.append(f"# slope alpha={alpha!r} user=sum slope={sum_est.slope!r}")
         bound = interference_boundedness(zip(grid, worst[a].max(axis=1)), floor=1e-10)
         trailer.append(f"# interference alpha={alpha!r} slope={bound.slope!r}")
-    _write_csv(config.out, config, _RATE_HEADER, rows, trailer)
+    _write_csv(config.out, config, CSV_COLUMNS, rows, trailer + failed)
     return 0 if all_ok else 1
 
 
@@ -623,28 +656,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="key=value config file")
         for name, (kind, default, help_text) in table.items():
             flag = "--" + name.replace("_", "-")
-            if kind == "int":
-                p.add_argument(flag, dest=name, type=int, default=None, help=help_text)
-            elif kind == "float":
-                p.add_argument(flag, dest=name, type=float, default=None, help=help_text)
-            elif kind == "floatlist":
-                p.add_argument(flag, dest=name, type=_parse_float_list, default=None, help=help_text)
-            elif kind == "pairlist":
-                p.add_argument(flag, dest=name, type=_parse_pair_list, default=None, help=help_text)
-            else:
-                p.add_argument(flag, dest=name, type=str, default=None, help=help_text)
+            p.add_argument(flag, dest=name, type=_PARSERS[kind], default=None, help=help_text)
     return parser
 
 
+def parse_config(argv=None) -> ExperimentConfig:
+    """Resolve a command line and its ``--config`` file as `main` does."""
+    namespace = _build_parser().parse_args(argv)
+    return _resolve_config(namespace.command, namespace)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    namespace = parser.parse_args(argv)
     try:
-        config = _resolve_config(namespace.command, namespace)
+        config = parse_config(argv)
     except (ValueError, OSError) as exc:
         print(f"bad configuration: {exc}", file=sys.stderr)
         return 2
-    return _COMMANDS[namespace.command](config)
+    return _COMMANDS[config.command](config)
 
 
 if __name__ == "__main__":

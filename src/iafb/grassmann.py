@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import as_generator
+from .rng import as_generator, complex_normal
 
 __all__ = [
     "GrassmannPoint",
@@ -145,7 +145,7 @@ def sample_uniform(n: int, K: int, rng) -> CompositeGrassmannPoint:
     if K < 1:
         raise ValueError("number of components K must be >= 1")
     rng = as_generator(rng)
-    raw = rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n))
+    raw = complex_normal(rng, (K, n))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     return CompositeGrassmannPoint.from_array(raw)
 
@@ -226,14 +226,21 @@ def sum_dist_sq_cdf(n: int, K: int, x: float, trials: int = 500_000, rng=None) -
     return empirical_ball_cdf(n, K, math.sqrt(x), trials, rng)
 
 
-def empirical_ball_cdf(n: int, K: int, delta: float, trials: int, rng) -> float:
-    """Monte Carlo estimate of the normalized ball volume at radius delta.
+# Monte Carlo samples drawn per batch, bounding memory at any trial count
+MC_CHUNK = 1 << 16
 
-    Fraction of uniform samples within composite distance delta of a fixed
-    reference; by homogeneity of the manifold the reference is immaterial,
-    so the first canonical basis vector is used in every component. The
-    squared distance to that reference is K - sum_k |q_k[0]|^2 / ||q_k||^2,
-    which avoids materializing normalized samples.
+
+# Not in __all__: bench/tracer.py times every function listed there, and
+# its tests pin `empirical_ball_cdf` as a leaf span.
+def ball_hit_count(n: int, K: int, delta: float, trials: int, rng) -> int:
+    """Count of `trials` uniform samples within composite distance delta.
+
+    The distance is taken to a fixed reference; by homogeneity of the
+    manifold the reference is immaterial, so the first canonical basis
+    vector is used in every component. The squared distance to that
+    reference is K - sum_k |q_k[0]|^2 / ||q_k||^2, which avoids
+    materializing normalized samples. Samples are drawn off `rng` in
+    batches of `MC_CHUNK`.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -242,15 +249,16 @@ def empirical_ball_cdf(n: int, K: int, delta: float, trials: int, rng) -> float:
     rng = as_generator(rng)
     thresh = delta * delta
     hits = 0
-    remaining = trials
-    chunk = 1 << 16
-    while remaining > 0:
-        m = min(chunk, remaining)
-        raw = rng.standard_normal((m, K, n)) + 1j * rng.standard_normal((m, K, n))
-        power = np.abs(raw) ** 2
-        first = power[:, :, 0]
-        total = power.sum(axis=2)
-        dist_sq = np.sum(1.0 - first / total, axis=1)
+    for start in range(0, trials, MC_CHUNK):
+        power = np.abs(complex_normal(rng, (min(MC_CHUNK, trials - start), K, n))) ** 2
+        dist_sq = np.sum(1.0 - power[:, :, 0] / power.sum(axis=2), axis=1)
         hits += int(np.count_nonzero(dist_sq <= thresh))
-        remaining -= m
-    return hits / trials
+    return hits
+
+
+def empirical_ball_cdf(n: int, K: int, delta: float, trials: int, rng) -> float:
+    """Monte Carlo estimate of the normalized ball volume at radius delta.
+
+    The fraction of `trials` uniform samples that `ball_hit_count` counts.
+    """
+    return ball_hit_count(n, K, delta, trials, rng) / trials

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grassmann import CompositeGrassmannPoint
-from .rng import as_generator
+from .rng import as_generator, complex_normal
 
 __all__ = [
     "Codebook",
@@ -158,7 +158,7 @@ class FeedbackBudget:
 def _generate_chunk(n: int, K: int, seed: int, chunk_index: int, count: int) -> np.ndarray:
     """Codewords [chunk*C, chunk*C + count) for the chunk-seeded scheme."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(chunk_index)]))
-    raw = rng.standard_normal((count, K, n)) + 1j * rng.standard_normal((count, K, n))
+    raw = complex_normal(rng, (count, K, n))
     raw /= np.linalg.norm(raw, axis=2, keepdims=True)
     return raw
 
@@ -180,7 +180,7 @@ def build_random_codebook(n: int, K: int, bits: int, seed, mode: str = "material
     if isinstance(seed, np.random.Generator):
         if mode != "materialized":
             raise TypeError("implicit codebooks need an integer seed, not a Generator")
-        raw = seed.standard_normal((1 << bits, K, n)) + 1j * seed.standard_normal((1 << bits, K, n))
+        raw = complex_normal(seed, (1 << bits, K, n))
         raw /= np.linalg.norm(raw, axis=2, keepdims=True)
         return Codebook(n=n, K=K, bits=bits, mode="materialized", seed=None, points=raw)
 
@@ -221,7 +221,7 @@ def refine_maxmin(cb: Codebook, iterations: int, rng) -> Codebook:
     for _ in range(iterations):
         current_min = dist.min()
         i = int(np.unravel_index(np.argmin(dist), dist.shape)[0])
-        cand = rng.standard_normal((cb.K, cb.n)) + 1j * rng.standard_normal((cb.K, cb.n))
+        cand = complex_normal(rng, (cb.K, cb.n))
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         sims = np.abs(np.einsum("akj,kj->ak", points, cand.conj())) ** 2
         cand_dist = np.maximum(cb.K - sims.sum(axis=1), 0.0)
@@ -293,7 +293,7 @@ def measure_distortion(cb: Codebook, trials: int, rng) -> DistortionReport:
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = as_generator(rng)
-    raw = rng.standard_normal((trials, cb.K, cb.n)) + 1j * rng.standard_normal((trials, cb.K, cb.n))
+    raw = complex_normal(rng, (trials, cb.K, cb.n))
     raw /= np.linalg.norm(raw, axis=2, keepdims=True)
     dists = _batched_min_dist(raw, cb)
     return DistortionReport(
@@ -322,7 +322,7 @@ def distortion_oracle_quantize(
     if target == 0.0:
         return x
 
-    raw = rng.standard_normal((x.K, x.n)) + 1j * rng.standard_normal((x.K, x.n))
+    raw = complex_normal(rng, (x.K, x.n))
     overlap = np.einsum("kj,kj->k", arr.conj(), raw)
     tangent = raw - overlap[:, None] * arr
     weights = np.linalg.norm(tangent, axis=1)

@@ -24,5 +24,10 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian entries with unit variance."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Circularly-symmetric complex Gaussian entries, unscaled.
+
+    Real and imaginary parts are independent standard normals, so each
+    entry has variance 2; callers needing unit variance divide by sqrt(2).
+    Every complex draw in the library goes through here, real parts first.
+    """
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

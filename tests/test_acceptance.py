@@ -1,11 +1,13 @@
 """Acceptance suite: one test per headline claim, at desk scale.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line
-per criterion. Slope experiments place the power grid in the asymptotic
-regime of the rate expression via the experiment noise floor (1e-9 for
-absolute-slope targets, 0.1 for the perfect-vs-limited comparison, where
-both arms share the same floor); the rate expression itself is never
-altered.
+per criterion. The slope experiments (criteria 4-6) run ``iafb dof-sweep``'s
+own trial loop, and criterion 1 counts Monte Carlo hits with the function
+``volume-check`` uses. Slope experiments place the power grid in the
+asymptotic regime of the rate expression via the experiment noise floor
+(1e-9 for absolute-slope targets, 0.1 for the perfect-vs-limited
+comparison, where both arms share the same floor); the rate expression
+itself is never altered.
 """
 
 import math
@@ -22,12 +24,26 @@ from iafb.channel import (
     to_tone_domain,
     vectorize_direction,
 )
+from iafb.cli import parse_config, run_dof_sweep
 from iafb.grassmann import BallVolumeSpec, ball_volume_normalized, empirical_ball_cdf
-from iafb.quantizer import FeedbackBudget, build_random_codebook, measure_distortion
-from iafb.rates import achievable_rates, dof_fit, interference_boundedness
+from iafb.quantizer import distortion_scaling_exponent
+from iafb.rates import dof_fit, interference_boundedness
 from iafb.rng import trial_generator
 
 GRID = [2.0**t for t in range(4, 15)]
+RATE, WORST_INTERFERENCE = 0, 4  # stat indices of `run_dof_sweep`
+
+
+def sweep(*flags):
+    """Stats (trial, alpha, P, user, stat) of ``iafb dof-sweep --trials 20 <flags>``."""
+    result = run_dof_sweep(parse_config(["dof-sweep", "--trials", "20", *flags]))
+    assert result.failures == [] and result.grid == GRID
+    return result.stats
+
+
+def sum_rate_slope(stats):
+    """DoF slope of the trial-mean sum rate at the sweep's first alpha."""
+    return dof_fit(zip(GRID, stats[:, 0, :, :, RATE].mean(axis=0).sum(axis=1))).slope
 
 
 def report(num, name, passed, detail):
@@ -60,13 +76,7 @@ def test_criterion_2_distortion_scaling_exponent():
     ok = True
     rng = trial_generator(2, 0)
     for n, K in ((2, 1), (2, 2), (3, 1)):
-        log_msd = []
-        bits_list = (6, 8, 10, 12, 14)
-        for bits in bits_list:
-            cb = build_random_codebook(n, K, bits, seed=int(rng.integers(2**63)))
-            rep = measure_distortion(cb, 10_000, rng)
-            log_msd.append(math.log2(rep.mean_observed))
-        slope = float(np.polyfit(bits_list, log_msd, 1)[0])
+        slope = distortion_scaling_exponent(n, K, (6, 8, 10, 12, 14), 10_000, rng)
         target = -1.0 / (K * (n - 1))
         ok &= abs(slope - target) <= 0.2 * abs(target)
         results.append(f"(n={n},K={K}): {slope:.3f} vs {target:.3f}")
@@ -106,30 +116,14 @@ def test_criterion_3_alignment_exactness():
     )
 
 
-def _perfect_csi_sum_rates(params, engine, trials, noise, seed0):
-    sums = np.zeros(len(GRID))
-    for trial in range(trials):
-        ch = generate_channel(3, 1, 2, seed=seed0 + trial)
-        tone = to_tone_domain(ch, params.N)
-        rec = reconstruct([receiver_feedback(ch, i) for i in range(3)], params.N)
-        bf = build_beamformers(rec, params, engine, rng=trial_generator(seed0, trial))
-        for j, P in enumerate(GRID):
-            sums[j] += achievable_rates(tone, bf, P, noise_power=noise).rate_sum
-    return sums / trials
-
-
 def test_criterion_4_perfect_csi_dof():
     start = time.time()
+    perfect = ("--feedback", "perfect", "--noise", "1e-9")
     gj = ia_parameters(3, 1, 1)
-    slope_gj = dof_fit(
-        zip(GRID, _perfect_csi_sum_rates(gj, "leakage-min", 20, 1e-9, seed0=400))
-    ).slope
+    slope_gj = sum_rate_slope(sweep("--engine", "leakage-min", "--n", "1", "--seed", "400", *perfect))
     target_gj = sum(gj.d) / gj.N  # 17/16
 
-    cj3 = cj3_parameters(3)
-    slope_cj3 = dof_fit(
-        zip(GRID, _perfect_csi_sum_rates(cj3, "cj3", 20, 1e-9, seed0=450))
-    ).slope
+    slope_cj3 = sum_rate_slope(sweep("--engine", "cj3", "--n", "3", "--seed", "450", *perfect))
     target_cj3 = 10.0 / 7.0
     elapsed = time.time() - start
     passed = (
@@ -143,39 +137,17 @@ def test_criterion_4_perfect_csi_dof():
     )
 
 
-def _oracle_sweep(params, alphas_of_user, trials, noise, seed0, tag):
-    """Mean rates (P, user) and worst interference per P for oracle feedback."""
-    rates = np.zeros((len(GRID), 3))
-    worst = np.zeros(len(GRID))
-    for trial in range(trials):
-        ch = generate_channel(3, 1, 2, seed=seed0 + trial)
-        tone = to_tone_domain(ch, params.N)
-        for j, P in enumerate(GRID):
-            msgs = [
-                receiver_feedback(
-                    ch, i, FeedbackBudget(K=3, R=1, L=2, P=P, alpha=alphas_of_user[i]),
-                    rng=trial_generator(tag, trial * 10_000 + j * 10 + i),
-                )
-                for i in range(3)
-            ]
-            rec = reconstruct(msgs, params.N)
-            bf = build_beamformers(rec, params, "cj3")
-            rep = achievable_rates(tone, bf, P, noise_power=noise)
-            rates[j] += rep.rates
-            worst[j] = max(worst[j], max(rep.max_interference(i) for i in range(3)))
-    return rates / trials, worst
-
-
 def test_criterion_5_full_budget_feedback_keeps_dof():
     start = time.time()
-    params = cj3_parameters(1)
-    noise = 0.1  # shared floor for both arms; see module docstring
-    perfect = _perfect_csi_sum_rates(params, "cj3", 20, noise, seed0=500)
-    limited, worst = _oracle_sweep(params, (1.0, 1.0, 1.0), 20, noise, seed0=500, tag=51)
+    # shared noise floor for both arms; see module docstring
+    arm = ("--engine", "cj3", "--n", "1", "--noise", "0.1", "--seed", "500")
+    perfect = sweep("--feedback", "perfect", *arm)
+    limited = sweep("--feedback", "oracle", "--alphas", "1.0", *arm)
 
+    worst = limited[:, 0, :, :, WORST_INTERFERENCE].max(axis=(0, 2))
     bound = interference_boundedness(zip(GRID, worst), slope_max=0.1, floor=1e-10)
-    slope_lf = dof_fit(zip(GRID, limited.sum(axis=1))).slope
-    slope_pf = dof_fit(zip(GRID, perfect)).slope
+    slope_lf = sum_rate_slope(limited)
+    slope_pf = sum_rate_slope(perfect)
     elapsed = time.time() - start
     passed = bound.passed and abs(slope_lf - slope_pf) <= 0.05
     assert report(
@@ -188,34 +160,21 @@ def test_criterion_6_partial_feedback_tradeoff():
     start = time.time()
     params = cj3_parameters(1)
     dt = [params.dof_target(i) for i in range(3)]
-    noise = 1e-9
+    alphas = (1.0, 0.75, 0.5, 0.25)
+    stats = sweep(
+        "--engine", "cj3", "--n", "1", "--feedback", "oracle", "--noise", "1e-9",
+        "--alphas", ",".join(map(str, alphas)), "--alpha-user", "0", "--seed", "600",
+    ).mean(axis=0)
 
     baselines = None
     ok = True
     details = []
-    for alpha in (1.0, 0.75, 0.5, 0.25):
-        rates, _ = _oracle_sweep(params, (alpha, 1.0, 1.0), 20, noise, seed0=600, tag=61)
-        slopes = [dof_fit(zip(GRID, rates[:, i])).slope for i in range(3)]
-        # per-user interference at receiver 1 across the same sweep
-        worst_u1 = np.zeros(len(GRID))
-        for trial in range(20):
-            ch = generate_channel(3, 1, 2, seed=600 + trial)
-            tone = to_tone_domain(ch, params.N)
-            for j, P in enumerate(GRID):
-                msgs = [
-                    receiver_feedback(
-                        ch, i,
-                        FeedbackBudget(K=3, R=1, L=2, P=P, alpha=(alpha if i == 0 else 1.0)),
-                        rng=trial_generator(61, trial * 10_000 + j * 10 + i),
-                    )
-                    for i in range(3)
-                ]
-                rec = reconstruct(msgs, params.N)
-                bf = build_beamformers(rec, params, "cj3")
-                rep = achievable_rates(tone, bf, P, noise_power=noise)
-                worst_u1[j] += rep.max_interference(0)
-        worst_u1 /= 20
-        int_slope = interference_boundedness(zip(GRID, worst_u1), floor=1e-10).slope
+    for a, alpha in enumerate(alphas):
+        slopes = [dof_fit(zip(GRID, stats[a, :, i, RATE])).slope for i in range(3)]
+        # mean worst-stream interference at receiver 1
+        int_slope = interference_boundedness(
+            zip(GRID, stats[a, :, 0, WORST_INTERFERENCE]), floor=1e-10
+        ).slope
 
         if baselines is None:
             baselines = slopes

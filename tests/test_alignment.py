@@ -8,7 +8,6 @@ from iafb.alignment import (
     cj3_parameters,
     ia_parameters,
     mimo_reduce,
-    pseudo_beamformer,
     verify_alignment,
 )
 from iafb.channel import generate_channel, receiver_feedback, reconstruct, to_tone_domain
@@ -187,36 +186,6 @@ class TestVerifyAlignment:
         b = verify_alignment(bf, truth)
         assert abs(a.residual - b.residual) <= 1e-10
         assert abs(a.signal_min - b.signal_min) <= 1e-10
-
-
-class TestPseudoBeamformer:
-    def test_single_antenna_basis_vectors(self):
-        e1 = np.array([1.0, 0.0, 0.0], dtype=complex)
-        assert np.array_equal(pseudo_beamformer(e1, e1, 1).b, e1)
-
-    def test_filtered_channel_identity(self):
-        # u^H Hbar v must equal hbar^H b; pins the conjugation convention
-        ch = generate_channel(2, 3, 2, seed=13)
-        tone = to_tone_domain(ch, 4)
-        rng = np.random.default_rng(14)
-        for _ in range(50):
-            u = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            b = pseudo_beamformer(u, v, 3).b
-            lhs = np.conj(u) @ (tone.hbar_matrix(0, 1) @ v)
-            rhs = np.conj(tone.hbar(0, 1)) @ b
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-    def test_norm_bound(self):
-        rng = np.random.default_rng(15)
-        u = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        b = pseudo_beamformer(u, v, 2).b
-        assert np.linalg.norm(b) <= np.linalg.norm(u) * np.max(np.abs(v)) + 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pseudo_beamformer(np.ones(5), np.ones(2), 2)
 
 
 class TestMimoReduce:

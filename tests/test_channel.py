@@ -79,15 +79,6 @@ class TestToneDomain:
                 rhs = np.linalg.norm(ch.taps[i, k].reshape(-1)) ** 2
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
 
-    def test_block_diagonal_action(self):
-        ch = generate_channel(2, 3, 2, seed=9)
-        tone = to_tone_domain(ch, 5)
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        dense = tone.hbar_matrix(0, 1) @ x
-        fast = tone.hbar_apply(0, 1, x)
-        assert np.max(np.abs(dense - fast)) <= 1e-12
-
 
 class TestVectorization:
     def test_single_entry(self):

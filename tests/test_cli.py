@@ -182,6 +182,29 @@ class TestDofSweep:
                 slope = float(line.split("slope=")[1].split()[0])
                 assert abs(slope) <= 0.1
 
+    def test_failed_trials_are_dropped_and_reported(self, tmp_path):
+        # at n=4, trials 3 and 5 of seed 0 leave a stream below c_min
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["dof-sweep", "--engine", "cj3", "--n", "4", "--trials", "6"]
+        assert main(args + ["--out", str(a), "--jobs", "1"]) == 1
+        assert main(args + ["--out", str(b), "--jobs", "2"]) == 1
+        assert data_bytes(a) == data_bytes(b)
+        lines = a.read_text().splitlines()
+        failed = [ln for ln in lines if ln.startswith("# failed ")]
+        assert [ln.split()[2] for ln in failed] == ["trial=3", "trial=5"]
+        assert all(" reason=cj3 construction failed" in ln for ln in failed)
+        assert len([ln for ln in lines if not ln.startswith("#")]) == 1 + 11 * 3
+
+    def test_every_trial_failed(self, tmp_path):
+        out = tmp_path / "dof.csv"
+        code = main([
+            "dof-sweep", "--engine", "cj3", "--n", "16", "--trials", "2", "--out", str(out),
+        ])
+        assert code == 1
+        lines = out.read_text().splitlines()
+        assert lines[1].startswith("seed,K,R,L,n,P_log2")
+        assert [ln.split()[2] for ln in lines[2:]] == ["trial=0", "trial=1"]
+
     def test_bad_alpha_user(self, tmp_path):
         code = main([
             "dof-sweep", "--alpha-user", "7", "--out", str(tmp_path / "x.csv"),

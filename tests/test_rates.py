@@ -53,16 +53,15 @@ class TestInterferenceTerms:
         assert np.all(cross[0] == 0.0)
 
     def test_matches_pseudo_beamformer_path(self):
-        # independent algebra: signal terms recomputed via hbar^H b
-        from iafb.alignment import pseudo_beamformer
-
+        # independent algebra: signal terms recomputed as hbar^H b with the
+        # pseudo-beamformer b = conj(u) * (v kron ones(R))
         params, tone, bf = aligned_setup(seed=1)
         P = 64.0
         signal, _, _ = interference_terms(tone, bf, P)
         for i in range(3):
             hbar = tone.hbar(i, i)
             for m in range(params.d[i]):
-                b = pseudo_beamformer(bf.u[i][:, m], bf.v[i][:, m], 1).b
+                b = np.conj(bf.u[i][:, m]) * np.repeat(bf.v[i][:, m], tone.R)
                 expect = (P / (3 * params.d[i])) * abs(np.vdot(hbar, b)) ** 2
                 assert signal[i][m] == pytest.approx(expect, rel=1e-10)
 
