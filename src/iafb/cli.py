@@ -48,6 +48,7 @@ from .channel import (
 )
 from .grassmann import MC_CHUNK, BallVolumeSpec, ball_hit_count, ball_volume_normalized, sample_uniform
 from .quantizer import (
+    MAX_MATERIALIZED_BITS,
     FeedbackBudget,
     build_random_codebook,
     distortion_scaling_exponent,
@@ -301,6 +302,11 @@ def cmd_volume_check(config: ExperimentConfig) -> int:
 
 
 def cmd_quantizer_scaling(config: ExperimentConfig) -> int:
+    bad = [b for b in config.bits if not (float(b).is_integer() and 0 <= b <= MAX_MATERIALIZED_BITS)]
+    if bad:
+        shown = ", ".join(f"{b:g}" for b in bad)
+        print(f"bit budgets must be integers in [0, {MAX_MATERIALIZED_BITS}], got {shown}", file=sys.stderr)
+        return 2
     bits_list = [int(b) for b in config.bits]
     if len(set(bits_list)) < 3:
         print("need at least three distinct bit budgets", file=sys.stderr)

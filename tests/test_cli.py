@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from iafb.channel import generate_channel, save_channel
 from iafb.cli import main
 
@@ -68,6 +70,15 @@ class TestQuantizerScaling:
             "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2
+
+    # fractional, negative and past the materialization guard (26 bits)
+    @pytest.mark.parametrize("bits, shown", [("4.5,6,8", "got 4.5"), ("-2,4,6", "got -2"), ("4,6,27", "got 27")])
+    def test_invalid_budget_is_usage_error(self, tmp_path, capsys, bits, shown):
+        out = tmp_path / "x.csv"
+        code = main(["quantizer-scaling", f"--bits={bits}", "--trials", "100", "--out", str(out)])
+        assert code == 2
+        assert shown in capsys.readouterr().err
+        assert not out.exists()
 
     def test_codebook_export(self, tmp_path):
         from iafb.quantizer import load_codebook

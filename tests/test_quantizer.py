@@ -17,6 +17,8 @@ from iafb.quantizer import (
     refine_maxmin,
     save_codebook,
 )
+from iafb.quantizer import _GEN_CHUNK, _batched_min_dist, _embed
+from iafb.rng import complex_normal
 
 
 def min_pairwise(cb):
@@ -26,6 +28,21 @@ def min_pairwise(cb):
         for a in range(len(pts))
         for b in range(a + 1, len(pts))
     )
+
+
+def reference_min_dist(sources, points):
+    """Direct formula: K - max over codewords of sum_k |<x_k, c_k>|^2."""
+    K = sources.shape[1]
+    out = np.empty(len(sources))
+    for s, x in enumerate(sources):
+        sims = np.abs(np.einsum("ckj,kj->ck", points, x.conj())) ** 2
+        out[s] = max(K - sims.sum(axis=1).max(), 0.0)
+    return out
+
+
+def unit_rows(shape, seed):
+    raw = complex_normal(np.random.default_rng(seed), shape)
+    return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
 
 
 class TestBuild:
@@ -83,6 +100,27 @@ class TestRefine:
             gains.append(min_pairwise(refined) - min_pairwise(cb))
         assert min(gains) >= 0.0
         assert np.mean(gains) > 0.0
+
+    @pytest.mark.parametrize("n, K", [(2, 1), (3, 2)])
+    def test_same_decisions_as_full_rescan(self, n, K):
+        # reference: redraw, then recompute every pairwise distance directly
+        cb = build_random_codebook(n, K, 4, seed=23)
+        rng = np.random.default_rng(24)
+        points = cb.points.copy()
+        for _ in range(150):
+            dist = K - (np.abs(np.einsum("akj,bkj->abk", points, points.conj())) ** 2).sum(axis=2)
+            np.fill_diagonal(dist, np.inf)
+            i = int(np.argmin(dist)) // len(dist)
+            cand = complex_normal(rng, (K, n))
+            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+            trial = points.copy()
+            trial[i] = cand
+            new = K - (np.abs(np.einsum("akj,bkj->abk", trial, trial.conj())) ** 2).sum(axis=2)
+            np.fill_diagonal(new, np.inf)
+            if new.min() > dist.min():
+                points = trial
+        out = refine_maxmin(cb, 150, rng=np.random.default_rng(24))
+        assert np.array_equal(out.points, points)
 
     def test_requires_materialized(self):
         cb = build_random_codebook(2, 1, 4, seed=1, mode="implicit")
@@ -153,6 +191,35 @@ class TestEncodeDecode:
                     measure_distortion(build_random_codebook(2, 1, hi, seed=seed), 500, rng=seed).mean_observed
                 )
             assert np.mean(hi_means) < np.mean(lo_means)
+
+
+class TestDistortionKernel:
+    @pytest.mark.parametrize("n, K", [(2, 1), (2, 2), (3, 2), (4, 3)])
+    def test_embedding_inner_product(self, n, K):
+        x, c = unit_rows((K, n), 1), unit_rows((K, n), 2)
+        direct = sum(abs(np.vdot(x[k], c[k])) ** 2 for k in range(K))
+        assert _embed(x).shape == (2 * K * n * n,)
+        assert _embed(x) @ _embed(c) == pytest.approx(direct, abs=1e-12)
+
+    # 2**14 codewords bound a source slice to 256 rows, so 300 sources take two
+    @pytest.mark.parametrize(
+        "n, K, bits, count",
+        [(2, 1, 8, 100), (2, 2, 8, 100), (3, 2, 8, 100), (4, 3, 8, 100), (3, 2, 0, 20), (2, 1, 14, 300)],
+    )
+    def test_matches_direct_formula(self, n, K, bits, count):
+        cb = build_random_codebook(n, K, bits, seed=30 + n + K)
+        sources = unit_rows((count, K, n), 40 + n + K)
+        got = _batched_min_dist(sources, cb)
+        assert np.abs(got - reference_min_dist(sources, cb.points)).max() <= 1e-12
+
+    def test_codebook_spanning_several_chunks(self):
+        mat = build_random_codebook(2, 2, 15, seed=50)
+        imp = build_random_codebook(2, 2, 15, seed=50, mode="implicit")
+        assert len(mat) > _GEN_CHUNK
+        sources = unit_rows((40, 2, 2), 51)
+        got = _batched_min_dist(sources, mat)
+        assert np.abs(got - reference_min_dist(sources, mat.points)).max() <= 1e-12
+        assert np.array_equal(_batched_min_dist(sources, imp), got)
 
 
 class TestDistortionReport:
