@@ -15,11 +15,15 @@ filters u_i^m (length R*N) against a reconstructed channel surrogate:
   matrix applied to the all-ones vector, which aligns interference
   exactly by construction.
 
-Both engines finish with the same zero-forcing step: at each receiver an
-orthonormal basis of the (R*N - d_i)-dimensional aligned-interference
-subspace is estimated from the interference images, and each stream's
-filter is the projection of its desired image onto the orthogonal
-complement of that basis plus the other desired images. Same-user stream
+Both engines finish with the same zero-forcing step, two factorizations
+per receiver. One SVD of the interference images gives an orthonormal
+basis B of the (at most R*N - d_i)-dimensional aligned-interference
+subspace. The desired images projected off B form D, and one thin SVD
+D = W S Z^H gives the filters as the unit columns of D (D^H D)^-1 =
+W S^-1 Z^H: each is its stream's desired image projected off B and the
+other desired images. Rounding in W S^-1 grows with 1/s, so the filters
+are projected off B once more; without that, ill-conditioned cj3 sizings
+(n = 5, 6) leak up to 2.5e-7 into the interference span. Same-user stream
 separation is therefore exact to machine precision, and residual
 cross-user leakage equals whatever alignment error the engine left.
 """
@@ -48,6 +52,10 @@ __all__ = [
 ]
 
 ENGINES = ("leakage-min", "cj3")
+
+# interference singular values at or below this fraction of the largest
+# are treated as alignment residue, not as interference directions
+RANK_RTOL = 1e-7
 
 
 class AlignmentError(RuntimeError):
@@ -312,67 +320,77 @@ def _cj3_directions(Wm, params: IaParameters):
     return out
 
 
-def _zero_force_receivers(Wm, V, params: IaParameters, rank_rtol: float):
-    """Per-stream receive filters orthogonal to aligned interference.
+def _images(Wm, V):
+    """Every receiver's view of every transmitter: images[i][k] = W_ik V_k."""
+    return [[W_ik @ V_k for W_ik, V_k in zip(row, V)] for row in Wm]
 
-    At receiver i the interference images are compressed to a basis of at
-    most R*N - d_i directions (singular vectors above `rank_rtol` of the
-    largest); each stream's filter is then the unit projection of its
-    desired image onto the complement of that basis plus the other desired
-    images.
+
+def _zero_force_receivers(images, params: IaParameters):
+    """Unit receive filters against the interference basis (see module docstring).
+
+    Column m of S^-1 Z^H has norm 1 / (distance of stream m's desired image
+    from B and the other desired images): the "swallowed" test.
     """
     K, d, RN = params.K, params.d, params.R * params.N
     U = []
     for i in range(K):
-        cols = [Wm[i][k] @ V[k] for k in range(K) if k != i]
-        J = np.concatenate(cols, axis=1) if cols else np.zeros((RN, 0), dtype=complex)
-        if J.shape[1]:
-            left, sing, _ = np.linalg.svd(J, full_matrices=False)
-            keep = min(RN - d[i], J.shape[1])
-            if sing[0] > 0.0:
-                keep = min(keep, int(np.count_nonzero(sing > rank_rtol * sing[0])))
-            basis = left[:, :keep]
-        else:
-            basis = np.zeros((RN, 0), dtype=complex)
-        desired = Wm[i][i] @ V[i]
-        filters = np.empty((RN, d[i]), dtype=complex)
-        for m in range(d[i]):
-            others = np.delete(desired, m, axis=1)
-            nuisance = np.concatenate([basis, others], axis=1)
-            if nuisance.shape[1] == 0:
-                comp = np.eye(RN, dtype=complex)
-            else:
-                full_left, sing, _ = np.linalg.svd(nuisance, full_matrices=True)
-                rank = int(np.count_nonzero(sing > max(1e-13 * sing[0], 0.0)))
-                comp = full_left[:, rank:]
-            proj = comp @ (comp.conj().T @ desired[:, m])
-            norm = np.linalg.norm(proj)
-            if norm < 1e-12:
+        J = np.concatenate([images[i][k] for k in range(K) if k != i], axis=1)
+        left, sing, _ = np.linalg.svd(J, full_matrices=False)
+        keep = min(RN - d[i], J.shape[1])
+        if sing[0] > 0.0:
+            keep = min(keep, int(np.count_nonzero(sing > RANK_RTOL * sing[0])))
+        basis = left[:, :keep]
+        basis_h = basis.conj().T
+        w, s, zh = np.linalg.svd(images[i][i] - basis @ (basis_h @ images[i][i]), full_matrices=False)
+        if s[-1] < 1e-12:  # no stream is closer than s[-1] to the others
+            # |S^-1 Z^H| without dividing by an exactly zero singular value:
+            # its row is infinite for the streams its null direction involves
+            blown = np.where(zh == 0, 0.0, np.inf)
+            scale = np.divide(np.abs(zh), s[:, None], out=blown, where=s[:, None] > 0.0)
+            swallowed = np.flatnonzero(1.0 / np.linalg.norm(scale, axis=0) < 1e-12)
+            if swallowed.size:
                 raise AlignmentError(
-                    f"receiver {i}, stream {m}: desired direction is swallowed by the "
-                    "interference span; no usable zero-forcing filter exists"
+                    f"receiver {i}, stream {swallowed[0]}: desired direction is swallowed by "
+                    "the interference span; no usable zero-forcing filter exists"
                 )
-            filters[:, m] = proj / norm
-        U.append(filters)
+        filters = w @ (zh / s[:, None])
+        filters -= basis @ (basis_h @ filters)
+        U.append(filters / np.linalg.norm(filters, axis=0))
     return U
 
 
-def _alignment_stats(Wm, V, U, K: int):
+def _alignment_stats(images, U):
     """(signal_min, same-user max violation, cross-user max violation)."""
-    signal_min = np.inf
-    same_max = 0.0
-    cross_max = 0.0
-    for i in range(K):
-        for k in range(K):
-            M = np.abs(U[i].conj().T @ (Wm[i][k] @ V[k]))
+    signal_min, same_max, cross_max = np.inf, 0.0, 0.0
+    for i, row in enumerate(images):
+        for k, image in enumerate(row):
+            M = np.abs(U[i].conj().T @ image)
             if k == i:
                 signal_min = min(signal_min, float(M.diagonal().min()))
-                off = M - np.diag(np.diag(M))
-                if off.size:
-                    same_max = max(same_max, float(off.max()))
+                same_max = max(same_max, float((M - np.diag(np.diag(M))).max()))
             else:
                 cross_max = max(cross_max, float(M.max()))
     return signal_min, same_max, cross_max
+
+
+def _finish(Wm, V, params: IaParameters, engine: str, tol: float, c_min: float, **fields):
+    """Zero-force against directions V and gate the set against `tol` and `c_min`.
+
+    Raises AlignmentError when a stream is swallowed or the gate fails.
+    """
+    images = _images(Wm, V)
+    U = _zero_force_receivers(images, params)
+    signal_min, same_max, cross_max = _alignment_stats(images, U)
+    residual = max(same_max, cross_max)
+    if residual > tol or signal_min < c_min:
+        raise AlignmentError(
+            f"{engine} construction failed: residual={residual:.3e}, signal_min={signal_min:.3e}",
+            residual=residual,
+        )
+    return BeamformerSet(
+        v=tuple(V), u=tuple(U), params=params, alignment_residual=residual,
+        signal_min=signal_min, engine=engine, **fields,
+    )
 
 
 def _check_feasibility(params: IaParameters):
@@ -397,7 +415,6 @@ def build_beamformers(
     rng=None,
     shared: bool = False,
     restarts: int = 2,
-    rank_rtol: float = 1e-7,
 ) -> BeamformerSet:
     """Find (u, v) satisfying the alignment conditions against `rec`.
 
@@ -424,44 +441,26 @@ def build_beamformers(
             raise ValueError("the cj3 engine needs cj3_parameters (K=3, R=1, N=2n+1)")
         if shared:
             raise ValueError("the cj3 construction has no shared-direction variant")
-        V = _cj3_directions(Wm, params)
-        U = _zero_force_receivers(Wm, V, params, rank_rtol)
-        signal_min, same_max, cross_max = _alignment_stats(Wm, V, U, params.K)
-        residual = max(same_max, cross_max)
-        if residual > tol or signal_min < c_min:
-            raise AlignmentError(
-                f"cj3 construction failed: residual={residual:.3e}, signal_min={signal_min:.3e}",
-                residual=residual,
-            )
-        return BeamformerSet(
-            v=tuple(V), u=tuple(U), params=params, alignment_residual=residual,
-            signal_min=signal_min, engine=engine,
-        )
+        return _finish(Wm, _cj3_directions(Wm, params), params, engine, tol, c_min)
 
     target = (0.5 * tol) ** 2
     history_all = []
     attempts = max(1, restarts + 1)
-    residual, signal_min = math.inf, 0.0
     for _ in range(attempts):
         V, history = _leakage_min_directions(Wm, params, target, max_iters, rng, shared)
         history_all.extend(history)
         try:
-            U = _zero_force_receivers(Wm, V, params, rank_rtol)
-        except AlignmentError:
-            continue  # degenerate solution; restart from fresh directions
-        signal_min, same_max, cross_max = _alignment_stats(Wm, V, U, params.K)
-        residual = max(same_max, cross_max)
-        if residual <= tol and signal_min >= c_min:
-            return BeamformerSet(
-                v=tuple(V), u=tuple(U), params=params, alignment_residual=residual,
-                signal_min=signal_min, engine=engine, shared=shared,
+            return _finish(
+                Wm, V, params, engine, tol, c_min, shared=shared,
                 iterations=len(history), leakage=history[-1] if history else 0.0,
             )
+        except AlignmentError as err:
+            last = err  # degenerate or unconverged; restart from fresh directions
     raise AlignmentError(
         f"leakage-min did not reach tol={tol:.1e} within {max_iters} iterations "
-        f"x {attempts} attempts (last residual {residual:.3e}, signal {signal_min:.3e})",
+        f"x {attempts} attempts (last: {last})",
         history=history_all,
-        residual=residual,
+        residual=last.residual,
     )
 
 
@@ -488,8 +487,8 @@ def verify_alignment(
     set's stated residual (or `residual_tol` when given) and the smallest
     desired-signal term stays above `c_min`.
     """
-    Wm = _wtilde_matrices(rec)
-    signal_min, same_max, cross_max = _alignment_stats(Wm, bf.v, bf.u, rec.K)
+    images = _images(_wtilde_matrices(rec), bf.v)
+    signal_min, same_max, cross_max = _alignment_stats(images, bf.u)
     residual = max(same_max, cross_max)
     allowed = bf.alignment_residual if residual_tol is None else residual_tol
     return AlignmentReport(

@@ -45,6 +45,7 @@ from .channel import (
     receiver_feedback,
     reconstruct,
     save_channel,
+    to_tone_domain,
 )
 from .grassmann import MC_CHUNK, BallVolumeSpec, ball_hit_count, ball_volume_normalized, sample_uniform
 from .quantizer import (
@@ -408,8 +409,6 @@ def cmd_ia_run(config: ExperimentConfig) -> int:
     if config.save_channel:
         save_channel(ch, config.save_channel)
 
-    from .channel import to_tone_domain  # local import keeps module init light
-
     P = 2.0**config.p_log2
     tone = to_tone_domain(ch, params.N)
     alphas = [config.alpha] * config.K
@@ -462,8 +461,6 @@ class SweepResult:
 
 def _trial_stats(config: ExperimentConfig, trial: int) -> np.ndarray:
     """One channel realization: per-(alpha, P, user) stats."""
-    from .channel import to_tone_domain
-
     params = _make_params(config.K, config.R, config.L, config.n, config.engine)
     grid = _power_grid(config)
     ch = generate_channel(config.K, config.R, config.L, seed=trial_generator(config.seed, trial))

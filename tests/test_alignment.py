@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from iafb.alignment import (
+    RANK_RTOL,
     AlignmentError,
     IaParameters,
+    _images,
+    _zero_force_receivers,
     build_beamformers,
     cj3_parameters,
     ia_parameters,
@@ -12,6 +17,7 @@ from iafb.alignment import (
 )
 from iafb.channel import generate_channel, receiver_feedback, reconstruct, to_tone_domain
 from iafb.quantizer import FeedbackBudget
+from iafb.rng import trial_generator
 
 
 def perfect_reconstruction(K, R, L, N, seed):
@@ -141,6 +147,87 @@ class TestCj3Engine:
         bf_lm = build_beamformers(rec, params, "leakage-min", rng=3)
         assert verify_alignment(bf_cf, rec).passed
         assert verify_alignment(bf_lm, rec).passed
+
+
+def reference_filters(rec, bf):
+    """Zero-forcing filters one stream at a time, by full SVDs.
+
+    Interference basis as in the library; then each stream's filter is
+    the unit projection of its desired image onto the orthogonal
+    complement of that basis plus the other desired images.
+    """
+    params = bf.params
+    K, d, RN = params.K, params.d, params.R * params.N
+    U = []
+    for i in range(K):
+        J = np.concatenate([rec.wtilde_matrix(i, k) @ bf.v[k] for k in range(K) if k != i], axis=1)
+        left, sing, _ = np.linalg.svd(J, full_matrices=False)
+        keep = min(RN - d[i], J.shape[1], int(np.count_nonzero(sing > RANK_RTOL * sing[0])))
+        basis = left[:, :keep]
+        desired = rec.wtilde_matrix(i, i) @ bf.v[i]
+        filters = np.empty((RN, d[i]), dtype=complex)
+        for m in range(d[i]):
+            nuisance = np.concatenate([basis, np.delete(desired, m, axis=1)], axis=1)
+            full_left, sing, _ = np.linalg.svd(nuisance, full_matrices=True)
+            comp = full_left[:, int(np.count_nonzero(sing > 1e-13 * sing[0])):]
+            proj = comp @ (comp.conj().T @ desired[:, m])
+            filters[:, m] = proj / np.linalg.norm(proj)
+        U.append(filters)
+    return U
+
+
+def cli_reconstruction(params, trial):
+    ch = generate_channel(params.K, params.R, 2, seed=trial_generator(0, trial))
+    return reconstruct([receiver_feedback(ch, i) for i in range(params.K)], params.N)
+
+
+class TestZeroForcing:
+    @pytest.mark.parametrize(
+        "engine,sizing,shared",
+        [("leakage-min", (3, 1, 1), False), ("leakage-min", (3, 2, 1), False),
+         ("leakage-min", (3, 2, 1), True)]
+        + [("cj3", n, False) for n in range(1, 6)],
+    )
+    def test_matches_per_stream_reference(self, engine, sizing, shared):
+        params = ia_parameters(*sizing) if engine == "leakage-min" else cj3_parameters(sizing)
+        # shared (3, 2, 1) directions fail alignment on trial 2 before and
+        # after the one-SVD filters; feasibility is not under test here
+        for trial in range(2):
+            rec = cli_reconstruction(params, trial)
+            # weak desired signals at large cj3 n still have well-defined filters
+            bf = build_beamformers(rec, params, engine, c_min=1e-12, rng=trial + 20, shared=shared)
+            for u, ref in zip(bf.u, reference_filters(rec, bf)):
+                overlap = np.abs(np.sum(u.conj() * ref, axis=0))
+                assert overlap.min() >= 1 - 1e-12
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_ill_conditioned_cj3_stays_aligned(self, n):
+        # the Vandermonde-like cj3 directions make D^H D ill-conditioned at
+        # these sizes; filters must still sit at rounding level off the
+        # interference span
+        params = cj3_parameters(n)
+        for trial in range(12):
+            bf = build_beamformers(cli_reconstruction(params, trial), params, "cj3", c_min=1e-12)
+            assert bf.alignment_residual <= 1e-14
+
+    def test_swallowed_stream_raises(self):
+        # R=1: W_00 v = W_01 v' when v = (w01/w00) v', so stream 0 of user 0
+        # arrives inside user 1's (aligned) interference image
+        params = cj3_parameters(1)
+        rec = cli_reconstruction(params, 0)
+        bf = build_beamformers(rec, params, "cj3")
+        Wm = [[rec.wtilde_matrix(i, k) for k in range(3)] for i in range(3)]
+        V = [v.copy() for v in bf.v]
+        V[0][:, 0] = np.diagonal(Wm[0][1]) / np.diagonal(Wm[0][0]) * V[1][:, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(AlignmentError, match="receiver 0, stream 0: .* swallowed"):
+                _zero_force_receivers(_images(Wm, V), params)
+            # a zero transmit column gives an exactly zero singular value
+            V = [v.copy() for v in bf.v]
+            V[0][:, 1] = 0.0
+            with pytest.raises(AlignmentError, match="receiver 0, stream 1: .* swallowed"):
+                _zero_force_receivers(_images(Wm, V), params)
 
 
 class TestVerifyAlignment:
