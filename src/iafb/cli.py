@@ -245,6 +245,9 @@ def _volume_chunk_hits(args) -> int:
 
 
 def cmd_volume_check(config: ExperimentConfig) -> int:
+    if config.trials < 1:
+        print(f"need at least one trial, got --trials {config.trials}", file=sys.stderr)
+        return 2
     for n, K in config.pairs:
         if n < 2 or K < 1:
             print(f"invalid manifold n={n}, K={K}", file=sys.stderr)
@@ -314,6 +317,9 @@ def cmd_quantizer_scaling(config: ExperimentConfig) -> int:
         return 2
     if config.K * (config.n - 1) < 1:
         print("need K*(n-1) >= 1 for a nontrivial manifold", file=sys.stderr)
+        return 2
+    if config.trials < 1:
+        print(f"need at least one trial, got --trials {config.trials}", file=sys.stderr)
         return 2
 
     rows = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import as_generator, complex_normal
+from .rng import as_generator, complex_normal, complex_normal_parts
 
 __all__ = [
     "GrassmannPoint",
@@ -237,11 +237,18 @@ def ball_hit_count(n: int, K: int, delta: float, trials: int, rng) -> int:
 
     The distance is taken to a fixed reference; by homogeneity of the
     manifold the reference is immaterial, so the first canonical basis
-    vector is used in every component. The squared distance to that
-    reference is K - sum_k |q_k[0]|^2 / ||q_k||^2, which avoids
-    materializing normalized samples. Samples are drawn off `rng` in
-    batches of `MC_CHUNK`.
+    vector is used in every component. A sample is K unnormalized complex
+    Gaussian rows q_k, and its squared distance to the reference is
+    sum_k (1 - |q_k[0]|^2 / ||q_k||^2), so no sample is normalized. The
+    kernel works on the real and imaginary parts of the draw
+    (|q|^2 = re^2 + im^2) and adds the short n and K axes term by term, in
+    order. Samples come off `rng` in batches of `MC_CHUNK`, each batch the
+    same numbers `complex_normal(rng, (batch, K, n))` would draw.
     """
+    if n < 2:
+        raise ValueError("ambient dimension n must be >= 2")
+    if K < 1:
+        raise ValueError("number of components K must be >= 1")
     if trials < 1:
         raise ValueError("need at least one trial")
     if delta < 0:
@@ -250,8 +257,20 @@ def ball_hit_count(n: int, K: int, delta: float, trials: int, rng) -> int:
     thresh = delta * delta
     hits = 0
     for start in range(0, trials, MC_CHUNK):
-        power = np.abs(complex_normal(rng, (min(MC_CHUNK, trials - start), K, n))) ** 2
-        dist_sq = np.sum(1.0 - power[:, :, 0] / power.sum(axis=2), axis=1)
+        parts = complex_normal_parts(rng, (min(MC_CHUNK, trials - start), K, n))
+        np.square(parts, out=parts)
+        power = parts[0]
+        power += parts[1]
+        # squared chordal distance per component, (batch, K), in place:
+        # ||q_k||^2, then |q_k[0]|^2 / ||q_k||^2, then 1 minus that
+        chordal = power[..., 0] + power[..., 1]
+        for j in range(2, n):
+            chordal += power[..., j]
+        np.divide(power[..., 0], chordal, out=chordal)
+        np.subtract(1.0, chordal, out=chordal)
+        dist_sq = chordal[:, 0]  # the K sum accumulates in column 0
+        for k in range(1, K):
+            dist_sq += chordal[:, k]
         hits += int(np.count_nonzero(dist_sq <= thresh))
     return hits
 

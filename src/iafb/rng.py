@@ -23,11 +23,23 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
 
 
+def complex_normal_parts(rng: np.random.Generator, shape) -> np.ndarray:
+    """Real and imaginary parts of a `complex_normal` draw, as one real array.
+
+    Returns float64 of shape ``(2, *shape)``: index 0 holds the real parts,
+    index 1 the imaginary parts. The generator fills the array in C order,
+    so one call draws the same numbers as two calls of `shape` each, real
+    parts first. Every complex draw in the library goes through here.
+    """
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    return rng.standard_normal((2, *shape))
+
+
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Circularly-symmetric complex Gaussian entries, unscaled.
 
     Real and imaginary parts are independent standard normals, so each
     entry has variance 2; callers needing unit variance divide by sqrt(2).
-    Every complex draw in the library goes through here, real parts first.
     """
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    parts = complex_normal_parts(rng, shape)
+    return parts[0] + 1j * parts[1]

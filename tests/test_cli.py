@@ -45,6 +45,14 @@ class TestVolumeCheck:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_no_trials_is_usage_error(self, tmp_path, capsys, trials):
+        out = tmp_path / "x.csv"
+        code = main(["volume-check", "--pairs", "2:2", "--deltas", "0.5", f"--trials={trials}", "--out", str(out)])
+        assert code == 2
+        assert f"--trials {trials}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jobs_do_not_change_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["volume-check", "--pairs", "2:2", "--deltas", "0.5", "--trials", "200000", "--seed", "9"]
@@ -78,6 +86,14 @@ class TestQuantizerScaling:
         code = main(["quantizer-scaling", f"--bits={bits}", "--trials", "100", "--out", str(out)])
         assert code == 2
         assert shown in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_no_trials_is_usage_error(self, tmp_path, capsys, trials):
+        out = tmp_path / "x.csv"
+        code = main(["quantizer-scaling", "--bits", "4,6,8", f"--trials={trials}", "--out", str(out)])
+        assert code == 2
+        assert f"--trials {trials}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_codebook_export(self, tmp_path):

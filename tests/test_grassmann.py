@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from iafb.grassmann import (
+    MC_CHUNK,
     BallVolumeSpec,
     CompositeGrassmannPoint,
     GrassmannPoint,
+    ball_hit_count,
     ball_volume_normalized,
     chordal_dist_sq,
     composite_dist_sq,
@@ -15,6 +17,7 @@ from iafb.grassmann import (
     sum_dist_sq_cdf,
     sum_dist_sq_density,
 )
+from iafb.rng import complex_normal
 
 
 def basis_point(n, index=0):
@@ -231,3 +234,30 @@ class TestEmpiricalBallCdf:
             est = empirical_ball_cdf(n, K, delta, trials, rng=1000 + 10 * n + K)
             sigma = math.sqrt(analytic * (1 - analytic) / trials)
             assert abs(est - analytic) <= 3 * sigma + 1e-12
+
+
+def reference_hit_count(n, K, delta, trials, rng):
+    """The count on complex magnitudes: |q|^2 as abs()**2, sums over axes."""
+    hits = 0
+    for start in range(0, trials, MC_CHUNK):
+        power = np.abs(complex_normal(rng, (min(MC_CHUNK, trials - start), K, n))) ** 2
+        dist_sq = np.sum(1.0 - power[:, :, 0] / power.sum(axis=2), axis=1)
+        hits += int(np.count_nonzero(dist_sq <= delta * delta))
+    return hits
+
+
+class TestBallHitCount:
+    # MC_CHUNK + 17 runs two chunks, the last one partial
+    @pytest.mark.parametrize("trials", [1, 1000, MC_CHUNK + 17])
+    @pytest.mark.parametrize("n,K", [(2, 1), (2, 2), (3, 2), (2, 3), (4, 3)])
+    def test_matches_complex_reference(self, n, K, trials):
+        for delta in (0.0, 0.3, 0.8, 1.0, math.sqrt(K)):
+            seed = 100 * n + 10 * K + trials
+            got = ball_hit_count(n, K, delta, trials, np.random.default_rng(seed))
+            want = reference_hit_count(n, K, delta, trials, np.random.default_rng(seed))
+            assert got == want, (n, K, trials, delta)
+
+    @pytest.mark.parametrize("n,K,trials,delta", [(1, 2, 10, 0.5), (2, 0, 10, 0.5), (2, 2, 0, 0.5), (2, 2, 10, -0.1)])
+    def test_rejects_invalid_arguments(self, n, K, trials, delta):
+        with pytest.raises(ValueError):
+            ball_hit_count(n, K, delta, trials, 0)
