@@ -26,16 +26,21 @@ are projected off B once more; without that, ill-conditioned cj3 sizings
 (n = 5, 6) leak up to 2.5e-7 into the interference span. Same-user stream
 separation is therefore exact to machine precision, and residual
 cross-user leakage equals whatever alignment error the engine left.
+
+`build_beamformers` also takes a batch of reconstructions (a leading
+batch axis, as dof-sweep stacks its alpha x power grid). cj3 and the
+zero-forcing step run on the whole batch in stacked calls; leakage-min
+iterates one element at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ReconstructedChannel
+from .channel import ReconstructedChannel, tone_images
 from .rng import as_generator, complex_normal
 
 __all__ = [
@@ -148,6 +153,11 @@ class BeamformerSet:
     unit-norm columns. ``alignment_residual`` is the largest violated
     inner product against the reconstruction the set was built on, and
     ``signal_min`` the smallest surviving desired-signal inner product.
+
+    A set built on a batch of reconstructions carries the batch axis first
+    on every ``v``/``u`` array, and ``alignment_residual`` and
+    ``signal_min`` are arrays over it; ``iterations`` then sums over the
+    batch and ``leakage`` is its largest final leakage.
     """
 
     v: tuple
@@ -300,96 +310,143 @@ def _leakage_min_directions(Wm, params: IaParameters, target: float, max_iters: 
     return V, history
 
 
-def _cj3_directions(Wm, params: IaParameters):
-    """Closed-form aligned transmit directions for K=3, R=1, N=2n+1."""
+def _cj3_invertible_prefix(h) -> int:
+    """How many leading batch elements come before the first whose per-tone
+    gains are not all invertible (all of them when none is)."""
+    mag = np.abs(h).reshape(len(h), -1)
+    scale = mag.max(axis=1)
+    bad = np.flatnonzero((scale == 0.0) | (mag.min(axis=1) < 1e-12 * scale))
+    return int(bad[0]) if bad.size else len(h)
+
+
+def _cj3_directions(h, params: IaParameters):
+    """Closed-form aligned transmit directions for K=3, R=1, N=2n+1.
+
+    ``h[..., i, k, :]`` holds the per-tone gains of link (i, k), the
+    diagonal of W_ik; every operation is elementwise over the batch.
+    """
     n = params.n
-    h = [[np.diagonal(Wm[i][k]) for k in range(3)] for i in range(3)]
-    flat = np.concatenate([h[i][k] for i in range(3) for k in range(3)])
-    scale = np.abs(flat).max()
-    if scale == 0.0 or np.abs(flat).min() < 1e-12 * scale:
-        raise AlignmentError("cj3 needs invertible per-tone channels; a tone gain is (near) zero")
-
-    ratio = h[1][2] * h[0][1] * h[2][0] / (h[1][0] * h[0][2] * h[2][1])
-    powers = np.column_stack([ratio**j for j in range(n + 1)])  # a_j = T^j 1
+    ratio = (
+        h[..., 1, 2, :] * h[..., 0, 1, :] * h[..., 2, 0, :]
+        / (h[..., 1, 0, :] * h[..., 0, 2, :] * h[..., 2, 1, :])
+    )
+    powers = np.stack([ratio**j for j in range(n + 1)], axis=-1)  # a_j = T^j 1
     v1 = powers
-    v2 = (h[2][0] / h[2][1])[:, None] * powers[:, :n]
-    v3 = (h[1][0] / h[1][2])[:, None] * powers[:, 1:]
-    out = []
-    for mat in (v1, v2, v3):
-        out.append(mat / np.linalg.norm(mat, axis=0, keepdims=True))
-    return out
+    v2 = (h[..., 2, 0, :] / h[..., 2, 1, :])[..., None] * powers[..., :n]
+    v3 = (h[..., 1, 0, :] / h[..., 1, 2, :])[..., None] * powers[..., 1:]
+    return [mat / np.linalg.norm(mat, axis=-2, keepdims=True) for mat in (v1, v2, v3)]
 
 
-def _images(Wm, V):
-    """Every receiver's view of every transmitter: images[i][k] = W_ik V_k."""
-    return [[W_ik @ V_k for W_ik, V_k in zip(row, V)] for row in Wm]
+def _hermitian(mat):
+    return np.conj(np.swapaxes(mat, -1, -2))
 
 
 def _zero_force_receivers(images, params: IaParameters):
     """Unit receive filters against the interference basis (see module docstring).
 
-    Column m of S^-1 Z^H has norm 1 / (distance of stream m's desired image
-    from B and the other desired images): the "swallowed" test.
+    ``images[i][k]`` is W_ik V_k for a batch, shape (M, R*N, d_k); every
+    factorization is one stacked call. Each element keeps its own
+    interference rank: basis columns past it are zeroed. Returns the
+    filters, U[i] of shape (M, R*N, d_i), and an (M, K) array holding each
+    receiver's first swallowed stream, or -1. Column m of S^-1 Z^H has
+    norm 1 / (distance of stream m's desired image from B and the other
+    desired images): the "swallowed" test.
     """
     K, d, RN = params.K, params.d, params.R * params.N
+    M = len(images[0][0])
     U = []
+    swallowed = np.full((M, K), -1)
     for i in range(K):
-        J = np.concatenate([images[i][k] for k in range(K) if k != i], axis=1)
+        J = np.concatenate([images[i][k] for k in range(K) if k != i], axis=-1)
         left, sing, _ = np.linalg.svd(J, full_matrices=False)
-        keep = min(RN - d[i], J.shape[1])
-        if sing[0] > 0.0:
-            keep = min(keep, int(np.count_nonzero(sing > RANK_RTOL * sing[0])))
-        basis = left[:, :keep]
-        basis_h = basis.conj().T
-        w, s, zh = np.linalg.svd(images[i][i] - basis @ (basis_h @ images[i][i]), full_matrices=False)
-        if s[-1] < 1e-12:  # no stream is closer than s[-1] to the others
+        rank = np.count_nonzero(sing > RANK_RTOL * sing[:, :1], axis=-1)
+        keep = np.minimum(min(RN - d[i], J.shape[-1]), np.where(sing[:, 0] > 0.0, rank, RN))
+        width = int(keep.max())
+        basis = left[..., :width] * (np.arange(width) < keep[:, None])[:, None, :]
+        basis_h = _hermitian(basis)
+        desired = images[i][i]
+        w, s, zh = np.linalg.svd(desired - basis @ (basis_h @ desired), full_matrices=False)
+        tiny = s[:, -1] < 1e-12  # no stream is closer than s[-1] to the others
+        if tiny.any():
             # |S^-1 Z^H| without dividing by an exactly zero singular value:
             # its row is infinite for the streams its null direction involves
             blown = np.where(zh == 0, 0.0, np.inf)
-            scale = np.divide(np.abs(zh), s[:, None], out=blown, where=s[:, None] > 0.0)
-            swallowed = np.flatnonzero(1.0 / np.linalg.norm(scale, axis=0) < 1e-12)
-            if swallowed.size:
-                raise AlignmentError(
-                    f"receiver {i}, stream {swallowed[0]}: desired direction is swallowed by "
-                    "the interference span; no usable zero-forcing filter exists"
-                )
-        filters = w @ (zh / s[:, None])
+            scale = np.divide(np.abs(zh), s[..., None], out=blown, where=s[..., None] > 0.0)
+            lost = tiny[:, None] & (1.0 / np.linalg.norm(scale, axis=-2) < 1e-12)
+            swallowed[:, i] = np.where(lost.any(axis=-1), lost.argmax(axis=-1), -1)
+        filters = w @ (zh / s[..., None])
         filters -= basis @ (basis_h @ filters)
-        U.append(filters / np.linalg.norm(filters, axis=0))
-    return U
+        U.append(filters / np.linalg.norm(filters, axis=-2, keepdims=True))
+    return U, swallowed
 
 
 def _alignment_stats(images, U):
-    """(signal_min, same-user max violation, cross-user max violation)."""
-    signal_min, same_max, cross_max = np.inf, 0.0, 0.0
+    """Per element: (signal_min, same-user max violation, cross-user max violation)."""
+    signal, same, cross = [], [], []
     for i, row in enumerate(images):
+        uh = _hermitian(U[i])
         for k, image in enumerate(row):
-            M = np.abs(U[i].conj().T @ image)
+            M = np.abs(uh @ image)
             if k == i:
-                signal_min = min(signal_min, float(M.diagonal().min()))
-                same_max = max(same_max, float((M - np.diag(np.diag(M))).max()))
+                diag = np.arange(M.shape[-1])
+                signal.append(M[..., diag, diag].min(axis=-1))
+                M[..., diag, diag] = 0.0
+                same.append(M.max(axis=(-2, -1)))
             else:
-                cross_max = max(cross_max, float(M.max()))
-    return signal_min, same_max, cross_max
+                cross.append(M.max(axis=(-2, -1)))
+    return np.min(signal, axis=0), np.max(same, axis=0), np.max(cross, axis=0)
 
 
-def _finish(Wm, V, params: IaParameters, engine: str, tol: float, c_min: float, **fields):
-    """Zero-force against directions V and gate the set against `tol` and `c_min`.
+def _finish(wtones, V, params: IaParameters, engine: str, tol: float, c_min: float, **fields):
+    """Zero-force a batch of directions V against `wtones` and gate it against `tol` and `c_min`.
 
-    Raises AlignmentError when a stream is swallowed or the gate fails.
+    ``wtones`` is (M, K, K, N, R) and ``V[k]`` (M, N, d_k). Raises
+    AlignmentError for the first failing element, with the message its own
+    build would raise: a swallowed stream, by receiver, before the gate.
     """
-    images = _images(Wm, V)
-    U = _zero_force_receivers(images, params)
-    signal_min, same_max, cross_max = _alignment_stats(images, U)
-    residual = max(same_max, cross_max)
-    if residual > tol or signal_min < c_min:
+    images = tone_images(wtones, V)
+    # a swallowed stream divides by a zero singular value; it fails below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        U, swallowed = _zero_force_receivers(images, params)
+        signal_min, same_max, cross_max = _alignment_stats(images, U)
+    residual = np.maximum(same_max, cross_max)
+    failed = (swallowed >= 0).any(axis=1) | (residual > tol) | (signal_min < c_min)
+    if failed.any():
+        b = int(np.argmax(failed))
+        lost = np.flatnonzero(swallowed[b] >= 0)
+        if lost.size:
+            raise AlignmentError(
+                f"receiver {lost[0]}, stream {swallowed[b, lost[0]]}: desired direction is swallowed "
+                "by the interference span; no usable zero-forcing filter exists"
+            )
         raise AlignmentError(
-            f"{engine} construction failed: residual={residual:.3e}, signal_min={signal_min:.3e}",
-            residual=residual,
+            f"{engine} construction failed: residual={residual[b]:.3e}, signal_min={signal_min[b]:.3e}",
+            residual=float(residual[b]),
         )
     return BeamformerSet(
         v=tuple(V), u=tuple(U), params=params, alignment_residual=residual,
         signal_min=signal_min, engine=engine, **fields,
+    )
+
+
+def _unbatched(bf: BeamformerSet) -> BeamformerSet:
+    """The single element of a batch-of-one set, without the batch axis."""
+    return replace(
+        bf, v=tuple(v[0] for v in bf.v), u=tuple(u[0] for u in bf.u),
+        alignment_residual=float(bf.alignment_residual[0]), signal_min=float(bf.signal_min[0]),
+    )
+
+
+def _concatenated(sets) -> BeamformerSet:
+    """Batched sets joined along their batch axis."""
+    return replace(
+        sets[0],
+        v=tuple(np.concatenate(vs) for vs in zip(*(bf.v for bf in sets))),
+        u=tuple(np.concatenate(us) for us in zip(*(bf.u for bf in sets))),
+        alignment_residual=np.concatenate([bf.alignment_residual for bf in sets]),
+        signal_min=np.concatenate([bf.signal_min for bf in sets]),
+        iterations=sum(bf.iterations for bf in sets),
+        leakage=max(bf.leakage for bf in sets),
     )
 
 
@@ -424,6 +481,12 @@ def build_beamformers(
     leakage-min engine restarts from fresh random directions up to
     `restarts` times before giving up; failures raise AlignmentError with
     the leakage trajectory attached.
+
+    A batched `rec` gives a batched set. cj3 builds the whole batch at once;
+    leakage-min iterates one element at a time, drawing from ``rng[b]`` when
+    `rng` is a list with one generator per element and from the one shared
+    generator otherwise. A failure raises for the first failing element,
+    with the message its own build would raise.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
@@ -433,16 +496,36 @@ def build_beamformers(
             f"parameters (K={params.K}, R={params.R}, N={params.N})"
         )
     _check_feasibility(params)
-    rng = as_generator(rng)
-    Wm = _wtilde_matrices(rec)
+    wtones = rec.wtones if rec.batched else rec.wtones[None]
 
     if engine == "cj3":
         if params.scheme != "cj3" or params.K != 3 or params.R != 1:
             raise ValueError("the cj3 engine needs cj3_parameters (K=3, R=1, N=2n+1)")
         if shared:
             raise ValueError("the cj3 construction has no shared-direction variant")
-        return _finish(Wm, _cj3_directions(Wm, params), params, engine, tol, c_min)
+        # W_ik is diagonal at R=1: its diagonal is the conjugated tone row
+        h = np.conj(wtones[..., 0])
+        stop = _cj3_invertible_prefix(h)
+        if stop:  # the elements before the first singular one may fail first
+            bf = _finish(wtones[:stop], _cj3_directions(h[:stop], params), params, engine, tol, c_min)
+        if stop < len(h):
+            raise AlignmentError("cj3 needs invertible per-tone channels; a tone gain is (near) zero")
+        return bf if rec.batched else _unbatched(bf)
 
+    elements = [replace(rec, qhat=q, wtones=w) for q, w in zip(rec.qhat, rec.wtones)] if rec.batched else [rec]
+    rngs = list(rng) if isinstance(rng, (list, tuple)) else [as_generator(rng)] * len(elements)
+    if len(rngs) != len(elements):
+        raise ValueError("need one generator per batch element")
+    sets = [
+        _leakage_min(el, params, tol, c_min, max_iters, g, shared, restarts)
+        for el, g in zip(elements, rngs)
+    ]
+    return _concatenated(sets) if rec.batched else _unbatched(sets[0])
+
+
+def _leakage_min(rec, params, tol, c_min, max_iters, rng, shared, restarts) -> BeamformerSet:
+    """leakage-min on one unbatched reconstruction; a batch-of-one set."""
+    Wm = _wtilde_matrices(rec)
     target = (0.5 * tol) ** 2
     history_all = []
     attempts = max(1, restarts + 1)
@@ -451,8 +534,8 @@ def build_beamformers(
         history_all.extend(history)
         try:
             return _finish(
-                Wm, V, params, engine, tol, c_min, shared=shared,
-                iterations=len(history), leakage=history[-1] if history else 0.0,
+                rec.wtones[None], [v[None] for v in V], params, "leakage-min", tol, c_min,
+                shared=shared, iterations=len(history), leakage=history[-1] if history else 0.0,
             )
         except AlignmentError as err:
             last = err  # degenerate or unconverged; restart from fresh directions
@@ -487,8 +570,8 @@ def verify_alignment(
     set's stated residual (or `residual_tol` when given) and the smallest
     desired-signal term stays above `c_min`.
     """
-    images = _images(_wtilde_matrices(rec), bf.v)
-    signal_min, same_max, cross_max = _alignment_stats(images, bf.u)
+    images = tone_images(rec.wtones[None], [v[None] for v in bf.v])
+    signal_min, same_max, cross_max = (float(x[0]) for x in _alignment_stats(images, [u[None] for u in bf.u]))
     residual = max(same_max, cross_max)
     allowed = bf.alignment_residual if residual_tol is None else residual_tol
     return AlignmentReport(

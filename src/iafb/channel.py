@@ -68,9 +68,6 @@ class ChannelRealization:
             raise ValueError("noise power must be positive")
         self.taps.setflags(write=False)
 
-    def tap_matrix(self, i: int, k: int) -> np.ndarray:
-        return self.taps[i, k]
-
 
 @dataclass(frozen=True)
 class ToneChannel:
@@ -138,7 +135,9 @@ class ReconstructedChannel:
 
     ``qhat[i, k]`` is the quantized direction reshaped back to an L x R tap
     layout; ``wtones[i, k]`` is its zero-padded, unitary-scaled DFT (N x R),
-    so each stacked direction matrix has unit Frobenius norm.
+    so each stacked direction matrix has unit Frobenius norm. A batch of
+    reconstructions carries a leading batch axis on both arrays
+    (``batched``); the per-link accessors serve unbatched ones.
     """
 
     K: int
@@ -152,8 +151,9 @@ class ReconstructedChannel:
         self.qhat.setflags(write=False)
         self.wtones.setflags(write=False)
 
-    def qhat_matrix(self, i: int, k: int) -> np.ndarray:
-        return self.qhat[i, k]
+    @property
+    def batched(self) -> bool:
+        return self.wtones.ndim == 5
 
     def wtilde_vec(self, i: int, k: int) -> np.ndarray:
         """Stacked unit-norm reconstructed direction (length R*N)."""
@@ -172,6 +172,30 @@ def _block_diag_from_rows(rows: np.ndarray) -> np.ndarray:
     for r in range(R):
         out[idx * R + r, idx] = rows[:, r]
     return out
+
+
+# Not in __all__: bench/tracer.py times every function listed there, and
+# this one runs inside alignment and rate calls.
+def tone_images(tones: np.ndarray, V) -> list:
+    """Every receiver's view of every transmitter: images[i][k] = W_ik V_k.
+
+    W_ik is the R*N x N block-diagonal matrix whose block r is the
+    conjugated tone row ``tones[..., i, k, r, :]`` (see
+    `ToneChannel.hbar_matrix`), so the product is elementwise: row r*R + m
+    of the image is conj(tones[..., i, k, r, m]) times row r of V_k.
+    ``V[k]`` is (..., N, d_k); leading axes broadcast against those of
+    ``tones``, which are (..., K, K, N, R).
+    """
+    conj = np.conj(tones)
+    K = tones.shape[-4]
+    images = []
+    for i in range(K):
+        row = []
+        for k in range(K):
+            img = conj[..., i, k, :, :, None] * V[k][..., :, None, :]
+            row.append(img.reshape(*img.shape[:-3], -1, img.shape[-1]))
+        images.append(row)
+    return images
 
 
 def generate_channel(K: int, R: int, L: int, dist: str = "cn", seed=None) -> ChannelRealization:
@@ -246,33 +270,39 @@ def receiver_feedback(
     raise TypeError(f"unsupported quantizer config: {type(quantizer).__name__}")
 
 
-def reconstruct(msgs, N: int) -> ReconstructedChannel:
+def reconstruct(feedback, N: int, *, R: int | None = None) -> ReconstructedChannel:
     """Rebuild the tone-domain channel surrogate from all K messages.
 
     Each fed-back direction is reshaped to L x R (undoing the column-major
     vectorization), zero-padded to N taps and DFT'd with the 1/sqrt(N)
     unitary scaling, so every stacked reconstructed direction keeps norm 1.
+
+    ``feedback`` is the list of K FeedbackMessages, or for a batch a
+    (B, K, K, R*L) array whose [b, i] is receiver i's fed-back (K, R*L)
+    directions; an array needs ``R``. One FFT transforms the whole batch.
     """
-    msgs = list(msgs)
-    if not msgs:
-        raise ValueError("no feedback messages given")
-    K = msgs[0].point.K
-    R, L = msgs[0].R, msgs[0].L
-    by_user = {m.user: m for m in msgs}
-    missing = [i for i in range(K) if i not in by_user]
-    if missing or len(msgs) != K:
-        raise ValueError(f"need exactly one message per user 0..{K - 1}; missing {missing}")
+    if isinstance(feedback, np.ndarray):
+        if R is None or feedback.ndim != 4 or feedback.shape[-1] % R:
+            raise ValueError("a direction array needs shape (B, K, K, R*L) and R")
+        vectors = feedback
+    else:
+        msgs = list(feedback)
+        if not msgs:
+            raise ValueError("no feedback messages given")
+        K = msgs[0].point.K
+        R = msgs[0].R
+        by_user = {m.user: m for m in msgs}
+        missing = [i for i in range(K) if i not in by_user]
+        if missing or len(msgs) != K:
+            raise ValueError(f"need exactly one message per user 0..{K - 1}; missing {missing}")
+        vectors = np.stack([by_user[i].point.as_array() for i in range(K)])
+    K, L = vectors.shape[-2], vectors.shape[-1] // R
     if N < L:
         raise ValueError(f"need at least as many tones as taps (N={N} < L={L})")
 
-    qhat = np.empty((K, K, L, R), dtype=complex)
-    wtones = np.empty((K, K, N, R), dtype=complex)
-    for i in range(K):
-        parts = by_user[i].point.parts
-        for k in range(K):
-            mat = parts[k].coords.reshape(L, R, order="F")
-            qhat[i, k] = mat
-            wtones[i, k] = np.fft.fft(mat, n=N, axis=0) / np.sqrt(N)
+    # column-major vectorization: entry m*L + l is tap l of antenna m
+    qhat = np.swapaxes(vectors.reshape(*vectors.shape[:-1], R, L), -1, -2).copy()
+    wtones = np.fft.fft(qhat, n=N, axis=-2) / np.sqrt(N)
     return ReconstructedChannel(K=K, R=R, L=L, N=N, qhat=qhat, wtones=wtones)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import as_generator, complex_normal, complex_normal_parts
+from .rng import as_generator, complex_normal_parts, complex_normal_streams
 
 __all__ = [
     "GrassmannPoint",
@@ -47,15 +47,6 @@ class GrassmannPoint:
             raise ValueError("coordinates must have unit Euclidean norm")
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
-
-    @classmethod
-    def from_vector(cls, vec) -> "GrassmannPoint":
-        """Normalize an arbitrary nonzero vector onto the manifold."""
-        vec = np.asarray(vec, dtype=complex)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(vec / norm)
 
     @property
     def n(self) -> int:
@@ -138,16 +129,21 @@ def composite_dist_sq(a: CompositeGrassmannPoint, b: CompositeGrassmannPoint) ->
     return float(sum(chordal_dist_sq(p, q) for p, q in zip(a.parts, b.parts)))
 
 
-def sample_uniform(n: int, K: int, rng) -> CompositeGrassmannPoint:
-    """Draw a uniform point: K independent normalized complex Gaussians."""
+def sample_uniform(n: int, K: int, rng):
+    """Draw a uniform point: K independent normalized complex Gaussians.
+
+    ``rng`` may also be a list of generators: then one point is drawn from
+    each, exactly as a single-point call on it would, and the B points come
+    back as one (B, K, n) array of unit rows.
+    """
     if n < 2:
         raise ValueError("ambient dimension n must be >= 2")
     if K < 1:
         raise ValueError("number of components K must be >= 1")
-    rng = as_generator(rng)
-    raw = complex_normal(rng, (K, n))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    return CompositeGrassmannPoint.from_array(raw)
+    batched = isinstance(rng, (list, tuple))
+    raw = complex_normal_streams(rng if batched else [as_generator(rng)], (K, n))
+    raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
+    return raw if batched else CompositeGrassmannPoint.from_array(raw[0])
 
 
 def _log_volume_const(n: int, K: int) -> float:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grassmann import CompositeGrassmannPoint
-from .rng import as_generator, complex_normal
+from .rng import as_generator, complex_normal, complex_normal_streams
 
 __all__ = [
     "Codebook",
@@ -333,38 +333,47 @@ def measure_distortion(cb: Codebook, trials: int, rng) -> DistortionReport:
     )
 
 
-def distortion_oracle_quantize(
-    x: CompositeGrassmannPoint, budget: FeedbackBudget, rng
-) -> CompositeGrassmannPoint:
+def distortion_oracle_quantize(x, budget, rng):
     """Emulate an ideal packing codebook at an arbitrarily large budget.
 
     Returns a point at composite distance exactly delta_star from `x`, with
     the squared error spread over the components by a uniformly random
     tangent direction. Every component therefore stays within delta_star**2
     of its original, which is 1/P at the full feedback budget.
+
+    For a batch, ``x`` is a (B, K, n) array of unit rows and ``budget`` and
+    ``rng`` are lists holding one FeedbackBudget and one generator per
+    point. Each point draws from its own generator exactly as the
+    single-point call would, and the B points come back as one array.
     """
-    if x.K != budget.K or x.n != budget.n:
+    batched = not isinstance(x, CompositeGrassmannPoint)
+    arr = np.asarray(x) if batched else x.as_array()[None]
+    budgets = list(budget) if batched else [budget]
+    rngs = list(rng) if batched else [as_generator(rng)]
+    if arr.ndim != 3 or not len(arr) == len(budgets) == len(rngs):
+        raise ValueError("need one budget and one generator per (K, n) point")
+    K, n = arr.shape[1:]
+    if any(b.K != K or b.n != n for b in budgets):
         raise ValueError("point shape does not match the budget's manifold")
-    rng = as_generator(rng)
-    arr = x.as_array()
-    target = budget.delta_star**2
-    if target == 0.0:
+    target = np.array([b.delta_star for b in budgets]) ** 2
+    if not target.any():
         return x
 
-    raw = complex_normal(rng, (x.K, x.n))
-    overlap = np.einsum("kj,kj->k", arr.conj(), raw)
-    tangent = raw - overlap[:, None] * arr
-    weights = np.linalg.norm(tangent, axis=1)
+    raw = complex_normal_streams(rngs, (K, n))
+    overlap = np.einsum("bkj,bkj->bk", arr.conj(), raw)
+    tangent = raw - overlap[..., None] * arr
+    weights = np.linalg.norm(tangent, axis=-1)
     # zero tangent components have probability zero; guard anyway
     if np.any(weights == 0.0):
         raise RuntimeError("degenerate tangent draw; retry with a different stream")
-    tangent /= weights[:, None]
-    alloc = weights**2 / np.sum(weights**2)
+    tangent /= weights[..., None]
+    alloc = weights**2 / np.sum(weights**2, axis=-1, keepdims=True)
 
-    comp_err = alloc * target
-    out = np.sqrt(1.0 - comp_err)[:, None] * arr + np.sqrt(comp_err)[:, None] * tangent
-    out /= np.linalg.norm(out, axis=1, keepdims=True)
-    return CompositeGrassmannPoint.from_array(out)
+    comp_err = alloc * target[:, None]
+    out = np.sqrt(1.0 - comp_err)[..., None] * arr + np.sqrt(comp_err)[..., None] * tangent
+    out /= np.linalg.norm(out, axis=-1, keepdims=True)
+    out = np.where((target == 0.0)[:, None, None], arr, out)
+    return out if batched else CompositeGrassmannPoint.from_array(out[0])
 
 
 def distortion_scaling_exponent(n: int, K: int, bits_list, trials: int, rng) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import BeamformerSet
-from .channel import ToneChannel
+from .channel import ToneChannel, tone_images
 
 __all__ = [
     "RateReport",
@@ -47,7 +47,12 @@ NUMERICAL_FLOOR = 1e-20
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-stream SINR decomposition and per-user rates at one power level."""
+    """Per-stream SINR decomposition and per-user rates at one power level.
+
+    For a batch of beamformer sets or powers (see `achievable_rates`) every
+    array carries the batch axis first: ``rates`` is (B, K), ``signal[i]``
+    (B, d_i), and ``P`` and ``rate_sum`` are arrays over it.
+    """
 
     P: float
     noise_power: float
@@ -58,9 +63,10 @@ class RateReport:
     rates: np.ndarray
     rate_sum: float
 
-    def max_interference(self, i: int) -> float:
+    def max_interference(self, i: int):
         """Worst-stream total interference power at receiver i."""
-        return float(np.max(self.interference_own[i] + self.interference_cross[i]))
+        worst = np.max(self.interference_own[i] + self.interference_cross[i], axis=-1)
+        return float(worst) if worst.ndim == 0 else worst
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,8 @@ def coupling_matrices(tone: ToneChannel, bf: BeamformerSet):
     """Filtered true-channel gains G[i][k] = U_i^H Hbar_ik V_k.
 
     These are power-independent; rate evaluation across a power sweep can
-    reuse one set of couplings per (channel, beamformer) pair.
+    reuse one set of couplings per (channel, beamformer) pair. A batched
+    `bf` gives couplings with its batch axis first.
     """
     K, R, N = tone.K, tone.R, tone.N
     p = bf.params
@@ -96,62 +103,67 @@ def coupling_matrices(tone: ToneChannel, bf: BeamformerSet):
             f"beamformers sized (K={p.K}, R={p.R}, N={p.N}) do not match the "
             f"channel (K={K}, R={R}, N={N})"
         )
-    scale = 1.0 / math.sqrt(N)
-    G = []
-    for i in range(K):
-        row = []
-        for k in range(K):
-            tones_conj = np.conj(tone.tones[i, k]) * scale
-            img = np.einsum("nr,nd->nrd", tones_conj, bf.v[k]).reshape(R * N, -1)
-            row.append(bf.u[i].conj().T @ img)
-        G.append(row)
-    return G
+    images = tone_images(tone.tones * (1.0 / math.sqrt(N)), bf.v)
+    return [
+        [np.conj(np.swapaxes(bf.u[i], -1, -2)) @ images[i][k] for k in range(K)]
+        for i in range(K)
+    ]
 
 
-def _terms_from_couplings(G, d, K: int, P: float):
+def _terms_from_couplings(G, d, K: int, P):
+    P = np.asarray(P, dtype=float)[..., None]
     signal, own, cross = [], [], []
     for i in range(K):
         gain_ii = np.abs(G[i][i]) ** 2
+        diag = np.diagonal(gain_ii, axis1=-2, axis2=-1)
         scale_i = P / (K * d[i])
-        sig = scale_i * np.diag(gain_ii)
-        i1 = scale_i * (gain_ii.sum(axis=1) - np.diag(gain_ii))
-        i2 = np.zeros(d[i])
+        sig = scale_i * diag
+        i1 = scale_i * (gain_ii.sum(axis=-1) - diag)
+        i2 = np.zeros(np.broadcast_shapes(P.shape, diag.shape))
         for k in range(K):
             if k == i:
                 continue
-            i2 += (P / (K * d[k])) * (np.abs(G[i][k]) ** 2).sum(axis=1)
+            i2 += (P / (K * d[k])) * (np.abs(G[i][k]) ** 2).sum(axis=-1)
         signal.append(sig)
         own.append(i1)
         cross.append(i2)
     return signal, own, cross
 
 
-def interference_terms(tone: ToneChannel, bf: BeamformerSet, P: float):
+def interference_terms(tone: ToneChannel, bf: BeamformerSet, P):
     """Per-stream (signal, I1, I2) triples against the true channel.
 
-    Returns three lists indexed by user, each holding a length-d_i array.
+    Returns three lists indexed by user, each holding a length-d_i array,
+    or with a batched `bf` or an array `P` (which broadcast against each
+    other) a (B, d_i) array.
     """
-    if P <= 0:
+    if np.any(np.asarray(P) <= 0):
         raise ValueError("power must be positive")
     G = coupling_matrices(tone, bf)
     return _terms_from_couplings(G, bf.params.d, tone.K, P)
 
 
 def achievable_rates(
-    tone: ToneChannel, bf: BeamformerSet, P: float, noise_power: float | None = None
+    tone: ToneChannel, bf: BeamformerSet, P, noise_power: float | None = None
 ) -> RateReport:
-    """Treat all interference as noise and evaluate the per-user rates."""
+    """Treat all interference as noise and evaluate the per-user rates.
+
+    `P` is one power or an array of them. It broadcasts against the batch
+    axis of `bf`: one set at many powers, or one power per set.
+    """
     noise = tone.noise_power if noise_power is None else noise_power
     if noise <= 0:
         raise ValueError("noise power must be positive")
     signal, own, cross = interference_terms(tone, bf, P)
     N = bf.params.N
-    rates = np.array(
+    rates = np.stack(
         [
-            float(np.sum(np.log2(1.0 + s / (i1 + i2 + noise)))) / N
+            np.sum(np.log2(1.0 + s / (i1 + i2 + noise)), axis=-1) / N
             for s, i1, i2 in zip(signal, own, cross)
-        ]
+        ],
+        axis=-1,
     )
+    rate_sum = rates.sum(axis=-1)
     return RateReport(
         P=P,
         noise_power=noise,
@@ -160,7 +172,7 @@ def achievable_rates(
         interference_own=tuple(own),
         interference_cross=tuple(cross),
         rates=rates,
-        rate_sum=float(rates.sum()),
+        rate_sum=float(rate_sum) if rate_sum.ndim == 0 else rate_sum,
     )
 
 

@@ -43,3 +43,14 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """
     parts = complex_normal_parts(rng, shape)
     return parts[0] + 1j * parts[1]
+
+
+def complex_normal_streams(rngs, shape) -> np.ndarray:
+    """One `complex_normal` draw of `shape` per generator, stacked.
+
+    Returns complex of shape ``(len(rngs), *shape)``; row b holds exactly
+    the numbers ``complex_normal(rngs[b], shape)`` would draw.
+    """
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    parts = np.stack([complex_normal_parts(g, shape) for g in rngs], axis=1)
+    return parts[0] + 1j * parts[1]

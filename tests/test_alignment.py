@@ -7,8 +7,7 @@ from iafb.alignment import (
     RANK_RTOL,
     AlignmentError,
     IaParameters,
-    _images,
-    _zero_force_receivers,
+    _finish,
     build_beamformers,
     cj3_parameters,
     ia_parameters,
@@ -222,12 +221,12 @@ class TestZeroForcing:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(AlignmentError, match="receiver 0, stream 0: .* swallowed"):
-                _zero_force_receivers(_images(Wm, V), params)
+                _finish(rec.wtones[None], [v[None] for v in V], params, "cj3", 1e-8, 1e-6)
             # a zero transmit column gives an exactly zero singular value
             V = [v.copy() for v in bf.v]
             V[0][:, 1] = 0.0
             with pytest.raises(AlignmentError, match="receiver 0, stream 1: .* swallowed"):
-                _zero_force_receivers(_images(Wm, V), params)
+                _finish(rec.wtones[None], [v[None] for v in V], params, "cj3", 1e-8, 1e-6)
 
 
 class TestVerifyAlignment:

@@ -220,7 +220,7 @@ class TestReconstruction:
         for i in range(3):
             for k in range(3):
                 expect = ch.taps[i, k] / np.linalg.norm(ch.taps[i, k])
-                assert np.allclose(rec.qhat_matrix(i, k), expect, atol=1e-12)
+                assert np.allclose(rec.qhat[i, k], expect, atol=1e-12)
 
 
 class TestArchive:

@@ -1,9 +1,22 @@
 import json
 
+import numpy as np
 import pytest
 
-from iafb.channel import generate_channel, save_channel
-from iafb.cli import main
+from iafb.alignment import AlignmentError, build_beamformers, cj3_parameters, ia_parameters
+from iafb.channel import (
+    FeedbackMessage,
+    generate_channel,
+    receiver_feedback,
+    reconstruct,
+    save_channel,
+    to_tone_domain,
+)
+from iafb.cli import main, parse_config, run_dof_sweep
+from iafb.grassmann import sample_uniform
+from iafb.quantizer import FeedbackBudget
+from iafb.rates import achievable_rates
+from iafb.rng import trial_generator
 
 
 def read(path):
@@ -237,6 +250,126 @@ class TestDofSweep:
             "dof-sweep", "--alpha-user", "7", "--out", str(tmp_path / "x.csv"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, shown",
+        [
+            (["--alphas", "0.5,1.5"], "got 1.5"),
+            (["--alphas", "-0.25"], "got -0.25"),
+            (["--trials", "0"], "--trials 0"),
+            (["--trials", "-5"], "--trials -5"),
+            (["--p-log2-step", "0"], "--p-log2-step 0"),
+            (["--p-log2-step", "-1"], "--p-log2-step -1"),
+            (["--p-log2-max", "5"], "has 2"),
+            (["--p-log2-max", "2"], "has 0"),
+            (["--alpha-user", "x"], "got 'x'"),
+            (["--alpha-user", "1.5"], "got '1.5'"),
+        ],
+    )
+    def test_invalid_sweep_is_usage_error(self, tmp_path, capsys, flags, shown):
+        out = tmp_path / "x.csv"
+        code = main(["dof-sweep", "--trials", "2", *flags, "--out", str(out)])
+        assert code == 2
+        assert shown in capsys.readouterr().err
+        assert not out.exists()
+
+
+def per_point_trial(config, trial):
+    """One dof-sweep trial evaluated point by point through the public calls.
+
+    The reference for the batched `_trial_stats`: every (alpha, power)
+    point runs its own feedback, reconstruction, build and rate evaluation,
+    in alpha-major order, with the streams the sweep documents.
+    """
+    K, R, L = config.K, config.R, config.L
+    params = cj3_parameters(config.n) if config.engine == "cj3" else ia_parameters(K, R, config.n)
+    count = int(round((config.p_log2_max - config.p_log2_min) / config.p_log2_step)) + 1
+    grid = [2.0 ** (config.p_log2_min + t * config.p_log2_step) for t in range(count)]
+    ch = generate_channel(K, R, L, seed=trial_generator(config.seed, trial))
+    tone = to_tone_domain(ch, params.N)
+    stats = np.zeros((len(config.alphas), len(grid), K, 5))
+
+    def build(rec):
+        return build_beamformers(
+            rec, params, config.engine, tol=config.align_tol, max_iters=config.max_iters,
+            rng=trial_generator(config.seed, 7_000_000 + trial),
+        )
+
+    def fill(a, j, rep):
+        for i in range(K):
+            stats[a, j, i] = (
+                rep.rates[i], np.max(rep.interference_own[i]), np.max(rep.interference_cross[i]),
+                np.min(rep.signal[i]), rep.max_interference(i),
+            )
+
+    if config.feedback == "perfect":
+        bf = build(reconstruct([receiver_feedback(ch, i) for i in range(K)], params.N))
+        for a in range(len(config.alphas)):
+            for j, P in enumerate(grid):
+                fill(a, j, achievable_rates(tone, bf, P, noise_power=config.noise))
+        return stats
+    for a, alpha in enumerate(config.alphas):
+        alphas = [alpha] * K
+        if config.alpha_user != "all":
+            alphas = [1.0] * K
+            alphas[int(config.alpha_user)] = alpha
+        for j, P in enumerate(grid):
+            msgs = []
+            for i in range(K):
+                rng = trial_generator(config.seed, (trial * 100_000 + a * 1_000 + j) * 1009 + i)
+                if alphas[i] == 0.0:
+                    point = sample_uniform(R * L, K, rng)
+                    msgs.append(FeedbackMessage(user=i, point=point, R=R, L=L, bits=0))
+                else:
+                    budget = FeedbackBudget(K=K, R=R, L=L, P=P, alpha=alphas[i])
+                    msgs.append(receiver_feedback(ch, i, budget, rng=rng))
+            bf = build(reconstruct(msgs, params.N))
+            fill(a, j, achievable_rates(tone, bf, P, noise_power=config.noise))
+    return stats
+
+
+def per_point_sweep(config):
+    stats, failures = [], []
+    for trial in range(config.trials):
+        try:
+            stats.append(per_point_trial(config, trial))
+        except AlignmentError as exc:
+            failures.append((trial, str(exc)))
+    return np.array(stats), failures
+
+
+class TestSweepMatchesPerPoint:
+    """The batched sweep keeps every draw and the per-point failure order."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--engine", "cj3", "--n", "1", "--feedback", "oracle", "--alphas", "0,0.5,1", "--alpha-user", "0"],
+            ["--engine", "cj3", "--n", "2", "--feedback", "oracle", "--alphas", "0,0.5,1", "--alpha-user", "0"],
+            ["--engine", "cj3", "--n", "1", "--feedback", "oracle", "--alphas", "0,0.25,1"],
+            ["--engine", "cj3", "--n", "2", "--feedback", "perfect", "--alphas", "0.5,1"],
+            ["--engine", "leakage-min", "--feedback", "perfect", "--p-log2-max", "6"],
+            ["--engine", "leakage-min", "--feedback", "oracle", "--alphas", "0.5,1",
+             "--alpha-user", "2", "--p-log2-max", "6"],
+        ],
+    )
+    def test_stats_match(self, flags):
+        trials = "1" if "leakage-min" in flags else "3"
+        config = parse_config(["dof-sweep", "--trials", trials, "--seed", "5", *flags])
+        result = run_dof_sweep(config)
+        stats, failures = per_point_sweep(config)
+        assert result.failures == failures == []
+        np.testing.assert_allclose(result.stats, stats, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("n, trials", [(4, 6), (16, 2)])
+    def test_same_trials_dropped_for_the_same_reason(self, n, trials):
+        config = parse_config(["dof-sweep", "--engine", "cj3", "--n", str(n), "--trials", str(trials)])
+        result = run_dof_sweep(config)
+        stats, failures = per_point_sweep(config)
+        assert failures and result.failures == failures
+        assert len(result.stats) == len(stats) == trials - len(failures)
+        if len(stats):
+            np.testing.assert_allclose(result.stats, stats, rtol=1e-9, atol=1e-12)
 
 
 class TestMimoReduce:
