@@ -36,7 +36,6 @@ from .quantizer import (
     distortion_scaling_exponent,
     encode,
     measure_distortion,
-    refine_maxmin,
 )
 from .channel import (
     ChannelRealization,

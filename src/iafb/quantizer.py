@@ -1,32 +1,35 @@
 """Finite-rate codebooks on the composite Grassmann manifold.
 
-Three quantizer flavors cover the whole bit-budget range:
+Two quantizer flavors cover the whole bit-budget range:
 
-* ``materialized`` codebooks hold all 2**bits codewords in memory and
-  support exhaustive nearest-neighbor search plus greedy packing
-  refinement;
-* ``implicit`` codebooks regenerate the same codewords chunk by chunk
-  from a stored seed, trading CPU for memory at larger budgets;
+* random codebooks hold all 2**bits codewords in memory (at most
+  2**MAX_MATERIALIZED_BITS) and support exhaustive nearest-neighbor
+  search;
 * the distortion oracle emulates an ideal packing codebook at budgets
   far beyond what can be materialized, by returning a point at exactly
   the distortion radius 2**(-bits / (2 K (n-1))) that such a codebook
   guarantees. Rate/DoF experiments whose bit budgets grow with the
-  transmit power rely on this mode.
+  transmit power rely on it.
 
 Random codebooks stand in for true maximal packings: they attain the
 same distortion scaling exponent, which is the only property the
-downstream experiments consume. Codeword generation is chunk-seeded so
-materialized and implicit codebooks with the same seed are identical.
+downstream experiments consume. Codewords are generated in chunks of
+2**14, each from its own (seed, chunk) stream.
 
-Distortion search (``measure_distortion``, ``refine_maxmin``) uses the
+Distortion search (``measure_distortion``) uses the half-vectorized
 projection embedding of Conway, Hardin and Sloane (Exp. Math. 1996):
-each point maps to the real vector of its projectors x_k x_k^H, so
-sum_k |<x_k, c_k>|^2 is one real inner product and a batch of sources
-is scored against a codebook chunk by one real matrix product. Its
-rounding differs from the direct formula at about 1e-15. ``encode``
-stays a per-point scan on the direct formula: one point cannot amortize
-embedding a whole codebook (0.7 ms per point direct vs 4.0 ms embedded at
-n=2, K=3, 14 bits), and feedback builds a fresh codebook per receiver.
+each component x_k maps to the real diagonal of x_k x_k^H plus sqrt(2)
+times the real and imaginary parts of its strict upper triangle, K*n*n
+reals per point, so sum_k |<x_k, c_k>|^2 is one real inner product and a
+batch of sources is scored against a codebook chunk by one real matrix
+product. Its rounding differs from the direct formula at about 1e-15.
+The scores land in one 8 MiB similarity block that every source slice
+reuses: a fresh block per slice (32 MiB at the earlier size) spent more
+time allocating and faulting in pages than in the product itself.
+``encode`` stays a per-point scan on the direct formula: one point
+cannot amortize embedding a whole codebook (0.7 ms per point direct vs
+4.0 ms embedded at n=2, K=3, 14 bits), and feedback builds a fresh
+codebook per receiver.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ __all__ = [
     "DistortionReport",
     "FeedbackBudget",
     "build_random_codebook",
-    "refine_maxmin",
     "encode",
     "decode",
     "measure_distortion",
@@ -56,37 +58,31 @@ __all__ = [
 
 MAX_MATERIALIZED_BITS = 26
 _GEN_CHUNK = 1 << 14
+# float64 entries in the (sources x codewords) similarity block: 8 MiB
+_SIM_BLOCK = 1 << 20
 
 
 @dataclass
 class Codebook:
     """An indexed set of 2**bits composite Grassmann codewords.
 
-    ``points`` is a (2**bits, K, n) complex array in materialized mode and
-    None in implicit mode, where codewords are regenerated on demand from
-    ``seed``. Codebooks are immutable after construction and safe to share
-    across parallel encode workers.
+    ``points`` is the (2**bits, K, n) complex array of codewords; ``seed``
+    records the integer they were generated from, if any. Codebooks are
+    immutable after construction and safe to share across parallel encode
+    workers.
     """
 
     n: int
     K: int
     bits: int
-    mode: str
+    points: np.ndarray = field(repr=False)
     seed: int | None = None
-    points: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.bits < 0:
             raise ValueError("bit budget must be non-negative")
-        if self.mode not in ("materialized", "implicit"):
-            raise ValueError(f"unknown codebook mode: {self.mode!r}")
-        if self.mode == "materialized":
-            if self.points is None:
-                raise ValueError("materialized codebook needs its points")
-            if self.points.shape != (self.size, self.K, self.n):
-                raise ValueError("codeword array shape does not match (2**bits, K, n)")
-        elif self.seed is None:
-            raise ValueError("implicit codebook needs an integer seed")
+        if self.points.shape != (self.size, self.K, self.n):
+            raise ValueError("codeword array shape does not match (2**bits, K, n)")
 
     @property
     def size(self) -> int:
@@ -100,13 +96,8 @@ class Codebook:
 
     def chunks(self):
         """Yield (start_index, array) blocks of codewords in index order."""
-        if self.points is not None:
-            for start in range(0, self.size, _GEN_CHUNK):
-                yield start, self.points[start : start + _GEN_CHUNK]
-        else:
-            for start in range(0, self.size, _GEN_CHUNK):
-                count = min(_GEN_CHUNK, self.size - start)
-                yield start, _generate_chunk(self.n, self.K, self.seed, start // _GEN_CHUNK, count)
+        for start in range(0, self.size, _GEN_CHUNK):
+            yield start, self.points[start : start + _GEN_CHUNK]
 
 
 @dataclass(frozen=True)
@@ -173,96 +164,47 @@ def _generate_chunk(n: int, K: int, seed: int, chunk_index: int, count: int) -> 
     return raw
 
 
-def build_random_codebook(n: int, K: int, bits: int, seed, mode: str = "materialized") -> Codebook:
-    """Draw 2**bits i.i.d. uniform codewords.
+def build_random_codebook(n: int, K: int, bits: int, seed: int) -> Codebook:
+    """Draw 2**bits i.i.d. uniform codewords from an integer seed.
 
-    ``seed`` may be an integer (chunk-seeded scheme, works for both modes
-    and makes implicit == materialized for equal seeds) or a Generator
-    (sequential draws, materialized only).
+    Codeword chunk c comes from the stream seeded by (seed, c), so a
+    codebook is fixed by its seed whatever its size.
     """
     if n < 2 or K < 1 or bits < 0:
         raise ValueError("need n >= 2, K >= 1, bits >= 0")
-    if mode == "materialized" and bits > MAX_MATERIALIZED_BITS:
+    if bits > MAX_MATERIALIZED_BITS:
         raise ValueError(
             f"bits={bits} exceeds the materialization guard ({MAX_MATERIALIZED_BITS}); "
-            "use mode='implicit' or the distortion oracle"
+            "use the distortion oracle"
         )
-    if isinstance(seed, np.random.Generator):
-        if mode != "materialized":
-            raise TypeError("implicit codebooks need an integer seed, not a Generator")
-        raw = complex_normal(seed, (1 << bits, K, n))
-        raw /= np.linalg.norm(raw, axis=2, keepdims=True)
-        return Codebook(n=n, K=K, bits=bits, mode="materialized", seed=None, points=raw)
-
     seed = int(seed)
-    if mode == "implicit":
-        return Codebook(n=n, K=K, bits=bits, mode="implicit", seed=seed)
     size = 1 << bits
     blocks = [
         _generate_chunk(n, K, seed, c, min(_GEN_CHUNK, size - c * _GEN_CHUNK))
         for c in range((size + _GEN_CHUNK - 1) // _GEN_CHUNK)
     ]
-    return Codebook(n=n, K=K, bits=bits, mode="materialized", seed=seed, points=np.concatenate(blocks))
+    return Codebook(n=n, K=K, bits=bits, points=np.concatenate(blocks), seed=seed)
 
 
 def _embed(points: np.ndarray) -> np.ndarray:
-    """Projection embedding of (..., K, n) unit rows into (..., 2*K*n*n) reals.
+    """Half-vectorized projection embedding of (..., K, n) unit rows into (..., K*n*n) reals.
 
-    Each component x_k maps to the real and imaginary parts of x_k x_k^H,
-    concatenated over k, so that ``_embed(x) @ _embed(c)`` equals
+    Each component x_k maps to the real diagonal of x_k x_k^H followed by
+    sqrt(2) times the real and imaginary parts of its strict upper
+    triangle, concatenated over k. The off-diagonal pair (i, j), (j, i)
+    contributes 2 Re(X_ij conj(C_ij)) to the trace of a product of
+    Hermitian matrices, so ``_embed(x) @ _embed(c)`` equals
     sum_k |<x_k, c_k>|**2 and the composite squared distance is K minus
     that inner product (Conway, Hardin and Sloane, Exp. Math. 1996).
     """
-    outer = points[..., :, :, None] * points[..., :, None, :].conj()
-    flat = outer.reshape(*points.shape[:-2], -1)
-    return np.concatenate([flat.real, flat.imag], axis=-1)
-
-
-def _pairwise_dist_sq(emb: np.ndarray, K: int) -> np.ndarray:
-    """Composite squared distances between all embedded codewords (diag = inf)."""
-    dist = K - emb @ emb.T
-    np.maximum(dist, 0.0, out=dist)
-    np.fill_diagonal(dist, np.inf)
-    return dist
-
-
-def refine_maxmin(cb: Codebook, iterations: int, rng) -> Codebook:
-    """Greedy packing improvement: resample codewords in the closest pair.
-
-    Each iteration redraws one endpoint of the currently closest pair and
-    keeps the replacement only if it strictly increases the minimum
-    pairwise distance, so the packing quality never decreases.
-    """
-    if cb.mode != "materialized":
-        raise ValueError("refinement needs a materialized codebook")
-    rng = as_generator(rng)
-    points = cb.points.copy()
-    if len(cb) < 2 or iterations <= 0:
-        return Codebook(n=cb.n, K=cb.K, bits=cb.bits, mode="materialized", seed=None, points=points)
-
-    emb = _embed(points)
-    dist = _pairwise_dist_sq(emb, cb.K)
-    for _ in range(iterations):
-        i = int(np.argmin(dist)) // len(dist)
-        current_min = dist[i].min()
-        cand = complex_normal(rng, (cb.K, cb.n))
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        cand_emb = _embed(cand)
-        cand_dist = np.maximum(cb.K - emb @ cand_emb, 0.0)
-        cand_dist[i] = np.inf
-        # the minimum over every pair not involving i: mask row and column
-        # i in place, then restore them unless the candidate is kept
-        row, col = dist[i].copy(), dist[:, i].copy()
-        dist[i, :] = np.inf
-        dist[:, i] = np.inf
-        new_min = min(dist.min(), cand_dist.min())
-        if new_min > current_min:
-            points[i] = cand
-            emb[i] = cand_emb
-            row = col = cand_dist
-        dist[i, :] = row
-        dist[:, i] = col
-    return Codebook(n=cb.n, K=cb.K, bits=cb.bits, mode="materialized", seed=None, points=points)
+    n = points.shape[-1]
+    iu, ju = np.triu_indices(n, 1)
+    upper = math.sqrt(2.0) * points[..., iu] * points[..., ju].conj()
+    out = np.empty((*points.shape[:-1], n * n))
+    out[..., :n] = points.real**2 + points.imag**2
+    out[..., n : n + len(iu)] = upper.real
+    out[..., n + len(iu) :] = upper.imag
+    return out.reshape(*points.shape[:-2], -1)
 
 
 def _nearest_in_block(block: np.ndarray, x: np.ndarray) -> tuple[int, float]:
@@ -290,30 +232,28 @@ def decode(index: int, cb: Codebook) -> CompositeGrassmannPoint:
     """Return the codeword stored at `index`."""
     if not 0 <= index < cb.size:
         raise IndexError(f"index {index} out of range for a {cb.bits}-bit codebook")
-    if cb.points is not None:
-        return CompositeGrassmannPoint.from_array(cb.points[index])
-    chunk_index, offset = divmod(index, _GEN_CHUNK)
-    count = min(_GEN_CHUNK, cb.size - chunk_index * _GEN_CHUNK)
-    block = _generate_chunk(cb.n, cb.K, cb.seed, chunk_index, count)
-    return CompositeGrassmannPoint.from_array(block[offset])
+    return CompositeGrassmannPoint.from_array(cb.points[index])
 
 
 def _batched_min_dist(sources: np.ndarray, cb: Codebook) -> np.ndarray:
     """Squared distortion of each source row under nearest-neighbor coding.
 
     One real GEMM of embedded sources against each embedded codebook chunk
-    scores every pair; each chunk is generated and embedded once.
+    scores every pair; each chunk is embedded once. Every source slice
+    writes its scores into one similarity block allocated per call.
     """
     src = _embed(sources)
     best = np.full(len(src), -np.inf)
-    # bound the (sources x codewords) similarity block to ~=4M entries
-    src_chunk = max(1, (1 << 22) // min(cb.size, _GEN_CHUNK))
+    cols = min(cb.size, _GEN_CHUNK)
+    rows = max(1, _SIM_BLOCK // cols)
+    sim = np.empty((min(rows, len(src)), cols))
     for _, block in cb.chunks():
         cw_t = np.ascontiguousarray(_embed(block).T)
-        for s0 in range(0, len(src), src_chunk):
-            sim = src[s0 : s0 + src_chunk] @ cw_t
-            acc = best[s0 : s0 + src_chunk]
-            np.maximum(acc, sim.max(axis=1), out=acc)
+        for s0 in range(0, len(src), rows):
+            part = src[s0 : s0 + rows]
+            scores = np.matmul(part, cw_t, out=sim[: len(part)])
+            acc = best[s0 : s0 + rows]
+            np.maximum(acc, scores.max(axis=1), out=acc)
     return np.maximum(cb.K - best, 0.0)
 
 
@@ -398,16 +338,15 @@ def distortion_scaling_exponent(n: int, K: int, bits_list, trials: int, rng) -> 
 def save_codebook(cb: Codebook, path) -> None:
     """Write a codebook as a textual table of complex coordinates.
 
-    One line per codeword holding K*n entries (component-major); the header
-    records (n, K, bits, seed) so implicit codebooks round-trip too.
+    One line per codeword holding K*n entries (component-major) follows a
+    header that records (n, K, bits, seed).
     """
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# iafb-codebook v1\n")
         seed = "none" if cb.seed is None else str(cb.seed)
-        fh.write(f"n={cb.n} K={cb.K} bits={cb.bits} mode={cb.mode} seed={seed}\n")
-        if cb.mode == "materialized":
-            for row in cb.points.reshape(cb.size, cb.K * cb.n):
-                fh.write(" ".join(repr(complex(z)) for z in row) + "\n")
+        fh.write(f"n={cb.n} K={cb.K} bits={cb.bits} mode=materialized seed={seed}\n")
+        for row in cb.points.reshape(cb.size, cb.K * cb.n):
+            fh.write(" ".join(repr(complex(z)) for z in row) + "\n")
 
 
 def load_codebook(path) -> Codebook:
@@ -418,13 +357,12 @@ def load_codebook(path) -> Codebook:
             raise ValueError(f"not a codebook file: {path}")
         header = dict(item.split("=", 1) for item in fh.readline().split())
         n, K, bits = int(header["n"]), int(header["K"]), int(header["bits"])
-        mode = header["mode"]
+        if header["mode"] != "materialized":
+            raise ValueError(f"codebook mode {header['mode']!r} is not supported (only materialized): {path}")
         seed = None if header["seed"] == "none" else int(header["seed"])
-        if mode == "implicit":
-            return Codebook(n=n, K=K, bits=bits, mode="implicit", seed=seed)
         rows = []
         for line in fh:
             if line.strip():
                 rows.append([complex(tok) for tok in line.split()])
         points = np.asarray(rows, dtype=complex).reshape(1 << bits, K, n)
-        return Codebook(n=n, K=K, bits=bits, mode="materialized", seed=seed, points=points)
+        return Codebook(n=n, K=K, bits=bits, points=points, seed=seed)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,20 +15,10 @@ from iafb.quantizer import (
     encode,
     load_codebook,
     measure_distortion,
-    refine_maxmin,
     save_codebook,
 )
-from iafb.quantizer import _GEN_CHUNK, _batched_min_dist, _embed
+from iafb.quantizer import _GEN_CHUNK, _SIM_BLOCK, _batched_min_dist, _embed, _generate_chunk
 from iafb.rng import complex_normal
-
-
-def min_pairwise(cb):
-    pts = [decode(i, cb) for i in range(len(cb))]
-    return min(
-        composite_dist_sq(pts[a], pts[b])
-        for a in range(len(pts))
-        for b in range(a + 1, len(pts))
-    )
 
 
 def reference_min_dist(sources, points):
@@ -55,22 +46,20 @@ class TestBuild:
         b = build_random_codebook(3, 2, 6, seed=9)
         assert np.array_equal(a.points, b.points)
 
-    def test_implicit_matches_materialized(self):
-        mat = build_random_codebook(2, 2, 7, seed=11)
-        imp = build_random_codebook(2, 2, 7, seed=11, mode="implicit")
-        for idx in (0, 1, 63, 127):
-            assert np.array_equal(decode(idx, imp).as_array(), mat.points[idx])
+    def test_chunk_seeded_codewords(self):
+        # chunk c comes from the (seed, c) stream, whatever the codebook size
+        big = build_random_codebook(2, 2, 15, seed=11)
+        small = build_random_codebook(2, 2, 14, seed=11)
+        assert np.array_equal(big.points[:_GEN_CHUNK], small.points)
+        assert np.array_equal(big.points[_GEN_CHUNK:], _generate_chunk(2, 2, 11, 1, _GEN_CHUNK))
 
     def test_materialization_guard(self):
-        with pytest.raises(ValueError, match="implicit"):
+        with pytest.raises(ValueError, match="materialization guard"):
             build_random_codebook(2, 1, 30, seed=0)
 
-    def test_generator_seed_materialized_only(self):
-        rng = np.random.default_rng(3)
-        cb = build_random_codebook(2, 1, 4, seed=rng)
-        assert cb.mode == "materialized" and len(cb) == 16
+    def test_generator_seed_rejected(self):
         with pytest.raises(TypeError):
-            build_random_codebook(2, 1, 4, seed=np.random.default_rng(3), mode="implicit")
+            build_random_codebook(2, 1, 4, seed=np.random.default_rng(3))
 
     def test_mean_distortion_order_statistics(self):
         # for n=2, K=1 the squared distortion to one random codeword is
@@ -78,54 +67,6 @@ class TestBuild:
         cb = build_random_codebook(2, 1, 10, seed=21)
         report = measure_distortion(cb, 10_000, rng=22)
         assert report.mean_observed == pytest.approx(1.0 / 1025.0, rel=0.10)
-
-
-class TestRefine:
-    def test_zero_iterations_is_identity(self):
-        cb = build_random_codebook(2, 1, 4, seed=17)
-        out = refine_maxmin(cb, 0, rng=18)
-        assert np.array_equal(out.points, cb.points)
-
-    def test_min_distance_never_decreases(self):
-        cb = build_random_codebook(2, 1, 4, seed=19)
-        before = min_pairwise(cb)
-        out = refine_maxmin(cb, 200, rng=20)
-        assert min_pairwise(out) >= before
-
-    def test_improves_over_random_on_average(self):
-        gains = []
-        for seed in range(20):
-            cb = build_random_codebook(2, 1, 4, seed=seed)
-            refined = refine_maxmin(cb, 150, rng=1000 + seed)
-            gains.append(min_pairwise(refined) - min_pairwise(cb))
-        assert min(gains) >= 0.0
-        assert np.mean(gains) > 0.0
-
-    @pytest.mark.parametrize("n, K", [(2, 1), (3, 2)])
-    def test_same_decisions_as_full_rescan(self, n, K):
-        # reference: redraw, then recompute every pairwise distance directly
-        cb = build_random_codebook(n, K, 4, seed=23)
-        rng = np.random.default_rng(24)
-        points = cb.points.copy()
-        for _ in range(150):
-            dist = K - (np.abs(np.einsum("akj,bkj->abk", points, points.conj())) ** 2).sum(axis=2)
-            np.fill_diagonal(dist, np.inf)
-            i = int(np.argmin(dist)) // len(dist)
-            cand = complex_normal(rng, (K, n))
-            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            trial = points.copy()
-            trial[i] = cand
-            new = K - (np.abs(np.einsum("akj,bkj->abk", trial, trial.conj())) ** 2).sum(axis=2)
-            np.fill_diagonal(new, np.inf)
-            if new.min() > dist.min():
-                points = trial
-        out = refine_maxmin(cb, 150, rng=np.random.default_rng(24))
-        assert np.array_equal(out.points, points)
-
-    def test_requires_materialized(self):
-        cb = build_random_codebook(2, 1, 4, seed=1, mode="implicit")
-        with pytest.raises(ValueError):
-            refine_maxmin(cb, 1, rng=0)
 
 
 class TestEncodeDecode:
@@ -198,10 +139,10 @@ class TestDistortionKernel:
     def test_embedding_inner_product(self, n, K):
         x, c = unit_rows((K, n), 1), unit_rows((K, n), 2)
         direct = sum(abs(np.vdot(x[k], c[k])) ** 2 for k in range(K))
-        assert _embed(x).shape == (2 * K * n * n,)
+        assert _embed(x).shape == (K * n * n,)
         assert _embed(x) @ _embed(c) == pytest.approx(direct, abs=1e-12)
 
-    # 2**14 codewords bound a source slice to 256 rows, so 300 sources take two
+    # 2**14 codewords bound a source slice to 64 rows, so 300 sources take five
     @pytest.mark.parametrize(
         "n, K, bits, count",
         [(2, 1, 8, 100), (2, 2, 8, 100), (3, 2, 8, 100), (4, 3, 8, 100), (3, 2, 0, 20), (2, 1, 14, 300)],
@@ -213,13 +154,25 @@ class TestDistortionKernel:
         assert np.abs(got - reference_min_dist(sources, cb.points)).max() <= 1e-12
 
     def test_codebook_spanning_several_chunks(self):
-        mat = build_random_codebook(2, 2, 15, seed=50)
-        imp = build_random_codebook(2, 2, 15, seed=50, mode="implicit")
-        assert len(mat) > _GEN_CHUNK
-        sources = unit_rows((40, 2, 2), 51)
-        got = _batched_min_dist(sources, mat)
-        assert np.abs(got - reference_min_dist(sources, mat.points)).max() <= 1e-12
-        assert np.array_equal(_batched_min_dist(sources, imp), got)
+        # two codebook chunks, and a last source slice shorter than the block
+        cb = build_random_codebook(2, 2, 15, seed=50)
+        rows = _SIM_BLOCK // _GEN_CHUNK
+        assert len(cb) == 2 * _GEN_CHUNK
+        sources = unit_rows((2 * rows + 5, 2, 2), 51)
+        got = _batched_min_dist(sources, cb)
+        assert np.abs(got - reference_min_dist(sources, cb.points)).max() <= 1e-12
+
+    def test_similarity_block_bounds_peak_memory(self):
+        # one 8 MiB block for all slices; a fresh block per slice peaked at 67 MiB
+        cb = build_random_codebook(2, 2, 14, seed=52)
+        sources = unit_rows((10_000, 2, 2), 53)
+        tracemalloc.start()
+        try:
+            _batched_min_dist(sources, cb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestDistortionReport:
@@ -311,14 +264,14 @@ class TestSerialization:
         loaded = load_codebook(path)
         assert (loaded.n, loaded.K, loaded.bits, loaded.seed) == (3, 2, 5, 23)
         assert np.array_equal(loaded.points, cb.points)
+        assert "mode=materialized" in path.read_text().splitlines()[1]
 
-    def test_round_trip_implicit(self, tmp_path):
-        cb = build_random_codebook(2, 1, 12, seed=24, mode="implicit")
+    def test_rejects_implicit_mode(self, tmp_path):
+        # files that stored only a seed are no longer read
         path = tmp_path / "cb.txt"
-        save_codebook(cb, path)
-        loaded = load_codebook(path)
-        assert loaded.mode == "implicit"
-        assert np.array_equal(decode(100, loaded).as_array(), decode(100, cb).as_array())
+        path.write_text("# iafb-codebook v1\nn=2 K=1 bits=12 mode=implicit seed=24\n")
+        with pytest.raises(ValueError, match="implicit"):
+            load_codebook(path)
 
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "junk.txt"
