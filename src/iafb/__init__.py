@@ -24,7 +24,6 @@ from .grassmann import (
     empirical_ball_cdf,
     sample_uniform,
     sum_dist_sq_cdf,
-    sum_dist_sq_density,
 )
 from .quantizer import (
     Codebook,
@@ -39,7 +38,6 @@ from .quantizer import (
 )
 from .channel import (
     ChannelRealization,
-    FeedbackMessage,
     ReconstructedChannel,
     ToneChannel,
     generate_channel,

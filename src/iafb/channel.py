@@ -1,5 +1,9 @@
 """Frequency-selective K-user channel model and the feedback pipeline.
 
+Feedback stays an array from quantization to reconstruction:
+`receiver_feedback` gives receiver i's (K, R*L) directions, and
+`reconstruct` takes the (K, K, R*L) stack of all receivers' (or a batch).
+
 Conventions used throughout (pinned by tests, since several downstream
 norm identities depend on them):
 
@@ -24,13 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grassmann import CompositeGrassmannPoint, GrassmannPoint
-from .quantizer import Codebook, FeedbackBudget, decode, distortion_oracle_quantize, encode
+from .quantizer import Codebook, encode
 from .rng import as_generator, complex_normal
 
 __all__ = [
     "ChannelRealization",
     "ToneChannel",
-    "FeedbackMessage",
     "ReconstructedChannel",
     "generate_channel",
     "to_tone_domain",
@@ -108,30 +111,8 @@ class ToneChannel:
 
 
 @dataclass(frozen=True)
-class FeedbackMessage:
-    """One receiver's broadcast: its K quantized channel directions.
-
-    ``point`` lives on the composite Grassmann manifold with ambient
-    dimension R*L; ``index`` is the codeword id for codebook feedback and
-    None in oracle or perfect-feedback mode. R and L ride along so the
-    reconstruction side can undo the vectorization.
-    """
-
-    user: int
-    point: CompositeGrassmannPoint
-    R: int
-    L: int
-    bits: int | None = None
-    index: int | None = None
-
-    def __post_init__(self):
-        if self.point.n != self.R * self.L:
-            raise ValueError("direction vectors must have length R*L")
-
-
-@dataclass(frozen=True)
 class ReconstructedChannel:
-    """Channel surrogate every node rebuilds from the K feedback messages.
+    """Channel surrogate every node rebuilds from the fed-back directions.
 
     ``qhat[i, k]`` is the quantized direction reshaped back to an L x R tap
     layout; ``wtones[i, k]`` is its zero-padded, unitary-scaled DFT (N x R),
@@ -239,63 +220,37 @@ def vectorize_direction(ch: ChannelRealization, i: int, k: int) -> GrassmannPoin
     return GrassmannPoint(vec / norm)
 
 
-def receiver_feedback(
-    ch: ChannelRealization,
-    i: int,
-    quantizer: Codebook | FeedbackBudget | None = None,
-    rng=None,
-) -> FeedbackMessage:
-    """Assemble and quantize receiver i's K channel directions.
+def receiver_feedback(ch: ChannelRealization, i: int, codebook: Codebook | None = None) -> np.ndarray:
+    """Receiver i's K fed-back channel directions as a (K, R*L) array.
 
-    ``quantizer`` selects the mode: a Codebook performs nearest-neighbor
-    encoding, a FeedbackBudget invokes the distortion oracle (needs `rng`),
-    and None returns the exact directions (perfect feedback).
+    Row k is the direction of link (i, k). Without a codebook these are
+    the exact unit-norm directions (perfect feedback); with one, they are
+    the decoded nearest codeword of the exact directions (`encode`).
     """
     if not 0 <= i < ch.K:
         raise ValueError(f"user index {i} out of range")
     exact = CompositeGrassmannPoint(
         tuple(vectorize_direction(ch, i, k) for k in range(ch.K))
     )
-    if quantizer is None:
-        return FeedbackMessage(user=i, point=exact, R=ch.R, L=ch.L)
-    if isinstance(quantizer, Codebook):
-        idx = encode(exact, quantizer)
-        return FeedbackMessage(
-            user=i, point=decode(idx, quantizer), R=ch.R, L=ch.L,
-            bits=quantizer.bits, index=idx,
-        )
-    if isinstance(quantizer, FeedbackBudget):
-        point = distortion_oracle_quantize(exact, quantizer, rng)
-        return FeedbackMessage(user=i, point=point, R=ch.R, L=ch.L, bits=quantizer.bits)
-    raise TypeError(f"unsupported quantizer config: {type(quantizer).__name__}")
+    if codebook is None:
+        return exact.as_array()
+    # a copy, so the codebook is not kept alive by a view into it
+    return codebook.points[encode(exact, codebook)].copy()
 
 
-def reconstruct(feedback, N: int, *, R: int | None = None) -> ReconstructedChannel:
-    """Rebuild the tone-domain channel surrogate from all K messages.
+def reconstruct(directions: np.ndarray, N: int, *, R: int) -> ReconstructedChannel:
+    """Rebuild the tone-domain channel surrogate from the fed-back directions.
 
-    Each fed-back direction is reshaped to L x R (undoing the column-major
+    ``directions`` is (K, K, R*L), whose [i] is receiver i's fed-back
+    directions (`receiver_feedback`), or a batch of those, (B, K, K, R*L).
+    Each direction is reshaped to L x R (undoing the column-major
     vectorization), zero-padded to N taps and DFT'd with the 1/sqrt(N)
     unitary scaling, so every stacked reconstructed direction keeps norm 1.
-
-    ``feedback`` is the list of K FeedbackMessages, or for a batch a
-    (B, K, K, R*L) array whose [b, i] is receiver i's fed-back (K, R*L)
-    directions; an array needs ``R``. One FFT transforms the whole batch.
+    One FFT transforms the whole batch.
     """
-    if isinstance(feedback, np.ndarray):
-        if R is None or feedback.ndim != 4 or feedback.shape[-1] % R:
-            raise ValueError("a direction array needs shape (B, K, K, R*L) and R")
-        vectors = feedback
-    else:
-        msgs = list(feedback)
-        if not msgs:
-            raise ValueError("no feedback messages given")
-        K = msgs[0].point.K
-        R = msgs[0].R
-        by_user = {m.user: m for m in msgs}
-        missing = [i for i in range(K) if i not in by_user]
-        if missing or len(msgs) != K:
-            raise ValueError(f"need exactly one message per user 0..{K - 1}; missing {missing}")
-        vectors = np.stack([by_user[i].point.as_array() for i in range(K)])
+    vectors = np.asarray(directions)
+    if R < 1 or vectors.ndim not in (3, 4) or vectors.shape[-3] != vectors.shape[-2] or vectors.shape[-1] % R:
+        raise ValueError(f"need directions shaped (K, K, R*L) or (B, K, K, R*L) for R={R}, got {vectors.shape}")
     K, L = vectors.shape[-2], vectors.shape[-1] // R
     if N < L:
         raise ValueError(f"need at least as many tones as taps (N={N} < L={L})")

@@ -39,7 +39,6 @@ from .alignment import (
     mimo_reduce,
 )
 from .channel import (
-    FeedbackMessage,
     generate_channel,
     load_channel,
     receiver_feedback,
@@ -57,7 +56,7 @@ from .quantizer import (
     measure_distortion,
     save_codebook,
 )
-from .rates import CSV_COLUMNS, achievable_rates, dof_fit, interference_boundedness, rate_csv_rows
+from .rates import CSV_COLUMNS, achievable_rates, dof_fit, interference_boundedness
 from .rng import trial_generator
 
 
@@ -238,6 +237,19 @@ def _write_csv(path: str, config: ExperimentConfig, header, rows, trailer=()):
             fh.write(line + "\n")
 
 
+def _map(fn, args, jobs: int) -> list:
+    """[fn(a) for a in args], on `jobs` worker processes when jobs > 1.
+
+    Tasks go out in about four batches per worker, the split
+    `multiprocessing.Pool.map` uses, so volume-check's many short Monte
+    Carlo chunks do not each pay a round trip to a worker.
+    """
+    if jobs <= 1:
+        return [fn(a) for a in args]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, args, chunksize=max(1, len(args) // (4 * jobs))))
+
+
 # --------------------------------------------------------------------------
 # volume-check
 
@@ -277,14 +289,8 @@ def cmd_volume_check(config: ExperimentConfig) -> int:
             remaining -= count
             chunk_idx += 1
 
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            hit_list = list(pool.map(_volume_chunk_hits, jobs_args, chunksize=4))
-    else:
-        hit_list = [_volume_chunk_hits(a) for a in jobs_args]
-
     hits = {}
-    for args, h in zip(jobs_args, hit_list):
+    for args, h in zip(jobs_args, _map(_volume_chunk_hits, jobs_args, config.jobs)):
         hits[args[4]] = hits.get(args[4], 0) + h
 
     rows, all_ok = [], True
@@ -367,35 +373,61 @@ def _make_params(K, R, L, n, engine):
     return ia_parameters(K, R, n)
 
 
-def _feedback_messages(ch, config, P):
-    """ia-run's FeedbackMessage per user for the requested feedback mode.
+def _oracle_rows(exact: np.ndarray, budgets: list, gens: list) -> np.ndarray:
+    """Oracle feedback of (M, K, R*L) exact directions, one budget and generator per row.
 
-    alpha = 0 means no feedback at all, modeled as an independent uniformly
-    random direction estimate.
+    A None budget marks a user who feeds back nothing: that row is a
+    uniformly random estimate drawn from its generator. Every other row is
+    `distortion_oracle_quantize` of its exact directions.
     """
-    msgs = []
-    for i in range(ch.K):
-        if config.feedback == "perfect":
-            msgs.append(receiver_feedback(ch, i))
-            continue
-        rng = trial_generator(config.seed, 1009 + i)
-        if config.feedback == "codebook":
-            cb = build_random_codebook(ch.R * ch.L, ch.K, config.bits, seed=config.seed + i)
-            msgs.append(receiver_feedback(ch, i, cb))
-        elif config.feedback == "oracle":
-            if config.alpha == 0.0:
-                point = sample_uniform(ch.R * ch.L, ch.K, rng)
-                msgs.append(FeedbackMessage(user=i, point=point, R=ch.R, L=ch.L, bits=0))
-            else:
-                budget = FeedbackBudget(K=ch.K, R=ch.R, L=ch.L, P=P, alpha=config.alpha)
-                msgs.append(receiver_feedback(ch, i, budget, rng=rng))
-        else:
-            raise ValueError(f"unknown feedback mode {config.feedback!r}")
-    return msgs
+    fed = exact.copy()
+    silent = np.array([b is None for b in budgets])
+    if silent.any():
+        fed[silent] = sample_uniform(exact.shape[-1], exact.shape[-2], [g for g, s in zip(gens, silent) if s])
+    if not silent.all():
+        fed[~silent] = distortion_oracle_quantize(
+            exact[~silent],
+            [b for b in budgets if b is not None],
+            [g for g, s in zip(gens, silent) if not s],
+        )
+    return fed
+
+
+def _rate_rows(config: ExperimentConfig, P: float, alpha: float, stats: np.ndarray) -> list:
+    """The CSV_COLUMNS rows of one (power, alpha) point from its (K, 5) user stats."""
+    return [
+        {
+            "seed": config.seed, "K": config.K, "R": config.R, "L": config.L, "n": config.n,
+            "P_log2": math.log2(P), "alpha": alpha, "user": i, "rate": float(s[0]),
+            "I1": float(s[1]), "I2": float(s[2]), "signal": float(s[3]),
+        }
+        for i, s in enumerate(stats)
+    ]
 
 
 # --------------------------------------------------------------------------
 # ia-run
+
+
+def _fed_back(ch, config: ExperimentConfig, P: float) -> np.ndarray:
+    """ia-run's fed-back directions, (K, K, R*L).
+
+    Oracle user i draws from trial_generator(seed, 1009 + i); codebook
+    user i quantizes with the codebook of seed `seed + i`.
+    """
+    K = ch.K
+    if config.feedback == "codebook":
+        return np.stack([
+            receiver_feedback(ch, i, build_random_codebook(ch.R * ch.L, K, config.bits, seed=config.seed + i))
+            for i in range(K)
+        ])
+    if config.feedback not in ("perfect", "oracle"):
+        raise ValueError(f"unknown feedback mode {config.feedback!r}")
+    exact = np.stack([receiver_feedback(ch, i) for i in range(K)])
+    if config.feedback == "perfect":
+        return exact
+    budget = FeedbackBudget(K=K, R=ch.R, L=ch.L, P=P, alpha=config.alpha) if config.alpha else None
+    return _oracle_rows(exact, [budget] * K, [trial_generator(config.seed, 1009 + i) for i in range(K)])
 
 
 def cmd_ia_run(config: ExperimentConfig) -> int:
@@ -421,21 +453,17 @@ def cmd_ia_run(config: ExperimentConfig) -> int:
     P = 2.0**config.p_log2
     tone = to_tone_domain(ch, params.N)
     try:
-        rec = reconstruct(_feedback_messages(ch, config, P), params.N)
         bf = build_beamformers(
-            rec, params, config.engine, tol=config.align_tol, c_min=config.c_min,
-            max_iters=config.max_iters, rng=trial_generator(config.seed, 2),
-            shared=bool(config.shared),
+            reconstruct(_fed_back(ch, config, P), params.N, R=ch.R), params, config.engine,
+            tol=config.align_tol, c_min=config.c_min, max_iters=config.max_iters,
+            rng=trial_generator(config.seed, 2), shared=bool(config.shared),
         )
     except (AlignmentError, ValueError) as exc:
         print(f"pipeline failed: {exc}", file=sys.stderr)
         return 1
 
     report = achievable_rates(tone, bf, P, noise_power=config.noise)
-    rows = rate_csv_rows(
-        report, seed=config.seed, K=config.K, R=config.R, L=config.L,
-        n=config.n, alpha=config.alpha,
-    )
+    rows = _rate_rows(config, P, config.alpha, report.user_stats())
     trailer = [
         f"# alignment_residual={bf.alignment_residual!r}",
         f"# signal_min={bf.signal_min!r}",
@@ -456,7 +484,7 @@ class SweepResult:
     ``stats`` has shape (trial, alpha, P, user, 5) and holds the trials
     that completed, in trial order. Per user the five stats are the rate,
     the worst stream's I1 and I2, the weakest stream's signal, and the
-    worst stream's total interference (`RateReport.max_interference`).
+    worst stream's total interference (`RateReport.user_stats`).
     ``failures`` lists (trial, reason) for every trial dropped because
     alignment failed.
     """
@@ -479,8 +507,7 @@ def _oracle_feedback(config: ExperimentConfig, trial: int, exact: np.ndarray, gr
 
     Point (a, j) is row a*J + j. Its user i draws from its own stream,
     trial_generator(seed, (trial*100_000 + a*1_000 + j)*1009 + i); a user
-    with alpha = 0 feeds back nothing and gets that draw normalized, a
-    uniformly random estimate.
+    with alpha = 0 is silent (see `_oracle_rows`).
     """
     K, R, L = config.K, config.R, config.L
     gens, budgets = [], []
@@ -492,16 +519,7 @@ def _oracle_feedback(config: ExperimentConfig, trial: int, exact: np.ndarray, gr
             for i in range(K):
                 gens.append(trial_generator(config.seed, tag * 1009 + i))
                 budgets.append(budget.get(user_alphas[i]))
-    fed = np.tile(exact, (len(config.alphas) * len(grid), 1, 1))
-    silent = np.array([b is None for b in budgets])
-    if silent.any():
-        fed[silent] = sample_uniform(R * L, K, [g for g, s in zip(gens, silent) if s])
-    if not silent.all():
-        fed[~silent] = distortion_oracle_quantize(
-            fed[~silent],
-            [b for b in budgets if b is not None],
-            [g for g, s in zip(gens, silent) if not s],
-        )
+    fed = _oracle_rows(np.tile(exact, (len(config.alphas) * len(grid), 1, 1)), budgets, gens)
     return fed.reshape(-1, K, K, R * L)
 
 
@@ -520,7 +538,7 @@ def _trial_stats(config: ExperimentConfig, trial: int) -> np.ndarray:
     grid = _power_grid(config)
     ch = generate_channel(config.K, config.R, config.L, seed=trial_generator(config.seed, trial))
     tone = to_tone_domain(ch, params.N)
-    exact = np.stack([receiver_feedback(ch, i).point.as_array() for i in range(config.K)])
+    exact = np.stack([receiver_feedback(ch, i) for i in range(config.K)])
     if config.feedback == "perfect":
         fed, P = exact[None], np.array(grid)
     else:
@@ -533,21 +551,7 @@ def _trial_stats(config: ExperimentConfig, trial: int) -> np.ndarray:
         reconstruct(fed, params.N, R=config.R), params, config.engine,
         tol=config.align_tol, max_iters=config.max_iters, rng=rng,
     )
-    rep = achievable_rates(tone, bf, P, noise_power=config.noise)
-    stats = np.stack(
-        [
-            np.stack(
-                [
-                    rep.rates[:, i], rep.interference_own[i].max(axis=-1),
-                    rep.interference_cross[i].max(axis=-1), rep.signal[i].min(axis=-1),
-                    rep.max_interference(i),
-                ],
-                axis=-1,
-            )
-            for i in range(config.K)
-        ],
-        axis=-2,
-    )  # (B, K, 5)
+    stats = achievable_rates(tone, bf, P, noise_power=config.noise).user_stats()  # (B, K, 5)
     shape = (len(config.alphas), len(grid), config.K, 5)
     return np.broadcast_to(stats.reshape(-1, *shape[1:]), shape).copy()
 
@@ -573,12 +577,7 @@ def run_dof_sweep(config: ExperimentConfig) -> SweepResult:
     Each trial's random streams derive from (seed, trial), so the result
     does not depend on the worker count.
     """
-    args = [(config.values, t) for t in range(config.trials)]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_sweep_trial, args))
-    else:
-        results = [_sweep_trial(a) for a in args]
+    results = _map(_sweep_trial, [(config.values, t) for t in range(config.trials)], config.jobs)
     grid = _power_grid(config)
     done = [stats for _, stats, _ in results if stats is not None]
     return SweepResult(
@@ -640,25 +639,11 @@ def cmd_dof_sweep(config: ExperimentConfig) -> int:
     rows, trailer, all_ok = [], [], not failed
     for a, alpha in enumerate(config.alphas):
         for j, P in enumerate(grid):
-            for i in range(config.K):
-                rows.append(
-                    {
-                        "seed": config.seed, "K": config.K, "R": config.R,
-                        "L": config.L, "n": config.n, "P_log2": math.log2(P),
-                        "alpha": alpha, "user": i, "rate": float(rates[a, j, i]),
-                        "I1": float(mean_stats[a, j, i, 1]),
-                        "I2": float(mean_stats[a, j, i, 2]),
-                        "signal": float(mean_stats[a, j, i, 3]),
-                    }
-                )
-        user_slopes = []
+            rows += _rate_rows(config, P, alpha, mean_stats[a, j])
         for i in range(config.K):
             est = dof_fit(zip(grid, rates[a, :, i]))
-            user_slopes.append(est.slope)
-            if config.feedback == "perfect" or config.alpha_user == "all":
-                expected = (alpha if config.feedback == "oracle" else 1.0) * params.dof_target(i)
-            else:
-                expected = (alpha if i == int(config.alpha_user) else 1.0) * params.dof_target(i)
+            share = _user_alphas(config, alpha)[i] if config.feedback == "oracle" else 1.0
+            expected = share * params.dof_target(i)
             ok = abs(est.slope - expected) <= config.slope_tol
             all_ok &= ok
             trailer.append(

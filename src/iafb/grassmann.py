@@ -25,7 +25,6 @@ __all__ = [
     "composite_dist_sq",
     "sample_uniform",
     "ball_volume_normalized",
-    "sum_dist_sq_density",
     "sum_dist_sq_cdf",
     "empirical_ball_cdf",
 ]
@@ -171,34 +170,6 @@ def ball_volume_normalized(spec: BallVolumeSpec) -> float:
             "closed form requires delta**2 <= 1; use sum_dist_sq_cdf for larger radii"
         )
     return _closed_form_cdf(spec.n, spec.K, spec.delta * spec.delta)
-
-
-def sum_dist_sq_density(n: int, K: int, x: float) -> float:
-    """Density of the summed squared chordal distance of a uniform point.
-
-    Each component contributes an independent variable with density
-    (n-1) x^(n-2) on [0, 1]; their sum has the closed-form density
-    (n-1)^K x^(K(n-1)-1) Gamma(n-1)^K / Gamma(K(n-1)) on [0, 1].
-    For K >= 2 the closed form does not extend past x = 1.
-    """
-    if n < 2 or K < 1:
-        raise ValueError("need n >= 2 and K >= 1")
-    if x < 0.0:
-        return 0.0
-    if x > 1.0:
-        if K == 1:
-            return 0.0
-        raise ValueError("closed-form density is only available on [0, 1] for K >= 2")
-    expo = K * (n - 1) - 1
-    if x == 0.0:
-        return 1.0 if expo == 0 else 0.0
-    log_val = (
-        K * math.log(n - 1)
-        + expo * math.log(x)
-        + K * math.lgamma(n - 1)
-        - math.lgamma(K * (n - 1))
-    )
-    return math.exp(log_val)
 
 
 def sum_dist_sq_cdf(n: int, K: int, x: float, trials: int = 500_000, rng=None) -> float:

@@ -33,7 +33,6 @@ __all__ = [
     "achievable_rates",
     "dof_fit",
     "interference_boundedness",
-    "rate_csv_rows",
 ]
 
 CSV_COLUMNS = (
@@ -63,10 +62,25 @@ class RateReport:
     rates: np.ndarray
     rate_sum: float
 
-    def max_interference(self, i: int):
-        """Worst-stream total interference power at receiver i."""
-        worst = np.max(self.interference_own[i] + self.interference_cross[i], axis=-1)
-        return float(worst) if worst.ndim == 0 else worst
+    def user_stats(self) -> np.ndarray:
+        """Per-user summary over streams, shape (..., K, 5).
+
+        Per user: the rate, the worst stream's I1 and I2, the weakest
+        stream's signal, and the worst stream's total interference I1 + I2
+        (the quantities the CSV rows and the slope experiments read).
+        """
+        return np.stack(
+            [
+                np.stack(
+                    [self.rates[..., i], own.max(-1), cross.max(-1), sig.min(-1), (own + cross).max(-1)],
+                    axis=-1,
+                )
+                for i, (sig, own, cross) in enumerate(
+                    zip(self.signal, self.interference_own, self.interference_cross)
+                )
+            ],
+            axis=-2,
+        )
 
 
 @dataclass(frozen=True)
@@ -218,32 +232,3 @@ def interference_boundedness(sweep, slope_max: float = 0.1, floor: float = NUMER
         passed=bool(slope <= slope_max),
         points=tuple(zip(x.tolist(), y.tolist())),
     )
-
-
-def rate_csv_rows(
-    report: RateReport, *, seed, K, R, L, n, alpha
-) -> list[dict]:
-    """Flatten a RateReport into per-user CSV rows.
-
-    Power columns aggregate over streams: I1/I2 report the worst stream,
-    signal the weakest stream (the quantities the slope experiments gate on).
-    """
-    rows = []
-    for i in range(K):
-        rows.append(
-            {
-                "seed": seed,
-                "K": K,
-                "R": R,
-                "L": L,
-                "n": n,
-                "P_log2": math.log2(report.P),
-                "alpha": alpha,
-                "user": i,
-                "rate": float(report.rates[i]),
-                "I1": float(np.max(report.interference_own[i])),
-                "I2": float(np.max(report.interference_cross[i])),
-                "signal": float(np.min(report.signal[i])),
-            }
-        )
-    return rows

@@ -91,7 +91,7 @@ def test_criterion_3_alignment_exactness():
     hits = 0
     for seed in range(20):
         ch = generate_channel(3, 1, 2, seed=seed)
-        rec = reconstruct([receiver_feedback(ch, i) for i in range(3)], params.N)
+        rec = reconstruct(np.stack([receiver_feedback(ch, i) for i in range(3)]), params.N, R=ch.R)
         try:
             bf = build_beamformers(rec, params, "leakage-min", tol=1e-8, rng=seed)
             hits += bf.alignment_residual <= 1e-8
@@ -103,7 +103,7 @@ def test_criterion_3_alignment_exactness():
     deterministic = True
     for seed in range(5):
         ch = generate_channel(3, 1, 2, seed=100 + seed)
-        rec = reconstruct([receiver_feedback(ch, i) for i in range(3)], cj3.N)
+        rec = reconstruct(np.stack([receiver_feedback(ch, i) for i in range(3)]), cj3.N, R=ch.R)
         first = build_beamformers(rec, cj3, "cj3", tol=1e-9)
         again = build_beamformers(rec, cj3, "cj3", tol=1e-9)
         cj3_worst = max(cj3_worst, first.alignment_residual)
@@ -217,7 +217,7 @@ def test_criterion_8_pipeline_identities():
         N = L + int(rng.integers(0, 4))
         ch = generate_channel(K, R, L, seed=int(rng.integers(2**31)))
         tone = to_tone_domain(ch, N)
-        rec = reconstruct([receiver_feedback(ch, i) for i in range(K)], N)
+        rec = reconstruct(np.stack([receiver_feedback(ch, i) for i in range(K)]), N, R=ch.R)
         i, k = int(rng.integers(K)), int(rng.integers(K))
 
         # reconstructed directions keep unit norm

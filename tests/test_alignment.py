@@ -15,14 +15,14 @@ from iafb.alignment import (
     verify_alignment,
 )
 from iafb.channel import generate_channel, receiver_feedback, reconstruct, to_tone_domain
-from iafb.quantizer import FeedbackBudget
+from iafb.quantizer import FeedbackBudget, distortion_oracle_quantize
 from iafb.rng import trial_generator
 
 
 def perfect_reconstruction(K, R, L, N, seed):
     ch = generate_channel(K, R, L, seed=seed)
-    msgs = [receiver_feedback(ch, i) for i in range(K)]
-    return ch, to_tone_domain(ch, N), reconstruct(msgs, N)
+    fed = np.stack([receiver_feedback(ch, i) for i in range(K)])
+    return ch, to_tone_domain(ch, N), reconstruct(fed, N, R=R)
 
 
 class TestIaParameters:
@@ -177,7 +177,7 @@ def reference_filters(rec, bf):
 
 def cli_reconstruction(params, trial):
     ch = generate_channel(params.K, params.R, 2, seed=trial_generator(0, trial))
-    return reconstruct([receiver_feedback(ch, i) for i in range(params.K)], params.N)
+    return reconstruct(np.stack([receiver_feedback(ch, i) for i in range(params.K)]), params.N, R=ch.R)
 
 
 class TestZeroForcing:
@@ -340,8 +340,10 @@ class TestQuantizedAlignment:
         params = cj3_parameters(1)
         ch = generate_channel(3, 1, 2, seed=16)
         budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**8)
-        msgs = [receiver_feedback(ch, i, budget, rng=np.random.default_rng(17 + i)) for i in range(3)]
-        rec = reconstruct(msgs, params.N)
+        exact = np.stack([receiver_feedback(ch, i) for i in range(3)])
+        rngs = [np.random.default_rng(17 + i) for i in range(3)]
+        fed = distortion_oracle_quantize(exact, [budget] * 3, rngs)
+        rec = reconstruct(fed, params.N, R=1)
         bf = build_beamformers(rec, params, "cj3")
         assert bf.alignment_residual <= 1e-9
 

@@ -11,8 +11,8 @@ from iafb.channel import (
     to_tone_domain,
     vectorize_direction,
 )
-from iafb.grassmann import composite_dist_sq
-from iafb.quantizer import FeedbackBudget, build_random_codebook, decode, encode
+from iafb.grassmann import CompositeGrassmannPoint, composite_dist_sq
+from iafb.quantizer import FeedbackBudget, build_random_codebook, decode, distortion_oracle_quantize, encode
 
 
 class TestGeneration:
@@ -118,35 +118,33 @@ class TestVectorization:
 class TestFeedback:
     def test_perfect_mode_returns_exact_directions(self):
         ch = generate_channel(3, 1, 2, seed=13)
-        msg = receiver_feedback(ch, 0)
+        fed = receiver_feedback(ch, 0)
+        assert fed.shape == (3, 2)
         for k in range(3):
-            assert np.array_equal(msg.point.parts[k].coords, vectorize_direction(ch, 0, k).coords)
+            assert np.array_equal(fed[k], vectorize_direction(ch, 0, k).coords)
 
     def test_components_in_user_order(self):
         ch = generate_channel(3, 2, 2, seed=14)
-        msg = receiver_feedback(ch, 1)
-        assert msg.point.K == 3 and msg.user == 1
-        assert np.array_equal(msg.point.parts[2].coords, vectorize_direction(ch, 1, 2).coords)
+        fed = receiver_feedback(ch, 1)
+        assert fed.shape == (3, 4)
+        assert np.array_equal(fed[2], vectorize_direction(ch, 1, 2).coords)
 
     def test_codebook_mode_picks_nearest(self):
         ch = generate_channel(2, 1, 2, seed=15)
         cb = build_random_codebook(2, 2, 6, seed=16)
-        msg = receiver_feedback(ch, 0, cb)
-        exact = receiver_feedback(ch, 0).point
-        fed = msg.point
+        fed = CompositeGrassmannPoint.from_array(receiver_feedback(ch, 0, cb))
+        exact = CompositeGrassmannPoint.from_array(receiver_feedback(ch, 0))
         chosen = composite_dist_sq(exact, fed)
         for idx in range(len(cb)):
             assert chosen <= composite_dist_sq(exact, decode(idx, cb)) + 1e-12
-        assert msg.index == encode(exact, cb)
+        assert np.array_equal(fed.as_array(), cb.points[encode(exact, cb)])
 
     def test_oracle_mode_distance(self):
         ch = generate_channel(3, 1, 2, seed=17)
         budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**6)
-        msg = receiver_feedback(ch, 0, budget, rng=18)
-        exact = receiver_feedback(ch, 0).point
-        assert composite_dist_sq(exact, msg.point) == pytest.approx(
-            budget.delta_star**2, abs=1e-12
-        )
+        exact = CompositeGrassmannPoint.from_array(receiver_feedback(ch, 0))
+        fed = distortion_oracle_quantize(exact, budget, 18)
+        assert composite_dist_sq(exact, fed) == pytest.approx(budget.delta_star**2, abs=1e-12)
 
     def test_bad_user_index(self):
         ch = generate_channel(2, 1, 2, seed=19)
@@ -154,11 +152,17 @@ class TestFeedback:
             receiver_feedback(ch, 5)
 
 
+def fed_back(ch):
+    return np.stack([receiver_feedback(ch, i) for i in range(ch.K)])
+
+
 class TestReconstruction:
-    def make_rec(self, seed, K=3, R=2, L=2, N=8, quantizer=None, rng=None):
+    def make_rec(self, seed, K=3, R=2, L=2, N=8, budget=None, rng=None):
         ch = generate_channel(K, R, L, seed=seed)
-        msgs = [receiver_feedback(ch, i, quantizer, rng=rng) for i in range(K)]
-        return ch, to_tone_domain(ch, N), reconstruct(msgs, N)
+        fed = fed_back(ch)
+        if budget is not None:
+            fed = distortion_oracle_quantize(fed, [budget] * K, [rng] * K)
+        return ch, to_tone_domain(ch, N), reconstruct(fed, N, R=R)
 
     def test_perfect_feedback_reproduces_normalized_channel(self):
         ch, tone, rec = self.make_rec(seed=20)
@@ -169,7 +173,7 @@ class TestReconstruction:
 
     def test_unit_norm_reconstruction(self):
         budget = FeedbackBudget(K=3, R=2, L=2, P=16.0)
-        _, _, rec = self.make_rec(seed=21, quantizer=budget, rng=np.random.default_rng(2))
+        _, _, rec = self.make_rec(seed=21, budget=budget, rng=np.random.default_rng(2))
         for i in range(3):
             for k in range(3):
                 assert abs(np.linalg.norm(rec.wtilde_vec(i, k)) - 1.0) <= 1e-12
@@ -178,42 +182,39 @@ class TestReconstruction:
         # <true direction, reconstruction> equals <tap direction, quantized direction>
         budget = FeedbackBudget(K=3, R=2, L=2, P=16.0)
         ch = generate_channel(3, 2, 2, seed=22)
-        msgs = [receiver_feedback(ch, i, budget, rng=np.random.default_rng(23 + i)) for i in range(3)]
+        rngs = [np.random.default_rng(23 + i) for i in range(3)]
+        fed = distortion_oracle_quantize(fed_back(ch), [budget] * 3, rngs)
         tone = to_tone_domain(ch, 8)
-        rec = reconstruct(msgs, 8)
+        rec = reconstruct(fed, 8, R=2)
         for i in range(3):
             for k in range(3):
                 hbar = tone.hbar(i, k)
                 lhs = np.vdot(hbar / np.linalg.norm(hbar), rec.wtilde_vec(i, k))
-                rhs = np.vdot(vectorize_direction(ch, i, k).coords, msgs[i].point.parts[k].coords)
+                rhs = np.vdot(vectorize_direction(ch, i, k).coords, fed[i, k])
                 assert abs(lhs - rhs) <= 1e-10
 
     def test_phase_shift_leaves_pipeline_invariant(self):
         # rotating one fed-back component by a global phase must not move
         # any magnitude the downstream pipeline consumes
-        from iafb.channel import FeedbackMessage
-        from iafb.grassmann import CompositeGrassmannPoint, GrassmannPoint
-
         ch = generate_channel(2, 1, 3, seed=24)
-        msgs = [receiver_feedback(ch, i) for i in range(2)]
-        rotated_parts = list(msgs[0].point.parts)
-        rotated_parts[1] = GrassmannPoint(np.exp(1j * 0.77) * rotated_parts[1].coords)
-        rotated = FeedbackMessage(
-            user=0, point=CompositeGrassmannPoint(tuple(rotated_parts)), R=1, L=3
-        )
+        fed = fed_back(ch)
+        rotated = fed.copy()
+        rotated[0, 1] *= np.exp(1j * 0.77)
         tone = to_tone_domain(ch, 6)
-        base = reconstruct(msgs, 6)
-        alt = reconstruct([rotated, msgs[1]], 6)
+        base = reconstruct(fed, 6, R=1)
+        alt = reconstruct(rotated, 6, R=1)
         hbar = tone.hbar(0, 1)
         assert abs(np.vdot(hbar, base.wtilde_vec(0, 1))) == pytest.approx(
             abs(np.vdot(hbar, alt.wtilde_vec(0, 1))), abs=1e-12
         )
 
-    def test_missing_message_rejected(self):
+    def test_direction_shape_rejected(self):
         ch = generate_channel(3, 1, 2, seed=25)
-        msgs = [receiver_feedback(ch, i) for i in (0, 1)]
-        with pytest.raises(ValueError, match="missing"):
-            reconstruct(msgs, 4)
+        fed = fed_back(ch)
+        with pytest.raises(ValueError, match="shaped"):
+            reconstruct(fed[:, :2], 4, R=1)  # (K, K-1, R*L)
+        with pytest.raises(ValueError, match="shaped"):
+            reconstruct(fed, 4, R=3)  # R does not divide R*L = 2
 
     def test_qhat_reshape_round_trip(self):
         ch, _, rec = self.make_rec(seed=26)

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from iafb.alignment import AlignmentError, build_beamformers, cj3_parameters, ia_parameters
+import iafb.cli
 from iafb.channel import (
-    FeedbackMessage,
     generate_channel,
-    receiver_feedback,
     reconstruct,
     save_channel,
     to_tone_domain,
+    vectorize_direction,
 )
 from iafb.cli import main, parse_config, run_dof_sweep
-from iafb.grassmann import sample_uniform
-from iafb.quantizer import FeedbackBudget
+from iafb.grassmann import CompositeGrassmannPoint, sample_uniform
+from iafb.quantizer import FeedbackBudget, build_random_codebook, distortion_oracle_quantize, encode
 from iafb.rates import achievable_rates
 from iafb.rng import trial_generator
 
@@ -177,6 +177,51 @@ class TestIaRun:
         assert code == 2
 
 
+def exact_point(ch, i):
+    return CompositeGrassmannPoint(tuple(vectorize_direction(ch, i, k) for k in range(ch.K)))
+
+
+class TestIaRunFeedback:
+    """ia-run feeds back what each user's own single-point quantizer call gives."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--feedback", "oracle", "--p-log2", "10"],
+            ["--feedback", "oracle", "--alpha", "0.5", "--p-log2", "12"],
+            ["--feedback", "oracle", "--alpha", "0"],
+            ["--feedback", "codebook", "--bits", "6"],
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fed_back_matches_per_user_reference(self, tmp_path, monkeypatch, flags, seed):
+        seen = []
+
+        def recording_reconstruct(directions, N, *, R):
+            seen.append(np.array(directions))
+            return reconstruct(directions, N, R=R)
+
+        monkeypatch.setattr(iafb.cli, "reconstruct", recording_reconstruct)
+        argv = ["ia-run", "--engine", "cj3", "--n", "1", *flags, "--seed", str(seed)]
+        assert main(argv + ["--out", str(tmp_path / "run.csv")]) == 0
+        config = parse_config(argv)
+
+        ch = generate_channel(3, 1, 2, seed=trial_generator(seed, 0))
+        reference = []
+        for i in range(3):
+            rng = trial_generator(seed, 1009 + i)
+            if config.feedback == "codebook":
+                cb = build_random_codebook(2, 3, config.bits, seed=seed + i)
+                reference.append(cb.points[encode(exact_point(ch, i), cb)])
+            elif config.alpha == 0.0:
+                reference.append(sample_uniform(2, 3, rng).as_array())
+            else:
+                budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**config.p_log2, alpha=config.alpha)
+                reference.append(distortion_oracle_quantize(exact_point(ch, i), budget, rng).as_array())
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], np.stack(reference))
+
+
 class TestDofSweep:
     def test_perfect_feedback_slopes(self, tmp_path):
         out = tmp_path / "dof.csv"
@@ -279,7 +324,8 @@ def per_point_trial(config, trial):
 
     The reference for the batched `_trial_stats`: every (alpha, power)
     point runs its own feedback, reconstruction, build and rate evaluation,
-    in alpha-major order, with the streams the sweep documents.
+    in alpha-major order, with the streams the sweep documents. Each user's
+    feedback is its own single-point quantizer call.
     """
     K, R, L = config.K, config.R, config.L
     params = cj3_parameters(config.n) if config.engine == "cj3" else ia_parameters(K, R, config.n)
@@ -297,13 +343,13 @@ def per_point_trial(config, trial):
 
     def fill(a, j, rep):
         for i in range(K):
+            own, cross = rep.interference_own[i], rep.interference_cross[i]
             stats[a, j, i] = (
-                rep.rates[i], np.max(rep.interference_own[i]), np.max(rep.interference_cross[i]),
-                np.min(rep.signal[i]), rep.max_interference(i),
+                rep.rates[i], np.max(own), np.max(cross), np.min(rep.signal[i]), np.max(own + cross),
             )
 
     if config.feedback == "perfect":
-        bf = build(reconstruct([receiver_feedback(ch, i) for i in range(K)], params.N))
+        bf = build(reconstruct(np.stack([exact_point(ch, i).as_array() for i in range(K)]), params.N, R=R))
         for a in range(len(config.alphas)):
             for j, P in enumerate(grid):
                 fill(a, j, achievable_rates(tone, bf, P, noise_power=config.noise))
@@ -314,16 +360,15 @@ def per_point_trial(config, trial):
             alphas = [1.0] * K
             alphas[int(config.alpha_user)] = alpha
         for j, P in enumerate(grid):
-            msgs = []
+            fed = []
             for i in range(K):
                 rng = trial_generator(config.seed, (trial * 100_000 + a * 1_000 + j) * 1009 + i)
                 if alphas[i] == 0.0:
-                    point = sample_uniform(R * L, K, rng)
-                    msgs.append(FeedbackMessage(user=i, point=point, R=R, L=L, bits=0))
+                    fed.append(sample_uniform(R * L, K, rng).as_array())
                 else:
                     budget = FeedbackBudget(K=K, R=R, L=L, P=P, alpha=alphas[i])
-                    msgs.append(receiver_feedback(ch, i, budget, rng=rng))
-            bf = build(reconstruct(msgs, params.N))
+                    fed.append(distortion_oracle_quantize(exact_point(ch, i), budget, rng).as_array())
+            bf = build(reconstruct(np.stack(fed), params.N, R=R))
             fill(a, j, achievable_rates(tone, bf, P, noise_power=config.noise))
     return stats
 

@@ -15,7 +15,6 @@ from iafb.grassmann import (
     empirical_ball_cdf,
     sample_uniform,
     sum_dist_sq_cdf,
-    sum_dist_sq_density,
 )
 from iafb.rng import complex_normal
 
@@ -179,24 +178,6 @@ class TestSumDistribution:
         assert sum_dist_sq_cdf(4, 3, 0.0) == 0.0
         assert sum_dist_sq_cdf(4, 3, 3.0) == 1.0
         assert sum_dist_sq_cdf(2, 1, 1.5) == 1.0
-
-    def test_density_integrates_to_cdf(self):
-        # Gauss-Legendre quadrature of the density over [0, x] as an
-        # independent check of the closed-form CDF
-        nodes, weights = np.polynomial.legendre.leggauss(60)
-        for n, K in ((2, 1), (2, 2), (3, 2), (2, 3), (4, 3)):
-            for x in (0.2, 0.6, 1.0):
-                t = 0.5 * x * (nodes + 1.0)
-                integral = 0.5 * x * np.sum(
-                    weights * [sum_dist_sq_density(n, K, ti) for ti in t]
-                )
-                assert abs(integral - sum_dist_sq_cdf(n, K, x)) <= 1e-8
-
-    def test_density_outside_support(self):
-        assert sum_dist_sq_density(3, 1, -0.5) == 0.0
-        assert sum_dist_sq_density(3, 1, 1.5) == 0.0
-        with pytest.raises(ValueError):
-            sum_dist_sq_density(3, 2, 1.5)
 
     def test_monte_carlo_fallback_beyond_one(self):
         # no closed form on (1, K); the estimate must sit between the

@@ -9,13 +9,14 @@ from iafb.channel import (
     reconstruct,
     to_tone_domain,
 )
-from iafb.quantizer import FeedbackBudget
+from iafb.quantizer import FeedbackBudget, distortion_oracle_quantize
+from iafb.cli import _rate_rows, parse_config
 from iafb.rates import (
     achievable_rates,
     dof_fit,
     interference_boundedness,
+    CSV_COLUMNS,
     interference_terms,
-    rate_csv_rows,
 )
 from iafb.rng import trial_generator
 
@@ -24,7 +25,7 @@ def aligned_setup(seed, n=2):
     params = cj3_parameters(n)
     ch = generate_channel(3, 1, 2, seed=seed)
     tone = to_tone_domain(ch, params.N)
-    rec = reconstruct([receiver_feedback(ch, i) for i in range(3)], params.N)
+    rec = reconstruct(np.stack([receiver_feedback(ch, i) for i in range(3)]), params.N, R=ch.R)
     bf = build_beamformers(rec, params, "cj3")
     return params, tone, bf
 
@@ -123,17 +124,31 @@ class TestAchievableRates:
         with pytest.raises(ValueError):
             achievable_rates(tone, bf, 4.0, noise_power=0.0)
 
+    def test_user_stats_summarize_streams(self):
+        _, tone, bf = aligned_setup(seed=10)
+        report = achievable_rates(tone, bf, 32.0)
+        stats = report.user_stats()
+        assert stats.shape == (3, 5)
+        for i in range(3):
+            own, cross = report.interference_own[i], report.interference_cross[i]
+            assert list(stats[i]) == [
+                report.rates[i], own.max(), cross.max(), report.signal[i].min(), max(own + cross),
+            ]
+        batched = achievable_rates(tone, bf, np.array([32.0, 64.0])).user_stats()
+        assert batched.shape == (2, 3, 5)
+        np.testing.assert_array_equal(batched[0], stats)
+
     def test_csv_rows_contract(self):
         _, tone, bf = aligned_setup(seed=10)
         report = achievable_rates(tone, bf, 32.0)
-        rows = rate_csv_rows(report, seed=10, K=3, R=1, L=2, n=2, alpha=1.0)
+        config = parse_config(["ia-run", "--engine", "cj3", "--n", "2", "--seed", "10"])
+        rows = _rate_rows(config, 32.0, 1.0, report.user_stats())
         assert len(rows) == 3
-        assert list(rows[0]) == [
-            "seed", "K", "R", "L", "n", "P_log2", "alpha", "user",
-            "rate", "I1", "I2", "signal",
-        ]
+        assert tuple(rows[0]) == CSV_COLUMNS
         assert rows[1]["user"] == 1
         assert rows[0]["P_log2"] == 5.0
+        assert rows[2]["rate"] == report.rates[2]
+        assert rows[2]["I2"] == report.interference_cross[2].max()
 
 
 class TestDofFit:
@@ -188,17 +203,14 @@ class TestInterferenceBoundedness:
             for trial in range(5):
                 ch = generate_channel(3, 1, 2, seed=trial)
                 tone = to_tone_domain(ch, params.N)
-                msgs = [
-                    receiver_feedback(
-                        ch, i, FeedbackBudget(K=3, R=1, L=2, P=P, alpha=1.0),
-                        rng=trial_generator(3, trial * 100 + j * 10 + i),
-                    )
-                    for i in range(3)
-                ]
-                rec = reconstruct(msgs, params.N)
-                bf = build_beamformers(rec, params, "cj3")
+                fed = distortion_oracle_quantize(
+                    np.stack([receiver_feedback(ch, i) for i in range(3)]),
+                    [FeedbackBudget(K=3, R=1, L=2, P=P, alpha=1.0)] * 3,
+                    [trial_generator(3, trial * 100 + j * 10 + i) for i in range(3)],
+                )
+                bf = build_beamformers(reconstruct(fed, params.N, R=1), params, "cj3")
                 rep = achievable_rates(tone, bf, P)
-                acc = max(acc, max(rep.max_interference(i) for i in range(3)))
+                acc = max(acc, rep.user_stats()[:, 4].max())
             worst.append((P, acc))
         report = interference_boundedness(worst, floor=1e-10)
         assert report.passed
