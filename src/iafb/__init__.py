@@ -2,24 +2,21 @@
 
 Library layout:
 
-* ``grassmann``  - composite Grassmann geometry: points, distances,
-  uniform sampling, exact and empirical ball volumes.
+* ``grassmann``  - composite Grassmann geometry on (..., K, n) point
+  arrays: distances, uniform sampling, exact and empirical ball volumes.
 * ``quantizer``  - finite-rate codebooks, nearest-neighbor coding, the
   distortion oracle and distortion-vs-bits scaling.
 * ``channel``    - frequency-selective K-user channels, tone transforms,
   and the feedback/reconstruction pipeline.
-* ``alignment``  - stream bookkeeping, beamformer engines, alignment
-  verification, and the MIMO-to-SIMO reduction.
+* ``alignment``  - stream bookkeeping, beamformer engines, and the
+  MIMO-to-SIMO reduction.
 * ``rates``      - SINR decomposition, achievable rates, DoF regression.
 * ``cli``        - batch experiment runner (``iafb`` console script).
 """
 
 from .grassmann import (
     BallVolumeSpec,
-    CompositeGrassmannPoint,
-    GrassmannPoint,
     ball_volume_normalized,
-    chordal_dist_sq,
     composite_dist_sq,
     empirical_ball_cdf,
     sample_uniform,
@@ -30,7 +27,6 @@ from .quantizer import (
     DistortionReport,
     FeedbackBudget,
     build_random_codebook,
-    decode,
     distortion_oracle_quantize,
     distortion_scaling_exponent,
     encode,
@@ -48,7 +44,6 @@ from .channel import (
 )
 from .alignment import (
     AlignmentError,
-    AlignmentReport,
     BeamformerSet,
     IaParameters,
     MimoReduction,
@@ -56,7 +51,6 @@ from .alignment import (
     cj3_parameters,
     ia_parameters,
     mimo_reduce,
-    verify_alignment,
 )
 from .rates import (
     DofEstimate,

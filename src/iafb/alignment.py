@@ -1,4 +1,4 @@
-"""Interference alignment: stream bookkeeping, beamformer engines, checks.
+"""Interference alignment: stream bookkeeping, beamformer engines, zero-forcing.
 
 Two engines construct transmit directions v_k^m (length N) and receive
 filters u_i^m (length R*N) against a reconstructed channel surrogate:
@@ -47,12 +47,10 @@ __all__ = [
     "IaParameters",
     "BeamformerSet",
     "MimoReduction",
-    "AlignmentReport",
     "AlignmentError",
     "ia_parameters",
     "cj3_parameters",
     "build_beamformers",
-    "verify_alignment",
     "mimo_reduce",
 ]
 
@@ -471,7 +469,6 @@ def build_beamformers(
     max_iters: int = 5000,
     rng=None,
     shared: bool = False,
-    restarts: int = 2,
 ) -> BeamformerSet:
     """Find (u, v) satisfying the alignment conditions against `rec`.
 
@@ -479,7 +476,7 @@ def build_beamformers(
     below `tol` and every desired-signal inner product above `c_min`, all
     measured against the reconstructed channel (not the true one). The
     leakage-min engine restarts from fresh random directions up to
-    `restarts` times before giving up; failures raise AlignmentError with
+    twice before giving up; failures raise AlignmentError with
     the leakage trajectory attached.
 
     A batched `rec` gives a batched set. cj3 builds the whole batch at once;
@@ -517,18 +514,18 @@ def build_beamformers(
     if len(rngs) != len(elements):
         raise ValueError("need one generator per batch element")
     sets = [
-        _leakage_min(el, params, tol, c_min, max_iters, g, shared, restarts)
+        _leakage_min(el, params, tol, c_min, max_iters, g, shared)
         for el, g in zip(elements, rngs)
     ]
     return _concatenated(sets) if rec.batched else _unbatched(sets[0])
 
 
-def _leakage_min(rec, params, tol, c_min, max_iters, rng, shared, restarts) -> BeamformerSet:
+def _leakage_min(rec, params, tol, c_min, max_iters, rng, shared) -> BeamformerSet:
     """leakage-min on one unbatched reconstruction; a batch-of-one set."""
     Wm = _wtilde_matrices(rec)
     target = (0.5 * tol) ** 2
     history_all = []
-    attempts = max(1, restarts + 1)
+    attempts = 3  # the first run and up to two restarts
     for _ in range(attempts):
         V, history = _leakage_min_directions(Wm, params, target, max_iters, rng, shared)
         history_all.extend(history)
@@ -544,42 +541,4 @@ def _leakage_min(rec, params, tol, c_min, max_iters, rng, shared, restarts) -> B
         f"x {attempts} attempts (last: {last})",
         history=history_all,
         residual=last.residual,
-    )
-
-
-@dataclass(frozen=True)
-class AlignmentReport:
-    """Recomputed alignment quality of a beamformer set against a channel."""
-
-    signal_min: float
-    max_same_tx_violation: float
-    max_cross_tx_violation: float
-    residual: float
-    stated_residual: float
-    c_min: float
-    passed: bool
-
-
-def verify_alignment(
-    bf: BeamformerSet, rec: ReconstructedChannel, c_min: float = 1e-6,
-    residual_tol: float | None = None,
-) -> AlignmentReport:
-    """Recompute all alignment inner products of `bf` against `rec`.
-
-    Passes when the largest violated inner product does not exceed the
-    set's stated residual (or `residual_tol` when given) and the smallest
-    desired-signal term stays above `c_min`.
-    """
-    images = tone_images(rec.wtones[None], [v[None] for v in bf.v])
-    signal_min, same_max, cross_max = (float(x[0]) for x in _alignment_stats(images, [u[None] for u in bf.u]))
-    residual = max(same_max, cross_max)
-    allowed = bf.alignment_residual if residual_tol is None else residual_tol
-    return AlignmentReport(
-        signal_min=signal_min,
-        max_same_tx_violation=same_max,
-        max_cross_tx_violation=cross_max,
-        residual=residual,
-        stated_residual=allowed,
-        c_min=c_min,
-        passed=bool(residual <= allowed + 1e-12 and signal_min >= c_min),
     )

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grassmann import CompositeGrassmannPoint, GrassmannPoint
 from .quantizer import Codebook, encode
 from .rng import as_generator, complex_normal
 
@@ -43,9 +42,6 @@ __all__ = [
     "save_channel",
     "load_channel",
 ]
-
-TAP_DISTRIBUTIONS = ("cn", "truncated-cn")
-_TRUNCATION_RADIUS = 4.0
 
 
 @dataclass(frozen=True)
@@ -93,10 +89,6 @@ class ToneChannel:
             raise ValueError("tone array shape must be (K, K, N, R)")
         self.tones.setflags(write=False)
 
-    def tone_matrix(self, i: int, k: int) -> np.ndarray:
-        """The raw N x R tone matrix of link (i, k)."""
-        return self.tones[i, k]
-
     def hbar(self, i: int, k: int) -> np.ndarray:
         """Stacked tone channel (length R*N, tone-major), unitary scaling."""
         return self.tones[i, k].reshape(-1) / np.sqrt(self.N)
@@ -135,10 +127,6 @@ class ReconstructedChannel:
     @property
     def batched(self) -> bool:
         return self.wtones.ndim == 5
-
-    def wtilde_vec(self, i: int, k: int) -> np.ndarray:
-        """Stacked unit-norm reconstructed direction (length R*N)."""
-        return self.wtones[i, k].reshape(-1)
 
     def wtilde_matrix(self, i: int, k: int) -> np.ndarray:
         """Dense R*N x N block-diagonal reconstructed channel matrix."""
@@ -179,27 +167,11 @@ def tone_images(tones: np.ndarray, V) -> list:
     return images
 
 
-def generate_channel(K: int, R: int, L: int, dist: str = "cn", seed=None) -> ChannelRealization:
-    """Draw i.i.d. taps for all K*K links.
-
-    The default distribution is unit-variance circularly-symmetric complex
-    Gaussian. ``truncated-cn`` redraws any entry with magnitude above 4 to
-    obtain an almost-surely bounded continuous distribution; at that radius
-    the difference from the plain Gaussian is statistically invisible.
-    """
+def generate_channel(K: int, R: int, L: int, seed=None) -> ChannelRealization:
+    """Draw i.i.d. unit-variance circularly-symmetric complex Gaussian taps for all K*K links."""
     if K < 2 or R < 1 or L < 1:
         raise ValueError("need K >= 2, R >= 1, L >= 1")
-    if dist not in TAP_DISTRIBUTIONS:
-        raise ValueError(f"unknown tap distribution {dist!r}; choose from {TAP_DISTRIBUTIONS}")
-    rng = as_generator(seed)
-    shape = (K, K, L, R)
-    taps = complex_normal(rng, shape) / np.sqrt(2.0)
-    if dist == "truncated-cn":
-        bad = np.abs(taps) > _TRUNCATION_RADIUS
-        while np.any(bad):
-            redraw = complex_normal(rng, shape) / np.sqrt(2.0)
-            taps = np.where(bad, redraw, taps)
-            bad = np.abs(taps) > _TRUNCATION_RADIUS
+    taps = complex_normal(as_generator(seed), (K, K, L, R)) / np.sqrt(2.0)
     return ChannelRealization(K=K, R=R, L=L, taps=taps)
 
 
@@ -211,13 +183,20 @@ def to_tone_domain(ch: ChannelRealization, N: int) -> ToneChannel:
     return ToneChannel(K=ch.K, R=ch.R, N=N, tones=tones, noise_power=ch.noise_power)
 
 
-def vectorize_direction(ch: ChannelRealization, i: int, k: int) -> GrassmannPoint:
-    """Unit-norm column-major vectorization of tap matrix (i, k)."""
+def vectorize_direction(ch: ChannelRealization, i: int, k: int) -> np.ndarray:
+    """Unit-norm column-major vectorization of tap matrix (i, k), an (R*L,) array.
+
+    A direction is a line in C^(R*L), so R*L = 1 (one scalar tap) is rejected.
+    """
+    if ch.R * ch.L < 2:
+        raise ValueError(
+            f"need R*L >= 2, got R={ch.R}, L={ch.L}: a single scalar tap carries no direction information"
+        )
     vec = ch.taps[i, k].reshape(-1, order="F")
     norm = np.linalg.norm(vec)
     if norm == 0.0:
         raise ValueError(f"channel ({i}, {k}) is identically zero; cannot form a direction")
-    return GrassmannPoint(vec / norm)
+    return vec / norm
 
 
 def receiver_feedback(ch: ChannelRealization, i: int, codebook: Codebook | None = None) -> np.ndarray:
@@ -229,11 +208,9 @@ def receiver_feedback(ch: ChannelRealization, i: int, codebook: Codebook | None 
     """
     if not 0 <= i < ch.K:
         raise ValueError(f"user index {i} out of range")
-    exact = CompositeGrassmannPoint(
-        tuple(vectorize_direction(ch, i, k) for k in range(ch.K))
-    )
+    exact = np.stack([vectorize_direction(ch, i, k) for k in range(ch.K)])
     if codebook is None:
-        return exact.as_array()
+        return exact
     # a copy, so the codebook is not kept alive by a view into it
     return codebook.points[encode(exact, codebook)].copy()
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from .alignment import (
+    ENGINES,
     AlignmentError,
     build_beamformers,
     cj3_parameters,
@@ -256,8 +257,7 @@ def _map(fn, args, jobs: int) -> list:
 
 def _volume_chunk_hits(args) -> int:
     n, K, delta, seed, task, chunk, count = args
-    rng = np.random.default_rng(np.random.SeedSequence([seed, task, chunk]))
-    return ball_hit_count(n, K, delta, count, rng)
+    return ball_hit_count(n, K, delta, count, trial_generator(seed, task, chunk))
 
 
 def cmd_volume_check(config: ExperimentConfig) -> int:
@@ -368,9 +368,27 @@ def cmd_quantizer_scaling(config: ExperimentConfig) -> int:
 def _make_params(K, R, L, n, engine):
     if engine == "cj3":
         if (K, R) != (3, 1):
-            raise ValueError("the cj3 engine is specific to K=3, R=1")
+            raise ValueError(f"the cj3 engine is specific to K=3, R=1, got K={K}, R={R}")
         return cj3_parameters(n)
     return ia_parameters(K, R, n)
+
+
+def _pipeline_params(config: ExperimentConfig, feedback_modes: tuple):
+    """(params, "") for ia-run's or dof-sweep's sizing, or (None, its first usage error).
+
+    Checks the engine, the feedback mode and R*L >= 2 (a fed-back direction
+    is a line in C^(R*L)) before `_make_params` sizes the problem.
+    """
+    if config.engine not in ENGINES:
+        return None, f"unknown engine {config.engine!r}; choose from {', '.join(ENGINES)}"
+    if config.feedback not in feedback_modes:
+        return None, f"{config.command} supports feedback = {' | '.join(feedback_modes)}, got {config.feedback!r}"
+    if config.R * config.L < 2:
+        return None, f"need R*L >= 2 to feed back a direction, got --R {config.R} --L {config.L}"
+    try:
+        return _make_params(config.K, config.R, config.L, config.n, config.engine), ""
+    except ValueError as exc:
+        return None, str(exc)
 
 
 def _oracle_rows(exact: np.ndarray, budgets: list, gens: list) -> np.ndarray:
@@ -421,8 +439,6 @@ def _fed_back(ch, config: ExperimentConfig, P: float) -> np.ndarray:
             receiver_feedback(ch, i, build_random_codebook(ch.R * ch.L, K, config.bits, seed=config.seed + i))
             for i in range(K)
         ])
-    if config.feedback not in ("perfect", "oracle"):
-        raise ValueError(f"unknown feedback mode {config.feedback!r}")
     exact = np.stack([receiver_feedback(ch, i) for i in range(K)])
     if config.feedback == "perfect":
         return exact
@@ -431,10 +447,18 @@ def _fed_back(ch, config: ExperimentConfig, P: float) -> np.ndarray:
 
 
 def cmd_ia_run(config: ExperimentConfig) -> int:
-    try:
-        params = _make_params(config.K, config.R, config.L, config.n, config.engine)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    params, error = _pipeline_params(config, ("perfect", "oracle", "codebook"))
+    if error:
+        print(error, file=sys.stderr)
+        return 2
+    if config.feedback == "oracle" and not 0.0 <= config.alpha <= 1.0:
+        print(f"the feedback fraction must lie in [0, 1], got --alpha {config.alpha:g}", file=sys.stderr)
+        return 2
+    if config.feedback == "codebook" and not 0 <= config.bits <= MAX_MATERIALIZED_BITS:
+        print(f"codebook bits must lie in [0, {MAX_MATERIALIZED_BITS}], got --bits {config.bits}", file=sys.stderr)
+        return 2
+    if config.engine == "cj3" and config.shared:
+        print(f"the cj3 construction has no shared-direction variant, got --shared {config.shared}", file=sys.stderr)
         return 2
     if config.channel_file:
         try:
@@ -588,10 +612,9 @@ def run_dof_sweep(config: ExperimentConfig) -> SweepResult:
 
 
 def cmd_dof_sweep(config: ExperimentConfig) -> int:
-    try:
-        params = _make_params(config.K, config.R, config.L, config.n, config.engine)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    params, error = _pipeline_params(config, ("perfect", "oracle"))
+    if error:
+        print(error, file=sys.stderr)
         return 2
     if config.alpha_user != "all":
         try:
@@ -602,9 +625,6 @@ def cmd_dof_sweep(config: ExperimentConfig) -> int:
         if not 0 <= user < config.K:
             print(f"alpha_user {config.alpha_user} out of range", file=sys.stderr)
             return 2
-    if config.feedback not in ("perfect", "oracle"):
-        print("dof-sweep supports feedback = perfect | oracle", file=sys.stderr)
-        return 2
     bad = [a for a in config.alphas if not 0.0 <= a <= 1.0]
     if bad or not config.alphas:
         shown = ", ".join(f"{a:g}" for a in bad) or "none"

@@ -3,9 +3,10 @@
 A point of G_{n,1} is a complex line through the origin of C^n,
 represented by a unit vector modulo phase. The composite manifold is the
 direct sum of K such factors; its natural metric is the sum of squared
-per-component chordal distances. This module provides points, distances,
-uniform sampling, the exact normalized volume of a metric ball, and a
-Monte Carlo estimator used to validate the closed form.
+per-component chordal distances. A point is a (K, n) array of unit rows,
+and a batch of points a (..., K, n) array. This module provides the
+composite distance, uniform sampling, the exact normalized volume of a
+metric ball, and a Monte Carlo estimator used to validate the closed form.
 """
 
 from __future__ import annotations
@@ -18,72 +19,13 @@ import numpy as np
 from .rng import as_generator, complex_normal_parts, complex_normal_streams
 
 __all__ = [
-    "GrassmannPoint",
-    "CompositeGrassmannPoint",
     "BallVolumeSpec",
-    "chordal_dist_sq",
     "composite_dist_sq",
     "sample_uniform",
     "ball_volume_normalized",
     "sum_dist_sq_cdf",
     "empirical_ball_cdf",
 ]
-
-_UNIT_NORM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GrassmannPoint:
-    """A line in G_{n,1}, stored as a unit-norm complex vector of length n >= 2."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=complex)
-        if coords.ndim != 1 or coords.size < 2:
-            raise ValueError("a Grassmann line needs a 1-D vector with n >= 2")
-        if abs(np.vdot(coords, coords).real - 1.0) > _UNIT_NORM_TOL:
-            raise ValueError("coordinates must have unit Euclidean norm")
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def n(self) -> int:
-        return self.coords.size
-
-
-@dataclass(frozen=True)
-class CompositeGrassmannPoint:
-    """Ordered tuple of K lines, all living in the same ambient dimension."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        if len(parts) < 1:
-            raise ValueError("need at least one component")
-        n = parts[0].n
-        if any(p.n != n for p in parts):
-            raise ValueError("all components must share the ambient dimension")
-        object.__setattr__(self, "parts", parts)
-
-    @classmethod
-    def from_array(cls, arr) -> "CompositeGrassmannPoint":
-        """Build from a (K, n) array whose rows are unit vectors."""
-        arr = np.asarray(arr, dtype=complex)
-        return cls(tuple(GrassmannPoint(row) for row in arr))
-
-    def as_array(self) -> np.ndarray:
-        """Stack the components into a (K, n) array."""
-        return np.stack([p.coords for p in self.parts])
-
-    @property
-    def K(self) -> int:
-        return len(self.parts)
-
-    @property
-    def n(self) -> int:
-        return self.parts[0].n
 
 
 @dataclass(frozen=True)
@@ -107,42 +49,32 @@ class BallVolumeSpec:
             raise ValueError("radius must be non-negative")
 
 
-def chordal_dist_sq(p: GrassmannPoint, q: GrassmannPoint) -> float:
-    """Squared chordal distance 1 - |<p, q>|^2 between two lines.
+def composite_dist_sq(a, b) -> np.ndarray:
+    """Sum of per-component squared chordal distances 1 - |<a_k, b_k>|^2.
 
-    Symmetric, phase-invariant, and confined to [0, 1].
+    ``a`` and ``b`` are broadcastable (..., K, n) arrays of unit rows; the
+    (...) result lies in [0, K]. Each component's term is symmetric,
+    phase-invariant and clamped to [0, 1]. A single line is the K = 1 case.
     """
-    if p.n != q.n:
-        raise ValueError(f"dimension mismatch: {p.n} vs {q.n}")
-    ip = np.vdot(p.coords, q.coords)
-    val = 1.0 - (ip.real * ip.real + ip.imag * ip.imag)
-    return float(min(max(val, 0.0), 1.0))
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim < 2 or a.shape[-2:] != b.shape[-2:]:
+        raise ValueError(f"need (..., K, n) points of one shape, got {a.shape} and {b.shape}")
+    ip = np.einsum("...j,...j->...", a.conj(), b)
+    return np.clip(1.0 - (ip.real * ip.real + ip.imag * ip.imag), 0.0, 1.0).sum(axis=-1)
 
 
-def composite_dist_sq(a: CompositeGrassmannPoint, b: CompositeGrassmannPoint) -> float:
-    """Sum of per-component squared chordal distances; lies in [0, K]."""
-    if a.K != b.K or a.n != b.n:
-        raise ValueError(
-            f"shape mismatch: (n={a.n}, K={a.K}) vs (n={b.n}, K={b.K})"
-        )
-    return float(sum(chordal_dist_sq(p, q) for p, q in zip(a.parts, b.parts)))
+def sample_uniform(n: int, K: int, rngs) -> np.ndarray:
+    """Draw one uniform point per generator: K independent normalized complex Gaussians.
 
-
-def sample_uniform(n: int, K: int, rng):
-    """Draw a uniform point: K independent normalized complex Gaussians.
-
-    ``rng`` may also be a list of generators: then one point is drawn from
-    each, exactly as a single-point call on it would, and the B points come
-    back as one (B, K, n) array of unit rows.
+    Returns the B = len(rngs) points as one (B, K, n) array of unit rows.
     """
     if n < 2:
         raise ValueError("ambient dimension n must be >= 2")
     if K < 1:
         raise ValueError("number of components K must be >= 1")
-    batched = isinstance(rng, (list, tuple))
-    raw = complex_normal_streams(rng if batched else [as_generator(rng)], (K, n))
+    raw = complex_normal_streams(rngs, (K, n))
     raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
-    return raw if batched else CompositeGrassmannPoint.from_array(raw[0])
+    return raw
 
 
 def _log_volume_const(n: int, K: int) -> float:

@@ -14,7 +14,7 @@ Two quantizer flavors cover the whole bit-budget range:
 Random codebooks stand in for true maximal packings: they attain the
 same distortion scaling exponent, which is the only property the
 downstream experiments consume. Codewords are generated in chunks of
-2**14, each from its own (seed, chunk) stream.
+2**14, each from its own ``trial_generator(seed, chunk)`` stream.
 
 Distortion search (``measure_distortion``) uses the half-vectorized
 projection embedding of Conway, Hardin and Sloane (Exp. Math. 1996):
@@ -26,10 +26,12 @@ product. Its rounding differs from the direct formula at about 1e-15.
 The scores land in one 8 MiB similarity block that every source slice
 reuses: a fresh block per slice (32 MiB at the earlier size) spent more
 time allocating and faulting in pages than in the product itself.
-``encode`` stays a per-point scan on the direct formula: one point
-cannot amortize embedding a whole codebook (0.7 ms per point direct vs
-4.0 ms embedded at n=2, K=3, 14 bits), and feedback builds a fresh
-codebook per receiver.
+``encode`` stays a per-point scan on the direct formula
+(`composite_dist_sq` of the point against each chunk): one point cannot
+amortize embedding a whole codebook (0.7 ms per point direct vs 4.0 ms
+embedded at n=2, K=3, 14 bits), and feedback builds a fresh codebook per
+receiver. Points and codewords are (K, n) arrays of unit rows; codeword i
+is ``cb.points[i]``.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grassmann import CompositeGrassmannPoint
-from .rng import as_generator, complex_normal, complex_normal_streams
+from .grassmann import composite_dist_sq
+from .rng import as_generator, complex_normal, complex_normal_streams, trial_generator
 
 __all__ = [
     "Codebook",
@@ -48,7 +50,6 @@ __all__ = [
     "FeedbackBudget",
     "build_random_codebook",
     "encode",
-    "decode",
     "measure_distortion",
     "distortion_oracle_quantize",
     "distortion_scaling_exponent",
@@ -87,12 +88,6 @@ class Codebook:
     @property
     def size(self) -> int:
         return 1 << self.bits
-
-    def __len__(self) -> int:
-        return self.size
-
-    def codeword(self, index: int) -> CompositeGrassmannPoint:
-        return decode(index, self)
 
     def chunks(self):
         """Yield (start_index, array) blocks of codewords in index order."""
@@ -158,8 +153,7 @@ class FeedbackBudget:
 
 def _generate_chunk(n: int, K: int, seed: int, chunk_index: int, count: int) -> np.ndarray:
     """Codewords [chunk*C, chunk*C + count) for the chunk-seeded scheme."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(chunk_index)]))
-    raw = complex_normal(rng, (count, K, n))
+    raw = complex_normal(trial_generator(seed, chunk_index), (count, K, n))
     raw /= np.linalg.norm(raw, axis=2, keepdims=True)
     return raw
 
@@ -207,32 +201,17 @@ def _embed(points: np.ndarray) -> np.ndarray:
     return out.reshape(*points.shape[:-2], -1)
 
 
-def _nearest_in_block(block: np.ndarray, x: np.ndarray) -> tuple[int, float]:
-    """Index offset and squared distance of the closest codeword in a block."""
-    sims = np.abs(np.einsum("mkj,kj->mk", block, x.conj())) ** 2
-    dist = x.shape[0] - sims.sum(axis=1)
-    off = int(np.argmin(dist))
-    return off, float(max(dist[off], 0.0))
-
-
-def encode(x: CompositeGrassmannPoint, cb: Codebook) -> int:
-    """Index of the nearest codeword; ties break toward the lowest index."""
-    if x.K != cb.K or x.n != cb.n:
-        raise ValueError("point shape does not match the codebook")
-    arr = x.as_array()
+def encode(x: np.ndarray, cb: Codebook) -> int:
+    """Index of the codeword nearest the (K, n) point `x`; ties break toward the lowest index."""
+    if np.shape(x) != (cb.K, cb.n):
+        raise ValueError(f"point shape {np.shape(x)} does not match the codebook's {(cb.K, cb.n)}")
     best_idx, best_dist = -1, np.inf
     for start, block in cb.chunks():
-        off, dist = _nearest_in_block(block, arr)
-        if dist < best_dist:
-            best_idx, best_dist = start + off, dist
+        dist = composite_dist_sq(x, block)
+        off = int(np.argmin(dist))
+        if dist[off] < best_dist:
+            best_idx, best_dist = start + off, dist[off]
     return best_idx
-
-
-def decode(index: int, cb: Codebook) -> CompositeGrassmannPoint:
-    """Return the codeword stored at `index`."""
-    if not 0 <= index < cb.size:
-        raise IndexError(f"index {index} out of range for a {cb.bits}-bit codebook")
-    return CompositeGrassmannPoint.from_array(cb.points[index])
 
 
 def _batched_min_dist(sources: np.ndarray, cb: Codebook) -> np.ndarray:
@@ -273,23 +252,18 @@ def measure_distortion(cb: Codebook, trials: int, rng) -> DistortionReport:
     )
 
 
-def distortion_oracle_quantize(x, budget, rng):
+def distortion_oracle_quantize(x, budgets, rngs) -> np.ndarray:
     """Emulate an ideal packing codebook at an arbitrarily large budget.
 
-    Returns a point at composite distance exactly delta_star from `x`, with
-    the squared error spread over the components by a uniformly random
-    tangent direction. Every component therefore stays within delta_star**2
-    of its original, which is 1/P at the full feedback budget.
-
-    For a batch, ``x`` is a (B, K, n) array of unit rows and ``budget`` and
-    ``rng`` are lists holding one FeedbackBudget and one generator per
-    point. Each point draws from its own generator exactly as the
-    single-point call would, and the B points come back as one array.
+    ``x`` is a (B, K, n) array of unit rows, and ``budgets`` and ``rngs``
+    hold one FeedbackBudget and one generator per point. Returns a (B, K, n)
+    array whose point b lies at composite distance exactly delta_star of
+    budget b from x[b], with the squared error spread over the components
+    by a uniformly random tangent direction drawn from rngs[b]. Every
+    component therefore stays within delta_star**2 of its original, which
+    is 1/P at the full feedback budget.
     """
-    batched = not isinstance(x, CompositeGrassmannPoint)
-    arr = np.asarray(x) if batched else x.as_array()[None]
-    budgets = list(budget) if batched else [budget]
-    rngs = list(rng) if batched else [as_generator(rng)]
+    arr = np.asarray(x)
     if arr.ndim != 3 or not len(arr) == len(budgets) == len(rngs):
         raise ValueError("need one budget and one generator per (K, n) point")
     K, n = arr.shape[1:]
@@ -297,7 +271,7 @@ def distortion_oracle_quantize(x, budget, rng):
         raise ValueError("point shape does not match the budget's manifold")
     target = np.array([b.delta_star for b in budgets]) ** 2
     if not target.any():
-        return x
+        return arr
 
     raw = complex_normal_streams(rngs, (K, n))
     overlap = np.einsum("bkj,bkj->bk", arr.conj(), raw)
@@ -312,8 +286,7 @@ def distortion_oracle_quantize(x, budget, rng):
     comp_err = alloc * target[:, None]
     out = np.sqrt(1.0 - comp_err)[..., None] * arr + np.sqrt(comp_err)[..., None] * tangent
     out /= np.linalg.norm(out, axis=-1, keepdims=True)
-    out = np.where((target == 0.0)[:, None, None], arr, out)
-    return out if batched else CompositeGrassmannPoint.from_array(out[0])
+    return np.where((target == 0.0)[:, None, None], arr, out)
 
 
 def distortion_scaling_exponent(n: int, K: int, bits_list, trials: int, rng) -> float:

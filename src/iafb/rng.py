@@ -18,9 +18,13 @@ def as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def trial_generator(seed: int, trial: int) -> np.random.Generator:
-    """Independent stream for one trial, reproducible from (seed, trial)."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
+def trial_generator(seed: int, *key: int) -> np.random.Generator:
+    """Independent stream reproducible from (seed, *key), such as (seed, trial).
+
+    Every derived stream in the library comes from here: the entropy is the
+    integer list [seed, *key].
+    """
+    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
 def complex_normal_parts(rng: np.random.Generator, shape) -> np.ndarray:

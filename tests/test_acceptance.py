@@ -221,9 +221,9 @@ def test_criterion_8_pipeline_identities():
         i, k = int(rng.integers(K)), int(rng.integers(K))
 
         # reconstructed directions keep unit norm
-        worst["wnorm"] = max(worst["wnorm"], abs(np.linalg.norm(rec.wtilde_vec(i, k)) - 1.0))
+        worst["wnorm"] = max(worst["wnorm"], abs(np.linalg.norm(rec.wtones[i, k]) - 1.0))
         # unnormalized-DFT Parseval
-        F = tone.tone_matrix(i, k)
+        F = tone.tones[i, k]
         T = ch.taps[i, k]
         worst["parseval"] = max(
             worst["parseval"],
@@ -240,7 +240,7 @@ def test_criterion_8_pipeline_identities():
             worst["chain"],
             abs(
                 np.linalg.norm(tone.hbar(i, k)) ** 2
-                - np.linalg.norm(vectorize_direction(ch, i, k).coords * np.linalg.norm(T)) ** 2
+                - np.linalg.norm(vectorize_direction(ch, i, k) * np.linalg.norm(T)) ** 2
             )
             / max(1.0, np.linalg.norm(T) ** 2),
         )

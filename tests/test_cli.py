@@ -13,7 +13,7 @@ from iafb.channel import (
     vectorize_direction,
 )
 from iafb.cli import main, parse_config, run_dof_sweep
-from iafb.grassmann import CompositeGrassmannPoint, sample_uniform
+from iafb.grassmann import sample_uniform
 from iafb.quantizer import FeedbackBudget, build_random_codebook, distortion_oracle_quantize, encode
 from iafb.rates import achievable_rates
 from iafb.rng import trial_generator
@@ -169,20 +169,35 @@ class TestIaRun:
         ])
         assert code == 0
 
-    def test_wrong_engine_parametrization(self, tmp_path):
-        code = main([
-            "ia-run", "--engine", "cj3", "--K", "4",
-            "--out", str(tmp_path / "x.csv"),
-        ])
-        assert code == 2
+    @pytest.mark.parametrize(
+        "flags, shown",
+        [
+            pytest.param(["--engine", "cj3", "--K", "4"], "K=4", id="cj3-K4"),
+            pytest.param(["--engine", "bogus"], "'bogus'", id="engine"),
+            pytest.param(["--feedback", "bogus"], "'bogus'", id="feedback"),
+            pytest.param(["--feedback", "oracle", "--alpha", "1.5"], "--alpha 1.5", id="alpha-high"),
+            pytest.param(["--feedback", "oracle", "--alpha=-0.5"], "--alpha -0.5", id="alpha-low"),
+            pytest.param(["--feedback", "codebook", "--bits", "27"], "--bits 27", id="bits-high"),
+            pytest.param(["--feedback", "codebook", "--bits=-1"], "--bits -1", id="bits-low"),
+            pytest.param(["--engine", "cj3", "--shared", "1"], "--shared 1", id="cj3-shared"),
+            pytest.param(["--R", "1", "--L", "1"], "--R 1 --L 1", id="scalar-tap"),
+        ],
+    )
+    def test_invalid_run_is_usage_error(self, tmp_path, capsys, flags, shown):
+        # rejected before the channel is drawn: no CSV
+        out = tmp_path / "x.csv"
+        assert main(["ia-run", *flags, "--out", str(out)]) == 2
+        assert shown in capsys.readouterr().err
+        assert not out.exists()
 
 
-def exact_point(ch, i):
-    return CompositeGrassmannPoint(tuple(vectorize_direction(ch, i, k) for k in range(ch.K)))
+def exact_directions(ch, i):
+    """Receiver i's exact (K, R*L) directions, one `vectorize_direction` per link."""
+    return np.stack([vectorize_direction(ch, i, k) for k in range(ch.K)])
 
 
 class TestIaRunFeedback:
-    """ia-run feeds back what each user's own single-point quantizer call gives."""
+    """ia-run feeds back what each user's own batch-of-one quantizer call gives."""
 
     @pytest.mark.parametrize(
         "flags",
@@ -212,12 +227,12 @@ class TestIaRunFeedback:
             rng = trial_generator(seed, 1009 + i)
             if config.feedback == "codebook":
                 cb = build_random_codebook(2, 3, config.bits, seed=seed + i)
-                reference.append(cb.points[encode(exact_point(ch, i), cb)])
+                reference.append(cb.points[encode(exact_directions(ch, i), cb)])
             elif config.alpha == 0.0:
-                reference.append(sample_uniform(2, 3, rng).as_array())
+                reference.append(sample_uniform(2, 3, [rng])[0])
             else:
                 budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**config.p_log2, alpha=config.alpha)
-                reference.append(distortion_oracle_quantize(exact_point(ch, i), budget, rng).as_array())
+                reference.append(distortion_oracle_quantize(exact_directions(ch, i)[None], [budget], [rng])[0])
         assert len(seen) == 1
         assert np.array_equal(seen[0], np.stack(reference))
 
@@ -309,6 +324,9 @@ class TestDofSweep:
             (["--p-log2-max", "2"], "has 0"),
             (["--alpha-user", "x"], "got 'x'"),
             (["--alpha-user", "1.5"], "got '1.5'"),
+            (["--engine", "bogus"], "'bogus'"),
+            (["--feedback", "codebook"], "'codebook'"),
+            (["--R", "1", "--L", "1"], "--R 1 --L 1"),
         ],
     )
     def test_invalid_sweep_is_usage_error(self, tmp_path, capsys, flags, shown):
@@ -325,7 +343,7 @@ def per_point_trial(config, trial):
     The reference for the batched `_trial_stats`: every (alpha, power)
     point runs its own feedback, reconstruction, build and rate evaluation,
     in alpha-major order, with the streams the sweep documents. Each user's
-    feedback is its own single-point quantizer call.
+    feedback is its own batch-of-one quantizer call.
     """
     K, R, L = config.K, config.R, config.L
     params = cj3_parameters(config.n) if config.engine == "cj3" else ia_parameters(K, R, config.n)
@@ -349,7 +367,7 @@ def per_point_trial(config, trial):
             )
 
     if config.feedback == "perfect":
-        bf = build(reconstruct(np.stack([exact_point(ch, i).as_array() for i in range(K)]), params.N, R=R))
+        bf = build(reconstruct(np.stack([exact_directions(ch, i) for i in range(K)]), params.N, R=R))
         for a in range(len(config.alphas)):
             for j, P in enumerate(grid):
                 fill(a, j, achievable_rates(tone, bf, P, noise_power=config.noise))
@@ -364,10 +382,10 @@ def per_point_trial(config, trial):
             for i in range(K):
                 rng = trial_generator(config.seed, (trial * 100_000 + a * 1_000 + j) * 1009 + i)
                 if alphas[i] == 0.0:
-                    fed.append(sample_uniform(R * L, K, rng).as_array())
+                    fed.append(sample_uniform(R * L, K, [rng])[0])
                 else:
                     budget = FeedbackBudget(K=K, R=R, L=L, P=P, alpha=alphas[i])
-                    fed.append(distortion_oracle_quantize(exact_point(ch, i), budget, rng).as_array())
+                    fed.append(distortion_oracle_quantize(exact_directions(ch, i)[None], [budget], [rng])[0])
             bf = build(reconstruct(np.stack(fed), params.N, R=R))
             fill(a, j, achievable_rates(tone, bf, P, noise_power=config.noise))
     return stats

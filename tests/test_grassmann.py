@@ -6,11 +6,8 @@ import pytest
 from iafb.grassmann import (
     MC_CHUNK,
     BallVolumeSpec,
-    CompositeGrassmannPoint,
-    GrassmannPoint,
     ball_hit_count,
     ball_volume_normalized,
-    chordal_dist_sq,
     composite_dist_sq,
     empirical_ball_cdf,
     sample_uniform,
@@ -19,111 +16,120 @@ from iafb.grassmann import (
 from iafb.rng import complex_normal
 
 
-def basis_point(n, index=0):
-    vec = np.zeros(n, dtype=complex)
-    vec[index] = 1.0
-    return GrassmannPoint(vec)
+def line(*coords):
+    """A point of G_{n,1}: one unit row, shape (1, n)."""
+    vec = np.asarray(coords, dtype=complex)
+    return (vec / np.linalg.norm(vec))[None]
+
+
+def draw(n, K, rng, count=None):
+    """`count` points (count, K, n) in sequence from one generator, or one (K, n) point."""
+    points = sample_uniform(n, K, [rng] * (count or 1))
+    return points if count else points[0]
 
 
 class TestPoints:
-    def test_rejects_non_unit_vectors(self):
-        with pytest.raises(ValueError):
-            GrassmannPoint(np.array([1.0, 1.0]))
-
     def test_rejects_scalars_and_short_vectors(self):
         with pytest.raises(ValueError):
-            GrassmannPoint(np.array([1.0]))
+            sample_uniform(1, 2, [np.random.default_rng(0)])
 
     def test_composite_requires_equal_dimensions(self):
+        # a (K, n) array gives all K components one n; two points must share it
         with pytest.raises(ValueError):
-            CompositeGrassmannPoint((basis_point(2), basis_point(3)))
+            composite_dist_sq(np.concatenate([line(1, 0)] * 2), np.concatenate([line(1, 0, 0)] * 2))
 
 
 class TestChordalDistance:
+    """The squared chordal distance is composite_dist_sq's K = 1 case."""
+
     def test_identical_lines(self):
-        p = sample_uniform(4, 1, rng=0).parts[0]
-        assert chordal_dist_sq(p, p) == pytest.approx(0.0, abs=1e-14)
+        p = draw(4, 1, np.random.default_rng(0))
+        assert composite_dist_sq(p, p) == pytest.approx(0.0, abs=1e-14)
 
     def test_orthogonal_lines(self):
-        assert chordal_dist_sq(basis_point(3, 0), basis_point(3, 1)) == pytest.approx(1.0)
+        assert composite_dist_sq(line(1, 0, 0), line(0, 1, 0)) == pytest.approx(1.0)
 
     def test_diagonal_line(self):
         # 1 - |<e1, (e1+e2)/sqrt(2)>|^2 = 1 - 1/2
-        q = GrassmannPoint(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        assert chordal_dist_sq(basis_point(2), q) == pytest.approx(0.5, abs=1e-14)
+        assert composite_dist_sq(line(1, 0), line(1, 1)) == pytest.approx(0.5, abs=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            chordal_dist_sq(basis_point(2), basis_point(3))
+            composite_dist_sq(line(1, 0), line(1, 0, 0))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_phase_invariance_and_symmetry(self, seed):
         rng = np.random.default_rng(seed)
-        p = sample_uniform(3, 1, rng).parts[0]
-        q = sample_uniform(3, 1, rng).parts[0]
-        base = chordal_dist_sq(p, q)
-        assert chordal_dist_sq(q, p) == base
+        p, q = draw(3, 1, rng), draw(3, 1, rng)
+        base = composite_dist_sq(p, q)
+        assert composite_dist_sq(q, p) == base
         for theta in (0.3, 1.2, np.pi, 5.1):
-            rotated = GrassmannPoint(np.exp(1j * theta) * p.coords)
-            assert abs(chordal_dist_sq(rotated, q) - base) <= 1e-12
+            assert abs(composite_dist_sq(np.exp(1j * theta) * p, q) - base) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_range(self, seed):
         rng = np.random.default_rng(100 + seed)
-        p = sample_uniform(4, 3, rng)
-        q = sample_uniform(4, 3, rng)
-        for a, b in zip(p.parts, q.parts):
-            assert 0.0 <= chordal_dist_sq(a, b) <= 1.0
+        p, q = draw(4, 3, rng), draw(4, 3, rng)
+        per_component = composite_dist_sq(p[:, None], q[:, None])  # K lines, each K = 1
+        assert per_component.shape == (3,)
+        assert np.all((0.0 <= per_component) & (per_component <= 1.0))
         assert 0.0 <= composite_dist_sq(p, q) <= 3.0
 
 
 class TestCompositeDistance:
     def test_zero_on_equal_points(self):
-        p = sample_uniform(3, 2, rng=1)
+        p = draw(3, 2, np.random.default_rng(1))
         assert composite_dist_sq(p, p) == pytest.approx(0.0, abs=1e-14)
 
     def test_additivity_two_components(self):
-        a = CompositeGrassmannPoint((basis_point(2, 0), basis_point(2, 0)))
-        b = CompositeGrassmannPoint((basis_point(2, 0), basis_point(2, 1)))
+        a = np.concatenate([line(1, 0), line(1, 0)])
+        b = np.concatenate([line(1, 0), line(0, 1)])
         assert composite_dist_sq(a, b) == pytest.approx(1.0)
 
     def test_additivity_three_components(self):
-        half = GrassmannPoint(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        a = CompositeGrassmannPoint((basis_point(2),) * 3)
-        b = CompositeGrassmannPoint((half,) * 3)
+        a = np.concatenate([line(1, 0)] * 3)
+        b = np.concatenate([line(1, 1)] * 3)
         assert composite_dist_sq(a, b) == pytest.approx(1.5, abs=1e-12)
 
     def test_shape_mismatch(self):
-        a = sample_uniform(3, 2, rng=0)
-        b = sample_uniform(3, 3, rng=0)
+        a = draw(3, 2, np.random.default_rng(0))
+        b = draw(3, 3, np.random.default_rng(0))
         with pytest.raises(ValueError):
             composite_dist_sq(a, b)
+
+    def test_broadcasts_over_leading_axes(self):
+        # one (K, n) point against a (m, K, n) block: one distance per block row
+        rng = np.random.default_rng(2)
+        x, block = draw(3, 2, rng), draw(3, 2, rng, count=7)
+        dist = composite_dist_sq(x, block)
+        assert dist.shape == (7,)
+        for row, d in zip(block, dist):
+            assert d == composite_dist_sq(x, row)
 
 
 class TestSampling:
     def test_deterministic_given_seed(self):
-        a = sample_uniform(4, 2, rng=42)
-        b = sample_uniform(4, 2, rng=42)
-        assert np.array_equal(a.as_array(), b.as_array())
+        a = sample_uniform(4, 2, [np.random.default_rng(42)])
+        b = sample_uniform(4, 2, [np.random.default_rng(42)])
+        assert np.array_equal(a, b)
+
+    def test_one_unit_point_per_generator(self):
+        # point b is what a batch-of-one call on generator b draws
+        batch = sample_uniform(3, 2, [np.random.default_rng(s) for s in range(4)])
+        assert batch.shape == (4, 2, 3)
+        assert np.abs(np.linalg.norm(batch, axis=-1) - 1.0).max() <= 1e-12
+        for s, point in enumerate(batch):
+            assert np.array_equal(point, sample_uniform(3, 2, [np.random.default_rng(s)])[0])
 
     def test_mean_chordal_distance_n2(self):
         # squared chordal distance to a fixed line is uniform on [0, 1]
         # for n=2, so its mean is 1/2
-        rng = np.random.default_rng(7)
-        ref = basis_point(2)
-        vals = [
-            chordal_dist_sq(ref, sample_uniform(2, 1, rng).parts[0])
-            for _ in range(100_000)
-        ]
+        vals = composite_dist_sq(line(1, 0), draw(2, 1, np.random.default_rng(7), count=100_000))
         assert np.mean(vals) == pytest.approx(0.5, abs=0.01)
 
     def test_cdf_n3(self):
         # P(X <= x) = x^(n-1) = 0.25 at x = 0.5 for n = 3
-        rng = np.random.default_rng(8)
-        ref = basis_point(3)
-        vals = np.array(
-            [chordal_dist_sq(ref, sample_uniform(3, 1, rng).parts[0]) for _ in range(100_000)]
-        )
+        vals = composite_dist_sq(line(1, 0, 0), draw(3, 1, np.random.default_rng(8), count=100_000))
         assert np.mean(vals <= 0.5) == pytest.approx(0.25, abs=0.01)
 
 

@@ -9,7 +9,6 @@ from iafb.quantizer import (
     DistortionReport,
     FeedbackBudget,
     build_random_codebook,
-    decode,
     distortion_oracle_quantize,
     distortion_scaling_exponent,
     encode,
@@ -31,6 +30,12 @@ def reference_min_dist(sources, points):
     return out
 
 
+def draw(n, K, rng, count=None):
+    """`count` points (count, K, n) in sequence from one generator, or one (K, n) point."""
+    points = sample_uniform(n, K, [rng] * (count or 1))
+    return points if count else points[0]
+
+
 def unit_rows(shape, seed):
     raw = complex_normal(np.random.default_rng(seed), shape)
     return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
@@ -39,7 +44,7 @@ def unit_rows(shape, seed):
 class TestBuild:
     def test_zero_bits_single_codeword(self):
         cb = build_random_codebook(2, 1, 0, seed=5)
-        assert len(cb) == 1
+        assert cb.size == 1 and cb.points.shape == (1, 1, 2)
 
     def test_same_seed_same_codebook(self):
         a = build_random_codebook(3, 2, 6, seed=9)
@@ -70,55 +75,53 @@ class TestBuild:
 
 
 class TestEncodeDecode:
+    """A point is a (K, n) array; codeword i is cb.points[i]."""
+
     def test_exact_codeword_maps_to_itself(self):
         cb = build_random_codebook(3, 2, 5, seed=2)
-        point = decode(7, cb)
-        assert encode(point, cb) == 7
+        assert encode(cb.points[7], cb) == 7
 
     def test_zero_bits_always_index_zero(self):
         cb = build_random_codebook(2, 1, 0, seed=3)
         for seed in range(5):
-            assert encode(sample_uniform(2, 1, seed), cb) == 0
+            assert encode(draw(2, 1, np.random.default_rng(seed)), cb) == 0
 
     def test_matches_brute_force_scan(self):
+        # against the direct formula K - sum_k |<x_k, c_k>|^2 over every codeword
         cb = build_random_codebook(2, 2, 7, seed=4)
-        rng = np.random.default_rng(5)
-        for _ in range(1000):
-            x = sample_uniform(2, 2, rng)
-            dists = [composite_dist_sq(x, decode(i, cb)) for i in range(len(cb))]
-            assert encode(x, cb) == int(np.argmin(dists))
+        for x in draw(2, 2, np.random.default_rng(5), count=1000):
+            sims = np.abs(np.einsum("ckj,kj->ck", cb.points, x.conj())) ** 2
+            assert encode(x, cb) == int(np.argmin(2 - sims.sum(axis=1)))
 
     def test_round_trip_all_indices(self):
         cb = build_random_codebook(2, 1, 6, seed=6)
-        for idx in range(len(cb)):
-            assert encode(decode(idx, cb), cb) == idx
+        for idx in range(cb.size):
+            assert encode(cb.points[idx], cb) == idx
+
+    def test_round_trip_across_chunks(self):
+        # 15 bits: two codebook chunks, scanned in index order
+        cb = build_random_codebook(2, 1, 15, seed=12)
+        for idx in (0, _GEN_CHUNK - 1, _GEN_CHUNK, cb.size - 1):
+            assert encode(cb.points[idx], cb) == idx
 
     def test_quantization_idempotent(self):
         cb = build_random_codebook(2, 2, 6, seed=7)
-        x = sample_uniform(2, 2, rng=8)
-        once = decode(encode(x, cb), cb)
-        twice = decode(encode(once, cb), cb)
-        assert np.array_equal(once.as_array(), twice.as_array())
+        x = draw(2, 2, np.random.default_rng(8))
+        once = cb.points[encode(x, cb)]
+        twice = cb.points[encode(once, cb)]
+        assert np.array_equal(once, twice)
 
     def test_nearest_among_all_codewords(self):
         # argmin property, exhaustive over an 8-bit codebook
         cb = build_random_codebook(2, 1, 8, seed=9)
-        rng = np.random.default_rng(10)
-        for _ in range(200):
-            x = sample_uniform(2, 1, rng)
-            chosen = composite_dist_sq(x, decode(encode(x, cb), cb))
-            for idx in range(len(cb)):
-                assert chosen <= composite_dist_sq(x, decode(idx, cb)) + 1e-12
-
-    def test_out_of_range_index(self):
-        cb = build_random_codebook(2, 1, 3, seed=11)
-        with pytest.raises(IndexError):
-            decode(8, cb)
+        for x in draw(2, 1, np.random.default_rng(10), count=200):
+            chosen = composite_dist_sq(x, cb.points[encode(x, cb)])
+            assert chosen <= composite_dist_sq(x, cb.points).min() + 1e-12
 
     def test_shape_mismatch(self):
         cb = build_random_codebook(2, 1, 3, seed=12)
         with pytest.raises(ValueError):
-            encode(sample_uniform(3, 1, rng=0), cb)
+            encode(draw(3, 1, np.random.default_rng(0)), cb)
 
     def test_distortion_decreases_with_bits(self):
         # averaged over 20 seeds, more bits means lower mean distortion
@@ -157,7 +160,7 @@ class TestDistortionKernel:
         # two codebook chunks, and a last source slice shorter than the block
         cb = build_random_codebook(2, 2, 15, seed=50)
         rows = _SIM_BLOCK // _GEN_CHUNK
-        assert len(cb) == 2 * _GEN_CHUNK
+        assert cb.size == 2 * _GEN_CHUNK
         sources = unit_rows((2 * rows + 5, 2, 2), 51)
         got = _batched_min_dist(sources, cb)
         assert np.abs(got - reference_min_dist(sources, cb.points)).max() <= 1e-12
@@ -209,41 +212,44 @@ class TestDistortionOracle:
     def test_distance_is_exact(self):
         budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**8)
         rng = np.random.default_rng(13)
-        for _ in range(100):
-            x = sample_uniform(2, 3, rng)
-            y = distortion_oracle_quantize(x, budget, rng)
-            d = math.sqrt(composite_dist_sq(x, y))
-            assert abs(d - budget.delta_star) <= 1e-9
+        x = draw(2, 3, rng, count=100)
+        y = distortion_oracle_quantize(x, [budget] * 100, [rng] * 100)
+        d = np.sqrt(composite_dist_sq(x, y))
+        assert np.abs(d - budget.delta_star).max() <= 1e-9
 
     def test_component_error_within_total(self):
         budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**10)
         rng = np.random.default_rng(14)
-        from iafb.grassmann import chordal_dist_sq
-
-        for _ in range(50):
-            x = sample_uniform(2, 3, rng)
-            y = distortion_oracle_quantize(x, budget, rng)
-            for a, b in zip(x.parts, y.parts):
-                assert chordal_dist_sq(a, b) <= 1.0 / budget.P + 1e-12
+        x = draw(2, 3, rng, count=50)
+        y = distortion_oracle_quantize(x, [budget] * 50, [rng] * 50)
+        per_component = composite_dist_sq(x[..., None, :], y[..., None, :])  # (50, K) lines
+        assert per_component.max() <= 1.0 / budget.P + 1e-12
 
     def test_huge_budget_returns_input_direction(self):
         budget = FeedbackBudget(K=2, R=2, L=2, P=2.0**40)
         rng = np.random.default_rng(15)
-        x = sample_uniform(4, 2, rng)
-        y = distortion_oracle_quantize(x, budget, rng)
+        x = draw(4, 2, rng)
+        y = distortion_oracle_quantize(x[None], [budget], [rng])[0]
         assert composite_dist_sq(x, y) <= 1e-6
 
     def test_shape_mismatch(self):
         budget = FeedbackBudget(K=2, R=1, L=2, P=16.0)
-        with pytest.raises(ValueError):
-            distortion_oracle_quantize(sample_uniform(2, 3, rng=0), budget, rng=1)
+        x = draw(2, 3, np.random.default_rng(0), count=2)
+        with pytest.raises(ValueError, match="manifold"):
+            distortion_oracle_quantize(x, [budget] * 2, [np.random.default_rng(1)] * 2)
+        with pytest.raises(ValueError, match="one budget"):
+            distortion_oracle_quantize(x, [budget], [np.random.default_rng(1)] * 2)
 
     def test_deterministic(self):
         budget = FeedbackBudget(K=2, R=1, L=3, P=64.0)
-        x = sample_uniform(3, 2, rng=16)
-        a = distortion_oracle_quantize(x, budget, rng=np.random.default_rng(17))
-        b = distortion_oracle_quantize(x, budget, rng=np.random.default_rng(17))
-        assert np.array_equal(a.as_array(), b.as_array())
+        x = draw(3, 2, np.random.default_rng(16), count=3)
+        a = distortion_oracle_quantize(x, [budget] * 3, [np.random.default_rng(17 + b) for b in range(3)])
+        b = distortion_oracle_quantize(x, [budget] * 3, [np.random.default_rng(17 + b) for b in range(3)])
+        assert np.array_equal(a, b)
+        # point b draws from its own generator exactly as it would alone
+        for i in range(3):
+            alone = distortion_oracle_quantize(x[i : i + 1], [budget], [np.random.default_rng(17 + i)])
+            assert np.array_equal(a[i], alone[0])
 
 
 class TestScalingExponent:
