@@ -16,7 +16,8 @@ per-trial RNG streams are derived from (seed, trial index), and
 Monte Carlo chunks from (seed, task, chunk).
 
 Exit codes: 0 on pass, 1 when a built-in assertion fails or a dof-sweep
-trial is dropped (data is still written), 2 on usage errors.
+trial is dropped (data is still written), 2 on usage errors, which
+include a non-finite or out-of-range numeric option (see `_domain_error`).
 """
 
 from __future__ import annotations
@@ -194,6 +195,38 @@ _OPTIONS = {
 }
 
 
+# gate thresholds, which a negative value would make unpassable
+_NONNEGATIVE = frozenset({"sigmas", "tolerance", "slope_tol", "sum_slope_tol", "align_tol", "c_min"})
+# log2 transmit powers, whose 2**value must be a finite positive float
+_LOG2_POWERS = frozenset({"p_log2", "p_log2_min", "p_log2_max"})
+
+
+def _domain_error(name: str, kind: str, value) -> str:
+    """Why `value` lies outside option `name`'s domain, or "" if it does not.
+
+    Every float must be finite: a NaN compares false against every gate,
+    so it would pass or fail one silently.
+    """
+    if kind == "floatlist" and not all(math.isfinite(v) for v in value):
+        return f"must be finite, got {_fmt(value)}"
+    if kind != "float":
+        return ""
+    if not math.isfinite(value):
+        return f"must be finite, got {value!r}"
+    if name in _NONNEGATIVE and value < 0:
+        return f"must be >= 0, got {value!r}"
+    if name == "noise" and value <= 0:
+        return f"must be > 0, got {value!r}"
+    if name in _LOG2_POWERS:
+        try:
+            power = 2.0**value
+        except OverflowError:
+            power = math.inf
+        if not 0.0 < power < math.inf:
+            return f"must give a finite positive power, got 2**{value!r} = {power!r}"
+    return ""
+
+
 def _load_config_file(path: str) -> dict:
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -225,6 +258,9 @@ def _resolve_config(command: str, namespace: argparse.Namespace) -> ExperimentCo
             values[name] = parse(file_values[name])
         else:
             values[name] = default
+        error = _domain_error(name, kind, values[name])
+        if error:
+            raise ValueError(f"--{name.replace('_', '-')} {error}")
     return ExperimentConfig(command=command, values=values)
 
 
@@ -636,7 +672,14 @@ def cmd_dof_sweep(config: ExperimentConfig) -> int:
     if not config.p_log2_step > 0:
         print(f"the power grid step must be positive, got --p-log2-step {config.p_log2_step:g}", file=sys.stderr)
         return 2
-    points = len(_power_grid(config))
+    try:
+        points = len(_power_grid(config))
+    except OverflowError:
+        print(
+            f"the power grid overflows: its last point lies up to half a step past --p-log2-max {config.p_log2_max:g}",
+            file=sys.stderr,
+        )
+        return 2
     if points < 3:
         print(
             f"a slope fit needs at least 3 power points, the grid 2^{config.p_log2_min:g}.."

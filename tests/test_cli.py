@@ -453,6 +453,61 @@ class TestMimoReduce:
         assert "zero-forcing" in capsys.readouterr().err
 
 
+# (argv, the option its message must name)
+USAGE_ERRORS = [
+    # NaN passes or fails a gate silently
+    (["ia-run", "--engine", "cj3", "--n", "1", "--align-tol", "nan"], "--align-tol"),
+    (["ia-run", "--p-log2", "nan"], "--p-log2"),
+    (["mimo-reduce", "--p-log2", "nan"], "--p-log2"),
+    (["volume-check", "--deltas", "nan"], "--deltas"),
+    (["quantizer-scaling", "--tolerance", "nan"], "--tolerance"),
+    (["dof-sweep", "--slope-tol", "nan"], "--slope-tol"),
+    (["volume-check", "--deltas", "0.3,inf"], "--deltas"),
+    (["ia-run", "--feedback", "oracle", "--alpha=-inf"], "--alpha"),
+    # the noise power must be positive
+    (["ia-run", "--noise", "0"], "--noise"),
+    (["ia-run", "--noise=-1"], "--noise"),
+    (["dof-sweep", "--noise", "0", "--trials", "1"], "--noise"),
+    # 2**p_log2 must be a finite positive float
+    (["ia-run", "--p-log2", "2000"], "--p-log2"),
+    (["ia-run", "--p-log2=-2000"], "--p-log2"),
+    (["mimo-reduce", "--p-log2", "1024"], "--p-log2"),
+    (["dof-sweep", "--p-log2-max", "1100", "--p-log2-step", "100"], "--p-log2-max"),
+    (["dof-sweep", "--p-log2-min=-1100"], "--p-log2-min"),
+    # the last grid point rounds to 1024, half a step past the end
+    (["dof-sweep", "--p-log2-min", "1000", "--p-log2-max", "1023", "--p-log2-step", "3"], "--p-log2-max"),
+    # gate thresholds must be >= 0
+    (["volume-check", "--sigmas=-1"], "--sigmas"),
+    (["quantizer-scaling", "--tolerance=-0.1"], "--tolerance"),
+    (["dof-sweep", "--slope-tol=-0.1"], "--slope-tol"),
+    (["dof-sweep", "--sum-slope-tol=-0.1"], "--sum-slope-tol"),
+    (["ia-run", "--align-tol=-1e-8"], "--align-tol"),
+    (["ia-run", "--c-min=-1e-6"], "--c-min"),
+]
+
+
+class TestNumericDomains:
+    """Non-finite and out-of-range numeric options are usage errors, caught before any work."""
+
+    @pytest.mark.parametrize("argv, flag", USAGE_ERRORS, ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+    def test_usage_error_before_any_work(self, tmp_path, capsys, monkeypatch, argv, flag):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the options were checked")
+
+        for name in ("generate_channel", "ball_hit_count", "build_random_codebook", "mimo_reduce"):
+            monkeypatch.setattr(iafb.cli, name, no_work)
+        out = tmp_path / "out.json"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_value_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("noise=nan\n")
+        assert main(["ia-run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "--noise must be finite" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_file_values_and_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from iafb import quantizer
 from iafb.grassmann import composite_dist_sq, sample_uniform
 from iafb.quantizer import (
     DistortionReport,
@@ -16,7 +17,7 @@ from iafb.quantizer import (
     measure_distortion,
     save_codebook,
 )
-from iafb.quantizer import _GEN_CHUNK, _SIM_BLOCK, _batched_min_dist, _embed, _generate_chunk
+from iafb.quantizer import _GEN_CHUNK, _PANEL, _SIM_TILE, _batched_min_dist, _embed, _generate_chunk
 from iafb.rng import complex_normal
 
 
@@ -145,7 +146,7 @@ class TestDistortionKernel:
         assert _embed(x).shape == (K * n * n,)
         assert _embed(x) @ _embed(c) == pytest.approx(direct, abs=1e-12)
 
-    # 2**14 codewords bound a source slice to 64 rows, so 300 sources take five
+    # 4096-codeword panels bound a source slice to 16 rows, so 300 sources take 19
     @pytest.mark.parametrize(
         "n, K, bits, count",
         [(2, 1, 8, 100), (2, 2, 8, 100), (3, 2, 8, 100), (4, 3, 8, 100), (3, 2, 0, 20), (2, 1, 14, 300)],
@@ -157,16 +158,38 @@ class TestDistortionKernel:
         assert np.abs(got - reference_min_dist(sources, cb.points)).max() <= 1e-12
 
     def test_codebook_spanning_several_chunks(self):
-        # two codebook chunks, and a last source slice shorter than the block
+        # two codebook chunks, and a last source slice shorter than the tile
         cb = build_random_codebook(2, 2, 15, seed=50)
-        rows = _SIM_BLOCK // _GEN_CHUNK
-        assert cb.size == 2 * _GEN_CHUNK
+        rows = _SIM_TILE // _PANEL
+        assert cb.size == 2 * _GEN_CHUNK and _GEN_CHUNK % _PANEL == 0
         sources = unit_rows((2 * rows + 5, 2, 2), 51)
         got = _batched_min_dist(sources, cb)
         assert np.abs(got - reference_min_dist(sources, cb.points)).max() <= 1e-12
 
+    @pytest.mark.parametrize(
+        "bits, count, panel, tile",
+        [
+            pytest.param(0, 7, _PANEL, _SIM_TILE, id="one-codeword"),
+            pytest.param(6, 50, _PANEL, _SIM_TILE, id="smaller-than-a-panel"),
+            # 256 codewords in panels of 96: two full panels and one of 64
+            pytest.param(8, 50, 96, 96 * 8, id="short-last-panel"),
+            # 8 rows per tile: 7 full slices and one of 3, over two chunks
+            pytest.param(15, 59, 1 << 12, 1 << 15, id="two-chunks-short-slice"),
+            pytest.param(10, 2 * (_SIM_TILE // 1024) + 1, _PANEL, _SIM_TILE, id="short-last-slice"),
+        ],
+    )
+    def test_tile_edges(self, monkeypatch, bits, count, panel, tile):
+        monkeypatch.setattr(quantizer, "_PANEL", panel)
+        monkeypatch.setattr(quantizer, "_SIM_TILE", tile)
+        cb = build_random_codebook(2, 2, bits, seed=54 + bits)
+        sources = unit_rows((count, 2, 2), 55 + bits)
+        got = _batched_min_dist(sources, cb)
+        assert np.abs(got - reference_min_dist(sources, cb.points)).max() <= 1e-12
+
     def test_similarity_block_bounds_peak_memory(self):
-        # one 8 MiB block for all slices; a fresh block per slice peaked at 67 MiB
+        # the 512 KiB tile, one embedded chunk and its transpose (1 MiB
+        # each) and the embedded sources: 3.7 MiB traced; the earlier 8 MiB
+        # block peaked at 11.2 MiB and a fresh block per slice at 67 MiB
         cb = build_random_codebook(2, 2, 14, seed=52)
         sources = unit_rows((10_000, 2, 2), 53)
         tracemalloc.start()
@@ -175,7 +198,7 @@ class TestDistortionKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 4 * 2**20
 
 
 class TestDistortionReport:
