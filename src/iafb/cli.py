@@ -59,7 +59,7 @@ from .quantizer import (
     save_codebook,
 )
 from .rates import CSV_COLUMNS, achievable_rates, dof_fit, interference_boundedness
-from .rng import trial_generator
+from .rng import trial_generator, trial_generators
 
 
 # --------------------------------------------------------------------------
@@ -205,10 +205,13 @@ def _domain_error(name: str, kind: str, value) -> str:
     """Why `value` lies outside option `name`'s domain, or "" if it does not.
 
     Every float must be finite: a NaN compares false against every gate,
-    so it would pass or fail one silently.
+    so it would pass or fail one silently. A seed must be >= 0, as the
+    entropy of every derived stream (see `trial_generator`).
     """
     if kind == "floatlist" and not all(math.isfinite(v) for v in value):
         return f"must be finite, got {_fmt(value)}"
+    if kind == "int" and name == "seed" and value < 0:
+        return f"must be >= 0, got {value}"
     if kind != "float":
         return ""
     if not math.isfinite(value):
@@ -567,18 +570,20 @@ def _oracle_feedback(config: ExperimentConfig, trial: int, exact: np.ndarray, gr
 
     Point (a, j) is row a*J + j. Its user i draws from its own stream,
     trial_generator(seed, (trial*100_000 + a*1_000 + j)*1009 + i); a user
-    with alpha = 0 is silent (see `_oracle_rows`).
+    with alpha = 0 is silent (see `_oracle_rows`). One `trial_generators`
+    pass seeds all of the trial's streams.
     """
     K, R, L = config.K, config.R, config.L
-    gens, budgets = [], []
+    keys, budgets = [], []
     for a, alpha in enumerate(config.alphas):
         user_alphas = _user_alphas(config, alpha)
         for j, P in enumerate(grid):
             budget = {al: FeedbackBudget(K=K, R=R, L=L, P=P, alpha=al) for al in set(user_alphas) if al}
             tag = trial * 100_000 + a * 1_000 + j
             for i in range(K):
-                gens.append(trial_generator(config.seed, tag * 1009 + i))
+                keys.append((tag * 1009 + i,))
                 budgets.append(budget.get(user_alphas[i]))
+    gens = trial_generators(config.seed, keys)
     fed = _oracle_rows(np.tile(exact, (len(config.alphas) * len(grid), 1, 1)), budgets, gens)
     return fed.reshape(-1, K, K, R * L)
 
@@ -606,7 +611,7 @@ def _trial_stats(config: ExperimentConfig, trial: int) -> np.ndarray:
     rng = None
     if config.engine == "leakage-min":
         # every point starts leakage-min from the same stream
-        rng = [trial_generator(config.seed, 7_000_000 + trial) for _ in range(len(fed))]
+        rng = trial_generators(config.seed, [(7_000_000 + trial,)] * len(fed))
     bf = build_beamformers(
         reconstruct(fed, params.N, R=config.R), params, config.engine,
         tol=config.align_tol, max_iters=config.max_iters, rng=rng,
@@ -625,10 +630,23 @@ def _sweep_trial(args):
         return trial, None, str(exc)
 
 
+# the oracle stream tag trial*100_000 + a*1_000 + j (see `_oracle_feedback`)
+# gives each alpha 1,000 grid slots: a longer grid would hand two points one
+# stream. A slope fit needs a few dozen points. Checking the count before
+# the grid is built also turns a mistyped step into a usage error instead
+# of a list that exhausts memory.
+MAX_GRID_POINTS = 1_000
+
+
+def _grid_size(config):
+    """The power grid's point count, without building it; inf if the count overflows."""
+    span = max((config.p_log2_max - config.p_log2_min) / config.p_log2_step, -1.0)
+    return round(span) + 1 if span < math.inf else math.inf
+
+
 def _power_grid(config):
-    lo, hi, step = config.p_log2_min, config.p_log2_max, config.p_log2_step
-    count = int(round((hi - lo) / step)) + 1
-    return [2.0 ** (lo + i * step) for i in range(count)]
+    lo, step = config.p_log2_min, config.p_log2_step
+    return [2.0 ** (lo + i * step) for i in range(_grid_size(config))]
 
 
 def run_dof_sweep(config: ExperimentConfig) -> SweepResult:
@@ -672,8 +690,16 @@ def cmd_dof_sweep(config: ExperimentConfig) -> int:
     if not config.p_log2_step > 0:
         print(f"the power grid step must be positive, got --p-log2-step {config.p_log2_step:g}", file=sys.stderr)
         return 2
+    points = _grid_size(config)
+    if points > MAX_GRID_POINTS:
+        print(
+            f"the power grid 2^{config.p_log2_min:g}..2^{config.p_log2_max:g} in steps of "
+            f"{config.p_log2_step:g} has {points:g} points, more than the {MAX_GRID_POINTS} allowed",
+            file=sys.stderr,
+        )
+        return 2
     try:
-        points = len(_power_grid(config))
+        _power_grid(config)
     except OverflowError:
         print(
             f"the power grid overflows: its last point lies up to half a step past --p-log2-max {config.p_log2_max:g}",

@@ -322,6 +322,7 @@ class TestDofSweep:
             (["--p-log2-step", "-1"], "--p-log2-step -1"),
             (["--p-log2-max", "5"], "has 2"),
             (["--p-log2-max", "2"], "has 0"),
+            (["--p-log2-step", "0.01"], "has 1001 points"),
             (["--alpha-user", "x"], "got 'x'"),
             (["--alpha-user", "1.5"], "got '1.5'"),
             (["--engine", "bogus"], "'bogus'"),
@@ -335,6 +336,29 @@ class TestDofSweep:
         assert code == 2
         assert shown in capsys.readouterr().err
         assert not out.exists()
+
+    def test_grid_count_checked_before_the_grid_is_built(self, tmp_path, capsys, monkeypatch):
+        def no_grid(config):
+            raise AssertionError("the grid list was built")
+
+        monkeypatch.setattr(iafb.cli, "_power_grid", no_grid)
+        out = tmp_path / "x.csv"
+        assert main(["dof-sweep", "--p-log2-step", "1e-300", "--out", str(out)]) == 2
+        assert "has 1e+301 points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oracle_streams_match_per_key_reference(self, monkeypatch):
+        # trial 43's keys cross 2^32; silent users (alpha 0) draw from their
+        # streams through sample_uniform, the others through the oracle
+        config = parse_config(["dof-sweep", "--alphas", "0,0.5,1", "--alpha-user", "0", "--seed", "5"])
+        ch = generate_channel(3, 1, 2, seed=trial_generator(config.seed, 43))
+        exact = np.stack([exact_directions(ch, i) for i in range(3)])
+        grid = iafb.cli._power_grid(config)
+        batched = iafb.cli._oracle_feedback(config, 43, exact, grid)
+        monkeypatch.setattr(
+            iafb.cli, "trial_generators", lambda seed, keys: [trial_generator(seed, *key) for key in keys]
+        )
+        assert np.array_equal(batched, iafb.cli._oracle_feedback(config, 43, exact, grid))
 
 
 def per_point_trial(config, trial):
@@ -483,6 +507,11 @@ USAGE_ERRORS = [
     (["dof-sweep", "--sum-slope-tol=-0.1"], "--sum-slope-tol"),
     (["ia-run", "--align-tol=-1e-8"], "--align-tol"),
     (["ia-run", "--c-min=-1e-6"], "--c-min"),
+    # a seed is the entropy of every derived stream, which must be >= 0
+    (["volume-check", "--seed=-1"], "--seed"),
+    (["quantizer-scaling", "--seed=-1"], "--seed"),
+    (["ia-run", "--seed=-1"], "--seed"),
+    (["dof-sweep", "--seed=-1"], "--seed"),
 ]
 
 
