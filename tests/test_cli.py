@@ -322,12 +322,12 @@ class TestDofSweep:
             (["--p-log2-step", "-1"], "--p-log2-step -1"),
             (["--p-log2-max", "5"], "has 2"),
             (["--p-log2-max", "2"], "has 0"),
-            (["--p-log2-step", "0.01"], "has 1001 points"),
             (["--alpha-user", "x"], "got 'x'"),
             (["--alpha-user", "1.5"], "got '1.5'"),
             (["--engine", "bogus"], "'bogus'"),
             (["--feedback", "codebook"], "'codebook'"),
             (["--R", "1", "--L", "1"], "--R 1 --L 1"),
+            (["--p-log2-step", "0.01"], "has 1001 points"),
         ],
     )
     def test_invalid_sweep_is_usage_error(self, tmp_path, capsys, flags, shown):
