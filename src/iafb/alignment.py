@@ -28,9 +28,10 @@ separation is therefore exact to machine precision, and residual
 cross-user leakage equals whatever alignment error the engine left.
 
 `build_beamformers` also takes a batch of reconstructions (a leading
-batch axis, as dof-sweep stacks its alpha x power grid). cj3 and the
-zero-forcing step run on the whole batch in stacked calls; leakage-min
-iterates one element at a time.
+batch axis, as dof-sweep stacks a block of trials x alphas x powers). cj3
+and the zero-forcing step run on the whole batch in stacked calls;
+leakage-min iterates one element at a time. A batched build records each
+element's failure instead of raising it.
 """
 
 from __future__ import annotations
@@ -155,7 +156,11 @@ class BeamformerSet:
     A set built on a batch of reconstructions carries the batch axis first
     on every ``v``/``u`` array, and ``alignment_residual`` and
     ``signal_min`` are arrays over it; ``iterations`` then sums over the
-    batch and ``leakage`` is its largest final leakage.
+    batch and ``leakage`` is its largest final leakage. ``failures`` holds,
+    per element, the AlignmentError that element's own build would raise,
+    or None. A failed element's ``v`` and ``u`` are zero, so rates evaluate
+    it as silent rather than as NaN. An unbatched build raises its failure
+    and leaves ``failures`` empty.
     """
 
     v: tuple
@@ -167,6 +172,7 @@ class BeamformerSet:
     shared: bool = False
     iterations: int = 0
     leakage: float = 0.0
+    failures: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -308,13 +314,11 @@ def _leakage_min_directions(Wm, params: IaParameters, target: float, max_iters: 
     return V, history
 
 
-def _cj3_invertible_prefix(h) -> int:
-    """How many leading batch elements come before the first whose per-tone
-    gains are not all invertible (all of them when none is)."""
+def _cj3_singular(h) -> np.ndarray:
+    """Per batch element: are its per-tone gains not all invertible?"""
     mag = np.abs(h).reshape(len(h), -1)
     scale = mag.max(axis=1)
-    bad = np.flatnonzero((scale == 0.0) | (mag.min(axis=1) < 1e-12 * scale))
-    return int(bad[0]) if bad.size else len(h)
+    return (scale == 0.0) | (mag.min(axis=1) < 1e-12 * scale)
 
 
 def _cj3_directions(h, params: IaParameters):
@@ -395,12 +399,13 @@ def _alignment_stats(images, U):
     return np.min(signal, axis=0), np.max(same, axis=0), np.max(cross, axis=0)
 
 
-def _finish(wtones, V, params: IaParameters, engine: str, tol: float, c_min: float, **fields):
+def _finish(wtones, V, params: IaParameters, engine: str, tol: float, c_min: float, failures=None, **fields):
     """Zero-force a batch of directions V against `wtones` and gate it against `tol` and `c_min`.
 
-    ``wtones`` is (M, K, K, N, R) and ``V[k]`` (M, N, d_k). Raises
-    AlignmentError for the first failing element, with the message its own
-    build would raise: a swallowed stream, by receiver, before the gate.
+    ``wtones`` is (M, K, K, N, R) and ``V[k]`` (M, N, d_k). Records, per
+    element, the AlignmentError its own build would raise: the element's
+    entry in `failures` if given and not None, else a swallowed stream, by
+    receiver, else the gate. Failed elements get zero ``v`` and ``u``.
     """
     images = tone_images(wtones, V)
     # a swallowed stream divides by a zero singular value; it fails below
@@ -408,30 +413,40 @@ def _finish(wtones, V, params: IaParameters, engine: str, tol: float, c_min: flo
         U, swallowed = _zero_force_receivers(images, params)
         signal_min, same_max, cross_max = _alignment_stats(images, U)
     residual = np.maximum(same_max, cross_max)
-    failed = (swallowed >= 0).any(axis=1) | (residual > tol) | (signal_min < c_min)
-    if failed.any():
-        b = int(np.argmax(failed))
+    failures = [None] * len(residual) if failures is None else list(failures)
+    gated = (swallowed >= 0).any(axis=1) | (residual > tol) | (signal_min < c_min)
+    for b in np.flatnonzero(gated):
+        if failures[b] is not None:
+            continue
         lost = np.flatnonzero(swallowed[b] >= 0)
         if lost.size:
-            raise AlignmentError(
+            failures[b] = AlignmentError(
                 f"receiver {lost[0]}, stream {swallowed[b, lost[0]]}: desired direction is swallowed "
                 "by the interference span; no usable zero-forcing filter exists"
             )
-        raise AlignmentError(
-            f"{engine} construction failed: residual={residual[b]:.3e}, signal_min={signal_min[b]:.3e}",
-            residual=float(residual[b]),
-        )
+        else:
+            failures[b] = AlignmentError(
+                f"{engine} construction failed: residual={residual[b]:.3e}, signal_min={signal_min[b]:.3e}",
+                residual=float(residual[b]),
+            )
+    ok = np.array([f is None for f in failures])
+    if not ok.all():
+        V = [np.where(ok[:, None, None], v, 0.0) for v in V]
+        U = [np.where(ok[:, None, None], u, 0.0) for u in U]
     return BeamformerSet(
         v=tuple(V), u=tuple(U), params=params, alignment_residual=residual,
-        signal_min=signal_min, engine=engine, **fields,
+        signal_min=signal_min, engine=engine, failures=tuple(failures), **fields,
     )
 
 
 def _unbatched(bf: BeamformerSet) -> BeamformerSet:
-    """The single element of a batch-of-one set, without the batch axis."""
+    """The single element of a batch-of-one set, without the batch axis; raises its failure."""
+    if bf.failures[0] is not None:
+        raise bf.failures[0]
     return replace(
         bf, v=tuple(v[0] for v in bf.v), u=tuple(u[0] for u in bf.u),
         alignment_residual=float(bf.alignment_residual[0]), signal_min=float(bf.signal_min[0]),
+        failures=(),
     )
 
 
@@ -445,6 +460,7 @@ def _concatenated(sets) -> BeamformerSet:
         signal_min=np.concatenate([bf.signal_min for bf in sets]),
         iterations=sum(bf.iterations for bf in sets),
         leakage=max(bf.leakage for bf in sets),
+        failures=tuple(f for bf in sets for f in bf.failures),
     )
 
 
@@ -482,8 +498,11 @@ def build_beamformers(
     A batched `rec` gives a batched set. cj3 builds the whole batch at once;
     leakage-min iterates one element at a time, drawing from ``rng[b]`` when
     `rng` is a list with one generator per element and from the one shared
-    generator otherwise. A failure raises for the first failing element,
-    with the message its own build would raise.
+    generator otherwise. A batched build does not raise for a failing
+    element: it records, per element, the AlignmentError that element's own
+    build would raise (singular per-tone gains, a swallowed stream or the
+    gate) in ``failures`` and zeroes its beamformers (see `BeamformerSet`).
+    Usage errors (a wrong engine, sizing or generator count) still raise.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
@@ -502,11 +521,17 @@ def build_beamformers(
             raise ValueError("the cj3 construction has no shared-direction variant")
         # W_ik is diagonal at R=1: its diagonal is the conjugated tone row
         h = np.conj(wtones[..., 0])
-        stop = _cj3_invertible_prefix(h)
-        if stop:  # the elements before the first singular one may fail first
-            bf = _finish(wtones[:stop], _cj3_directions(h[:stop], params), params, engine, tol, c_min)
-        if stop < len(h):
-            raise AlignmentError("cj3 needs invertible per-tone channels; a tone gain is (near) zero")
+        singular = _cj3_singular(h)
+        failures = None
+        if singular.any():
+            # a singular element builds from unit gains, without dividing
+            # by zero, and fails for its gains whatever the build gives
+            h = np.where(singular[:, None, None, None], 1.0, h)
+            failures = [
+                AlignmentError("cj3 needs invertible per-tone channels; a tone gain is (near) zero") if s else None
+                for s in singular
+            ]
+        bf = _finish(wtones, _cj3_directions(h, params), params, engine, tol, c_min, failures)
         return bf if rec.batched else _unbatched(bf)
 
     elements = [replace(rec, qhat=q, wtones=w) for q, w in zip(rec.qhat, rec.wtones)] if rec.batched else [rec]
@@ -521,7 +546,7 @@ def build_beamformers(
 
 
 def _leakage_min(rec, params, tol, c_min, max_iters, rng, shared) -> BeamformerSet:
-    """leakage-min on one unbatched reconstruction; a batch-of-one set."""
+    """leakage-min on one unbatched reconstruction; a batch-of-one set, its failure recorded."""
     Wm = _wtilde_matrices(rec)
     target = (0.5 * tol) ** 2
     history_all = []
@@ -529,16 +554,18 @@ def _leakage_min(rec, params, tol, c_min, max_iters, rng, shared) -> BeamformerS
     for _ in range(attempts):
         V, history = _leakage_min_directions(Wm, params, target, max_iters, rng, shared)
         history_all.extend(history)
-        try:
-            return _finish(
-                rec.wtones[None], [v[None] for v in V], params, "leakage-min", tol, c_min,
-                shared=shared, iterations=len(history), leakage=history[-1] if history else 0.0,
-            )
-        except AlignmentError as err:
-            last = err  # degenerate or unconverged; restart from fresh directions
-    raise AlignmentError(
+        bf = _finish(
+            rec.wtones[None], [v[None] for v in V], params, "leakage-min", tol, c_min,
+            shared=shared, iterations=len(history), leakage=history[-1] if history else 0.0,
+        )
+        last = bf.failures[0]
+        if last is None:
+            return bf
+        # degenerate or unconverged; restart from fresh directions
+    failure = AlignmentError(
         f"leakage-min did not reach tol={tol:.1e} within {max_iters} iterations "
         f"x {attempts} attempts (last: {last})",
         history=history_all,
         residual=last.residual,
     )
+    return replace(bf, failures=(failure,))

@@ -50,6 +50,8 @@ class ChannelRealization:
 
     ``taps`` has shape (K, K, L, R); ``taps[i, k]`` is the L x R matrix for
     the link from transmitter k to receiver i. Immutable after generation.
+    A batch of realizations carries a leading batch axis on ``taps``, which
+    `to_tone_domain` keeps; the per-link functions serve unbatched ones.
     """
 
     K: int
@@ -59,8 +61,8 @@ class ChannelRealization:
     noise_power: float = 1.0
 
     def __post_init__(self):
-        if self.taps.shape != (self.K, self.K, self.L, self.R):
-            raise ValueError("tap array shape must be (K, K, L, R)")
+        if self.taps.ndim not in (4, 5) or self.taps.shape[-4:] != (self.K, self.K, self.L, self.R):
+            raise ValueError("tap array shape must be (K, K, L, R) or (B, K, K, L, R)")
         if not np.all(np.isfinite(self.taps)):
             raise ValueError("taps must be finite")
         if self.noise_power <= 0:
@@ -75,7 +77,9 @@ class ToneChannel:
     ``tones[i, k]`` is the N x R matrix whose rows are the tone-domain
     channel vectors (unnormalized DFT of the zero-padded tap columns).
     Accessors ending in ``hbar`` hand out the unitary-scaled quantities
-    described in the module docstring.
+    described in the module docstring. A batch of tone channels carries a
+    leading batch axis on ``tones`` (rates broadcast it against a batched
+    beamformer set); the accessors serve unbatched ones.
     """
 
     K: int
@@ -85,8 +89,8 @@ class ToneChannel:
     noise_power: float = 1.0
 
     def __post_init__(self):
-        if self.tones.shape != (self.K, self.K, self.N, self.R):
-            raise ValueError("tone array shape must be (K, K, N, R)")
+        if self.tones.ndim not in (4, 5) or self.tones.shape[-4:] != (self.K, self.K, self.N, self.R):
+            raise ValueError("tone array shape must be (K, K, N, R) or (B, K, K, N, R)")
         self.tones.setflags(write=False)
 
     def hbar(self, i: int, k: int) -> np.ndarray:
@@ -176,10 +180,13 @@ def generate_channel(K: int, R: int, L: int, seed=None) -> ChannelRealization:
 
 
 def to_tone_domain(ch: ChannelRealization, N: int) -> ToneChannel:
-    """Zero-pad each tap column to N and DFT it (unnormalized convention)."""
+    """Zero-pad each tap column to N and DFT it (unnormalized convention).
+
+    A batched realization gives a batched tone channel, in one FFT.
+    """
     if N < ch.L:
         raise ValueError(f"need at least as many tones as taps (N={N} < L={ch.L})")
-    tones = np.fft.fft(ch.taps, n=N, axis=2)
+    tones = np.fft.fft(ch.taps, n=N, axis=-2)
     return ToneChannel(K=ch.K, R=ch.R, N=N, tones=tones, noise_power=ch.noise_power)
 
 

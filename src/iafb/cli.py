@@ -27,7 +27,8 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .alignment import (
     mimo_reduce,
 )
 from .channel import (
+    ChannelRealization,
     generate_channel,
     load_channel,
     receiver_feedback,
@@ -565,69 +567,98 @@ def _user_alphas(config: ExperimentConfig, alpha: float) -> list:
     return alphas
 
 
-def _oracle_feedback(config: ExperimentConfig, trial: int, exact: np.ndarray, grid) -> np.ndarray:
-    """Oracle-quantized directions of every (alpha, power) point, (A*J, K, K, R*L).
+def _oracle_feedback(config: ExperimentConfig, trials: range, exact: np.ndarray, grid) -> np.ndarray:
+    """Oracle-quantized directions of a block's elements, (T*A*J, K, K, R*L).
 
-    Point (a, j) is row a*J + j. Its user i draws from its own stream,
+    ``exact`` holds each trial's exact directions, (T, K, K, R*L). Element
+    (t, a, j), the trial ``trials[t]`` at point (a, j), is row (t*A + a)*J + j.
+    Its user i draws from its own stream,
     trial_generator(seed, (trial*100_000 + a*1_000 + j)*1009 + i); a user
     with alpha = 0 is silent (see `_oracle_rows`). One `trial_generators`
-    pass seeds all of the trial's streams.
+    pass seeds all of the block's streams, and each (alpha, power) point's
+    budgets are built once and tiled over the trials.
     """
     K, R, L = config.K, config.R, config.L
-    keys, budgets = [], []
-    for a, alpha in enumerate(config.alphas):
+    budgets = []
+    for alpha in config.alphas:
         user_alphas = _user_alphas(config, alpha)
-        for j, P in enumerate(grid):
+        for P in grid:
             budget = {al: FeedbackBudget(K=K, R=R, L=L, P=P, alpha=al) for al in set(user_alphas) if al}
-            tag = trial * 100_000 + a * 1_000 + j
-            for i in range(K):
-                keys.append((tag * 1009 + i,))
-                budgets.append(budget.get(user_alphas[i]))
-    gens = trial_generators(config.seed, keys)
-    fed = _oracle_rows(np.tile(exact, (len(config.alphas) * len(grid), 1, 1)), budgets, gens)
+            budgets += [budget.get(al) for al in user_alphas]
+    points = len(config.alphas) * len(grid)
+    keys = [
+        ((t * 100_000 + a * 1_000 + j) * 1009 + i,)
+        for t in trials for a in range(len(config.alphas)) for j in range(len(grid)) for i in range(K)
+    ]
+    rows = np.repeat(exact, points, axis=0).reshape(-1, K, R * L)
+    fed = _oracle_rows(rows, budgets * len(trials), trial_generators(config.seed, keys))
     return fed.reshape(-1, K, K, R * L)
 
 
-def _trial_stats(config: ExperimentConfig, trial: int) -> np.ndarray:
-    """One channel realization: per-(alpha, P, user) stats, shape (A, J, K, 5).
+def _block_stats(config: ExperimentConfig, trials: range):
+    """A block of trials: per-(trial, alpha, P, user) stats, (T, A, J, K, 5), and each trial's failure.
 
-    Every stage runs once over the whole alpha x power grid. Oracle feedback
-    stacks the A*J points on one batch axis: one oracle call, one
-    reconstruction FFT, one batched build and one batched rate evaluation,
-    with the draws of the point-by-point pipeline (see `_oracle_feedback`).
-    Perfect feedback is the same at every point, so it builds once and
-    evaluates every power from one set of couplings. A failed build raises
-    the AlignmentError of the first failing point in (alpha, power) order.
+    Every stage runs once over the block's trial x alpha x power elements:
+    one seeding pass for the channels, one channel FFT, one oracle call,
+    one reconstruction FFT, one batched build and one batched rate
+    evaluation, with the draws of the point-by-point pipeline (see
+    `_oracle_feedback`). Perfect feedback is the same at every point, so it
+    builds once per trial and evaluates every power from one set of
+    couplings. A trial's failure is the AlignmentError of its first failing
+    element in (alpha, power) order, or None; a failed trial's stats are
+    those of zero beamformers and mean nothing.
     """
-    params = _make_params(config.K, config.R, config.L, config.n, config.engine)
+    K, R, L = config.K, config.R, config.L
+    params = _make_params(K, R, L, config.n, config.engine)
     grid = _power_grid(config)
-    ch = generate_channel(config.K, config.R, config.L, seed=trial_generator(config.seed, trial))
-    tone = to_tone_domain(ch, params.N)
-    exact = np.stack([receiver_feedback(ch, i) for i in range(config.K)])
+    T = len(trials)
+    channels = [generate_channel(K, R, L, seed=g) for g in trial_generators(config.seed, [(t,) for t in trials])]
+    exact = np.stack([[receiver_feedback(ch, i) for i in range(K)] for ch in channels])
+    tones = to_tone_domain(ChannelRealization(K=K, R=R, L=L, taps=np.stack([ch.taps for ch in channels])), params.N)
     if config.feedback == "perfect":
-        fed, P = exact[None], np.array(grid)
+        # powers on their own leading axis: rates come out (J, T, K, 5)
+        fed, P = exact, np.array(grid)[:, None]
     else:
-        fed, P = _oracle_feedback(config, trial, exact, grid), np.tile(grid, len(config.alphas))
+        fed, P = _oracle_feedback(config, trials, exact, grid), np.tile(grid, T * len(config.alphas))
+    per_trial = len(fed) // T
     rng = None
     if config.engine == "leakage-min":
-        # every point starts leakage-min from the same stream
-        rng = trial_generators(config.seed, [(7_000_000 + trial,)] * len(fed))
+        # every point of a trial starts leakage-min from the same stream
+        rng = trial_generators(config.seed, [(7_000_000 + t,) for t in trials for _ in range(per_trial)])
     bf = build_beamformers(
-        reconstruct(fed, params.N, R=config.R), params, config.engine,
+        reconstruct(fed, params.N, R=R), params, config.engine,
         tol=config.align_tol, max_iters=config.max_iters, rng=rng,
     )
-    stats = achievable_rates(tone, bf, P, noise_power=config.noise).user_stats()  # (B, K, 5)
-    shape = (len(config.alphas), len(grid), config.K, 5)
-    return np.broadcast_to(stats.reshape(-1, *shape[1:]), shape).copy()
+    tone = replace(tones, tones=np.repeat(tones.tones, per_trial, axis=0))
+    stats = achievable_rates(tone, bf, P, noise_power=config.noise).user_stats()
+    if config.feedback == "perfect":
+        stats = np.moveaxis(stats, 0, 1)
+    shape = (T, len(config.alphas), len(grid), K, 5)
+    failures = [
+        next((f for f in bf.failures[t * per_trial : (t + 1) * per_trial] if f is not None), None)
+        for t in range(T)
+    ]
+    return np.broadcast_to(stats.reshape(T, -1, *shape[2:]), shape).copy(), failures
 
 
-def _sweep_trial(args):
-    """(trial, stats, None), or (trial, None, reason) when alignment fails."""
-    values, trial = args
-    try:
-        return trial, _trial_stats(ExperimentConfig("dof-sweep", values), trial), None
-    except AlignmentError as exc:
-        return trial, None, str(exc)
+def _sweep_block(args):
+    """(stats, failures) of a block: the completed trials' stats and (trial, reason) per dropped one."""
+    values, trials = args
+    stats, failures = _block_stats(ExperimentConfig("dof-sweep", values), trials)
+    ok = [f is None for f in failures]
+    return stats[ok], [(t, str(f)) for t, f in zip(trials, failures) if f is not None]
+
+
+# trial x alpha x power elements in one pass of `_block_stats`, at most.
+# Each pass pays a fixed cost, and its memory grows with its elements (the
+# oracle's generators alone take 0.75 KiB each, one per element and user).
+# Curve on the feedback-sweep argv (20 trials of 33 elements; median ms per
+# invocation, traced peak MiB, process peak RSS MB; one BLAS thread, 2-core
+# shared VM): 33 elements (one trial) 56, 0.27, 41.3; 66: 43, 0.43, 41.3;
+# 132: 37, 0.76, 41.8; 200: 34, 0.92, 42.0; 264: 33, 1.25, 42.5;
+# 330: 33, 1.74, 43.1; 660 (one block) 32, 3.33, 45.6. Past 200 the time
+# barely moves while the memory keeps growing.
+SWEEP_BLOCK = 200
 
 
 # the oracle stream tag trial*100_000 + a*1_000 + j (see `_oracle_feedback`)
@@ -650,18 +681,23 @@ def _power_grid(config):
 
 
 def run_dof_sweep(config: ExperimentConfig) -> SweepResult:
-    """Run dof-sweep's trials on `config.jobs` workers; gates and CSV aside.
+    """Run dof-sweep's trials in blocks on `config.jobs` workers; gates and CSV aside.
 
-    Each trial's random streams derive from (seed, trial), so the result
-    does not depend on the worker count.
+    The trials split into the fewest blocks of whole trials that hold at
+    most `SWEEP_BLOCK` elements each (one trial at least), as even as
+    possible. Each trial's random streams derive from (seed, trial), so
+    the result depends neither on the worker count nor on the block split.
     """
-    results = _map(_sweep_trial, [(config.values, t) for t in range(config.trials)], config.jobs)
     grid = _power_grid(config)
-    done = [stats for _, stats, _ in results if stats is not None]
+    T = config.trials
+    per_block = max(1, SWEEP_BLOCK // (len(config.alphas) * len(grid)))
+    count = -(-T // per_block)
+    blocks = [range(T * b // count, T * (b + 1) // count) for b in range(count)]
+    results = _map(_sweep_block, [(config.values, b) for b in blocks], config.jobs)
     return SweepResult(
         grid=grid,
-        stats=np.stack(done) if done else np.zeros((0, len(config.alphas), len(grid), config.K, 5)),
-        failures=[(t, reason) for t, _, reason in results if reason is not None],
+        stats=np.concatenate([stats for stats, _ in results]),
+        failures=[f for _, failures in results for f in failures],
     )
 
 
@@ -790,7 +826,9 @@ _COMMANDS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="iafb",
         description="interference alignment under finite-rate feedback: experiment runner",

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -156,9 +157,13 @@ class FeedbackBudget:
         raw = self.alpha * self.K * (self.R * self.L - 1) * math.log2(self.P)
         return max(0, math.ceil(raw))
 
-    @property
+    @cached_property
     def delta_star(self) -> float:
-        """Distortion radius guaranteed by an ideal packing at this budget."""
+        """Distortion radius guaranteed by an ideal packing at this budget.
+
+        Computed once per budget: dof-sweep tiles one budget object over
+        every trial's row of a block.
+        """
         return min(1.0, 2.0 ** (-self.bits / (2.0 * self.K * (self.n - 1))))
 
 

@@ -145,7 +145,8 @@ def complex_normal_parts(rng: np.random.Generator, shape) -> np.ndarray:
     Returns float64 of shape ``(2, *shape)``: index 0 holds the real parts,
     index 1 the imaginary parts. The generator fills the array in C order,
     so one call draws the same numbers as two calls of `shape` each, real
-    parts first. Every complex draw in the library goes through here.
+    parts first. Every complex draw in the library goes through here or
+    through `complex_normal_streams`, which fills the same layout.
     """
     shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
     return rng.standard_normal((2, *shape))
@@ -165,8 +166,12 @@ def complex_normal_streams(rngs, shape) -> np.ndarray:
     """One `complex_normal` draw of `shape` per generator, stacked.
 
     Returns complex of shape ``(len(rngs), *shape)``; row b holds exactly
-    the numbers ``complex_normal(rngs[b], shape)`` would draw.
+    the numbers ``complex_normal(rngs[b], shape)`` would draw. Each
+    generator fills its own ``(2, *shape)`` slice of one preallocated
+    array, in the C order of `complex_normal_parts`.
     """
     shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
-    parts = np.stack([complex_normal_parts(g, shape) for g in rngs], axis=1)
-    return parts[0] + 1j * parts[1]
+    parts = np.empty((len(rngs), 2, *shape))
+    for g, out in zip(rngs, parts):
+        g.standard_normal(out=out)
+    return parts[:, 0] + 1j * parts[:, 1]

@@ -8,6 +8,7 @@ from iafb.alignment import (
     AlignmentError,
     IaParameters,
     _finish,
+    _unbatched,
     build_beamformers,
     cj3_parameters,
     ia_parameters,
@@ -147,6 +148,28 @@ class TestCj3Engine:
             assert bf.alignment_residual <= 1e-8
             assert bf.signal_min >= 1e-6
 
+    def test_batched_build_records_each_failure(self):
+        # element 1's link (0, 1) feeds back a zero direction, so its tone
+        # gains are singular; elements 0 and 2 build as they do alone
+        params = cj3_parameters(1)
+        channels = [generate_channel(3, 1, 2, seed=trial_generator(0, t)) for t in range(3)]
+        fed = np.stack([[receiver_feedback(ch, i) for i in range(3)] for ch in channels])
+        fed[1, 0, 1] = 0.0
+        rec = reconstruct(fed, params.N, R=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bf = build_beamformers(rec, params, "cj3")
+            with pytest.raises(AlignmentError, match="invertible per-tone channels"):
+                build_beamformers(reconstruct(fed[1], params.N, R=1), params, "cj3")
+        assert bf.failures[0] is None and bf.failures[2] is None
+        assert "invertible per-tone channels" in str(bf.failures[1])
+        assert not any(arr[1].any() for arr in bf.v + bf.u)
+        for b in (0, 2):
+            alone = build_beamformers(reconstruct(fed[b], params.N, R=1), params, "cj3")
+            assert alone.failures == ()
+            for got, want in zip(bf.v + bf.u, alone.v + alone.u):
+                assert np.array_equal(got[b], want)
+
 
 def reference_filters(rec, bf):
     """Zero-forcing filters one stream at a time, by full SVDs.
@@ -221,12 +244,12 @@ class TestZeroForcing:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(AlignmentError, match="receiver 0, stream 0: .* swallowed"):
-                _finish(rec.wtones[None], [v[None] for v in V], params, "cj3", 1e-8, 1e-6)
+                _unbatched(_finish(rec.wtones[None], [v[None] for v in V], params, "cj3", 1e-8, 1e-6))
             # a zero transmit column gives an exactly zero singular value
             V = [v.copy() for v in bf.v]
             V[0][:, 1] = 0.0
             with pytest.raises(AlignmentError, match="receiver 0, stream 1: .* swallowed"):
-                _finish(rec.wtones[None], [v[None] for v in V], params, "cj3", 1e-8, 1e-6)
+                _unbatched(_finish(rec.wtones[None], [v[None] for v in V], params, "cj3", 1e-8, 1e-6))
 
 
 class TestMimoReduce:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,23 +349,27 @@ class TestDofSweep:
         assert not out.exists()
 
     def test_oracle_streams_match_per_key_reference(self, monkeypatch):
-        # trial 43's keys cross 2^32; silent users (alpha 0) draw from their
-        # streams through sample_uniform, the others through the oracle
+        # a block of trials 42 and 43, whose keys cross 2^32; silent users
+        # (alpha 0) draw from their streams through sample_uniform, the
+        # others through the oracle
         config = parse_config(["dof-sweep", "--alphas", "0,0.5,1", "--alpha-user", "0", "--seed", "5"])
-        ch = generate_channel(3, 1, 2, seed=trial_generator(config.seed, 43))
-        exact = np.stack([exact_directions(ch, i) for i in range(3)])
+        trials = range(42, 44)
+        exact = np.stack([
+            [exact_directions(generate_channel(3, 1, 2, seed=trial_generator(config.seed, t)), i) for i in range(3)]
+            for t in trials
+        ])
         grid = iafb.cli._power_grid(config)
-        batched = iafb.cli._oracle_feedback(config, 43, exact, grid)
+        batched = iafb.cli._oracle_feedback(config, trials, exact, grid)
         monkeypatch.setattr(
             iafb.cli, "trial_generators", lambda seed, keys: [trial_generator(seed, *key) for key in keys]
         )
-        assert np.array_equal(batched, iafb.cli._oracle_feedback(config, 43, exact, grid))
+        assert np.array_equal(batched, iafb.cli._oracle_feedback(config, trials, exact, grid))
 
 
 def per_point_trial(config, trial):
     """One dof-sweep trial evaluated point by point through the public calls.
 
-    The reference for the batched `_trial_stats`: every (alpha, power)
+    The reference for the batched `_block_stats`: every (alpha, power)
     point runs its own feedback, reconstruction, build and rate evaluation,
     in alpha-major order, with the streams the sweep documents. Each user's
     feedback is its own batch-of-one quantizer call.
@@ -426,7 +431,13 @@ def per_point_sweep(config):
 
 
 class TestSweepMatchesPerPoint:
-    """The batched sweep keeps every draw and the per-point failure order."""
+    """The batched sweep keeps every draw and the per-point failure order, whatever its blocks."""
+
+    @staticmethod
+    def blocks_of(monkeypatch, config, trials):
+        """Make `run_dof_sweep` cut blocks of at most `trials` trials."""
+        points = len(config.alphas) * len(iafb.cli._power_grid(config))
+        monkeypatch.setattr(iafb.cli, "SWEEP_BLOCK", trials * points)
 
     @pytest.mark.parametrize(
         "flags",
@@ -447,6 +458,62 @@ class TestSweepMatchesPerPoint:
         stats, failures = per_point_sweep(config)
         assert result.failures == failures == []
         np.testing.assert_allclose(result.stats, stats, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--engine", "cj3", "--n", "1", "--feedback", "oracle", "--alphas", "0,0.5,1", "--alpha-user", "0"],
+            ["--engine", "cj3", "--n", "2", "--feedback", "perfect", "--alphas", "0.5,1"],
+        ],
+    )
+    def test_block_split_does_not_change_stats(self, monkeypatch, flags):
+        # one trial per block, 7 trials in blocks of 2, 2 and 3, one block
+        config = parse_config(["dof-sweep", "--trials", "7", "--seed", "5", *flags])
+        results = []
+        for per_block in (1, 3, 7):
+            self.blocks_of(monkeypatch, config, per_block)
+            results.append(run_dof_sweep(config))
+        assert all(r.failures == [] for r in results)
+        assert np.array_equal(results[0].stats, results[1].stats)
+        assert np.array_equal(results[0].stats, results[2].stats)
+        stats, failures = per_point_sweep(config)
+        assert failures == []
+        np.testing.assert_allclose(results[0].stats, stats, rtol=1e-9, atol=1e-12)
+
+    def test_failures_inside_a_block(self, monkeypatch):
+        # blocks of trials 0-2 and 3-5: trials 3 and 5 fail beside trial 4
+        config = parse_config(["dof-sweep", "--engine", "cj3", "--n", "4", "--trials", "6"])
+        self.blocks_of(monkeypatch, config, 4)
+        result = run_dof_sweep(config)
+        stats, failures = per_point_sweep(config)
+        assert [t for t, _ in result.failures] == [3, 5]
+        assert result.failures == failures
+        np.testing.assert_allclose(result.stats, stats, rtol=1e-9, atol=1e-12)
+
+    def test_jobs_do_not_change_output_across_blocks(self, tmp_path, monkeypatch):
+        argv = ["dof-sweep", "--engine", "cj3", "--n", "1", "--feedback", "oracle", "--alphas", "0.25,0.5,1.0",
+                "--alpha-user", "0", "--trials", "7"]
+        self.blocks_of(monkeypatch, parse_config(argv), 2)  # blocks of 1, 2, 2 and 2 trials
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(argv + ["--jobs", "1", "--out", str(a)]) == main(argv + ["--jobs", "3", "--out", str(b)])
+        assert data_bytes(a) == data_bytes(b)
+
+    def test_block_bounds_peak_memory(self):
+        # the feedback-sweep argv: 20 trials of 33 elements. Blocks of at
+        # most SWEEP_BLOCK = 200 elements (four of 5 trials) peak at 0.9 MiB
+        # traced; one pass over all 660 elements peaked at 3.3 MiB, and one
+        # pass per trial at 0.27 MiB
+        config = parse_config([
+            "dof-sweep", "--engine", "cj3", "--n", "1", "--feedback", "oracle", "--alphas", "0.25,0.5,1.0",
+            "--alpha-user", "0", "--trials", "20",
+        ])
+        tracemalloc.start()
+        try:
+            run_dof_sweep(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     @pytest.mark.parametrize("n, trials", [(4, 6), (16, 2)])
     def test_same_trials_dropped_for_the_same_reason(self, n, trials):
@@ -535,6 +602,28 @@ class TestNumericDomains:
         cfg.write_text("noise=nan\n")
         assert main(["ia-run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
         assert "--noise must be finite" in capsys.readouterr().err
+
+
+# one argv per subcommand, each setting options of several kinds
+PARSE_ARGV = {
+    "volume-check": ["volume-check", "--pairs", "2:2,3:2", "--deltas", "0.5", "--seed", "3"],
+    "quantizer-scaling": ["quantizer-scaling", "--bits", "4,6,8", "--trials", "100"],
+    "ia-run": ["ia-run", "--engine", "cj3", "--feedback", "oracle", "--alpha", "0.5"],
+    "dof-sweep": ["dof-sweep", "--alphas", "0.25,1", "--alpha-user", "0", "--trials", "3"],
+    "mimo-reduce": ["mimo-reduce", "--Mt", "3", "--p-log2", "12"],
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", list(PARSE_ARGV))
+    def test_one_parser_parses_alike_first_and_after_another(self, command):
+        iafb.cli._build_parser.cache_clear()
+        first = parse_config(PARSE_ARGV[command])
+        other = next(c for c in PARSE_ARGV if c != command)
+        assert parse_config(PARSE_ARGV[other]).command == other
+        assert parse_config(PARSE_ARGV[command]) == first
+        assert first.command == command
+        assert iafb.cli._build_parser.cache_info().misses == 1
 
 
 class TestConfigFile:

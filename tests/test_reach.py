@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import iafb
+import iafb.cli as cli
 from iafb.cli import main
 
 PACKAGE = Path(iafb.__file__).parent
@@ -82,6 +83,9 @@ def test_every_function_is_reached(tmp_path, capsys):
             entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
     runs = invocations(tmp_path)
+    # the runs enter the argparse tree's builder as a fresh process would,
+    # whatever earlier tests built
+    cli._build_parser.cache_clear()
     sys.setprofile(profile)
     try:
         codes = [main(argv) for argv in runs]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from iafb.grassmann import MC_CHUNK
-from iafb.rng import complex_normal, complex_normal_parts, trial_generator, trial_generators
+from iafb.rng import complex_normal, complex_normal_parts, complex_normal_streams, trial_generator, trial_generators
 
 
 # one (2, *shape) draw must equal two draws of `shape`, real parts first:
@@ -20,6 +20,18 @@ def test_parts_are_the_complex_draw(shape):
 
 def test_integer_shape():
     assert complex_normal_parts(np.random.default_rng(0), 4).shape == (2, 4)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3, 2)])
+def test_streams_are_per_generator_draws(shape):
+    got = complex_normal_streams([np.random.default_rng(40 + b) for b in range(4)], shape)
+    assert got.shape == (4, *shape)
+    for b, row in enumerate(got):
+        assert np.array_equal(row, complex_normal(np.random.default_rng(40 + b), shape))
+
+
+def test_streams_of_no_generators():
+    assert complex_normal_streams([], (3, 2)).shape == (0, 3, 2)
 
 
 def assert_same_streams(seed, keys):
