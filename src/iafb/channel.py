@@ -76,10 +76,8 @@ class ToneChannel:
 
     ``tones[i, k]`` is the N x R matrix whose rows are the tone-domain
     channel vectors (unnormalized DFT of the zero-padded tap columns).
-    Accessors ending in ``hbar`` hand out the unitary-scaled quantities
-    described in the module docstring. A batch of tone channels carries a
-    leading batch axis on ``tones`` (rates broadcast it against a batched
-    beamformer set); the accessors serve unbatched ones.
+    A batch of tone channels carries a leading batch axis on ``tones``
+    (rates broadcast it against a batched beamformer set).
     """
 
     K: int
@@ -92,18 +90,6 @@ class ToneChannel:
         if self.tones.ndim not in (4, 5) or self.tones.shape[-4:] != (self.K, self.K, self.N, self.R):
             raise ValueError("tone array shape must be (K, K, N, R) or (B, K, K, N, R)")
         self.tones.setflags(write=False)
-
-    def hbar(self, i: int, k: int) -> np.ndarray:
-        """Stacked tone channel (length R*N, tone-major), unitary scaling."""
-        return self.tones[i, k].reshape(-1) / np.sqrt(self.N)
-
-    def hbar_matrix(self, i: int, k: int) -> np.ndarray:
-        """Dense R*N x N block-diagonal channel matrix, unitary scaling.
-
-        Block r (rows r*R..(r+1)*R, column r) holds the conjugated tone
-        vector of tone r.
-        """
-        return _block_diag_from_rows(np.conj(self.tones[i, k]) / np.sqrt(self.N))
 
 
 @dataclass(frozen=True)
@@ -152,9 +138,9 @@ def _block_diag_from_rows(rows: np.ndarray) -> np.ndarray:
 def tone_images(tones: np.ndarray, V) -> list:
     """Every receiver's view of every transmitter: images[i][k] = W_ik V_k.
 
-    W_ik is the R*N x N block-diagonal matrix whose block r is the
-    conjugated tone row ``tones[..., i, k, r, :]`` (see
-    `ToneChannel.hbar_matrix`), so the product is elementwise: row r*R + m
+    W_ik is the R*N x N block-diagonal matrix whose block r (rows
+    r*R..(r+1)*R, column r) is the conjugated tone row
+    ``tones[..., i, k, r, :]``, so the product is elementwise: row r*R + m
     of the image is conj(tones[..., i, k, r, m]) times row r of V_k.
     ``V[k]`` is (..., N, d_k); leading axes broadcast against those of
     ``tones``, which are (..., K, K, N, R).
@@ -258,14 +244,20 @@ def save_channel(ch: ChannelRealization, path) -> None:
 
 
 def load_channel(path) -> ChannelRealization:
-    """Read a realization written by `save_channel`."""
+    """Read a realization written by `save_channel`.
+
+    A malformed archive raises ValueError: a wrong first line, a header
+    without K, R, L or noise_power, an entry outside the K x K links, a
+    tap row without R values, or a missing link.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        magic = fh.readline().strip()
-        if magic != "# iafb-channel v1":
-            raise ValueError(f"not a channel file: {path}")
-        header = dict(item.split("=", 1) for item in fh.readline().split())
+        if fh.readline().strip() != "# iafb-channel v1":
+            raise ValueError("not a channel archive: the first line must be '# iafb-channel v1'")
+        header = dict(item.partition("=")[::2] for item in fh.readline().split())
+        missing = [key for key in ("K", "R", "L", "noise_power") if key not in header]
+        if missing:
+            raise ValueError(f"the header lacks {', '.join(missing)}")
         K, R, L = int(header["K"]), int(header["R"]), int(header["L"])
-        noise = float(header["noise_power"])
         taps = np.zeros((K, K, L, R), dtype=complex)
         seen = set()
         for line in fh:
@@ -275,9 +267,14 @@ def load_channel(path) -> ChannelRealization:
             if tag[0] != "T" or len(tag) != 3:
                 raise ValueError(f"malformed entry header: {line.rstrip()}")
             i, k = int(tag[1]), int(tag[2])
+            if not (0 <= i < K and 0 <= k < K):
+                raise ValueError(f"link ({i}, {k}) lies outside K={K}")
             for l in range(L):
-                taps[i, k, l] = [complex(tok) for tok in fh.readline().split()]
+                row = [complex(tok) for tok in fh.readline().split()]
+                if len(row) != R:
+                    raise ValueError(f"tap {l} of link ({i}, {k}) holds {len(row)} values, not R={R}")
+                taps[i, k, l] = row
             seen.add((i, k))
         if len(seen) != K * K:
             raise ValueError("channel file is missing link entries")
-        return ChannelRealization(K=K, R=R, L=L, taps=taps, noise_power=noise)
+        return ChannelRealization(K=K, R=R, L=L, taps=taps, noise_power=float(header["noise_power"]))

@@ -16,8 +16,13 @@ per-trial RNG streams are derived from (seed, trial index), and
 Monte Carlo chunks from (seed, task, chunk).
 
 Exit codes: 0 on pass, 1 when a built-in assertion fails or a dof-sweep
-trial is dropped (data is still written), 2 on usage errors, which
-include a non-finite or out-of-range numeric option (see `_domain_error`).
+trial is dropped (data is still written), 2 on a usage error. Every check
+of the input raises `UsageError`, and `main` alone prints it and returns
+2, before any channel draw, Monte Carlo chunk or codebook build and
+before any output is written. Each option's domain sits in `_OPTIONS`
+and holds for flags and ``--config`` values alike (every float must also
+be finite); the checks that read several options, or an input file, run
+at the top of their command.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -101,13 +107,7 @@ def _parse_float_list(text: str):
 
 
 def _parse_pair_list(text: str):
-    pairs = []
-    for tok in str(text).split(","):
-        if not tok.strip():
-            continue
-        n, k = tok.split(":")
-        pairs.append((int(n), int(k)))
-    return tuple(pairs)
+    return tuple((int(n), int(k)) for n, k in (tok.split(":") for tok in str(text).split(",") if tok.strip()))
 
 
 _PARSERS = {
@@ -118,154 +118,217 @@ _PARSERS = {
     "pairlist": _parse_pair_list,
 }
 
-# per-subcommand option tables: name -> (type key, default, help)
+
+class UsageError(Exception):
+    """An input the run cannot take: `main` prints it and returns 2."""
+
+
+# Option domains. Each gets the flag and the parsed value, and returns why
+# the value lies outside the domain, or "" if it does not.
+
+
+def _nonnegative(flag, value):
+    # a gate threshold, which a negative value would make unpassable, or a
+    # seed, the entropy of every derived stream (see `trial_generator`)
+    return "" if value >= 0 else f"{flag} must be >= 0, got {value!r}"
+
+
+def _positive(flag, value):
+    return "" if value > 0 else f"{flag} must be > 0, got {value!r}"
+
+
+def _log2_power(flag, value):
+    try:
+        power = 2.0**value
+    except OverflowError:
+        power = math.inf
+    return "" if 0.0 < power < math.inf else f"{flag} must give a finite positive power, got 2**{value!r} = {power!r}"
+
+
+def _trials(flag, value):
+    return "" if value >= 1 else f"need at least one trial, got {flag} {value}"
+
+
+def _out_dir(flag, path):
+    # an output path, or a prefix of several; "" writes nothing
+    folder = os.path.dirname(path)
+    return "" if not folder or os.path.isdir(folder) else f"{flag} {path}: no such directory {folder}"
+
+
+def _engine(flag, value):
+    return "" if value in ENGINES else f"unknown engine {value!r}; choose from {', '.join(ENGINES)}"
+
+
+def _feedback(command, modes, flag, value):
+    return "" if value in modes else f"{command} supports feedback = {' | '.join(modes)}, got {value!r}"
+
+
+def _manifolds(flag, pairs):
+    if not pairs:
+        return f"{flag} lists no n:K pair"
+    return next((f"invalid manifold n={n}, K={K}" for n, K in pairs if n < 2 or K < 1), "")
+
+
+def _radii(flag, deltas):
+    if not deltas:
+        return f"{flag} lists no radius"
+    bad = [d for d in deltas if d < 0 or d * d > 1.0]
+    return f"delta={bad[0]} outside the closed form's domain (need 0 <= delta <= 1)" if bad else ""
+
+
+def _budgets(flag, bits):
+    bad = [b for b in bits if not (float(b).is_integer() and 0 <= b <= MAX_MATERIALIZED_BITS)]
+    if bad:
+        shown = ", ".join(f"{b:g}" for b in bad)
+        return f"bit budgets must be integers in [0, {MAX_MATERIALIZED_BITS}], got {shown}"
+    return "" if len(set(bits)) >= 3 else "need at least three distinct bit budgets"
+
+
+def _fractions(flag, alphas):
+    shown = ", ".join(f"{a:g}" for a in alphas if not 0.0 <= a <= 1.0)
+    return f"feedback fractions must lie in [0, 1], got {shown or 'none'}" if shown or not alphas else ""
+
+
+def _user_choice(flag, value):
+    if value != "all":
+        try:
+            int(value)
+        except ValueError:
+            return f"alpha_user must be 'all' or a user index, got {value!r}"
+    return ""
+
+
+def _grid_step(flag, value):
+    return "" if value > 0 else f"the power grid step must be positive, got {flag} {value:g}"
+
+
+# per-subcommand option tables: name -> (type key, default, help, domain or None)
 _OPTIONS = {
     "volume-check": {
-        "pairs": ("pairlist", ((2, 1), (2, 2), (3, 2), (2, 3)), "n:K manifold list"),
-        "deltas": ("floatlist", (0.3, 0.5, 0.8), "ball radii"),
-        "trials": ("int", 1_000_000, "Monte Carlo samples per (n, K, delta)"),
-        "seed": ("int", 0, "base seed"),
-        "jobs": ("int", 1, "parallel workers"),
-        "sigmas": ("float", 3.0, "pass threshold in binomial standard errors"),
-        "out": ("str", "volume_check.csv", "output CSV path"),
+        "pairs": ("pairlist", ((2, 1), (2, 2), (3, 2), (2, 3)), "n:K manifold list", _manifolds),
+        "deltas": ("floatlist", (0.3, 0.5, 0.8), "ball radii", _radii),
+        "trials": ("int", 1_000_000, "Monte Carlo samples per (n, K, delta)", _trials),
+        "seed": ("int", 0, "base seed", _nonnegative),
+        "jobs": ("int", 1, "parallel workers", None),
+        "sigmas": ("float", 3.0, "pass threshold in binomial standard errors", _nonnegative),
+        "out": ("str", "volume_check.csv", "output CSV path", _out_dir),
     },
     "quantizer-scaling": {
-        "n": ("int", 2, "ambient dimension"),
-        "K": ("int", 1, "manifold components"),
-        "bits": ("floatlist", (4, 6, 8, 10, 12), "bit budgets"),
-        "trials": ("int", 10_000, "sources per budget"),
-        "seed": ("int", 0, "base seed"),
-        "tolerance": ("float", 0.2, "relative slope tolerance"),
-        "codebook_out": ("str", "", "save each codebook to <prefix><bits>.txt"),
-        "out": ("str", "quantizer_scaling.csv", "output CSV path"),
+        "n": ("int", 2, "ambient dimension", None),
+        "K": ("int", 1, "manifold components", None),
+        "bits": ("floatlist", (4, 6, 8, 10, 12), "bit budgets", _budgets),
+        "trials": ("int", 10_000, "sources per budget", _trials),
+        "seed": ("int", 0, "base seed", _nonnegative),
+        "tolerance": ("float", 0.2, "relative slope tolerance", _nonnegative),
+        "codebook_out": ("str", "", "save each codebook to <prefix><bits>.txt", _out_dir),
+        "out": ("str", "quantizer_scaling.csv", "output CSV path", _out_dir),
     },
     "ia-run": {
-        "K": ("int", 3, "users"),
-        "R": ("int", 1, "receive antennas"),
-        "L": ("int", 2, "channel taps"),
-        "n": ("int", 1, "auxiliary alignment parameter"),
-        "engine": ("str", "leakage-min", "leakage-min or cj3"),
-        "feedback": ("str", "perfect", "perfect, oracle, or codebook"),
-        "bits": ("int", 8, "codebook bits (feedback=codebook)"),
-        "alpha": ("float", 1.0, "feedback scaling fraction (feedback=oracle)"),
-        "p_log2": ("float", 10.0, "log2 of the transmit power"),
-        "noise": ("float", 1.0, "noise power"),
-        "seed": ("int", 0, "base seed"),
-        "align_tol": ("float", 1e-8, "alignment residual tolerance"),
-        "c_min": ("float", 1e-6, "minimum desired-signal inner product"),
-        "max_iters": ("int", 5000, "leakage-min iteration cap"),
-        "shared": ("int", 0, "1 = shared transmit directions per group"),
-        "channel_file": ("str", "", "load the channel from this archive"),
-        "save_channel": ("str", "", "write the drawn channel to this archive"),
-        "out": ("str", "ia_run.csv", "output CSV path"),
+        "K": ("int", 3, "users", None),
+        "R": ("int", 1, "receive antennas", None),
+        "L": ("int", 2, "channel taps", None),
+        "n": ("int", 1, "auxiliary alignment parameter", None),
+        "engine": ("str", "leakage-min", "leakage-min or cj3", _engine),
+        "feedback": (
+            "str", "perfect", "perfect, oracle, or codebook",
+            partial(_feedback, "ia-run", ("perfect", "oracle", "codebook")),
+        ),
+        "bits": ("int", 8, "codebook bits (feedback=codebook)", None),
+        "alpha": ("float", 1.0, "feedback scaling fraction (feedback=oracle)", None),
+        "p_log2": ("float", 10.0, "log2 of the transmit power", _log2_power),
+        "noise": ("float", 1.0, "noise power", _positive),
+        "seed": ("int", 0, "base seed", _nonnegative),
+        "align_tol": ("float", 1e-8, "alignment residual tolerance", _nonnegative),
+        "c_min": ("float", 1e-6, "minimum desired-signal inner product", _nonnegative),
+        "max_iters": ("int", 5000, "leakage-min iteration cap", None),
+        "shared": ("int", 0, "1 = shared transmit directions per group", None),
+        "channel_file": ("str", "", "load the channel from this archive", None),
+        "save_channel": ("str", "", "write the drawn channel to this archive", _out_dir),
+        "out": ("str", "ia_run.csv", "output CSV path", _out_dir),
     },
     "dof-sweep": {
-        "K": ("int", 3, "users"),
-        "R": ("int", 1, "receive antennas"),
-        "L": ("int", 2, "channel taps"),
-        "n": ("int", 1, "auxiliary alignment parameter"),
-        "engine": ("str", "cj3", "leakage-min or cj3"),
-        "feedback": ("str", "oracle", "perfect or oracle"),
-        "alphas": ("floatlist", (1.0,), "feedback fractions to sweep"),
-        "alpha_user": ("str", "all", "'all' or a user index receiving alpha"),
-        "p_log2_min": ("float", 4.0, "grid start (log2)"),
-        "p_log2_max": ("float", 14.0, "grid end (log2, inclusive)"),
-        "p_log2_step": ("float", 1.0, "grid step (log2)"),
-        "trials": ("int", 20, "channel realizations per point"),
+        "K": ("int", 3, "users", None),
+        "R": ("int", 1, "receive antennas", None),
+        "L": ("int", 2, "channel taps", None),
+        "n": ("int", 1, "auxiliary alignment parameter", None),
+        "engine": ("str", "cj3", "leakage-min or cj3", _engine),
+        "feedback": ("str", "oracle", "perfect or oracle", partial(_feedback, "dof-sweep", ("perfect", "oracle"))),
+        "alphas": ("floatlist", (1.0,), "feedback fractions to sweep", _fractions),
+        "alpha_user": ("str", "all", "'all' or a user index receiving alpha", _user_choice),
+        "p_log2_min": ("float", 4.0, "grid start (log2)", _log2_power),
+        "p_log2_max": ("float", 14.0, "grid end (log2, inclusive)", _log2_power),
+        "p_log2_step": ("float", 1.0, "grid step (log2)", _grid_step),
+        "trials": ("int", 20, "channel realizations per point", _trials),
         # under perfect CSI, 1e-9 places the default grid in the asymptotic
         # regime of the rate expression. Under oracle feedback the bounded
         # residual interference sets the floor instead, so the default grid
         # is pre-asymptotic there and the default run misses its sum-slope
         # gate (1.254 against 4/3)
-        "noise": ("float", 1e-9, "noise power"),
-        "seed": ("int", 0, "base seed"),
-        "jobs": ("int", 1, "parallel trial workers"),
-        "slope_tol": ("float", 0.1, "per-user slope tolerance"),
-        "sum_slope_tol": ("float", 0.05, "sum-slope tolerance"),
-        "align_tol": ("float", 1e-8, "alignment residual tolerance"),
-        "max_iters": ("int", 5000, "leakage-min iteration cap"),
-        "out": ("str", "dof_sweep.csv", "output CSV path"),
+        "noise": ("float", 1e-9, "noise power", _positive),
+        "seed": ("int", 0, "base seed", _nonnegative),
+        "jobs": ("int", 1, "parallel trial workers", None),
+        "slope_tol": ("float", 0.1, "per-user slope tolerance", _nonnegative),
+        "sum_slope_tol": ("float", 0.05, "sum-slope tolerance", _nonnegative),
+        "align_tol": ("float", 1e-8, "alignment residual tolerance", _nonnegative),
+        "max_iters": ("int", 5000, "leakage-min iteration cap", None),
+        "out": ("str", "dof_sweep.csv", "output CSV path", _out_dir),
     },
     "mimo-reduce": {
-        "K": ("int", 3, "users"),
-        "Mt": ("int", 2, "transmit antennas"),
-        "Mr": ("int", 4, "receive antennas"),
-        "L": ("int", 1, "channel taps"),
-        "p_log2": ("float", 10.0, "log2 of the transmit power"),
-        "out": ("str", "", "optional JSON output path"),
+        "K": ("int", 3, "users", None),
+        "Mt": ("int", 2, "transmit antennas", None),
+        "Mr": ("int", 4, "receive antennas", None),
+        "L": ("int", 1, "channel taps", None),
+        "p_log2": ("float", 10.0, "log2 of the transmit power", _log2_power),
+        "out": ("str", "", "optional JSON output path", _out_dir),
     },
 }
 
 
-# gate thresholds, which a negative value would make unpassable
-_NONNEGATIVE = frozenset({"sigmas", "tolerance", "slope_tol", "sum_slope_tol", "align_tol", "c_min"})
-# log2 transmit powers, whose 2**value must be a finite positive float
-_LOG2_POWERS = frozenset({"p_log2", "p_log2_min", "p_log2_max"})
-
-
-def _domain_error(name: str, kind: str, value) -> str:
-    """Why `value` lies outside option `name`'s domain, or "" if it does not.
-
-    Every float must be finite: a NaN compares false against every gate,
-    so it would pass or fail one silently. A seed must be >= 0, as the
-    entropy of every derived stream (see `trial_generator`).
-    """
-    if kind == "floatlist" and not all(math.isfinite(v) for v in value):
-        return f"must be finite, got {_fmt(value)}"
-    if kind == "int" and name == "seed" and value < 0:
-        return f"must be >= 0, got {value}"
-    if kind != "float":
-        return ""
-    if not math.isfinite(value):
-        return f"must be finite, got {value!r}"
-    if name in _NONNEGATIVE and value < 0:
-        return f"must be >= 0, got {value!r}"
-    if name == "noise" and value <= 0:
-        return f"must be > 0, got {value!r}"
-    if name in _LOG2_POWERS:
-        try:
-            power = 2.0**value
-        except OverflowError:
-            power = math.inf
-        if not 0.0 < power < math.inf:
-            return f"must give a finite positive power, got 2**{value!r} = {power!r}"
-    return ""
-
-
 def _load_config_file(path: str) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed config line: {raw.rstrip()}")
-            key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, ValueError) as exc:
+        raise UsageError(str(exc)) from None
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"malformed config line: {raw.rstrip()}")
+        key, val = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
 def _resolve_config(command: str, namespace: argparse.Namespace) -> ExperimentConfig:
+    """The command's config: flags over ``--config`` values over defaults, each in its domain.
+
+    Every float must be finite: a NaN compares false against every gate,
+    so it would pass or fail one silently.
+    """
     table = _OPTIONS[command]
+    file_values = _load_config_file(namespace.config) if namespace.config else {}
+    unknown = set(file_values) - set(table)
+    if unknown:
+        raise UsageError(f"unknown config keys for {command}: {sorted(unknown)}")
     values = {}
-    file_values = {}
-    if getattr(namespace, "config", None):
-        file_values = _load_config_file(namespace.config)
-        unknown = set(file_values) - set(table)
-        if unknown:
-            raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
-    for name, (kind, default, _help) in table.items():
-        parse = _PARSERS[kind]
-        if getattr(namespace, name) is not None:
-            values[name] = getattr(namespace, name)
-        elif name in file_values:
-            values[name] = parse(file_values[name])
-        else:
-            values[name] = default
-        error = _domain_error(name, kind, values[name])
+    for name, (kind, default, _help, domain) in table.items():
+        flag = "--" + name.replace("_", "-")
+        value = getattr(namespace, name)
+        if value is None and name in file_values:
+            try:
+                value = _PARSERS[kind](file_values[name])
+            except ValueError as exc:
+                raise UsageError(f"{flag}: {exc}") from None
+        values[name] = value = default if value is None else value
+        floats = (value,) if kind == "float" else value if kind == "floatlist" else ()
+        if not all(map(math.isfinite, floats)):
+            raise UsageError(f"{flag} must be finite, got {_fmt(value)}")
+        error = domain(flag, value) if domain else ""
         if error:
-            raise ValueError(f"--{name.replace('_', '-')} {error}")
+            raise UsageError(error)
     return ExperimentConfig(command=command, values=values)
 
 
@@ -280,16 +343,19 @@ def _write_csv(path: str, config: ExperimentConfig, header, rows, trailer=()):
 
 
 def _map(fn, args, jobs: int) -> list:
-    """[fn(a) for a in args], on `jobs` worker processes when jobs > 1.
+    """[fn(a) for a in args], on up to `jobs` worker processes, never more than tasks.
 
-    Tasks go out in about four batches per worker, the split
-    `multiprocessing.Pool.map` uses, so volume-check's many short Monte
-    Carlo chunks do not each pay a round trip to a worker.
+    The pool starts all its workers at the first task, so one with more
+    workers than tasks would start processes that never work. Tasks go
+    out in about four batches per worker, the split `multiprocessing.Pool.map`
+    uses, so volume-check's many short Monte Carlo chunks do not each pay a
+    round trip to a worker.
     """
-    if jobs <= 1:
+    workers = min(jobs, len(args))
+    if workers <= 1:
         return [fn(a) for a in args]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, args, chunksize=max(1, len(args) // (4 * jobs))))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, args, chunksize=max(1, len(args) // (4 * workers))))
 
 
 # --------------------------------------------------------------------------
@@ -302,33 +368,13 @@ def _volume_chunk_hits(args) -> int:
 
 
 def cmd_volume_check(config: ExperimentConfig) -> int:
-    if config.trials < 1:
-        print(f"need at least one trial, got --trials {config.trials}", file=sys.stderr)
-        return 2
-    for n, K in config.pairs:
-        if n < 2 or K < 1:
-            print(f"invalid manifold n={n}, K={K}", file=sys.stderr)
-            return 2
-    for delta in config.deltas:
-        if delta < 0 or delta * delta > 1.0:
-            print(
-                f"delta={delta} outside the closed form's domain (need 0 <= delta <= 1)",
-                file=sys.stderr,
-            )
-            return 2
-
-    tasks = []
-    for n, K in config.pairs:
-        for delta in config.deltas:
-            tasks.append((n, K, delta))
-    jobs_args = []
-    for t_idx, (n, K, delta) in enumerate(tasks):
-        remaining, chunk_idx = config.trials, 0
-        while remaining > 0:
-            count = min(MC_CHUNK, remaining)
-            jobs_args.append((n, K, delta, config.seed, t_idx, chunk_idx, count))
-            remaining -= count
-            chunk_idx += 1
+    tasks = [(n, K, delta) for n, K in config.pairs for delta in config.deltas]
+    # each task's trials in chunks of MC_CHUNK, the last one short
+    jobs_args = [
+        (n, K, delta, config.seed, t_idx, c, min(MC_CHUNK, config.trials - c * MC_CHUNK))
+        for t_idx, (n, K, delta) in enumerate(tasks)
+        for c in range(-(-config.trials // MC_CHUNK))
+    ]
 
     hits = {}
     for args, h in zip(jobs_args, _map(_volume_chunk_hits, jobs_args, config.jobs)):
@@ -357,22 +403,10 @@ def cmd_volume_check(config: ExperimentConfig) -> int:
 
 
 def cmd_quantizer_scaling(config: ExperimentConfig) -> int:
-    bad = [b for b in config.bits if not (float(b).is_integer() and 0 <= b <= MAX_MATERIALIZED_BITS)]
-    if bad:
-        shown = ", ".join(f"{b:g}" for b in bad)
-        print(f"bit budgets must be integers in [0, {MAX_MATERIALIZED_BITS}], got {shown}", file=sys.stderr)
-        return 2
-    bits_list = [int(b) for b in config.bits]
-    if len(set(bits_list)) < 3:
-        print("need at least three distinct bit budgets", file=sys.stderr)
-        return 2
     if config.K * (config.n - 1) < 1:
-        print("need K*(n-1) >= 1 for a nontrivial manifold", file=sys.stderr)
-        return 2
-    if config.trials < 1:
-        print(f"need at least one trial, got --trials {config.trials}", file=sys.stderr)
-        return 2
+        raise UsageError("need K*(n-1) >= 1 for a nontrivial manifold")
 
+    bits_list = [int(b) for b in config.bits]
     rows = []
     rng = trial_generator(config.seed, 0)
     for bits in bits_list:
@@ -414,22 +448,17 @@ def _make_params(K, R, L, n, engine):
     return ia_parameters(K, R, n)
 
 
-def _pipeline_params(config: ExperimentConfig, feedback_modes: tuple):
-    """(params, "") for ia-run's or dof-sweep's sizing, or (None, its first usage error).
+def _pipeline_params(config: ExperimentConfig):
+    """ia-run's or dof-sweep's sizing, or a UsageError if R*L < 2 or the engine cannot size it.
 
-    Checks the engine, the feedback mode and R*L >= 2 (a fed-back direction
-    is a line in C^(R*L)) before `_make_params` sizes the problem.
+    A fed-back direction is a line in C^(R*L), so R*L = 1 has none.
     """
-    if config.engine not in ENGINES:
-        return None, f"unknown engine {config.engine!r}; choose from {', '.join(ENGINES)}"
-    if config.feedback not in feedback_modes:
-        return None, f"{config.command} supports feedback = {' | '.join(feedback_modes)}, got {config.feedback!r}"
     if config.R * config.L < 2:
-        return None, f"need R*L >= 2 to feed back a direction, got --R {config.R} --L {config.L}"
+        raise UsageError(f"need R*L >= 2 to feed back a direction, got --R {config.R} --L {config.L}")
     try:
-        return _make_params(config.K, config.R, config.L, config.n, config.engine), ""
+        return _make_params(config.K, config.R, config.L, config.n, config.engine)
     except ValueError as exc:
-        return None, str(exc)
+        raise UsageError(str(exc)) from None
 
 
 def _oracle_rows(exact: np.ndarray, budgets: list, gens: list) -> np.ndarray:
@@ -488,28 +517,22 @@ def _fed_back(ch, config: ExperimentConfig, P: float) -> np.ndarray:
 
 
 def cmd_ia_run(config: ExperimentConfig) -> int:
-    params, error = _pipeline_params(config, ("perfect", "oracle", "codebook"))
-    if error:
-        print(error, file=sys.stderr)
-        return 2
+    params = _pipeline_params(config)
     if config.feedback == "oracle" and not 0.0 <= config.alpha <= 1.0:
-        print(f"the feedback fraction must lie in [0, 1], got --alpha {config.alpha:g}", file=sys.stderr)
-        return 2
+        raise UsageError(f"the feedback fraction must lie in [0, 1], got --alpha {config.alpha:g}")
     if config.feedback == "codebook" and not 0 <= config.bits <= MAX_MATERIALIZED_BITS:
-        print(f"codebook bits must lie in [0, {MAX_MATERIALIZED_BITS}], got --bits {config.bits}", file=sys.stderr)
-        return 2
+        raise UsageError(f"codebook bits must lie in [0, {MAX_MATERIALIZED_BITS}], got --bits {config.bits}")
     if config.engine == "cj3" and config.shared:
-        print(f"the cj3 construction has no shared-direction variant, got --shared {config.shared}", file=sys.stderr)
-        return 2
+        raise UsageError(f"the cj3 construction has no shared-direction variant, got --shared {config.shared}")
     if config.channel_file:
         try:
             ch = load_channel(config.channel_file)
         except FileNotFoundError:
-            print(f"channel file not found: {config.channel_file}", file=sys.stderr)
-            return 2
+            raise UsageError(f"channel file not found: {config.channel_file}") from None
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"malformed channel file {config.channel_file}: {exc}") from None
         if (ch.K, ch.R, ch.L) != (config.K, config.R, config.L):
-            print("channel file dimensions do not match the configuration", file=sys.stderr)
-            return 2
+            raise UsageError("channel file dimensions do not match the configuration")
     else:
         ch = generate_channel(config.K, config.R, config.L, seed=trial_generator(config.seed, 0))
     if config.save_channel:
@@ -702,53 +725,26 @@ def run_dof_sweep(config: ExperimentConfig) -> SweepResult:
 
 
 def cmd_dof_sweep(config: ExperimentConfig) -> int:
-    params, error = _pipeline_params(config, ("perfect", "oracle"))
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    if config.alpha_user != "all":
-        try:
-            user = int(config.alpha_user)
-        except ValueError:
-            print(f"alpha_user must be 'all' or a user index, got {config.alpha_user!r}", file=sys.stderr)
-            return 2
-        if not 0 <= user < config.K:
-            print(f"alpha_user {config.alpha_user} out of range", file=sys.stderr)
-            return 2
-    bad = [a for a in config.alphas if not 0.0 <= a <= 1.0]
-    if bad or not config.alphas:
-        shown = ", ".join(f"{a:g}" for a in bad) or "none"
-        print(f"feedback fractions must lie in [0, 1], got {shown}", file=sys.stderr)
-        return 2
-    if config.trials < 1:
-        print(f"need at least one trial, got --trials {config.trials}", file=sys.stderr)
-        return 2
-    if not config.p_log2_step > 0:
-        print(f"the power grid step must be positive, got --p-log2-step {config.p_log2_step:g}", file=sys.stderr)
-        return 2
+    params = _pipeline_params(config)
+    if config.alpha_user != "all" and not 0 <= int(config.alpha_user) < config.K:
+        raise UsageError(f"alpha_user {config.alpha_user} out of range")
     points = _grid_size(config)
     if points > MAX_GRID_POINTS:
-        print(
+        raise UsageError(
             f"the power grid 2^{config.p_log2_min:g}..2^{config.p_log2_max:g} in steps of "
-            f"{config.p_log2_step:g} has {points:g} points, more than the {MAX_GRID_POINTS} allowed",
-            file=sys.stderr,
+            f"{config.p_log2_step:g} has {points:g} points, more than the {MAX_GRID_POINTS} allowed"
         )
-        return 2
     try:
         _power_grid(config)
     except OverflowError:
-        print(
-            f"the power grid overflows: its last point lies up to half a step past --p-log2-max {config.p_log2_max:g}",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError(
+            f"the power grid overflows: its last point lies up to half a step past --p-log2-max {config.p_log2_max:g}"
+        ) from None
     if points < 3:
-        print(
+        raise UsageError(
             f"a slope fit needs at least 3 power points, the grid 2^{config.p_log2_min:g}.."
-            f"2^{config.p_log2_max:g} in steps of {config.p_log2_step:g} has {points}",
-            file=sys.stderr,
+            f"2^{config.p_log2_max:g} in steps of {config.p_log2_step:g} has {points}"
         )
-        return 2
 
     result = run_dof_sweep(config)
     grid = result.grid
@@ -803,8 +799,7 @@ def cmd_mimo_reduce(config: ExperimentConfig) -> int:
     try:
         red = mimo_reduce(config.K, config.Mt, config.Mr, config.L, 2.0**config.p_log2)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
     text = json.dumps(asdict(red), indent=2, sort_keys=True)
     if config.out:
         with open(config.out, "w", encoding="ascii") as fh:
@@ -838,14 +833,14 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, table in _OPTIONS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="key=value config file")
-        for name, (kind, default, help_text) in table.items():
+        for name, (kind, _default, help_text, _domain) in table.items():
             flag = "--" + name.replace("_", "-")
             p.add_argument(flag, dest=name, type=_PARSERS[kind], default=None, help=help_text)
     return parser
 
 
 def parse_config(argv=None) -> ExperimentConfig:
-    """Resolve a command line and its ``--config`` file as `main` does."""
+    """Resolve a command line and its ``--config`` file as `main` does; a bad input raises `UsageError`."""
     namespace = _build_parser().parse_args(argv)
     return _resolve_config(namespace.command, namespace)
 
@@ -853,10 +848,10 @@ def parse_config(argv=None) -> ExperimentConfig:
 def main(argv=None) -> int:
     try:
         config = parse_config(argv)
-    except (ValueError, OSError) as exc:
-        print(f"bad configuration: {exc}", file=sys.stderr)
+        return _COMMANDS[config.command](config)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    return _COMMANDS[config.command](config)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from iafb.alignment import build_beamformers, cj3_parameters, ia_parameters, mimo_reduce
 from iafb.channel import (
     generate_channel,
@@ -232,14 +233,14 @@ def test_criterion_8_pipeline_identities():
         # u^H Hbar v = hbar^H b for random filters
         u = rng.standard_normal(R * N) + 1j * rng.standard_normal(R * N)
         v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        lhs = np.conj(u) @ (tone.hbar_matrix(i, k) @ v)
-        rhs = np.conj(tone.hbar(i, k)) @ (np.conj(u) * np.repeat(v, R))
+        lhs = np.conj(u) @ (dense.hbar_matrix(tone, i, k) @ v)
+        rhs = np.conj(dense.hbar(tone, i, k)) @ (np.conj(u) * np.repeat(v, R))
         worst["pseudo"] = max(worst["pseudo"], abs(lhs - rhs) / max(1.0, abs(lhs)))
         # stacked-tone norm equals vectorized-tap norm
         worst["chain"] = max(
             worst["chain"],
             abs(
-                np.linalg.norm(tone.hbar(i, k)) ** 2
+                np.linalg.norm(dense.hbar(tone, i, k)) ** 2
                 - np.linalg.norm(vectorize_direction(ch, i, k) * np.linalg.norm(T)) ** 2
             )
             / max(1.0, np.linalg.norm(T) ** 2),

@@ -124,6 +124,20 @@ class TestQuantizerScaling:
         assert (cb.n, cb.K, cb.bits) == (2, 1, 6)
 
 
+# (ia-run flags, a substring of the usage error they must give)
+INVALID_RUNS = [
+    pytest.param(["--engine", "cj3", "--K", "4"], "K=4", id="cj3-K4"),
+    pytest.param(["--engine", "bogus"], "'bogus'", id="engine"),
+    pytest.param(["--feedback", "bogus"], "'bogus'", id="feedback"),
+    pytest.param(["--feedback", "oracle", "--alpha", "1.5"], "--alpha 1.5", id="alpha-high"),
+    pytest.param(["--feedback", "oracle", "--alpha=-0.5"], "--alpha -0.5", id="alpha-low"),
+    pytest.param(["--feedback", "codebook", "--bits", "27"], "--bits 27", id="bits-high"),
+    pytest.param(["--feedback", "codebook", "--bits=-1"], "--bits -1", id="bits-low"),
+    pytest.param(["--engine", "cj3", "--shared", "1"], "--shared 1", id="cj3-shared"),
+    pytest.param(["--R", "1", "--L", "1"], "--R 1 --L 1", id="scalar-tap"),
+]
+
+
 class TestIaRun:
     def test_perfect_csi_run(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -170,20 +184,7 @@ class TestIaRun:
         ])
         assert code == 0
 
-    @pytest.mark.parametrize(
-        "flags, shown",
-        [
-            pytest.param(["--engine", "cj3", "--K", "4"], "K=4", id="cj3-K4"),
-            pytest.param(["--engine", "bogus"], "'bogus'", id="engine"),
-            pytest.param(["--feedback", "bogus"], "'bogus'", id="feedback"),
-            pytest.param(["--feedback", "oracle", "--alpha", "1.5"], "--alpha 1.5", id="alpha-high"),
-            pytest.param(["--feedback", "oracle", "--alpha=-0.5"], "--alpha -0.5", id="alpha-low"),
-            pytest.param(["--feedback", "codebook", "--bits", "27"], "--bits 27", id="bits-high"),
-            pytest.param(["--feedback", "codebook", "--bits=-1"], "--bits -1", id="bits-low"),
-            pytest.param(["--engine", "cj3", "--shared", "1"], "--shared 1", id="cj3-shared"),
-            pytest.param(["--R", "1", "--L", "1"], "--R 1 --L 1", id="scalar-tap"),
-        ],
-    )
+    @pytest.mark.parametrize("flags, shown", INVALID_RUNS)
     def test_invalid_run_is_usage_error(self, tmp_path, capsys, flags, shown):
         # rejected before the channel is drawn: no CSV
         out = tmp_path / "x.csv"
@@ -236,6 +237,25 @@ class TestIaRunFeedback:
                 reference.append(distortion_oracle_quantize(exact_directions(ch, i)[None], [budget], [rng])[0])
         assert len(seen) == 1
         assert np.array_equal(seen[0], np.stack(reference))
+
+
+# (dof-sweep flags after --trials 2, a substring of the usage error they must give)
+INVALID_SWEEPS = [
+    (["--alphas", "0.5,1.5"], "got 1.5"),
+    (["--alphas", "-0.25"], "got -0.25"),
+    (["--trials", "0"], "--trials 0"),
+    (["--trials", "-5"], "--trials -5"),
+    (["--p-log2-step", "0"], "--p-log2-step 0"),
+    (["--p-log2-step", "-1"], "--p-log2-step -1"),
+    (["--p-log2-max", "5"], "has 2"),
+    (["--p-log2-max", "2"], "has 0"),
+    (["--alpha-user", "x"], "got 'x'"),
+    (["--alpha-user", "1.5"], "got '1.5'"),
+    (["--engine", "bogus"], "'bogus'"),
+    (["--feedback", "codebook"], "'codebook'"),
+    (["--R", "1", "--L", "1"], "--R 1 --L 1"),
+    (["--p-log2-step", "0.01"], "has 1001 points"),
+]
 
 
 class TestDofSweep:
@@ -312,25 +332,7 @@ class TestDofSweep:
         ])
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "flags, shown",
-        [
-            (["--alphas", "0.5,1.5"], "got 1.5"),
-            (["--alphas", "-0.25"], "got -0.25"),
-            (["--trials", "0"], "--trials 0"),
-            (["--trials", "-5"], "--trials -5"),
-            (["--p-log2-step", "0"], "--p-log2-step 0"),
-            (["--p-log2-step", "-1"], "--p-log2-step -1"),
-            (["--p-log2-max", "5"], "has 2"),
-            (["--p-log2-max", "2"], "has 0"),
-            (["--alpha-user", "x"], "got 'x'"),
-            (["--alpha-user", "1.5"], "got '1.5'"),
-            (["--engine", "bogus"], "'bogus'"),
-            (["--feedback", "codebook"], "'codebook'"),
-            (["--R", "1", "--L", "1"], "--R 1 --L 1"),
-            (["--p-log2-step", "0.01"], "has 1001 points"),
-        ],
-    )
+    @pytest.mark.parametrize("flags, shown", INVALID_SWEEPS)
     def test_invalid_sweep_is_usage_error(self, tmp_path, capsys, flags, shown):
         out = tmp_path / "x.csv"
         code = main(["dof-sweep", "--trials", "2", *flags, "--out", str(out)])
@@ -582,16 +584,22 @@ USAGE_ERRORS = [
 ]
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail any run that draws a channel, counts a Monte Carlo chunk, builds a codebook or reduces a network."""
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    for name in ("generate_channel", "ball_hit_count", "build_random_codebook", "mimo_reduce"):
+        monkeypatch.setattr(iafb.cli, name, work)
+
+
 class TestNumericDomains:
     """Non-finite and out-of-range numeric options are usage errors, caught before any work."""
 
     @pytest.mark.parametrize("argv, flag", USAGE_ERRORS, ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
-    def test_usage_error_before_any_work(self, tmp_path, capsys, monkeypatch, argv, flag):
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started before the options were checked")
-
-        for name in ("generate_channel", "ball_hit_count", "build_random_codebook", "mimo_reduce"):
-            monkeypatch.setattr(iafb.cli, name, no_work)
+    def test_usage_error_before_any_work(self, tmp_path, capsys, no_work, argv, flag):
         out = tmp_path / "out.json"
         assert main([*argv, "--out", str(out)]) == 2
         assert flag in capsys.readouterr().err
@@ -602,6 +610,149 @@ class TestNumericDomains:
         cfg.write_text("noise=nan\n")
         assert main(["ia-run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
         assert "--noise must be finite" in capsys.readouterr().err
+
+
+def as_config_file(argv, path):
+    """argv with every option moved into the config file `path`: [command, "--config", path]."""
+    command, *flags = argv
+    lines, tokens = [], iter(flags)
+    for token in tokens:
+        name, eq, value = token[2:].partition("=")
+        lines.append(f"{name.replace('-', '_')}={value if eq else next(tokens)}")
+    path.write_text("\n".join(lines) + "\n")
+    return [command, "--config", str(path)]
+
+
+# every usage-error argv above, with its options given in a config file
+FILE_USAGE_ERRORS = (
+    [pytest.param(argv, shown, id=" ".join(argv)) for argv, shown in USAGE_ERRORS]
+    + [pytest.param(["ia-run", *p.values[0]], p.values[1], id=f"ia-run {p.id}") for p in INVALID_RUNS]
+    + [
+        pytest.param(["dof-sweep", "--trials", "2", *flags], shown, id=" ".join(["dof-sweep", *flags]))
+        for flags, shown in INVALID_SWEEPS
+    ]
+)
+
+
+class TestInputChecks:
+    """Every bad input exits 2 with its message before any work, whether it comes from a flag, a file or an archive."""
+
+    @pytest.mark.parametrize("argv, shown", FILE_USAGE_ERRORS)
+    def test_config_file_values_checked_as_flags(self, tmp_path, capsys, no_work, argv, shown):
+        out = tmp_path / "out.csv"
+        assert main([*as_config_file(argv, tmp_path / "run.cfg"), "--out", str(out)]) == 2
+        assert shown in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, shown",
+        [
+            (["--pairs", ""], "--pairs lists no n:K pair"),
+            (["--pairs", ","], "--pairs lists no n:K pair"),
+            (["--deltas", ""], "--deltas lists no radius"),
+        ],
+    )
+    def test_empty_volume_check_list(self, tmp_path, capsys, no_work, flags, shown):
+        out = tmp_path / "vol.csv"
+        assert main(["volume-check", *flags, "--out", str(out)]) == 2
+        assert shown in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fault, shown",
+        [
+            ("magic", "first line"),
+            ("header", "the header lacks L"),
+            ("short-row", "tap 0 of link (0, 0) holds 1 values, not R=2"),
+            ("missing-link", "missing link entries"),
+        ],
+    )
+    def test_malformed_channel_archive(self, tmp_path, capsys, no_work, fault, shown):
+        chan = tmp_path / "chan.txt"
+        save_channel(generate_channel(3, 2, 2, seed=5), chan)
+        lines = chan.read_text().splitlines()
+        if fault == "magic":
+            lines[0] = "# iafb-channel v2"
+        elif fault == "header":
+            lines[1] = lines[1].replace(" L=2", "")
+        elif fault == "short-row":
+            lines[3] = lines[3].split()[0]
+        else:
+            lines = lines[:-3]  # the entry of link (2, 2): its tag and L = 2 tap rows
+        chan.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run.csv"
+        assert main(["ia-run", "--R", "2", "--channel-file", str(chan), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed channel file" in err and shown in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["volume-check", "--pairs", "2:1", "--deltas", "0.5", "--trials", "1000"], "--out"),
+            (["quantizer-scaling", "--bits", "2,3,4", "--trials", "100"], "--out"),
+            (["quantizer-scaling", "--bits", "2,3,4", "--trials", "100", "--codebook-out", "MISSING/cb_"],
+             "--codebook-out"),
+            (["ia-run", "--engine", "cj3"], "--out"),
+            (["ia-run", "--engine", "cj3", "--save-channel", "MISSING/chan.txt"], "--save-channel"),
+            (["dof-sweep", "--trials", "1"], "--out"),
+            (["mimo-reduce"], "--out"),
+        ],
+    )
+    def test_output_directory_must_exist(self, tmp_path, capsys, no_work, argv, flag):
+        missing = tmp_path / "missing"
+        argv = [arg.replace("MISSING", str(missing)) for arg in argv]
+        out = (missing if flag == "--out" else tmp_path) / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"{flag} {missing}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of every process pool a run makes; each pool runs its tasks in this process."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args, chunksize=1):
+            return map(fn, args)
+
+    monkeypatch.setattr(iafb.cli, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+class TestWorkerCount:
+    """No run starts more worker processes than it has tasks."""
+
+    def test_map_caps_workers_at_tasks(self, pool_sizes):
+        assert iafb.cli._map(abs, [-1, -2, -3], 5000) == [1, 2, 3]
+        assert iafb.cli._map(abs, [-4], 5000) == [4]
+        assert iafb.cli._map(abs, [], 5000) == []
+        assert pool_sizes == [3]
+
+    @pytest.mark.parametrize(
+        "argv, workers",
+        [
+            # two (n, K, delta) tasks of one Monte Carlo chunk each
+            (["volume-check", "--pairs", "2:1", "--deltas", "0.5,0.8", "--trials", "1000"], [2]),
+            # a single block, run in this process
+            (["dof-sweep", "--trials", "1", "--p-log2-max", "6"], []),
+        ],
+    )
+    def test_many_jobs_start_no_idle_workers(self, tmp_path, pool_sizes, argv, workers):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main([*argv, "--jobs", "5000", "--out", str(a)]) == main([*argv, "--jobs", "1", "--out", str(b)])
+        assert pool_sizes == workers
+        assert data_bytes(a) == data_bytes(b)
 
 
 # one argv per subcommand, each setting options of several kinds

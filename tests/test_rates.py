@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dense_reference as dense
 from iafb.alignment import BeamformerSet, IaParameters, build_beamformers, cj3_parameters
 from iafb.channel import (
     ChannelRealization,
@@ -60,7 +61,7 @@ class TestInterferenceTerms:
         P = 64.0
         signal, _, _ = interference_terms(tone, bf, P)
         for i in range(3):
-            hbar = tone.hbar(i, i)
+            hbar = dense.hbar(tone, i, i)
             for m in range(params.d[i]):
                 b = np.conj(bf.u[i][:, m]) * np.repeat(bf.v[i][:, m], tone.R)
                 expect = (P / (3 * params.d[i])) * abs(np.vdot(hbar, b)) ** 2
@@ -86,7 +87,7 @@ class TestInterferenceTerms:
         for i in range(3):
             cov = noise * np.eye(params.N, dtype=complex)
             for k in range(3):
-                img = tone.hbar_matrix(i, k) @ bf.v[k]
+                img = dense.hbar_matrix(tone, i, k) @ bf.v[k]
                 cov += (P / (3 * params.d[k])) * (img @ img.conj().T)
             for m in range(params.d[i]):
                 u = bf.u[i][:, m]
