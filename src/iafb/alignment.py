@@ -69,10 +69,9 @@ class AlignmentError(RuntimeError):
     caller can distinguish slow convergence from infeasibility.
     """
 
-    def __init__(self, message, history=None, residual=None):
+    def __init__(self, message, history=None):
         super().__init__(message)
         self.history = list(history) if history is not None else []
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -152,11 +151,12 @@ class BeamformerSet:
     unit-norm columns. ``alignment_residual`` is the largest violated
     inner product against the reconstruction the set was built on, and
     ``signal_min`` the smallest surviving desired-signal inner product.
+    ``iterations`` counts leakage-min's iterations in its last attempt (0
+    for cj3).
 
     A set built on a batch of reconstructions carries the batch axis first
-    on every ``v``/``u`` array, and ``alignment_residual`` and
-    ``signal_min`` are arrays over it; ``iterations`` then sums over the
-    batch and ``leakage`` is its largest final leakage. ``failures`` holds,
+    on every ``v``/``u`` array, ``alignment_residual`` and ``signal_min``
+    are arrays over it, and ``iterations`` sums over it. ``failures`` holds,
     per element, the AlignmentError that element's own build would raise,
     or None. A failed element's ``v`` and ``u`` are zero, so rates evaluate
     it as silent rather than as NaN. An unbatched build raises its failure
@@ -168,10 +168,7 @@ class BeamformerSet:
     params: IaParameters
     alignment_residual: float
     signal_min: float
-    engine: str
-    shared: bool = False
     iterations: int = 0
-    leakage: float = 0.0
     failures: tuple = ()
 
 
@@ -399,7 +396,7 @@ def _alignment_stats(images, U):
     return np.min(signal, axis=0), np.max(same, axis=0), np.max(cross, axis=0)
 
 
-def _finish(wtones, V, params: IaParameters, engine: str, tol: float, c_min: float, failures=None, **fields):
+def _finish(wtones, V, params: IaParameters, engine: str, tol: float, c_min: float, failures=None, iterations=0):
     """Zero-force a batch of directions V against `wtones` and gate it against `tol` and `c_min`.
 
     ``wtones`` is (M, K, K, N, R) and ``V[k]`` (M, N, d_k). Records, per
@@ -426,8 +423,7 @@ def _finish(wtones, V, params: IaParameters, engine: str, tol: float, c_min: flo
             )
         else:
             failures[b] = AlignmentError(
-                f"{engine} construction failed: residual={residual[b]:.3e}, signal_min={signal_min[b]:.3e}",
-                residual=float(residual[b]),
+                f"{engine} construction failed: residual={residual[b]:.3e}, signal_min={signal_min[b]:.3e}"
             )
     ok = np.array([f is None for f in failures])
     if not ok.all():
@@ -435,7 +431,7 @@ def _finish(wtones, V, params: IaParameters, engine: str, tol: float, c_min: flo
         U = [np.where(ok[:, None, None], u, 0.0) for u in U]
     return BeamformerSet(
         v=tuple(V), u=tuple(U), params=params, alignment_residual=residual,
-        signal_min=signal_min, engine=engine, failures=tuple(failures), **fields,
+        signal_min=signal_min, iterations=iterations, failures=tuple(failures),
     )
 
 
@@ -459,7 +455,6 @@ def _concatenated(sets) -> BeamformerSet:
         alignment_residual=np.concatenate([bf.alignment_residual for bf in sets]),
         signal_min=np.concatenate([bf.signal_min for bf in sets]),
         iterations=sum(bf.iterations for bf in sets),
-        leakage=max(bf.leakage for bf in sets),
         failures=tuple(f for bf in sets for f in bf.failures),
     )
 
@@ -556,7 +551,7 @@ def _leakage_min(rec, params, tol, c_min, max_iters, rng, shared) -> BeamformerS
         history_all.extend(history)
         bf = _finish(
             rec.wtones[None], [v[None] for v in V], params, "leakage-min", tol, c_min,
-            shared=shared, iterations=len(history), leakage=history[-1] if history else 0.0,
+            iterations=len(history),
         )
         last = bf.failures[0]
         if last is None:
@@ -566,6 +561,5 @@ def _leakage_min(rec, params, tol, c_min, max_iters, rng, shared) -> BeamformerS
         f"leakage-min did not reach tol={tol:.1e} within {max_iters} iterations "
         f"x {attempts} attempts (last: {last})",
         history=history_all,
-        residual=last.residual,
     )
     return replace(bf, failures=(failure,))

@@ -56,7 +56,7 @@ from .channel import (
     save_channel,
     to_tone_domain,
 )
-from .grassmann import MC_CHUNK, BallVolumeSpec, ball_hit_count, ball_volume_normalized, sample_uniform
+from .grassmann import MC_CHUNK, ball_hit_count, ball_volume_normalized, sample_uniform
 from .quantizer import (
     MAX_MATERIALIZED_BITS,
     FeedbackBudget,
@@ -66,7 +66,7 @@ from .quantizer import (
     measure_distortion,
     save_codebook,
 )
-from .rates import CSV_COLUMNS, achievable_rates, dof_fit, interference_boundedness
+from .rates import CSV_COLUMNS, achievable_rates, dof_fit, interference_slope
 from .rng import trial_generator, trial_generators
 
 
@@ -155,6 +155,11 @@ def _out_dir(flag, path):
     return "" if not folder or os.path.isdir(folder) else f"{flag} {path}: no such directory {folder}"
 
 
+def _out_file(flag, path):
+    # an output file: a directory of that name cannot be opened for writing
+    return f"{flag} {path}: is a directory, not a file" if os.path.isdir(path) else _out_dir(flag, path)
+
+
 def _engine(flag, value):
     return "" if value in ENGINES else f"unknown engine {value!r}; choose from {', '.join(ENGINES)}"
 
@@ -211,7 +216,7 @@ _OPTIONS = {
         "seed": ("int", 0, "base seed", _nonnegative),
         "jobs": ("int", 1, "parallel workers", None),
         "sigmas": ("float", 3.0, "pass threshold in binomial standard errors", _nonnegative),
-        "out": ("str", "volume_check.csv", "output CSV path", _out_dir),
+        "out": ("str", "volume_check.csv", "output CSV path", _out_file),
     },
     "quantizer-scaling": {
         "n": ("int", 2, "ambient dimension", None),
@@ -221,7 +226,7 @@ _OPTIONS = {
         "seed": ("int", 0, "base seed", _nonnegative),
         "tolerance": ("float", 0.2, "relative slope tolerance", _nonnegative),
         "codebook_out": ("str", "", "save each codebook to <prefix><bits>.txt", _out_dir),
-        "out": ("str", "quantizer_scaling.csv", "output CSV path", _out_dir),
+        "out": ("str", "quantizer_scaling.csv", "output CSV path", _out_file),
     },
     "ia-run": {
         "K": ("int", 3, "users", None),
@@ -243,8 +248,8 @@ _OPTIONS = {
         "max_iters": ("int", 5000, "leakage-min iteration cap", None),
         "shared": ("int", 0, "1 = shared transmit directions per group", None),
         "channel_file": ("str", "", "load the channel from this archive", None),
-        "save_channel": ("str", "", "write the drawn channel to this archive", _out_dir),
-        "out": ("str", "ia_run.csv", "output CSV path", _out_dir),
+        "save_channel": ("str", "", "write the drawn channel to this archive", _out_file),
+        "out": ("str", "ia_run.csv", "output CSV path", _out_file),
     },
     "dof-sweep": {
         "K": ("int", 3, "users", None),
@@ -271,7 +276,7 @@ _OPTIONS = {
         "sum_slope_tol": ("float", 0.05, "sum-slope tolerance", _nonnegative),
         "align_tol": ("float", 1e-8, "alignment residual tolerance", _nonnegative),
         "max_iters": ("int", 5000, "leakage-min iteration cap", None),
-        "out": ("str", "dof_sweep.csv", "output CSV path", _out_dir),
+        "out": ("str", "dof_sweep.csv", "output CSV path", _out_file),
     },
     "mimo-reduce": {
         "K": ("int", 3, "users", None),
@@ -279,7 +284,7 @@ _OPTIONS = {
         "Mr": ("int", 4, "receive antennas", None),
         "L": ("int", 1, "channel taps", None),
         "p_log2": ("float", 10.0, "log2 of the transmit power", _log2_power),
-        "out": ("str", "", "optional JSON output path", _out_dir),
+        "out": ("str", "", "optional JSON output path", _out_file),
     },
 }
 
@@ -382,7 +387,7 @@ def cmd_volume_check(config: ExperimentConfig) -> int:
 
     rows, all_ok = [], True
     for t_idx, (n, K, delta) in enumerate(tasks):
-        analytic = ball_volume_normalized(BallVolumeSpec(n=n, K=K, delta=delta))
+        analytic = ball_volume_normalized(n, K, delta)
         empirical = hits[t_idx] / config.trials
         stderr = math.sqrt(max(analytic * (1.0 - analytic), 1e-300) / config.trials)
         z = abs(empirical - analytic) / stderr
@@ -413,12 +418,12 @@ def cmd_quantizer_scaling(config: ExperimentConfig) -> int:
         cb = build_random_codebook(config.n, config.K, bits, seed=int(rng.integers(2**63)))
         if config.codebook_out:
             save_codebook(cb, f"{config.codebook_out}{bits}.txt")
-        report = measure_distortion(cb, config.trials, rng)
+        dists = measure_distortion(cb, config.trials, rng)
         rows.append(
             {
                 "n": config.n, "K": config.K, "bits": bits,
-                "mean_sq_distortion": report.mean_observed,
-                "max_sq_distortion": report.max_observed,
+                "mean_sq_distortion": float(dists.mean()),
+                "max_sq_distortion": float(dists.max()),
                 "trials": config.trials,
             }
         )
@@ -448,17 +453,34 @@ def _make_params(K, R, L, n, engine):
     return ia_parameters(K, R, n)
 
 
-def _pipeline_params(config: ExperimentConfig):
-    """ia-run's or dof-sweep's sizing, or a UsageError if R*L < 2 or the engine cannot size it.
+# The most complex entries a sizing's K^2 dense R*N x N link matrices,
+# leakage-min's working set, may hold: 2^26, or 1 GiB of complex128. The
+# largest sizing in use, K=4 R=2 n=1 (N=768), takes 18.9 million (302 MB);
+# the next, K=4 R=1 n=2 (N=13,122), would take 2.75 billion (44 GB), and
+# K=5 n=1 (N=65,536) 107 billion.
+MAX_DENSE_ENTRIES = 1 << 26
 
-    A fed-back direction is a line in C^(R*L), so R*L = 1 has none.
+
+def _pipeline_params(config: ExperimentConfig):
+    """ia-run's or dof-sweep's sizing, or a UsageError if R*L < 2, the engine cannot size it or it is too large.
+
+    A fed-back direction is a line in C^(R*L), so R*L = 1 has none. A
+    sizing whose dense link matrices exceed `MAX_DENSE_ENTRIES` is refused
+    for either engine, before anything is allocated.
     """
     if config.R * config.L < 2:
         raise UsageError(f"need R*L >= 2 to feed back a direction, got --R {config.R} --L {config.L}")
     try:
-        return _make_params(config.K, config.R, config.L, config.n, config.engine)
+        params = _make_params(config.K, config.R, config.L, config.n, config.engine)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    entries = params.K**2 * params.R * params.N**2
+    if entries > MAX_DENSE_ENTRIES:
+        raise UsageError(
+            f"the sizing K={params.K} R={params.R} n={params.n} has N={params.N} tones, whose dense link "
+            f"matrices hold {entries:,} complex entries, more than the {MAX_DENSE_ENTRIES:,} allowed"
+        )
+    return params
 
 
 def _oracle_rows(exact: np.ndarray, budgets: list, gens: list) -> np.ndarray:
@@ -550,12 +572,12 @@ def cmd_ia_run(config: ExperimentConfig) -> int:
         print(f"pipeline failed: {exc}", file=sys.stderr)
         return 1
 
-    report = achievable_rates(tone, bf, P, noise_power=config.noise)
-    rows = _rate_rows(config, P, config.alpha, report.user_stats())
+    stats = achievable_rates(tone, bf, P, noise_power=config.noise)
+    rows = _rate_rows(config, P, config.alpha, stats)
     trailer = [
         f"# alignment_residual={bf.alignment_residual!r}",
         f"# signal_min={bf.signal_min!r}",
-        f"# rate_sum={report.rate_sum!r}",
+        f"# rate_sum={float(stats[:, 0].sum())!r}",
     ]
     _write_csv(config.out, config, CSV_COLUMNS, rows, trailer)
     return 0
@@ -572,7 +594,7 @@ class SweepResult:
     ``stats`` has shape (trial, alpha, P, user, 5) and holds the trials
     that completed, in trial order. Per user the five stats are the rate,
     the worst stream's I1 and I2, the weakest stream's signal, and the
-    worst stream's total interference (`RateReport.user_stats`).
+    worst stream's total interference (`rates.achievable_rates`).
     ``failures`` lists (trial, reason) for every trial dropped because
     alignment failed.
     """
@@ -653,7 +675,7 @@ def _block_stats(config: ExperimentConfig, trials: range):
         tol=config.align_tol, max_iters=config.max_iters, rng=rng,
     )
     tone = replace(tones, tones=np.repeat(tones.tones, per_trial, axis=0))
-    stats = achievable_rates(tone, bf, P, noise_power=config.noise).user_stats()
+    stats = achievable_rates(tone, bf, P, noise_power=config.noise)
     if config.feedback == "perfect":
         stats = np.moveaxis(stats, 0, 1)
     shape = (T, len(config.alphas), len(grid), K, 5)
@@ -762,31 +784,31 @@ def cmd_dof_sweep(config: ExperimentConfig) -> int:
         for j, P in enumerate(grid):
             rows += _rate_rows(config, P, alpha, mean_stats[a, j])
         for i in range(config.K):
-            est = dof_fit(zip(grid, rates[a, :, i]))
+            slope = dof_fit(zip(grid, rates[a, :, i]))
             share = _user_alphas(config, alpha)[i] if config.feedback == "oracle" else 1.0
             expected = share * params.dof_target(i)
-            ok = abs(est.slope - expected) <= config.slope_tol
+            ok = abs(slope - expected) <= config.slope_tol
             all_ok &= ok
             trailer.append(
-                f"# slope alpha={alpha!r} user={i} slope={est.slope!r} "
+                f"# slope alpha={alpha!r} user={i} slope={slope!r} "
                 f"expected={expected!r} ok={int(ok)}"
             )
-        sum_est = dof_fit(zip(grid, rates[a].sum(axis=1)))
+        sum_slope = dof_fit(zip(grid, rates[a].sum(axis=1)))
         if config.alpha_user == "all":
             expected_sum = (alpha if config.feedback == "oracle" else 1.0) * sum(
                 params.dof_target(i) for i in range(config.K)
             )
-            ok = abs(sum_est.slope - expected_sum) <= config.sum_slope_tol
+            ok = abs(sum_slope - expected_sum) <= config.sum_slope_tol
             all_ok &= ok
             trailer.append(
-                f"# slope alpha={alpha!r} user=sum slope={sum_est.slope!r} "
+                f"# slope alpha={alpha!r} user=sum slope={sum_slope!r} "
                 f"expected={expected_sum!r} ok={int(ok)}"
             )
         else:
             # single-user alpha: the per-user checks above are the contract
-            trailer.append(f"# slope alpha={alpha!r} user=sum slope={sum_est.slope!r}")
-        bound = interference_boundedness(zip(grid, worst[a].max(axis=1)), floor=1e-10)
-        trailer.append(f"# interference alpha={alpha!r} slope={bound.slope!r}")
+            trailer.append(f"# slope alpha={alpha!r} user=sum slope={sum_slope!r}")
+        slope = interference_slope(zip(grid, worst[a].max(axis=1)))
+        trailer.append(f"# interference alpha={alpha!r} slope={slope!r}")
     _write_csv(config.out, config, CSV_COLUMNS, rows, trailer + failed)
     return 0 if all_ok else 1
 

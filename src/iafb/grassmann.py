@@ -12,14 +12,12 @@ metric ball, and a Monte Carlo estimator used to validate the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import as_generator, complex_normal_parts, complex_normal_streams
 
 __all__ = [
-    "BallVolumeSpec",
     "composite_dist_sq",
     "sample_uniform",
     "ball_volume_normalized",
@@ -28,25 +26,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BallVolumeSpec:
-    """Arguments of the closed-form ball volume on G_{n,1}^K.
-
-    The closed form is valid for delta**2 <= 1 only; larger radii are
-    served by the Monte Carlo path (see `sum_dist_sq_cdf`).
-    """
-
-    n: int
-    K: int
-    delta: float
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("ambient dimension n must be >= 2")
-        if self.K < 1:
-            raise ValueError("number of components K must be >= 1")
-        if self.delta < 0:
-            raise ValueError("radius must be non-negative")
+def _check_manifold(n: int, K: int) -> None:
+    if n < 2:
+        raise ValueError("ambient dimension n must be >= 2")
+    if K < 1:
+        raise ValueError("number of components K must be >= 1")
 
 
 def composite_dist_sq(a, b) -> np.ndarray:
@@ -68,10 +52,7 @@ def sample_uniform(n: int, K: int, rngs) -> np.ndarray:
 
     Returns the B = len(rngs) points as one (B, K, n) array of unit rows.
     """
-    if n < 2:
-        raise ValueError("ambient dimension n must be >= 2")
-    if K < 1:
-        raise ValueError("number of components K must be >= 1")
+    _check_manifold(n, K)
     raw = complex_normal_streams(rngs, (K, n))
     raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
     return raw
@@ -90,18 +71,22 @@ def _closed_form_cdf(n: int, K: int, x: float) -> float:
     return math.exp(_log_volume_const(n, K) + dim_half * math.log(x))
 
 
-def ball_volume_normalized(spec: BallVolumeSpec) -> float:
+def ball_volume_normalized(n: int, K: int, delta: float) -> float:
     """Normalized volume of a radius-delta ball on G_{n,1}^K.
 
     Evaluates Gamma(n)^K / Gamma(K(n-1)+1) * delta^(2K(n-1)) through
-    log-gamma arithmetic so large n*K stays finite. Radii with
-    delta**2 > 1 are outside the closed form's domain and rejected.
+    log-gamma arithmetic so large n*K stays finite. The closed form holds
+    for 0 <= delta <= 1 only; larger radii are served by the Monte Carlo
+    path of `sum_dist_sq_cdf` and rejected here.
     """
-    if spec.delta * spec.delta > 1.0 + 1e-15:
+    _check_manifold(n, K)
+    if delta < 0:
+        raise ValueError("radius must be non-negative")
+    if delta * delta > 1.0 + 1e-15:
         raise ValueError(
             "closed form requires delta**2 <= 1; use sum_dist_sq_cdf for larger radii"
         )
-    return _closed_form_cdf(spec.n, spec.K, spec.delta * spec.delta)
+    return _closed_form_cdf(n, K, delta * delta)
 
 
 def sum_dist_sq_cdf(n: int, K: int, x: float, trials: int = 500_000, rng=None) -> float:
@@ -113,8 +98,7 @@ def sum_dist_sq_cdf(n: int, K: int, x: float, trials: int = 500_000, rng=None) -
     available and a seeded Monte Carlo estimate is returned (`trials`
     samples; `rng` defaults to a fixed stream for reproducibility).
     """
-    if n < 2 or K < 1:
-        raise ValueError("need n >= 2 and K >= 1")
+    _check_manifold(n, K)
     if x <= 0.0:
         return 0.0
     if x >= K:
@@ -144,10 +128,7 @@ def ball_hit_count(n: int, K: int, delta: float, trials: int, rng) -> int:
     order. Samples come off `rng` in batches of `MC_CHUNK`, each batch the
     same numbers `complex_normal(rng, (batch, K, n))` would draw.
     """
-    if n < 2:
-        raise ValueError("ambient dimension n must be >= 2")
-    if K < 1:
-        raise ValueError("number of components K must be >= 1")
+    _check_manifold(n, K)
     if trials < 1:
         raise ValueError("need at least one trial")
     if delta < 0:

@@ -55,7 +55,6 @@ from .rng import as_generator, complex_normal, complex_normal_streams, trial_gen
 
 __all__ = [
     "Codebook",
-    "DistortionReport",
     "FeedbackBudget",
     "build_random_codebook",
     "encode",
@@ -105,20 +104,6 @@ class Codebook:
         """Yield (start_index, array) blocks of codewords in index order."""
         for start in range(0, self.size, _GEN_CHUNK):
             yield start, self.points[start : start + _GEN_CHUNK]
-
-
-@dataclass(frozen=True)
-class DistortionReport:
-    """Observed quantization error statistics for one codebook."""
-
-    max_observed: float
-    mean_observed: float
-    trials: int
-    bits: int
-
-    def __post_init__(self):
-        if not (self.max_observed >= self.mean_observed >= 0.0):
-            raise ValueError("expected max_observed >= mean_observed >= 0")
 
 
 @dataclass(frozen=True)
@@ -257,20 +242,20 @@ def _batched_min_dist(sources: np.ndarray, cb: Codebook) -> np.ndarray:
     return np.maximum(cb.K - best, 0.0)
 
 
-def measure_distortion(cb: Codebook, trials: int, rng) -> DistortionReport:
-    """Quantize `trials` uniform sources and report mean/max squared error."""
+def measure_distortion(cb: Codebook, trials: int, rng) -> np.ndarray:
+    """Squared error of `trials` uniform sources under nearest-neighbor coding, shape (trials,).
+
+    A non-finite distance, as a non-finite codeword gives, raises ValueError.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = as_generator(rng)
     raw = complex_normal(rng, (trials, cb.K, cb.n))
     raw /= np.linalg.norm(raw, axis=2, keepdims=True)
     dists = _batched_min_dist(raw, cb)
-    return DistortionReport(
-        max_observed=float(dists.max()),
-        mean_observed=float(dists.mean()),
-        trials=trials,
-        bits=cb.bits,
-    )
+    if not np.isfinite(dists).all():
+        raise ValueError("non-finite distortion: the codebook holds a non-finite codeword")
+    return dists
 
 
 def distortion_oracle_quantize(x, budgets, rngs) -> np.ndarray:
@@ -323,8 +308,7 @@ def distortion_scaling_exponent(n: int, K: int, bits_list, trials: int, rng) -> 
     log_msd = []
     for bits in bits_list:
         cb = build_random_codebook(n, K, bits, seed=int(rng.integers(2**63)))
-        report = measure_distortion(cb, trials, rng)
-        log_msd.append(math.log2(report.mean_observed))
+        log_msd.append(math.log2(measure_distortion(cb, trials, rng).mean()))
     slope = np.polyfit(np.asarray(bits_list, dtype=float), np.asarray(log_msd), 1)[0]
     return float(slope)
 

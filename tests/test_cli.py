@@ -135,6 +135,7 @@ INVALID_RUNS = [
     pytest.param(["--feedback", "codebook", "--bits=-1"], "--bits -1", id="bits-low"),
     pytest.param(["--engine", "cj3", "--shared", "1"], "--shared 1", id="cj3-shared"),
     pytest.param(["--R", "1", "--L", "1"], "--R 1 --L 1", id="scalar-tap"),
+    pytest.param(["--K", "5"], "dense link matrices", id="oversized"),  # N = 65,536
 ]
 
 
@@ -150,6 +151,20 @@ class TestIaRun:
         residual = float(text.split("# alignment_residual=")[1].splitlines()[0])
         assert residual <= 1e-8
         assert text.splitlines()[1].startswith("seed,K,R,L,n,P_log2")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--engine", "cj3", "--n", "2", "--feedback", "oracle", "--seed", "7"], ["--R", "2", "--seed", "1"]],
+    )
+    def test_rate_sum_is_the_sum_of_the_rows(self, tmp_path, flags):
+        out = tmp_path / "run.csv"
+        assert main(["ia-run", *flags, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        column = lines[1].split(",").index("rate")
+        rates = [float(line.split(",")[column]) for line in lines[2:] if not line.startswith("#")]
+        rate_sum = float(lines[-1].removeprefix("# rate_sum="))
+        assert len(rates) == 3
+        assert rate_sum == sum(rates)
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -255,6 +270,8 @@ INVALID_SWEEPS = [
     (["--feedback", "codebook"], "'codebook'"),
     (["--R", "1", "--L", "1"], "--R 1 --L 1"),
     (["--p-log2-step", "0.01"], "has 1001 points"),
+    (["--engine", "leakage-min", "--K", "4", "--n", "2"], "dense link matrices"),  # N = 13,122
+    (["--engine", "cj3", "--n", "100000"], "dense link matrices"),  # N = 200,001
 ]
 
 
@@ -390,18 +407,11 @@ def per_point_trial(config, trial):
             rng=trial_generator(config.seed, 7_000_000 + trial),
         )
 
-    def fill(a, j, rep):
-        for i in range(K):
-            own, cross = rep.interference_own[i], rep.interference_cross[i]
-            stats[a, j, i] = (
-                rep.rates[i], np.max(own), np.max(cross), np.min(rep.signal[i]), np.max(own + cross),
-            )
-
     if config.feedback == "perfect":
         bf = build(reconstruct(np.stack([exact_directions(ch, i) for i in range(K)]), params.N, R=R))
         for a in range(len(config.alphas)):
             for j, P in enumerate(grid):
-                fill(a, j, achievable_rates(tone, bf, P, noise_power=config.noise))
+                stats[a, j] = achievable_rates(tone, bf, P, noise_power=config.noise)
         return stats
     for a, alpha in enumerate(config.alphas):
         alphas = [alpha] * K
@@ -418,7 +428,7 @@ def per_point_trial(config, trial):
                     budget = FeedbackBudget(K=K, R=R, L=L, P=P, alpha=alphas[i])
                     fed.append(distortion_oracle_quantize(exact_directions(ch, i)[None], [budget], [rng])[0])
             bf = build(reconstruct(np.stack(fed), params.N, R=R))
-            fill(a, j, achievable_rates(tone, bf, P, noise_power=config.noise))
+            stats[a, j] = achievable_rates(tone, bf, P, noise_power=config.noise)
     return stats
 
 
@@ -706,6 +716,37 @@ class TestInputChecks:
         assert main([*argv, "--out", str(out)]) == 2
         assert f"{flag} {missing}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["volume-check", "--pairs", "2:1", "--deltas", "0.5", "--trials", "1000"], "--out"),
+            (["quantizer-scaling", "--bits", "2,3,4", "--trials", "100"], "--out"),
+            (["ia-run", "--engine", "cj3"], "--out"),
+            (["ia-run", "--engine", "cj3"], "--save-channel"),
+            (["dof-sweep", "--trials", "1"], "--out"),
+            (["mimo-reduce"], "--out"),
+        ],
+    )
+    def test_output_path_must_not_be_a_directory(self, tmp_path, capsys, no_work, argv, flag):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        out = folder if flag == "--out" else tmp_path / "out.csv"
+        extra = [flag, str(folder)] if flag != "--out" else []
+        assert main([*argv, *extra, "--out", str(out)]) == 2
+        assert f"{flag} {folder}: is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [folder] and list(folder.iterdir()) == []
+
+    def test_codebook_prefix_may_name_a_directory(self, tmp_path):
+        # --codebook-out is a prefix: "<dir>" writes "<dir>6.txt" beside it
+        config = parse_config(["quantizer-scaling", "--codebook-out", str(tmp_path)])
+        assert config.codebook_out == str(tmp_path)
+
+    def test_largest_sizing_in_use_passes_the_cap(self):
+        # K=4 R=2 n=1: N = 768, 18.9 million dense entries (302 MB)
+        params = iafb.cli._pipeline_params(parse_config(["ia-run", "--K", "4", "--R", "2", "--n", "1"]))
+        assert params.N == 768
+        assert params.K**2 * params.R * params.N**2 <= iafb.cli.MAX_DENSE_ENTRIES
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ import pytest
 
 from iafb.grassmann import (
     MC_CHUNK,
-    BallVolumeSpec,
     ball_hit_count,
     ball_volume_normalized,
     composite_dist_sq,
@@ -136,25 +135,30 @@ class TestSampling:
 class TestBallVolume:
     def test_single_component_closed_form(self):
         # mu(B(delta)) = delta^(2(n-1)) on G_{2,1}
-        assert ball_volume_normalized(BallVolumeSpec(2, 1, 0.5)) == pytest.approx(0.25)
+        assert ball_volume_normalized(2, 1, 0.5) == pytest.approx(0.25)
 
     def test_two_component_full_radius(self):
         # Gamma(2)^2 / Gamma(3) = 1/2
-        assert ball_volume_normalized(BallVolumeSpec(2, 2, 1.0)) == pytest.approx(0.5)
+        assert ball_volume_normalized(2, 2, 1.0) == pytest.approx(0.5)
 
     def test_zero_radius(self):
-        assert ball_volume_normalized(BallVolumeSpec(5, 3, 0.0)) == 0.0
+        assert ball_volume_normalized(5, 3, 0.0) == 0.0
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            BallVolumeSpec(2, 1, -0.1)
+            ball_volume_normalized(2, 1, -0.1)
+
+    @pytest.mark.parametrize("n, K", [(1, 2), (2, 0)])
+    def test_invalid_manifold_rejected(self, n, K):
+        with pytest.raises(ValueError):
+            ball_volume_normalized(n, K, 0.5)
 
     def test_radius_beyond_closed_form_rejected(self):
         with pytest.raises(ValueError):
-            ball_volume_normalized(BallVolumeSpec(2, 2, 1.2))
+            ball_volume_normalized(2, 2, 1.2)
 
     def test_large_manifold_stays_finite(self):
-        val = ball_volume_normalized(BallVolumeSpec(20, 5, 0.9))
+        val = ball_volume_normalized(20, 5, 0.9)
         assert 0.0 < val < 1.0
 
     def test_leading_order_constant_in_delta(self):
@@ -162,7 +166,7 @@ class TestBallVolume:
         n, K = 3, 2
         dim = 2 * K * (n - 1)
         ratios = [
-            ball_volume_normalized(BallVolumeSpec(n, K, d)) / d**dim
+            ball_volume_normalized(n, K, d) / d**dim
             for d in (0.1, 0.3, 0.5, 0.7, 0.9)
         ]
         assert np.ptp(ratios) <= 1e-12 * ratios[0]
@@ -172,9 +176,7 @@ class TestSumDistribution:
     def test_cdf_matches_ball_volume_bitwise(self):
         for n, K in ((2, 1), (2, 2), (3, 2), (2, 3)):
             for delta in (0.3, 0.5, 0.8):
-                assert sum_dist_sq_cdf(n, K, delta * delta) == ball_volume_normalized(
-                    BallVolumeSpec(n, K, delta)
-                )
+                assert sum_dist_sq_cdf(n, K, delta * delta) == ball_volume_normalized(n, K, delta)
 
     def test_cdf_uniform_case(self):
         # n=2, K=1: F(x) = x
@@ -209,7 +211,7 @@ class TestEmpiricalBallCdf:
     def test_three_sigma_agreement(self, n, K):
         trials = 100_000
         for delta in (0.3, 0.5, 0.8):
-            analytic = ball_volume_normalized(BallVolumeSpec(n, K, delta))
+            analytic = ball_volume_normalized(n, K, delta)
             est = empirical_ball_cdf(n, K, delta, trials, rng=1000 + 10 * n + K)
             sigma = math.sqrt(analytic * (1 - analytic) / trials)
             assert abs(est - analytic) <= 3 * sigma + 1e-12

@@ -7,7 +7,6 @@ import pytest
 from iafb import quantizer
 from iafb.grassmann import composite_dist_sq, sample_uniform
 from iafb.quantizer import (
-    DistortionReport,
     FeedbackBudget,
     build_random_codebook,
     distortion_oracle_quantize,
@@ -71,8 +70,9 @@ class TestBuild:
         # for n=2, K=1 the squared distortion to one random codeword is
         # uniform on [0, 1]; the nearest of 1024 gives mean 1/1025
         cb = build_random_codebook(2, 1, 10, seed=21)
-        report = measure_distortion(cb, 10_000, rng=22)
-        assert report.mean_observed == pytest.approx(1.0 / 1025.0, rel=0.10)
+        dists = measure_distortion(cb, 10_000, rng=22)
+        assert dists.shape == (10_000,)
+        assert dists.mean() == pytest.approx(1.0 / 1025.0, rel=0.10)
 
 
 class TestEncodeDecode:
@@ -130,10 +130,10 @@ class TestEncodeDecode:
             lo_means, hi_means = [], []
             for seed in range(20):
                 lo_means.append(
-                    measure_distortion(build_random_codebook(2, 1, lo, seed=seed), 500, rng=seed).mean_observed
+                    measure_distortion(build_random_codebook(2, 1, lo, seed=seed), 500, rng=seed).mean()
                 )
                 hi_means.append(
-                    measure_distortion(build_random_codebook(2, 1, hi, seed=seed), 500, rng=seed).mean_observed
+                    measure_distortion(build_random_codebook(2, 1, hi, seed=seed), 500, rng=seed).mean()
                 )
             assert np.mean(hi_means) < np.mean(lo_means)
 
@@ -201,10 +201,13 @@ class TestDistortionKernel:
         assert peak < 4 * 2**20
 
 
-class TestDistortionReport:
-    def test_ordering_invariant(self):
-        with pytest.raises(ValueError):
-            DistortionReport(max_observed=0.1, mean_observed=0.2, trials=10, bits=4)
+class TestDistortionGuard:
+    def test_nan_codeword_raises(self):
+        # a NaN codeword scores NaN against every source, so no distance is finite
+        cb = build_random_codebook(2, 2, 4, seed=60)
+        cb.points[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            measure_distortion(cb, 50, rng=61)
 
 
 class TestFeedbackBudget:

@@ -15,7 +15,7 @@ from iafb.cli import _rate_rows, parse_config
 from iafb.rates import (
     achievable_rates,
     dof_fit,
-    interference_boundedness,
+    interference_slope,
     CSV_COLUMNS,
     interference_terms,
 )
@@ -48,8 +48,7 @@ class TestInterferenceTerms:
         v = np.array([[1.0], [0.0]], dtype=complex)
         u = np.array([[1.0], [0.0]], dtype=complex)
         bf = BeamformerSet(
-            v=(v,), u=(u,), params=params, alignment_residual=0.0,
-            signal_min=1.0, engine="leakage-min",
+            v=(v,), u=(u,), params=params, alignment_residual=0.0, signal_min=1.0,
         )
         _, own, cross = interference_terms(tone, bf, 8.0)
         assert np.all(cross[0] == 0.0)
@@ -102,23 +101,22 @@ class TestAchievableRates:
         # log2(2)/N = 1/N to the user's rate
         params, tone, bf = aligned_setup(seed=6)
         signal, own, cross = interference_terms(tone, bf, 16.0)
-        report = achievable_rates(tone, bf, 16.0)
+        stats = achievable_rates(tone, bf, 16.0)
         manual = sum(
             np.log2(1.0 + signal[0] / (own[0] + cross[0] + tone.noise_power))
         ) / params.N
-        assert report.rates[0] == pytest.approx(manual, rel=1e-12)
-        assert report.rate_sum == pytest.approx(float(np.sum(report.rates)), rel=1e-12)
+        assert stats[0, 0] == pytest.approx(manual, rel=1e-12)
 
     def test_monotone_in_power(self):
         _, tone, bf = aligned_setup(seed=7)
-        rates = [achievable_rates(tone, bf, P).rate_sum for P in (4.0, 16.0, 64.0, 256.0)]
+        rates = [achievable_rates(tone, bf, P)[:, 0].sum() for P in (4.0, 16.0, 64.0, 256.0)]
         assert all(b > a for a, b in zip(rates, rates[1:]))
 
     def test_noise_increase_decreases_rates(self):
         _, tone, bf = aligned_setup(seed=8)
         low = achievable_rates(tone, bf, 64.0, noise_power=1.0)
         high = achievable_rates(tone, bf, 64.0, noise_power=2.0)
-        assert np.all(high.rates < low.rates)
+        assert np.all(high[:, 0] < low[:, 0])
 
     def test_rejects_bad_noise(self):
         _, tone, bf = aligned_setup(seed=9)
@@ -126,74 +124,61 @@ class TestAchievableRates:
             achievable_rates(tone, bf, 4.0, noise_power=0.0)
 
     def test_user_stats_summarize_streams(self):
-        _, tone, bf = aligned_setup(seed=10)
-        report = achievable_rates(tone, bf, 32.0)
-        stats = report.user_stats()
+        params, tone, bf = aligned_setup(seed=10)
+        stats = achievable_rates(tone, bf, 32.0)
+        signal, own, cross = interference_terms(tone, bf, 32.0)
         assert stats.shape == (3, 5)
         for i in range(3):
-            own, cross = report.interference_own[i], report.interference_cross[i]
+            rate = np.sum(np.log2(1.0 + signal[i] / (own[i] + cross[i] + tone.noise_power))) / params.N
             assert list(stats[i]) == [
-                report.rates[i], own.max(), cross.max(), report.signal[i].min(), max(own + cross),
+                rate, own[i].max(), cross[i].max(), signal[i].min(), max(own[i] + cross[i]),
             ]
-        batched = achievable_rates(tone, bf, np.array([32.0, 64.0])).user_stats()
+        batched = achievable_rates(tone, bf, np.array([32.0, 64.0]))
         assert batched.shape == (2, 3, 5)
         np.testing.assert_array_equal(batched[0], stats)
 
     def test_csv_rows_contract(self):
         _, tone, bf = aligned_setup(seed=10)
-        report = achievable_rates(tone, bf, 32.0)
+        stats = achievable_rates(tone, bf, 32.0)
+        _, _, cross = interference_terms(tone, bf, 32.0)
         config = parse_config(["ia-run", "--engine", "cj3", "--n", "2", "--seed", "10"])
-        rows = _rate_rows(config, 32.0, 1.0, report.user_stats())
+        rows = _rate_rows(config, 32.0, 1.0, stats)
         assert len(rows) == 3
         assert tuple(rows[0]) == CSV_COLUMNS
         assert rows[1]["user"] == 1
         assert rows[0]["P_log2"] == 5.0
-        assert rows[2]["rate"] == report.rates[2]
-        assert rows[2]["I2"] == report.interference_cross[2].max()
+        assert rows[2]["rate"] == stats[2, 0]
+        assert rows[2]["I2"] == cross[2].max()
 
 
 class TestDofFit:
     def test_exact_line(self):
         pts = [(2.0**t, 1.2 * t + 3.0) for t in range(4, 15)]
-        est = dof_fit(pts)
-        assert est.slope == pytest.approx(1.2, abs=1e-12)
-        assert est.intercept == pytest.approx(3.0, abs=1e-9)
-        assert est.fit_quality == pytest.approx(1.0)
+        assert dof_fit(pts) == pytest.approx(1.2, abs=1e-12)
 
     def test_constant_values(self):
-        est = dof_fit([(2.0**t, 5.5) for t in range(4, 10)])
-        assert est.slope == pytest.approx(0.0, abs=1e-12)
-        assert est.fit_quality == pytest.approx(1.0)
+        assert dof_fit([(2.0**t, 5.5) for t in range(4, 10)]) == pytest.approx(0.0, abs=1e-12)
 
     def test_needs_three_distinct_powers(self):
         with pytest.raises(ValueError):
             dof_fit([(4.0, 1.0), (4.0, 2.0), (8.0, 3.0)])
 
-    def test_fit_quality_below_one_for_scatter(self):
-        rng = np.random.default_rng(0)
-        pts = [(2.0**t, t + float(rng.standard_normal())) for t in range(4, 15)]
-        est = dof_fit(pts)
-        assert 0.0 < est.fit_quality < 1.0
-
 
 class TestInterferenceBoundedness:
     def test_floor_clamps_numerical_residue(self):
-        # interference at the alignment noise floor must read as bounded
-        sweep = [(2.0**t, 1e-26 * 2.0**t) for t in range(4, 15)]
-        report = interference_boundedness(sweep)
-        assert report.passed and abs(report.slope) <= 1e-9
+        # interference at the alignment noise floor must read as bounded;
+        # the floor sits at 1e-10, so growth that stays below it is flat too
+        for scale in (1e-26, 1e-15):
+            sweep = [(2.0**t, scale * 2.0**t) for t in range(4, 15)]
+            assert abs(interference_slope(sweep)) <= 1e-9
 
     def test_growing_interference_fails(self):
         sweep = [(2.0**t, 1e-3 * 2.0**t) for t in range(4, 15)]
-        report = interference_boundedness(sweep)
-        assert not report.passed
-        assert report.slope == pytest.approx(1.0, abs=1e-9)
+        assert interference_slope(sweep) == pytest.approx(1.0, abs=1e-9)
 
     def test_fractional_growth_slope(self):
         sweep = [(2.0**t, 2.0 ** (0.5 * t)) for t in range(4, 15)]
-        report = interference_boundedness(sweep, slope_max=0.1)
-        assert report.slope == pytest.approx(0.5, abs=1e-9)
-        assert not report.passed
+        assert interference_slope(sweep) == pytest.approx(0.5, abs=1e-9)
 
     def test_oracle_feedback_interference_is_bounded(self):
         params = cj3_parameters(1)
@@ -210,8 +195,6 @@ class TestInterferenceBoundedness:
                     [trial_generator(3, trial * 100 + j * 10 + i) for i in range(3)],
                 )
                 bf = build_beamformers(reconstruct(fed, params.N, R=1), params, "cj3")
-                rep = achievable_rates(tone, bf, P)
-                acc = max(acc, rep.user_stats()[:, 4].max())
+                acc = max(acc, achievable_rates(tone, bf, P)[:, 4].max())
             worst.append((P, acc))
-        report = interference_boundedness(worst, floor=1e-10)
-        assert report.passed
+        assert interference_slope(worst) <= 0.1
