@@ -27,6 +27,16 @@ are projected off B once more; without that, ill-conditioned cj3 sizings
 separation is therefore exact to machine precision, and residual
 cross-user leakage equals whatever alignment error the engine left.
 
+Stacks of one or two columns factor in closed form (`_thin_svd`): a
+column's norm, or one Jacobi rotation. cj3 at n = 1 has only such stacks
+besides the 3x3 interference images of receivers 1 and 2, and at these
+sizes LAPACK's per-matrix overhead, not its arithmetic, sets the cost. On
+198-element stacks of 3-row matrices (one BLAS thread, 2-core shared VM)
+3x1 took 27-40 us against LAPACK's 410-680 us, and 3x2 290-330 us against
+780-1,350 us. Three columns stay with LAPACK (1.1-1.6 ms): one-sided
+Jacobi needs four sweeps of three rotations to orthogonalize them to
+rounding, at 220-270 us a sweep, which gains nothing.
+
 `build_beamformers` also takes a batch of reconstructions (a leading
 batch axis, as dof-sweep stacks a block of trials x alphas x powers). cj3
 and the zero-forcing step run on the whole batch in stacked calls;
@@ -340,6 +350,61 @@ def _hermitian(mat):
     return np.conj(np.swapaxes(mat, -1, -2))
 
 
+def _thin_svd(A):
+    """``np.linalg.svd(A, full_matrices=False)`` of a stack (..., r, m): closed forms for m <= 2, else LAPACK.
+
+    One column is its norm times its unit column. Two columns [a, b]
+    (r >= 2) take one complex one-sided Jacobi rotation (Hestenes 1958):
+    with g = a^H b, zeta = (|b|^2 - |a|^2) / (2|g|), t = sign(zeta) /
+    (|zeta| + sqrt(1 + zeta^2)) and c = 1 / sqrt(1 + t^2), the unitary
+    Z = diag(1, conj(g)/|g|) [[c, c t], [-c t, c]] diagonalizes the Gram
+    matrix (Golub and Van Loan's symmetric Schur step, with the phase of g
+    factored out). The columns of A Z are therefore orthogonal. Their
+    norms are the singular values, sorted in descending order together
+    with the columns of Z, and their unit columns are U. A zero column
+    gets an identity column instead, which for a zero matrix is LAPACK's
+    identity.
+    """
+    r, m = A.shape[-2:]
+    if m > 2 or m > r:
+        return np.linalg.svd(A, full_matrices=False)
+    if m == 1:
+        s = np.linalg.norm(A, axis=-2)
+        u = np.divide(A, s[..., None], out=np.zeros_like(A), where=s[..., None] > 0.0)
+        u[..., 0, 0] += s[..., 0] == 0.0
+        return u, s, np.ones_like(A[..., :1, :])
+    a, b = A[..., 0], A[..., 1]
+    g = (a.conj() * b).sum(-1)
+    sq = (A.real**2 + A.imag**2).sum(-2)
+    gap, two_g = sq[..., 1] - sq[..., 0], 2.0 * np.abs(g)
+    # t = sign(zeta) / (|zeta| + sqrt(1 + zeta^2)) with 2|g| multiplied
+    # through, so that g = 0 (no rotation) divides by nothing
+    den = np.abs(gap) + np.hypot(gap, two_g)
+    t = np.copysign(two_g, gap) / np.where(den > 0.0, den, 1.0)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    phase = np.divide(np.conj(g), 0.5 * two_g, out=np.ones_like(g), where=two_g > 0.0)
+    Z = np.stack([np.stack([c, c * t], axis=-1), np.stack([-c * t * phase, c * phase], axis=-1)], axis=-2)
+    cols = a[..., None] * Z[..., None, 0, :] + b[..., None] * Z[..., None, 1, :]  # A Z
+    s = np.linalg.norm(cols, axis=-2)
+    swap = s[..., :1] < s[..., 1:]
+    s = np.where(swap, s[..., ::-1], s)
+    Z = np.where(swap[..., None, :], Z[..., ::-1], Z)
+    cols = np.where(swap[..., None, :], cols[..., ::-1], cols)
+    # one rotation leaves the columns orthogonal only to rounding, so the
+    # second unit column is taken off the first once more
+    u0 = np.divide(cols[..., 0], s[..., :1], out=np.zeros_like(a), where=s[..., :1] > 0.0)
+    u0[..., 0] += s[..., 0] == 0.0
+    u1 = cols[..., 1] - u0 * (u0.conj() * cols[..., 1]).sum(-1, keepdims=True)
+    norm = np.linalg.norm(u1, axis=-1, keepdims=True)
+    if not norm.all():
+        # a zero second column: e_k at the smallest |u0| entry, taken off u0
+        k = np.argmin(np.abs(u0), axis=-1)[..., None]
+        spare = np.eye(r, dtype=A.dtype)[k[..., 0]] - u0 * np.take_along_axis(u0, k, -1).conj()
+        u1 = np.where(norm > 0.0, u1, spare)
+        norm = np.linalg.norm(u1, axis=-1, keepdims=True)
+    return np.stack([u0, u1 / norm], axis=-1), s, _hermitian(Z)
+
+
 def _zero_force_receivers(images, params: IaParameters):
     """Unit receive filters against the interference basis (see module docstring).
 
@@ -357,14 +422,14 @@ def _zero_force_receivers(images, params: IaParameters):
     swallowed = np.full((M, K), -1)
     for i in range(K):
         J = np.concatenate([images[i][k] for k in range(K) if k != i], axis=-1)
-        left, sing, _ = np.linalg.svd(J, full_matrices=False)
+        left, sing, _ = _thin_svd(J)
         rank = np.count_nonzero(sing > RANK_RTOL * sing[:, :1], axis=-1)
         keep = np.minimum(min(RN - d[i], J.shape[-1]), np.where(sing[:, 0] > 0.0, rank, RN))
         width = int(keep.max())
         basis = left[..., :width] * (np.arange(width) < keep[:, None])[:, None, :]
         basis_h = _hermitian(basis)
         desired = images[i][i]
-        w, s, zh = np.linalg.svd(desired - basis @ (basis_h @ desired), full_matrices=False)
+        w, s, zh = _thin_svd(desired - basis @ (basis_h @ desired))
         tiny = s[:, -1] < 1e-12  # no stream is closer than s[-1] to the others
         if tiny.any():
             # |S^-1 Z^H| without dividing by an exactly zero singular value:

@@ -353,8 +353,7 @@ def _map(fn, args, jobs: int) -> list:
     The pool starts all its workers at the first task, so one with more
     workers than tasks would start processes that never work. Tasks go
     out in about four batches per worker, the split `multiprocessing.Pool.map`
-    uses, so volume-check's many short Monte Carlo chunks do not each pay a
-    round trip to a worker.
+    uses, so many short tasks do not each pay a round trip to a worker.
     """
     workers = min(jobs, len(args))
     if workers <= 1:
@@ -367,23 +366,36 @@ def _map(fn, args, jobs: int) -> list:
 # volume-check
 
 
-def _volume_chunk_hits(args) -> int:
-    n, K, delta, seed, task, chunk, count = args
-    return ball_hit_count(n, K, delta, count, trial_generator(seed, task, chunk))
+def _volume_span_hits(args) -> int:
+    """Hits of one task's chunks first..stop-1, drawn one chunk at a time.
+
+    Chunk c holds MC_CHUNK samples (the task's last chunk the rest) from
+    its own stream, trial_generator(seed, task, c), so a span's hits do not
+    depend on how the chunks are split into spans.
+    """
+    n, K, delta, seed, task, trials, first, stop = args
+    return sum(
+        ball_hit_count(n, K, delta, min(MC_CHUNK, trials - c * MC_CHUNK), trial_generator(seed, task, c))
+        for c in range(first, stop)
+    )
 
 
 def cmd_volume_check(config: ExperimentConfig) -> int:
     tasks = [(n, K, delta) for n, K in config.pairs for delta in config.deltas]
-    # each task's trials in chunks of MC_CHUNK, the last one short
+    # each task's chunks in at most `jobs` spans of consecutive chunks: the
+    # work list does not grow with --trials, and each worker draws its
+    # chunks lazily
+    chunks = -(-config.trials // MC_CHUNK)
+    spans = min(chunks, max(1, config.jobs))
     jobs_args = [
-        (n, K, delta, config.seed, t_idx, c, min(MC_CHUNK, config.trials - c * MC_CHUNK))
+        (n, K, delta, config.seed, t_idx, config.trials, chunks * s // spans, chunks * (s + 1) // spans)
         for t_idx, (n, K, delta) in enumerate(tasks)
-        for c in range(-(-config.trials // MC_CHUNK))
+        for s in range(spans)
     ]
 
-    hits = {}
-    for args, h in zip(jobs_args, _map(_volume_chunk_hits, jobs_args, config.jobs)):
-        hits[args[4]] = hits.get(args[4], 0) + h
+    hits = [0] * len(tasks)
+    for args, h in zip(jobs_args, _map(_volume_span_hits, jobs_args, config.jobs)):
+        hits[args[4]] += h
 
     rows, all_ok = [], True
     for t_idx, (n, K, delta) in enumerate(tasks):
@@ -466,18 +478,32 @@ def _pipeline_params(config: ExperimentConfig):
 
     A fed-back direction is a line in C^(R*L), so R*L = 1 has none. A
     sizing whose dense link matrices exceed `MAX_DENSE_ENTRIES` is refused
-    for either engine, before anything is allocated.
+    for either engine, before anything is allocated. leakage-min's
+    N = (R+1)(n+1)^gamma, gamma = K R (K-R-1), has about gamma log2(n+1)
+    bits (10^8 at K=10,000 n=2), so the entry count's log2 is bounded in
+    floating point before `ia_parameters` forms any power. That bound
+    refuses only sizings more than twice over the cap, so rounding in the
+    logarithms cannot refuse one that the exact count admits.
     """
-    if config.R * config.L < 2:
-        raise UsageError(f"need R*L >= 2 to feed back a direction, got --R {config.R} --L {config.L}")
+    K, R, n = config.K, config.R, config.n
+    if R * config.L < 2:
+        raise UsageError(f"need R*L >= 2 to feed back a direction, got --R {R} --L {config.L}")
+    if config.engine == "leakage-min" and K > R >= 1 and n >= 1:
+        log2_tones = math.log2(R + 1) + K * R * (K - R - 1) * math.log2(n + 1)
+        log2_entries = 2.0 * math.log2(K) + math.log2(R) + 2.0 * log2_tones
+        if log2_entries > math.log2(MAX_DENSE_ENTRIES) + 1.0:
+            raise UsageError(
+                f"the sizing K={K} R={R} n={n} has N=2^{log2_tones:.1f} tones, whose dense link matrices "
+                f"hold 2^{log2_entries:.1f} complex entries, more than the {MAX_DENSE_ENTRIES:,} allowed"
+            )
     try:
-        params = _make_params(config.K, config.R, config.L, config.n, config.engine)
+        params = _make_params(K, R, config.L, n, config.engine)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     entries = params.K**2 * params.R * params.N**2
     if entries > MAX_DENSE_ENTRIES:
         raise UsageError(
-            f"the sizing K={params.K} R={params.R} n={params.n} has N={params.N} tones, whose dense link "
+            f"the sizing K={K} R={R} n={n} has N={params.N} tones, whose dense link "
             f"matrices hold {entries:,} complex entries, more than the {MAX_DENSE_ENTRIES:,} allowed"
         )
     return params
@@ -725,6 +751,14 @@ def _power_grid(config):
     return [2.0 ** (lo + i * step) for i in range(_grid_size(config))]
 
 
+# (trial, alpha, power, user, stat) float64 entries that dof-sweep's stats
+# may hold: 2^26, or 512 MiB, twice that while the blocks' arrays are joined
+# (the 1 GiB of `MAX_DENSE_ENTRIES`). The feedback-sweep grid (3 alphas x
+# 11 powers x 3 users x 5 stats) reaches it at 135,573 trials, about 7
+# minutes of work at 20 trials per 60 ms; the default grid at 406,720.
+MAX_SWEEP_STATS = 1 << 26
+
+
 def run_dof_sweep(config: ExperimentConfig) -> SweepResult:
     """Run dof-sweep's trials in blocks on `config.jobs` workers; gates and CSV aside.
 
@@ -766,6 +800,12 @@ def cmd_dof_sweep(config: ExperimentConfig) -> int:
         raise UsageError(
             f"a slope fit needs at least 3 power points, the grid 2^{config.p_log2_min:g}.."
             f"2^{config.p_log2_max:g} in steps of {config.p_log2_step:g} has {points}"
+        )
+    entries = config.trials * len(config.alphas) * points * config.K * 5
+    if entries > MAX_SWEEP_STATS:
+        raise UsageError(
+            f"--trials {config.trials} over {len(config.alphas)} alphas x {points} powers x {config.K} users "
+            f"gives {entries:,} stats entries, more than the {MAX_SWEEP_STATS:,} allowed"
         )
 
     result = run_dof_sweep(config)

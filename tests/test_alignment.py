@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import dense_reference as dense
+from iafb import alignment
 from iafb.alignment import (
     RANK_RTOL,
     AlignmentError,
     IaParameters,
     _finish,
+    _thin_svd,
     _unbatched,
     build_beamformers,
     cj3_parameters,
@@ -250,6 +252,121 @@ class TestZeroForcing:
             V[0][:, 1] = 0.0
             with pytest.raises(AlignmentError, match="receiver 0, stream 1: .* swallowed"):
                 _unbatched(_finish(rec.wtones[None], [v[None] for v in V], params, "cj3", 1e-8, 1e-6))
+
+
+def batched_reconstruction(params, trials):
+    channels = [generate_channel(params.K, params.R, 2, seed=trial_generator(0, t)) for t in trials]
+    fed = np.stack([[receiver_feedback(ch, i) for i in range(params.K)] for ch in channels])
+    return reconstruct(fed, params.N, R=params.R)
+
+
+def verdicts(bf):
+    """Per element: "ok", "swallowed" or "gate" (any other failure)."""
+    return ["ok" if f is None else "swallowed" if "swallowed" in str(f) else "gate" for f in bf.failures]
+
+
+class TestZeroForcingVerdicts:
+    """The closed-form factorizations leave every build's verdict as LAPACK's gives it."""
+
+    @staticmethod
+    def lapack_build(monkeypatch, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(alignment, "_thin_svd", lambda A: np.linalg.svd(A, full_matrices=False))
+            return build_beamformers(*args, **kwargs)
+
+    @staticmethod
+    def assert_same_build(bf, ref):
+        assert verdicts(bf) == verdicts(ref)
+        ok = np.array(verdicts(bf)) == "ok"
+        for u, u_ref in zip(bf.u, ref.u):
+            overlap = np.abs(np.sum(u.conj() * u_ref, axis=-2))[ok]
+            assert overlap.min(initial=1.0) >= 1 - 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_cj3(self, monkeypatch, n):
+        params = cj3_parameters(n)
+        rec = batched_reconstruction(params, range(20))
+        bf = build_beamformers(rec, params, "cj3")
+        self.assert_same_build(bf, self.lapack_build(monkeypatch, rec, params, "cj3"))
+        if n == 1:
+            assert verdicts(bf) == ["ok"] * 20
+
+    @pytest.mark.parametrize("sizing,trials", [((3, 1, 1), 20), ((3, 1, 2), 2)])
+    def test_leakage_min(self, monkeypatch, sizing, trials):
+        params = ia_parameters(*sizing)
+        rec = batched_reconstruction(params, range(trials))
+
+        def rngs():
+            return [np.random.default_rng(t + 20) for t in range(trials)]
+
+        bf = build_beamformers(rec, params, "leakage-min", rng=rngs())
+        self.assert_same_build(bf, self.lapack_build(monkeypatch, rec, params, "leakage-min", rng=rngs()))
+
+
+class TestThinSvd:
+    """`_thin_svd` against LAPACK on one- and two-column stacks."""
+
+    @staticmethod
+    def draw(shape, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @staticmethod
+    def assert_matches_lapack(A):
+        u, s, vh = _thin_svd(A)
+        U, S, Vh = np.linalg.svd(A, full_matrices=False)
+        assert (u.shape, s.shape, vh.shape) == (U.shape, S.shape, Vh.shape)
+        assert np.abs(s - S).max() <= 1e-14
+        assert np.abs((u * s[..., None, :]) @ vh - A).max() <= 1e-14
+        # u and Z^H are orthonormal even where a singular value is zero
+        for q in (u, np.swapaxes(vh, -1, -2)):
+            assert np.abs(np.conj(np.swapaxes(q, -1, -2)) @ q - np.eye(q.shape[-1])).max() <= 1e-14
+        # the left singular subspace of each nonzero singular value
+        nonzero = S > 1e-12 * np.maximum(S[..., :1], 1e-300)
+        for j in range(S.shape[-1]):
+            proj = u[..., :, j, None] * u[..., None, :, j].conj()
+            ref = U[..., :, j, None] * U[..., None, :, j].conj()
+            assert np.abs(proj - ref)[nonzero[..., j]].max(initial=0.0) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(3, 1), (3, 2), (2, 2), (198, 3, 1), (198, 3, 2), (4, 5, 7, 2)])
+    def test_random(self, shape):
+        self.assert_matches_lapack(self.draw(shape))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (50, 3, 2), (50, 2, 2)])
+    def test_rank_deficient(self, shape):
+        a = self.draw(shape[:-1] + (1,))
+        self.assert_matches_lapack(np.concatenate([a, (0.3 - 2j) * a], axis=-1))
+
+    @pytest.mark.parametrize("zero", [0, 1])
+    @pytest.mark.parametrize("shape", [(3, 2), (50, 3, 2)])
+    def test_one_zero_column(self, shape, zero):
+        A = self.draw(shape)
+        A[..., zero] = 0.0
+        self.assert_matches_lapack(A)
+        # a unit basis vector as the column, including the one |u0| entry is smallest at
+        A = np.zeros((3, 2), dtype=complex)
+        A[1, zero] = 2.0
+        self.assert_matches_lapack(A)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (3, 2), (5, 3, 1), (5, 3, 2)])
+    def test_all_zero_keeps_lapack_basis(self, shape):
+        A = np.zeros(shape, dtype=complex)
+        for got, want in zip(_thin_svd(A), np.linalg.svd(A, full_matrices=False)):
+            assert np.array_equal(got, want)
+
+    def test_batch_mixes_cases(self):
+        # one stack with random, rank-deficient, one-zero-column and zero elements
+        A = self.draw((4, 3, 2))
+        A[1, :, 1] = 1j * A[1, :, 0]
+        A[2, :, 0] = 0.0
+        A[3] = 0.0
+        self.assert_matches_lapack(A)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (20, 3, 3), (20, 54, 8), (20, 1, 2)])
+    def test_other_shapes_are_lapack(self, shape):
+        A = self.draw(shape)
+        for got, want in zip(_thin_svd(A), np.linalg.svd(A, full_matrices=False)):
+            assert np.array_equal(got, want)
 
 
 class TestMimoReduce:

@@ -67,6 +67,29 @@ class TestVolumeCheck:
         assert f"--trials {trials}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_work_list_does_not_grow_with_trials(self, tmp_path, monkeypatch, jobs):
+        # 1,000 chunks per task: the work list holds min(chunks, jobs) spans
+        # per task, not one entry per chunk
+        lengths = []
+        monkeypatch.setattr(iafb.cli, "_map", lambda fn, args, jobs: lengths.append(len(args)) or [0] * len(args))
+        trials = 1000 * iafb.cli.MC_CHUNK
+        main([
+            "volume-check", "--pairs", "2:1,2:2", "--deltas", "0.5", "--trials", str(trials),
+            "--jobs", str(jobs), "--out", str(tmp_path / "x.csv"),
+        ])
+        assert lengths == [2 * jobs]
+
+    def test_spans_add_up_to_their_chunks(self):
+        # three chunks, the last one short, each from its own stream
+        chunk, trials = iafb.cli.MC_CHUNK, 2 * iafb.cli.MC_CHUNK + 123
+        per_chunk = [
+            iafb.cli.ball_hit_count(2, 2, 0.5, min(chunk, trials - c * chunk), trial_generator(9, 4, c))
+            for c in range(3)
+        ]
+        spans = [iafb.cli._volume_span_hits((2, 2, 0.5, 9, 4, trials, a, b)) for a, b in [(0, 3), (0, 1), (1, 3)]]
+        assert spans == [sum(per_chunk), per_chunk[0], sum(per_chunk[1:])]
+
     def test_jobs_do_not_change_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["volume-check", "--pairs", "2:2", "--deltas", "0.5", "--trials", "200000", "--seed", "9"]
@@ -276,6 +299,22 @@ INVALID_SWEEPS = [
 
 
 class TestDofSweep:
+    def test_trials_cap(self, tmp_path, capsys, monkeypatch):
+        # the default grid: 1 alpha x 11 powers x 3 users x 5 stats per trial
+        most = iafb.cli.MAX_SWEEP_STATS // 165
+
+        def reached(config):
+            raise RuntimeError(f"sweep of {config.trials} trials started")
+
+        monkeypatch.setattr(iafb.cli, "run_dof_sweep", reached)
+        out = tmp_path / "dof.csv"
+        with pytest.raises(RuntimeError, match=f"sweep of {most} trials started"):
+            main(["dof-sweep", "--trials", str(most), "--out", str(out)])
+        for trials in (most + 1, 10**9):
+            assert main(["dof-sweep", "--trials", str(trials), "--out", str(out)]) == 2
+            assert f"--trials {trials} over 1 alphas x 11 powers x 3 users" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_perfect_feedback_slopes(self, tmp_path):
         out = tmp_path / "dof.csv"
         code = main([
@@ -741,6 +780,33 @@ class TestInputChecks:
         # --codebook-out is a prefix: "<dir>" writes "<dir>6.txt" beside it
         config = parse_config(["quantizer-scaling", "--codebook-out", str(tmp_path)])
         assert config.codebook_out == str(tmp_path)
+
+    @pytest.mark.parametrize("command", ["ia-run", "dof-sweep"])
+    def test_huge_sizing_refused_before_any_power(self, tmp_path, capsys, monkeypatch, command):
+        # K=10,000 n=2: N = 2 * 3^gamma with gamma = 99,980,000, an integer
+        # of 1.6e8 bits; building the sizing at all fails this test
+        def no_sizing(*args):
+            raise AssertionError("the sizing was built before its size was bounded")
+
+        monkeypatch.setattr(iafb.cli, "_make_params", no_sizing)
+        argv = [command, "--engine", "leakage-min", "--K", "10000", "--n", "2", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "dense link matrices" in err and "N=2^158464551.8 tones" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_log_bound_refuses_only_what_the_exact_count_refuses(self):
+        for K in range(3, 8):
+            for R in range(1, K):
+                for n in range(1, 5):
+                    gamma = K * R * (K - R - 1)
+                    entries = K**2 * R * ((R + 1) * (n + 1) ** gamma) ** 2
+                    config = parse_config(["ia-run", "--K", str(K), "--R", str(R), "--n", str(n)])
+                    if entries <= iafb.cli.MAX_DENSE_ENTRIES:
+                        assert iafb.cli._pipeline_params(config).N ** 2 * K**2 * R == entries
+                    else:
+                        with pytest.raises(iafb.cli.UsageError, match="dense link matrices"):
+                            iafb.cli._pipeline_params(config)
 
     def test_largest_sizing_in_use_passes_the_cap(self):
         # K=4 R=2 n=1: N = 768, 18.9 million dense entries (302 MB)
