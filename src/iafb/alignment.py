@@ -37,11 +37,11 @@ sizes LAPACK's per-matrix overhead, not its arithmetic, sets the cost. On
 Jacobi needs four sweeps of three rotations to orthogonalize them to
 rounding, at 220-270 us a sweep, which gains nothing.
 
-`build_beamformers` also takes a batch of reconstructions (a leading
-batch axis, as dof-sweep stacks a block of trials x alphas x powers). cj3
-and the zero-forcing step run on the whole batch in stacked calls;
-leakage-min iterates one element at a time. A batched build records each
-element's failure instead of raising it.
+`build_beamformers` takes a batch of reconstructions (a leading batch
+axis: dof-sweep stacks a block of trials x alphas x powers, and ia-run
+builds a batch of one). cj3 and the zero-forcing step run on the whole
+batch in stacked calls; leakage-min iterates one element at a time. A
+build records each element's failure instead of raising it.
 """
 
 from __future__ import annotations
@@ -155,22 +155,17 @@ def cj3_parameters(n: int) -> IaParameters:
 
 @dataclass(frozen=True)
 class BeamformerSet:
-    """Transmit directions and receive filters found by an engine.
+    """Transmit directions and receive filters found by an engine, for a batch of reconstructions.
 
-    ``v[k]`` is N x d_k with unit-norm columns; ``u[i]`` is R*N x d_i with
-    unit-norm columns. ``alignment_residual`` is the largest violated
-    inner product against the reconstruction the set was built on, and
-    ``signal_min`` the smallest surviving desired-signal inner product.
-    ``iterations`` counts leakage-min's iterations in its last attempt (0
-    for cj3).
-
-    A set built on a batch of reconstructions carries the batch axis first
-    on every ``v``/``u`` array, ``alignment_residual`` and ``signal_min``
-    are arrays over it, and ``iterations`` sums over it. ``failures`` holds,
-    per element, the AlignmentError that element's own build would raise,
-    or None. A failed element's ``v`` and ``u`` are zero, so rates evaluate
-    it as silent rather than as NaN. An unbatched build raises its failure
-    and leaves ``failures`` empty.
+    ``v[k]`` is (B, N, d_k) with unit-norm columns; ``u[i]`` is
+    (B, R*N, d_i) with unit-norm columns. ``alignment_residual`` holds,
+    per element, the largest violated inner product against the
+    reconstruction the element was built on, and ``signal_min`` the
+    smallest surviving desired-signal inner product. ``iterations`` sums
+    leakage-min's iterations in each element's last attempt (0 for cj3).
+    ``failures`` holds, per element, the AlignmentError of its build, or
+    None. A failed element's ``v`` and ``u`` are zero, so rates evaluate
+    it as silent rather than as NaN.
     """
 
     v: tuple
@@ -465,8 +460,8 @@ def _finish(wtones, V, params: IaParameters, engine: str, tol: float, c_min: flo
     """Zero-force a batch of directions V against `wtones` and gate it against `tol` and `c_min`.
 
     ``wtones`` is (M, K, K, N, R) and ``V[k]`` (M, N, d_k). Records, per
-    element, the AlignmentError its own build would raise: the element's
-    entry in `failures` if given and not None, else a swallowed stream, by
+    element, the AlignmentError of its build: the element's entry in
+    `failures` if given and not None, else a swallowed stream, by
     receiver, else the gate. Failed elements get zero ``v`` and ``u``.
     """
     images = tone_images(wtones, V)
@@ -497,17 +492,6 @@ def _finish(wtones, V, params: IaParameters, engine: str, tol: float, c_min: flo
     return BeamformerSet(
         v=tuple(V), u=tuple(U), params=params, alignment_residual=residual,
         signal_min=signal_min, iterations=iterations, failures=tuple(failures),
-    )
-
-
-def _unbatched(bf: BeamformerSet) -> BeamformerSet:
-    """The single element of a batch-of-one set, without the batch axis; raises its failure."""
-    if bf.failures[0] is not None:
-        raise bf.failures[0]
-    return replace(
-        bf, v=tuple(v[0] for v in bf.v), u=tuple(u[0] for u in bf.u),
-        alignment_residual=float(bf.alignment_residual[0]), signal_min=float(bf.signal_min[0]),
-        failures=(),
     )
 
 
@@ -546,33 +530,34 @@ def build_beamformers(
     rng=None,
     shared: bool = False,
 ) -> BeamformerSet:
-    """Find (u, v) satisfying the alignment conditions against `rec`.
+    """Find (u, v) satisfying the alignment conditions against each reconstruction of the batch `rec`.
 
-    The returned set has every cross-user and cross-stream inner product
-    below `tol` and every desired-signal inner product above `c_min`, all
-    measured against the reconstructed channel (not the true one). The
-    leakage-min engine restarts from fresh random directions up to
-    twice before giving up; failures raise AlignmentError with
-    the leakage trajectory attached.
+    An element builds when every cross-user and cross-stream inner product
+    is below `tol` and every desired-signal inner product above `c_min`,
+    all measured against its reconstructed channel (not the true one).
+    cj3 builds the whole batch at once. leakage-min iterates one element
+    at a time, drawing from ``rng[b]`` when `rng` is a list with one
+    generator per element and from the one shared generator otherwise, and
+    restarts from fresh random directions up to twice before giving up.
 
-    A batched `rec` gives a batched set. cj3 builds the whole batch at once;
-    leakage-min iterates one element at a time, drawing from ``rng[b]`` when
-    `rng` is a list with one generator per element and from the one shared
-    generator otherwise. A batched build does not raise for a failing
-    element: it records, per element, the AlignmentError that element's own
-    build would raise (singular per-tone gains, a swallowed stream or the
-    gate) in ``failures`` and zeroes its beamformers (see `BeamformerSet`).
-    Usage errors (a wrong engine, sizing or generator count) still raise.
+    A failing element does not raise: the set records, per element, its
+    AlignmentError (singular per-tone gains, a swallowed stream, the gate,
+    or leakage-min's last attempt with the leakage trajectory attached) in
+    ``failures`` and zeroes its beamformers (see `BeamformerSet`). Usage
+    errors (a wrong engine, sizing or generator count, or an unbatched
+    `rec`) raise ValueError, and an allocation that cannot fit any
+    receiver raises AlignmentError.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+    if rec.wtones.ndim != 5:
+        raise ValueError(f"need a batch of reconstructions, tones shaped (B, K, K, N, R), got {rec.wtones.shape}")
     if rec.K != params.K or rec.R != params.R or rec.N != params.N:
         raise ValueError(
             f"reconstruction shape (K={rec.K}, R={rec.R}, N={rec.N}) does not match "
             f"parameters (K={params.K}, R={params.R}, N={params.N})"
         )
     _check_feasibility(params)
-    wtones = rec.wtones if rec.batched else rec.wtones[None]
 
     if engine == "cj3":
         if params.scheme != "cj3" or params.K != 3 or params.R != 1:
@@ -580,7 +565,7 @@ def build_beamformers(
         if shared:
             raise ValueError("the cj3 construction has no shared-direction variant")
         # W_ik is diagonal at R=1: its diagonal is the conjugated tone row
-        h = np.conj(wtones[..., 0])
+        h = np.conj(rec.wtones[..., 0])
         singular = _cj3_singular(h)
         failures = None
         if singular.any():
@@ -591,22 +576,19 @@ def build_beamformers(
                 AlignmentError("cj3 needs invertible per-tone channels; a tone gain is (near) zero") if s else None
                 for s in singular
             ]
-        bf = _finish(wtones, _cj3_directions(h, params), params, engine, tol, c_min, failures)
-        return bf if rec.batched else _unbatched(bf)
+        return _finish(rec.wtones, _cj3_directions(h, params), params, engine, tol, c_min, failures)
 
-    elements = [replace(rec, qhat=q, wtones=w) for q, w in zip(rec.qhat, rec.wtones)] if rec.batched else [rec]
-    rngs = list(rng) if isinstance(rng, (list, tuple)) else [as_generator(rng)] * len(elements)
-    if len(rngs) != len(elements):
+    rngs = list(rng) if isinstance(rng, (list, tuple)) else [as_generator(rng)] * len(rec.wtones)
+    if len(rngs) != len(rec.wtones):
         raise ValueError("need one generator per batch element")
-    sets = [
-        _leakage_min(el, params, tol, c_min, max_iters, g, shared)
-        for el, g in zip(elements, rngs)
-    ]
-    return _concatenated(sets) if rec.batched else _unbatched(sets[0])
+    return _concatenated([
+        _leakage_min(replace(rec, qhat=q, wtones=w), params, tol, c_min, max_iters, g, shared)
+        for q, w, g in zip(rec.qhat, rec.wtones, rngs)
+    ])
 
 
 def _leakage_min(rec, params, tol, c_min, max_iters, rng, shared) -> BeamformerSet:
-    """leakage-min on one unbatched reconstruction; a batch-of-one set, its failure recorded."""
+    """leakage-min on one element of a batch; a batch-of-one set, its failure recorded."""
     Wm = _wtilde_matrices(rec)
     target = (0.5 * tol) ** 2
     history_all = []

@@ -1,8 +1,10 @@
 """Frequency-selective K-user channel model and the feedback pipeline.
 
-Feedback stays an array from quantization to reconstruction:
-`receiver_feedback` gives receiver i's (K, R*L) directions, and
-`reconstruct` takes the (K, K, R*L) stack of all receivers' (or a batch).
+The true channel's tones and the feedback stay plain arrays:
+`to_tone_domain` gives the (..., K, K, N, R) tones that rates are
+measured on, `receiver_feedback` gives receiver i's (K, R*L) directions,
+and `reconstruct` takes the (K, K, R*L) stack of all receivers' (or a
+batch).
 
 Conventions used throughout (pinned by tests, since several downstream
 norm identities depend on them):
@@ -32,7 +34,6 @@ from .rng import as_generator, complex_normal
 
 __all__ = [
     "ChannelRealization",
-    "ToneChannel",
     "ReconstructedChannel",
     "generate_channel",
     "to_tone_domain",
@@ -71,36 +72,14 @@ class ChannelRealization:
 
 
 @dataclass(frozen=True)
-class ToneChannel:
-    """Per-tone form of a channel realization.
-
-    ``tones[i, k]`` is the N x R matrix whose rows are the tone-domain
-    channel vectors (unnormalized DFT of the zero-padded tap columns).
-    A batch of tone channels carries a leading batch axis on ``tones``
-    (rates broadcast it against a batched beamformer set).
-    """
-
-    K: int
-    R: int
-    N: int
-    tones: np.ndarray = field(repr=False)
-    noise_power: float = 1.0
-
-    def __post_init__(self):
-        if self.tones.ndim not in (4, 5) or self.tones.shape[-4:] != (self.K, self.K, self.N, self.R):
-            raise ValueError("tone array shape must be (K, K, N, R) or (B, K, K, N, R)")
-        self.tones.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class ReconstructedChannel:
     """Channel surrogate every node rebuilds from the fed-back directions.
 
     ``qhat[i, k]`` is the quantized direction reshaped back to an L x R tap
     layout; ``wtones[i, k]`` is its zero-padded, unitary-scaled DFT (N x R),
     so each stacked direction matrix has unit Frobenius norm. A batch of
-    reconstructions carries a leading batch axis on both arrays
-    (``batched``); the per-link accessors serve unbatched ones.
+    reconstructions, which `build_beamformers` takes, carries a leading
+    batch axis on both arrays; `wtilde_matrix` serves one element of it.
     """
 
     K: int
@@ -113,10 +92,6 @@ class ReconstructedChannel:
     def __post_init__(self):
         self.qhat.setflags(write=False)
         self.wtones.setflags(write=False)
-
-    @property
-    def batched(self) -> bool:
-        return self.wtones.ndim == 5
 
     def wtilde_matrix(self, i: int, k: int) -> np.ndarray:
         """Dense R*N x N block-diagonal reconstructed channel matrix."""
@@ -165,15 +140,16 @@ def generate_channel(K: int, R: int, L: int, seed=None) -> ChannelRealization:
     return ChannelRealization(K=K, R=R, L=L, taps=taps)
 
 
-def to_tone_domain(ch: ChannelRealization, N: int) -> ToneChannel:
+def to_tone_domain(ch: ChannelRealization, N: int) -> np.ndarray:
     """Zero-pad each tap column to N and DFT it (unnormalized convention).
 
-    A batched realization gives a batched tone channel, in one FFT.
+    Returns the (K, K, N, R) tone array: ``tones[i, k]`` is the N x R
+    matrix whose rows are link (i, k)'s tone-domain channel vectors. A
+    batched realization gives (B, K, K, N, R), in one FFT.
     """
     if N < ch.L:
         raise ValueError(f"need at least as many tones as taps (N={N} < L={ch.L})")
-    tones = np.fft.fft(ch.taps, n=N, axis=-2)
-    return ToneChannel(K=ch.K, R=ch.R, N=N, tones=tones, noise_power=ch.noise_power)
+    return np.fft.fft(ch.taps, n=N, axis=-2)
 
 
 def vectorize_direction(ch: ChannelRealization, i: int, k: int) -> np.ndarray:
@@ -248,7 +224,8 @@ def load_channel(path) -> ChannelRealization:
 
     A malformed archive raises ValueError: a wrong first line, a header
     without K, R, L or noise_power, an entry outside the K x K links, a
-    tap row without R values, or a missing link.
+    tap row without R values, a missing link, or a link whose taps are all
+    zero (it has no direction to feed back).
     """
     with open(path, "r", encoding="ascii") as fh:
         if fh.readline().strip() != "# iafb-channel v1":
@@ -277,4 +254,7 @@ def load_channel(path) -> ChannelRealization:
             seen.add((i, k))
         if len(seen) != K * K:
             raise ValueError("channel file is missing link entries")
+        zero = np.argwhere(~taps.any(axis=(-2, -1)))
+        if len(zero):
+            raise ValueError(f"link ({zero[0][0]}, {zero[0][1]}) is identically zero, so it has no direction")
         return ChannelRealization(K=K, R=R, L=L, taps=taps, noise_power=float(header["noise_power"]))

@@ -15,8 +15,10 @@ resolved config and seed, byte for byte, regardless of ``--jobs``:
 per-trial RNG streams are derived from (seed, trial index), and
 Monte Carlo chunks from (seed, task, chunk).
 
-Exit codes: 0 on pass, 1 when a built-in assertion fails or a dof-sweep
-trial is dropped (data is still written), 2 on a usage error. Every check
+Exit codes: 0 on pass, 1 when a built-in assertion fails or an alignment
+build fails (a dropped dof-sweep trial, or ia-run's one build; the CSV is
+still written, with a ``# failed trial=<t> reason=...`` line per failed
+trial), 2 on a usage error. Every check
 of the input raises `UsageError`, and `main` alone prints it and returns
 2, before any channel draw, Monte Carlo chunk or codebook build and
 before any output is written. Each option's domain sits in `_OPTIONS`
@@ -33,7 +35,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cache, partial
 
 import numpy as np
@@ -41,7 +43,6 @@ import numpy as np
 from . import __version__
 from .alignment import (
     ENGINES,
-    AlignmentError,
     build_beamformers,
     cj3_parameters,
     ia_parameters,
@@ -127,10 +128,13 @@ class UsageError(Exception):
 # the value lies outside the domain, or "" if it does not.
 
 
-def _nonnegative(flag, value):
-    # a gate threshold, which a negative value would make unpassable, or a
-    # seed, the entropy of every derived stream (see `trial_generator`)
-    return "" if value >= 0 else f"{flag} must be >= 0, got {value!r}"
+def _at_least(low, flag, value):
+    return "" if value >= low else f"{flag} must be >= {low}, got {value!r}"
+
+
+# a gate threshold, which a negative value would make unpassable, or a
+# seed, the entropy of every derived stream (see `trial_generator`)
+_nonnegative = partial(_at_least, 0)
 
 
 def _positive(flag, value):
@@ -219,8 +223,9 @@ _OPTIONS = {
         "out": ("str", "volume_check.csv", "output CSV path", _out_file),
     },
     "quantizer-scaling": {
-        "n": ("int", 2, "ambient dimension", None),
-        "K": ("int", 1, "manifold components", None),
+        # G_{n,1}^K has K(n-1) complex dimensions: n >= 2 and K >= 1 leave at least one
+        "n": ("int", 2, "ambient dimension", partial(_at_least, 2)),
+        "K": ("int", 1, "manifold components", partial(_at_least, 1)),
         "bits": ("floatlist", (4, 6, 8, 10, 12), "bit budgets", _budgets),
         "trials": ("int", 10_000, "sources per budget", _trials),
         "seed": ("int", 0, "base seed", _nonnegative),
@@ -348,14 +353,17 @@ def _write_csv(path: str, config: ExperimentConfig, header, rows, trailer=()):
 
 
 def _map(fn, args, jobs: int) -> list:
-    """[fn(a) for a in args], on up to `jobs` worker processes, never more than tasks.
+    """[fn(a) for a in args], on up to `jobs` worker processes, never more than tasks or usable CPUs.
 
     The pool starts all its workers at the first task, so one with more
-    workers than tasks would start processes that never work. Tasks go
-    out in about four batches per worker, the split `multiprocessing.Pool.map`
-    uses, so many short tasks do not each pay a round trip to a worker.
+    workers than tasks would start processes that never work, and one with
+    more workers than the CPUs this process may run on only adds processes
+    that wait for a CPU. Tasks go out in about four batches per worker,
+    the split `multiprocessing.Pool.map` uses, so many short tasks do not
+    each pay a round trip to a worker.
     """
-    workers = min(jobs, len(args))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, len(args), cpus)
     if workers <= 1:
         return [fn(a) for a in args]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -420,9 +428,6 @@ def cmd_volume_check(config: ExperimentConfig) -> int:
 
 
 def cmd_quantizer_scaling(config: ExperimentConfig) -> int:
-    if config.K * (config.n - 1) < 1:
-        raise UsageError("need K*(n-1) >= 1 for a nontrivial manifold")
-
     bits_list = [int(b) for b in config.bits]
     rows = []
     rng = trial_generator(config.seed, 0)
@@ -474,16 +479,18 @@ MAX_DENSE_ENTRIES = 1 << 26
 
 
 def _pipeline_params(config: ExperimentConfig):
-    """ia-run's or dof-sweep's sizing, or a UsageError if R*L < 2, the engine cannot size it or it is too large.
+    """ia-run's or dof-sweep's sizing; a UsageError if R*L < 2, the engine cannot size it, or N < L or N is too large.
 
-    A fed-back direction is a line in C^(R*L), so R*L = 1 has none. A
-    sizing whose dense link matrices exceed `MAX_DENSE_ENTRIES` is refused
-    for either engine, before anything is allocated. leakage-min's
-    N = (R+1)(n+1)^gamma, gamma = K R (K-R-1), has about gamma log2(n+1)
-    bits (10^8 at K=10,000 n=2), so the entry count's log2 is bounded in
-    floating point before `ia_parameters` forms any power. That bound
-    refuses only sizings more than twice over the cap, so rounding in the
-    logarithms cannot refuse one that the exact count admits.
+    A fed-back direction is a line in C^(R*L), so R*L = 1 has none. The
+    tone transform zero-pads L taps to N tones, which needs N >= L (cj3 at
+    n = 1 has N = 3). A sizing whose dense link matrices exceed
+    `MAX_DENSE_ENTRIES` is refused for either engine, before anything is
+    allocated. leakage-min's N = (R+1)(n+1)^gamma, gamma = K R (K-R-1),
+    has about gamma log2(n+1) bits (10^8 at K=10,000 n=2), so the entry
+    count's log2 is bounded in floating point before `ia_parameters` forms
+    any power. That bound refuses only sizings more than twice over the
+    cap, so rounding in the logarithms cannot refuse one that the exact
+    count admits.
     """
     K, R, n = config.K, config.R, config.n
     if R * config.L < 2:
@@ -500,6 +507,8 @@ def _pipeline_params(config: ExperimentConfig):
         params = _make_params(K, R, config.L, n, config.engine)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if params.N < config.L:
+        raise UsageError(f"the sizing K={K} R={R} n={n} has N={params.N} tones, fewer than the --L {config.L} taps")
     entries = params.K**2 * params.R * params.N**2
     if entries > MAX_DENSE_ENTRIES:
         raise UsageError(
@@ -539,6 +548,33 @@ def _rate_rows(config: ExperimentConfig, P: float, alpha: float, stats: np.ndarr
         }
         for i, s in enumerate(stats)
     ]
+
+
+def _evaluate(config: ExperimentConfig, params, taps: np.ndarray, fed: np.ndarray, P, rngs, **build):
+    """Align a block's elements against their fed-back directions and rate each on its trial's true channel.
+
+    ``taps`` holds the block's T true channels, (T, K, K, L, R), and ``fed``
+    its elements' fed-back directions, (T*E, K, K, R*L), element e of trial
+    t in row t*E + e. One reconstruction FFT and one batched
+    `build_beamformers` call serve every element, with ``rngs`` as its
+    `rng` (leakage-min's generators) and `build` as further options. One
+    `achievable_rates` call rates each element on its trial's tones at `P`,
+    which broadcasts against the elements. Returns the stats, the
+    `BeamformerSet` and each trial's failure: the AlignmentError of its
+    first failing element, or None.
+    """
+    tones = to_tone_domain(ChannelRealization(K=config.K, R=config.R, L=config.L, taps=taps), params.N)
+    bf = build_beamformers(
+        reconstruct(fed, params.N, R=config.R), params, config.engine,
+        tol=config.align_tol, max_iters=config.max_iters, rng=rngs, **build,
+    )
+    per_trial = len(fed) // len(taps)
+    stats = achievable_rates(np.repeat(tones, per_trial, axis=0), bf, P, config.noise)
+    failures = [
+        next((f for f in bf.failures[t * per_trial : (t + 1) * per_trial] if f is not None), None)
+        for t in range(len(taps))
+    ]
+    return stats, bf, failures
 
 
 # --------------------------------------------------------------------------
@@ -586,24 +622,20 @@ def cmd_ia_run(config: ExperimentConfig) -> int:
     if config.save_channel:
         save_channel(ch, config.save_channel)
 
+    # one trial at one point: a block of one element
     P = 2.0**config.p_log2
-    tone = to_tone_domain(ch, params.N)
-    try:
-        bf = build_beamformers(
-            reconstruct(_fed_back(ch, config, P), params.N, R=ch.R), params, config.engine,
-            tol=config.align_tol, c_min=config.c_min, max_iters=config.max_iters,
-            rng=trial_generator(config.seed, 2), shared=bool(config.shared),
-        )
-    except (AlignmentError, ValueError) as exc:
-        print(f"pipeline failed: {exc}", file=sys.stderr)
+    stats, bf, (failure,) = _evaluate(
+        config, params, ch.taps[None], _fed_back(ch, config, P)[None], P, [trial_generator(config.seed, 2)],
+        c_min=config.c_min, shared=bool(config.shared),
+    )
+    if failure is not None:
+        _write_csv(config.out, config, CSV_COLUMNS, [], [f"# failed trial=0 reason={failure}"])
         return 1
-
-    stats = achievable_rates(tone, bf, P, noise_power=config.noise)
-    rows = _rate_rows(config, P, config.alpha, stats)
+    rows = _rate_rows(config, P, config.alpha, stats[0])
     trailer = [
-        f"# alignment_residual={bf.alignment_residual!r}",
-        f"# signal_min={bf.signal_min!r}",
-        f"# rate_sum={float(stats[:, 0].sum())!r}",
+        f"# alignment_residual={float(bf.alignment_residual[0])!r}",
+        f"# signal_min={float(bf.signal_min[0])!r}",
+        f"# rate_sum={float(stats[0, :, 0].sum())!r}",
     ]
     _write_csv(config.out, config, CSV_COLUMNS, rows, trailer)
     return 0
@@ -670,8 +702,8 @@ def _block_stats(config: ExperimentConfig, trials: range):
     """A block of trials: per-(trial, alpha, P, user) stats, (T, A, J, K, 5), and each trial's failure.
 
     Every stage runs once over the block's trial x alpha x power elements:
-    one seeding pass for the channels, one channel FFT, one oracle call,
-    one reconstruction FFT, one batched build and one batched rate
+    one seeding pass for the channels, one oracle call, then `_evaluate`'s
+    channel FFT, reconstruction FFT, batched build and batched rate
     evaluation, with the draws of the point-by-point pipeline (see
     `_oracle_feedback`). Perfect feedback is the same at every point, so it
     builds once per trial and evaluates every power from one set of
@@ -685,30 +717,19 @@ def _block_stats(config: ExperimentConfig, trials: range):
     T = len(trials)
     channels = [generate_channel(K, R, L, seed=g) for g in trial_generators(config.seed, [(t,) for t in trials])]
     exact = np.stack([[receiver_feedback(ch, i) for i in range(K)] for ch in channels])
-    tones = to_tone_domain(ChannelRealization(K=K, R=R, L=L, taps=np.stack([ch.taps for ch in channels])), params.N)
     if config.feedback == "perfect":
         # powers on their own leading axis: rates come out (J, T, K, 5)
         fed, P = exact, np.array(grid)[:, None]
     else:
         fed, P = _oracle_feedback(config, trials, exact, grid), np.tile(grid, T * len(config.alphas))
-    per_trial = len(fed) // T
-    rng = None
+    rngs = None
     if config.engine == "leakage-min":
         # every point of a trial starts leakage-min from the same stream
-        rng = trial_generators(config.seed, [(7_000_000 + t,) for t in trials for _ in range(per_trial)])
-    bf = build_beamformers(
-        reconstruct(fed, params.N, R=R), params, config.engine,
-        tol=config.align_tol, max_iters=config.max_iters, rng=rng,
-    )
-    tone = replace(tones, tones=np.repeat(tones.tones, per_trial, axis=0))
-    stats = achievable_rates(tone, bf, P, noise_power=config.noise)
+        rngs = trial_generators(config.seed, [(7_000_000 + t,) for t in trials for _ in range(len(fed) // T)])
+    stats, _, failures = _evaluate(config, params, np.stack([ch.taps for ch in channels]), fed, P, rngs)
     if config.feedback == "perfect":
         stats = np.moveaxis(stats, 0, 1)
     shape = (T, len(config.alphas), len(grid), K, 5)
-    failures = [
-        next((f for f in bf.failures[t * per_trial : (t + 1) * per_trial] if f is not None), None)
-        for t in range(T)
-    ]
     return np.broadcast_to(stats.reshape(T, -1, *shape[2:]), shape).copy(), failures
 
 

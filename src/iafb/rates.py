@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .alignment import BeamformerSet
-from .channel import ToneChannel, tone_images
+from .channel import tone_images
 
 __all__ = [
     "interference_terms",
@@ -41,24 +41,25 @@ CSV_COLUMNS = (
 INTERFERENCE_FLOOR = 1e-10
 
 
-def interference_terms(tone: ToneChannel, bf: BeamformerSet, P):
+def interference_terms(tones: np.ndarray, bf: BeamformerSet, P):
     """Per-stream (signal, I1, I2) triples against the true channel.
 
-    Returns three lists indexed by user, each holding a length-d_i array,
-    or with a batched `bf` or an array `P` (which broadcast against each
-    other) a (B, d_i) array. The filtered gains U_i^H Hbar_ik V_k do not
+    ``tones`` is the (..., K, K, N, R) array of `channel.to_tone_domain`.
+    Returns three lists indexed by user, each holding a (..., d_i) array
+    whose leading axes broadcast those of `tones`, the batch axis of `bf`
+    and the shape of `P`. The filtered gains U_i^H Hbar_ik V_k do not
     depend on the power, so one call covers a whole power sweep.
     """
     if np.any(np.asarray(P) <= 0):
         raise ValueError("power must be positive")
-    K, R, N = tone.K, tone.R, tone.N
+    K, N, R = tones.shape[-4], tones.shape[-2], tones.shape[-1]
     p = bf.params
     if (p.K, p.R, p.N) != (K, R, N):
         raise ValueError(
             f"beamformers sized (K={p.K}, R={p.R}, N={p.N}) do not match the "
             f"channel (K={K}, R={R}, N={N})"
         )
-    images = tone_images(tone.tones * (1.0 / math.sqrt(N)), bf.v)
+    images = tone_images(tones * (1.0 / math.sqrt(N)), bf.v)
     P = np.asarray(P, dtype=float)[..., None]
     d = p.d
     signal, own, cross = [], [], []
@@ -77,18 +78,18 @@ def interference_terms(tone: ToneChannel, bf: BeamformerSet, P):
     return signal, own, cross
 
 
-def achievable_rates(tone: ToneChannel, bf: BeamformerSet, P, noise_power: float | None = None) -> np.ndarray:
+def achievable_rates(tones: np.ndarray, bf: BeamformerSet, P, noise: float) -> np.ndarray:
     """Treat all interference as noise: per-user stats, shape (..., K, 5).
 
     Per user: the rate, the worst stream's I1 and I2, the weakest stream's
-    signal, and the worst stream's total interference I1 + I2. `P` is one
-    power or an array of them. It broadcasts against the batch axis of
-    `bf`: one set at many powers, or one power per set.
+    signal, and the worst stream's total interference I1 + I2, at noise
+    power `noise`. `P` is one power or an array of them. It broadcasts
+    against the batch axis of `bf`: one set at many powers, or one power
+    per set.
     """
-    noise = tone.noise_power if noise_power is None else noise_power
     if noise <= 0:
         raise ValueError("noise power must be positive")
-    signal, own, cross = interference_terms(tone, bf, P)
+    signal, own, cross = interference_terms(tones, bf, P)
     N = bf.params.N
     return np.stack(
         [

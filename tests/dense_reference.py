@@ -1,6 +1,7 @@
 """Dense forms of a tone channel's links, the references for the structured kernels.
 
-Both use the unitary scaling of the `iafb.channel` module docstring.
+Both take a (K, K, N, R) tone array (`iafb.channel.to_tone_domain`) and use
+the unitary scaling of the `iafb.channel` module docstring.
 """
 
 import numpy as np
@@ -8,15 +9,15 @@ import numpy as np
 from iafb.channel import _block_diag_from_rows
 
 
-def hbar(tone, i, k):
+def hbar(tones, i, k):
     """Stacked tone channel of link (i, k): length R*N, tone-major."""
-    return tone.tones[i, k].reshape(-1) / np.sqrt(tone.N)
+    return tones[i, k].reshape(-1) / np.sqrt(tones.shape[-2])
 
 
-def hbar_matrix(tone, i, k):
+def hbar_matrix(tones, i, k):
     """Dense R*N x N block-diagonal channel matrix of link (i, k).
 
     Block r (rows r*R..(r+1)*R, column r) holds the conjugated tone
     vector of tone r.
     """
-    return _block_diag_from_rows(np.conj(tone.tones[i, k]) / np.sqrt(tone.N))
+    return _block_diag_from_rows(np.conj(tones[i, k]) / np.sqrt(tones.shape[-2]))

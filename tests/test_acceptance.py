@@ -92,25 +92,23 @@ def test_criterion_3_alignment_exactness():
     hits = 0
     for seed in range(20):
         ch = generate_channel(3, 1, 2, seed=seed)
-        rec = reconstruct(np.stack([receiver_feedback(ch, i) for i in range(3)]), params.N, R=ch.R)
-        try:
-            bf = build_beamformers(rec, params, "leakage-min", tol=1e-8, rng=seed)
-            hits += bf.alignment_residual <= 1e-8
-        except Exception:
-            pass
+        rec = reconstruct(np.stack([receiver_feedback(ch, i) for i in range(3)])[None], params.N, R=ch.R)
+        bf = build_beamformers(rec, params, "leakage-min", tol=1e-8, rng=seed)
+        hits += bf.failures == (None,) and bf.alignment_residual[0] <= 1e-8
 
     cj3 = cj3_parameters(2)
     cj3_worst = 0.0
-    deterministic = True
+    cj3_built = deterministic = True
     for seed in range(5):
         ch = generate_channel(3, 1, 2, seed=100 + seed)
-        rec = reconstruct(np.stack([receiver_feedback(ch, i) for i in range(3)]), cj3.N, R=ch.R)
+        rec = reconstruct(np.stack([receiver_feedback(ch, i) for i in range(3)])[None], cj3.N, R=ch.R)
         first = build_beamformers(rec, cj3, "cj3", tol=1e-9)
         again = build_beamformers(rec, cj3, "cj3", tol=1e-9)
-        cj3_worst = max(cj3_worst, first.alignment_residual)
-        deterministic &= first.alignment_residual == again.alignment_residual
+        cj3_built &= first.failures == again.failures == (None,)
+        cj3_worst = max(cj3_worst, first.alignment_residual[0])
+        deterministic &= first.alignment_residual[0] == again.alignment_residual[0]
     elapsed = time.time() - start
-    passed = hits >= 19 and cj3_worst <= 1e-9 and deterministic and elapsed < 60.0
+    passed = hits >= 19 and cj3_built and cj3_worst <= 1e-9 and deterministic and elapsed < 60.0
     assert report(
         3, "alignment exactness", passed,
         f"leakage-min {hits}/20 at 1e-8, cj3 worst {cj3_worst:.1e}, {elapsed:.1f}s",
@@ -216,14 +214,14 @@ def test_criterion_8_pipeline_identities():
             L = 2
         N = L + int(rng.integers(0, 4))
         ch = generate_channel(K, R, L, seed=int(rng.integers(2**31)))
-        tone = to_tone_domain(ch, N)
+        tones = to_tone_domain(ch, N)
         rec = reconstruct(np.stack([receiver_feedback(ch, i) for i in range(K)]), N, R=ch.R)
         i, k = int(rng.integers(K)), int(rng.integers(K))
 
         # reconstructed directions keep unit norm
         worst["wnorm"] = max(worst["wnorm"], abs(np.linalg.norm(rec.wtones[i, k]) - 1.0))
         # unnormalized-DFT Parseval
-        F = tone.tones[i, k]
+        F = tones[i, k]
         T = ch.taps[i, k]
         worst["parseval"] = max(
             worst["parseval"],
@@ -232,14 +230,14 @@ def test_criterion_8_pipeline_identities():
         # u^H Hbar v = hbar^H b for random filters
         u = rng.standard_normal(R * N) + 1j * rng.standard_normal(R * N)
         v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        lhs = np.conj(u) @ (dense.hbar_matrix(tone, i, k) @ v)
-        rhs = np.conj(dense.hbar(tone, i, k)) @ (np.conj(u) * np.repeat(v, R))
+        lhs = np.conj(u) @ (dense.hbar_matrix(tones, i, k) @ v)
+        rhs = np.conj(dense.hbar(tones, i, k)) @ (np.conj(u) * np.repeat(v, R))
         worst["pseudo"] = max(worst["pseudo"], abs(lhs - rhs) / max(1.0, abs(lhs)))
         # stacked-tone norm equals vectorized-tap norm
         worst["chain"] = max(
             worst["chain"],
             abs(
-                np.linalg.norm(dense.hbar(tone, i, k)) ** 2
+                np.linalg.norm(dense.hbar(tones, i, k)) ** 2
                 - np.linalg.norm(vectorize_direction(ch, i, k) * np.linalg.norm(T)) ** 2
             )
             / max(1.0, np.linalg.norm(T) ** 2),

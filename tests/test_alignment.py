@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -6,12 +7,12 @@ import pytest
 import dense_reference as dense
 from iafb import alignment
 from iafb.alignment import (
+    ENGINES,
     RANK_RTOL,
     AlignmentError,
     IaParameters,
     _finish,
     _thin_svd,
-    _unbatched,
     build_beamformers,
     cj3_parameters,
     ia_parameters,
@@ -23,9 +24,16 @@ from iafb.rng import trial_generator
 
 
 def perfect_reconstruction(K, R, L, N, seed):
+    """A batch of one perfect-feedback reconstruction, N tones."""
     ch = generate_channel(K, R, L, seed=seed)
-    fed = np.stack([receiver_feedback(ch, i) for i in range(K)])
-    return ch, to_tone_domain(ch, N), reconstruct(fed, N, R=R)
+    return reconstruct(np.stack([receiver_feedback(ch, i) for i in range(K)])[None], N, R=R)
+
+
+def assert_failed(bf, pattern):
+    """The batch-of-one set `bf` records an AlignmentError whose message matches `pattern`; returns it."""
+    (failure,) = bf.failures
+    assert isinstance(failure, AlignmentError) and re.search(pattern, str(failure)), failure
+    return failure
 
 
 class TestIaParameters:
@@ -72,7 +80,7 @@ class TestFeasibilityGuard:
     def test_overfull_receiver_rejected(self):
         # hand-built allocation: 8 desired + 8 aligned interference > R*N
         params = IaParameters(K=3, R=1, n=1, N=12, d=(8, 8, 1), scheme="gj-simo")
-        _, _, rec = perfect_reconstruction(3, 1, 2, 12, seed=0)
+        rec = perfect_reconstruction(3, 1, 2, 12, seed=0)
         with pytest.raises(AlignmentError, match="cannot fit"):
             build_beamformers(rec, params, "leakage-min", rng=0)
 
@@ -81,74 +89,85 @@ class TestLeakageMinEngine:
     def test_reaches_tolerance_on_seeded_channels(self):
         params = ia_parameters(3, 1, 1)
         for seed in range(3):
-            _, _, rec = perfect_reconstruction(3, 1, 2, params.N, seed=seed)
+            rec = perfect_reconstruction(3, 1, 2, params.N, seed=seed)
             bf = build_beamformers(rec, params, "leakage-min", rng=seed + 100)
-            assert bf.alignment_residual <= 1e-8
-            assert bf.signal_min >= 1e-6
-            assert all(abs(np.linalg.norm(v, axis=0) - 1).max() < 1e-9 for v in bf.v)
-            assert all(abs(np.linalg.norm(u, axis=0) - 1).max() < 1e-9 for u in bf.u)
+            assert bf.failures == (None,)
+            assert bf.alignment_residual[0] <= 1e-8
+            assert bf.signal_min[0] >= 1e-6
+            assert all(abs(np.linalg.norm(v, axis=-2) - 1).max() < 1e-9 for v in bf.v)
+            assert all(abs(np.linalg.norm(u, axis=-2) - 1).max() < 1e-9 for u in bf.u)
 
     def test_shared_mode_constrains_directions(self):
         # all K = R+1 users share one direction block at this sizing
         params = ia_parameters(3, 2, 1)
-        _, _, rec = perfect_reconstruction(3, 2, 2, params.N, seed=3)
+        rec = perfect_reconstruction(3, 2, 2, params.N, seed=3)
         bf = build_beamformers(rec, params, "leakage-min", rng=7, shared=True)
+        assert bf.failures == (None,)
         assert np.array_equal(bf.v[0], bf.v[1]) and np.array_equal(bf.v[1], bf.v[2])
-        assert bf.alignment_residual <= 1e-8
-        assert bf.signal_min >= 1e-6
+        assert bf.alignment_residual[0] <= 1e-8
+        assert bf.signal_min[0] >= 1e-6
 
     def test_shared_mode_never_returns_degenerate_sets(self):
         # at the tight (K=3, R=1) sizing with few taps, shared directions may
         # be infeasible; the engine must then fail loudly instead of handing
         # back filters with no usable signal
         params = ia_parameters(3, 1, 1)
-        _, _, rec = perfect_reconstruction(3, 1, 2, params.N, seed=3)
-        try:
-            bf = build_beamformers(rec, params, "leakage-min", rng=7, shared=True, max_iters=2000)
-        except AlignmentError as err:
-            assert err.history
+        rec = perfect_reconstruction(3, 1, 2, params.N, seed=3)
+        bf = build_beamformers(rec, params, "leakage-min", rng=7, shared=True, max_iters=2000)
+        if bf.failures[0] is not None:
+            assert assert_failed(bf, "leakage-min did not reach").history
         else:
-            assert bf.alignment_residual <= 1e-8
-            assert bf.signal_min >= 1e-6
+            assert bf.alignment_residual[0] <= 1e-8
+            assert bf.signal_min[0] >= 1e-6
 
     def test_works_with_multiple_receive_antennas(self):
         params = ia_parameters(3, 2, 1)
-        _, _, rec = perfect_reconstruction(3, 2, 2, params.N, seed=4)
+        rec = perfect_reconstruction(3, 2, 2, params.N, seed=4)
         bf = build_beamformers(rec, params, "leakage-min", rng=5)
-        assert bf.alignment_residual <= 1e-8
+        assert bf.failures == (None,)
+        assert bf.alignment_residual[0] <= 1e-8
 
     def test_failure_carries_history(self):
         # one iteration per attempt: the first run and two restarts
         params = ia_parameters(3, 1, 1)
-        _, _, rec = perfect_reconstruction(3, 1, 2, params.N, seed=6)
-        with pytest.raises(AlignmentError, match="x 3 attempts") as err:
-            build_beamformers(rec, params, "leakage-min", rng=8, max_iters=1)
-        assert len(err.value.history) == 3
+        rec = perfect_reconstruction(3, 1, 2, params.N, seed=6)
+        bf = build_beamformers(rec, params, "leakage-min", rng=8, max_iters=1)
+        assert len(assert_failed(bf, "x 3 attempts").history) == 3
+        assert not any(arr.any() for arr in bf.v + bf.u)
 
 
 class TestCj3Engine:
     def test_residual_near_machine_precision(self):
         params = cj3_parameters(2)
         for seed in range(5):
-            _, _, rec = perfect_reconstruction(3, 1, 2, params.N, seed=seed)
+            rec = perfect_reconstruction(3, 1, 2, params.N, seed=seed)
             bf = build_beamformers(rec, params, "cj3", tol=1e-9)
-            assert bf.alignment_residual <= 1e-9
-            assert bf.signal_min >= 1e-6
+            assert bf.failures == (None,)
+            assert bf.alignment_residual[0] <= 1e-9
+            assert bf.signal_min[0] >= 1e-6
 
     def test_rejects_wrong_parametrization(self):
         params = ia_parameters(3, 1, 1)
-        _, _, rec = perfect_reconstruction(3, 1, 2, params.N, seed=1)
+        rec = perfect_reconstruction(3, 1, 2, params.N, seed=1)
         with pytest.raises(ValueError, match="cj3"):
             build_beamformers(rec, params, "cj3")
+
+    def test_rejects_an_unbatched_reconstruction(self):
+        params = cj3_parameters(1)
+        unbatched = reconstruct(cli_directions(params, 0), params.N, R=1)
+        for engine in ENGINES:
+            with pytest.raises(ValueError, match="batch of reconstructions"):
+                build_beamformers(unbatched, params, engine)
 
     def test_leakage_min_agrees_on_cj3_sizing(self):
         # both engines align the cj3 sizing
         params = cj3_parameters(1)
-        _, _, rec = perfect_reconstruction(3, 1, 2, params.N, seed=2)
+        rec = perfect_reconstruction(3, 1, 2, params.N, seed=2)
         for engine in ("cj3", "leakage-min"):
             bf = build_beamformers(rec, params, engine, rng=3)
-            assert bf.alignment_residual <= 1e-8
-            assert bf.signal_min >= 1e-6
+            assert bf.failures == (None,)
+            assert bf.alignment_residual[0] <= 1e-8
+            assert bf.signal_min[0] >= 1e-6
 
     def test_batched_build_records_each_failure(self):
         # element 1's link (0, 1) feeds back a zero direction, so its tone
@@ -161,34 +180,36 @@ class TestCj3Engine:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             bf = build_beamformers(rec, params, "cj3")
-            with pytest.raises(AlignmentError, match="invertible per-tone channels"):
-                build_beamformers(reconstruct(fed[1], params.N, R=1), params, "cj3")
+            assert_failed(build_beamformers(reconstruct(fed[1:2], params.N, R=1), params, "cj3"),
+                          "invertible per-tone channels")
         assert bf.failures[0] is None and bf.failures[2] is None
         assert "invertible per-tone channels" in str(bf.failures[1])
         assert not any(arr[1].any() for arr in bf.v + bf.u)
         for b in (0, 2):
-            alone = build_beamformers(reconstruct(fed[b], params.N, R=1), params, "cj3")
-            assert alone.failures == ()
+            alone = build_beamformers(reconstruct(fed[b : b + 1], params.N, R=1), params, "cj3")
+            assert alone.failures == (None,)
             for got, want in zip(bf.v + bf.u, alone.v + alone.u):
-                assert np.array_equal(got[b], want)
+                assert np.array_equal(got[b], want[0])
 
 
 def reference_filters(rec, bf):
     """Zero-forcing filters one stream at a time, by full SVDs.
 
-    Interference basis as in the library; then each stream's filter is
-    the unit projection of its desired image onto the orthogonal
+    ``rec`` is one unbatched reconstruction and ``bf`` the batch-of-one set
+    built on it. Interference basis as in the library; then each stream's
+    filter is the unit projection of its desired image onto the orthogonal
     complement of that basis plus the other desired images.
     """
     params = bf.params
     K, d, RN = params.K, params.d, params.R * params.N
+    V = [v[0] for v in bf.v]
     U = []
     for i in range(K):
-        J = np.concatenate([rec.wtilde_matrix(i, k) @ bf.v[k] for k in range(K) if k != i], axis=1)
+        J = np.concatenate([rec.wtilde_matrix(i, k) @ V[k] for k in range(K) if k != i], axis=1)
         left, sing, _ = np.linalg.svd(J, full_matrices=False)
         keep = min(RN - d[i], J.shape[1], int(np.count_nonzero(sing > RANK_RTOL * sing[0])))
         basis = left[:, :keep]
-        desired = rec.wtilde_matrix(i, i) @ bf.v[i]
+        desired = rec.wtilde_matrix(i, i) @ V[i]
         filters = np.empty((RN, d[i]), dtype=complex)
         for m in range(d[i]):
             nuisance = np.concatenate([basis, np.delete(desired, m, axis=1)], axis=1)
@@ -200,9 +221,10 @@ def reference_filters(rec, bf):
     return U
 
 
-def cli_reconstruction(params, trial):
+def cli_directions(params, trial):
+    """Perfect feedback of dof-sweep's trial `trial` at seed 0, (K, K, R*L)."""
     ch = generate_channel(params.K, params.R, 2, seed=trial_generator(0, trial))
-    return reconstruct(np.stack([receiver_feedback(ch, i) for i in range(params.K)]), params.N, R=ch.R)
+    return np.stack([receiver_feedback(ch, i) for i in range(params.K)])
 
 
 class TestZeroForcing:
@@ -217,11 +239,15 @@ class TestZeroForcing:
         # shared (3, 2, 1) directions fail alignment on trial 2 before and
         # after the one-SVD filters; feasibility is not under test here
         for trial in range(2):
-            rec = cli_reconstruction(params, trial)
+            fed = cli_directions(params, trial)
             # weak desired signals at large cj3 n still have well-defined filters
-            bf = build_beamformers(rec, params, engine, c_min=1e-12, rng=trial + 20, shared=shared)
-            for u, ref in zip(bf.u, reference_filters(rec, bf)):
-                overlap = np.abs(np.sum(u.conj() * ref, axis=0))
+            bf = build_beamformers(
+                reconstruct(fed[None], params.N, R=params.R), params, engine, c_min=1e-12, rng=trial + 20,
+                shared=shared,
+            )
+            assert bf.failures == (None,)
+            for u, ref in zip(bf.u, reference_filters(reconstruct(fed, params.N, R=params.R), bf)):
+                overlap = np.abs(np.sum(u[0].conj() * ref, axis=0))
                 assert overlap.min() >= 1 - 1e-12
 
     @pytest.mark.parametrize("n", [5, 6])
@@ -231,27 +257,29 @@ class TestZeroForcing:
         # interference span
         params = cj3_parameters(n)
         for trial in range(12):
-            bf = build_beamformers(cli_reconstruction(params, trial), params, "cj3", c_min=1e-12)
-            assert bf.alignment_residual <= 1e-14
+            rec = reconstruct(cli_directions(params, trial)[None], params.N, R=1)
+            bf = build_beamformers(rec, params, "cj3", c_min=1e-12)
+            assert bf.failures == (None,)
+            assert bf.alignment_residual[0] <= 1e-14
 
     def test_swallowed_stream_raises(self):
         # R=1: W_00 v = W_01 v' when v = (w01/w00) v', so stream 0 of user 0
         # arrives inside user 1's (aligned) interference image
         params = cj3_parameters(1)
-        rec = cli_reconstruction(params, 0)
+        fed = cli_directions(params, 0)
+        rec = reconstruct(fed[None], params.N, R=1)
         bf = build_beamformers(rec, params, "cj3")
-        Wm = [[rec.wtilde_matrix(i, k) for k in range(3)] for i in range(3)]
+        assert bf.failures == (None,)
+        Wm = [[reconstruct(fed, params.N, R=1).wtilde_matrix(i, k) for k in range(3)] for i in range(3)]
         V = [v.copy() for v in bf.v]
-        V[0][:, 0] = np.diagonal(Wm[0][1]) / np.diagonal(Wm[0][0]) * V[1][:, 0]
+        V[0][0, :, 0] = np.diagonal(Wm[0][1]) / np.diagonal(Wm[0][0]) * V[1][0, :, 0]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(AlignmentError, match="receiver 0, stream 0: .* swallowed"):
-                _unbatched(_finish(rec.wtones[None], [v[None] for v in V], params, "cj3", 1e-8, 1e-6))
+            assert_failed(_finish(rec.wtones, V, params, "cj3", 1e-8, 1e-6), "receiver 0, stream 0: .* swallowed")
             # a zero transmit column gives an exactly zero singular value
             V = [v.copy() for v in bf.v]
-            V[0][:, 1] = 0.0
-            with pytest.raises(AlignmentError, match="receiver 0, stream 1: .* swallowed"):
-                _unbatched(_finish(rec.wtones[None], [v[None] for v in V], params, "cj3", 1e-8, 1e-6))
+            V[0][0, :, 1] = 0.0
+            assert_failed(_finish(rec.wtones, V, params, "cj3", 1e-8, 1e-6), "receiver 0, stream 1: .* swallowed")
 
 
 def batched_reconstruction(params, trials):
@@ -438,13 +466,15 @@ class TestQuantizedAlignment:
         exact = np.stack([receiver_feedback(ch, i) for i in range(3)])
         rngs = [np.random.default_rng(17 + i) for i in range(3)]
         fed = distortion_oracle_quantize(exact, [budget] * 3, rngs)
-        bf = build_beamformers(reconstruct(fed, params.N, R=1), params, "cj3")
-        assert bf.alignment_residual <= 1e-9
+        bf = build_beamformers(reconstruct(fed[None], params.N, R=1), params, "cj3")
+        assert bf.failures == (None,)
+        assert bf.alignment_residual[0] <= 1e-9
 
         # |U_i^H Hbar_ik V_k| on the true channel, normalized per link
-        tone = to_tone_domain(ch, params.N)
+        tones = to_tone_domain(ch, params.N)
         leak = max(
-            np.abs(bf.u[i].conj().T @ dense.hbar_matrix(tone, i, k) @ bf.v[k]).max() / np.linalg.norm(ch.taps[i, k])
+            np.abs(bf.u[i][0].conj().T @ dense.hbar_matrix(tones, i, k) @ bf.v[k][0]).max()
+            / np.linalg.norm(ch.taps[i, k])
             for i in range(3) for k in range(3) if k != i
         )
         assert leak > 1e-5

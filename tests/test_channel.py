@@ -40,24 +40,24 @@ class TestGeneration:
 class TestToneDomain:
     def test_single_tap_constant_tones(self):
         ch = generate_channel(2, 2, 1, seed=5)
-        tone = to_tone_domain(ch, 8)
+        tones = to_tone_domain(ch, 8)
         for i in range(2):
             for k in range(2):
-                assert np.allclose(tone.tones[i, k], ch.taps[i, k, 0][None, :])
+                assert np.allclose(tones[i, k], ch.taps[i, k, 0][None, :])
 
     def test_impulse_gives_flat_spectrum(self):
         taps = np.zeros((2, 2, 3, 1), dtype=complex)
         taps[:, :, 0, 0] = 1.0
         ch = ChannelRealization(K=2, R=1, L=3, taps=taps)
-        tone = to_tone_domain(ch, 6)
-        assert np.allclose(tone.tones[:, :, :, 0], 1.0)
+        tones = to_tone_domain(ch, 6)
+        assert np.allclose(tones[:, :, :, 0], 1.0)
 
     def test_parseval_unnormalized(self):
         ch = generate_channel(3, 2, 3, seed=6)
-        tone = to_tone_domain(ch, 9)
+        tones = to_tone_domain(ch, 9)
         for i in range(3):
             for k in range(3):
-                lhs = np.linalg.norm(tone.tones[i, k]) ** 2
+                lhs = np.linalg.norm(tones[i, k]) ** 2
                 rhs = 9 * np.linalg.norm(ch.taps[i, k]) ** 2
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
 
@@ -69,10 +69,10 @@ class TestToneDomain:
     def test_stacked_norm_equals_tap_norm(self):
         # the unitary-scaled stacked tone channel preserves the tap norm
         ch = generate_channel(3, 2, 2, seed=8)
-        tone = to_tone_domain(ch, 12)
+        tones = to_tone_domain(ch, 12)
         for i in range(3):
             for k in range(3):
-                lhs = np.linalg.norm(dense.hbar(tone, i, k)) ** 2
+                lhs = np.linalg.norm(dense.hbar(tones, i, k)) ** 2
                 rhs = np.linalg.norm(ch.taps[i, k].reshape(-1)) ** 2
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
 
@@ -168,10 +168,10 @@ class TestReconstruction:
         return ch, to_tone_domain(ch, N), reconstruct(fed, N, R=R)
 
     def test_perfect_feedback_reproduces_normalized_channel(self):
-        ch, tone, rec = self.make_rec(seed=20)
+        ch, tones, rec = self.make_rec(seed=20)
         for i in range(3):
             for k in range(3):
-                hbar = dense.hbar(tone, i, k)
+                hbar = dense.hbar(tones, i, k)
                 assert np.allclose(rec.wtones[i, k].reshape(-1), hbar / np.linalg.norm(hbar), atol=1e-12)
 
     def test_unit_norm_reconstruction(self):
@@ -187,11 +187,11 @@ class TestReconstruction:
         ch = generate_channel(3, 2, 2, seed=22)
         rngs = [np.random.default_rng(23 + i) for i in range(3)]
         fed = distortion_oracle_quantize(fed_back(ch), [budget] * 3, rngs)
-        tone = to_tone_domain(ch, 8)
+        tones = to_tone_domain(ch, 8)
         rec = reconstruct(fed, 8, R=2)
         for i in range(3):
             for k in range(3):
-                hbar = dense.hbar(tone, i, k)
+                hbar = dense.hbar(tones, i, k)
                 lhs = np.vdot(hbar / np.linalg.norm(hbar), rec.wtones[i, k].reshape(-1))
                 rhs = np.vdot(vectorize_direction(ch, i, k), fed[i, k])
                 assert abs(lhs - rhs) <= 1e-10
@@ -203,10 +203,10 @@ class TestReconstruction:
         fed = fed_back(ch)
         rotated = fed.copy()
         rotated[0, 1] *= np.exp(1j * 0.77)
-        tone = to_tone_domain(ch, 6)
+        tones = to_tone_domain(ch, 6)
         base = reconstruct(fed, 6, R=1)
         alt = reconstruct(rotated, 6, R=1)
-        hbar = dense.hbar(tone, 0, 1)
+        hbar = dense.hbar(tones, 0, 1)
         assert abs(np.vdot(hbar, base.wtones[0, 1].reshape(-1))) == pytest.approx(
             abs(np.vdot(hbar, alt.wtones[0, 1].reshape(-1))), abs=1e-12
         )

@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from iafb.channel import (
 from iafb.cli import main, parse_config, run_dof_sweep
 from iafb.grassmann import sample_uniform
 from iafb.quantizer import FeedbackBudget, build_random_codebook, distortion_oracle_quantize, encode
-from iafb.rates import achievable_rates
+from iafb.rates import CSV_COLUMNS, achievable_rates
 from iafb.rng import trial_generator
 
 
@@ -159,6 +160,11 @@ INVALID_RUNS = [
     pytest.param(["--engine", "cj3", "--shared", "1"], "--shared 1", id="cj3-shared"),
     pytest.param(["--R", "1", "--L", "1"], "--R 1 --L 1", id="scalar-tap"),
     pytest.param(["--K", "5"], "dense link matrices", id="oversized"),  # N = 65,536
+    # fewer tones than taps: N = 3 at cj3 n=1 and at leakage-min K=3 R=2
+    pytest.param(["--engine", "cj3", "--n", "1", "--L", "4"], "N=3 tones, fewer than the --L 4 taps",
+                 id="cj3-few-tones"),
+    pytest.param(["--K", "3", "--R", "2", "--L", "4", "--n", "1"], "N=3 tones, fewer than the --L 4 taps",
+                 id="leakage-min-few-tones"),
 ]
 
 
@@ -230,6 +236,43 @@ class TestIaRun:
         assert shown in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            # cj3 at n=16 puts a desired stream inside the interference span
+            (["--engine", "cj3", "--n", "16", "--feedback", "perfect"],
+             "receiver 0, stream 6: desired direction is swallowed"),
+            # a stream below c_min = 1e-6
+            (["--engine", "cj3", "--n", "5", "--seed", "1"],
+             "cj3 construction failed: residual=7.706e-17, signal_min=7.766e-09"),
+        ],
+    )
+    def test_failed_build_is_recorded(self, tmp_path, capsys, flags, reason):
+        out = tmp_path / "run.csv"
+        assert main(["ia-run", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        lines = out.read_text().splitlines()
+        assert len(lines) == 3
+        assert lines[0].startswith("# iafb ") and "| ia-run |" in lines[0]
+        assert lines[1] == ",".join(CSV_COLUMNS)
+        assert lines[2].startswith(f"# failed trial=0 reason={reason}")
+
+    def test_run_is_a_block_of_one(self, tmp_path, monkeypatch):
+        # one _evaluate call of one channel and one element, with the
+        # leakage-min stream trial_generator(seed, 2)
+        calls = []
+
+        def recording_evaluate(config, params, taps, fed, P, rngs, **build):
+            calls.append((taps.shape, fed.shape, P, [g.bit_generator.state for g in rngs], build))
+            return evaluate(config, params, taps, fed, P, rngs, **build)
+
+        evaluate = iafb.cli._evaluate
+        monkeypatch.setattr(iafb.cli, "_evaluate", recording_evaluate)
+        argv = ["ia-run", "--seed", "6", "--c-min", "1e-7", "--out", str(tmp_path / "run.csv")]
+        assert main(argv) == 0
+        state = trial_generator(6, 2).bit_generator.state
+        assert calls == [((1, 3, 3, 2, 1), (1, 3, 3, 2), 1024.0, [state], {"c_min": 1e-7, "shared": False})]
+
 
 def exact_directions(ch, i):
     """Receiver i's exact (K, R*L) directions, one `vectorize_direction` per link."""
@@ -273,8 +316,9 @@ class TestIaRunFeedback:
             else:
                 budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**config.p_log2, alpha=config.alpha)
                 reference.append(distortion_oracle_quantize(exact_directions(ch, i)[None], [budget], [rng])[0])
+        # one reconstruction of a batch of one element
         assert len(seen) == 1
-        assert np.array_equal(seen[0], np.stack(reference))
+        assert np.array_equal(seen[0], np.stack(reference)[None])
 
 
 # (dof-sweep flags after --trials 2, a substring of the usage error they must give)
@@ -295,6 +339,7 @@ INVALID_SWEEPS = [
     (["--p-log2-step", "0.01"], "has 1001 points"),
     (["--engine", "leakage-min", "--K", "4", "--n", "2"], "dense link matrices"),  # N = 13,122
     (["--engine", "cj3", "--n", "100000"], "dense link matrices"),  # N = 200,001
+    (["--L", "4"], "N=3 tones, fewer than the --L 4 taps"),  # cj3 at n=1
 ]
 
 
@@ -437,20 +482,24 @@ def per_point_trial(config, trial):
     count = int(round((config.p_log2_max - config.p_log2_min) / config.p_log2_step)) + 1
     grid = [2.0 ** (config.p_log2_min + t * config.p_log2_step) for t in range(count)]
     ch = generate_channel(K, R, L, seed=trial_generator(config.seed, trial))
-    tone = to_tone_domain(ch, params.N)
+    tones = to_tone_domain(ch, params.N)[None]
     stats = np.zeros((len(config.alphas), len(grid), K, 5))
 
-    def build(rec):
-        return build_beamformers(
-            rec, params, config.engine, tol=config.align_tol, max_iters=config.max_iters,
-            rng=trial_generator(config.seed, 7_000_000 + trial),
+    def build(fed):
+        """The batch-of-one set built on `fed`; raises its failure, as a point-by-point run stops."""
+        bf = build_beamformers(
+            reconstruct(fed[None], params.N, R=R), params, config.engine, tol=config.align_tol,
+            max_iters=config.max_iters, rng=trial_generator(config.seed, 7_000_000 + trial),
         )
+        if bf.failures[0] is not None:
+            raise bf.failures[0]
+        return bf
 
     if config.feedback == "perfect":
-        bf = build(reconstruct(np.stack([exact_directions(ch, i) for i in range(K)]), params.N, R=R))
+        bf = build(np.stack([exact_directions(ch, i) for i in range(K)]))
         for a in range(len(config.alphas)):
             for j, P in enumerate(grid):
-                stats[a, j] = achievable_rates(tone, bf, P, noise_power=config.noise)
+                stats[a, j] = achievable_rates(tones, bf, P, config.noise)[0]
         return stats
     for a, alpha in enumerate(config.alphas):
         alphas = [alpha] * K
@@ -466,8 +515,8 @@ def per_point_trial(config, trial):
                 else:
                     budget = FeedbackBudget(K=K, R=R, L=L, P=P, alpha=alphas[i])
                     fed.append(distortion_oracle_quantize(exact_directions(ch, i)[None], [budget], [rng])[0])
-            bf = build(reconstruct(np.stack(fed), params.N, R=R))
-            stats[a, j] = achievable_rates(tone, bf, P, noise_power=config.noise)
+            bf = build(np.stack(fed))
+            stats[a, j] = achievable_rates(tones, bf, P, config.noise)[0]
     return stats
 
 
@@ -630,6 +679,10 @@ USAGE_ERRORS = [
     (["quantizer-scaling", "--seed=-1"], "--seed"),
     (["ia-run", "--seed=-1"], "--seed"),
     (["dof-sweep", "--seed=-1"], "--seed"),
+    # a point of G_{n,1}^K needs n >= 2 and K >= 1
+    (["quantizer-scaling", "--n", "0", "--K", "-1"], "--n must be >= 2, got 0"),
+    (["quantizer-scaling", "--n", "1"], "--n must be >= 2, got 1"),
+    (["quantizer-scaling", "--K", "0"], "--K must be >= 1, got 0"),
 ]
 
 
@@ -714,6 +767,7 @@ class TestInputChecks:
             ("header", "the header lacks L"),
             ("short-row", "tap 0 of link (0, 0) holds 1 values, not R=2"),
             ("missing-link", "missing link entries"),
+            ("zero-link", "link (0, 0) is identically zero"),
         ],
     )
     def test_malformed_channel_archive(self, tmp_path, capsys, no_work, fault, shown):
@@ -726,6 +780,8 @@ class TestInputChecks:
             lines[1] = lines[1].replace(" L=2", "")
         elif fault == "short-row":
             lines[3] = lines[3].split()[0]
+        elif fault == "zero-link":
+            lines[3] = lines[4] = "0j 0j"  # both taps of link (0, 0)
         else:
             lines = lines[:-3]  # the entry of link (2, 2): its tag and L = 2 tap rows
         chan.write_text("\n".join(lines) + "\n")
@@ -815,9 +871,19 @@ class TestInputChecks:
         assert params.K**2 * params.R * params.N**2 <= iafb.cli.MAX_DENSE_ENTRIES
 
 
+def usable_cpus(monkeypatch, count):
+    """Make the CPU count `_map` reads `count`, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The worker count of every process pool a run makes; each pool runs its tasks in this process."""
+    """The worker count of every process pool a run makes; each pool runs its tasks in this process.
+
+    The run sees 64 usable CPUs, so only its task count and --jobs bound
+    its workers unless a test sets another count.
+    """
+    usable_cpus(monkeypatch, 64)
     sizes = []
 
     class InProcessPool:
@@ -838,13 +904,23 @@ def pool_sizes(monkeypatch):
 
 
 class TestWorkerCount:
-    """No run starts more worker processes than it has tasks."""
+    """No run starts more worker processes than it has tasks or usable CPUs."""
 
     def test_map_caps_workers_at_tasks(self, pool_sizes):
         assert iafb.cli._map(abs, [-1, -2, -3], 5000) == [1, 2, 3]
         assert iafb.cli._map(abs, [-4], 5000) == [4]
         assert iafb.cli._map(abs, [], 5000) == []
         assert pool_sizes == [3]
+
+    def test_map_caps_workers_at_usable_cpus(self, monkeypatch, pool_sizes):
+        # --jobs 5000 over a million tasks on two CPUs: two workers; on
+        # one CPU the tasks run in this process
+        tasks = range(-1000, 0)
+        usable_cpus(monkeypatch, 2)
+        assert iafb.cli._map(abs, tasks, 5000) == list(range(1000, 0, -1))
+        usable_cpus(monkeypatch, 1)
+        assert iafb.cli._map(abs, tasks[:3], 5000) == [1000, 999, 998]
+        assert pool_sizes == [2]
 
     @pytest.mark.parametrize(
         "argv, workers",

@@ -23,19 +23,20 @@ from iafb.rng import trial_generator
 
 
 def aligned_setup(seed, n=2):
+    """A cj3 sizing, one channel's (K, K, N, R) tones and the batch-of-one set built on its perfect feedback."""
     params = cj3_parameters(n)
     ch = generate_channel(3, 1, 2, seed=seed)
-    tone = to_tone_domain(ch, params.N)
-    rec = reconstruct(np.stack([receiver_feedback(ch, i) for i in range(3)]), params.N, R=ch.R)
+    rec = reconstruct(np.stack([receiver_feedback(ch, i) for i in range(3)])[None], params.N, R=ch.R)
     bf = build_beamformers(rec, params, "cj3")
-    return params, tone, bf
+    assert bf.failures == (None,)
+    return params, to_tone_domain(ch, params.N), bf
 
 
 class TestInterferenceTerms:
     def test_perfect_alignment_kills_interference(self):
-        _, tone, bf = aligned_setup(seed=0)
+        _, tones, bf = aligned_setup(seed=0)
         P = 2.0**12
-        _, own, cross = interference_terms(tone, bf, P)
+        _, own, cross = interference_terms(tones, bf, P)
         for i in range(3):
             assert np.max(own[i]) <= 1e-9 * P
             assert np.max(cross[i]) <= 1e-9 * P
@@ -43,55 +44,57 @@ class TestInterferenceTerms:
     def test_single_user_has_no_cross_interference(self):
         taps = (np.ones((1, 1, 2, 1)) + 1j * np.ones((1, 1, 2, 1))) / 2.0
         ch = ChannelRealization(K=1, R=1, L=2, taps=taps.astype(complex))
-        tone = to_tone_domain(ch, 2)
+        tones = to_tone_domain(ch, 2)
         params = IaParameters(K=1, R=1, n=1, N=2, d=(1,))
-        v = np.array([[1.0], [0.0]], dtype=complex)
-        u = np.array([[1.0], [0.0]], dtype=complex)
+        v = np.array([[[1.0], [0.0]]], dtype=complex)
+        u = np.array([[[1.0], [0.0]]], dtype=complex)
         bf = BeamformerSet(
-            v=(v,), u=(u,), params=params, alignment_residual=0.0, signal_min=1.0,
+            v=(v,), u=(u,), params=params, alignment_residual=np.zeros(1), signal_min=np.ones(1),
+            failures=(None,),
         )
-        _, own, cross = interference_terms(tone, bf, 8.0)
+        _, own, cross = interference_terms(tones[None], bf, 8.0)
+        assert cross[0].shape == (1, 1)
         assert np.all(cross[0] == 0.0)
 
     def test_matches_pseudo_beamformer_path(self):
         # independent algebra: signal terms recomputed as hbar^H b with the
         # pseudo-beamformer b = conj(u) * (v kron ones(R))
-        params, tone, bf = aligned_setup(seed=1)
+        params, tones, bf = aligned_setup(seed=1)
         P = 64.0
-        signal, _, _ = interference_terms(tone, bf, P)
+        signal, _, _ = interference_terms(tones[None], bf, P)
         for i in range(3):
-            hbar = dense.hbar(tone, i, i)
+            hbar = dense.hbar(tones, i, i)
             for m in range(params.d[i]):
-                b = np.conj(bf.u[i][:, m]) * np.repeat(bf.v[i][:, m], tone.R)
+                b = np.conj(bf.u[i][0, :, m]) * np.repeat(bf.v[i][0, :, m], params.R)
                 expect = (P / (3 * params.d[i])) * abs(np.vdot(hbar, b)) ** 2
-                assert signal[i][m] == pytest.approx(expect, rel=1e-10)
+                assert signal[i][0, m] == pytest.approx(expect, rel=1e-10)
 
     def test_requires_positive_power(self):
-        _, tone, bf = aligned_setup(seed=2)
+        _, tones, bf = aligned_setup(seed=2)
         with pytest.raises(ValueError):
-            interference_terms(tone, bf, 0.0)
+            interference_terms(tones[None], bf, 0.0)
 
     def test_shape_mismatch_rejected(self):
-        params, tone, bf = aligned_setup(seed=3)
+        params, _, bf = aligned_setup(seed=3)
         other = to_tone_domain(generate_channel(3, 1, 2, seed=4), params.N + 2)
-        with pytest.raises(ValueError):
-            interference_terms(other, bf, 4.0)
+        with pytest.raises(ValueError, match="do not match"):
+            interference_terms(other[None], bf, 4.0)
 
     def test_power_decomposition_additivity(self):
         # u^H Cov(y) u recomputed from the dense covariance must equal
         # signal + I1 + I2 + noise for every stream
-        params, tone, bf = aligned_setup(seed=5)
+        params, tones, bf = aligned_setup(seed=5)
         P, noise = 2.0**9, 1.0
-        signal, own, cross = interference_terms(tone, bf, P)
+        signal, own, cross = interference_terms(tones[None], bf, P)
         for i in range(3):
             cov = noise * np.eye(params.N, dtype=complex)
             for k in range(3):
-                img = dense.hbar_matrix(tone, i, k) @ bf.v[k]
+                img = dense.hbar_matrix(tones, i, k) @ bf.v[k][0]
                 cov += (P / (3 * params.d[k])) * (img @ img.conj().T)
             for m in range(params.d[i]):
-                u = bf.u[i][:, m]
+                u = bf.u[i][0, :, m]
                 total = float(np.real(np.conj(u) @ cov @ u))
-                expect = signal[i][m] + own[i][m] + cross[i][m] + noise
+                expect = signal[i][0, m] + own[i][0, m] + cross[i][0, m] + noise
                 assert total == pytest.approx(expect, rel=1e-9)
 
 
@@ -99,48 +102,46 @@ class TestAchievableRates:
     def test_unit_sinr_stream_contribution(self):
         # signal equal to the noise floor and no interference adds
         # log2(2)/N = 1/N to the user's rate
-        params, tone, bf = aligned_setup(seed=6)
-        signal, own, cross = interference_terms(tone, bf, 16.0)
-        stats = achievable_rates(tone, bf, 16.0)
-        manual = sum(
-            np.log2(1.0 + signal[0] / (own[0] + cross[0] + tone.noise_power))
-        ) / params.N
-        assert stats[0, 0] == pytest.approx(manual, rel=1e-12)
+        params, tones, bf = aligned_setup(seed=6)
+        signal, own, cross = interference_terms(tones[None], bf, 16.0)
+        stats = achievable_rates(tones[None], bf, 16.0, 1.0)
+        manual = sum(np.log2(1.0 + signal[0][0] / (own[0][0] + cross[0][0] + 1.0))) / params.N
+        assert stats[0, 0, 0] == pytest.approx(manual, rel=1e-12)
 
     def test_monotone_in_power(self):
-        _, tone, bf = aligned_setup(seed=7)
-        rates = [achievable_rates(tone, bf, P)[:, 0].sum() for P in (4.0, 16.0, 64.0, 256.0)]
+        _, tones, bf = aligned_setup(seed=7)
+        rates = [achievable_rates(tones[None], bf, P, 1.0)[0, :, 0].sum() for P in (4.0, 16.0, 64.0, 256.0)]
         assert all(b > a for a, b in zip(rates, rates[1:]))
 
     def test_noise_increase_decreases_rates(self):
-        _, tone, bf = aligned_setup(seed=8)
-        low = achievable_rates(tone, bf, 64.0, noise_power=1.0)
-        high = achievable_rates(tone, bf, 64.0, noise_power=2.0)
-        assert np.all(high[:, 0] < low[:, 0])
+        _, tones, bf = aligned_setup(seed=8)
+        low = achievable_rates(tones[None], bf, 64.0, 1.0)
+        high = achievable_rates(tones[None], bf, 64.0, 2.0)
+        assert np.all(high[..., 0] < low[..., 0])
 
     def test_rejects_bad_noise(self):
-        _, tone, bf = aligned_setup(seed=9)
-        with pytest.raises(ValueError):
-            achievable_rates(tone, bf, 4.0, noise_power=0.0)
+        _, tones, bf = aligned_setup(seed=9)
+        with pytest.raises(ValueError, match="noise power"):
+            achievable_rates(tones[None], bf, 4.0, 0.0)
 
     def test_user_stats_summarize_streams(self):
-        params, tone, bf = aligned_setup(seed=10)
-        stats = achievable_rates(tone, bf, 32.0)
-        signal, own, cross = interference_terms(tone, bf, 32.0)
-        assert stats.shape == (3, 5)
+        params, tones, bf = aligned_setup(seed=10)
+        stats = achievable_rates(tones[None], bf, 32.0, 1.0)
+        signal, own, cross = interference_terms(tones[None], bf, 32.0)
+        assert stats.shape == (1, 3, 5)
         for i in range(3):
-            rate = np.sum(np.log2(1.0 + signal[i] / (own[i] + cross[i] + tone.noise_power))) / params.N
-            assert list(stats[i]) == [
-                rate, own[i].max(), cross[i].max(), signal[i].min(), max(own[i] + cross[i]),
-            ]
-        batched = achievable_rates(tone, bf, np.array([32.0, 64.0]))
-        assert batched.shape == (2, 3, 5)
-        np.testing.assert_array_equal(batched[0], stats)
+            s, i1, i2 = signal[i][0], own[i][0], cross[i][0]
+            rate = np.sum(np.log2(1.0 + s / (i1 + i2 + 1.0))) / params.N
+            assert list(stats[0, i]) == [rate, i1.max(), i2.max(), s.min(), max(i1 + i2)]
+        # powers on a leading axis broadcast against the batch axis
+        swept = achievable_rates(tones[None], bf, np.array([32.0, 64.0])[:, None], 1.0)
+        assert swept.shape == (2, 1, 3, 5)
+        np.testing.assert_array_equal(swept[0], stats)
 
     def test_csv_rows_contract(self):
-        _, tone, bf = aligned_setup(seed=10)
-        stats = achievable_rates(tone, bf, 32.0)
-        _, _, cross = interference_terms(tone, bf, 32.0)
+        _, tones, bf = aligned_setup(seed=10)
+        stats = achievable_rates(tones[None], bf, 32.0, 1.0)[0]
+        _, _, cross = interference_terms(tones[None], bf, 32.0)
         config = parse_config(["ia-run", "--engine", "cj3", "--n", "2", "--seed", "10"])
         rows = _rate_rows(config, 32.0, 1.0, stats)
         assert len(rows) == 3
@@ -148,7 +149,7 @@ class TestAchievableRates:
         assert rows[1]["user"] == 1
         assert rows[0]["P_log2"] == 5.0
         assert rows[2]["rate"] == stats[2, 0]
-        assert rows[2]["I2"] == cross[2].max()
+        assert rows[2]["I2"] == cross[2][0].max()
 
 
 class TestDofFit:
@@ -188,13 +189,13 @@ class TestInterferenceBoundedness:
             acc = 0.0
             for trial in range(5):
                 ch = generate_channel(3, 1, 2, seed=trial)
-                tone = to_tone_domain(ch, params.N)
                 fed = distortion_oracle_quantize(
                     np.stack([receiver_feedback(ch, i) for i in range(3)]),
                     [FeedbackBudget(K=3, R=1, L=2, P=P, alpha=1.0)] * 3,
                     [trial_generator(3, trial * 100 + j * 10 + i) for i in range(3)],
                 )
-                bf = build_beamformers(reconstruct(fed, params.N, R=1), params, "cj3")
-                acc = max(acc, achievable_rates(tone, bf, P)[:, 4].max())
+                bf = build_beamformers(reconstruct(fed[None], params.N, R=1), params, "cj3")
+                assert bf.failures == (None,)
+                acc = max(acc, achievable_rates(to_tone_domain(ch, params.N)[None], bf, P, 1.0)[..., 4].max())
             worst.append((P, acc))
         assert interference_slope(worst) <= 0.1
