@@ -29,13 +29,15 @@ cross-user leakage equals whatever alignment error the engine left.
 
 Stacks of one or two columns factor in closed form (`_thin_svd`): a
 column's norm, or one Jacobi rotation. cj3 at n = 1 has only such stacks
-besides the 3x3 interference images of receivers 1 and 2, and at these
-sizes LAPACK's per-matrix overhead, not its arithmetic, sets the cost. On
-198-element stacks of 3-row matrices (one BLAS thread, 2-core shared VM)
-3x1 took 27-40 us against LAPACK's 410-680 us, and 3x2 290-330 us against
-780-1,350 us. Three columns stay with LAPACK (1.1-1.6 ms): one-sided
-Jacobi needs four sweeps of three rotations to orthogonalize them to
-rounding, at 220-270 us a sweep, which gains nothing.
+besides the 3x3 interference images of receivers 1 and 2, which are of
+rank 2 there: their basis B is a closed form too (`_rank2_span`, a cross
+product of two columns), for every element certified rank 2 with a margin
+against RANK_RTOL. Rank 3, rank 1, all-zero and near-threshold elements
+go to LAPACK, as do all other shapes. At these sizes LAPACK's per-matrix
+overhead, not its arithmetic, sets the cost. On 198-element stacks of
+3-row matrices (one BLAS thread, 2-core shared VM) 3x1 took 27-40 us
+against LAPACK's 410-680 us, 3x2 290-330 us against 780-1,350 us, and the
+3x3 rank-2 basis 285-335 us against 1.3-1.5 ms.
 
 `build_beamformers` takes a batch of reconstructions (a leading batch
 axis: dof-sweep stacks a block of trials x alphas x powers, and ia-run
@@ -400,6 +402,88 @@ def _thin_svd(A):
     return np.stack([u0, u1 / norm], axis=-1), s, _hermitian(Z)
 
 
+# cyclic successors of the indices 0, 1, 2
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _cross(x, y):
+    """Cross products x cross y along axis 1, which has length 3 (no conjugation)."""
+    return x[:, _NEXT] * y[:, _AFTER] - x[:, _AFTER] * y[:, _NEXT]
+
+
+def _rank2_span(J):
+    """Closed-form orthonormal bases of 3x3 stacks that are certainly of rank 2: (basis, certified).
+
+    The complement of a rank-2 span in C^3 is n = conj(x cross y) / |x cross
+    y| for any two of its columns x, y that span it, since (x cross y) . x
+    = 0; the basis is u0 = x / |x| and u1 = conj(n cross u0), orthonormal
+    by Lagrange's identity |n cross u0|^2 = |n|^2 |u0|^2 - |n^H u0|^2. The
+    three column cross products are the cofactors of J (column j holds
+    column j+1 cross column j+2), and the pair taken is the
+    best-conditioned one, the largest |x cross y| / (|x|^2 + |y|^2). With
+    P = |x cross y|, F_p = ||[x y]||_F and F = ||J||_F, an element is
+    certified, and gets the closed form, when
+
+    * P > 1e3 RANK_RTOL F_p F, so sigma_2 >= P / F_p > 1e3 RANK_RTOL
+      sigma_1: LAPACK counts at least two singular values above RANK_RTOL
+      sigma_1, whatever its rounding;
+    * |det J| F_p <= 1e-12 P^2. The third singular value sigma_3 <= |det
+      J| / P, and each column lies within sigma_3 of LAPACK's leading
+      2-dimensional left singular subspace, so the pair's span is within
+      an angle sigma_3 F_p / P <= 1e-12 of it, and sigma_3 <= 1e-12
+      sigma_1, five decades under RANK_RTOL.
+
+    Every other element (rank 3, rank 1, all zero, near either threshold,
+    not finite) is left to LAPACK. Returns the (M, 3, 2) bases, meaningful
+    only where the (M,) mask `certified` is set.
+    """
+    cof = _cross(J[..., _NEXT], J[..., _AFTER])
+    area = np.sqrt((cof.real**2 + cof.imag**2).sum(axis=1))
+    col_sq = (J.real**2 + J.imag**2).sum(axis=1)
+    total_sq = col_sq.sum(axis=1)
+    pair_sq = total_sq[:, None] - col_sq
+    pick = (np.arange(len(J)), np.argmax(np.divide(area, pair_sq, out=np.zeros_like(area), where=pair_sq > 0.0), 1))
+    area, pair_f = area[pick], np.sqrt(pair_sq[pick])
+    det = np.abs((cof[..., 0] * J[..., 0]).sum(axis=1))
+    certified = (area > 1e3 * RANK_RTOL * pair_f * np.sqrt(total_sq)) & (det * pair_f <= 1e-12 * area**2)
+    x, x_norm = J[pick[0], :, _NEXT[pick[1]]], np.sqrt(col_sq[pick[0], _NEXT[pick[1]]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = cof[pick[0], :, pick[1]].conj() / area[:, None]
+        u0 = x / x_norm[:, None]
+    u1 = _cross(n, u0).conj()
+    return np.stack([u0, u1], axis=-1), certified
+
+
+def _interference_basis(J, cap: int):
+    """Orthonormal bases of a stack's interference spans, (M, r, width).
+
+    Element b keeps its first min(cap, m, rank_b) left singular vectors,
+    where rank_b counts its singular values above RANK_RTOL times the
+    largest (r for a zero element); columns past them are zero. In a 3x3
+    stack capped at 2 or more columns, the elements `_rank2_span`
+    certifies take its closed form; every other element takes one stacked
+    LAPACK call.
+    """
+    M, r, m = J.shape
+    certified = np.zeros(M, dtype=bool)
+    if (r, m) == (3, 3) and cap >= 2:
+        span, certified = _rank2_span(J)
+        if certified.all():
+            return span
+    rest = ~certified
+    left, sing, _ = _thin_svd(J[rest] if certified.any() else J)
+    rank = np.count_nonzero(sing > RANK_RTOL * sing[:, :1], axis=-1)
+    keep = np.minimum(min(cap, m), np.where(sing[:, 0] > 0.0, rank, r))
+    if certified.any():
+        full = np.zeros((M, r, left.shape[-1]), dtype=left.dtype)
+        full[rest], full[certified, :, :2] = left, span[certified]
+        left, keep_all = full, np.full(M, 2)
+        keep_all[rest] = keep
+        keep = keep_all
+    width = int(keep.max())
+    return left[..., :width] * (np.arange(width) < keep[:, None])[:, None, :]
+
+
 def _zero_force_receivers(images, params: IaParameters):
     """Unit receive filters against the interference basis (see module docstring).
 
@@ -417,11 +501,7 @@ def _zero_force_receivers(images, params: IaParameters):
     swallowed = np.full((M, K), -1)
     for i in range(K):
         J = np.concatenate([images[i][k] for k in range(K) if k != i], axis=-1)
-        left, sing, _ = _thin_svd(J)
-        rank = np.count_nonzero(sing > RANK_RTOL * sing[:, :1], axis=-1)
-        keep = np.minimum(min(RN - d[i], J.shape[-1]), np.where(sing[:, 0] > 0.0, rank, RN))
-        width = int(keep.max())
-        basis = left[..., :width] * (np.arange(width) < keep[:, None])[:, None, :]
+        basis = _interference_basis(J, RN - d[i])
         basis_h = _hermitian(basis)
         desired = images[i][i]
         w, s, zh = _thin_svd(desired - basis @ (basis_h @ desired))

@@ -59,15 +59,12 @@ class ChannelRealization:
     R: int
     L: int
     taps: np.ndarray = field(repr=False)
-    noise_power: float = 1.0
 
     def __post_init__(self):
         if self.taps.ndim not in (4, 5) or self.taps.shape[-4:] != (self.K, self.K, self.L, self.R):
             raise ValueError("tap array shape must be (K, K, L, R) or (B, K, K, L, R)")
         if not np.all(np.isfinite(self.taps)):
             raise ValueError("taps must be finite")
-        if self.noise_power <= 0:
-            raise ValueError("noise power must be positive")
         self.taps.setflags(write=False)
 
 
@@ -211,7 +208,7 @@ def save_channel(ch: ChannelRealization, path) -> None:
     """Write a realization as a textual archive keyed by (i, k)."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# iafb-channel v1\n")
-        fh.write(f"K={ch.K} R={ch.R} L={ch.L} noise_power={ch.noise_power!r}\n")
+        fh.write(f"K={ch.K} R={ch.R} L={ch.L}\n")
         for i in range(ch.K):
             for k in range(ch.K):
                 fh.write(f"T {i} {k}\n")
@@ -223,15 +220,17 @@ def load_channel(path) -> ChannelRealization:
     """Read a realization written by `save_channel`.
 
     A malformed archive raises ValueError: a wrong first line, a header
-    without K, R, L or noise_power, an entry outside the K x K links, a
-    tap row without R values, a missing link, or a link whose taps are all
-    zero (it has no direction to feed back).
+    without K, R or L, an entry outside the K x K links, a tap row without
+    R values, a missing link, or a link whose taps are all zero (it has no
+    direction to feed back). Other header keys, such as the
+    ``noise_power`` that older archives carry, are ignored: the noise power
+    is a run's ``--noise``, not part of the channel.
     """
     with open(path, "r", encoding="ascii") as fh:
         if fh.readline().strip() != "# iafb-channel v1":
             raise ValueError("not a channel archive: the first line must be '# iafb-channel v1'")
         header = dict(item.partition("=")[::2] for item in fh.readline().split())
-        missing = [key for key in ("K", "R", "L", "noise_power") if key not in header]
+        missing = [key for key in ("K", "R", "L") if key not in header]
         if missing:
             raise ValueError(f"the header lacks {', '.join(missing)}")
         K, R, L = int(header["K"]), int(header["R"]), int(header["L"])
@@ -257,4 +256,4 @@ def load_channel(path) -> ChannelRealization:
         zero = np.argwhere(~taps.any(axis=(-2, -1)))
         if len(zero):
             raise ValueError(f"link ({zero[0][0]}, {zero[0][1]}) is identically zero, so it has no direction")
-        return ChannelRealization(K=K, R=R, L=L, taps=taps, noise_power=float(header["noise_power"]))
+        return ChannelRealization(K=K, R=R, L=L, taps=taps)

@@ -677,9 +677,11 @@ def _oracle_feedback(config: ExperimentConfig, trials: range, exact: np.ndarray,
     (t, a, j), the trial ``trials[t]`` at point (a, j), is row (t*A + a)*J + j.
     Its user i draws from its own stream,
     trial_generator(seed, (trial*100_000 + a*1_000 + j)*1009 + i); a user
-    with alpha = 0 is silent (see `_oracle_rows`). One `trial_generators`
-    pass seeds all of the block's streams, and each (alpha, power) point's
-    budgets are built once and tiled over the trials.
+    with alpha = 0 is silent (see `_oracle_rows`). The block's keys are
+    formed as one integer array, by broadcasting over (trial, a, j, i),
+    and one `trial_generators` pass seeds all of its streams (a key passes
+    2^32, and takes two seed words, from trial 43 on). Each (alpha, power)
+    point's budgets are built once and tiled over the trials.
     """
     K, R, L = config.K, config.R, config.L
     budgets = []
@@ -689,10 +691,10 @@ def _oracle_feedback(config: ExperimentConfig, trials: range, exact: np.ndarray,
             budget = {al: FeedbackBudget(K=K, R=R, L=L, P=P, alpha=al) for al in set(user_alphas) if al}
             budgets += [budget.get(al) for al in user_alphas]
     points = len(config.alphas) * len(grid)
-    keys = [
-        ((t * 100_000 + a * 1_000 + j) * 1009 + i,)
-        for t in trials for a in range(len(config.alphas)) for j in range(len(grid)) for i in range(K)
-    ]
+    t, a, j, i = np.ix_(
+        np.arange(trials.start, trials.stop), np.arange(len(config.alphas)), np.arange(len(grid)), np.arange(K)
+    )
+    keys = ((t * 100_000 + a * 1_000 + j) * 1009 + i).reshape(-1, 1)
     rows = np.repeat(exact, points, axis=0).reshape(-1, K, R * L)
     fed = _oracle_rows(rows, budgets * len(trials), trial_generators(config.seed, keys))
     return fed.reshape(-1, K, K, R * L)
@@ -715,7 +717,8 @@ def _block_stats(config: ExperimentConfig, trials: range):
     params = _make_params(K, R, L, config.n, config.engine)
     grid = _power_grid(config)
     T = len(trials)
-    channels = [generate_channel(K, R, L, seed=g) for g in trial_generators(config.seed, [(t,) for t in trials])]
+    trial_keys = np.arange(trials.start, trials.stop)[:, None]
+    channels = [generate_channel(K, R, L, seed=g) for g in trial_generators(config.seed, trial_keys)]
     exact = np.stack([[receiver_feedback(ch, i) for i in range(K)] for ch in channels])
     if config.feedback == "perfect":
         # powers on their own leading axis: rates come out (J, T, K, 5)
@@ -725,7 +728,7 @@ def _block_stats(config: ExperimentConfig, trials: range):
     rngs = None
     if config.engine == "leakage-min":
         # every point of a trial starts leakage-min from the same stream
-        rngs = trial_generators(config.seed, [(7_000_000 + t,) for t in trials for _ in range(len(fed) // T)])
+        rngs = trial_generators(config.seed, np.repeat(7_000_000 + trial_keys, len(fed) // T, axis=0))
     stats, _, failures = _evaluate(config, params, np.stack([ch.taps for ch in channels]), fed, P, rngs)
     if config.feedback == "perfect":
         stats = np.moveaxis(stats, 0, 1)
@@ -745,11 +748,12 @@ def _sweep_block(args):
 # Each pass pays a fixed cost, and its memory grows with its elements (the
 # oracle's generators alone take 0.75 KiB each, one per element and user).
 # Curve on the feedback-sweep argv (20 trials of 33 elements; median ms per
-# invocation, traced peak MiB, process peak RSS MB; one BLAS thread, 2-core
-# shared VM): 33 elements (one trial) 56, 0.27, 41.3; 66: 43, 0.43, 41.3;
-# 132: 37, 0.76, 41.8; 200: 34, 0.92, 42.0; 264: 33, 1.25, 42.5;
-# 330: 33, 1.74, 43.1; 660 (one block) 32, 3.33, 45.6. Past 200 the time
-# barely moves while the memory keeps growing.
+# invocation over three runs of 30, traced peak MiB, process peak RSS MB;
+# one BLAS thread, 2-core shared VM): 33 elements (one trial) 129-149,
+# 0.26, 41.1; 66: 82-91, 0.42, 41.2; 132: 61, 0.73, 41.6; 200: 53-58,
+# 0.89, 42.0; 264: 54-56, 1.22, 42.4; 330: 47-55, 1.70, 43.4; 660 (one
+# block) 44-51, 3.25, 46.3. Past 200 the time falls by a fifth at most
+# while the traced memory grows 3.6-fold.
 SWEEP_BLOCK = 200
 
 

@@ -5,10 +5,16 @@ Every stochastic entry point accepts either an integer seed or a ready
 stream per trial from ``(seed, trial_index)`` so that results do not
 depend on how trials are distributed over workers. `trial_generator`
 builds one such stream; `trial_generators` builds many at once, with the
-same streams, seeding all of them in one vectorized pass.
+same streams, from an (M, k) integer array of keys. It splits every key
+into uint32 words and runs SeedSequence's hash over all of them as array
+arithmetic, with no per-key Python work, and hands each `PCG64` its seed
+words through a real ``ISeedSequence`` subclass, defined on first use so
+that importing the library does not import ``numpy.random``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -59,32 +65,44 @@ def trial_generator(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-class _SeedWords:
-    """A seed sequence that hands `PCG64` its already hashed seed words.
+@functools.cache
+def _seed_words_type():
+    """A numpy ``ISeedSequence`` that hands `PCG64` its already hashed seed words.
 
-    It answers PCG64's one request, ``generate_state(4, np.uint64)``.
-    `trial_generators` registers it as a subclass of numpy's
-    ``ISeedSequence``, the type PCG64 accepts, when it runs rather than at
-    import: importing that base class imports ``numpy.random``, about 15 ms
+    It answers PCG64's one request, ``generate_state(4, np.uint64)``, and
+    cannot spawn children. The class is defined on first use rather than at
+    import: importing its base class imports ``numpy.random``, about 15 ms
     that ``import iafb`` need not pay.
     """
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
 
 
-def _uint32_words(value: int) -> list:
-    """SeedSequence's coercion of a non-negative integer: its 32-bit words, low first."""
-    if value < 0:
-        raise ValueError(f"expected non-negative integer, got {value}")
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
+def _uint32_words(values: np.ndarray):
+    """SeedSequence's coercion of non-negative integers: (words, count).
+
+    ``words[..., w]`` holds word w of each value, low first, zero past its
+    last word; ``count`` holds each value's word count (one for zero).
+    Works on integer arrays and on object arrays of Python integers.
+    """
+    words, count = [], np.ones(values.shape, dtype=np.int64)
+    while True:
+        words.append((values & _MASK32).astype(np.uint32))
+        values = values >> 32
+        more = np.asarray(values > 0, dtype=bool)
+        if not more.any():
+            return np.stack(words, axis=-1), count
+        count += more
 
 
 def _hashmix(values: np.ndarray, consts: tuple) -> np.ndarray:
@@ -101,42 +119,57 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def trial_generators(seed: int, keys) -> list:
     """[trial_generator(seed, *key) for key in keys], seeded in one vectorized pass.
 
+    ``keys`` is an (M, k) array of non-negative integers, one key per row
+    (an array of Python integers for keys past 2^64). Every key of a call
+    therefore has the same length; keys of several lengths, or keys that
+    are not integers, raise ValueError. A negative seed or key raises
+    ValueError, as SeedSequence does.
+
     Runs numpy's SeedSequence hash over every key at once as uint32 array
-    arithmetic, which wraps as the hash's C code does, and hands each
-    `PCG64` its seed words: the streams equal `trial_generator`'s bit for
-    bit. A negative seed or key raises ValueError, as SeedSequence does.
-    The generators' seed sequences cannot spawn children.
+    arithmetic, which wraps as the hash's C code does: each row's entropy
+    is the seed's words followed by each key entry's words, however many
+    words each entry takes. Then hands each `PCG64` its seed words, so the
+    streams equal `trial_generator`'s bit for bit. The generators' seed
+    sequences cannot spawn children.
     """
-    head = _uint32_words(int(seed))
-    entropy = [head + [w for k in key for w in _uint32_words(int(k))] for key in keys]
-    if not entropy:
-        return []
-    # words past the pool's 4 hash as zeros when a row is shorter
-    pool = np.array([(row + [0] * _POOL)[:_POOL] for row in entropy], dtype=np.uint32)
-    pool = _hashmix(pool, _FILL)
+    if int(seed) < 0:
+        raise ValueError(f"expected non-negative integer seed, got {seed}")
+    try:
+        keys = np.asarray(keys)
+    except ValueError:
+        raise ValueError("keys must form an (M, k) array of integers: one length for every key") from None
+    if not keys.size:  # no keys, or M empty ones; numpy types both as floats
+        return [trial_generator(seed) for _ in keys]
+    if keys.ndim != 2 or keys.dtype.kind not in "biuO":
+        raise ValueError(f"keys must form an (M, k) array of integers, got {keys.dtype} of shape {keys.shape}")
+    if (keys < 0).any():
+        raise ValueError("expected non-negative integer keys")
+    head, head_count = _uint32_words(np.array([int(seed)]))
+    head = head[0, : head_count[0]]
+    words, count = _uint32_words(keys)
+    # each row's key words in entry order, with the (zero) padding of its
+    # entries moved past its last word
+    padding = (np.arange(words.shape[-1]) >= count[..., None]).reshape(len(keys), -1)
+    body = np.take_along_axis(words.reshape(len(keys), -1), np.argsort(padding, axis=1, kind="stable"), axis=1)
+    length = len(head) + count.sum(axis=1)
+    entropy = np.zeros((len(keys), max(len(head) + body.shape[1], _POOL)), dtype=np.uint32)
+    entropy[:, : len(head)], entropy[:, len(head) : len(head) + body.shape[1]] = head, body
+    # words past a row's length hash as zeros into the pool, as SeedSequence
+    # runs its hash out over a short entropy
+    pool = _hashmix(entropy[:, :_POOL], _FILL)
     for src in range(_POOL):
         others = _OTHERS[src]
         pool[:, others] = _mix(pool[:, others], _hashmix(pool[:, src, None], _CROSS[src]))
-    # a row of more words mixes each one past the pool into every pool word;
-    # rows of one length share the loop
-    long_rows = {}
-    for r, row in enumerate(entropy):
-        if len(row) > _POOL:
-            long_rows.setdefault(len(row), []).append(r)
-    for length, rows in long_rows.items():
-        extra = np.array([entropy[r][_POOL:] for r in rows], dtype=np.uint32)
-        mixed = pool[rows]
-        for s in range(length - _POOL):
-            consts = _consts(_INIT_A, _MULT_A, _POOL * (_POOL + s), _POOL)
-            mixed = _mix(mixed, _hashmix(extra[:, s, None], consts))
-        pool[rows] = mixed
+    # each word past the pool mixes into every pool word, in rows that have it
+    for s in range(entropy.shape[1] - _POOL):
+        consts = _consts(_INIT_A, _MULT_A, _POOL * (_POOL + s), _POOL)
+        mixed = _mix(pool, _hashmix(entropy[:, _POOL + s, None], consts))
+        pool = np.where((length > _POOL + s)[:, None], mixed, pool)
     # generate_state(4, uint64): 8 uint32 words read as 4 little-endian uint64
     state = _hashmix(np.tile(pool, 2), _STATE)
     state = np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_SeedWords)
-    return [np.random.Generator(np.random.PCG64(_SeedWords(words))) for words in state]
+    words_type, bit_generator, generator = _seed_words_type(), np.random.PCG64, np.random.Generator
+    return [generator(bit_generator(words_type(row))) for row in state]
 
 
 def complex_normal_parts(rng: np.random.Generator, shape) -> np.ndarray:

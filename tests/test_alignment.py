@@ -293,13 +293,19 @@ def verdicts(bf):
     return ["ok" if f is None else "swallowed" if "swallowed" in str(f) else "gate" for f in bf.failures]
 
 
+def lapack_only(patch):
+    """Patch every closed-form factorization of the zero-forcing step off."""
+    patch.setattr(alignment, "_thin_svd", lambda A: np.linalg.svd(A, full_matrices=False))
+    patch.setattr(alignment, "_rank2_span", lambda J: (None, np.zeros(len(J), dtype=bool)))
+
+
 class TestZeroForcingVerdicts:
     """The closed-form factorizations leave every build's verdict as LAPACK's gives it."""
 
     @staticmethod
     def lapack_build(monkeypatch, *args, **kwargs):
         with monkeypatch.context() as patch:
-            patch.setattr(alignment, "_thin_svd", lambda A: np.linalg.svd(A, full_matrices=False))
+            lapack_only(patch)
             return build_beamformers(*args, **kwargs)
 
     @staticmethod
@@ -318,6 +324,35 @@ class TestZeroForcingVerdicts:
         self.assert_same_build(bf, self.lapack_build(monkeypatch, rec, params, "cj3"))
         if n == 1:
             assert verdicts(bf) == ["ok"] * 20
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_cj3_rank2_closed_form(self, monkeypatch, oracle):
+        # cj3 at n = 1 (the feedback-sweep sizing): receivers 1 and 2 see
+        # 3x3 interference stacks of rank 2, on 200 channels, with perfect
+        # feedback or with the oracle at 2^4..2^14 and alpha 0.25
+        params = cj3_parameters(1)
+        channels = [generate_channel(3, 1, 2, seed=trial_generator(1, t)) for t in range(200)]
+        fed = np.stack([[receiver_feedback(ch, i) for i in range(3)] for ch in channels])
+        if oracle:
+            P = 2.0 ** np.arange(4, 15)[np.arange(600) % 11]
+            budgets = [FeedbackBudget(K=3, R=1, L=2, P=p, alpha=0.25) for p in P]
+            rows = distortion_oracle_quantize(fed.reshape(-1, 3, 2), budgets, [trial_generator(1, 9, r) for r in range(600)])
+            fed = rows.reshape(fed.shape)
+        rec = reconstruct(fed, params.N, R=1)
+        certified = []
+        closed_form = alignment._rank2_span
+
+        def recorded(J):
+            span, ok = closed_form(J)
+            certified.append(ok)
+            return span, ok
+
+        with monkeypatch.context() as patch:
+            patch.setattr(alignment, "_rank2_span", recorded)
+            bf = build_beamformers(rec, params, "cj3")
+        assert len(certified) == 2 and all(c.all() for c in certified)
+        self.assert_same_build(bf, self.lapack_build(monkeypatch, rec, params, "cj3"))
+        assert verdicts(bf) == ["ok"] * 200
 
     @pytest.mark.parametrize("sizing,trials", [((3, 1, 1), 20), ((3, 1, 2), 2)])
     def test_leakage_min(self, monkeypatch, sizing, trials):
@@ -395,6 +430,74 @@ class TestThinSvd:
         A = self.draw(shape)
         for got, want in zip(_thin_svd(A), np.linalg.svd(A, full_matrices=False)):
             assert np.array_equal(got, want)
+
+
+class TestRank2Span:
+    """3x3 stacks: the closed form takes exactly the certified rank-2 elements, LAPACK the rest."""
+
+    draw = staticmethod(TestThinSvd.draw)
+
+    @classmethod
+    def with_singular_values(cls, sing, seed):
+        q1, _ = np.linalg.qr(cls.draw((3, 3), seed))
+        q2, _ = np.linalg.qr(cls.draw((3, 3), seed + 1))
+        return (q1 * np.asarray(sing)) @ q2
+
+    @classmethod
+    def rank2(cls, count, seed=0):
+        ab = cls.draw((count, 3, 2), seed)
+        return np.concatenate([ab, ab @ cls.draw((count, 2, 1), seed + 1)], axis=-1)
+
+    @staticmethod
+    def lapack_basis(monkeypatch, J):
+        with monkeypatch.context() as patch:
+            lapack_only(patch)
+            return alignment._interference_basis(J, 2)
+
+    def test_exact_rank_two(self, monkeypatch):
+        J = self.rank2(50)
+        # column orders and scales that make each pair the best-conditioned one
+        J[1] = J[1][:, [2, 0, 1]]
+        J[2] = J[2][:, [1, 2, 0]] * np.array([1e-3, 1.0, 1e3])
+        _, certified = alignment._rank2_span(J)
+        assert certified.all()
+        basis = alignment._interference_basis(J, 2)
+        ref = self.lapack_basis(monkeypatch, J)
+        assert basis.shape == ref.shape == (50, 3, 2)
+        assert np.abs(np.swapaxes(basis.conj(), -1, -2) @ basis - np.eye(2)).max() <= 1e-14
+        # both projectors onto the span carry rounding of order 1e-16
+        # sigma_1 / sigma_2, which the scaled element raises to 1e-13
+        proj = basis @ np.swapaxes(basis.conj(), -1, -2)
+        sing = np.linalg.svd(J, compute_uv=False)
+        gap = np.abs(proj - ref @ np.swapaxes(ref.conj(), -1, -2)).max(axis=(-2, -1))
+        assert (gap <= 1e-14 * sing[:, 0] / sing[:, 1]).all()
+        assert (np.abs(proj @ J - J).max(axis=(-2, -1)) <= 1e-14 * sing[:, 0]).all()
+
+    # rank 3, rank 1, all zero, sigma_3 at RANK_RTOL sigma_1, and sigma_2
+    # near RANK_RTOL sigma_1
+    OTHERS = {
+        "rank-3": lambda cls: cls.draw((3, 3), 5),
+        "rank-1": lambda cls: cls.draw((3, 1), 6) * cls.draw((1, 3), 7),
+        "zero": lambda cls: np.zeros((3, 3), dtype=complex),
+        "sigma3-at-rtol": lambda cls: cls.with_singular_values([1.0, 0.5, RANK_RTOL], 8),
+        "sigma2-near-rtol": lambda cls: cls.with_singular_values([1.0, 10 * RANK_RTOL, 0.0], 10),
+    }
+
+    @pytest.mark.parametrize("case", list(OTHERS))
+    def test_other_elements_take_lapack(self, monkeypatch, case):
+        other = self.OTHERS[case](type(self))
+        # alone and between certified rank-2 elements of one stack
+        for J, at in ((other[None], 0), (np.concatenate([self.rank2(2, 11), other[None], self.rank2(2, 12)]), 2)):
+            _, certified = alignment._rank2_span(J)
+            assert np.flatnonzero(~certified).tolist() == [at]
+            basis = alignment._interference_basis(J, 2)
+            ref = self.lapack_basis(monkeypatch, J)
+            assert basis.shape == ref.shape
+            assert np.array_equal(basis[at], ref[at])
+
+    def test_cap_below_two_is_lapack(self, monkeypatch):
+        J = self.rank2(4)
+        assert np.array_equal(alignment._interference_basis(J, 1), self.lapack_basis(monkeypatch, J)[..., :1])
 
 
 class TestMimoReduce:

@@ -234,8 +234,18 @@ class TestArchive:
         save_channel(ch, path)
         loaded = load_channel(path)
         assert (loaded.K, loaded.R, loaded.L) == (3, 2, 4)
-        assert loaded.noise_power == ch.noise_power
         assert np.array_equal(loaded.taps, ch.taps)
+        assert path.read_text().splitlines()[1] == "K=3 R=2 L=4"
+
+    def test_ignores_an_old_noise_power(self, tmp_path):
+        # archives written before the noise left the channel carry it in their header
+        ch = generate_channel(3, 1, 2, seed=4)
+        path = tmp_path / "chan.txt"
+        save_channel(ch, path)
+        lines = path.read_text().splitlines()
+        lines[1] += " noise_power=0.25"
+        path.write_text("\n".join(lines) + "\n")
+        assert np.array_equal(load_channel(path).taps, ch.taps)
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "nope.txt"

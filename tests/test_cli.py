@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -958,6 +961,17 @@ class TestParser:
         assert parse_config(PARSE_ARGV[command]) == first
         assert first.command == command
         assert iafb.cli._build_parser.cache_info().misses == 1
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # importing numpy.random costs every CLI start about 15 ms; the library
+    # imports it on the first draw (see `rng._seed_words_type`)
+    src = str(Path(iafb.cli.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, iafb.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestConfigFile:

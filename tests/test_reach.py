@@ -15,6 +15,7 @@ from pathlib import Path
 
 import iafb
 import iafb.cli as cli
+import iafb.rng as rng
 from iafb.cli import main
 
 PACKAGE = Path(iafb.__file__).parent
@@ -81,9 +82,10 @@ def test_every_function_is_reached(tmp_path, capsys):
             entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
     runs = invocations(tmp_path)
-    # the runs enter the argparse tree's builder as a fresh process would,
-    # whatever earlier tests built
+    # the runs enter the argparse tree's builder and the seed-words class's
+    # factory as a fresh process would, whatever earlier tests built
     cli._build_parser.cache_clear()
+    rng._seed_words_type.cache_clear()
     sys.setprofile(profile)
     try:
         codes = [main(argv) for argv in runs]

@@ -58,12 +58,22 @@ class TestTrialGenerators:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_word_lengths_mixed_in_one_call(self, seed):
-        assert_same_streams(seed, KEYS + [(), (5,), (2**64 + 3, 2**32)])
+        # key entries of one, two and three words in every combination
+        words = [0, 2**32 - 1, 2**32, 2**64 + 3]
+        assert_same_streams(seed, [(a, b) for a in words for b in words])
 
     def test_rows_past_the_pool(self):
-        # rows of 6 (3 + 3) and 8 (3 + 1 + 3 + 1) words take the mixing loop
-        # past the 4-word pool, beside a row of 4 words in the same call
-        assert_same_streams(2**64 + 5, [(2**64 + 3,), (1, 2**64 + 3, 9), (4,), (2**64 + 3,)])
+        # rows of 6 (3 + 3) and 4 (3 + 1) words in one call, and of
+        # 8 (3 + 1 + 3 + 1) and 6 words in another, take the mixing loop past
+        # the 4-word pool beside rows that stop inside it
+        assert_same_streams(2**64 + 5, [(2**64 + 3,), (4,), (2**64 + 3,)])
+        assert_same_streams(2**64 + 5, [(1, 2**64 + 3, 9), (1, 2, 3)])
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_integer_arrays(self, dtype):
+        keys = np.array([[0, 5], [2**32 - 1, 2**32], [2**33 + 7, 3]], dtype=dtype)
+        assert_same_streams(9, keys)
+        assert_same_streams(9, np.array([[2**64 - 1]], dtype=np.uint64))
 
     def test_sweep_keys(self):
         # dof-sweep's oracle keys for trials 42 and 43, which cross 2^32
@@ -78,7 +88,28 @@ class TestTrialGenerators:
     def test_empty(self):
         assert trial_generators(0, []) == []
 
+    def test_empty_keys(self):
+        assert_same_streams(5, [()])
+        assert_same_streams(5, np.zeros((2, 0), dtype=np.int64))
+
     @pytest.mark.parametrize("seed, keys", [(0, [(1,), (-1,)]), (-1, [(1,)]), (0, [(2, -3)])])
     def test_negative_entropy_raises(self, seed, keys):
         with pytest.raises(ValueError, match="non-negative"):
             trial_generators(seed, keys)
+
+    # forms `trial_generator` takes but one call of `trial_generators` does
+    # not: keys of several lengths, and an array that numpy would make of
+    # floats (a uint64 beside a Python int), which could not hold every key exactly
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [(1,), (2, 3)],
+            [(), (5,)],
+            [(np.uint64(2**63),), (1,)],
+            np.array([[1.0], [2.0]]),
+            np.arange(3),
+        ],
+    )
+    def test_unsupported_key_forms_raise(self, keys):
+        with pytest.raises(ValueError, match=r"keys must form an \(M, k\) array of integers"):
+            trial_generators(0, keys)
