@@ -29,15 +29,18 @@ cross-user leakage equals whatever alignment error the engine left.
 
 Stacks of one or two columns factor in closed form (`_thin_svd`): a
 column's norm, or one Jacobi rotation. cj3 at n = 1 has only such stacks
-besides the 3x3 interference images of receivers 1 and 2, which are of
-rank 2 there: their basis B is a closed form too (`_rank2_span`, a cross
-product of two columns), for every element certified rank 2 with a margin
-against RANK_RTOL. Rank 3, rank 1, all-zero and near-threshold elements
-go to LAPACK, as do all other shapes. At these sizes LAPACK's per-matrix
-overhead, not its arithmetic, sets the cost. On 198-element stacks of
+besides its interference images, which are of deficient rank there, and
+their basis B is a closed form too, for every element certified with a
+margin against RANK_RTOL: receivers 1 and 2 see 3x3 images of rank 2
+(`_rank2_span`, a cross product of two columns), and receiver 0 sees a
+3x2 image of rank 1 capped at one column (`_rank1_span`, its larger
+column). Other ranks, all-zero and near-threshold elements go to
+`_thin_svd` (LAPACK past two columns), as do all other shapes. At these
+sizes LAPACK's per-matrix overhead, not its arithmetic, sets the cost. On 198-element stacks of
 3-row matrices (one BLAS thread, 2-core shared VM) 3x1 took 27-40 us
-against LAPACK's 410-680 us, 3x2 290-330 us against 780-1,350 us, and the
-3x3 rank-2 basis 285-335 us against 1.3-1.5 ms.
+against LAPACK's 410-680 us, 3x2 290-330 us against 780-1,350 us, the
+3x3 rank-2 basis 285-335 us against 1.3-1.5 ms, and the 3x2 rank-1 basis
+135 us against the Jacobi rotation's 415 us.
 
 `build_beamformers` takes a batch of reconstructions (a leading batch
 axis: dof-sweep stacks a block of trials x alphas x powers, and ia-run
@@ -454,6 +457,35 @@ def _rank2_span(J):
     return np.stack([u0, u1], axis=-1), certified
 
 
+def _rank1_span(J):
+    """Closed-form unit bases of 3x2 stacks that are certainly of rank 1: (basis, certified).
+
+    For two columns x, y of C^3, |x cross y|^2 = |x|^2 |y|^2 - |x^H y|^2
+    (Lagrange's identity) is sigma_1^2 sigma_2^2, and F^2 = |x|^2 + |y|^2
+    is sigma_1^2 + sigma_2^2 <= 2 sigma_1^2. So with P = |x cross y| an
+    element is certified when 2 P <= 1e-12 F^2, which bounds sigma_2 /
+    sigma_1 = P / sigma_1^2 by 1e-12, five decades under RANK_RTOL: LAPACK
+    counts one singular value above RANK_RTOL sigma_1, whatever its
+    rounding. Its basis is the larger column over its norm, which lies
+    within an angle sqrt(2) sigma_2 / sigma_1 of LAPACK's leading left
+    singular vector. F^2 must be finite and at least the smallest normal
+    float, so that no overflow or underflow in P passes the test. Every
+    other element (rank 2, all zero, near the threshold, not finite) is
+    left to `_thin_svd`. Returns the (M, 3, 1) bases, meaningful only
+    where the (M,) mask `certified` is set.
+    """
+    rows = np.arange(len(J))
+    with np.errstate(all="ignore"):
+        cross = _cross(J[..., :1], J[..., 1:])[..., 0]
+        area = np.sqrt((cross.real**2 + cross.imag**2).sum(axis=1))
+        col_sq = (J.real**2 + J.imag**2).sum(axis=1)
+        total_sq = col_sq.sum(axis=1)
+        certified = (total_sq >= np.finfo(float).tiny) & (total_sq < np.inf) & (2.0 * area <= 1e-12 * total_sq)
+        pick = np.argmax(col_sq, axis=1)
+        u0 = J[rows, :, pick] / np.sqrt(col_sq[rows, pick])[:, None]
+    return u0[..., None], certified
+
+
 def _interference_basis(J, cap: int):
     """Orthonormal bases of a stack's interference spans, (M, r, width).
 
@@ -461,23 +493,27 @@ def _interference_basis(J, cap: int):
     where rank_b counts its singular values above RANK_RTOL times the
     largest (r for a zero element); columns past them are zero. In a 3x3
     stack capped at 2 or more columns, the elements `_rank2_span`
-    certifies take its closed form; every other element takes one stacked
-    LAPACK call.
+    certifies take its closed form, and in a 3x2 stack capped at 1 or
+    more, those `_rank1_span` certifies take its; every other element
+    takes one stacked `_thin_svd` call.
     """
     M, r, m = J.shape
-    certified = np.zeros(M, dtype=bool)
+    span, certified = None, np.zeros(M, dtype=bool)
     if (r, m) == (3, 3) and cap >= 2:
         span, certified = _rank2_span(J)
-        if certified.all():
-            return span
+    elif (r, m) == (3, 2) and cap >= 1:
+        span, certified = _rank1_span(J)
+    if span is not None and certified.all():
+        return span
     rest = ~certified
     left, sing, _ = _thin_svd(J[rest] if certified.any() else J)
     rank = np.count_nonzero(sing > RANK_RTOL * sing[:, :1], axis=-1)
     keep = np.minimum(min(cap, m), np.where(sing[:, 0] > 0.0, rank, r))
     if certified.any():
+        cols = span.shape[-1]
         full = np.zeros((M, r, left.shape[-1]), dtype=left.dtype)
-        full[rest], full[certified, :, :2] = left, span[certified]
-        left, keep_all = full, np.full(M, 2)
+        full[rest], full[certified, :, :cols] = left, span[certified]
+        left, keep_all = full, np.full(M, cols)
         keep_all[rest] = keep
         keep = keep_all
     width = int(keep.max())

@@ -34,7 +34,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import cache, partial
 
@@ -68,7 +67,7 @@ from .quantizer import (
     save_codebook,
 )
 from .rates import CSV_COLUMNS, achievable_rates, dof_fit, interference_slope
-from .rng import trial_generator, trial_generators
+from .rng import trial_generator, trial_generators, trial_normals
 
 
 # --------------------------------------------------------------------------
@@ -360,12 +359,16 @@ def _map(fn, args, jobs: int) -> list:
     more workers than the CPUs this process may run on only adds processes
     that wait for a CPU. Tasks go out in about four batches per worker,
     the split `multiprocessing.Pool.map` uses, so many short tasks do not
-    each pay a round trip to a worker.
+    each pay a round trip to a worker. The pool's modules are imported
+    only here, so a run on one worker never loads `concurrent.futures`
+    or `multiprocessing`.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(jobs, len(args), cpus)
     if workers <= 1:
         return [fn(a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args, chunksize=max(1, len(args) // (4 * workers))))
 
@@ -518,24 +521,31 @@ def _pipeline_params(config: ExperimentConfig):
     return params
 
 
-def _oracle_rows(exact: np.ndarray, budgets: list, gens: list) -> np.ndarray:
-    """Oracle feedback of (M, K, R*L) exact directions, one budget and generator per row.
+def _oracle_rows(exact: np.ndarray, delta_sq: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Oracle feedback of (M, K, R*L) exact directions, one squared radius and normal draw per row.
 
-    A None budget marks a user who feeds back nothing: that row is a
-    uniformly random estimate drawn from its generator. Every other row is
+    ``normals`` holds each row's (2, K, R*L) standard normals. A NaN
+    radius marks a user who feeds back nothing: that row is the uniformly
+    random estimate its normals give. Every other row is
     `distortion_oracle_quantize` of its exact directions.
     """
     fed = exact.copy()
-    silent = np.array([b is None for b in budgets])
+    silent = np.isnan(delta_sq)
     if silent.any():
-        fed[silent] = sample_uniform(exact.shape[-1], exact.shape[-2], [g for g, s in zip(gens, silent) if s])
+        fed[silent] = sample_uniform(exact.shape[-1], exact.shape[-2], normals[silent])
     if not silent.all():
-        fed[~silent] = distortion_oracle_quantize(
-            exact[~silent],
-            [b for b in budgets if b is not None],
-            [g for g, s in zip(gens, silent) if not s],
-        )
+        fed[~silent] = distortion_oracle_quantize(exact[~silent], delta_sq[~silent], normals[~silent])
     return fed
+
+
+def _oracle_radii(K: int, R: int, L: int, P: float, user_alphas) -> list:
+    """One point's oracle radii `FeedbackBudget.delta_star`, one per user; NaN for a silent (alpha 0) user.
+
+    Each distinct alpha's budget is built once, for the (K, R*L)
+    directions its users feed back.
+    """
+    radius = {al: FeedbackBudget(K=K, R=R, L=L, P=P, alpha=al).delta_star for al in set(user_alphas) if al}
+    return [radius.get(al, math.nan) for al in user_alphas]
 
 
 def _rate_rows(config: ExperimentConfig, P: float, alpha: float, stats: np.ndarray) -> list:
@@ -596,8 +606,9 @@ def _fed_back(ch, config: ExperimentConfig, P: float) -> np.ndarray:
     exact = np.stack([receiver_feedback(ch, i) for i in range(K)])
     if config.feedback == "perfect":
         return exact
-    budget = FeedbackBudget(K=K, R=ch.R, L=ch.L, P=P, alpha=config.alpha) if config.alpha else None
-    return _oracle_rows(exact, [budget] * K, [trial_generator(config.seed, 1009 + i) for i in range(K)])
+    delta_sq = np.square(_oracle_radii(K, ch.R, ch.L, P, [config.alpha] * K))
+    keys = 1009 + np.arange(K)[:, None]
+    return _oracle_rows(exact, delta_sq, trial_normals(config.seed, keys, (K, ch.R * ch.L)))
 
 
 def cmd_ia_run(config: ExperimentConfig) -> int:
@@ -679,24 +690,25 @@ def _oracle_feedback(config: ExperimentConfig, trials: range, exact: np.ndarray,
     trial_generator(seed, (trial*100_000 + a*1_000 + j)*1009 + i); a user
     with alpha = 0 is silent (see `_oracle_rows`). The block's keys are
     formed as one integer array, by broadcasting over (trial, a, j, i),
-    and one `trial_generators` pass seeds all of its streams (a key passes
-    2^32, and takes two seed words, from trial 43 on). Each (alpha, power)
-    point's budgets are built once and tiled over the trials.
+    and one `trial_normals` call draws every stream's normals (a key
+    passes 2^32, and takes two seed words, from trial 43 on). Each
+    (alpha, power) point's squared radii are computed once and tiled over
+    the trials.
     """
     K, R, L = config.K, config.R, config.L
-    budgets = []
+    radii = []
     for alpha in config.alphas:
         user_alphas = _user_alphas(config, alpha)
         for P in grid:
-            budget = {al: FeedbackBudget(K=K, R=R, L=L, P=P, alpha=al) for al in set(user_alphas) if al}
-            budgets += [budget.get(al) for al in user_alphas]
+            radii += _oracle_radii(K, R, L, P, user_alphas)
     points = len(config.alphas) * len(grid)
     t, a, j, i = np.ix_(
         np.arange(trials.start, trials.stop), np.arange(len(config.alphas)), np.arange(len(grid)), np.arange(K)
     )
     keys = ((t * 100_000 + a * 1_000 + j) * 1009 + i).reshape(-1, 1)
     rows = np.repeat(exact, points, axis=0).reshape(-1, K, R * L)
-    fed = _oracle_rows(rows, budgets * len(trials), trial_generators(config.seed, keys))
+    delta_sq = np.tile(np.square(radii), len(trials))
+    fed = _oracle_rows(rows, delta_sq, trial_normals(config.seed, keys, (K, R * L)))
     return fed.reshape(-1, K, K, R * L)
 
 
@@ -746,15 +758,16 @@ def _sweep_block(args):
 
 # trial x alpha x power elements in one pass of `_block_stats`, at most.
 # Each pass pays a fixed cost, and its memory grows with its elements (the
-# oracle's generators alone take 0.75 KiB each, one per element and user).
-# Curve on the feedback-sweep argv (20 trials of 33 elements; median ms per
-# invocation over three runs of 30, traced peak MiB, process peak RSS MB;
-# one BLAS thread, 2-core shared VM): 33 elements (one trial) 129-149,
-# 0.26, 41.1; 66: 82-91, 0.42, 41.2; 132: 61, 0.73, 41.6; 200: 53-58,
-# 0.89, 42.0; 264: 54-56, 1.22, 42.4; 330: 47-55, 1.70, 43.4; 660 (one
-# block) 44-51, 3.25, 46.3. Past 200 the time falls by a fifth at most
-# while the traced memory grows 3.6-fold.
-SWEEP_BLOCK = 200
+# oracle's normals take 96 B per element and user; no generator outlives
+# its row). Curve on the feedback-sweep argv (20 trials of 33 elements;
+# median ms per invocation over runs of 30, traced peak MiB, process peak
+# RSS MB; one BLAS thread, 2-core shared VM): 200 elements (four blocks of
+# 5 trials) 29-47, 0.66, 39.1; 330 (two of 10) 25-36, 1.24, 39.0; 660
+# (one block) 28-36, 2.38, 39.9. The traced peak grows about 3.5 KiB per
+# element, so a block of 396 (12 trials) would reach about 1.47 MiB, at
+# `test_block_bounds_peak_memory`'s 1.5 MiB bound; past 330 the time no
+# longer falls while the traced memory doubles.
+SWEEP_BLOCK = 330
 
 
 # the oracle stream tag trial*100_000 + a*1_000 + j (see `_oracle_feedback`)

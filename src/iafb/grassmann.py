@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .rng import as_generator, complex_normal_parts, complex_normal_streams
+from .rng import as_generator, complex_normal_parts
 
 __all__ = [
     "composite_dist_sq",
@@ -47,13 +47,19 @@ def composite_dist_sq(a, b) -> np.ndarray:
     return np.clip(1.0 - (ip.real * ip.real + ip.imag * ip.imag), 0.0, 1.0).sum(axis=-1)
 
 
-def sample_uniform(n: int, K: int, rngs) -> np.ndarray:
-    """Draw one uniform point per generator: K independent normalized complex Gaussians.
+def sample_uniform(n: int, K: int, normals) -> np.ndarray:
+    """Uniform points from drawn normals: K independent normalized complex Gaussians each.
 
-    Returns the B = len(rngs) points as one (B, K, n) array of unit rows.
+    ``normals`` is a (B, 2, K, n) array of standard normals, each point's
+    real parts before its imaginary parts, as `rng.trial_normals` or
+    ``rng.standard_normal((B, 2, K, n))`` draw them. Returns the B points
+    as one (B, K, n) array of unit rows.
     """
     _check_manifold(n, K)
-    raw = complex_normal_streams(rngs, (K, n))
+    normals = np.asarray(normals)
+    if normals.ndim != 4 or normals.shape[1:] != (2, K, n):
+        raise ValueError(f"need (B, 2, {K}, {n}) normals for G_{{{n},1}}^{K}, got shape {normals.shape}")
+    raw = normals[:, 0] + 1j * normals[:, 1]
     raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
     return raw
 

@@ -51,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from .grassmann import composite_dist_sq
-from .rng import as_generator, complex_normal, complex_normal_streams, trial_generator
+from .rng import as_generator, complex_normal, trial_generator
 
 __all__ = [
     "Codebook",
@@ -258,28 +258,31 @@ def measure_distortion(cb: Codebook, trials: int, rng) -> np.ndarray:
     return dists
 
 
-def distortion_oracle_quantize(x, budgets, rngs) -> np.ndarray:
+def distortion_oracle_quantize(x, delta_sq, normals) -> np.ndarray:
     """Emulate an ideal packing codebook at an arbitrarily large budget.
 
-    ``x`` is a (B, K, n) array of unit rows, and ``budgets`` and ``rngs``
-    hold one FeedbackBudget and one generator per point. Returns a (B, K, n)
-    array whose point b lies at composite distance exactly delta_star of
-    budget b from x[b], with the squared error spread over the components
-    by a uniformly random tangent direction drawn from rngs[b]. Every
-    component therefore stays within delta_star**2 of its original, which
-    is 1/P at the full feedback budget.
+    ``x`` is a (B, K, n) array of unit rows. ``delta_sq`` holds each
+    point's squared distortion radius, the ``delta_star**2`` of its
+    `FeedbackBudget` for (K, n) points, as a (B,) array. ``normals`` holds
+    each point's (2, K, n) standard normals, real parts first, as
+    `rng.trial_normals` or ``rng.standard_normal((B, 2, K, n))`` draw
+    them. Returns a (B, K, n) array whose point b lies at composite
+    distance exactly sqrt(delta_sq[b]) from x[b], with the squared error
+    spread over the components by the uniformly random tangent direction
+    that normals[b] gives. Every component therefore stays within
+    delta_sq[b] of its original, which is 1/P at the full feedback budget.
     """
     arr = np.asarray(x)
-    if arr.ndim != 3 or not len(arr) == len(budgets) == len(rngs):
-        raise ValueError("need one budget and one generator per (K, n) point")
+    target, normals = np.asarray(delta_sq, dtype=float), np.asarray(normals)
+    if arr.ndim != 3 or target.shape != arr.shape[:1] or len(normals) != len(arr):
+        raise ValueError("need one squared radius and one normal draw per (K, n) point")
     K, n = arr.shape[1:]
-    if any(b.K != K or b.n != n for b in budgets):
-        raise ValueError("point shape does not match the budget's manifold")
-    target = np.array([b.delta_star for b in budgets]) ** 2
+    if normals.shape[1:] != (2, K, n):
+        raise ValueError(f"normals of shape {normals.shape[1:]} per point do not match the {(K, n)} manifold of x")
     if not target.any():
         return arr
 
-    raw = complex_normal_streams(rngs, (K, n))
+    raw = normals[:, 0] + 1j * normals[:, 1]
     overlap = np.einsum("bkj,bkj->bk", arr.conj(), raw)
     tangent = raw - overlap[..., None] * arr
     weights = np.linalg.norm(tangent, axis=-1)

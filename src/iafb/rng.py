@@ -5,11 +5,14 @@ Every stochastic entry point accepts either an integer seed or a ready
 stream per trial from ``(seed, trial_index)`` so that results do not
 depend on how trials are distributed over workers. `trial_generator`
 builds one such stream; `trial_generators` builds many at once, with the
-same streams, from an (M, k) integer array of keys. It splits every key
-into uint32 words and runs SeedSequence's hash over all of them as array
-arithmetic, with no per-key Python work, and hands each `PCG64` its seed
-words through a real ``ISeedSequence`` subclass, defined on first use so
-that importing the library does not import ``numpy.random``.
+same streams, from an (M, k) integer array of keys, and `trial_normals`
+draws one `complex_normal_parts` array from each of them without keeping
+the generators. Both split every key into uint32 words and run
+SeedSequence's hash over all of them as array arithmetic, with no
+per-key Python work, and hand each `PCG64` its seed words through a real
+``ISeedSequence`` subclass, defined on first use so that importing the
+library does not import ``numpy.random``. What is left per stream is
+that `PCG64` construction.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import functools
 import numpy as np
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), which
-# `trial_generators` runs over uint32 arrays: a pool of 4 words, mixed with
+# `_seed_states` runs over uint32 arrays: a pool of 4 words, mixed with
 # the multipliers below, then expanded into PCG64's 4 uint64 seed words.
 _POOL = 4
 _MASK32 = 0xFFFFFFFF
@@ -59,8 +62,8 @@ def trial_generator(seed: int, *key: int) -> np.random.Generator:
     """Independent stream reproducible from (seed, *key), such as (seed, trial).
 
     Every derived stream in the library comes from here or from its
-    batched equal, `trial_generators`: the entropy is the integer list
-    [seed, *key].
+    batched equals, `trial_generators` and `trial_normals`: the entropy is
+    the integer list [seed, *key].
     """
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
@@ -116,21 +119,14 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> 16)
 
 
-def trial_generators(seed: int, keys) -> list:
-    """[trial_generator(seed, *key) for key in keys], seeded in one vectorized pass.
+def _seed_states(seed: int, keys) -> np.ndarray:
+    """The (M, 4) uint64 PCG64 seed words of [trial_generator(seed, *key) for key in keys].
 
-    ``keys`` is an (M, k) array of non-negative integers, one key per row
-    (an array of Python integers for keys past 2^64). Every key of a call
-    therefore has the same length; keys of several lengths, or keys that
-    are not integers, raise ValueError. A negative seed or key raises
-    ValueError, as SeedSequence does.
-
-    Runs numpy's SeedSequence hash over every key at once as uint32 array
-    arithmetic, which wraps as the hash's C code does: each row's entropy
-    is the seed's words followed by each key entry's words, however many
-    words each entry takes. Then hands each `PCG64` its seed words, so the
-    streams equal `trial_generator`'s bit for bit. The generators' seed
-    sequences cannot spawn children.
+    Checks ``keys`` as `trial_generators` documents and runs numpy's
+    SeedSequence hash over every key at once as uint32 array arithmetic,
+    which wraps as the hash's C code does: each row's entropy is the
+    seed's words followed by each key entry's words, however many words
+    each entry takes.
     """
     if int(seed) < 0:
         raise ValueError(f"expected non-negative integer seed, got {seed}")
@@ -139,7 +135,7 @@ def trial_generators(seed: int, keys) -> list:
     except ValueError:
         raise ValueError("keys must form an (M, k) array of integers: one length for every key") from None
     if not keys.size:  # no keys, or M empty ones; numpy types both as floats
-        return [trial_generator(seed) for _ in keys]
+        return np.tile(np.random.SeedSequence([int(seed)]).generate_state(4, np.uint64), (len(keys), 1))
     if keys.ndim != 2 or keys.dtype.kind not in "biuO":
         raise ValueError(f"keys must form an (M, k) array of integers, got {keys.dtype} of shape {keys.shape}")
     if (keys < 0).any():
@@ -167,9 +163,42 @@ def trial_generators(seed: int, keys) -> list:
         pool = np.where((length > _POOL + s)[:, None], mixed, pool)
     # generate_state(4, uint64): 8 uint32 words read as 4 little-endian uint64
     state = _hashmix(np.tile(pool, 2), _STATE)
-    state = np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def trial_generators(seed: int, keys) -> list:
+    """[trial_generator(seed, *key) for key in keys], seeded in one vectorized pass.
+
+    ``keys`` is an (M, k) array of non-negative integers, one key per row
+    (an array of Python integers for keys past 2^64). Every key of a call
+    therefore has the same length; keys of several lengths, or keys that
+    are not integers, raise ValueError. A negative seed or key raises
+    ValueError, as SeedSequence does.
+
+    The seed words come from `_seed_states`' vectorized hash, so the
+    streams equal `trial_generator`'s bit for bit. The generators' seed
+    sequences cannot spawn children.
+    """
     words_type, bit_generator, generator = _seed_words_type(), np.random.PCG64, np.random.Generator
-    return [generator(bit_generator(words_type(row))) for row in state]
+    return [generator(bit_generator(words_type(row))) for row in _seed_states(seed, keys)]
+
+
+def trial_normals(seed: int, keys, shape) -> np.ndarray:
+    """One `complex_normal_parts` draw of `shape` per key, from its own stream, stacked.
+
+    Returns float64 of shape ``(M, 2, *shape)``: row m holds exactly
+    ``complex_normal_parts(trial_generator(seed, *keys[m]), shape)``.
+    ``keys`` and its ValueErrors are those of `trial_generators`. Each
+    row's `PCG64` is built from `_seed_states`' seed words, fills its row
+    in place and is dropped, so no list of generators is held.
+    """
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    states = _seed_states(seed, keys)
+    out = np.empty((len(states), 2, *shape))
+    words_type, bit_generator, generator = _seed_words_type(), np.random.PCG64, np.random.Generator
+    for row, words in zip(out, states):
+        generator(bit_generator(words_type(words))).standard_normal(out=row)
+    return out
 
 
 def complex_normal_parts(rng: np.random.Generator, shape) -> np.ndarray:
@@ -179,7 +208,7 @@ def complex_normal_parts(rng: np.random.Generator, shape) -> np.ndarray:
     index 1 the imaginary parts. The generator fills the array in C order,
     so one call draws the same numbers as two calls of `shape` each, real
     parts first. Every complex draw in the library goes through here or
-    through `complex_normal_streams`, which fills the same layout.
+    through `trial_normals`, which fills the same layout per key.
     """
     shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
     return rng.standard_normal((2, *shape))
@@ -193,18 +222,3 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """
     parts = complex_normal_parts(rng, shape)
     return parts[0] + 1j * parts[1]
-
-
-def complex_normal_streams(rngs, shape) -> np.ndarray:
-    """One `complex_normal` draw of `shape` per generator, stacked.
-
-    Returns complex of shape ``(len(rngs), *shape)``; row b holds exactly
-    the numbers ``complex_normal(rngs[b], shape)`` would draw. Each
-    generator fills its own ``(2, *shape)`` slice of one preallocated
-    array, in the C order of `complex_normal_parts`.
-    """
-    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
-    parts = np.empty((len(rngs), 2, *shape))
-    for g, out in zip(rngs, parts):
-        g.standard_normal(out=out)
-    return parts[:, 0] + 1j * parts[:, 1]

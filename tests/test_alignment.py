@@ -20,7 +20,7 @@ from iafb.alignment import (
 )
 from iafb.channel import generate_channel, receiver_feedback, reconstruct, to_tone_domain
 from iafb.quantizer import FeedbackBudget, distortion_oracle_quantize
-from iafb.rng import trial_generator
+from iafb.rng import trial_generator, trial_normals
 
 
 def perfect_reconstruction(K, R, L, N, seed):
@@ -297,6 +297,7 @@ def lapack_only(patch):
     """Patch every closed-form factorization of the zero-forcing step off."""
     patch.setattr(alignment, "_thin_svd", lambda A: np.linalg.svd(A, full_matrices=False))
     patch.setattr(alignment, "_rank2_span", lambda J: (None, np.zeros(len(J), dtype=bool)))
+    patch.setattr(alignment, "_rank1_span", lambda J: (None, np.zeros(len(J), dtype=bool)))
 
 
 class TestZeroForcingVerdicts:
@@ -335,8 +336,9 @@ class TestZeroForcingVerdicts:
         fed = np.stack([[receiver_feedback(ch, i) for i in range(3)] for ch in channels])
         if oracle:
             P = 2.0 ** np.arange(4, 15)[np.arange(600) % 11]
-            budgets = [FeedbackBudget(K=3, R=1, L=2, P=p, alpha=0.25) for p in P]
-            rows = distortion_oracle_quantize(fed.reshape(-1, 3, 2), budgets, [trial_generator(1, 9, r) for r in range(600)])
+            delta_sq = np.array([FeedbackBudget(K=3, R=1, L=2, P=p, alpha=0.25).delta_star for p in P]) ** 2
+            normals = trial_normals(1, [[9, r] for r in range(600)], (3, 2))
+            rows = distortion_oracle_quantize(fed.reshape(-1, 3, 2), delta_sq, normals)
             fed = rows.reshape(fed.shape)
         rec = reconstruct(fed, params.N, R=1)
         certified = []
@@ -351,6 +353,36 @@ class TestZeroForcingVerdicts:
             patch.setattr(alignment, "_rank2_span", recorded)
             bf = build_beamformers(rec, params, "cj3")
         assert len(certified) == 2 and all(c.all() for c in certified)
+        self.assert_same_build(bf, self.lapack_build(monkeypatch, rec, params, "cj3"))
+        assert verdicts(bf) == ["ok"] * 200
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_cj3_rank1_closed_form(self, monkeypatch, oracle):
+        # cj3 at n = 1: receiver 0 sees a 3x2 interference stack of rank 1,
+        # capped at one column, on 200 channels with perfect feedback or
+        # with the oracle at 2^4..2^14 and alpha 0.25
+        params = cj3_parameters(1)
+        channels = [generate_channel(3, 1, 2, seed=trial_generator(2, t)) for t in range(200)]
+        fed = np.stack([[receiver_feedback(ch, i) for i in range(3)] for ch in channels])
+        if oracle:
+            P = 2.0 ** np.arange(4, 15)[np.arange(600) % 11]
+            delta_sq = np.array([FeedbackBudget(K=3, R=1, L=2, P=p, alpha=0.25).delta_star for p in P]) ** 2
+            normals = trial_normals(2, [[9, r] for r in range(600)], (3, 2))
+            rows = distortion_oracle_quantize(fed.reshape(-1, 3, 2), delta_sq, normals)
+            fed = rows.reshape(fed.shape)
+        rec = reconstruct(fed, params.N, R=1)
+        certified = []
+        closed_form = alignment._rank1_span
+
+        def recorded(J):
+            span, ok = closed_form(J)
+            certified.append(ok)
+            return span, ok
+
+        with monkeypatch.context() as patch:
+            patch.setattr(alignment, "_rank1_span", recorded)
+            bf = build_beamformers(rec, params, "cj3")
+        assert len(certified) == 1 and certified[0].all()
         self.assert_same_build(bf, self.lapack_build(monkeypatch, rec, params, "cj3"))
         assert verdicts(bf) == ["ok"] * 200
 
@@ -500,6 +532,83 @@ class TestRank2Span:
         assert np.array_equal(alignment._interference_basis(J, 1), self.lapack_basis(monkeypatch, J)[..., :1])
 
 
+class TestRank1Span:
+    """3x2 stacks: the closed form takes exactly the certified rank-1 elements, `_thin_svd` the rest."""
+
+    draw = staticmethod(TestThinSvd.draw)
+
+    @classmethod
+    def rank1(cls, count, seed=0):
+        a = cls.draw((count, 3, 1), seed)
+        return a * cls.draw((count, 1, 2), seed + 1)
+
+    @staticmethod
+    def fallback_basis(monkeypatch, J, cap=1):
+        with monkeypatch.context() as patch:
+            patch.setattr(alignment, "_rank1_span", lambda J: (None, np.zeros(len(J), dtype=bool)))
+            return alignment._interference_basis(J, cap)
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_exact_rank_one(self, monkeypatch, cap):
+        J = self.rank1(50)
+        # a zero column, and columns whose scales differ by 1e6, either first
+        J[1, :, 0] = 0.0
+        J[2] *= np.array([1e-3, 1e3])
+        J[3] *= np.array([1e3, 1e-3])
+        _, certified = alignment._rank1_span(J)
+        assert certified.all()
+        basis = alignment._interference_basis(J, cap)
+        ref = self.fallback_basis(monkeypatch, J, cap)
+        lapack = TestRank2Span.lapack_basis(monkeypatch, J)[..., :1]
+        assert basis.shape == ref.shape == lapack.shape == (50, 3, 1)
+        assert np.abs(np.linalg.norm(basis, axis=-2) - 1.0).max() <= 1e-15
+        # the projector onto the span is the fallback's and LAPACK's to rounding
+        proj = basis @ np.swapaxes(basis.conj(), -1, -2)
+        for other in (ref, lapack):
+            assert np.abs(proj - other @ np.swapaxes(other.conj(), -1, -2)).max() <= 1e-15
+        assert np.abs(proj @ J - J).max() <= 1e-14 * np.abs(J).max()
+
+    @classmethod
+    def with_singular_values(cls, sing, seed):
+        q1, _ = np.linalg.qr(cls.draw((3, 3), seed))
+        q2, _ = np.linalg.qr(cls.draw((2, 2), seed + 1))
+        return (q1[:, :2] * np.asarray(sing)) @ q2
+
+    def test_certificate_bounds_sigma_ratio(self):
+        # sigma_2 / sigma_1 = 4e-13 passes (2 P / F^2 = 8e-13), 1e-12 does not
+        J = np.stack([self.with_singular_values([1.0, ratio], 3) for ratio in (4e-13, 1e-12)])
+        assert alignment._rank1_span(J)[1].tolist() == [True, False]
+
+    # rank 2, all zero, sigma_2 / sigma_1 at 1e-12, a non-finite entry, and a
+    # subnormal Frobenius norm
+    OTHERS = {
+        "rank-2": lambda cls: cls.draw((3, 2), 5),
+        "zero": lambda cls: np.zeros((3, 2), dtype=complex),
+        "near-threshold": lambda cls: cls.with_singular_values([1.0, 1e-12], 6),
+        "not-finite": lambda cls: np.where(np.eye(3, 2, dtype=bool), np.inf, cls.rank1(1, 7)[0]),
+        "subnormal": lambda cls: cls.rank1(1, 8)[0] * 1e-160,
+    }
+
+    @pytest.mark.parametrize("case", list(OTHERS))
+    def test_other_elements_take_thin_svd(self, monkeypatch, case):
+        other = self.OTHERS[case](type(self))
+        # alone and between certified rank-1 elements of one stack
+        for J, at in ((other[None], 0), (np.concatenate([self.rank1(2, 11), other[None], self.rank1(2, 12)]), 2)):
+            _, certified = alignment._rank1_span(J)
+            assert np.flatnonzero(~certified).tolist() == [at]
+            with np.errstate(all="ignore"):  # `_thin_svd` of the non-finite and subnormal elements
+                basis = alignment._interference_basis(J, 1)
+                ref = self.fallback_basis(monkeypatch, J)
+            assert basis.shape == ref.shape
+            assert np.array_equal(basis[at], ref[at], equal_nan=True)
+
+    def test_cap_zero_and_other_shapes_take_thin_svd(self, monkeypatch):
+        J = self.rank1(4)
+        assert np.array_equal(alignment._interference_basis(J, 0), self.fallback_basis(monkeypatch, J, 0))
+        J = self.draw((4, 4, 1)) * self.draw((4, 1, 2), 1)
+        assert np.array_equal(alignment._interference_basis(J, 1), self.fallback_basis(monkeypatch, J))
+
+
 class TestMimoReduce:
     # independent spreadsheet-style oracle for the reduction arithmetic
     @staticmethod
@@ -567,8 +676,8 @@ class TestQuantizedAlignment:
         ch = generate_channel(3, 1, 2, seed=16)
         budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**8)
         exact = np.stack([receiver_feedback(ch, i) for i in range(3)])
-        rngs = [np.random.default_rng(17 + i) for i in range(3)]
-        fed = distortion_oracle_quantize(exact, [budget] * 3, rngs)
+        normals = np.stack([np.random.default_rng(17 + i).standard_normal((2, 3, 2)) for i in range(3)])
+        fed = distortion_oracle_quantize(exact, np.full(3, budget.delta_star**2), normals)
         bf = build_beamformers(reconstruct(fed[None], params.N, R=1), params, "cj3")
         assert bf.failures == (None,)
         assert bf.alignment_residual[0] <= 1e-9

@@ -146,7 +146,8 @@ class TestFeedback:
         ch = generate_channel(3, 1, 2, seed=17)
         budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**6)
         exact = receiver_feedback(ch, 0)
-        fed = distortion_oracle_quantize(exact[None], [budget], [np.random.default_rng(18)])[0]
+        normals = np.random.default_rng(18).standard_normal((1, 2, 3, 2))
+        fed = distortion_oracle_quantize(exact[None], [budget.delta_star**2], normals)[0]
         assert composite_dist_sq(exact, fed) == pytest.approx(budget.delta_star**2, abs=1e-12)
 
     def test_bad_user_index(self):
@@ -164,7 +165,8 @@ class TestReconstruction:
         ch = generate_channel(K, R, L, seed=seed)
         fed = fed_back(ch)
         if budget is not None:
-            fed = distortion_oracle_quantize(fed, [budget] * K, [rng] * K)
+            normals = rng.standard_normal((K, 2, K, R * L))
+            fed = distortion_oracle_quantize(fed, np.full(K, budget.delta_star**2), normals)
         return ch, to_tone_domain(ch, N), reconstruct(fed, N, R=R)
 
     def test_perfect_feedback_reproduces_normalized_channel(self):
@@ -185,8 +187,8 @@ class TestReconstruction:
         # <true direction, reconstruction> equals <tap direction, quantized direction>
         budget = FeedbackBudget(K=3, R=2, L=2, P=16.0)
         ch = generate_channel(3, 2, 2, seed=22)
-        rngs = [np.random.default_rng(23 + i) for i in range(3)]
-        fed = distortion_oracle_quantize(fed_back(ch), [budget] * 3, rngs)
+        normals = np.stack([np.random.default_rng(23 + i).standard_normal((2, 3, 4)) for i in range(3)])
+        fed = distortion_oracle_quantize(fed_back(ch), np.full(3, budget.delta_star**2), normals)
         tones = to_tone_domain(ch, 8)
         rec = reconstruct(fed, 8, R=2)
         for i in range(3):

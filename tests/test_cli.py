@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -21,7 +22,7 @@ from iafb.cli import main, parse_config, run_dof_sweep
 from iafb.grassmann import sample_uniform
 from iafb.quantizer import FeedbackBudget, build_random_codebook, distortion_oracle_quantize, encode
 from iafb.rates import CSV_COLUMNS, achievable_rates
-from iafb.rng import trial_generator
+from iafb.rng import complex_normal_parts, trial_generator
 
 
 def read(path):
@@ -315,10 +316,12 @@ class TestIaRunFeedback:
                 cb = build_random_codebook(2, 3, config.bits, seed=seed + i)
                 reference.append(cb.points[encode(exact_directions(ch, i), cb)])
             elif config.alpha == 0.0:
-                reference.append(sample_uniform(2, 3, [rng])[0])
+                reference.append(sample_uniform(2, 3, complex_normal_parts(rng, (3, 2))[None])[0])
             else:
                 budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**config.p_log2, alpha=config.alpha)
-                reference.append(distortion_oracle_quantize(exact_directions(ch, i)[None], [budget], [rng])[0])
+                normals = complex_normal_parts(rng, (3, 2))[None]
+                delta_sq = np.square([budget.delta_star])
+                reference.append(distortion_oracle_quantize(exact_directions(ch, i)[None], delta_sq, normals)[0])
         # one reconstruction of a batch of one element
         assert len(seen) == 1
         assert np.array_equal(seen[0], np.stack(reference)[None])
@@ -456,8 +459,8 @@ class TestDofSweep:
 
     def test_oracle_streams_match_per_key_reference(self, monkeypatch):
         # a block of trials 42 and 43, whose keys cross 2^32; silent users
-        # (alpha 0) draw from their streams through sample_uniform, the
-        # others through the oracle
+        # (alpha 0) take their streams' normals through sample_uniform, the
+        # others through the oracle. The reference draws one stream per key
         config = parse_config(["dof-sweep", "--alphas", "0,0.5,1", "--alpha-user", "0", "--seed", "5"])
         trials = range(42, 44)
         exact = np.stack([
@@ -466,9 +469,11 @@ class TestDofSweep:
         ])
         grid = iafb.cli._power_grid(config)
         batched = iafb.cli._oracle_feedback(config, trials, exact, grid)
-        monkeypatch.setattr(
-            iafb.cli, "trial_generators", lambda seed, keys: [trial_generator(seed, *key) for key in keys]
-        )
+
+        def per_key(seed, keys, shape):
+            return np.stack([complex_normal_parts(trial_generator(seed, *key), shape) for key in keys])
+
+        monkeypatch.setattr(iafb.cli, "trial_normals", per_key)
         assert np.array_equal(batched, iafb.cli._oracle_feedback(config, trials, exact, grid))
 
 
@@ -513,11 +518,12 @@ def per_point_trial(config, trial):
             fed = []
             for i in range(K):
                 rng = trial_generator(config.seed, (trial * 100_000 + a * 1_000 + j) * 1009 + i)
+                normals = complex_normal_parts(rng, (K, R * L))[None]
                 if alphas[i] == 0.0:
-                    fed.append(sample_uniform(R * L, K, [rng])[0])
+                    fed.append(sample_uniform(R * L, K, normals)[0])
                 else:
-                    budget = FeedbackBudget(K=K, R=R, L=L, P=P, alpha=alphas[i])
-                    fed.append(distortion_oracle_quantize(exact_directions(ch, i)[None], [budget], [rng])[0])
+                    delta_sq = np.square([FeedbackBudget(K=K, R=R, L=L, P=P, alpha=alphas[i]).delta_star])
+                    fed.append(distortion_oracle_quantize(exact_directions(ch, i)[None], delta_sq, normals)[0])
             bf = build(np.stack(fed))
             stats[a, j] = achievable_rates(tones, bf, P, config.noise)[0]
     return stats
@@ -603,9 +609,10 @@ class TestSweepMatchesPerPoint:
 
     def test_block_bounds_peak_memory(self):
         # the feedback-sweep argv: 20 trials of 33 elements. Blocks of at
-        # most SWEEP_BLOCK = 200 elements (four of 5 trials) peak at 0.9 MiB
-        # traced; one pass over all 660 elements peaked at 3.3 MiB, and one
-        # pass per trial at 0.27 MiB
+        # most SWEEP_BLOCK = 330 elements (two of 10 trials) peak at 1.24 MiB
+        # traced; one pass over all 660 elements peaks at 2.38 MiB, and
+        # blocks of 200 (four of 5 trials) at 0.66 MiB. The oracle holds its
+        # drawn normals, not one generator per element and user
         config = parse_config([
             "dof-sweep", "--engine", "cj3", "--n", "1", "--feedback", "oracle", "--alphas", "0.25,0.5,1.0",
             "--alpha-user", "0", "--trials", "20",
@@ -902,7 +909,8 @@ def pool_sizes(monkeypatch):
         def map(self, fn, args, chunksize=1):
             return map(fn, args)
 
-    monkeypatch.setattr(iafb.cli, "ProcessPoolExecutor", InProcessPool)
+    # `_map` imports the pool class from its package when it needs workers
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return sizes
 
 
@@ -972,6 +980,25 @@ def test_import_leaves_numpy_random_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_one_worker_run_loads_no_process_pool(tmp_path):
+    # a --jobs 1 run imports neither concurrent.futures nor multiprocessing:
+    # `_map` imports the pool only when it starts workers
+    src = str(Path(iafb.cli.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "dof.csv"
+    code = (
+        "import sys, iafb.cli\n"
+        "pool = ('concurrent.futures', 'multiprocessing')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(pool)))\n"
+        "argv = ['dof-sweep', '--feedback', 'perfect', '--trials', '2', '--p-log2-max', '6', '--jobs', '1']\n"
+        "assert iafb.cli.main(argv + ['--out', sys.argv[1]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith(pool)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, str(out)], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["[]", "[]", ""]
 
 
 class TestConfigFile:

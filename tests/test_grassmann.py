@@ -23,14 +23,20 @@ def line(*coords):
 
 def draw(n, K, rng, count=None):
     """`count` points (count, K, n) in sequence from one generator, or one (K, n) point."""
-    points = sample_uniform(n, K, [rng] * (count or 1))
+    points = sample_uniform(n, K, rng.standard_normal((count or 1, 2, K, n)))
     return points if count else points[0]
 
 
 class TestPoints:
     def test_rejects_scalars_and_short_vectors(self):
         with pytest.raises(ValueError):
-            sample_uniform(1, 2, [np.random.default_rng(0)])
+            sample_uniform(1, 2, np.random.default_rng(0).standard_normal((1, 2, 2, 1)))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (1, 2, 3, 2), (1, 1, 2, 3), (1, 2, 2, 3, 1)])
+    def test_rejects_normals_of_another_shape(self, shape):
+        # G_{3,1}^2 takes (B, 2, 2, 3) normals
+        with pytest.raises(ValueError, match="normals"):
+            sample_uniform(3, 2, np.zeros(shape))
 
     def test_composite_requires_equal_dimensions(self):
         # a (K, n) array gives all K components one n; two points must share it
@@ -108,17 +114,20 @@ class TestCompositeDistance:
 
 class TestSampling:
     def test_deterministic_given_seed(self):
-        a = sample_uniform(4, 2, [np.random.default_rng(42)])
-        b = sample_uniform(4, 2, [np.random.default_rng(42)])
+        a = sample_uniform(4, 2, np.random.default_rng(42).standard_normal((1, 2, 2, 4)))
+        b = sample_uniform(4, 2, np.random.default_rng(42).standard_normal((1, 2, 2, 4)))
         assert np.array_equal(a, b)
 
     def test_one_unit_point_per_generator(self):
-        # point b is what a batch-of-one call on generator b draws
-        batch = sample_uniform(3, 2, [np.random.default_rng(s) for s in range(4)])
+        # point b is what a batch-of-one call on generator b's normals gives
+        normals = np.stack([np.random.default_rng(s).standard_normal((2, 2, 3)) for s in range(4)])
+        batch = sample_uniform(3, 2, normals)
         assert batch.shape == (4, 2, 3)
         assert np.abs(np.linalg.norm(batch, axis=-1) - 1.0).max() <= 1e-12
         for s, point in enumerate(batch):
-            assert np.array_equal(point, sample_uniform(3, 2, [np.random.default_rng(s)])[0])
+            raw = complex_normal(np.random.default_rng(s), (2, 3))
+            assert np.array_equal(point, sample_uniform(3, 2, normals[s : s + 1])[0])
+            assert np.array_equal(point, raw / np.linalg.norm(raw, axis=-1, keepdims=True))
 
     def test_mean_chordal_distance_n2(self):
         # squared chordal distance to a fixed line is uniform on [0, 1]

@@ -17,7 +17,7 @@ from iafb.quantizer import (
     save_codebook,
 )
 from iafb.quantizer import _GEN_CHUNK, _PANEL, _SIM_TILE, _batched_min_dist, _embed, _generate_chunk
-from iafb.rng import complex_normal
+from iafb.rng import complex_normal, trial_normals
 
 
 def reference_min_dist(sources, points):
@@ -32,7 +32,7 @@ def reference_min_dist(sources, points):
 
 def draw(n, K, rng, count=None):
     """`count` points (count, K, n) in sequence from one generator, or one (K, n) point."""
-    points = sample_uniform(n, K, [rng] * (count or 1))
+    points = sample_uniform(n, K, rng.standard_normal((count or 1, 2, K, n)))
     return points if count else points[0]
 
 
@@ -239,7 +239,7 @@ class TestDistortionOracle:
         budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**8)
         rng = np.random.default_rng(13)
         x = draw(2, 3, rng, count=100)
-        y = distortion_oracle_quantize(x, [budget] * 100, [rng] * 100)
+        y = distortion_oracle_quantize(x, np.full(100, budget.delta_star**2), rng.standard_normal((100, 2, 3, 2)))
         d = np.sqrt(composite_dist_sq(x, y))
         assert np.abs(d - budget.delta_star).max() <= 1e-9
 
@@ -247,7 +247,7 @@ class TestDistortionOracle:
         budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**10)
         rng = np.random.default_rng(14)
         x = draw(2, 3, rng, count=50)
-        y = distortion_oracle_quantize(x, [budget] * 50, [rng] * 50)
+        y = distortion_oracle_quantize(x, np.full(50, budget.delta_star**2), rng.standard_normal((50, 2, 3, 2)))
         per_component = composite_dist_sq(x[..., None, :], y[..., None, :])  # (50, K) lines
         assert per_component.max() <= 1.0 / budget.P + 1e-12
 
@@ -255,26 +255,33 @@ class TestDistortionOracle:
         budget = FeedbackBudget(K=2, R=2, L=2, P=2.0**40)
         rng = np.random.default_rng(15)
         x = draw(4, 2, rng)
-        y = distortion_oracle_quantize(x[None], [budget], [rng])[0]
+        y = distortion_oracle_quantize(x[None], [budget.delta_star**2], rng.standard_normal((1, 2, 2, 4)))[0]
         assert composite_dist_sq(x, y) <= 1e-6
 
     def test_shape_mismatch(self):
+        # normals drawn for a K=2 budget's (2, 2) points, against (3, 2) points
         budget = FeedbackBudget(K=2, R=1, L=2, P=16.0)
         x = draw(2, 3, np.random.default_rng(0), count=2)
+        normals = np.random.default_rng(1).standard_normal((2, 2, 2, 2))
         with pytest.raises(ValueError, match="manifold"):
-            distortion_oracle_quantize(x, [budget] * 2, [np.random.default_rng(1)] * 2)
-        with pytest.raises(ValueError, match="one budget"):
-            distortion_oracle_quantize(x, [budget], [np.random.default_rng(1)] * 2)
+            distortion_oracle_quantize(x, np.full(2, budget.delta_star**2), normals)
+        normals = np.random.default_rng(1).standard_normal((2, 2, 3, 2))
+        with pytest.raises(ValueError, match="one squared radius"):
+            distortion_oracle_quantize(x, [budget.delta_star**2], normals)
+        with pytest.raises(ValueError, match="one normal draw"):
+            distortion_oracle_quantize(x, np.full(2, budget.delta_star**2), normals[:1])
 
     def test_deterministic(self):
         budget = FeedbackBudget(K=2, R=1, L=3, P=64.0)
         x = draw(3, 2, np.random.default_rng(16), count=3)
-        a = distortion_oracle_quantize(x, [budget] * 3, [np.random.default_rng(17 + b) for b in range(3)])
-        b = distortion_oracle_quantize(x, [budget] * 3, [np.random.default_rng(17 + b) for b in range(3)])
+        delta_sq = np.full(3, budget.delta_star**2)
+        normals = trial_normals(17, [[b] for b in range(3)], (2, 3))
+        a = distortion_oracle_quantize(x, delta_sq, normals)
+        b = distortion_oracle_quantize(x, delta_sq, trial_normals(17, [[b] for b in range(3)], (2, 3)))
         assert np.array_equal(a, b)
-        # point b draws from its own generator exactly as it would alone
+        # point b is what a batch-of-one call on its own normals gives
         for i in range(3):
-            alone = distortion_oracle_quantize(x[i : i + 1], [budget], [np.random.default_rng(17 + i)])
+            alone = distortion_oracle_quantize(x[i : i + 1], delta_sq[:1], normals[i : i + 1])
             assert np.array_equal(a[i], alone[0])
 
 

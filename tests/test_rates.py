@@ -19,7 +19,7 @@ from iafb.rates import (
     CSV_COLUMNS,
     interference_terms,
 )
-from iafb.rng import trial_generator
+from iafb.rng import trial_normals
 
 
 def aligned_setup(seed, n=2):
@@ -191,8 +191,8 @@ class TestInterferenceBoundedness:
                 ch = generate_channel(3, 1, 2, seed=trial)
                 fed = distortion_oracle_quantize(
                     np.stack([receiver_feedback(ch, i) for i in range(3)]),
-                    [FeedbackBudget(K=3, R=1, L=2, P=P, alpha=1.0)] * 3,
-                    [trial_generator(3, trial * 100 + j * 10 + i) for i in range(3)],
+                    np.full(3, FeedbackBudget(K=3, R=1, L=2, P=P, alpha=1.0).delta_star ** 2),
+                    trial_normals(3, [[trial * 100 + j * 10 + i] for i in range(3)], (3, 2)),
                 )
                 bf = build_beamformers(reconstruct(fed[None], params.N, R=1), params, "cj3")
                 assert bf.failures == (None,)

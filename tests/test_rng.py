@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from iafb.grassmann import MC_CHUNK
-from iafb.rng import complex_normal, complex_normal_parts, complex_normal_streams, trial_generator, trial_generators
+from iafb.rng import complex_normal, complex_normal_parts, trial_generator, trial_generators, trial_normals
 
 
 # one (2, *shape) draw must equal two draws of `shape`, real parts first:
@@ -20,18 +20,6 @@ def test_parts_are_the_complex_draw(shape):
 
 def test_integer_shape():
     assert complex_normal_parts(np.random.default_rng(0), 4).shape == (2, 4)
-
-
-@pytest.mark.parametrize("shape", [(3, 2), (2, 3, 2)])
-def test_streams_are_per_generator_draws(shape):
-    got = complex_normal_streams([np.random.default_rng(40 + b) for b in range(4)], shape)
-    assert got.shape == (4, *shape)
-    for b, row in enumerate(got):
-        assert np.array_equal(row, complex_normal(np.random.default_rng(40 + b), shape))
-
-
-def test_streams_of_no_generators():
-    assert complex_normal_streams([], (3, 2)).shape == (0, 3, 2)
 
 
 def assert_same_streams(seed, keys):
@@ -113,3 +101,56 @@ class TestTrialGenerators:
     def test_unsupported_key_forms_raise(self, keys):
         with pytest.raises(ValueError, match=r"keys must form an \(M, k\) array of integers"):
             trial_generators(0, keys)
+
+
+def assert_same_normals(seed, keys, shape):
+    got = trial_normals(seed, keys, shape)
+    shape = (shape,) if isinstance(shape, int) else tuple(shape)
+    assert got.shape == (len(keys), 2, *shape) and got.dtype == np.float64
+    for row, key in zip(got, keys):
+        assert np.array_equal(row, complex_normal_parts(trial_generator(seed, *key), shape))
+
+
+class TestTrialNormals:
+    """Row m is `complex_normal_parts` of `trial_generator(seed, *keys[m])`, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3, 2), 4])
+    def test_one_word_keys(self, shape):
+        assert_same_normals(7, [(k,) for k in range(6)], shape)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_several_word_keys(self, seed):
+        # key entries of one, two and three words, past 2^32 and 2^64 (an
+        # object array of Python integers)
+        words = [0, 2**32 - 1, 2**32, 2**64 + 3]
+        assert_same_normals(seed, [(a, b) for a in words for b in words], (3, 2))
+        assert_same_normals(seed, np.array([[2**64 + 3], [2**65 + 1], [5]], dtype=object), (3, 2))
+
+    def test_sweep_keys(self):
+        # dof-sweep's oracle keys for trials 42 and 43, which cross 2^32
+        keys = np.array([[(t * 100_000 + j) * 1009 + i] for t in (42, 43) for j in range(11) for i in range(3)])
+        assert_same_normals(2**31 + 7, keys, (3, 2))
+
+    def test_empty(self):
+        assert trial_normals(0, [], (3, 2)).shape == (0, 2, 3, 2)
+        assert trial_normals(0, np.zeros((0, 1), dtype=np.int64), (3, 2)).shape == (0, 2, 3, 2)
+        assert_same_normals(5, [()], (3, 2))
+
+    @pytest.mark.parametrize("seed, keys", [(0, [(1,), (-1,)]), (-1, [(1,)]), (0, [(2, -3)])])
+    def test_negative_entropy_raises(self, seed, keys):
+        with pytest.raises(ValueError, match="non-negative"):
+            trial_normals(seed, keys, (3, 2))
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [(1,), (2, 3)],
+            [(), (5,)],
+            [(np.uint64(2**63),), (1,)],
+            np.array([[1.0], [2.0]]),
+            np.arange(3),
+        ],
+    )
+    def test_unsupported_key_forms_raise(self, keys):
+        with pytest.raises(ValueError, match=r"keys must form an \(M, k\) array of integers"):
+            trial_normals(0, keys, (3, 2))
