@@ -698,8 +698,8 @@ def build_beamformers(
     if len(rngs) != len(rec.wtones):
         raise ValueError("need one generator per batch element")
     return _concatenated([
-        _leakage_min(replace(rec, qhat=q, wtones=w), params, tol, c_min, max_iters, g, shared)
-        for q, w, g in zip(rec.qhat, rec.wtones, rngs)
+        _leakage_min(replace(rec, wtones=w), params, tol, c_min, max_iters, g, shared)
+        for w, g in zip(rec.wtones, rngs)
     ])
 
 

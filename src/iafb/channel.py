@@ -1,10 +1,10 @@
 """Frequency-selective K-user channel model and the feedback pipeline.
 
-The true channel's tones and the feedback stay plain arrays:
-`to_tone_domain` gives the (..., K, K, N, R) tones that rates are
-measured on, `receiver_feedback` gives receiver i's (K, R*L) directions,
-and `reconstruct` takes the (K, K, R*L) stack of all receivers' (or a
-batch).
+Channels, tones and feedback stay plain arrays, batched over leading
+axes: `generate_channel` takes drawn normals, `to_tone_domain` gives the
+(..., K, K, N, R) tones that rates are measured on, `receiver_feedback`
+gives every receiver's (..., K, K, R*L) directions in one pass, and
+`reconstruct` rebuilds the surrogate from them.
 
 Conventions used throughout (pinned by tests, since several downstream
 norm identities depend on them):
@@ -29,15 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantizer import Codebook, encode
-from .rng import as_generator, complex_normal
+from .quantizer import encode
 
 __all__ = [
     "ChannelRealization",
     "ReconstructedChannel",
     "generate_channel",
     "to_tone_domain",
-    "vectorize_direction",
     "receiver_feedback",
     "reconstruct",
     "save_channel",
@@ -52,7 +50,8 @@ class ChannelRealization:
     ``taps`` has shape (K, K, L, R); ``taps[i, k]`` is the L x R matrix for
     the link from transmitter k to receiver i. Immutable after generation.
     A batch of realizations carries a leading batch axis on ``taps``, which
-    `to_tone_domain` keeps; the per-link functions serve unbatched ones.
+    `to_tone_domain` and `receiver_feedback` keep; `save_channel` writes
+    an unbatched one.
     """
 
     K: int
@@ -72,22 +71,20 @@ class ChannelRealization:
 class ReconstructedChannel:
     """Channel surrogate every node rebuilds from the fed-back directions.
 
-    ``qhat[i, k]`` is the quantized direction reshaped back to an L x R tap
-    layout; ``wtones[i, k]`` is its zero-padded, unitary-scaled DFT (N x R),
-    so each stacked direction matrix has unit Frobenius norm. A batch of
-    reconstructions, which `build_beamformers` takes, carries a leading
-    batch axis on both arrays; `wtilde_matrix` serves one element of it.
+    ``wtones[i, k]`` is the fed-back direction of link (i, k), reshaped
+    back to its L x R tap layout, zero-padded and unitary-scaled DFT'd
+    (N x R), so each stacked direction matrix has unit Frobenius norm. A
+    batch of reconstructions, which `build_beamformers` takes, carries a
+    leading batch axis; `wtilde_matrix` serves one element of it.
     """
 
     K: int
     R: int
     L: int
     N: int
-    qhat: np.ndarray = field(repr=False)
     wtones: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.qhat.setflags(write=False)
         self.wtones.setflags(write=False)
 
     def wtilde_matrix(self, i: int, k: int) -> np.ndarray:
@@ -129,11 +126,18 @@ def tone_images(tones: np.ndarray, V) -> list:
     return images
 
 
-def generate_channel(K: int, R: int, L: int, seed=None) -> ChannelRealization:
-    """Draw i.i.d. unit-variance circularly-symmetric complex Gaussian taps for all K*K links."""
+def generate_channel(K: int, R: int, L: int, normals) -> ChannelRealization:
+    """Unit-variance circularly-symmetric complex Gaussian taps for all K*K links, from drawn normals.
+
+    ``normals`` holds (2, K, K, L, R) standard normals, real parts first,
+    as `rng.complex_normal_parts` draws them, or a (B, ...) stack of those,
+    as `rng.trial_normals` draws a block's channels: a batched realization.
+    """
     if K < 2 or R < 1 or L < 1:
         raise ValueError("need K >= 2, R >= 1, L >= 1")
-    taps = complex_normal(as_generator(seed), (K, K, L, R)) / np.sqrt(2.0)
+    if np.shape(normals)[-5:] != (2, K, K, L, R):
+        raise ValueError(f"need (2, {K}, {K}, {L}, {R}) normals or a stack of them, got shape {np.shape(normals)}")
+    taps = (normals[..., 0, :, :, :, :] + 1j * normals[..., 1, :, :, :, :]) / np.sqrt(2.0)
     return ChannelRealization(K=K, R=R, L=L, taps=taps)
 
 
@@ -149,36 +153,36 @@ def to_tone_domain(ch: ChannelRealization, N: int) -> np.ndarray:
     return np.fft.fft(ch.taps, n=N, axis=-2)
 
 
-def vectorize_direction(ch: ChannelRealization, i: int, k: int) -> np.ndarray:
-    """Unit-norm column-major vectorization of tap matrix (i, k), an (R*L,) array.
+def receiver_feedback(ch: ChannelRealization, codebooks=None) -> np.ndarray:
+    """Every receiver's fed-back channel directions, (..., K, K, R*L), in one pass.
 
-    A direction is a line in C^(R*L), so R*L = 1 (one scalar tap) is rejected.
+    Row [i, k] is link (i, k)'s taps, vectorized column-major and scaled
+    to unit norm: exactly ``v / np.linalg.norm(v)`` (perfect feedback).
+    With ``codebooks``, an iterable of one per receiver read one at a time,
+    an unbatched realization's receiver i feeds back the nearest codeword
+    of codebook i (`encode`). A direction is a line in C^(R*L), so R*L = 1
+    (one scalar tap) is rejected, as is a link whose taps are all zero.
     """
     if ch.R * ch.L < 2:
         raise ValueError(
             f"need R*L >= 2, got R={ch.R}, L={ch.L}: a single scalar tap carries no direction information"
         )
-    vec = ch.taps[i, k].reshape(-1, order="F")
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
+    # column-major vectorization: entry m*L + l is tap l of antenna m
+    vec = np.swapaxes(ch.taps, -1, -2).reshape(*ch.taps.shape[:-2], -1)
+    # np.linalg.norm's sum, bit for bit: one dot product each of the real and
+    # imaginary views (a sum of squares rounds differently)
+    re, im = vec.real, vec.imag
+    norm = np.sqrt((re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None])[..., 0])
+    if not norm.all():
+        i, k = np.argwhere(norm[..., 0] == 0.0)[0][-2:]
         raise ValueError(f"channel ({i}, {k}) is identically zero; cannot form a direction")
-    return vec / norm
-
-
-def receiver_feedback(ch: ChannelRealization, i: int, codebook: Codebook | None = None) -> np.ndarray:
-    """Receiver i's K fed-back channel directions as a (K, R*L) array.
-
-    Row k is the direction of link (i, k). Without a codebook these are
-    the exact unit-norm directions (perfect feedback); with one, they are
-    the decoded nearest codeword of the exact directions (`encode`).
-    """
-    if not 0 <= i < ch.K:
-        raise ValueError(f"user index {i} out of range")
-    exact = np.stack([vectorize_direction(ch, i, k) for k in range(ch.K)])
-    if codebook is None:
+    exact = vec / norm
+    if codebooks is None:
         return exact
-    # a copy, so the codebook is not kept alive by a view into it
-    return codebook.points[encode(exact, codebook)].copy()
+    if exact.ndim != 3:
+        raise ValueError(f"codebook feedback takes one realization, got a batch of shape {exact.shape[:-3]}")
+    # each codeword a copy, so no codebook is kept alive by a view into it
+    return np.stack([cb.points[encode(x, cb)].copy() for x, cb in zip(exact, codebooks, strict=True)])
 
 
 def reconstruct(directions: np.ndarray, N: int, *, R: int) -> ReconstructedChannel:
@@ -199,9 +203,9 @@ def reconstruct(directions: np.ndarray, N: int, *, R: int) -> ReconstructedChann
         raise ValueError(f"need at least as many tones as taps (N={N} < L={L})")
 
     # column-major vectorization: entry m*L + l is tap l of antenna m
-    qhat = np.swapaxes(vectors.reshape(*vectors.shape[:-1], R, L), -1, -2).copy()
-    wtones = np.fft.fft(qhat, n=N, axis=-2) / np.sqrt(N)
-    return ReconstructedChannel(K=K, R=R, L=L, N=N, qhat=qhat, wtones=wtones)
+    taps = np.swapaxes(vectors.reshape(*vectors.shape[:-1], R, L), -1, -2)
+    wtones = np.fft.fft(taps, n=N, axis=-2) / np.sqrt(N)
+    return ReconstructedChannel(K=K, R=R, L=L, N=N, wtones=wtones)
 
 
 def save_channel(ch: ChannelRealization, path) -> None:

@@ -67,7 +67,7 @@ from .quantizer import (
     save_codebook,
 )
 from .rates import CSV_COLUMNS, achievable_rates, dof_fit, interference_slope
-from .rng import trial_generator, trial_generators, trial_normals
+from .rng import trial_generator, trial_normals
 
 
 # --------------------------------------------------------------------------
@@ -548,6 +548,12 @@ def _oracle_radii(K: int, R: int, L: int, P: float, user_alphas) -> list:
     return [radius.get(al, math.nan) for al in user_alphas]
 
 
+def _channel_normals(config: ExperimentConfig, trials: range) -> np.ndarray:
+    """Each trial's channel normals, (T, 2, K, K, L, R), trial t's from stream (seed, t)."""
+    K, R, L = config.K, config.R, config.L
+    return trial_normals(config.seed, np.arange(trials.start, trials.stop)[:, None], (K, K, L, R))
+
+
 def _rate_rows(config: ExperimentConfig, P: float, alpha: float, stats: np.ndarray) -> list:
     """The CSV_COLUMNS rows of one (power, alpha) point from its (K, 5) user stats."""
     return [
@@ -595,15 +601,13 @@ def _fed_back(ch, config: ExperimentConfig, P: float) -> np.ndarray:
     """ia-run's fed-back directions, (K, K, R*L).
 
     Oracle user i draws from trial_generator(seed, 1009 + i); codebook
-    user i quantizes with the codebook of seed `seed + i`.
+    user i quantizes with the codebook of seed `seed + i`, built as it is read.
     """
     K = ch.K
     if config.feedback == "codebook":
-        return np.stack([
-            receiver_feedback(ch, i, build_random_codebook(ch.R * ch.L, K, config.bits, seed=config.seed + i))
-            for i in range(K)
-        ])
-    exact = np.stack([receiver_feedback(ch, i) for i in range(K)])
+        codebooks = (build_random_codebook(ch.R * ch.L, K, config.bits, seed=config.seed + i) for i in range(K))
+        return receiver_feedback(ch, codebooks)
+    exact = receiver_feedback(ch)
     if config.feedback == "perfect":
         return exact
     delta_sq = np.square(_oracle_radii(K, ch.R, ch.L, P, [config.alpha] * K))
@@ -629,7 +633,8 @@ def cmd_ia_run(config: ExperimentConfig) -> int:
         if (ch.K, ch.R, ch.L) != (config.K, config.R, config.L):
             raise UsageError("channel file dimensions do not match the configuration")
     else:
-        ch = generate_channel(config.K, config.R, config.L, seed=trial_generator(config.seed, 0))
+        # trial 0's channel, drawn as dof-sweep draws it
+        ch = generate_channel(config.K, config.R, config.L, _channel_normals(config, range(1))[0])
     if config.save_channel:
         save_channel(ch, config.save_channel)
 
@@ -716,7 +721,7 @@ def _block_stats(config: ExperimentConfig, trials: range):
     """A block of trials: per-(trial, alpha, P, user) stats, (T, A, J, K, 5), and each trial's failure.
 
     Every stage runs once over the block's trial x alpha x power elements:
-    one seeding pass for the channels, one oracle call, then `_evaluate`'s
+    one channel draw and one direction pass, one oracle call, then `_evaluate`'s
     channel FFT, reconstruction FFT, batched build and batched rate
     evaluation, with the draws of the point-by-point pipeline (see
     `_oracle_feedback`). Perfect feedback is the same at every point, so it
@@ -729,9 +734,8 @@ def _block_stats(config: ExperimentConfig, trials: range):
     params = _make_params(K, R, L, config.n, config.engine)
     grid = _power_grid(config)
     T = len(trials)
-    trial_keys = np.arange(trials.start, trials.stop)[:, None]
-    channels = [generate_channel(K, R, L, seed=g) for g in trial_generators(config.seed, trial_keys)]
-    exact = np.stack([[receiver_feedback(ch, i) for i in range(K)] for ch in channels])
+    channels = generate_channel(K, R, L, _channel_normals(config, trials))
+    exact = receiver_feedback(channels)
     if config.feedback == "perfect":
         # powers on their own leading axis: rates come out (J, T, K, 5)
         fed, P = exact, np.array(grid)[:, None]
@@ -739,9 +743,9 @@ def _block_stats(config: ExperimentConfig, trials: range):
         fed, P = _oracle_feedback(config, trials, exact, grid), np.tile(grid, T * len(config.alphas))
     rngs = None
     if config.engine == "leakage-min":
-        # every point of a trial starts leakage-min from the same stream
-        rngs = trial_generators(config.seed, np.repeat(7_000_000 + trial_keys, len(fed) // T, axis=0))
-    stats, _, failures = _evaluate(config, params, np.stack([ch.taps for ch in channels]), fed, P, rngs)
+        # every point of a trial starts leakage-min from its own copy of one stream
+        rngs = [trial_generator(config.seed, 7_000_000 + t) for t in trials for _ in range(len(fed) // T)]
+    stats, _, failures = _evaluate(config, params, channels.taps, fed, P, rngs)
     if config.feedback == "perfect":
         stats = np.moveaxis(stats, 0, 1)
     shape = (T, len(config.alphas), len(grid), K, 5)

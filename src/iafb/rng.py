@@ -1,15 +1,14 @@
 """Seeding helpers shared by all modules.
 
-Every stochastic entry point accepts either an integer seed or a ready
-``numpy.random.Generator``. Monte Carlo drivers derive one independent
-stream per trial from ``(seed, trial_index)`` so that results do not
-depend on how trials are distributed over workers. `trial_generator`
-builds one such stream; `trial_generators` builds many at once, with the
-same streams, from an (M, k) integer array of keys, and `trial_normals`
-draws one `complex_normal_parts` array from each of them without keeping
-the generators. Both split every key into uint32 words and run
-SeedSequence's hash over all of them as array arithmetic, with no
-per-key Python work, and hand each `PCG64` its seed words through a real
+Every stochastic entry point accepts an integer seed, a ready
+``numpy.random.Generator`` or normals already drawn. Monte Carlo drivers
+derive one independent stream per trial from ``(seed, trial_index)``, so
+results do not depend on how trials are distributed over workers.
+`trial_generator` builds one such stream. `trial_normals` draws from many
+at once, one per row of an (M, k) integer array of keys, and keeps no
+generator: a dof-sweep block's channels are one call, its oracle rows
+another. It runs SeedSequence's hash over every key's uint32 words as
+array arithmetic and hands each `PCG64` its seed words through a real
 ``ISeedSequence`` subclass, defined on first use so that importing the
 library does not import ``numpy.random``. What is left per stream is
 that `PCG64` construction.
@@ -62,8 +61,8 @@ def trial_generator(seed: int, *key: int) -> np.random.Generator:
     """Independent stream reproducible from (seed, *key), such as (seed, trial).
 
     Every derived stream in the library comes from here or from its
-    batched equals, `trial_generators` and `trial_normals`: the entropy is
-    the integer list [seed, *key].
+    batched equal, `trial_normals`: the entropy is the integer list
+    [seed, *key].
     """
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
@@ -122,7 +121,7 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _seed_states(seed: int, keys) -> np.ndarray:
     """The (M, 4) uint64 PCG64 seed words of [trial_generator(seed, *key) for key in keys].
 
-    Checks ``keys`` as `trial_generators` documents and runs numpy's
+    Checks ``keys`` as `trial_normals` documents and runs numpy's
     SeedSequence hash over every key at once as uint32 array arithmetic,
     which wraps as the hash's C code does: each row's entropy is the
     seed's words followed by each key entry's words, however many words
@@ -166,29 +165,16 @@ def _seed_states(seed: int, keys) -> np.ndarray:
     return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-def trial_generators(seed: int, keys) -> list:
-    """[trial_generator(seed, *key) for key in keys], seeded in one vectorized pass.
-
-    ``keys`` is an (M, k) array of non-negative integers, one key per row
-    (an array of Python integers for keys past 2^64). Every key of a call
-    therefore has the same length; keys of several lengths, or keys that
-    are not integers, raise ValueError. A negative seed or key raises
-    ValueError, as SeedSequence does.
-
-    The seed words come from `_seed_states`' vectorized hash, so the
-    streams equal `trial_generator`'s bit for bit. The generators' seed
-    sequences cannot spawn children.
-    """
-    words_type, bit_generator, generator = _seed_words_type(), np.random.PCG64, np.random.Generator
-    return [generator(bit_generator(words_type(row))) for row in _seed_states(seed, keys)]
-
-
 def trial_normals(seed: int, keys, shape) -> np.ndarray:
     """One `complex_normal_parts` draw of `shape` per key, from its own stream, stacked.
 
     Returns float64 of shape ``(M, 2, *shape)``: row m holds exactly
     ``complex_normal_parts(trial_generator(seed, *keys[m]), shape)``.
-    ``keys`` and its ValueErrors are those of `trial_generators`. Each
+
+    ``keys`` is an (M, k) array of non-negative integers, one key per row
+    (an array of Python integers for keys past 2^64), so every key of a
+    call has the same length. Keys of several lengths or not integers, and
+    a negative seed or key (as in SeedSequence), raise ValueError. Each
     row's `PCG64` is built from `_seed_states`' seed words, fills its row
     in place and is dropped, so no list of generators is held.
     """

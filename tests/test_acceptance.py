@@ -18,13 +18,7 @@ import pytest
 
 import dense_reference as dense
 from iafb.alignment import build_beamformers, cj3_parameters, ia_parameters, mimo_reduce
-from iafb.channel import (
-    generate_channel,
-    receiver_feedback,
-    reconstruct,
-    to_tone_domain,
-    vectorize_direction,
-)
+from iafb.channel import receiver_feedback, reconstruct, to_tone_domain
 from iafb.cli import parse_config, run_dof_sweep
 from iafb.grassmann import ball_volume_normalized, empirical_ball_cdf
 from iafb.quantizer import distortion_scaling_exponent
@@ -91,8 +85,8 @@ def test_criterion_3_alignment_exactness():
     params = ia_parameters(3, 1, 1)
     hits = 0
     for seed in range(20):
-        ch = generate_channel(3, 1, 2, seed=seed)
-        rec = reconstruct(np.stack([receiver_feedback(ch, i) for i in range(3)])[None], params.N, R=ch.R)
+        ch = dense.seeded_channel(3, 1, 2, seed)
+        rec = reconstruct(receiver_feedback(ch)[None], params.N, R=ch.R)
         bf = build_beamformers(rec, params, "leakage-min", tol=1e-8, rng=seed)
         hits += bf.failures == (None,) and bf.alignment_residual[0] <= 1e-8
 
@@ -100,8 +94,8 @@ def test_criterion_3_alignment_exactness():
     cj3_worst = 0.0
     cj3_built = deterministic = True
     for seed in range(5):
-        ch = generate_channel(3, 1, 2, seed=100 + seed)
-        rec = reconstruct(np.stack([receiver_feedback(ch, i) for i in range(3)])[None], cj3.N, R=ch.R)
+        ch = dense.seeded_channel(3, 1, 2, 100 + seed)
+        rec = reconstruct(receiver_feedback(ch)[None], cj3.N, R=ch.R)
         first = build_beamformers(rec, cj3, "cj3", tol=1e-9)
         again = build_beamformers(rec, cj3, "cj3", tol=1e-9)
         cj3_built &= first.failures == again.failures == (None,)
@@ -213,9 +207,9 @@ def test_criterion_8_pipeline_identities():
         if R * L < 2:  # scalar directions carry no quantizable information
             L = 2
         N = L + int(rng.integers(0, 4))
-        ch = generate_channel(K, R, L, seed=int(rng.integers(2**31)))
+        ch = dense.seeded_channel(K, R, L, int(rng.integers(2**31)))
         tones = to_tone_domain(ch, N)
-        rec = reconstruct(np.stack([receiver_feedback(ch, i) for i in range(K)]), N, R=ch.R)
+        rec = reconstruct(receiver_feedback(ch), N, R=ch.R)
         i, k = int(rng.integers(K)), int(rng.integers(K))
 
         # reconstructed directions keep unit norm
@@ -238,7 +232,7 @@ def test_criterion_8_pipeline_identities():
             worst["chain"],
             abs(
                 np.linalg.norm(dense.hbar(tones, i, k)) ** 2
-                - np.linalg.norm(vectorize_direction(ch, i, k) * np.linalg.norm(T)) ** 2
+                - np.linalg.norm(dense.direction(T) * np.linalg.norm(T)) ** 2
             )
             / max(1.0, np.linalg.norm(T) ** 2),
         )

@@ -20,13 +20,17 @@ from iafb.alignment import (
 )
 from iafb.channel import generate_channel, receiver_feedback, reconstruct, to_tone_domain
 from iafb.quantizer import FeedbackBudget, distortion_oracle_quantize
-from iafb.rng import trial_generator, trial_normals
+from iafb.rng import trial_normals
+
+
+def trial_channels(K, R, seed, trials):
+    """dof-sweep's channels (L = 2) of `trials` at `seed`, one batched realization."""
+    return generate_channel(K, R, 2, trial_normals(seed, np.array(trials)[:, None], (K, K, 2, R)))
 
 
 def perfect_reconstruction(K, R, L, N, seed):
     """A batch of one perfect-feedback reconstruction, N tones."""
-    ch = generate_channel(K, R, L, seed=seed)
-    return reconstruct(np.stack([receiver_feedback(ch, i) for i in range(K)])[None], N, R=R)
+    return reconstruct(receiver_feedback(dense.seeded_channel(K, R, L, seed))[None], N, R=R)
 
 
 def assert_failed(bf, pattern):
@@ -173,8 +177,7 @@ class TestCj3Engine:
         # element 1's link (0, 1) feeds back a zero direction, so its tone
         # gains are singular; elements 0 and 2 build as they do alone
         params = cj3_parameters(1)
-        channels = [generate_channel(3, 1, 2, seed=trial_generator(0, t)) for t in range(3)]
-        fed = np.stack([[receiver_feedback(ch, i) for i in range(3)] for ch in channels])
+        fed = receiver_feedback(trial_channels(3, 1, 0, range(3)))
         fed[1, 0, 1] = 0.0
         rec = reconstruct(fed, params.N, R=1)
         with warnings.catch_warnings():
@@ -223,8 +226,7 @@ def reference_filters(rec, bf):
 
 def cli_directions(params, trial):
     """Perfect feedback of dof-sweep's trial `trial` at seed 0, (K, K, R*L)."""
-    ch = generate_channel(params.K, params.R, 2, seed=trial_generator(0, trial))
-    return np.stack([receiver_feedback(ch, i) for i in range(params.K)])
+    return receiver_feedback(trial_channels(params.K, params.R, 0, [trial]))[0]
 
 
 class TestZeroForcing:
@@ -283,9 +285,7 @@ class TestZeroForcing:
 
 
 def batched_reconstruction(params, trials):
-    channels = [generate_channel(params.K, params.R, 2, seed=trial_generator(0, t)) for t in trials]
-    fed = np.stack([[receiver_feedback(ch, i) for i in range(params.K)] for ch in channels])
-    return reconstruct(fed, params.N, R=params.R)
+    return reconstruct(receiver_feedback(trial_channels(params.K, params.R, 0, trials)), params.N, R=params.R)
 
 
 def verdicts(bf):
@@ -332,8 +332,7 @@ class TestZeroForcingVerdicts:
         # 3x3 interference stacks of rank 2, on 200 channels, with perfect
         # feedback or with the oracle at 2^4..2^14 and alpha 0.25
         params = cj3_parameters(1)
-        channels = [generate_channel(3, 1, 2, seed=trial_generator(1, t)) for t in range(200)]
-        fed = np.stack([[receiver_feedback(ch, i) for i in range(3)] for ch in channels])
+        fed = receiver_feedback(trial_channels(3, 1, 1, range(200)))
         if oracle:
             P = 2.0 ** np.arange(4, 15)[np.arange(600) % 11]
             delta_sq = np.array([FeedbackBudget(K=3, R=1, L=2, P=p, alpha=0.25).delta_star for p in P]) ** 2
@@ -362,8 +361,7 @@ class TestZeroForcingVerdicts:
         # capped at one column, on 200 channels with perfect feedback or
         # with the oracle at 2^4..2^14 and alpha 0.25
         params = cj3_parameters(1)
-        channels = [generate_channel(3, 1, 2, seed=trial_generator(2, t)) for t in range(200)]
-        fed = np.stack([[receiver_feedback(ch, i) for i in range(3)] for ch in channels])
+        fed = receiver_feedback(trial_channels(3, 1, 2, range(200)))
         if oracle:
             P = 2.0 ** np.arange(4, 15)[np.arange(600) % 11]
             delta_sq = np.array([FeedbackBudget(K=3, R=1, L=2, P=p, alpha=0.25).delta_star for p in P]) ** 2
@@ -673,9 +671,9 @@ class TestQuantizedAlignment:
         # alignment is exact w.r.t. the reconstruction; against the true
         # channel the same filters leak at the quantization level
         params = cj3_parameters(1)
-        ch = generate_channel(3, 1, 2, seed=16)
+        ch = dense.seeded_channel(3, 1, 2, 16)
         budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**8)
-        exact = np.stack([receiver_feedback(ch, i) for i in range(3)])
+        exact = receiver_feedback(ch)
         normals = np.stack([np.random.default_rng(17 + i).standard_normal((2, 3, 2)) for i in range(3)])
         fed = distortion_oracle_quantize(exact, np.full(3, budget.delta_star**2), normals)
         bf = build_beamformers(reconstruct(fed[None], params.N, R=1), params, "cj3")

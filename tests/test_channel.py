@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import dense_reference as dense
+from dense_reference import seeded_channel
 from iafb.channel import (
     ChannelRealization,
     generate_channel,
@@ -10,36 +11,55 @@ from iafb.channel import (
     reconstruct,
     save_channel,
     to_tone_domain,
-    vectorize_direction,
 )
 from iafb.grassmann import composite_dist_sq
 from iafb.quantizer import FeedbackBudget, build_random_codebook, distortion_oracle_quantize, encode
+from iafb.rng import complex_normal, complex_normal_parts
 
 
 class TestGeneration:
     def test_deterministic(self):
-        a = generate_channel(3, 2, 4, seed=1)
-        b = generate_channel(3, 2, 4, seed=1)
+        a = seeded_channel(3, 2, 4, 1)
+        b = seeded_channel(3, 2, 4, 1)
         assert np.array_equal(a.taps, b.taps)
 
+    @pytest.mark.parametrize("K, R, L", [(3, 1, 2), (3, 2, 2), (2, 3, 1)])
+    def test_taps_are_the_complex_normal_draw(self, K, R, L):
+        # drawn normals give, byte for byte, the taps of complex_normal on the same stream
+        ch = generate_channel(K, R, L, complex_normal_parts(np.random.default_rng(4), (K, K, L, R)))
+        expected = complex_normal(np.random.default_rng(4), (K, K, L, R)) / np.sqrt(2.0)
+        assert np.array_equal(ch.taps, expected)
+
+    def test_stacked_normals_give_a_batch(self):
+        normals = np.random.default_rng(5).standard_normal((4, 2, 3, 3, 2, 1))
+        batch = generate_channel(3, 1, 2, normals)
+        assert batch.taps.shape == (4, 3, 3, 2, 1)
+        for b in range(4):
+            assert np.array_equal(batch.taps[b], generate_channel(3, 1, 2, normals[b]).taps)
+
+    @pytest.mark.parametrize("shape", [(3, 3, 2, 1), (2, 3, 3, 1, 2), (1, 1, 2, 3, 3, 2, 1)])
+    def test_normals_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            generate_channel(3, 1, 2, np.zeros(shape))
+
     def test_shapes(self):
-        ch = generate_channel(2, 1, 1, seed=2)
+        ch = seeded_channel(2, 1, 1, 2)
         assert ch.taps.shape == (2, 2, 1, 1)
 
     def test_unit_tap_variance(self):
-        ch = generate_channel(6, 30, 100, seed=3)  # ~1e5 taps
+        ch = seeded_channel(6, 30, 100, 3)  # ~1e5 taps
         assert np.mean(np.abs(ch.taps) ** 2) == pytest.approx(1.0, abs=0.02)
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
-            generate_channel(1, 1, 1, seed=0)
+            seeded_channel(1, 1, 1, 0)
         with pytest.raises(ValueError):
-            generate_channel(2, 0, 2, seed=0)
+            seeded_channel(2, 0, 2, 0)
 
 
 class TestToneDomain:
     def test_single_tap_constant_tones(self):
-        ch = generate_channel(2, 2, 1, seed=5)
+        ch = seeded_channel(2, 2, 1, 5)
         tones = to_tone_domain(ch, 8)
         for i in range(2):
             for k in range(2):
@@ -53,7 +73,7 @@ class TestToneDomain:
         assert np.allclose(tones[:, :, :, 0], 1.0)
 
     def test_parseval_unnormalized(self):
-        ch = generate_channel(3, 2, 3, seed=6)
+        ch = seeded_channel(3, 2, 3, 6)
         tones = to_tone_domain(ch, 9)
         for i in range(3):
             for k in range(3):
@@ -62,13 +82,13 @@ class TestToneDomain:
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
 
     def test_too_few_tones(self):
-        ch = generate_channel(2, 1, 4, seed=7)
+        ch = seeded_channel(2, 1, 4, 7)
         with pytest.raises(ValueError):
             to_tone_domain(ch, 3)
 
     def test_stacked_norm_equals_tap_norm(self):
         # the unitary-scaled stacked tone channel preserves the tap norm
-        ch = generate_channel(3, 2, 2, seed=8)
+        ch = seeded_channel(3, 2, 2, 8)
         tones = to_tone_domain(ch, 12)
         for i in range(3):
             for k in range(3):
@@ -84,20 +104,20 @@ class TestVectorization:
         taps[0, 1] = 0.0
         taps[0, 1, 2, 1] = 1.0  # row l=2, column m=1
         ch = ChannelRealization(K=2, R=2, L=3, taps=taps)
-        vec = vectorize_direction(ch, 0, 1)
+        vec = receiver_feedback(ch)[0, 1]
         expected = np.zeros(6, dtype=complex)
         expected[1 * 3 + 2] = 1.0  # column-major: position m*L + l
         assert np.array_equal(vec, expected)
 
     def test_unit_norm(self):
-        ch = generate_channel(3, 2, 4, seed=11)
+        ch = seeded_channel(3, 2, 4, 11)
         for i in range(3):
             for k in range(3):
-                assert abs(np.linalg.norm(vectorize_direction(ch, i, k)) - 1) < 1e-12
+                assert abs(np.linalg.norm(receiver_feedback(ch)[i, k]) - 1) < 1e-12
 
     def test_column_major_order(self):
-        ch = generate_channel(2, 2, 3, seed=12)
-        vec = vectorize_direction(ch, 1, 0)
+        ch = seeded_channel(2, 2, 3, 12)
+        vec = receiver_feedback(ch)[1, 0]
         T = ch.taps[1, 0]
         scale = np.linalg.norm(T)
         for m in range(2):
@@ -108,62 +128,88 @@ class TestVectorization:
         taps = np.ones((2, 2, 2, 1), dtype=complex)
         taps[1, 0] = 0.0
         ch = ChannelRealization(K=2, R=1, L=2, taps=taps)
-        with pytest.raises(ValueError):
-            vectorize_direction(ch, 1, 0)
+        with pytest.raises(ValueError, match=r"channel \(1, 0\) is identically zero"):
+            receiver_feedback(ch)
 
     def test_scalar_tap_rejected(self):
         # R*L = 1: a direction in C^1 is a single point, nothing to feed back
-        ch = generate_channel(2, 1, 1, seed=10)
+        ch = seeded_channel(2, 1, 1, 10)
         with pytest.raises(ValueError, match=r"R\*L >= 2"):
-            vectorize_direction(ch, 0, 1)
-        with pytest.raises(ValueError, match=r"R\*L >= 2"):
-            receiver_feedback(ch, 0)
+            receiver_feedback(ch)
+
+
+class TestBatchedDirections:
+    """One `receiver_feedback` pass equals ``v / np.linalg.norm(v)`` per link, byte for byte."""
+
+    @pytest.mark.parametrize("R, L", [(1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (1, 4), (4, 1), (2, 3), (3, 2), (1, 6)])
+    @pytest.mark.parametrize("batch", [(), (1,), (6,)])
+    def test_matches_per_link_reference(self, R, L, batch):
+        K = 3
+        ch = generate_channel(K, R, L, np.random.default_rng(10 * R + L).standard_normal((*batch, 2, K, K, L, R)))
+        got = receiver_feedback(ch)
+        assert got.shape == (*batch, K, K, R * L)
+        for t, g in zip(ch.taps.reshape(-1, K, K, L, R), got.reshape(-1, K, K, R * L)):
+            for i in range(K):
+                for k in range(K):
+                    assert np.array_equal(g[i, k], dense.direction(t[i, k]))
+
+    def test_zero_link_in_a_batch_rejected(self):
+        taps = np.ones((4, 2, 2, 2, 1), dtype=complex)
+        taps[2, 0, 1] = 0.0
+        with pytest.raises(ValueError, match=r"channel \(0, 1\) is identically zero"):
+            receiver_feedback(ChannelRealization(K=2, R=1, L=2, taps=taps))
 
 
 class TestFeedback:
     def test_perfect_mode_returns_exact_directions(self):
-        ch = generate_channel(3, 1, 2, seed=13)
-        fed = receiver_feedback(ch, 0)
-        assert fed.shape == (3, 2)
-        for k in range(3):
-            assert np.array_equal(fed[k], vectorize_direction(ch, 0, k))
+        ch = seeded_channel(3, 1, 2, 13)
+        fed = receiver_feedback(ch)
+        assert fed.shape == (3, 3, 2)
+        assert np.array_equal(fed, dense.directions(ch))
 
     def test_components_in_user_order(self):
-        ch = generate_channel(3, 2, 2, seed=14)
-        fed = receiver_feedback(ch, 1)
+        ch = seeded_channel(3, 2, 2, 14)
+        fed = receiver_feedback(ch)[1]
         assert fed.shape == (3, 4)
-        assert np.array_equal(fed[2], vectorize_direction(ch, 1, 2))
+        assert np.array_equal(fed[2], dense.direction(ch.taps[1, 2]))
 
     def test_codebook_mode_picks_nearest(self):
-        ch = generate_channel(2, 1, 2, seed=15)
-        cb = build_random_codebook(2, 2, 6, seed=16)
-        fed = receiver_feedback(ch, 0, cb)
-        exact = receiver_feedback(ch, 0)
-        assert composite_dist_sq(exact, fed) <= composite_dist_sq(exact, cb.points).min() + 1e-12
-        assert np.array_equal(fed, cb.points[encode(exact, cb)])
+        # receiver i quantizes its row with codebook i
+        ch = seeded_channel(2, 1, 2, 15)
+        codebooks = [build_random_codebook(2, 2, 6, seed=16 + i) for i in range(2)]
+        fed = receiver_feedback(ch, iter(codebooks))
+        exact = receiver_feedback(ch)
+        for i, cb in enumerate(codebooks):
+            assert composite_dist_sq(exact[i], fed[i]) <= composite_dist_sq(exact[i], cb.points).min() + 1e-12
+            assert np.array_equal(fed[i], cb.points[encode(exact[i], cb)])
+            assert not np.shares_memory(fed, cb.points)
 
     def test_oracle_mode_distance(self):
-        ch = generate_channel(3, 1, 2, seed=17)
+        ch = seeded_channel(3, 1, 2, 17)
         budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**6)
-        exact = receiver_feedback(ch, 0)
+        exact = receiver_feedback(ch)[0]
         normals = np.random.default_rng(18).standard_normal((1, 2, 3, 2))
         fed = distortion_oracle_quantize(exact[None], [budget.delta_star**2], normals)[0]
         assert composite_dist_sq(exact, fed) == pytest.approx(budget.delta_star**2, abs=1e-12)
 
-    def test_bad_user_index(self):
-        ch = generate_channel(2, 1, 2, seed=19)
+    def test_codebook_count_must_match_users(self):
+        ch = seeded_channel(2, 1, 2, 19)
+        codebooks = [build_random_codebook(2, 2, 2, seed=i) for i in range(3)]
         with pytest.raises(ValueError):
-            receiver_feedback(ch, 5)
+            receiver_feedback(ch, codebooks)
+        with pytest.raises(ValueError):
+            receiver_feedback(ch, codebooks[:1])
 
-
-def fed_back(ch):
-    return np.stack([receiver_feedback(ch, i) for i in range(ch.K)])
+    def test_codebook_mode_takes_one_realization(self):
+        batch = ChannelRealization(K=2, R=1, L=2, taps=np.ones((2, 2, 2, 2, 1), dtype=complex))
+        with pytest.raises(ValueError, match="one realization"):
+            receiver_feedback(batch, [build_random_codebook(2, 2, 2, seed=i) for i in range(2)])
 
 
 class TestReconstruction:
     def make_rec(self, seed, K=3, R=2, L=2, N=8, budget=None, rng=None):
-        ch = generate_channel(K, R, L, seed=seed)
-        fed = fed_back(ch)
+        ch = seeded_channel(K, R, L, seed)
+        fed = receiver_feedback(ch)
         if budget is not None:
             normals = rng.standard_normal((K, 2, K, R * L))
             fed = distortion_oracle_quantize(fed, np.full(K, budget.delta_star**2), normals)
@@ -186,23 +232,23 @@ class TestReconstruction:
     def test_inner_product_preservation(self):
         # <true direction, reconstruction> equals <tap direction, quantized direction>
         budget = FeedbackBudget(K=3, R=2, L=2, P=16.0)
-        ch = generate_channel(3, 2, 2, seed=22)
+        ch = seeded_channel(3, 2, 2, 22)
         normals = np.stack([np.random.default_rng(23 + i).standard_normal((2, 3, 4)) for i in range(3)])
-        fed = distortion_oracle_quantize(fed_back(ch), np.full(3, budget.delta_star**2), normals)
+        fed = distortion_oracle_quantize(receiver_feedback(ch), np.full(3, budget.delta_star**2), normals)
         tones = to_tone_domain(ch, 8)
         rec = reconstruct(fed, 8, R=2)
         for i in range(3):
             for k in range(3):
                 hbar = dense.hbar(tones, i, k)
                 lhs = np.vdot(hbar / np.linalg.norm(hbar), rec.wtones[i, k].reshape(-1))
-                rhs = np.vdot(vectorize_direction(ch, i, k), fed[i, k])
+                rhs = np.vdot(dense.direction(ch.taps[i, k]), fed[i, k])
                 assert abs(lhs - rhs) <= 1e-10
 
     def test_phase_shift_leaves_pipeline_invariant(self):
         # rotating one fed-back component by a global phase must not move
         # any magnitude the downstream pipeline consumes
-        ch = generate_channel(2, 1, 3, seed=24)
-        fed = fed_back(ch)
+        ch = seeded_channel(2, 1, 3, 24)
+        fed = receiver_feedback(ch)
         rotated = fed.copy()
         rotated[0, 1] *= np.exp(1j * 0.77)
         tones = to_tone_domain(ch, 6)
@@ -214,24 +260,28 @@ class TestReconstruction:
         )
 
     def test_direction_shape_rejected(self):
-        ch = generate_channel(3, 1, 2, seed=25)
-        fed = fed_back(ch)
+        ch = seeded_channel(3, 1, 2, 25)
+        fed = receiver_feedback(ch)
         with pytest.raises(ValueError, match="shaped"):
             reconstruct(fed[:, :2], 4, R=1)  # (K, K-1, R*L)
         with pytest.raises(ValueError, match="shaped"):
             reconstruct(fed, 4, R=3)  # R does not divide R*L = 2
 
-    def test_qhat_reshape_round_trip(self):
+    def test_wtones_inverse_dft_round_trip(self):
+        # the inverse DFT of the reconstructed tones, times sqrt(N), holds the
+        # fed-back direction in its first L rows, reshaped to L x R
         ch, _, rec = self.make_rec(seed=26)
+        taps = np.fft.ifft(rec.wtones, axis=-2) * np.sqrt(rec.N)
         for i in range(3):
             for k in range(3):
                 expect = ch.taps[i, k] / np.linalg.norm(ch.taps[i, k])
-                assert np.allclose(rec.qhat[i, k], expect, atol=1e-12)
+                assert np.allclose(taps[i, k, : rec.L], expect, atol=1e-12)
+                assert np.allclose(taps[i, k, rec.L :], 0.0, atol=1e-12)
 
 
 class TestArchive:
     def test_round_trip(self, tmp_path):
-        ch = generate_channel(3, 2, 4, seed=27)
+        ch = seeded_channel(3, 2, 4, 27)
         path = tmp_path / "chan.txt"
         save_channel(ch, path)
         loaded = load_channel(path)
@@ -241,7 +291,7 @@ class TestArchive:
 
     def test_ignores_an_old_noise_power(self, tmp_path):
         # archives written before the noise left the channel carry it in their header
-        ch = generate_channel(3, 1, 2, seed=4)
+        ch = seeded_channel(3, 1, 2, 4)
         path = tmp_path / "chan.txt"
         save_channel(ch, path)
         lines = path.read_text().splitlines()

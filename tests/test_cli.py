@@ -11,13 +11,8 @@ import pytest
 
 from iafb.alignment import AlignmentError, build_beamformers, cj3_parameters, ia_parameters
 import iafb.cli
-from iafb.channel import (
-    generate_channel,
-    reconstruct,
-    save_channel,
-    to_tone_domain,
-    vectorize_direction,
-)
+import dense_reference as dense
+from iafb.channel import reconstruct, save_channel, to_tone_domain
 from iafb.cli import main, parse_config, run_dof_sweep
 from iafb.grassmann import sample_uniform
 from iafb.quantizer import FeedbackBudget, build_random_codebook, distortion_oracle_quantize, encode
@@ -215,14 +210,33 @@ class TestIaRun:
         assert code == 2
 
     def test_channel_file_round_trip(self, tmp_path):
-        chan = tmp_path / "chan.txt"
-        save_channel(generate_channel(3, 1, 2, seed=5), chan)
-        out = tmp_path / "run.csv"
-        code = main([
-            "ia-run", "--channel-file", str(chan), "--engine", "cj3", "--n", "1",
-            "--out", str(out),
-        ])
-        assert code == 0
+        # a saved channel, read back, gives the run its drawn channel gave:
+        # cj3 with codebook feedback (R*L = 2) and leakage-min with oracle
+        # feedback at R = 2
+        for flags in (
+            ["--engine", "cj3", "--n", "1", "--feedback", "codebook", "--bits", "6", "--seed", "5"],
+            ["--R", "2", "--L", "2", "--engine", "leakage-min", "--feedback", "oracle", "--seed", "1"],
+        ):
+            chan, drawn, loaded = tmp_path / "chan.txt", tmp_path / "drawn.csv", tmp_path / "loaded.csv"
+            assert main(["ia-run", *flags, "--save-channel", str(chan), "--out", str(drawn)]) == 0
+            assert main(["ia-run", *flags, "--channel-file", str(chan), "--out", str(loaded)]) == 0
+            assert data_bytes(loaded) == data_bytes(drawn)
+
+    def test_channel_is_dof_sweep_trial_0(self, tmp_path, monkeypatch):
+        # ia-run draws the channel dof-sweep's trial 0 draws, byte for byte
+        taps = []
+
+        def recording_evaluate(config, params, block_taps, *args, **build):
+            taps.append(block_taps.copy())
+            return evaluate(config, params, block_taps, *args, **build)
+
+        evaluate = iafb.cli._evaluate
+        monkeypatch.setattr(iafb.cli, "_evaluate", recording_evaluate)
+        flags = ["--engine", "cj3", "--n", "1", "--feedback", "perfect", "--seed", "4"]
+        assert main(["ia-run", *flags, "--out", str(tmp_path / "run.csv")]) == 0
+        assert main(["dof-sweep", *flags, "--trials", "2", "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert len(taps) == 2 and taps[0].shape == (1, 3, 3, 2, 1) and taps[1].shape == (2, 3, 3, 2, 1)
+        assert taps[0][0].tobytes() == taps[1][0].tobytes()
 
     def test_codebook_feedback_mode(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -278,11 +292,6 @@ class TestIaRun:
         assert calls == [((1, 3, 3, 2, 1), (1, 3, 3, 2), 1024.0, [state], {"c_min": 1e-7, "shared": False})]
 
 
-def exact_directions(ch, i):
-    """Receiver i's exact (K, R*L) directions, one `vectorize_direction` per link."""
-    return np.stack([vectorize_direction(ch, i, k) for k in range(ch.K)])
-
-
 class TestIaRunFeedback:
     """ia-run feeds back what each user's own batch-of-one quantizer call gives."""
 
@@ -308,20 +317,20 @@ class TestIaRunFeedback:
         assert main(argv + ["--out", str(tmp_path / "run.csv")]) == 0
         config = parse_config(argv)
 
-        ch = generate_channel(3, 1, 2, seed=trial_generator(seed, 0))
+        ch = dense.seeded_channel(3, 1, 2, trial_generator(seed, 0))
         reference = []
         for i in range(3):
             rng = trial_generator(seed, 1009 + i)
             if config.feedback == "codebook":
                 cb = build_random_codebook(2, 3, config.bits, seed=seed + i)
-                reference.append(cb.points[encode(exact_directions(ch, i), cb)])
+                reference.append(cb.points[encode(dense.directions(ch)[i], cb)])
             elif config.alpha == 0.0:
                 reference.append(sample_uniform(2, 3, complex_normal_parts(rng, (3, 2))[None])[0])
             else:
                 budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**config.p_log2, alpha=config.alpha)
                 normals = complex_normal_parts(rng, (3, 2))[None]
                 delta_sq = np.square([budget.delta_star])
-                reference.append(distortion_oracle_quantize(exact_directions(ch, i)[None], delta_sq, normals)[0])
+                reference.append(distortion_oracle_quantize(dense.directions(ch)[i][None], delta_sq, normals)[0])
         # one reconstruction of a batch of one element
         assert len(seen) == 1
         assert np.array_equal(seen[0], np.stack(reference)[None])
@@ -463,10 +472,8 @@ class TestDofSweep:
         # others through the oracle. The reference draws one stream per key
         config = parse_config(["dof-sweep", "--alphas", "0,0.5,1", "--alpha-user", "0", "--seed", "5"])
         trials = range(42, 44)
-        exact = np.stack([
-            [exact_directions(generate_channel(3, 1, 2, seed=trial_generator(config.seed, t)), i) for i in range(3)]
-            for t in trials
-        ])
+        channels = [dense.seeded_channel(3, 1, 2, trial_generator(config.seed, t)) for t in trials]
+        exact = np.stack([dense.directions(ch) for ch in channels])
         grid = iafb.cli._power_grid(config)
         batched = iafb.cli._oracle_feedback(config, trials, exact, grid)
 
@@ -489,7 +496,7 @@ def per_point_trial(config, trial):
     params = cj3_parameters(config.n) if config.engine == "cj3" else ia_parameters(K, R, config.n)
     count = int(round((config.p_log2_max - config.p_log2_min) / config.p_log2_step)) + 1
     grid = [2.0 ** (config.p_log2_min + t * config.p_log2_step) for t in range(count)]
-    ch = generate_channel(K, R, L, seed=trial_generator(config.seed, trial))
+    ch = dense.seeded_channel(K, R, L, trial_generator(config.seed, trial))
     tones = to_tone_domain(ch, params.N)[None]
     stats = np.zeros((len(config.alphas), len(grid), K, 5))
 
@@ -504,7 +511,7 @@ def per_point_trial(config, trial):
         return bf
 
     if config.feedback == "perfect":
-        bf = build(np.stack([exact_directions(ch, i) for i in range(K)]))
+        bf = build(dense.directions(ch))
         for a in range(len(config.alphas)):
             for j, P in enumerate(grid):
                 stats[a, j] = achievable_rates(tones, bf, P, config.noise)[0]
@@ -523,7 +530,7 @@ def per_point_trial(config, trial):
                     fed.append(sample_uniform(R * L, K, normals)[0])
                 else:
                     delta_sq = np.square([FeedbackBudget(K=K, R=R, L=L, P=P, alpha=alphas[i]).delta_star])
-                    fed.append(distortion_oracle_quantize(exact_directions(ch, i)[None], delta_sq, normals)[0])
+                    fed.append(distortion_oracle_quantize(dense.directions(ch)[i][None], delta_sq, normals)[0])
             bf = build(np.stack(fed))
             stats[a, j] = achievable_rates(tones, bf, P, config.noise)[0]
     return stats
@@ -703,7 +710,7 @@ def no_work(monkeypatch):
     def work(*args, **kwargs):
         raise AssertionError("work started before the input was checked")
 
-    for name in ("generate_channel", "ball_hit_count", "build_random_codebook", "mimo_reduce"):
+    for name in ("trial_normals", "generate_channel", "ball_hit_count", "build_random_codebook", "mimo_reduce"):
         monkeypatch.setattr(iafb.cli, name, work)
 
 
@@ -782,7 +789,7 @@ class TestInputChecks:
     )
     def test_malformed_channel_archive(self, tmp_path, capsys, no_work, fault, shown):
         chan = tmp_path / "chan.txt"
-        save_channel(generate_channel(3, 2, 2, seed=5), chan)
+        save_channel(dense.seeded_channel(3, 2, 2, 5), chan)
         lines = chan.read_text().splitlines()
         if fault == "magic":
             lines[0] = "# iafb-channel v2"

@@ -5,7 +5,6 @@ import dense_reference as dense
 from iafb.alignment import BeamformerSet, IaParameters, build_beamformers, cj3_parameters
 from iafb.channel import (
     ChannelRealization,
-    generate_channel,
     receiver_feedback,
     reconstruct,
     to_tone_domain,
@@ -25,8 +24,8 @@ from iafb.rng import trial_normals
 def aligned_setup(seed, n=2):
     """A cj3 sizing, one channel's (K, K, N, R) tones and the batch-of-one set built on its perfect feedback."""
     params = cj3_parameters(n)
-    ch = generate_channel(3, 1, 2, seed=seed)
-    rec = reconstruct(np.stack([receiver_feedback(ch, i) for i in range(3)])[None], params.N, R=ch.R)
+    ch = dense.seeded_channel(3, 1, 2, seed)
+    rec = reconstruct(receiver_feedback(ch)[None], params.N, R=ch.R)
     bf = build_beamformers(rec, params, "cj3")
     assert bf.failures == (None,)
     return params, to_tone_domain(ch, params.N), bf
@@ -76,7 +75,7 @@ class TestInterferenceTerms:
 
     def test_shape_mismatch_rejected(self):
         params, _, bf = aligned_setup(seed=3)
-        other = to_tone_domain(generate_channel(3, 1, 2, seed=4), params.N + 2)
+        other = to_tone_domain(dense.seeded_channel(3, 1, 2, 4), params.N + 2)
         with pytest.raises(ValueError, match="do not match"):
             interference_terms(other[None], bf, 4.0)
 
@@ -188,9 +187,9 @@ class TestInterferenceBoundedness:
         for j, P in enumerate(grid):
             acc = 0.0
             for trial in range(5):
-                ch = generate_channel(3, 1, 2, seed=trial)
+                ch = dense.seeded_channel(3, 1, 2, trial)
                 fed = distortion_oracle_quantize(
-                    np.stack([receiver_feedback(ch, i) for i in range(3)]),
+                    receiver_feedback(ch),
                     np.full(3, FeedbackBudget(K=3, R=1, L=2, P=P, alpha=1.0).delta_star ** 2),
                     trial_normals(3, [[trial * 100 + j * 10 + i] for i in range(3)], (3, 2)),
                 )

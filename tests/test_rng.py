@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from iafb.grassmann import MC_CHUNK
-from iafb.rng import complex_normal, complex_normal_parts, trial_generator, trial_generators, trial_normals
+from iafb.rng import complex_normal, complex_normal_parts, trial_generator, trial_normals
 
 
 # one (2, *shape) draw must equal two draws of `shape`, real parts first:
@@ -22,85 +22,9 @@ def test_integer_shape():
     assert complex_normal_parts(np.random.default_rng(0), 4).shape == (2, 4)
 
 
-def assert_same_streams(seed, keys):
-    gens = trial_generators(seed, keys)
-    assert len(gens) == len(keys)
-    for gen, key in zip(gens, keys):
-        ref = trial_generator(seed, *key)
-        assert gen.bit_generator.state == ref.bit_generator.state
-        assert np.array_equal(gen.standard_normal((2, 3, 2)), ref.standard_normal((2, 3, 2)))
-
-
 # one, two and three uint32 words each, across the 2^32 and 2^64 boundaries
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5]
 KEYS = [(0,), (2**32 - 1,), (2**32,), (2**64 + 3,), (3, 7), (2**32, 1)]
-
-
-class TestTrialGenerators:
-    """The batched seeding equals one `trial_generator` per key, bit for bit."""
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("key", KEYS)
-    def test_single_key(self, seed, key):
-        assert_same_streams(seed, [key])
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_word_lengths_mixed_in_one_call(self, seed):
-        # key entries of one, two and three words in every combination
-        words = [0, 2**32 - 1, 2**32, 2**64 + 3]
-        assert_same_streams(seed, [(a, b) for a in words for b in words])
-
-    def test_rows_past_the_pool(self):
-        # rows of 6 (3 + 3) and 4 (3 + 1) words in one call, and of
-        # 8 (3 + 1 + 3 + 1) and 6 words in another, take the mixing loop past
-        # the 4-word pool beside rows that stop inside it
-        assert_same_streams(2**64 + 5, [(2**64 + 3,), (4,), (2**64 + 3,)])
-        assert_same_streams(2**64 + 5, [(1, 2**64 + 3, 9), (1, 2, 3)])
-
-    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
-    def test_integer_arrays(self, dtype):
-        keys = np.array([[0, 5], [2**32 - 1, 2**32], [2**33 + 7, 3]], dtype=dtype)
-        assert_same_streams(9, keys)
-        assert_same_streams(9, np.array([[2**64 - 1]], dtype=np.uint64))
-
-    def test_sweep_keys(self):
-        # dof-sweep's oracle keys for trials 42 and 43, which cross 2^32
-        keys = [((t * 100_000 + j) * 1009 + i,) for t in (42, 43) for j in range(11) for i in range(3)]
-        assert_same_streams(2**31 + 7, keys)
-
-    def test_repeated_key_gives_separate_generators(self):
-        a, b = trial_generators(3, [(9,), (9,)])
-        assert a is not b
-        assert np.array_equal(a.standard_normal(4), b.standard_normal(4))
-
-    def test_empty(self):
-        assert trial_generators(0, []) == []
-
-    def test_empty_keys(self):
-        assert_same_streams(5, [()])
-        assert_same_streams(5, np.zeros((2, 0), dtype=np.int64))
-
-    @pytest.mark.parametrize("seed, keys", [(0, [(1,), (-1,)]), (-1, [(1,)]), (0, [(2, -3)])])
-    def test_negative_entropy_raises(self, seed, keys):
-        with pytest.raises(ValueError, match="non-negative"):
-            trial_generators(seed, keys)
-
-    # forms `trial_generator` takes but one call of `trial_generators` does
-    # not: keys of several lengths, and an array that numpy would make of
-    # floats (a uint64 beside a Python int), which could not hold every key exactly
-    @pytest.mark.parametrize(
-        "keys",
-        [
-            [(1,), (2, 3)],
-            [(), (5,)],
-            [(np.uint64(2**63),), (1,)],
-            np.array([[1.0], [2.0]]),
-            np.arange(3),
-        ],
-    )
-    def test_unsupported_key_forms_raise(self, keys):
-        with pytest.raises(ValueError, match=r"keys must form an \(M, k\) array of integers"):
-            trial_generators(0, keys)
 
 
 def assert_same_normals(seed, keys, shape):
@@ -119,6 +43,30 @@ class TestTrialNormals:
         assert_same_normals(7, [(k,) for k in range(6)], shape)
 
     @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("key", KEYS)
+    def test_single_key(self, seed, key):
+        assert_same_normals(seed, [key], (3, 2))
+
+    def test_rows_past_the_pool(self):
+        # rows of 6 (3 + 3) and 4 (3 + 1) words in one call, and of
+        # 8 (3 + 1 + 3 + 1) and 6 words in another, take the mixing loop past
+        # the 4-word pool beside rows that stop inside it
+        assert_same_normals(2**64 + 5, [(2**64 + 3,), (4,), (2**64 + 3,)], (3, 2))
+        assert_same_normals(2**64 + 5, [(1, 2**64 + 3, 9), (1, 2, 3)], (3, 2))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_integer_arrays(self, dtype):
+        keys = np.array([[0, 5], [2**32 - 1, 2**32], [2**33 + 7, 3]], dtype=dtype)
+        assert_same_normals(9, keys, (3, 2))
+        assert_same_normals(9, np.array([[2**64 - 1]], dtype=np.uint64), (3, 2))
+
+    def test_repeated_key(self):
+        # each row draws from a stream of its own, so a repeated key repeats its row
+        a, b = trial_normals(3, [(9,), (9,)], 4)
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, complex_normal_parts(trial_generator(3, 9), 4))
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_several_word_keys(self, seed):
         # key entries of one, two and three words, past 2^32 and 2^64 (an
         # object array of Python integers)
@@ -135,12 +83,16 @@ class TestTrialNormals:
         assert trial_normals(0, [], (3, 2)).shape == (0, 2, 3, 2)
         assert trial_normals(0, np.zeros((0, 1), dtype=np.int64), (3, 2)).shape == (0, 2, 3, 2)
         assert_same_normals(5, [()], (3, 2))
+        assert_same_normals(5, np.zeros((2, 0), dtype=np.int64), (3, 2))
 
     @pytest.mark.parametrize("seed, keys", [(0, [(1,), (-1,)]), (-1, [(1,)]), (0, [(2, -3)])])
     def test_negative_entropy_raises(self, seed, keys):
         with pytest.raises(ValueError, match="non-negative"):
             trial_normals(seed, keys, (3, 2))
 
+    # forms `trial_generator` takes but one call of `trial_normals` does
+    # not: keys of several lengths, and an array that numpy would make of
+    # floats (a uint64 beside a Python int), which could not hold every key exactly
     @pytest.mark.parametrize(
         "keys",
         [
