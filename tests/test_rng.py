@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from iafb.grassmann import MC_CHUNK
-from iafb.rng import complex_normal, complex_normal_parts, trial_generator, trial_normals
+from iafb.rng import (
+    _seed_states,
+    _seed_words_type,
+    complex_normal,
+    complex_normal_parts,
+    trial_generator,
+    trial_normals,
+)
 
 
 # one (2, *shape) draw must equal two draws of `shape`, real parts first:
@@ -25,6 +32,59 @@ def test_integer_shape():
 # one, two and three uint32 words each, across the 2^32 and 2^64 boundaries
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5]
 KEYS = [(0,), (2**32 - 1,), (2**32,), (2**64 + 3,), (3, 7), (2**32, 1)]
+
+
+def assert_same_streams(seed, keys):
+    # a generator built from each row of seed words, as `trial_normals`
+    # builds one, has the state and the stream of the key's `trial_generator`
+    states = _seed_states(seed, keys)
+    assert states.shape == (len(keys), 4) and states.dtype == np.uint64
+    for words, key in zip(states, keys):
+        gen = np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
+        ref = trial_generator(seed, *key)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(gen.standard_normal((2, 3, 2)), ref.standard_normal((2, 3, 2)))
+
+
+class TestTrialGenerators:
+    """The batched seed words build each key's `trial_generator`, state and stream, bit for bit."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_word_lengths_mixed_in_one_call(self, seed):
+        # key entries of one, two and three words in every combination
+        words = [0, 2**32 - 1, 2**32, 2**64 + 3]
+        assert_same_streams(seed, [(a, b) for a in words for b in words])
+
+    def test_sweep_keys(self):
+        # dof-sweep's oracle keys for trials 42 and 43, which cross 2^32
+        keys = [((t * 100_000 + j) * 1009 + i,) for t in (42, 43) for j in range(11) for i in range(3)]
+        assert_same_streams(2**31 + 7, keys)
+
+    def test_empty(self):
+        assert _seed_states(0, []).shape == (0, 4)
+
+    def test_empty_keys(self):
+        assert_same_streams(5, [()])
+        assert_same_streams(5, np.zeros((2, 0), dtype=np.int64))
+
+    @pytest.mark.parametrize("seed, keys", [(0, [(1,), (-1,)]), (-1, [(1,)]), (0, [(2, -3)])])
+    def test_negative_entropy_raises(self, seed, keys):
+        with pytest.raises(ValueError, match="non-negative"):
+            _seed_states(seed, keys)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [(1,), (2, 3)],
+            [(), (5,)],
+            [(np.uint64(2**63),), (1,)],
+            np.array([[1.0], [2.0]]),
+            np.arange(3),
+        ],
+    )
+    def test_unsupported_key_forms_raise(self, keys):
+        with pytest.raises(ValueError, match=r"keys must form an \(M, k\) array of integers"):
+            _seed_states(0, keys)
 
 
 def assert_same_normals(seed, keys, shape):
