@@ -24,9 +24,12 @@ reals per point, so sum_k |<x_k, c_k>|^2 is one real inner product and a
 batch of sources is scored against a codebook chunk by one real matrix
 product. Its rounding differs from the direct formula at about 1e-15.
 The product is cut into tiles after Goto and van de Geijn (ACM TOMS
-2008): each embedded chunk is split into column panels of 4096
-codewords, and every (source slice x panel) product writes into one
-reused 512 KiB similarity tile (2**16 float64). A tile that size stays in
+2008): each slice of 4096 codewords is embedded straight into one
+reused (K*n*n, 4096) column panel, and every (source slice x panel)
+product writes into one reused 512 KiB similarity tile (2**16 float64).
+No embedded chunk and no transposed copy of it is held: at n=2, K=2, 14
+bits and 10**4 sources the traced peak fell from 3.7 to 1.9 MiB with the
+same distortions, bit for bit. A 512 KiB tile stays in
 a 2 MiB L2 cache between the depth-K*n*n product that writes it and the
 row max that reads it back. The earlier 8 MiB block ran both passes from
 L3 or memory. Tile-size curve, median seconds of the full
@@ -181,7 +184,7 @@ def build_random_codebook(n: int, K: int, bits: int, seed: int) -> Codebook:
     return Codebook(n=n, K=K, bits=bits, points=np.concatenate(blocks), seed=seed)
 
 
-def _embed(points: np.ndarray) -> np.ndarray:
+def _embed(points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Half-vectorized projection embedding of (..., K, n) unit rows into (..., K*n*n) reals.
 
     Each component x_k maps to the real diagonal of x_k x_k^H followed by
@@ -191,15 +194,18 @@ def _embed(points: np.ndarray) -> np.ndarray:
     Hermitian matrices, so ``_embed(x) @ _embed(c)`` equals
     sum_k |<x_k, c_k>|**2 and the composite squared distance is K minus
     that inner product (Conway, Hardin and Sloane, Exp. Math. 1996).
+    ``out``, if given, is a (..., K, n*n) array, such as a transposed
+    view of a column panel, that the embedding is written into and
+    returned unreshaped.
     """
     n = points.shape[-1]
     iu, ju = np.triu_indices(n, 1)
     upper = math.sqrt(2.0) * points[..., iu] * points[..., ju].conj()
-    out = np.empty((*points.shape[:-1], n * n))
-    out[..., :n] = points.real**2 + points.imag**2
-    out[..., n : n + len(iu)] = upper.real
-    out[..., n + len(iu) :] = upper.imag
-    return out.reshape(*points.shape[:-2], -1)
+    dest = np.empty((*points.shape[:-1], n * n)) if out is None else out
+    dest[..., :n] = points.real**2 + points.imag**2
+    dest[..., n : n + len(iu)] = upper.real
+    dest[..., n + len(iu) :] = upper.imag
+    return dest.reshape(*points.shape[:-2], -1) if out is None else out
 
 
 def encode(x: np.ndarray, cb: Codebook) -> int:
@@ -218,27 +224,31 @@ def encode(x: np.ndarray, cb: Codebook) -> int:
 def _batched_min_dist(sources: np.ndarray, cb: Codebook) -> np.ndarray:
     """Squared distortion of each source row under nearest-neighbor coding.
 
-    Each codebook chunk is embedded once and cut into column panels of
-    ``_PANEL`` codewords. Every (source slice x panel) pair is one real
-    GEMM into one similarity tile of at most ``_SIM_TILE`` entries, reused
-    by every pair; the running row max reads the tile back while it is
-    still in cache.
+    The codebook is scored in column panels of ``_PANEL`` codewords: each
+    slice of ``cb.points`` is embedded straight into one reused
+    (K*n*n, _PANEL) panel buffer, codewords as columns. Every (source
+    slice x panel) pair is one real GEMM into one similarity tile of at
+    most ``_SIM_TILE`` entries, reused by every pair; the running row max
+    reads the tile back while it is still in cache.
     """
     src = _embed(sources)
     best = np.full(len(src), -np.inf)
     cols = min(cb.size, _PANEL)
     rows = max(1, _SIM_TILE // cols)
+    depth = src.shape[1]
+    panel_buf = np.empty(depth * cols)
     tile = np.empty(min(rows, len(src)) * cols)
-    for _, block in cb.chunks():
-        cw_t = np.ascontiguousarray(_embed(block).T)
-        for p0 in range(0, cw_t.shape[1], cols):
-            panel = cw_t[:, p0 : p0 + cols]
-            for s0 in range(0, len(src), rows):
-                part = src[s0 : s0 + rows]
-                scores = tile[: len(part) * panel.shape[1]].reshape(len(part), -1)
-                np.matmul(part, panel, out=scores)
-                acc = best[s0 : s0 + rows]
-                np.maximum(acc, scores.max(axis=1), out=acc)
+    for p0 in range(0, cb.size, cols):
+        block = cb.points[p0 : p0 + cols]
+        # the panel's transposed (codeword, K, n*n) view is what _embed fills
+        panel = panel_buf[: depth * len(block)].reshape(depth, len(block))
+        _embed(block, out=panel.reshape(cb.K, -1, len(block)).transpose(2, 0, 1))
+        for s0 in range(0, len(src), rows):
+            part = src[s0 : s0 + rows]
+            scores = tile[: len(part) * len(block)].reshape(len(part), -1)
+            np.matmul(part, panel, out=scores)
+            acc = best[s0 : s0 + rows]
+            np.maximum(acc, scores.max(axis=1), out=acc)
     return np.maximum(cb.K - best, 0.0)
 
 

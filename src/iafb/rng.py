@@ -194,7 +194,10 @@ def complex_normal_parts(rng: np.random.Generator, shape) -> np.ndarray:
     index 1 the imaginary parts. The generator fills the array in C order,
     so one call draws the same numbers as two calls of `shape` each, real
     parts first. Every complex draw in the library goes through here or
-    through `trial_normals`, which fills the same layout per key.
+    through `trial_normals`, which fills the same layout per key, except
+    `grassmann.ball_hit_count`: it draws the same layout straight off the
+    generator in sub-blocks, all real parts before any imaginary part, so
+    that no (2, *shape) array is held.
     """
     shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
     return rng.standard_normal((2, *shape))

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from iafb.grassmann import (
     MC_CHUNK,
+    MC_TILE,
     ball_hit_count,
     ball_volume_normalized,
     composite_dist_sq,
@@ -237,8 +239,10 @@ def reference_hit_count(n, K, delta, trials, rng):
 
 
 class TestBallHitCount:
-    # MC_CHUNK + 17 runs two chunks, the last one partial
-    @pytest.mark.parametrize("trials", [1, 1000, MC_CHUNK + 17])
+    # MC_CHUNK + 17 runs two chunks, the last one partial; the last three
+    # cut a sub-block: one past a whole sub-block, one short of a whole
+    # chunk, and a third chunk shorter than one sub-block
+    @pytest.mark.parametrize("trials", [1, 1000, MC_CHUNK + 17, MC_TILE + 1, MC_CHUNK - 1, 2 * MC_CHUNK + MC_TILE - 3])
     @pytest.mark.parametrize("n,K", [(2, 1), (2, 2), (3, 2), (2, 3), (4, 3)])
     def test_matches_complex_reference(self, n, K, trials):
         for delta in (0.0, 0.3, 0.8, 1.0, math.sqrt(K)):
@@ -246,6 +250,19 @@ class TestBallHitCount:
             got = ball_hit_count(n, K, delta, trials, np.random.default_rng(seed))
             want = reference_hit_count(n, K, delta, trials, np.random.default_rng(seed))
             assert got == want, (n, K, trials, delta)
+
+    # one full chunk: the real parts' (MC_CHUNK, K, n) buffer (3 MiB at
+    # (2, 3), 6 MiB at (4, 3)) and one sub-block's workspace; drawing the
+    # whole chunk at once traced 7.56 and 13.56 MiB
+    @pytest.mark.parametrize("n,K,bound_mib", [(2, 3, 4), (4, 3, 7)])
+    def test_one_chunk_bounds_peak_memory(self, n, K, bound_mib):
+        tracemalloc.start()
+        try:
+            ball_hit_count(n, K, 0.8, MC_CHUNK, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
 
     @pytest.mark.parametrize("n,K,trials,delta", [(1, 2, 10, 0.5), (2, 0, 10, 0.5), (2, 2, 0, 0.5), (2, 2, 10, -0.1)])
     def test_rejects_invalid_arguments(self, n, K, trials, delta):
