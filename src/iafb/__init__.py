@@ -3,13 +3,13 @@
 Library layout:
 
 * ``grassmann``  - composite Grassmann geometry on (..., K, n) point
-  arrays: distances, uniform sampling, exact and empirical ball volumes.
+  arrays: uniform sampling, exact and empirical ball volumes.
 * ``quantizer``  - finite-rate codebooks, nearest-neighbor coding, the
   distortion oracle and distortion-vs-bits scaling.
 * ``rng``        - per-trial streams; a block's normals in one draw.
-* ``channel``    - frequency-selective K-user channels from drawn normals,
-  tone transforms, and the feedback/reconstruction pipeline, each one
-  array pass over a batch.
+* ``channel``    - frequency-selective K-user channels as plain
+  (..., K, K, L, R) tap arrays from drawn normals, tone transforms, and
+  the feedback/reconstruction pipeline, each one array pass over a batch.
 * ``alignment``  - stream bookkeeping, beamformer engines, and the
   MIMO-to-SIMO reduction.
 * ``rates``      - SINR decomposition, achievable rates, DoF regression.

@@ -1,15 +1,18 @@
 """Frequency-selective K-user channel model and the feedback pipeline.
 
 Channels, tones and feedback stay plain arrays, batched over leading
-axes: `generate_channel` takes drawn normals, `to_tone_domain` gives the
-(..., K, K, N, R) tones that rates are measured on, `receiver_feedback`
-gives every receiver's (..., K, K, R*L) directions in one pass, and
-`reconstruct` rebuilds the surrogate from them.
+axes: `generate_channel` turns drawn normals into a (..., K, K, L, R) tap
+array, from whose shape every function reads K, L and R,
+`to_tone_domain` gives the (..., K, K, N, R) tones that rates are
+measured on, `receiver_feedback` gives every receiver's (..., K, K, R*L)
+directions in one pass, and `reconstruct` rebuilds the surrogate from
+them. `save_channel` and `load_channel` write and read one unbatched tap
+array.
 
 Conventions used throughout (pinned by tests, since several downstream
 norm identities depend on them):
 
-* Tap matrices ``T[i][k]`` are L x R: row l holds the transposed tap
+* Tap matrices ``taps[i, k]`` are L x R: row l holds the transposed tap
   vector of delay l from transmitter k to receiver i, column m the tap
   sequence of receive antenna m.
 * ``to_tone_domain`` applies the unnormalized forward DFT per column, so
@@ -32,7 +35,6 @@ import numpy as np
 from .quantizer import encode
 
 __all__ = [
-    "ChannelRealization",
     "ReconstructedChannel",
     "generate_channel",
     "to_tone_domain",
@@ -41,30 +43,6 @@ __all__ = [
     "save_channel",
     "load_channel",
 ]
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """All K*K tap matrices of one channel draw.
-
-    ``taps`` has shape (K, K, L, R); ``taps[i, k]`` is the L x R matrix for
-    the link from transmitter k to receiver i. Immutable after generation.
-    A batch of realizations carries a leading batch axis on ``taps``, which
-    `to_tone_domain` and `receiver_feedback` keep; `save_channel` writes
-    an unbatched one.
-    """
-
-    K: int
-    R: int
-    L: int
-    taps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.taps.ndim not in (4, 5) or self.taps.shape[-4:] != (self.K, self.K, self.L, self.R):
-            raise ValueError("tap array shape must be (K, K, L, R) or (B, K, K, L, R)")
-        if not np.all(np.isfinite(self.taps)):
-            raise ValueError("taps must be finite")
-        self.taps.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -126,49 +104,59 @@ def tone_images(tones: np.ndarray, V) -> list:
     return images
 
 
-def generate_channel(K: int, R: int, L: int, normals) -> ChannelRealization:
+def generate_channel(K: int, R: int, L: int, normals) -> np.ndarray:
     """Unit-variance circularly-symmetric complex Gaussian taps for all K*K links, from drawn normals.
 
-    ``normals`` holds (2, K, K, L, R) standard normals, real parts first,
-    as `rng.complex_normal_parts` draws them, or a (B, ...) stack of those,
-    as `rng.trial_normals` draws a block's channels: a batched realization.
+    ``normals`` holds (2, K, K, L, R) standard normals in `rng.complex_normal`'s
+    layout, real parts first, or a (B, ...) stack of those, as
+    `rng.trial_normals` draws a block's channels. Returns the (K, K, L, R)
+    tap array, or the (B, K, K, L, R) batch: ``taps[i, k]`` is the L x R
+    matrix of the link from transmitter k to receiver i.
     """
     if K < 2 or R < 1 or L < 1:
         raise ValueError("need K >= 2, R >= 1, L >= 1")
-    if np.shape(normals)[-5:] != (2, K, K, L, R):
+    if np.ndim(normals) not in (5, 6) or np.shape(normals)[-5:] != (2, K, K, L, R):
         raise ValueError(f"need (2, {K}, {K}, {L}, {R}) normals or a stack of them, got shape {np.shape(normals)}")
-    taps = (normals[..., 0, :, :, :, :] + 1j * normals[..., 1, :, :, :, :]) / np.sqrt(2.0)
-    return ChannelRealization(K=K, R=R, L=L, taps=taps)
+    return (normals[..., 0, :, :, :, :] + 1j * normals[..., 1, :, :, :, :]) / np.sqrt(2.0)
 
 
-def to_tone_domain(ch: ChannelRealization, N: int) -> np.ndarray:
+def _dims(taps: np.ndarray) -> tuple:
+    """(K, L, R) of a (..., K, K, L, R) tap array."""
+    if taps.ndim < 4 or taps.shape[-4] != taps.shape[-3]:
+        raise ValueError(f"need a (..., K, K, L, R) tap array, got shape {taps.shape}")
+    return taps.shape[-3:]
+
+
+def to_tone_domain(taps: np.ndarray, N: int) -> np.ndarray:
     """Zero-pad each tap column to N and DFT it (unnormalized convention).
 
-    Returns the (K, K, N, R) tone array: ``tones[i, k]`` is the N x R
-    matrix whose rows are link (i, k)'s tone-domain channel vectors. A
-    batched realization gives (B, K, K, N, R), in one FFT.
+    Returns the (K, K, N, R) tone array of a (K, K, L, R) tap array:
+    ``tones[i, k]`` is the N x R matrix whose rows are link (i, k)'s
+    tone-domain channel vectors. A batch of tap arrays gives
+    (B, K, K, N, R), in one FFT.
     """
-    if N < ch.L:
-        raise ValueError(f"need at least as many tones as taps (N={N} < L={ch.L})")
-    return np.fft.fft(ch.taps, n=N, axis=-2)
+    _, L, _ = _dims(taps)
+    if N < L:
+        raise ValueError(f"need at least as many tones as taps (N={N} < L={L})")
+    return np.fft.fft(taps, n=N, axis=-2)
 
 
-def receiver_feedback(ch: ChannelRealization, codebooks=None) -> np.ndarray:
+def receiver_feedback(taps: np.ndarray, codebooks=None) -> np.ndarray:
     """Every receiver's fed-back channel directions, (..., K, K, R*L), in one pass.
 
-    Row [i, k] is link (i, k)'s taps, vectorized column-major and scaled
-    to unit norm: exactly ``v / np.linalg.norm(v)`` (perfect feedback).
-    With ``codebooks``, an iterable of one per receiver read one at a time,
-    an unbatched realization's receiver i feeds back the nearest codeword
-    of codebook i (`encode`). A direction is a line in C^(R*L), so R*L = 1
-    (one scalar tap) is rejected, as is a link whose taps are all zero.
+    ``taps`` is a (..., K, K, L, R) tap array. Row [i, k] is link (i, k)'s
+    taps, vectorized column-major and scaled to unit norm: exactly
+    ``v / np.linalg.norm(v)`` (perfect feedback). With ``codebooks``, an
+    iterable of one per receiver read one at a time, an unbatched tap
+    array's receiver i feeds back the nearest codeword of codebook i
+    (`encode`). A direction is a line in C^(R*L), so R*L = 1 (one scalar
+    tap) is rejected, as is a link whose taps are all zero.
     """
-    if ch.R * ch.L < 2:
-        raise ValueError(
-            f"need R*L >= 2, got R={ch.R}, L={ch.L}: a single scalar tap carries no direction information"
-        )
+    _, L, R = _dims(taps)
+    if R * L < 2:
+        raise ValueError(f"need R*L >= 2, got R={R}, L={L}: a single scalar tap carries no direction information")
     # column-major vectorization: entry m*L + l is tap l of antenna m
-    vec = np.swapaxes(ch.taps, -1, -2).reshape(*ch.taps.shape[:-2], -1)
+    vec = np.swapaxes(taps, -1, -2).reshape(*taps.shape[:-2], -1)
     # np.linalg.norm's sum, bit for bit: one dot product each of the real and
     # imaginary views (a sum of squares rounds differently)
     re, im = vec.real, vec.imag
@@ -208,27 +196,30 @@ def reconstruct(directions: np.ndarray, N: int, *, R: int) -> ReconstructedChann
     return ReconstructedChannel(K=K, R=R, L=L, N=N, wtones=wtones)
 
 
-def save_channel(ch: ChannelRealization, path) -> None:
-    """Write a realization as a textual archive keyed by (i, k)."""
+def save_channel(taps: np.ndarray, path) -> None:
+    """Write one (K, K, L, R) tap array as a textual archive keyed by (i, k)."""
+    K, L, R = _dims(taps)
+    if taps.ndim != 4:
+        raise ValueError(f"an archive holds one (K, K, L, R) tap array, got shape {taps.shape}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# iafb-channel v1\n")
-        fh.write(f"K={ch.K} R={ch.R} L={ch.L}\n")
-        for i in range(ch.K):
-            for k in range(ch.K):
+        fh.write(f"K={K} R={R} L={L}\n")
+        for i in range(K):
+            for k in range(K):
                 fh.write(f"T {i} {k}\n")
-                for row in ch.taps[i, k]:
+                for row in taps[i, k]:
                     fh.write(" ".join(repr(complex(z)) for z in row) + "\n")
 
 
-def load_channel(path) -> ChannelRealization:
-    """Read a realization written by `save_channel`.
+def load_channel(path) -> np.ndarray:
+    """Read the (K, K, L, R) tap array written by `save_channel`.
 
     A malformed archive raises ValueError: a wrong first line, a header
     without K, R or L, an entry outside the K x K links, a tap row without
-    R values, a missing link, or a link whose taps are all zero (it has no
-    direction to feed back). Other header keys, such as the
-    ``noise_power`` that older archives carry, are ignored: the noise power
-    is a run's ``--noise``, not part of the channel.
+    R values, a missing link, a non-finite tap, or a link whose taps are
+    all zero (it has no direction to feed back). Other header keys, such
+    as the ``noise_power`` that older archives carry, are ignored: the
+    noise power is a run's ``--noise``, not part of the channel.
     """
     with open(path, "r", encoding="ascii") as fh:
         if fh.readline().strip() != "# iafb-channel v1":
@@ -257,7 +248,10 @@ def load_channel(path) -> ChannelRealization:
             seen.add((i, k))
         if len(seen) != K * K:
             raise ValueError("channel file is missing link entries")
+        nonfinite = np.argwhere(~np.isfinite(taps).all(axis=(-2, -1)))
+        if len(nonfinite):
+            raise ValueError(f"link ({nonfinite[0][0]}, {nonfinite[0][1]}) holds a non-finite tap")
         zero = np.argwhere(~taps.any(axis=(-2, -1)))
         if len(zero):
             raise ValueError(f"link ({zero[0][0]}, {zero[0][1]}) is identically zero, so it has no direction")
-        return ChannelRealization(K=K, R=R, L=L, taps=taps)
+        return taps

@@ -48,7 +48,6 @@ from .alignment import (
     mimo_reduce,
 )
 from .channel import (
-    ChannelRealization,
     generate_channel,
     load_channel,
     receiver_feedback,
@@ -585,7 +584,7 @@ def _evaluate(config: ExperimentConfig, params, taps: np.ndarray, fed: np.ndarra
     `BeamformerSet` and each trial's failure: the AlignmentError of its
     first failing element, or None.
     """
-    tones = to_tone_domain(ChannelRealization(K=config.K, R=config.R, L=config.L, taps=taps), params.N)
+    tones = to_tone_domain(taps, params.N)
     bf = build_beamformers(
         reconstruct(fed, params.N, R=config.R), params, config.engine,
         tol=config.align_tol, max_iters=config.max_iters, rng=rngs, **build,
@@ -603,22 +602,22 @@ def _evaluate(config: ExperimentConfig, params, taps: np.ndarray, fed: np.ndarra
 # ia-run
 
 
-def _fed_back(ch, config: ExperimentConfig, P: float) -> np.ndarray:
-    """ia-run's fed-back directions, (K, K, R*L).
+def _fed_back(taps: np.ndarray, config: ExperimentConfig, P: float) -> np.ndarray:
+    """ia-run's fed-back directions of its (K, K, L, R) taps, (K, K, R*L).
 
     Oracle user i draws from trial_generator(seed, 1009 + i); codebook
     user i quantizes with the codebook of seed `seed + i`, built as it is read.
     """
-    K = ch.K
+    K, R, L = config.K, config.R, config.L
     if config.feedback == "codebook":
-        codebooks = (build_random_codebook(ch.R * ch.L, K, config.bits, seed=config.seed + i) for i in range(K))
-        return receiver_feedback(ch, codebooks)
-    exact = receiver_feedback(ch)
+        codebooks = (build_random_codebook(R * L, K, config.bits, seed=config.seed + i) for i in range(K))
+        return receiver_feedback(taps, codebooks)
+    exact = receiver_feedback(taps)
     if config.feedback == "perfect":
         return exact
-    delta_sq = np.square(_oracle_radii(K, ch.R, ch.L, P, [config.alpha] * K))
+    delta_sq = np.square(_oracle_radii(K, R, L, P, [config.alpha] * K))
     keys = 1009 + np.arange(K)[:, None]
-    return _oracle_rows(exact, delta_sq, trial_normals(config.seed, keys, (K, ch.R * ch.L)))
+    return _oracle_rows(exact, delta_sq, trial_normals(config.seed, keys, (K, R * L)))
 
 
 def cmd_ia_run(config: ExperimentConfig) -> int:
@@ -631,23 +630,23 @@ def cmd_ia_run(config: ExperimentConfig) -> int:
         raise UsageError(f"the cj3 construction has no shared-direction variant, got --shared {config.shared}")
     if config.channel_file:
         try:
-            ch = load_channel(config.channel_file)
+            taps = load_channel(config.channel_file)
         except FileNotFoundError:
             raise UsageError(f"channel file not found: {config.channel_file}") from None
         except (OSError, ValueError) as exc:
             raise UsageError(f"malformed channel file {config.channel_file}: {exc}") from None
-        if (ch.K, ch.R, ch.L) != (config.K, config.R, config.L):
+        if taps.shape != (config.K, config.K, config.L, config.R):
             raise UsageError("channel file dimensions do not match the configuration")
     else:
         # trial 0's channel, drawn as dof-sweep draws it
-        ch = generate_channel(config.K, config.R, config.L, _channel_normals(config, range(1))[0])
+        taps = generate_channel(config.K, config.R, config.L, _channel_normals(config, range(1))[0])
     if config.save_channel:
-        save_channel(ch, config.save_channel)
+        save_channel(taps, config.save_channel)
 
     # one trial at one point: a block of one element
     P = 2.0**config.p_log2
     stats, bf, (failure,) = _evaluate(
-        config, params, ch.taps[None], _fed_back(ch, config, P)[None], P, [trial_generator(config.seed, 2)],
+        config, params, taps[None], _fed_back(taps, config, P)[None], P, [trial_generator(config.seed, 2)],
         c_min=config.c_min, shared=bool(config.shared),
     )
     if failure is not None:
@@ -740,8 +739,8 @@ def _block_stats(config: ExperimentConfig, trials: range):
     params = _make_params(K, R, L, config.n, config.engine)
     grid = _power_grid(config)
     T = len(trials)
-    channels = generate_channel(K, R, L, _channel_normals(config, trials))
-    exact = receiver_feedback(channels)
+    taps = generate_channel(K, R, L, _channel_normals(config, trials))
+    exact = receiver_feedback(taps)
     if config.feedback == "perfect":
         # powers on their own leading axis: rates come out (J, T, K, 5)
         fed, P = exact, np.array(grid)[:, None]
@@ -751,7 +750,7 @@ def _block_stats(config: ExperimentConfig, trials: range):
     if config.engine == "leakage-min":
         # every point of a trial starts leakage-min from its own copy of one stream
         rngs = [trial_generator(config.seed, 7_000_000 + t) for t in trials for _ in range(len(fed) // T)]
-    stats, _, failures = _evaluate(config, params, channels.taps, fed, P, rngs)
+    stats, _, failures = _evaluate(config, params, taps, fed, P, rngs)
     if config.feedback == "perfect":
         stats = np.moveaxis(stats, 0, 1)
     shape = (T, len(config.alphas), len(grid), K, 5)

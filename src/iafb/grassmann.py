@@ -3,10 +3,14 @@
 A point of G_{n,1} is a complex line through the origin of C^n,
 represented by a unit vector modulo phase. The composite manifold is the
 direct sum of K such factors; its natural metric is the sum of squared
-per-component chordal distances. A point is a (K, n) array of unit rows,
-and a batch of points a (..., K, n) array. This module provides the
-composite distance, uniform sampling, the exact normalized volume of a
-metric ball, and a Monte Carlo estimator used to validate the closed form.
+per-component chordal distances, sum_k (1 - |<a_k, b_k>|^2). A point is
+a (K, n) array of unit rows, and a batch of points a (..., K, n) array.
+This module provides uniform sampling, the exact normalized volume of a
+metric ball, and a Monte Carlo estimator used to validate the closed
+form. The library scores the metric where it is used: the quantizer
+through its embedded inner products (`quantizer._embed`), the ball count
+against a fixed reference. The tests keep the direct formula as their
+reference metric.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import numpy as np
 from .rng import as_generator
 
 __all__ = [
-    "composite_dist_sq",
     "sample_uniform",
     "ball_volume_normalized",
     "sum_dist_sq_cdf",
@@ -31,20 +34,6 @@ def _check_manifold(n: int, K: int) -> None:
         raise ValueError("ambient dimension n must be >= 2")
     if K < 1:
         raise ValueError("number of components K must be >= 1")
-
-
-def composite_dist_sq(a, b) -> np.ndarray:
-    """Sum of per-component squared chordal distances 1 - |<a_k, b_k>|^2.
-
-    ``a`` and ``b`` are broadcastable (..., K, n) arrays of unit rows; the
-    (...) result lies in [0, K]. Each component's term is symmetric,
-    phase-invariant and clamped to [0, 1]. A single line is the K = 1 case.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    if a.ndim < 2 or a.shape[-2:] != b.shape[-2:]:
-        raise ValueError(f"need (..., K, n) points of one shape, got {a.shape} and {b.shape}")
-    ip = np.einsum("...j,...j->...", a.conj(), b)
-    return np.clip(1.0 - (ip.real * ip.real + ip.imag * ip.imag), 0.0, 1.0).sum(axis=-1)
 
 
 def sample_uniform(n: int, K: int, normals) -> np.ndarray:
@@ -134,9 +123,10 @@ def ball_hit_count(n: int, K: int, delta: float, trials: int, rng) -> int:
     sum_k (1 - |q_k[0]|^2 / ||q_k||^2), so no sample is normalized. The
     kernel works on the real and imaginary parts of the draw
     (|q|^2 = re^2 + im^2) and adds the short n and K axes term by term, in
-    order. Samples come off `rng` in batches of `MC_CHUNK`, each batch the
-    same numbers `complex_normal(rng, (batch, K, n))` would draw: all of
-    its real parts, then all of its imaginary parts.
+    order. Samples come off `rng` in batches of `MC_CHUNK`, each batch in
+    `rng.complex_normal`'s layout: the same numbers
+    `complex_normal(rng, (batch, K, n))` would draw, all of its real
+    parts, then all of its imaginary parts.
 
     A batch is finished in sub-blocks of `MC_TILE` samples, in two passes
     over the stream. The first fills one (batch, K, n) buffer with the

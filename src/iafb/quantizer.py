@@ -16,33 +16,40 @@ same distortion scaling exponent, which is the only property the
 downstream experiments consume. Codewords are generated in chunks of
 2**14, each from its own ``trial_generator(seed, chunk)`` stream.
 
-Distortion search (``measure_distortion``) uses the half-vectorized
-projection embedding of Conway, Hardin and Sloane (Exp. Math. 1996):
-each component x_k maps to the real diagonal of x_k x_k^H plus sqrt(2)
-times the real and imaginary parts of its strict upper triangle, K*n*n
-reals per point, so sum_k |<x_k, c_k>|^2 is one real inner product and a
-batch of sources is scored against a codebook chunk by one real matrix
-product. Its rounding differs from the direct formula at about 1e-15.
-The product is cut into tiles after Goto and van de Geijn (ACM TOMS
-2008): each slice of 4096 codewords is embedded straight into one
-reused (K*n*n, 4096) column panel, and every (source slice x panel)
-product writes into one reused 512 KiB similarity tile (2**16 float64).
-No embedded chunk and no transposed copy of it is held: at n=2, K=2, 14
-bits and 10**4 sources the traced peak fell from 3.7 to 1.9 MiB with the
-same distortions, bit for bit. A 512 KiB tile stays in
-a 2 MiB L2 cache between the depth-K*n*n product that writes it and the
-row max that reads it back. The earlier 8 MiB block ran both passes from
-L3 or memory. Tile-size curve, median seconds of the full
+Nearest-neighbor search (``measure_distortion`` and ``encode``) uses the
+half-vectorized projection embedding of Conway, Hardin and Sloane (Exp.
+Math. 1996): each component x_k maps to the real diagonal of x_k x_k^H
+plus sqrt(2) times the real and imaginary parts of its strict upper
+triangle, K*n*n reals per point, so sum_k |<x_k, c_k>|^2 is one real
+inner product and a batch of sources is scored against a codebook panel
+by one real matrix product. Its rounding differs from the direct formula
+at about 1e-15. The product is cut into tiles after Goto and van de
+Geijn (ACM TOMS 2008): each slice of 4096 codewords is embedded straight
+into one reused (K*n*n, 4096) column panel, and every (source slice x
+panel) product writes into one reused 512 KiB similarity tile (2**16
+float64). No embedded chunk and no transposed copy of it is held: at
+n=2, K=2, 14 bits and 10**4 sources the traced peak fell from 3.7 to 1.9
+MiB with the same distortions, bit for bit. A 512 KiB tile stays in a 2
+MiB L2 cache between the depth-K*n*n product that writes it and the row
+max that reads it back. The earlier 8 MiB block ran both passes from L3
+or memory. Tile-size curve, median seconds of the full
 codebook-distortion argv (n=2, K=2, 6..14 bits, 10**4 sources, one BLAS
 thread, 2-core shared VM): 8 MiB 0.71, 2 MiB 0.63, 1 MiB 0.54, 512 KiB
 0.41, 256 KiB 0.45, 128 KiB 0.56; below 512 KiB the per-tile call
 overhead outweighs the cache.
-``encode`` stays a per-point scan on the direct formula
-(`composite_dist_sq` of the point against each chunk): one point cannot
-amortize embedding a whole codebook (0.7 ms per point direct vs 4.0 ms
-embedded at n=2, K=3, 14 bits), and feedback builds a fresh codebook per
-receiver. Points and codewords are (K, n) arrays of unit rows; codeword i
-is ``cb.points[i]``.
+``encode`` runs the same panels and tiles (`_score_tiles`) for one point
+and reduces each tile by its argmax, where the distortion path takes the
+row max and pays for no argmax. Ties go to the lowest index: the first
+hit within a tile, and a strictly greater score across panels. One point
+cannot amortize embedding a whole codebook, and feedback builds a fresh
+codebook per receiver, so a single-point encode can cost more than the
+per-point scan on the direct formula that it replaced. Median ms per
+point, scan then kernel (one BLAS thread, 2-core shared VM, two rounds):
+0.05 and 0.14 at (n, K, bits) = (2, 3, 8); 1.4-1.7 for both at
+(2, 3, 14); 7-9 and 25-30 at (4, 3, 16); 86-113 for both at (2, 3, 20).
+Only ``ia-run --feedback codebook`` encodes, K points per run.
+Points and codewords are (K, n) arrays of unit rows; codeword i is
+``cb.points[i]``.
 """
 
 from __future__ import annotations
@@ -53,7 +60,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .grassmann import composite_dist_sq
 from .rng import as_generator, complex_normal, trial_generator
 
 __all__ = [
@@ -82,9 +88,10 @@ class Codebook:
     """An indexed set of 2**bits composite Grassmann codewords.
 
     ``points`` is the (2**bits, K, n) complex array of codewords; ``seed``
-    records the integer they were generated from, if any. Codebooks are
-    immutable after construction and safe to share across parallel encode
-    workers.
+    records the integer they were generated from, if any. A non-finite
+    codeword raises ValueError, as it would score NaN against every point.
+    ``points`` is made read-only, so a codebook is immutable after
+    construction and safe to share across parallel encode workers.
     """
 
     n: int
@@ -98,15 +105,13 @@ class Codebook:
             raise ValueError("bit budget must be non-negative")
         if self.points.shape != (self.size, self.K, self.n):
             raise ValueError("codeword array shape does not match (2**bits, K, n)")
+        if not np.isfinite(self.points).all():
+            raise ValueError("the codebook holds a non-finite codeword")
+        self.points.setflags(write=False)
 
     @property
     def size(self) -> int:
         return 1 << self.bits
-
-    def chunks(self):
-        """Yield (start_index, array) blocks of codewords in index order."""
-        for start in range(0, self.size, _GEN_CHUNK):
-            yield start, self.points[start : start + _GEN_CHUNK]
 
 
 @dataclass(frozen=True)
@@ -208,31 +213,19 @@ def _embed(points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return dest.reshape(*points.shape[:-2], -1) if out is None else out
 
 
-def encode(x: np.ndarray, cb: Codebook) -> int:
-    """Index of the codeword nearest the (K, n) point `x`; ties break toward the lowest index."""
-    if np.shape(x) != (cb.K, cb.n):
-        raise ValueError(f"point shape {np.shape(x)} does not match the codebook's {(cb.K, cb.n)}")
-    best_idx, best_dist = -1, np.inf
-    for start, block in cb.chunks():
-        dist = composite_dist_sq(x, block)
-        off = int(np.argmin(dist))
-        if dist[off] < best_dist:
-            best_idx, best_dist = start + off, dist[off]
-    return best_idx
+def _score_tiles(sources: np.ndarray, cb: Codebook):
+    """Yield (source offset, panel offset, score tile) over every codeword of `cb`.
 
-
-def _batched_min_dist(sources: np.ndarray, cb: Codebook) -> np.ndarray:
-    """Squared distortion of each source row under nearest-neighbor coding.
-
-    The codebook is scored in column panels of ``_PANEL`` codewords: each
-    slice of ``cb.points`` is embedded straight into one reused
-    (K*n*n, _PANEL) panel buffer, codewords as columns. Every (source
-    slice x panel) pair is one real GEMM into one similarity tile of at
-    most ``_SIM_TILE`` entries, reused by every pair; the running row max
-    reads the tile back while it is still in cache.
+    Tile row r, column c holds sum_k |<x_k, c_k>|**2 of source
+    ``sources[s0 + r]`` and codeword ``cb.points[p0 + c]``. The codebook
+    is scored in column panels of ``_PANEL`` codewords: each slice of
+    ``cb.points`` is embedded straight into one reused (K*n*n, _PANEL)
+    panel buffer, codewords as columns. Every (source slice x panel) pair
+    is one real GEMM into one similarity tile of at most ``_SIM_TILE``
+    entries, reused by every pair, so the caller must reduce a tile
+    before asking for the next one, while it is still in cache.
     """
     src = _embed(sources)
-    best = np.full(len(src), -np.inf)
     cols = min(cb.size, _PANEL)
     rows = max(1, _SIM_TILE // cols)
     depth = src.shape[1]
@@ -247,25 +240,40 @@ def _batched_min_dist(sources: np.ndarray, cb: Codebook) -> np.ndarray:
             part = src[s0 : s0 + rows]
             scores = tile[: len(part) * len(block)].reshape(len(part), -1)
             np.matmul(part, panel, out=scores)
-            acc = best[s0 : s0 + rows]
-            np.maximum(acc, scores.max(axis=1), out=acc)
+            yield s0, p0, scores
+
+
+def encode(x: np.ndarray, cb: Codebook) -> int:
+    """Index of the codeword nearest the (K, n) point `x`; ties break toward the lowest index."""
+    if np.shape(x) != (cb.K, cb.n):
+        raise ValueError(f"point shape {np.shape(x)} does not match the codebook's {(cb.K, cb.n)}")
+    if not np.isfinite(x).all():
+        raise ValueError("cannot encode a non-finite point")
+    best_idx, best = 0, -np.inf
+    for _, p0, scores in _score_tiles(np.asarray(x)[None], cb):
+        off = int(scores[0].argmax())
+        if scores[0, off] > best:
+            best_idx, best = p0 + off, scores[0, off]
+    return best_idx
+
+
+def _batched_min_dist(sources: np.ndarray, cb: Codebook) -> np.ndarray:
+    """Squared distortion of each source row under nearest-neighbor coding: K minus its best score."""
+    best = np.full(len(sources), -np.inf)
+    for s0, _, scores in _score_tiles(sources, cb):
+        acc = best[s0 : s0 + len(scores)]
+        np.maximum(acc, scores.max(axis=1), out=acc)
     return np.maximum(cb.K - best, 0.0)
 
 
 def measure_distortion(cb: Codebook, trials: int, rng) -> np.ndarray:
-    """Squared error of `trials` uniform sources under nearest-neighbor coding, shape (trials,).
-
-    A non-finite distance, as a non-finite codeword gives, raises ValueError.
-    """
+    """Squared error of `trials` uniform sources under nearest-neighbor coding, shape (trials,)."""
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = as_generator(rng)
     raw = complex_normal(rng, (trials, cb.K, cb.n))
     raw /= np.linalg.norm(raw, axis=2, keepdims=True)
-    dists = _batched_min_dist(raw, cb)
-    if not np.isfinite(dists).all():
-        raise ValueError("non-finite distortion: the codebook holds a non-finite codeword")
-    return dists
+    return _batched_min_dist(raw, cb)
 
 
 def distortion_oracle_quantize(x, delta_sq, normals) -> np.ndarray:

@@ -166,10 +166,12 @@ def _seed_states(seed: int, keys) -> np.ndarray:
 
 
 def trial_normals(seed: int, keys, shape) -> np.ndarray:
-    """One `complex_normal_parts` draw of `shape` per key, from its own stream, stacked.
+    """One draw of `shape` complex normals' parts per key, from its own stream, stacked.
 
-    Returns float64 of shape ``(M, 2, *shape)``: row m holds exactly
-    ``complex_normal_parts(trial_generator(seed, *keys[m]), shape)``.
+    Returns float64 of shape ``(M, 2, *shape)`` in `complex_normal`'s
+    layout, real parts at index 0: row m holds exactly the numbers
+    ``trial_generator(seed, *keys[m]).standard_normal((2, *shape))`` draws,
+    the parts of that stream's `complex_normal` draw.
 
     ``keys`` is an (M, k) array of non-negative integers, one key per row
     (an array of Python integers for keys past 2^64), so every key of a
@@ -187,27 +189,19 @@ def trial_normals(seed: int, keys, shape) -> np.ndarray:
     return out
 
 
-def complex_normal_parts(rng: np.random.Generator, shape) -> np.ndarray:
-    """Real and imaginary parts of a `complex_normal` draw, as one real array.
-
-    Returns float64 of shape ``(2, *shape)``: index 0 holds the real parts,
-    index 1 the imaginary parts. The generator fills the array in C order,
-    so one call draws the same numbers as two calls of `shape` each, real
-    parts first. Every complex draw in the library goes through here or
-    through `trial_normals`, which fills the same layout per key, except
-    `grassmann.ball_hit_count`: it draws the same layout straight off the
-    generator in sub-blocks, all real parts before any imaginary part, so
-    that no (2, *shape) array is held.
-    """
-    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
-    return rng.standard_normal((2, *shape))
-
-
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Circularly-symmetric complex Gaussian entries, unscaled.
 
     Real and imaginary parts are independent standard normals, so each
     entry has variance 2; callers needing unit variance divide by sqrt(2).
+    The parts come from one ``rng.standard_normal((2, *shape))`` draw,
+    real parts at index 0 and imaginary parts at index 1. The generator
+    fills that array in C order, so it holds the same numbers as two draws
+    of `shape` each, real parts first. Every complex draw in the library
+    takes this layout: drawn here, per key by `trial_normals`, or, in
+    `grassmann.ball_hit_count`, straight off the generator in sub-blocks,
+    all real parts before any imaginary part.
     """
-    parts = complex_normal_parts(rng, shape)
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    parts = rng.standard_normal((2, *shape))
     return parts[0] + 1j * parts[1]

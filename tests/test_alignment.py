@@ -24,7 +24,7 @@ from iafb.rng import trial_normals
 
 
 def trial_channels(K, R, seed, trials):
-    """dof-sweep's channels (L = 2) of `trials` at `seed`, one batched realization."""
+    """dof-sweep's channels (L = 2) of `trials` at `seed`, one (T, K, K, 2, R) tap array."""
     return generate_channel(K, R, 2, trial_normals(seed, np.array(trials)[:, None], (K, K, 2, R)))
 
 
@@ -671,9 +671,9 @@ class TestQuantizedAlignment:
         # alignment is exact w.r.t. the reconstruction; against the true
         # channel the same filters leak at the quantization level
         params = cj3_parameters(1)
-        ch = dense.seeded_channel(3, 1, 2, 16)
+        taps = dense.seeded_channel(3, 1, 2, 16)
         budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**8)
-        exact = receiver_feedback(ch)
+        exact = receiver_feedback(taps)
         normals = np.stack([np.random.default_rng(17 + i).standard_normal((2, 3, 2)) for i in range(3)])
         fed = distortion_oracle_quantize(exact, np.full(3, budget.delta_star**2), normals)
         bf = build_beamformers(reconstruct(fed[None], params.N, R=1), params, "cj3")
@@ -681,10 +681,10 @@ class TestQuantizedAlignment:
         assert bf.alignment_residual[0] <= 1e-9
 
         # |U_i^H Hbar_ik V_k| on the true channel, normalized per link
-        tones = to_tone_domain(ch, params.N)
+        tones = to_tone_domain(taps, params.N)
         leak = max(
             np.abs(bf.u[i][0].conj().T @ dense.hbar_matrix(tones, i, k) @ bf.v[k][0]).max()
-            / np.linalg.norm(ch.taps[i, k])
+            / np.linalg.norm(taps[i, k])
             for i in range(3) for k in range(3) if k != i
         )
         assert leak > 1e-5

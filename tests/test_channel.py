@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 import dense_reference as dense
-from dense_reference import seeded_channel
+from dense_reference import composite_dist_sq, seeded_channel
 from iafb.channel import (
-    ChannelRealization,
     generate_channel,
     load_channel,
     receiver_feedback,
@@ -12,30 +11,29 @@ from iafb.channel import (
     save_channel,
     to_tone_domain,
 )
-from iafb.grassmann import composite_dist_sq
 from iafb.quantizer import FeedbackBudget, build_random_codebook, distortion_oracle_quantize, encode
-from iafb.rng import complex_normal, complex_normal_parts
+from iafb.rng import complex_normal
 
 
 class TestGeneration:
     def test_deterministic(self):
         a = seeded_channel(3, 2, 4, 1)
         b = seeded_channel(3, 2, 4, 1)
-        assert np.array_equal(a.taps, b.taps)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("K, R, L", [(3, 1, 2), (3, 2, 2), (2, 3, 1)])
     def test_taps_are_the_complex_normal_draw(self, K, R, L):
         # drawn normals give, byte for byte, the taps of complex_normal on the same stream
-        ch = generate_channel(K, R, L, complex_normal_parts(np.random.default_rng(4), (K, K, L, R)))
+        taps = generate_channel(K, R, L, np.random.default_rng(4).standard_normal((2, K, K, L, R)))
         expected = complex_normal(np.random.default_rng(4), (K, K, L, R)) / np.sqrt(2.0)
-        assert np.array_equal(ch.taps, expected)
+        assert np.array_equal(taps, expected)
 
     def test_stacked_normals_give_a_batch(self):
         normals = np.random.default_rng(5).standard_normal((4, 2, 3, 3, 2, 1))
         batch = generate_channel(3, 1, 2, normals)
-        assert batch.taps.shape == (4, 3, 3, 2, 1)
+        assert batch.shape == (4, 3, 3, 2, 1)
         for b in range(4):
-            assert np.array_equal(batch.taps[b], generate_channel(3, 1, 2, normals[b]).taps)
+            assert np.array_equal(batch[b], generate_channel(3, 1, 2, normals[b]))
 
     @pytest.mark.parametrize("shape", [(3, 3, 2, 1), (2, 3, 3, 1, 2), (1, 1, 2, 3, 3, 2, 1)])
     def test_normals_shape_rejected(self, shape):
@@ -43,12 +41,12 @@ class TestGeneration:
             generate_channel(3, 1, 2, np.zeros(shape))
 
     def test_shapes(self):
-        ch = seeded_channel(2, 1, 1, 2)
-        assert ch.taps.shape == (2, 2, 1, 1)
+        taps = seeded_channel(2, 1, 1, 2)
+        assert taps.shape == (2, 2, 1, 1)
 
     def test_unit_tap_variance(self):
-        ch = seeded_channel(6, 30, 100, 3)  # ~1e5 taps
-        assert np.mean(np.abs(ch.taps) ** 2) == pytest.approx(1.0, abs=0.02)
+        taps = seeded_channel(6, 30, 100, 3)  # ~1e5 taps
+        assert np.mean(np.abs(taps) ** 2) == pytest.approx(1.0, abs=0.02)
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
@@ -59,41 +57,40 @@ class TestGeneration:
 
 class TestToneDomain:
     def test_single_tap_constant_tones(self):
-        ch = seeded_channel(2, 2, 1, 5)
-        tones = to_tone_domain(ch, 8)
+        taps = seeded_channel(2, 2, 1, 5)
+        tones = to_tone_domain(taps, 8)
         for i in range(2):
             for k in range(2):
-                assert np.allclose(tones[i, k], ch.taps[i, k, 0][None, :])
+                assert np.allclose(tones[i, k], taps[i, k, 0][None, :])
 
     def test_impulse_gives_flat_spectrum(self):
         taps = np.zeros((2, 2, 3, 1), dtype=complex)
         taps[:, :, 0, 0] = 1.0
-        ch = ChannelRealization(K=2, R=1, L=3, taps=taps)
-        tones = to_tone_domain(ch, 6)
+        tones = to_tone_domain(taps, 6)
         assert np.allclose(tones[:, :, :, 0], 1.0)
 
     def test_parseval_unnormalized(self):
-        ch = seeded_channel(3, 2, 3, 6)
-        tones = to_tone_domain(ch, 9)
+        taps = seeded_channel(3, 2, 3, 6)
+        tones = to_tone_domain(taps, 9)
         for i in range(3):
             for k in range(3):
                 lhs = np.linalg.norm(tones[i, k]) ** 2
-                rhs = 9 * np.linalg.norm(ch.taps[i, k]) ** 2
+                rhs = 9 * np.linalg.norm(taps[i, k]) ** 2
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
 
     def test_too_few_tones(self):
-        ch = seeded_channel(2, 1, 4, 7)
+        taps = seeded_channel(2, 1, 4, 7)
         with pytest.raises(ValueError):
-            to_tone_domain(ch, 3)
+            to_tone_domain(taps, 3)
 
     def test_stacked_norm_equals_tap_norm(self):
         # the unitary-scaled stacked tone channel preserves the tap norm
-        ch = seeded_channel(3, 2, 2, 8)
-        tones = to_tone_domain(ch, 12)
+        taps = seeded_channel(3, 2, 2, 8)
+        tones = to_tone_domain(taps, 12)
         for i in range(3):
             for k in range(3):
                 lhs = np.linalg.norm(dense.hbar(tones, i, k)) ** 2
-                rhs = np.linalg.norm(ch.taps[i, k].reshape(-1)) ** 2
+                rhs = np.linalg.norm(taps[i, k].reshape(-1)) ** 2
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
 
 
@@ -103,22 +100,21 @@ class TestVectorization:
         taps[:, :, 0, 0] = 1.0  # keep all links nonzero
         taps[0, 1] = 0.0
         taps[0, 1, 2, 1] = 1.0  # row l=2, column m=1
-        ch = ChannelRealization(K=2, R=2, L=3, taps=taps)
-        vec = receiver_feedback(ch)[0, 1]
+        vec = receiver_feedback(taps)[0, 1]
         expected = np.zeros(6, dtype=complex)
         expected[1 * 3 + 2] = 1.0  # column-major: position m*L + l
         assert np.array_equal(vec, expected)
 
     def test_unit_norm(self):
-        ch = seeded_channel(3, 2, 4, 11)
+        taps = seeded_channel(3, 2, 4, 11)
         for i in range(3):
             for k in range(3):
-                assert abs(np.linalg.norm(receiver_feedback(ch)[i, k]) - 1) < 1e-12
+                assert abs(np.linalg.norm(receiver_feedback(taps)[i, k]) - 1) < 1e-12
 
     def test_column_major_order(self):
-        ch = seeded_channel(2, 2, 3, 12)
-        vec = receiver_feedback(ch)[1, 0]
-        T = ch.taps[1, 0]
+        taps = seeded_channel(2, 2, 3, 12)
+        vec = receiver_feedback(taps)[1, 0]
+        T = taps[1, 0]
         scale = np.linalg.norm(T)
         for m in range(2):
             for l in range(3):
@@ -127,15 +123,14 @@ class TestVectorization:
     def test_zero_channel_rejected(self):
         taps = np.ones((2, 2, 2, 1), dtype=complex)
         taps[1, 0] = 0.0
-        ch = ChannelRealization(K=2, R=1, L=2, taps=taps)
         with pytest.raises(ValueError, match=r"channel \(1, 0\) is identically zero"):
-            receiver_feedback(ch)
+            receiver_feedback(taps)
 
     def test_scalar_tap_rejected(self):
         # R*L = 1: a direction in C^1 is a single point, nothing to feed back
-        ch = seeded_channel(2, 1, 1, 10)
+        taps = seeded_channel(2, 1, 1, 10)
         with pytest.raises(ValueError, match=r"R\*L >= 2"):
-            receiver_feedback(ch)
+            receiver_feedback(taps)
 
 
 class TestBatchedDirections:
@@ -145,10 +140,10 @@ class TestBatchedDirections:
     @pytest.mark.parametrize("batch", [(), (1,), (6,)])
     def test_matches_per_link_reference(self, R, L, batch):
         K = 3
-        ch = generate_channel(K, R, L, np.random.default_rng(10 * R + L).standard_normal((*batch, 2, K, K, L, R)))
-        got = receiver_feedback(ch)
+        taps = generate_channel(K, R, L, np.random.default_rng(10 * R + L).standard_normal((*batch, 2, K, K, L, R)))
+        got = receiver_feedback(taps)
         assert got.shape == (*batch, K, K, R * L)
-        for t, g in zip(ch.taps.reshape(-1, K, K, L, R), got.reshape(-1, K, K, R * L)):
+        for t, g in zip(taps.reshape(-1, K, K, L, R), got.reshape(-1, K, K, R * L)):
             for i in range(K):
                 for k in range(K):
                     assert np.array_equal(g[i, k], dense.direction(t[i, k]))
@@ -157,66 +152,66 @@ class TestBatchedDirections:
         taps = np.ones((4, 2, 2, 2, 1), dtype=complex)
         taps[2, 0, 1] = 0.0
         with pytest.raises(ValueError, match=r"channel \(0, 1\) is identically zero"):
-            receiver_feedback(ChannelRealization(K=2, R=1, L=2, taps=taps))
+            receiver_feedback(taps)
 
 
 class TestFeedback:
     def test_perfect_mode_returns_exact_directions(self):
-        ch = seeded_channel(3, 1, 2, 13)
-        fed = receiver_feedback(ch)
+        taps = seeded_channel(3, 1, 2, 13)
+        fed = receiver_feedback(taps)
         assert fed.shape == (3, 3, 2)
-        assert np.array_equal(fed, dense.directions(ch))
+        assert np.array_equal(fed, dense.directions(taps))
 
     def test_components_in_user_order(self):
-        ch = seeded_channel(3, 2, 2, 14)
-        fed = receiver_feedback(ch)[1]
+        taps = seeded_channel(3, 2, 2, 14)
+        fed = receiver_feedback(taps)[1]
         assert fed.shape == (3, 4)
-        assert np.array_equal(fed[2], dense.direction(ch.taps[1, 2]))
+        assert np.array_equal(fed[2], dense.direction(taps[1, 2]))
 
     def test_codebook_mode_picks_nearest(self):
         # receiver i quantizes its row with codebook i
-        ch = seeded_channel(2, 1, 2, 15)
+        taps = seeded_channel(2, 1, 2, 15)
         codebooks = [build_random_codebook(2, 2, 6, seed=16 + i) for i in range(2)]
-        fed = receiver_feedback(ch, iter(codebooks))
-        exact = receiver_feedback(ch)
+        fed = receiver_feedback(taps, iter(codebooks))
+        exact = receiver_feedback(taps)
         for i, cb in enumerate(codebooks):
             assert composite_dist_sq(exact[i], fed[i]) <= composite_dist_sq(exact[i], cb.points).min() + 1e-12
             assert np.array_equal(fed[i], cb.points[encode(exact[i], cb)])
             assert not np.shares_memory(fed, cb.points)
 
     def test_oracle_mode_distance(self):
-        ch = seeded_channel(3, 1, 2, 17)
+        taps = seeded_channel(3, 1, 2, 17)
         budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**6)
-        exact = receiver_feedback(ch)[0]
+        exact = receiver_feedback(taps)[0]
         normals = np.random.default_rng(18).standard_normal((1, 2, 3, 2))
         fed = distortion_oracle_quantize(exact[None], [budget.delta_star**2], normals)[0]
         assert composite_dist_sq(exact, fed) == pytest.approx(budget.delta_star**2, abs=1e-12)
 
     def test_codebook_count_must_match_users(self):
-        ch = seeded_channel(2, 1, 2, 19)
+        taps = seeded_channel(2, 1, 2, 19)
         codebooks = [build_random_codebook(2, 2, 2, seed=i) for i in range(3)]
         with pytest.raises(ValueError):
-            receiver_feedback(ch, codebooks)
+            receiver_feedback(taps, codebooks)
         with pytest.raises(ValueError):
-            receiver_feedback(ch, codebooks[:1])
+            receiver_feedback(taps, codebooks[:1])
 
     def test_codebook_mode_takes_one_realization(self):
-        batch = ChannelRealization(K=2, R=1, L=2, taps=np.ones((2, 2, 2, 2, 1), dtype=complex))
+        batch = np.ones((2, 2, 2, 2, 1), dtype=complex)
         with pytest.raises(ValueError, match="one realization"):
             receiver_feedback(batch, [build_random_codebook(2, 2, 2, seed=i) for i in range(2)])
 
 
 class TestReconstruction:
     def make_rec(self, seed, K=3, R=2, L=2, N=8, budget=None, rng=None):
-        ch = seeded_channel(K, R, L, seed)
-        fed = receiver_feedback(ch)
+        taps = seeded_channel(K, R, L, seed)
+        fed = receiver_feedback(taps)
         if budget is not None:
             normals = rng.standard_normal((K, 2, K, R * L))
             fed = distortion_oracle_quantize(fed, np.full(K, budget.delta_star**2), normals)
-        return ch, to_tone_domain(ch, N), reconstruct(fed, N, R=R)
+        return taps, to_tone_domain(taps, N), reconstruct(fed, N, R=R)
 
     def test_perfect_feedback_reproduces_normalized_channel(self):
-        ch, tones, rec = self.make_rec(seed=20)
+        taps, tones, rec = self.make_rec(seed=20)
         for i in range(3):
             for k in range(3):
                 hbar = dense.hbar(tones, i, k)
@@ -232,26 +227,26 @@ class TestReconstruction:
     def test_inner_product_preservation(self):
         # <true direction, reconstruction> equals <tap direction, quantized direction>
         budget = FeedbackBudget(K=3, R=2, L=2, P=16.0)
-        ch = seeded_channel(3, 2, 2, 22)
+        taps = seeded_channel(3, 2, 2, 22)
         normals = np.stack([np.random.default_rng(23 + i).standard_normal((2, 3, 4)) for i in range(3)])
-        fed = distortion_oracle_quantize(receiver_feedback(ch), np.full(3, budget.delta_star**2), normals)
-        tones = to_tone_domain(ch, 8)
+        fed = distortion_oracle_quantize(receiver_feedback(taps), np.full(3, budget.delta_star**2), normals)
+        tones = to_tone_domain(taps, 8)
         rec = reconstruct(fed, 8, R=2)
         for i in range(3):
             for k in range(3):
                 hbar = dense.hbar(tones, i, k)
                 lhs = np.vdot(hbar / np.linalg.norm(hbar), rec.wtones[i, k].reshape(-1))
-                rhs = np.vdot(dense.direction(ch.taps[i, k]), fed[i, k])
+                rhs = np.vdot(dense.direction(taps[i, k]), fed[i, k])
                 assert abs(lhs - rhs) <= 1e-10
 
     def test_phase_shift_leaves_pipeline_invariant(self):
         # rotating one fed-back component by a global phase must not move
         # any magnitude the downstream pipeline consumes
-        ch = seeded_channel(2, 1, 3, 24)
-        fed = receiver_feedback(ch)
+        taps = seeded_channel(2, 1, 3, 24)
+        fed = receiver_feedback(taps)
         rotated = fed.copy()
         rotated[0, 1] *= np.exp(1j * 0.77)
-        tones = to_tone_domain(ch, 6)
+        tones = to_tone_domain(taps, 6)
         base = reconstruct(fed, 6, R=1)
         alt = reconstruct(rotated, 6, R=1)
         hbar = dense.hbar(tones, 0, 1)
@@ -260,8 +255,8 @@ class TestReconstruction:
         )
 
     def test_direction_shape_rejected(self):
-        ch = seeded_channel(3, 1, 2, 25)
-        fed = receiver_feedback(ch)
+        taps = seeded_channel(3, 1, 2, 25)
+        fed = receiver_feedback(taps)
         with pytest.raises(ValueError, match="shaped"):
             reconstruct(fed[:, :2], 4, R=1)  # (K, K-1, R*L)
         with pytest.raises(ValueError, match="shaped"):
@@ -270,37 +265,66 @@ class TestReconstruction:
     def test_wtones_inverse_dft_round_trip(self):
         # the inverse DFT of the reconstructed tones, times sqrt(N), holds the
         # fed-back direction in its first L rows, reshaped to L x R
-        ch, _, rec = self.make_rec(seed=26)
-        taps = np.fft.ifft(rec.wtones, axis=-2) * np.sqrt(rec.N)
+        taps, _, rec = self.make_rec(seed=26)
+        back = np.fft.ifft(rec.wtones, axis=-2) * np.sqrt(rec.N)
         for i in range(3):
             for k in range(3):
-                expect = ch.taps[i, k] / np.linalg.norm(ch.taps[i, k])
-                assert np.allclose(taps[i, k, : rec.L], expect, atol=1e-12)
-                assert np.allclose(taps[i, k, rec.L :], 0.0, atol=1e-12)
+                expect = taps[i, k] / np.linalg.norm(taps[i, k])
+                assert np.allclose(back[i, k, : rec.L], expect, atol=1e-12)
+                assert np.allclose(back[i, k, rec.L :], 0.0, atol=1e-12)
 
 
 class TestArchive:
     def test_round_trip(self, tmp_path):
-        ch = seeded_channel(3, 2, 4, 27)
+        taps = seeded_channel(3, 2, 4, 27)
         path = tmp_path / "chan.txt"
-        save_channel(ch, path)
+        save_channel(taps, path)
         loaded = load_channel(path)
-        assert (loaded.K, loaded.R, loaded.L) == (3, 2, 4)
-        assert np.array_equal(loaded.taps, ch.taps)
+        assert loaded.shape == (3, 3, 4, 2)
+        assert np.array_equal(loaded, taps)
         assert path.read_text().splitlines()[1] == "K=3 R=2 L=4"
 
     def test_ignores_an_old_noise_power(self, tmp_path):
         # archives written before the noise left the channel carry it in their header
-        ch = seeded_channel(3, 1, 2, 4)
+        taps = seeded_channel(3, 1, 2, 4)
         path = tmp_path / "chan.txt"
-        save_channel(ch, path)
+        save_channel(taps, path)
         lines = path.read_text().splitlines()
         lines[1] += " noise_power=0.25"
         path.write_text("\n".join(lines) + "\n")
-        assert np.array_equal(load_channel(path).taps, ch.taps)
+        assert np.array_equal(load_channel(path), taps)
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "nope.txt"
         path.write_text("# something else\n")
         with pytest.raises(ValueError):
             load_channel(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "(nan+1j)"])
+    def test_rejects_a_non_finite_tap(self, tmp_path, value):
+        # a loaded channel is the one input not drawn from normals: its taps must be finite
+        path = tmp_path / "chan.txt"
+        save_channel(seeded_channel(2, 2, 2, 28), path)
+        lines = path.read_text().splitlines()
+        assert lines[5] == "T 0 1"
+        lines[7] = f"{value} {lines[7].split()[1]}"  # tap 1, antenna 0 of link (0, 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"link \(0, 1\) holds a non-finite tap"):
+            load_channel(path)
+
+    def test_writes_one_unbatched_channel(self, tmp_path):
+        with pytest.raises(ValueError, match="one"):
+            save_channel(np.ones((2, 2, 2, 2, 1), dtype=complex), tmp_path / "chan.txt")
+
+
+class TestTapShape:
+    """K, L and R come from a (..., K, K, L, R) tap array's shape, so other shapes are refused."""
+
+    @pytest.mark.parametrize("shape", [(2, 2, 1), (2, 3, 2, 1), (4, 2, 3, 2, 1)])
+    def test_rejected(self, tmp_path, shape):
+        taps = np.ones(shape, dtype=complex)
+        for call in (lambda: to_tone_domain(taps, 4), lambda: receiver_feedback(taps),
+                     lambda: save_channel(taps, tmp_path / "chan.txt")):
+            with pytest.raises(ValueError, match=r"\(\.\.\., K, K, L, R\) tap array"):
+                call()
+        assert not (tmp_path / "chan.txt").exists()

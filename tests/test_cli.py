@@ -17,7 +17,7 @@ from iafb.cli import main, parse_config, run_dof_sweep
 from iafb.grassmann import sample_uniform
 from iafb.quantizer import FeedbackBudget, build_random_codebook, distortion_oracle_quantize, encode
 from iafb.rates import CSV_COLUMNS, achievable_rates
-from iafb.rng import complex_normal_parts, trial_generator
+from iafb.rng import trial_generator
 
 
 def read(path):
@@ -317,20 +317,20 @@ class TestIaRunFeedback:
         assert main(argv + ["--out", str(tmp_path / "run.csv")]) == 0
         config = parse_config(argv)
 
-        ch = dense.seeded_channel(3, 1, 2, trial_generator(seed, 0))
+        taps = dense.seeded_channel(3, 1, 2, trial_generator(seed, 0))
         reference = []
         for i in range(3):
             rng = trial_generator(seed, 1009 + i)
             if config.feedback == "codebook":
                 cb = build_random_codebook(2, 3, config.bits, seed=seed + i)
-                reference.append(cb.points[encode(dense.directions(ch)[i], cb)])
+                reference.append(cb.points[encode(dense.directions(taps)[i], cb)])
             elif config.alpha == 0.0:
-                reference.append(sample_uniform(2, 3, complex_normal_parts(rng, (3, 2))[None])[0])
+                reference.append(sample_uniform(2, 3, rng.standard_normal((2, 3, 2))[None])[0])
             else:
                 budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**config.p_log2, alpha=config.alpha)
-                normals = complex_normal_parts(rng, (3, 2))[None]
+                normals = rng.standard_normal((2, 3, 2))[None]
                 delta_sq = np.square([budget.delta_star])
-                reference.append(distortion_oracle_quantize(dense.directions(ch)[i][None], delta_sq, normals)[0])
+                reference.append(distortion_oracle_quantize(dense.directions(taps)[i][None], delta_sq, normals)[0])
         # one reconstruction of a batch of one element
         assert len(seen) == 1
         assert np.array_equal(seen[0], np.stack(reference)[None])
@@ -472,13 +472,13 @@ class TestDofSweep:
         # others through the oracle. The reference draws one stream per key
         config = parse_config(["dof-sweep", "--alphas", "0,0.5,1", "--alpha-user", "0", "--seed", "5"])
         trials = range(42, 44)
-        channels = [dense.seeded_channel(3, 1, 2, trial_generator(config.seed, t)) for t in trials]
-        exact = np.stack([dense.directions(ch) for ch in channels])
+        taps = [dense.seeded_channel(3, 1, 2, trial_generator(config.seed, t)) for t in trials]
+        exact = np.stack([dense.directions(t) for t in taps])
         grid = iafb.cli._power_grid(config)
         batched = iafb.cli._oracle_feedback(config, trials, exact, grid)
 
         def per_key(seed, keys, shape):
-            return np.stack([complex_normal_parts(trial_generator(seed, *key), shape) for key in keys])
+            return np.stack([trial_generator(seed, *key).standard_normal((2, *shape)) for key in keys])
 
         monkeypatch.setattr(iafb.cli, "trial_normals", per_key)
         assert np.array_equal(batched, iafb.cli._oracle_feedback(config, trials, exact, grid))
@@ -496,8 +496,8 @@ def per_point_trial(config, trial):
     params = cj3_parameters(config.n) if config.engine == "cj3" else ia_parameters(K, R, config.n)
     count = int(round((config.p_log2_max - config.p_log2_min) / config.p_log2_step)) + 1
     grid = [2.0 ** (config.p_log2_min + t * config.p_log2_step) for t in range(count)]
-    ch = dense.seeded_channel(K, R, L, trial_generator(config.seed, trial))
-    tones = to_tone_domain(ch, params.N)[None]
+    taps = dense.seeded_channel(K, R, L, trial_generator(config.seed, trial))
+    tones = to_tone_domain(taps, params.N)[None]
     stats = np.zeros((len(config.alphas), len(grid), K, 5))
 
     def build(fed):
@@ -511,7 +511,7 @@ def per_point_trial(config, trial):
         return bf
 
     if config.feedback == "perfect":
-        bf = build(dense.directions(ch))
+        bf = build(dense.directions(taps))
         for a in range(len(config.alphas)):
             for j, P in enumerate(grid):
                 stats[a, j] = achievable_rates(tones, bf, P, config.noise)[0]
@@ -525,12 +525,12 @@ def per_point_trial(config, trial):
             fed = []
             for i in range(K):
                 rng = trial_generator(config.seed, (trial * 100_000 + a * 1_000 + j) * 1009 + i)
-                normals = complex_normal_parts(rng, (K, R * L))[None]
+                normals = rng.standard_normal((2, K, R * L))[None]
                 if alphas[i] == 0.0:
                     fed.append(sample_uniform(R * L, K, normals)[0])
                 else:
                     delta_sq = np.square([FeedbackBudget(K=K, R=R, L=L, P=P, alpha=alphas[i]).delta_star])
-                    fed.append(distortion_oracle_quantize(dense.directions(ch)[i][None], delta_sq, normals)[0])
+                    fed.append(distortion_oracle_quantize(dense.directions(taps)[i][None], delta_sq, normals)[0])
             bf = build(np.stack(fed))
             stats[a, j] = achievable_rates(tones, bf, P, config.noise)[0]
     return stats
@@ -785,6 +785,7 @@ class TestInputChecks:
             ("short-row", "tap 0 of link (0, 0) holds 1 values, not R=2"),
             ("missing-link", "missing link entries"),
             ("zero-link", "link (0, 0) is identically zero"),
+            ("nan-tap", "link (0, 0) holds a non-finite tap"),
         ],
     )
     def test_malformed_channel_archive(self, tmp_path, capsys, no_work, fault, shown):
@@ -799,6 +800,8 @@ class TestInputChecks:
             lines[3] = lines[3].split()[0]
         elif fault == "zero-link":
             lines[3] = lines[4] = "0j 0j"  # both taps of link (0, 0)
+        elif fault == "nan-tap":
+            lines[4] = "nanj " + lines[4].split()[1]  # tap 1, antenna 0 of link (0, 0)
         else:
             lines = lines[:-3]  # the entry of link (2, 2): its tag and L = 2 tap rows
         chan.write_text("\n".join(lines) + "\n")

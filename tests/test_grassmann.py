@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense_reference import composite_dist_sq
 from iafb.grassmann import (
     MC_CHUNK,
     MC_TILE,
     ball_hit_count,
     ball_volume_normalized,
-    composite_dist_sq,
     empirical_ball_cdf,
     sample_uniform,
     sum_dist_sq_cdf,

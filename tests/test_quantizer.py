@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense_reference import composite_dist_sq
 from iafb import quantizer
-from iafb.grassmann import composite_dist_sq, sample_uniform
+from iafb.grassmann import sample_uniform
 from iafb.quantizer import (
+    Codebook,
     FeedbackBudget,
     build_random_codebook,
     distortion_oracle_quantize,
@@ -100,10 +102,31 @@ class TestEncodeDecode:
             assert encode(cb.points[idx], cb) == idx
 
     def test_round_trip_across_chunks(self):
-        # 15 bits: two codebook chunks, scanned in index order
+        # 15 bits: two codebook chunks of four panels each
         cb = build_random_codebook(2, 1, 15, seed=12)
-        for idx in (0, _GEN_CHUNK - 1, _GEN_CHUNK, cb.size - 1):
+        for idx in (0, _PANEL - 1, _PANEL, _GEN_CHUNK - 1, _GEN_CHUNK, cb.size - 1):
             assert encode(cb.points[idx], cb) == idx
+
+    # 0 and 1 bits: a panel of one and of two codewords; 12 bits: one full
+    # panel; 13 bits: two
+    @pytest.mark.parametrize("bits", [0, 1, 12, 13])
+    def test_matches_direct_reference_across_panels(self, bits):
+        cb = build_random_codebook(2, 3, bits, seed=13 + bits)
+        for x in draw(2, 3, np.random.default_rng(14 + bits), count=40):
+            assert encode(x, cb) == int(np.argmin(composite_dist_sq(x, cb.points)))
+
+    @pytest.mark.parametrize("j", [0, 1234, _PANEL - 1])
+    def test_tie_across_panels_goes_to_the_lower_index(self, j):
+        # codeword j repeated in the next panel, at the same place in it
+        points = build_random_codebook(2, 2, 13, seed=15).points.copy()
+        points[j + _PANEL] = points[j]
+        cb = Codebook(n=2, K=2, bits=13, points=points)
+        assert encode(points[j], cb) == j
+
+    def test_tie_within_a_tile_goes_to_the_lower_index(self):
+        points = build_random_codebook(2, 2, 8, seed=16).points.copy()
+        points[101] = points[100]
+        assert encode(points[100], Codebook(n=2, K=2, bits=8, points=points)) == 100
 
     def test_quantization_idempotent(self):
         cb = build_random_codebook(2, 2, 6, seed=7)
@@ -123,6 +146,11 @@ class TestEncodeDecode:
         cb = build_random_codebook(2, 1, 3, seed=12)
         with pytest.raises(ValueError):
             encode(draw(3, 1, np.random.default_rng(0)), cb)
+
+    def test_non_finite_point_rejected(self):
+        cb = build_random_codebook(2, 1, 3, seed=12)
+        with pytest.raises(ValueError, match="non-finite"):
+            encode(np.full((1, 2), np.nan + 0j), cb)
 
     def test_distortion_decreases_with_bits(self):
         # averaged over 20 seeds, more bits means lower mean distortion
@@ -204,11 +232,25 @@ class TestDistortionKernel:
 
 class TestDistortionGuard:
     def test_nan_codeword_raises(self):
-        # a NaN codeword scores NaN against every source, so no distance is finite
-        cb = build_random_codebook(2, 2, 4, seed=60)
-        cb.points[3] = np.nan
+        # a NaN codeword would score NaN against every source, so no codebook holds one
+        points = build_random_codebook(2, 2, 4, seed=60).points.copy()
+        points[3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            measure_distortion(cb, 50, rng=61)
+            Codebook(n=2, K=2, bits=4, points=points)
+
+    def test_loaded_nan_codeword_raises(self, tmp_path):
+        path = tmp_path / "cb.txt"
+        save_codebook(build_random_codebook(2, 1, 2, seed=62), path)
+        lines = path.read_text().splitlines()
+        lines[3] = "nan " + lines[3].split()[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            load_codebook(path)
+
+    def test_points_are_read_only(self):
+        cb = build_random_codebook(2, 2, 4, seed=63)
+        with pytest.raises(ValueError, match="read-only"):
+            cb.points[3] = np.nan
 
 
 class TestFeedbackBudget:

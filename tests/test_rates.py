@@ -3,12 +3,7 @@ import pytest
 
 import dense_reference as dense
 from iafb.alignment import BeamformerSet, IaParameters, build_beamformers, cj3_parameters
-from iafb.channel import (
-    ChannelRealization,
-    receiver_feedback,
-    reconstruct,
-    to_tone_domain,
-)
+from iafb.channel import receiver_feedback, reconstruct, to_tone_domain
 from iafb.quantizer import FeedbackBudget, distortion_oracle_quantize
 from iafb.cli import _rate_rows, parse_config
 from iafb.rates import (
@@ -24,11 +19,11 @@ from iafb.rng import trial_normals
 def aligned_setup(seed, n=2):
     """A cj3 sizing, one channel's (K, K, N, R) tones and the batch-of-one set built on its perfect feedback."""
     params = cj3_parameters(n)
-    ch = dense.seeded_channel(3, 1, 2, seed)
-    rec = reconstruct(receiver_feedback(ch)[None], params.N, R=ch.R)
+    taps = dense.seeded_channel(3, 1, 2, seed)
+    rec = reconstruct(receiver_feedback(taps)[None], params.N, R=1)
     bf = build_beamformers(rec, params, "cj3")
     assert bf.failures == (None,)
-    return params, to_tone_domain(ch, params.N), bf
+    return params, to_tone_domain(taps, params.N), bf
 
 
 class TestInterferenceTerms:
@@ -42,8 +37,7 @@ class TestInterferenceTerms:
 
     def test_single_user_has_no_cross_interference(self):
         taps = (np.ones((1, 1, 2, 1)) + 1j * np.ones((1, 1, 2, 1))) / 2.0
-        ch = ChannelRealization(K=1, R=1, L=2, taps=taps.astype(complex))
-        tones = to_tone_domain(ch, 2)
+        tones = to_tone_domain(taps.astype(complex), 2)
         params = IaParameters(K=1, R=1, n=1, N=2, d=(1,))
         v = np.array([[[1.0], [0.0]]], dtype=complex)
         u = np.array([[[1.0], [0.0]]], dtype=complex)
@@ -187,14 +181,14 @@ class TestInterferenceBoundedness:
         for j, P in enumerate(grid):
             acc = 0.0
             for trial in range(5):
-                ch = dense.seeded_channel(3, 1, 2, trial)
+                taps = dense.seeded_channel(3, 1, 2, trial)
                 fed = distortion_oracle_quantize(
-                    receiver_feedback(ch),
+                    receiver_feedback(taps),
                     np.full(3, FeedbackBudget(K=3, R=1, L=2, P=P, alpha=1.0).delta_star ** 2),
                     trial_normals(3, [[trial * 100 + j * 10 + i] for i in range(3)], (3, 2)),
                 )
                 bf = build_beamformers(reconstruct(fed[None], params.N, R=1), params, "cj3")
                 assert bf.failures == (None,)
-                acc = max(acc, achievable_rates(to_tone_domain(ch, params.N)[None], bf, P, 1.0)[..., 4].max())
+                acc = max(acc, achievable_rates(to_tone_domain(taps, params.N)[None], bf, P, 1.0)[..., 4].max())
             worst.append((P, acc))
         assert interference_slope(worst) <= 0.1

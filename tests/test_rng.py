@@ -6,19 +6,19 @@ from iafb.rng import (
     _seed_states,
     _seed_words_type,
     complex_normal,
-    complex_normal_parts,
     trial_generator,
     trial_normals,
 )
 
 
-# one (2, *shape) draw must equal two draws of `shape`, real parts first:
-# the Monte Carlo ball count reads the parts and relies on that stream
+# the complex draw's parts are one (2, *shape) draw, which equals two draws
+# of `shape`, real parts first: the Monte Carlo ball count and the drawn
+# normals of the channel and the oracle rely on that stream
 @pytest.mark.parametrize("shape", [(3,), (5, 2, 3), (MC_CHUNK, 3, 2)])
 def test_parts_are_the_complex_draw(shape):
-    parts = complex_normal_parts(np.random.default_rng(7), shape)
-    assert parts.shape == (2, *shape) and parts.dtype == np.float64
     z = complex_normal(np.random.default_rng(7), shape)
+    assert z.shape == shape and z.dtype == np.complex128
+    parts = np.random.default_rng(7).standard_normal((2, *shape))
     assert np.array_equal(parts[0], z.real) and np.array_equal(parts[1], z.imag)
     rng = np.random.default_rng(7)
     re, im = rng.standard_normal(shape), rng.standard_normal(shape)
@@ -26,7 +26,7 @@ def test_parts_are_the_complex_draw(shape):
 
 
 def test_integer_shape():
-    assert complex_normal_parts(np.random.default_rng(0), 4).shape == (2, 4)
+    assert complex_normal(np.random.default_rng(0), 4).shape == (4,)
 
 
 # one, two and three uint32 words each, across the 2^32 and 2^64 boundaries
@@ -92,11 +92,11 @@ def assert_same_normals(seed, keys, shape):
     shape = (shape,) if isinstance(shape, int) else tuple(shape)
     assert got.shape == (len(keys), 2, *shape) and got.dtype == np.float64
     for row, key in zip(got, keys):
-        assert np.array_equal(row, complex_normal_parts(trial_generator(seed, *key), shape))
+        assert np.array_equal(row, trial_generator(seed, *key).standard_normal((2, *shape)))
 
 
 class TestTrialNormals:
-    """Row m is `complex_normal_parts` of `trial_generator(seed, *keys[m])`, bit for bit."""
+    """Row m is the (2, *shape) normals `trial_generator(seed, *keys[m])` draws, bit for bit."""
 
     @pytest.mark.parametrize("shape", [(3, 2), (2, 3, 2), 4])
     def test_one_word_keys(self, shape):
@@ -124,7 +124,7 @@ class TestTrialNormals:
         # each row draws from a stream of its own, so a repeated key repeats its row
         a, b = trial_normals(3, [(9,), (9,)], 4)
         assert np.array_equal(a, b)
-        assert np.array_equal(a, complex_normal_parts(trial_generator(3, 9), 4))
+        assert np.array_equal(a, trial_generator(3, 9).standard_normal((2, 4)))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_several_word_keys(self, seed):
