@@ -245,20 +245,12 @@ def _rand_orthonormal(rng, rows: int, cols: int) -> np.ndarray:
     return q
 
 
-def _total_leakage(Wm, U, V) -> float:
-    K = len(Wm)
-    total = 0.0
-    for i in range(K):
-        for k in range(K):
-            if k == i:
-                continue
-            M = U[i].conj().T @ (Wm[i][k] @ V[k])
-            total += float(np.linalg.norm(M) ** 2)
-    return total
-
-
 def _leakage_min_directions(Wm, params: IaParameters, target: float, max_iters: int, rng, shared: bool):
-    """Alternate exact block minimizers of the total leakage; returns (V, history).
+    """Alternate exact block minimizers of the total leakage; returns (V, U, history).
+
+    The interference images ``Wm[i][k] @ V[k]`` are formed once per V
+    step: they give that iteration's leakage and the next U step's
+    covariances.
 
     With shared directions the zero-leakage manifold contains degenerate
     points whose desired images collapse onto the interference (the same V
@@ -280,6 +272,12 @@ def _leakage_min_directions(Wm, params: IaParameters, target: float, max_iters: 
         block = _rand_orthonormal(rng, N, d[g[0]])
         for k in g:
             V[k] = block
+    others = [[k for k in range(K) if k != i] for i in range(K)]
+
+    def interference_images():
+        return [[Wm[i][k] @ V[k] for k in others[i]] for i in range(K)]
+
+    images = interference_images()
     U = [None] * K
 
     tie_active = shared
@@ -287,20 +285,14 @@ def _leakage_min_directions(Wm, params: IaParameters, target: float, max_iters: 
     for it in range(max_iters):
         for i in range(K):
             cov = np.zeros((RN, RN), dtype=complex)
-            for k in range(K):
-                if k == i:
-                    continue
-                img = Wm[i][k] @ V[k]
+            for img in images[i]:
                 cov += img @ img.conj().T
-            _, vecs = np.linalg.eigh(cov)
-            U[i] = vecs[:, : d[i]]
+            U[i] = np.linalg.eigh(cov)[1][:, : d[i]]
         tie_break = 3e-2 if (tie_active and it < 0.6 * max_iters) else 0.0
         for g in groups:
             cov = np.zeros((N, N), dtype=complex)
             for k in g:
-                for i in range(K):
-                    if i == k:
-                        continue
+                for i in others[k]:
                     back = Wm[i][k].conj().T @ U[i]
                     cov += back @ back.conj().T
                 if tie_break:
@@ -309,7 +301,12 @@ def _leakage_min_directions(Wm, params: IaParameters, target: float, max_iters: 
             _, vecs = np.linalg.eigh(cov)
             for k in g:
                 V[k] = vecs[:, : d[g[0]]]
-        leak = _total_leakage(Wm, U, V)
+        images = interference_images()
+        leak = 0.0
+        for i in range(K):
+            Uh = U[i].conj().T
+            for img in images[i]:
+                leak += float(np.linalg.norm(Uh @ img) ** 2)
         history.append(leak)
         if leak <= target:
             if not tie_break:
@@ -318,7 +315,7 @@ def _leakage_min_directions(Wm, params: IaParameters, target: float, max_iters: 
         # bail out of plateaus so the caller can restart from fresh directions
         elif not tie_break and len(history) >= 200 and leak > 0.98 * history[-200]:
             break
-    return V, history
+    return V, U, history
 
 
 def _cj3_singular(h) -> np.ndarray:
@@ -710,7 +707,7 @@ def _leakage_min(rec, params, tol, c_min, max_iters, rng, shared) -> BeamformerS
     history_all = []
     attempts = 3  # the first run and up to two restarts
     for _ in range(attempts):
-        V, history = _leakage_min_directions(Wm, params, target, max_iters, rng, shared)
+        V, _, history = _leakage_min_directions(Wm, params, target, max_iters, rng, shared)
         history_all.extend(history)
         bf = _finish(
             rec.wtones[None], [v[None] for v in V], params, "leakage-min", tol, c_min,

@@ -147,10 +147,11 @@ def receiver_feedback(taps: np.ndarray, codebooks=None) -> np.ndarray:
     ``taps`` is a (..., K, K, L, R) tap array. Row [i, k] is link (i, k)'s
     taps, vectorized column-major and scaled to unit norm: exactly
     ``v / np.linalg.norm(v)`` (perfect feedback). With ``codebooks``, an
-    iterable of one per receiver read one at a time, an unbatched tap
-    array's receiver i feeds back the nearest codeword of codebook i
-    (`encode`). A direction is a line in C^(R*L), so R*L = 1 (one scalar
-    tap) is rejected, as is a link whose taps are all zero.
+    iterable of one per receiver read and held one at a time, an
+    unbatched tap array's receiver i feeds back the nearest codeword of
+    codebook i (`encode`); a count other than K raises ValueError. A
+    direction is a line in C^(R*L), so R*L = 1 (one scalar tap) is
+    rejected, as is a link whose taps are all zero.
     """
     _, L, R = _dims(taps)
     if R * L < 2:
@@ -169,8 +170,20 @@ def receiver_feedback(taps: np.ndarray, codebooks=None) -> np.ndarray:
         return exact
     if exact.ndim != 3:
         raise ValueError(f"codebook feedback takes one realization, got a batch of shape {exact.shape[:-3]}")
-    # each codeword a copy, so no codebook is kept alive by a view into it
-    return np.stack([cb.points[encode(x, cb)].copy() for x, cb in zip(exact, codebooks, strict=True)])
+    # one codebook held at a time: each is dropped before the next is read,
+    # which neither zip's reused result tuple nor a comprehension's loop
+    # variable does, and its codeword is copied out, so no view keeps it
+    codebooks = iter(codebooks)
+    fed = np.empty_like(exact)
+    for i, x in enumerate(exact):
+        cb = next(codebooks, None)
+        if cb is None:
+            raise ValueError(f"need one codebook per receiver: got {i} for {len(exact)} receivers")
+        fed[i] = cb.points[encode(x, cb)]
+        del cb
+    if next(codebooks, None) is not None:
+        raise ValueError(f"need one codebook per receiver: got more than {len(exact)}")
+    return fed
 
 
 def reconstruct(directions: np.ndarray, N: int, *, R: int) -> ReconstructedChannel:

@@ -59,10 +59,10 @@ from .grassmann import MC_CHUNK, ball_hit_count, ball_volume_normalized, sample_
 from .quantizer import (
     MAX_MATERIALIZED_BITS,
     FeedbackBudget,
+    budget_distortions,
     build_random_codebook,
     distortion_oracle_quantize,
     distortion_scaling_exponent,
-    measure_distortion,
     save_codebook,
 )
 from .rates import CSV_COLUMNS, achievable_rates, dof_fit, interference_slope
@@ -438,12 +438,11 @@ def cmd_volume_check(config: ExperimentConfig) -> int:
 def cmd_quantizer_scaling(config: ExperimentConfig) -> int:
     bits_list = [int(b) for b in config.bits]
     rows = []
-    rng = trial_generator(config.seed, 0)
-    for bits in bits_list:
-        cb = build_random_codebook(config.n, config.K, bits, seed=int(rng.integers(2**63)))
-        if config.codebook_out:
-            save_codebook(cb, f"{config.codebook_out}{bits}.txt")
-        dists = measure_distortion(cb, config.trials, rng)
+    save = (lambda cb: save_codebook(cb, f"{config.codebook_out}{cb.bits}.txt")) if config.codebook_out else None
+    budgets = budget_distortions(
+        config.n, config.K, bits_list, config.trials, trial_generator(config.seed, 0), save
+    )
+    for bits, dists in zip(bits_list, budgets):
         rows.append(
             {
                 "n": config.n, "K": config.K, "bits": bits,

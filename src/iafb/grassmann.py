@@ -129,11 +129,12 @@ def ball_hit_count(n: int, K: int, delta: float, trials: int, rng) -> int:
     parts, then all of its imaginary parts.
 
     A batch is finished in sub-blocks of `MC_TILE` samples, in two passes
-    over the stream. The first fills one (batch, K, n) buffer with the
-    real parts, one sub-block at a time, and squares each sub-block while
-    it is still in cache. The second draws the imaginary parts one
-    sub-block at a time into one reused (MC_TILE, K, n) buffer and runs
-    the steps above on it. The generator fills arrays in order, so the
+    over the stream, the order in which `rng.draw_unit_rows` draws the
+    quantizer's codewords and sources. The first fills one (batch, K, n)
+    buffer with the real parts, one sub-block at a time, and squares each
+    sub-block while it is still in cache. The second draws the imaginary
+    parts one sub-block at a time into one reused (MC_TILE, K, n) buffer
+    and runs the steps above on it. The generator fills arrays in order, so the
     sub-block fills read the same numbers as one draw of the whole batch,
     and every hit count is the same. Traced peak of one full batch: 1.10
     MiB at (n, K) = (2, 1), 3.29 MiB at (2, 3) and 6.48 MiB at (4, 3),

@@ -16,6 +16,21 @@ same distortion scaling exponent, which is the only property the
 downstream experiments consume. Codewords are generated in chunks of
 2**14, each from its own ``trial_generator(seed, chunk)`` stream.
 
+Each number is held once. `rng.draw_unit_rows` draws unit rows in
+`rng.complex_normal`'s layout, all real parts and then the imaginary
+parts one sub-block at a time, normalizing each sub-block in place. It
+writes every codebook chunk straight into the one (2**bits, K, n)
+codeword array, and hands each sub-block of sources to `_embed`, which
+writes it into the one (trials, K*n*n) embedding that the kernel scores.
+`budget_distortions` drops each codebook before it builds the next, so
+quantizer-scaling never holds two. Traced peaks, bit for bit the same
+codewords, sources and distortions as before: building (n, K, bits) =
+(2, 3, 16), a 6.0 MiB codebook, 7.0 MiB, and 25.0 MiB for 24.0 MiB at
+18 bits, against 13.1 and 49.5 MiB for a list of whole-chunk draws and
+its concatenation; the codebook-distortion argv (n=2, K=2, 6..14 bits,
+10**4 sources) 3.2 MiB, against 4.6 MiB with whole complex source draws
+and the last codebook kept through the slope pass.
+
 Nearest-neighbor search (``measure_distortion`` and ``encode``) uses the
 half-vectorized projection embedding of Conway, Hardin and Sloane (Exp.
 Math. 1996): each component x_k maps to the real diagonal of x_k x_k^H
@@ -28,10 +43,10 @@ Geijn (ACM TOMS 2008): each slice of 4096 codewords is embedded straight
 into one reused (K*n*n, 4096) column panel, and every (source slice x
 panel) product writes into one reused 512 KiB similarity tile (2**16
 float64). No embedded chunk and no transposed copy of it is held: at
-n=2, K=2, 14 bits and 10**4 sources the traced peak fell from 3.7 to 1.9
-MiB with the same distortions, bit for bit. A 512 KiB tile stays in a 2
-MiB L2 cache between the depth-K*n*n product that writes it and the row
-max that reads it back. The earlier 8 MiB block ran both passes from L3
+n=2, K=2, 14 bits and 10**4 sources the scoring's traced peak fell from
+3.7 to 1.9 MiB with the same distortions, bit for bit. A 512 KiB tile
+stays in a 2 MiB L2 cache between the depth-K*n*n product that writes
+it and the row max that reads it back. The earlier 8 MiB block ran both passes from L3
 or memory. Tile-size curve, median seconds of the full
 codebook-distortion argv (n=2, K=2, 6..14 bits, 10**4 sources, one BLAS
 thread, 2-core shared VM): 8 MiB 0.71, 2 MiB 0.63, 1 MiB 0.54, 512 KiB
@@ -60,7 +75,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rng import as_generator, complex_normal, trial_generator
+from .rng import as_generator, draw_unit_rows, trial_generator
 
 __all__ = [
     "Codebook",
@@ -105,8 +120,10 @@ class Codebook:
             raise ValueError("bit budget must be non-negative")
         if self.points.shape != (self.size, self.K, self.n):
             raise ValueError("codeword array shape does not match (2**bits, K, n)")
-        if not np.isfinite(self.points).all():
-            raise ValueError("the codebook holds a non-finite codeword")
+        # chunk by chunk: a full-size boolean array would take 2**bits*K*n bytes
+        for c0 in range(0, self.size, _GEN_CHUNK):
+            if not np.isfinite(self.points[c0 : c0 + _GEN_CHUNK]).all():
+                raise ValueError("the codebook holds a non-finite codeword")
         self.points.setflags(write=False)
 
     @property
@@ -160,18 +177,13 @@ class FeedbackBudget:
         return min(1.0, 2.0 ** (-self.bits / (2.0 * self.K * (self.n - 1))))
 
 
-def _generate_chunk(n: int, K: int, seed: int, chunk_index: int, count: int) -> np.ndarray:
-    """Codewords [chunk*C, chunk*C + count) for the chunk-seeded scheme."""
-    raw = complex_normal(trial_generator(seed, chunk_index), (count, K, n))
-    raw /= np.linalg.norm(raw, axis=2, keepdims=True)
-    return raw
-
-
 def build_random_codebook(n: int, K: int, bits: int, seed: int) -> Codebook:
     """Draw 2**bits i.i.d. uniform codewords from an integer seed.
 
-    Codeword chunk c comes from the stream seeded by (seed, c), so a
-    codebook is fixed by its seed whatever its size.
+    Codeword chunk c, rows c*2**14 onward, comes from the stream seeded
+    by (seed, c), so a codebook is fixed by its seed whatever its size.
+    `rng.draw_unit_rows` writes each chunk straight into the one
+    (2**bits, K, n) codeword array.
     """
     if n < 2 or K < 1 or bits < 0:
         raise ValueError("need n >= 2, K >= 1, bits >= 0")
@@ -181,12 +193,12 @@ def build_random_codebook(n: int, K: int, bits: int, seed: int) -> Codebook:
             "use the distortion oracle"
         )
     seed = int(seed)
-    size = 1 << bits
-    blocks = [
-        _generate_chunk(n, K, seed, c, min(_GEN_CHUNK, size - c * _GEN_CHUNK))
-        for c in range((size + _GEN_CHUNK - 1) // _GEN_CHUNK)
-    ]
-    return Codebook(n=n, K=K, bits=bits, points=np.concatenate(blocks), seed=seed)
+    points = np.empty((1 << bits, K, n), dtype=complex)
+    for c0 in range(0, len(points), _GEN_CHUNK):
+        chunk = points[c0 : c0 + _GEN_CHUNK]
+        for _ in draw_unit_rows(trial_generator(seed, c0 // _GEN_CHUNK), chunk.shape, out=chunk):
+            pass
+    return Codebook(n=n, K=K, bits=bits, points=points, seed=seed)
 
 
 def _embed(points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -213,19 +225,19 @@ def _embed(points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return dest.reshape(*points.shape[:-2], -1) if out is None else out
 
 
-def _score_tiles(sources: np.ndarray, cb: Codebook):
+def _score_tiles(src: np.ndarray, cb: Codebook):
     """Yield (source offset, panel offset, score tile) over every codeword of `cb`.
 
-    Tile row r, column c holds sum_k |<x_k, c_k>|**2 of source
-    ``sources[s0 + r]`` and codeword ``cb.points[p0 + c]``. The codebook
-    is scored in column panels of ``_PANEL`` codewords: each slice of
-    ``cb.points`` is embedded straight into one reused (K*n*n, _PANEL)
-    panel buffer, codewords as columns. Every (source slice x panel) pair
-    is one real GEMM into one similarity tile of at most ``_SIM_TILE``
-    entries, reused by every pair, so the caller must reduce a tile
-    before asking for the next one, while it is still in cache.
+    ``src`` holds the sources' `_embed` rows, (count, K*n*n). Tile row r,
+    column c holds sum_k |<x_k, c_k>|**2 of source ``s0 + r`` and codeword
+    ``cb.points[p0 + c]``. The codebook is scored in column panels of
+    ``_PANEL`` codewords: each slice of ``cb.points`` is embedded straight
+    into one reused (K*n*n, _PANEL) panel buffer, codewords as columns.
+    Every (source slice x panel) pair is one real GEMM into one similarity
+    tile of at most ``_SIM_TILE`` entries, reused by every pair, so the
+    caller must reduce a tile before asking for the next one, while it is
+    still in cache.
     """
-    src = _embed(sources)
     cols = min(cb.size, _PANEL)
     rows = max(1, _SIM_TILE // cols)
     depth = src.shape[1]
@@ -250,30 +262,36 @@ def encode(x: np.ndarray, cb: Codebook) -> int:
     if not np.isfinite(x).all():
         raise ValueError("cannot encode a non-finite point")
     best_idx, best = 0, -np.inf
-    for _, p0, scores in _score_tiles(np.asarray(x)[None], cb):
+    for _, p0, scores in _score_tiles(_embed(np.asarray(x)[None]), cb):
         off = int(scores[0].argmax())
         if scores[0, off] > best:
             best_idx, best = p0 + off, scores[0, off]
     return best_idx
 
 
-def _batched_min_dist(sources: np.ndarray, cb: Codebook) -> np.ndarray:
-    """Squared distortion of each source row under nearest-neighbor coding: K minus its best score."""
-    best = np.full(len(sources), -np.inf)
-    for s0, _, scores in _score_tiles(sources, cb):
+def _batched_min_dist(src: np.ndarray, cb: Codebook) -> np.ndarray:
+    """Squared distortion of each `_embed` source row under nearest-neighbor coding: K minus its best score."""
+    best = np.full(len(src), -np.inf)
+    for s0, _, scores in _score_tiles(src, cb):
         acc = best[s0 : s0 + len(scores)]
         np.maximum(acc, scores.max(axis=1), out=acc)
     return np.maximum(cb.K - best, 0.0)
 
 
 def measure_distortion(cb: Codebook, trials: int, rng) -> np.ndarray:
-    """Squared error of `trials` uniform sources under nearest-neighbor coding, shape (trials,)."""
+    """Squared error of `trials` uniform sources under nearest-neighbor coding, shape (trials,).
+
+    The sources are `rng.draw_unit_rows` rows; each sub-block is embedded
+    straight into one (trials, K*n*n) array, so no complex source array
+    is held.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = as_generator(rng)
-    raw = complex_normal(rng, (trials, cb.K, cb.n))
-    raw /= np.linalg.norm(raw, axis=2, keepdims=True)
-    return _batched_min_dist(raw, cb)
+    src = np.empty((trials, cb.K * cb.n * cb.n))
+    for s0, rows in draw_unit_rows(rng, (trials, cb.K, cb.n)):
+        _embed(rows, out=src[s0 : s0 + len(rows)].reshape(len(rows), cb.K, -1))
+    return _batched_min_dist(src, cb)
 
 
 def distortion_oracle_quantize(x, delta_sq, normals) -> np.ndarray:
@@ -316,20 +334,37 @@ def distortion_oracle_quantize(x, delta_sq, normals) -> np.ndarray:
     return np.where((target == 0.0)[:, None, None], arr, out)
 
 
+# Not in __all__: bench/tracer.py would time it as a span of its own
+# around the build and measure spans it already records.
+def budget_distortions(n: int, K: int, bits_list, trials: int, rng, save=None):
+    """Yield each budget's `measure_distortion` array, budget by budget.
+
+    Budget b's random codebook comes from a seed drawn off `rng`, and its
+    `trials` sources from `rng` right after. ``save``, if given, is called
+    with each codebook once it is built. The codebook is dropped before
+    its distortions are yielded, so no two are ever held at once.
+    """
+    rng = as_generator(rng)
+    for bits in bits_list:
+        cb = build_random_codebook(n, K, bits, seed=int(rng.integers(2**63)))
+        if save is not None:
+            save(cb)
+        dists = measure_distortion(cb, trials, rng)
+        del cb
+        yield dists
+
+
 def distortion_scaling_exponent(n: int, K: int, bits_list, trials: int, rng) -> float:
     """Least-squares slope of log2(mean squared distortion) versus bits.
 
-    Random codebooks are rebuilt per budget from seeds drawn off `rng`.
-    For uniform sources the slope approaches -1 / (K (n - 1)).
+    Random codebooks are rebuilt per budget from seeds drawn off `rng`
+    (`budget_distortions`). For uniform sources the slope approaches
+    -1 / (K (n - 1)).
     """
     bits_list = sorted(set(int(b) for b in bits_list))
     if len(bits_list) < 3:
         raise ValueError("need at least three distinct bit budgets for a slope fit")
-    rng = as_generator(rng)
-    log_msd = []
-    for bits in bits_list:
-        cb = build_random_codebook(n, K, bits, seed=int(rng.integers(2**63)))
-        log_msd.append(math.log2(measure_distortion(cb, trials, rng).mean()))
+    log_msd = [math.log2(d.mean()) for d in budget_distortions(n, K, bits_list, trials, rng)]
     slope = np.polyfit(np.asarray(bits_list, dtype=float), np.asarray(log_msd), 1)[0]
     return float(slope)
 

@@ -7,12 +7,20 @@ metric, the reference for the quantizer's embedded scores. `hbar` and
 `iafb.channel` module docstring. `direction` is one link's fed-back
 direction, the reference for `iafb.channel.receiver_feedback`, and
 `seeded_channel` draws a (K, K, L, R) tap array from one seed or generator.
+
+`unit_rows` and `random_codebook_points` are the whole-array draws that
+`iafb.rng.draw_unit_rows` makes in sub-blocks, and
+`leakage_min_directions` is the leakage-min loop that forms every image
+twice per iteration, the reference for
+`iafb.alignment._leakage_min_directions`.
 """
 
 import numpy as np
 
+from iafb.alignment import _rand_orthonormal
 from iafb.channel import _block_diag_from_rows, generate_channel
-from iafb.rng import as_generator
+from iafb.quantizer import _GEN_CHUNK
+from iafb.rng import as_generator, complex_normal, trial_generator
 
 
 def composite_dist_sq(a, b):
@@ -57,3 +65,92 @@ def hbar_matrix(tones, i, k):
     vector of tone r.
     """
     return _block_diag_from_rows(np.conj(tones[i, k]) / np.sqrt(tones.shape[-2]))
+
+
+def unit_rows(rng, shape):
+    """`complex_normal` of `shape` off `rng` (a seed or a Generator), normalized along its last axis in one go."""
+    raw = complex_normal(as_generator(rng), shape)
+    raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
+    return raw
+
+
+def random_codebook_points(n, K, bits, seed):
+    """The codewords of ``build_random_codebook(n, K, bits, seed)``: one `unit_rows` per chunk stream, concatenated."""
+    size = 1 << bits
+    chunks = [
+        unit_rows(trial_generator(seed, c), (min(_GEN_CHUNK, size - c * _GEN_CHUNK), K, n))
+        for c in range((size + _GEN_CHUNK - 1) // _GEN_CHUNK)
+    ]
+    return np.concatenate(chunks)
+
+
+def total_leakage(Wm, U, V):
+    """Sum over links i != k of ||U_i^H W_ik V_k||_F^2, each image formed afresh."""
+    K = len(Wm)
+    total = 0.0
+    for i in range(K):
+        for k in range(K):
+            if k == i:
+                continue
+            M = U[i].conj().T @ (Wm[i][k] @ V[k])
+            total += float(np.linalg.norm(M) ** 2)
+    return total
+
+
+def leakage_min_directions(Wm, params, target, max_iters, rng, shared):
+    """Leakage-min's alternating loop: returns (V, U, history).
+
+    Every image ``Wm[i][k] @ V[k]`` is formed in the U step and again in
+    `total_leakage`.
+    """
+    K, d = params.K, params.d
+    N, RN = params.N, params.R * params.N
+
+    if shared:
+        groups = [tuple(range(params.R + 1)), tuple(range(params.R + 1, K))]
+        groups = [g for g in groups if g]
+    else:
+        groups = [(k,) for k in range(K)]
+    V = [None] * K
+    for g in groups:
+        block = _rand_orthonormal(rng, N, d[g[0]])
+        for k in g:
+            V[k] = block
+    U = [None] * K
+
+    tie_active = shared
+    history = []
+    for it in range(max_iters):
+        for i in range(K):
+            cov = np.zeros((RN, RN), dtype=complex)
+            for k in range(K):
+                if k == i:
+                    continue
+                img = Wm[i][k] @ V[k]
+                cov += img @ img.conj().T
+            _, vecs = np.linalg.eigh(cov)
+            U[i] = vecs[:, : d[i]]
+        tie_break = 3e-2 if (tie_active and it < 0.6 * max_iters) else 0.0
+        for g in groups:
+            cov = np.zeros((N, N), dtype=complex)
+            for k in g:
+                for i in range(K):
+                    if i == k:
+                        continue
+                    back = Wm[i][k].conj().T @ U[i]
+                    cov += back @ back.conj().T
+                if tie_break:
+                    own = Wm[k][k].conj().T @ U[k]
+                    cov -= tie_break * (own @ own.conj().T)
+            _, vecs = np.linalg.eigh(cov)
+            for k in g:
+                V[k] = vecs[:, : d[g[0]]]
+        leak = total_leakage(Wm, U, V)
+        history.append(leak)
+        if leak <= target:
+            if not tie_break:
+                break
+            tie_active = False
+        elif not tie_break and len(history) >= 200 and leak > 0.98 * history[-200]:
+            break
+    return V, U, history

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,19 @@ class TestFeedback:
             assert composite_dist_sq(exact[i], fed[i]) <= composite_dist_sq(exact[i], cb.points).min() + 1e-12
             assert np.array_equal(fed[i], cb.points[encode(exact[i], cb)])
             assert not np.shares_memory(fed, cb.points)
+
+    def test_codebook_mode_holds_one_codebook_at_a_time(self):
+        # three 16-bit codebooks (6 MiB each at n=2, K=3), built as they are
+        # read: 7.2 MiB traced, where a comprehension over zip held two (13.0)
+        taps = seeded_channel(3, 1, 2, 20)
+        build_random_codebook(2, 3, 6, seed=0)  # first-call allocations
+        tracemalloc.start()
+        try:
+            receiver_feedback(taps, (build_random_codebook(2, 3, 16, seed=21 + i) for i in range(3)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (1 << 16) * 3 * 2 * 16
 
     def test_oracle_mode_distance(self):
         taps = seeded_channel(3, 1, 2, 17)

@@ -133,6 +133,24 @@ class TestQuantizerScaling:
         assert f"--trials {trials}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_peak_memory(self, tmp_path):
+        # codebook-distortion's argv: each codebook dropped before the next
+        # is built, and sources embedded sub-block by sub-block, 3.2 MiB
+        # traced; a codebook kept through the slope pass, whole complex
+        # source draws and chunk lists took 4.6 MiB
+        def run(bits):
+            return main(["quantizer-scaling", "--n", "2", "--K", "2", "--bits", bits, "--trials", "10000",
+                         "--out", str(tmp_path / "q.csv")])
+
+        assert run("4,5,6") == 0  # first-call allocations
+        tracemalloc.start()
+        try:
+            assert run("6,8,10,12,14") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.6 * 2**20
+
     def test_codebook_export(self, tmp_path):
         from iafb.quantizer import load_codebook
 

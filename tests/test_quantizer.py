@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_reference import composite_dist_sq
+from dense_reference import composite_dist_sq, random_codebook_points, unit_rows
 from iafb import quantizer
 from iafb.grassmann import sample_uniform
 from iafb.quantizer import (
@@ -18,8 +18,8 @@ from iafb.quantizer import (
     measure_distortion,
     save_codebook,
 )
-from iafb.quantizer import _GEN_CHUNK, _PANEL, _SIM_TILE, _batched_min_dist, _embed, _generate_chunk
-from iafb.rng import complex_normal, trial_normals
+from iafb.quantizer import _GEN_CHUNK, _PANEL, _SIM_TILE, _batched_min_dist, _embed
+from iafb.rng import UNIT_TILE, draw_unit_rows, trial_generator, trial_normals
 
 
 def reference_min_dist(sources, points):
@@ -38,9 +38,14 @@ def draw(n, K, rng, count=None):
     return points if count else points[0]
 
 
-def unit_rows(shape, seed):
-    raw = complex_normal(np.random.default_rng(seed), shape)
-    return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+def traced_peak(f) -> float:
+    """Traced peak bytes of one call of `f`."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBuild:
@@ -58,7 +63,25 @@ class TestBuild:
         big = build_random_codebook(2, 2, 15, seed=11)
         small = build_random_codebook(2, 2, 14, seed=11)
         assert np.array_equal(big.points[:_GEN_CHUNK], small.points)
-        assert np.array_equal(big.points[_GEN_CHUNK:], _generate_chunk(2, 2, 11, 1, _GEN_CHUNK))
+        assert np.array_equal(big.points[_GEN_CHUNK:], unit_rows(trial_generator(11, 1), (_GEN_CHUNK, 2, 2)))
+
+    # 0 and 1 bits: one and two codewords; 12-14 bits: one chunk, short of
+    # a full one below 14; 15 and 16 bits: two and four chunks
+    @pytest.mark.parametrize("bits", [0, 1, 12, 13, 14, 15, 16])
+    @pytest.mark.parametrize("n, K", [(2, 3), (4, 3)])
+    def test_codewords_match_whole_chunk_draws(self, n, K, bits):
+        # sub-block draws give, byte for byte, each chunk's one complex_normal
+        # draw normalized in one go, the chunks concatenated
+        got = build_random_codebook(n, K, bits, seed=17 + bits).points
+        assert np.array_equal(got, random_codebook_points(n, K, bits, 17 + bits))
+
+    def test_build_holds_the_codebook_once(self):
+        # beside the (2**16, 3, 2) codewords (6 MiB) the build holds one
+        # chunk's real parts and one sub-block: 7.0 MiB traced. A list of
+        # chunks, its concatenation and complex_normal's parts took 13.1
+        build_random_codebook(2, 3, 6, seed=0)  # first-call allocations
+        size = (1 << 16) * 3 * 2 * 16
+        assert traced_peak(lambda: build_random_codebook(2, 3, 16, seed=18)) <= 1.25 * size
 
     def test_materialization_guard(self):
         with pytest.raises(ValueError, match="materialization guard"):
@@ -67,6 +90,12 @@ class TestBuild:
     def test_generator_seed_rejected(self):
         with pytest.raises(TypeError):
             build_random_codebook(2, 1, 4, seed=np.random.default_rng(3))
+
+    def test_non_finite_codeword_in_a_later_chunk_raises(self):
+        points = build_random_codebook(2, 1, 15, seed=19).points.copy()
+        points[-1, 0, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            Codebook(n=2, K=1, bits=15, points=points)
 
     def test_mean_distortion_order_statistics(self):
         # for n=2, K=1 the squared distortion to one random codeword is
@@ -169,7 +198,7 @@ class TestEncodeDecode:
 class TestDistortionKernel:
     @pytest.mark.parametrize("n, K", [(2, 1), (2, 2), (3, 2), (4, 3)])
     def test_embedding_inner_product(self, n, K):
-        x, c = unit_rows((K, n), 1), unit_rows((K, n), 2)
+        x, c = unit_rows(1, (K, n)), unit_rows(2, (K, n))
         direct = sum(abs(np.vdot(x[k], c[k])) ** 2 for k in range(K))
         assert _embed(x).shape == (K * n * n,)
         assert _embed(x) @ _embed(c) == pytest.approx(direct, abs=1e-12)
@@ -181,8 +210,8 @@ class TestDistortionKernel:
     )
     def test_matches_direct_formula(self, n, K, bits, count):
         cb = build_random_codebook(n, K, bits, seed=30 + n + K)
-        sources = unit_rows((count, K, n), 40 + n + K)
-        got = _batched_min_dist(sources, cb)
+        sources = unit_rows(40 + n + K, (count, K, n))
+        got = _batched_min_dist(_embed(sources), cb)
         assert np.abs(got - reference_min_dist(sources, cb.points)).max() <= 1e-12
 
     def test_codebook_spanning_several_chunks(self):
@@ -190,8 +219,8 @@ class TestDistortionKernel:
         cb = build_random_codebook(2, 2, 15, seed=50)
         rows = _SIM_TILE // _PANEL
         assert cb.size == 2 * _GEN_CHUNK and _GEN_CHUNK % _PANEL == 0
-        sources = unit_rows((2 * rows + 5, 2, 2), 51)
-        got = _batched_min_dist(sources, cb)
+        sources = unit_rows(51, (2 * rows + 5, 2, 2))
+        got = _batched_min_dist(_embed(sources), cb)
         assert np.abs(got - reference_min_dist(sources, cb.points)).max() <= 1e-12
 
     @pytest.mark.parametrize(
@@ -210,8 +239,8 @@ class TestDistortionKernel:
         monkeypatch.setattr(quantizer, "_PANEL", panel)
         monkeypatch.setattr(quantizer, "_SIM_TILE", tile)
         cb = build_random_codebook(2, 2, bits, seed=54 + bits)
-        sources = unit_rows((count, 2, 2), 55 + bits)
-        got = _batched_min_dist(sources, cb)
+        sources = unit_rows(55 + bits, (count, 2, 2))
+        got = _batched_min_dist(_embed(sources), cb)
         assert np.abs(got - reference_min_dist(sources, cb.points)).max() <= 1e-12
 
     def test_similarity_block_bounds_peak_memory(self):
@@ -220,14 +249,38 @@ class TestDistortionKernel:
         # (1 MiB each) peaked at 3.7 MiB, the earlier 8 MiB block at 11.2
         # MiB and a fresh block per slice at 67 MiB
         cb = build_random_codebook(2, 2, 14, seed=52)
-        sources = unit_rows((10_000, 2, 2), 53)
-        tracemalloc.start()
-        try:
-            _batched_min_dist(sources, cb)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * 2**20
+        sources = unit_rows(53, (10_000, 2, 2))
+        assert traced_peak(lambda: _batched_min_dist(_embed(sources), cb)) < 2.5 * 2**20
+
+
+class TestUnitRowDraws:
+    """`draw_unit_rows` gives, byte for byte, one `complex_normal` draw normalized in one go."""
+
+    # one row, a sub-block short of, at and past full, and ten thousand
+    # sources past full sub-blocks
+    COUNTS = [1, UNIT_TILE - 1, UNIT_TILE, UNIT_TILE + 1, 10**4 + 1]
+
+    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("into_out", [False, True])
+    def test_matches_one_draw(self, count, into_out):
+        shape = (count, 3, 2)
+        out = np.empty(shape, dtype=complex) if into_out else None
+        got = np.empty(shape, dtype=complex)
+        rng, ref = np.random.default_rng(70), np.random.default_rng(70)
+        for start, rows in draw_unit_rows(rng, shape, out=out):
+            if into_out:
+                assert np.shares_memory(rows, out[start])
+            got[start : start + len(rows)] = rows
+        assert np.array_equal(got, unit_rows(ref, shape))
+        # the stream is left where the one draw leaves it
+        assert rng.standard_normal() == ref.standard_normal()
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_distortions_match_whole_source_draw(self, count):
+        # sources embedded sub-block by sub-block score as the whole draw embedded at once
+        cb = build_random_codebook(2, 3, 8, seed=71)
+        expected = _batched_min_dist(_embed(unit_rows(72, (count, 3, 2))), cb)
+        assert np.array_equal(measure_distortion(cb, count, rng=72), expected)
 
 
 class TestDistortionGuard:
