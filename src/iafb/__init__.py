@@ -6,9 +6,10 @@ Library layout:
   arrays: uniform sampling, exact and empirical ball volumes.
 * ``quantizer``  - finite-rate codebooks, nearest-neighbor coding, the
   distortion oracle and distortion-vs-bits scaling.
-* ``rng``        - per-trial streams; a block's normals in one draw.
+* ``rng``        - per-trial streams and the one complex Gaussian draw:
+  a block's complex normals in one call, large draws in two passes.
 * ``channel``    - frequency-selective K-user channels as plain
-  (..., K, K, L, R) tap arrays from drawn normals, tone transforms, and
+  (..., K, K, L, R) tap arrays from drawn complex normals, tone transforms, and
   the feedback/reconstruction pipeline, each one array pass over a batch.
 * ``alignment``  - stream bookkeeping, beamformer engines, and the
   MIMO-to-SIMO reduction.

@@ -57,7 +57,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ReconstructedChannel, tone_images
-from .rng import as_generator, complex_normal
+from .rng import complex_normal
 
 __all__ = [
     "IaParameters",
@@ -648,16 +648,17 @@ def build_beamformers(
     An element builds when every cross-user and cross-stream inner product
     is below `tol` and every desired-signal inner product above `c_min`,
     all measured against its reconstructed channel (not the true one).
-    cj3 builds the whole batch at once. leakage-min iterates one element
-    at a time, drawing from ``rng[b]`` when `rng` is a list with one
-    generator per element and from the one shared generator otherwise, and
-    restarts from fresh random directions up to twice before giving up.
+    cj3 builds the whole batch at once and draws nothing. leakage-min
+    iterates one element at a time, drawing from ``rng[b]``: `rng` must be
+    a list or tuple of one ``numpy.random.Generator`` per element, so no
+    element's start depends on the rest of the batch. It restarts from
+    fresh random directions up to twice before giving up.
 
     A failing element does not raise: the set records, per element, its
     AlignmentError (singular per-tone gains, a swallowed stream, the gate,
     or leakage-min's last attempt with the leakage trajectory attached) in
     ``failures`` and zeroes its beamformers (see `BeamformerSet`). Usage
-    errors (a wrong engine, sizing or generator count, or an unbatched
+    errors (a wrong engine, sizing or generator list, or an unbatched
     `rec`) raise ValueError, and an allocation that cannot fit any
     receiver raises AlignmentError.
     """
@@ -691,9 +692,9 @@ def build_beamformers(
             ]
         return _finish(rec.wtones, _cj3_directions(h, params), params, engine, tol, c_min, failures)
 
-    rngs = list(rng) if isinstance(rng, (list, tuple)) else [as_generator(rng)] * len(rec.wtones)
-    if len(rngs) != len(rec.wtones):
-        raise ValueError("need one generator per batch element")
+    rngs = list(rng) if isinstance(rng, (list, tuple)) else []
+    if len(rngs) != len(rec.wtones) or not all(isinstance(g, np.random.Generator) for g in rngs):
+        raise ValueError(f"leakage-min needs a list of {len(rec.wtones)} numpy Generators, one per batch element")
     return _concatenated([
         _leakage_min(replace(rec, wtones=w), params, tol, c_min, max_iters, g, shared)
         for w, g in zip(rec.wtones, rngs)

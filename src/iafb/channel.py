@@ -1,8 +1,9 @@
 """Frequency-selective K-user channel model and the feedback pipeline.
 
 Channels, tones and feedback stay plain arrays, batched over leading
-axes: `generate_channel` turns drawn normals into a (..., K, K, L, R) tap
-array, from whose shape every function reads K, L and R,
+axes: `generate_channel` turns drawn complex normals into a
+(..., K, K, L, R) tap array, from whose shape every function reads K, L
+and R,
 `to_tone_domain` gives the (..., K, K, N, R) tones that rates are
 measured on, `receiver_feedback` gives every receiver's (..., K, K, R*L)
 directions in one pass, and `reconstruct` rebuilds the surrogate from
@@ -107,17 +108,19 @@ def tone_images(tones: np.ndarray, V) -> list:
 def generate_channel(K: int, R: int, L: int, normals) -> np.ndarray:
     """Unit-variance circularly-symmetric complex Gaussian taps for all K*K links, from drawn normals.
 
-    ``normals`` holds (2, K, K, L, R) standard normals in `rng.complex_normal`'s
-    layout, real parts first, or a (B, ...) stack of those, as
-    `rng.trial_normals` draws a block's channels. Returns the (K, K, L, R)
-    tap array, or the (B, K, K, L, R) batch: ``taps[i, k]`` is the L x R
-    matrix of the link from transmitter k to receiver i.
+    ``normals`` is a complex (K, K, L, R) `rng.complex_normal` draw, or a
+    (B, K, K, L, R) stack of them, as `rng.trial_normals` draws a block's
+    channels (the draw order is in the `rng` module docstring). Returns
+    ``normals / sqrt(2)``, the (K, K, L, R) tap array or the
+    (B, K, K, L, R) batch: ``taps[i, k]`` is the L x R matrix of the link
+    from transmitter k to receiver i.
     """
     if K < 2 or R < 1 or L < 1:
         raise ValueError("need K >= 2, R >= 1, L >= 1")
-    if np.ndim(normals) not in (5, 6) or np.shape(normals)[-5:] != (2, K, K, L, R):
-        raise ValueError(f"need (2, {K}, {K}, {L}, {R}) normals or a stack of them, got shape {np.shape(normals)}")
-    return (normals[..., 0, :, :, :, :] + 1j * normals[..., 1, :, :, :, :]) / np.sqrt(2.0)
+    normals = np.asarray(normals)
+    if normals.ndim not in (4, 5) or normals.shape[-4:] != (K, K, L, R) or not np.iscomplexobj(normals):
+        raise ValueError(f"need {(K, K, L, R)}-shaped complex normals or a stack, got {normals.dtype} {normals.shape}")
+    return normals / np.sqrt(2.0)
 
 
 def _dims(taps: np.ndarray) -> tuple:

@@ -58,11 +58,12 @@ from .channel import (
 from .grassmann import MC_CHUNK, ball_hit_count, ball_volume_normalized, sample_uniform
 from .quantizer import (
     MAX_MATERIALIZED_BITS,
-    FeedbackBudget,
     budget_distortions,
     build_random_codebook,
     distortion_oracle_quantize,
     distortion_scaling_exponent,
+    feedback_bits,
+    oracle_radius,
     save_codebook,
 )
 from .rates import CSV_COLUMNS, achievable_rates, dof_fit, interference_slope
@@ -205,6 +206,10 @@ def _user_choice(flag, value):
     return ""
 
 
+def _zero_or_one(flag, value):
+    return "" if value in (0, 1) else f"{flag} must be 0 or 1, got {value!r}"
+
+
 def _grid_step(flag, value):
     return "" if value > 0 else f"the power grid step must be positive, got {flag} {value:g}"
 
@@ -216,7 +221,7 @@ _OPTIONS = {
         "deltas": ("floatlist", (0.3, 0.5, 0.8), "ball radii", _radii),
         "trials": ("int", 1_000_000, "Monte Carlo samples per (n, K, delta)", _trials),
         "seed": ("int", 0, "base seed", _nonnegative),
-        "jobs": ("int", 1, "parallel workers", None),
+        "jobs": ("int", 1, "parallel workers", partial(_at_least, 1)),
         "sigmas": ("float", 3.0, "pass threshold in binomial standard errors", _nonnegative),
         "out": ("str", "volume_check.csv", "output CSV path", _out_file),
     },
@@ -248,8 +253,8 @@ _OPTIONS = {
         "seed": ("int", 0, "base seed", _nonnegative),
         "align_tol": ("float", 1e-8, "alignment residual tolerance", _nonnegative),
         "c_min": ("float", 1e-6, "minimum desired-signal inner product", _nonnegative),
-        "max_iters": ("int", 5000, "leakage-min iteration cap", None),
-        "shared": ("int", 0, "1 = shared transmit directions per group", None),
+        "max_iters": ("int", 5000, "leakage-min iteration cap", partial(_at_least, 1)),
+        "shared": ("int", 0, "1 = shared transmit directions per group", _zero_or_one),
         "channel_file": ("str", "", "load the channel from this archive", None),
         "save_channel": ("str", "", "write the drawn channel to this archive", _out_file),
         "out": ("str", "ia_run.csv", "output CSV path", _out_file),
@@ -274,11 +279,11 @@ _OPTIONS = {
         # gate (1.254 against 4/3)
         "noise": ("float", 1e-9, "noise power", _positive),
         "seed": ("int", 0, "base seed", _nonnegative),
-        "jobs": ("int", 1, "parallel trial workers", None),
+        "jobs": ("int", 1, "parallel trial workers", partial(_at_least, 1)),
         "slope_tol": ("float", 0.1, "per-user slope tolerance", _nonnegative),
         "sum_slope_tol": ("float", 0.05, "sum-slope tolerance", _nonnegative),
         "align_tol": ("float", 1e-8, "alignment residual tolerance", _nonnegative),
-        "max_iters": ("int", 5000, "leakage-min iteration cap", None),
+        "max_iters": ("int", 5000, "leakage-min iteration cap", partial(_at_least, 1)),
         "out": ("str", "dof_sweep.csv", "output CSV path", _out_file),
     },
     "mimo-reduce": {
@@ -396,7 +401,7 @@ def cmd_volume_check(config: ExperimentConfig) -> int:
     # work list does not grow with --trials, and each worker draws its
     # chunks lazily
     chunks = -(-config.trials // MC_CHUNK)
-    spans = min(chunks, max(1, config.jobs))
+    spans = min(chunks, config.jobs)
     jobs_args = [
         (n, K, delta, config.seed, t_idx, config.trials, chunks * s // spans, chunks * (s + 1) // spans)
         for t_idx, (n, K, delta) in enumerate(tasks)
@@ -528,7 +533,7 @@ def _pipeline_params(config: ExperimentConfig):
 def _oracle_rows(exact: np.ndarray, delta_sq: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Oracle feedback of (M, K, R*L) exact directions, one squared radius and normal draw per row.
 
-    ``normals`` holds each row's (2, K, R*L) standard normals. A NaN
+    ``normals`` holds each row's complex (K, R*L) normals. A NaN
     radius marks a user who feeds back nothing: that row is the uniformly
     random estimate its normals give. Every other row is
     `distortion_oracle_quantize` of its exact directions.
@@ -543,17 +548,17 @@ def _oracle_rows(exact: np.ndarray, delta_sq: np.ndarray, normals: np.ndarray) -
 
 
 def _oracle_radii(K: int, R: int, L: int, P: float, user_alphas) -> list:
-    """One point's oracle radii `FeedbackBudget.delta_star`, one per user; NaN for a silent (alpha 0) user.
+    """One point's oracle radii, one per user; NaN for a silent (alpha 0) user.
 
-    Each distinct alpha's budget is built once, for the (K, R*L)
-    directions its users feed back.
+    Each distinct alpha's radius is computed once: the `oracle_radius` of
+    its `feedback_bits`, for the (K, R*L) directions its users feed back.
     """
-    radius = {al: FeedbackBudget(K=K, R=R, L=L, P=P, alpha=al).delta_star for al in set(user_alphas) if al}
+    radius = {al: oracle_radius(feedback_bits(K, R, L, P, al), K, R * L) for al in set(user_alphas) if al}
     return [radius.get(al, math.nan) for al in user_alphas]
 
 
 def _channel_normals(config: ExperimentConfig, trials: range) -> np.ndarray:
-    """Each trial's channel normals, (T, 2, K, K, L, R), trial t's from stream (seed, t)."""
+    """Each trial's complex channel normals, (T, K, K, L, R), trial t's from stream (seed, t)."""
     K, R, L = config.K, config.R, config.L
     return trial_normals(config.seed, np.arange(trials.start, trials.stop)[:, None], (K, K, L, R))
 

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .rng import as_generator
+from .rng import as_generator, two_pass_normals
 
 __all__ = [
     "sample_uniform",
@@ -39,18 +39,15 @@ def _check_manifold(n: int, K: int) -> None:
 def sample_uniform(n: int, K: int, normals) -> np.ndarray:
     """Uniform points from drawn normals: K independent normalized complex Gaussians each.
 
-    ``normals`` is a (B, 2, K, n) array of standard normals, each point's
-    real parts before its imaginary parts, as `rng.trial_normals` or
-    ``rng.standard_normal((B, 2, K, n))`` draw them. Returns the B points
-    as one (B, K, n) array of unit rows.
+    ``normals`` is a complex (B, K, n) array, one point's K rows each, as
+    `rng.trial_normals` or `rng.complex_normal` draw them. Returns the B
+    points as one (B, K, n) array of unit rows.
     """
     _check_manifold(n, K)
     normals = np.asarray(normals)
-    if normals.ndim != 4 or normals.shape[1:] != (2, K, n):
-        raise ValueError(f"need (B, 2, {K}, {n}) normals for G_{{{n},1}}^{K}, got shape {normals.shape}")
-    raw = normals[:, 0] + 1j * normals[:, 1]
-    raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
-    return raw
+    if normals.ndim != 3 or normals.shape[1:] != (K, n) or not np.iscomplexobj(normals):
+        raise ValueError(f"need complex (B, {K}, {n}) normals for G_{{{n},1}}^{K}, got {normals.dtype} {normals.shape}")
+    return normals / np.linalg.norm(normals, axis=-1, keepdims=True)
 
 
 def _log_volume_const(n: int, K: int) -> float:
@@ -107,7 +104,12 @@ def sum_dist_sq_cdf(n: int, K: int, x: float, trials: int = 500_000, rng=None) -
 # Monte Carlo samples drawn per batch, bounding memory at any trial count
 MC_CHUNK = 1 << 16
 # samples per sub-block of a batch, whose imaginary parts and (sub-block,
-# K) temporaries stay in L2 (the sub-block curve is in `ball_hit_count`)
+# K) temporaries stay in L2. Sub-block curve at (n, K) = (2, 3), median ms
+# per full batch over 15 alternating rounds and traced peak (one core,
+# 2-core shared VM): 1024 15.0 ms 3.07 MiB, 2048 14.8 3.15, 4096 14.8 3.29,
+# 8192 14.7 3.57, 16384 14.4 4.14, 65536 14.9 7.57. The time is the
+# Gaussian generator's and barely moves with the sub-block; at 4096 the
+# peak stays within 10% of the batch's real parts
 MC_TILE = 1 << 12
 
 
@@ -123,64 +125,36 @@ def ball_hit_count(n: int, K: int, delta: float, trials: int, rng) -> int:
     sum_k (1 - |q_k[0]|^2 / ||q_k||^2), so no sample is normalized. The
     kernel works on the real and imaginary parts of the draw
     (|q|^2 = re^2 + im^2) and adds the short n and K axes term by term, in
-    order. Samples come off `rng` in batches of `MC_CHUNK`, each batch in
-    `rng.complex_normal`'s layout: the same numbers
-    `complex_normal(rng, (batch, K, n))` would draw, all of its real
-    parts, then all of its imaginary parts.
-
-    A batch is finished in sub-blocks of `MC_TILE` samples, in two passes
-    over the stream, the order in which `rng.draw_unit_rows` draws the
-    quantizer's codewords and sources. The first fills one (batch, K, n)
-    buffer with the real parts, one sub-block at a time, and squares each
-    sub-block while it is still in cache. The second draws the imaginary
-    parts one sub-block at a time into one reused (MC_TILE, K, n) buffer
-    and runs the steps above on it. The generator fills arrays in order, so the
-    sub-block fills read the same numbers as one draw of the whole batch,
-    and every hit count is the same. Traced peak of one full batch: 1.10
-    MiB at (n, K) = (2, 1), 3.29 MiB at (2, 3) and 6.48 MiB at (4, 3),
-    against 3.29, 7.56 and 13.56 MiB for one draw of the batch's
-    (2, batch, K, n) normals. Sub-block curve at (2, 3), median ms per
-    full batch over 15 alternating rounds and traced peak (one core,
-    2-core shared VM): 1024 15.0 ms 3.07 MiB, 2048 14.8 3.15, 4096 14.8
-    3.29, 8192 14.7 3.57, 16384 14.4 4.14, 65536 14.9 7.57, against 15.1
-    ms for the whole-batch draw. The time is the Gaussian generator's and
-    barely moves with the sub-block; at 4096 the peak stays within 10% of
-    the real parts' buffer.
+    order. The samples are `complex_normal(rng, (batch, K, n))` draws of
+    `MC_CHUNK` samples each, taken off `rng.two_pass_normals` in
+    sub-blocks of `MC_TILE` (the draw order is in the `rng` module
+    docstring). Traced peak of one full batch: 1.10 MiB at (n, K) = (2, 1),
+    3.29 MiB at (2, 3) and 6.48 MiB at (4, 3).
     """
     _check_manifold(n, K)
     if trials < 1:
         raise ValueError("need at least one trial")
     if delta < 0:
         raise ValueError("radius must be non-negative")
-    rng = as_generator(rng)
     thresh = delta * delta
-    tile = min(MC_TILE, trials)
-    re_buf = np.empty((min(MC_CHUNK, trials), K, n))
-    power_buf, chordal_buf = np.empty((tile, K, n)), np.empty((tile, K))
+    chordal_buf = np.empty((min(MC_TILE, trials), K))
     hits = 0
-    for start in range(0, trials, MC_CHUNK):
-        re_sq = re_buf[: min(MC_CHUNK, trials - start)]
-        for s in range(0, len(re_sq), tile):
-            part = re_sq[s : s + tile]
-            rng.standard_normal(out=part)
-            np.square(part, out=part)
-        for s in range(0, len(re_sq), tile):
-            part = re_sq[s : s + tile]
-            power, chordal = power_buf[: len(part)], chordal_buf[: len(part)]
-            rng.standard_normal(out=power)
-            np.square(power, out=power)
-            np.add(part, power, out=power)
-            # squared chordal distance per component, (sub-block, K), in
-            # place: ||q_k||^2, then |q_k[0]|^2 / ||q_k||^2, then 1 minus that
-            np.add(power[..., 0], power[..., 1], out=chordal)
-            for j in range(2, n):
-                chordal += power[..., j]
-            np.divide(power[..., 0], chordal, out=chordal)
-            np.subtract(1.0, chordal, out=chordal)
-            dist_sq = chordal[:, 0]  # the K sum accumulates in column 0
-            for k in range(1, K):
-                dist_sq += chordal[:, k]
-            hits += int(np.count_nonzero(dist_sq <= thresh))
+    for _, real, power in two_pass_normals(as_generator(rng), (trials, K, n), MC_TILE, MC_CHUNK):
+        chordal = chordal_buf[: len(power)]
+        np.square(real, out=real)
+        np.square(power, out=power)
+        np.add(real, power, out=power)
+        # squared chordal distance per component, (sub-block, K), in
+        # place: ||q_k||^2, then |q_k[0]|^2 / ||q_k||^2, then 1 minus that
+        np.add(power[..., 0], power[..., 1], out=chordal)
+        for j in range(2, n):
+            chordal += power[..., j]
+        np.divide(power[..., 0], chordal, out=chordal)
+        np.subtract(1.0, chordal, out=chordal)
+        dist_sq = chordal[:, 0]  # the K sum accumulates in column 0
+        for k in range(1, K):
+            dist_sq += chordal[:, k]
+        hits += int(np.count_nonzero(dist_sq <= thresh))
     return hits
 
 

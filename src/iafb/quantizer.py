@@ -8,8 +8,8 @@ Two quantizer flavors cover the whole bit-budget range:
 * the distortion oracle emulates an ideal packing codebook at budgets
   far beyond what can be materialized, by returning a point at exactly
   the distortion radius 2**(-bits / (2 K (n-1))) that such a codebook
-  guarantees. Rate/DoF experiments whose bit budgets grow with the
-  transmit power rely on it.
+  guarantees (`oracle_radius`). Rate/DoF experiments whose bit budgets
+  grow with the transmit power (`feedback_bits`) rely on it.
 
 Random codebooks stand in for true maximal packings: they attain the
 same distortion scaling exponent, which is the only property the
@@ -17,19 +17,15 @@ downstream experiments consume. Codewords are generated in chunks of
 2**14, each from its own ``trial_generator(seed, chunk)`` stream.
 
 Each number is held once. `rng.draw_unit_rows` draws unit rows in
-`rng.complex_normal`'s layout, all real parts and then the imaginary
-parts one sub-block at a time, normalizing each sub-block in place. It
-writes every codebook chunk straight into the one (2**bits, K, n)
-codeword array, and hands each sub-block of sources to `_embed`, which
-writes it into the one (trials, K*n*n) embedding that the kernel scores.
+sub-blocks (the draw order is in the `rng` module docstring). It writes
+every codebook chunk straight into the one (2**bits, K, n) codeword
+array, and hands each sub-block of sources to `_embed`, which writes it
+into the one (trials, K*n*n) embedding that the kernel scores.
 `budget_distortions` drops each codebook before it builds the next, so
-quantizer-scaling never holds two. Traced peaks, bit for bit the same
-codewords, sources and distortions as before: building (n, K, bits) =
+quantizer-scaling never holds two. Traced peaks: building (n, K, bits) =
 (2, 3, 16), a 6.0 MiB codebook, 7.0 MiB, and 25.0 MiB for 24.0 MiB at
-18 bits, against 13.1 and 49.5 MiB for a list of whole-chunk draws and
-its concatenation; the codebook-distortion argv (n=2, K=2, 6..14 bits,
-10**4 sources) 3.2 MiB, against 4.6 MiB with whole complex source draws
-and the last codebook kept through the slope pass.
+18 bits; the codebook-distortion argv (n=2, K=2, 6..14 bits, 10**4
+sources) 3.2 MiB.
 
 Nearest-neighbor search (``measure_distortion`` and ``encode``) uses the
 half-vectorized projection embedding of Conway, Hardin and Sloane (Exp.
@@ -43,23 +39,21 @@ Geijn (ACM TOMS 2008): each slice of 4096 codewords is embedded straight
 into one reused (K*n*n, 4096) column panel, and every (source slice x
 panel) product writes into one reused 512 KiB similarity tile (2**16
 float64). No embedded chunk and no transposed copy of it is held: at
-n=2, K=2, 14 bits and 10**4 sources the scoring's traced peak fell from
-3.7 to 1.9 MiB with the same distortions, bit for bit. A 512 KiB tile
-stays in a 2 MiB L2 cache between the depth-K*n*n product that writes
-it and the row max that reads it back. The earlier 8 MiB block ran both passes from L3
-or memory. Tile-size curve, median seconds of the full
-codebook-distortion argv (n=2, K=2, 6..14 bits, 10**4 sources, one BLAS
-thread, 2-core shared VM): 8 MiB 0.71, 2 MiB 0.63, 1 MiB 0.54, 512 KiB
-0.41, 256 KiB 0.45, 128 KiB 0.56; below 512 KiB the per-tile call
-overhead outweighs the cache.
+n=2, K=2, 14 bits and 10**4 sources the scoring traces 1.9 MiB. A 512
+KiB tile stays in a 2 MiB L2 cache between the depth-K*n*n product that
+writes it and the row max that reads it back. Tile-size curve, median
+seconds of the full codebook-distortion argv (n=2, K=2, 6..14 bits, 10**4
+sources, one BLAS thread, 2-core shared VM): 8 MiB 0.71, 2 MiB 0.63,
+1 MiB 0.54, 512 KiB 0.41, 256 KiB 0.45, 128 KiB 0.56; below 512 KiB the
+per-tile call overhead outweighs the cache.
 ``encode`` runs the same panels and tiles (`_score_tiles`) for one point
 and reduces each tile by its argmax, where the distortion path takes the
 row max and pays for no argmax. Ties go to the lowest index: the first
 hit within a tile, and a strictly greater score across panels. One point
 cannot amortize embedding a whole codebook, and feedback builds a fresh
-codebook per receiver, so a single-point encode can cost more than the
-per-point scan on the direct formula that it replaced. Median ms per
-point, scan then kernel (one BLAS thread, 2-core shared VM, two rounds):
+codebook per receiver, so a single-point encode can cost more than a
+per-point scan on the direct formula. Median ms per point, scan then
+kernel (one BLAS thread, 2-core shared VM, two rounds):
 0.05 and 0.14 at (n, K, bits) = (2, 3, 8); 1.4-1.7 for both at
 (2, 3, 14); 7-9 and 25-30 at (4, 3, 16); 86-113 for both at (2, 3, 20).
 Only ``ia-run --feedback codebook`` encodes, K points per run.
@@ -71,7 +65,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -79,7 +72,6 @@ from .rng import as_generator, draw_unit_rows, trial_generator
 
 __all__ = [
     "Codebook",
-    "FeedbackBudget",
     "build_random_codebook",
     "encode",
     "measure_distortion",
@@ -129,52 +121,6 @@ class Codebook:
     @property
     def size(self) -> int:
         return 1 << self.bits
-
-
-@dataclass(frozen=True)
-class FeedbackBudget:
-    """Feedback bit budget tied to the transmit power level.
-
-    The budget for a K-user channel with R receive antennas and L taps is
-    ceil(alpha * K * (R*L - 1) * log2(P)) bits, clamped at zero. ``alpha``
-    scales an individual user's feedback rate; alpha = 1 is the full
-    budget under which the quantization error shrinks like 1/P.
-    """
-
-    K: int
-    R: int
-    L: int
-    P: float
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.K < 1 or self.R < 1 or self.L < 1:
-            raise ValueError("K, R, L must be positive")
-        if self.R * self.L < 2:
-            raise ValueError("need R*L >= 2; a single scalar tap carries no direction information")
-        if self.P <= 0:
-            raise ValueError("power must be positive")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-
-    @property
-    def n(self) -> int:
-        """Ambient dimension of each fed-back direction vector."""
-        return self.R * self.L
-
-    @property
-    def bits(self) -> int:
-        raw = self.alpha * self.K * (self.R * self.L - 1) * math.log2(self.P)
-        return max(0, math.ceil(raw))
-
-    @cached_property
-    def delta_star(self) -> float:
-        """Distortion radius guaranteed by an ideal packing at this budget.
-
-        Computed once per budget: dof-sweep tiles one budget object over
-        every trial's row of a block.
-        """
-        return min(1.0, 2.0 ** (-self.bits / (2.0 * self.K * (self.n - 1))))
 
 
 def build_random_codebook(n: int, K: int, bits: int, seed: int) -> Codebook:
@@ -298,10 +244,9 @@ def distortion_oracle_quantize(x, delta_sq, normals) -> np.ndarray:
     """Emulate an ideal packing codebook at an arbitrarily large budget.
 
     ``x`` is a (B, K, n) array of unit rows. ``delta_sq`` holds each
-    point's squared distortion radius, the ``delta_star**2`` of its
-    `FeedbackBudget` for (K, n) points, as a (B,) array. ``normals`` holds
-    each point's (2, K, n) standard normals, real parts first, as
-    `rng.trial_normals` or ``rng.standard_normal((B, 2, K, n))`` draw
+    point's squared distortion radius, the square of its `oracle_radius`,
+    as a (B,) array. ``normals`` holds each point's complex (K, n) normals,
+    a (B, K, n) array as `rng.trial_normals` or `rng.complex_normal` draw
     them. Returns a (B, K, n) array whose point b lies at composite
     distance exactly sqrt(delta_sq[b]) from x[b], with the squared error
     spread over the components by the uniformly random tangent direction
@@ -309,16 +254,14 @@ def distortion_oracle_quantize(x, delta_sq, normals) -> np.ndarray:
     delta_sq[b] of its original, which is 1/P at the full feedback budget.
     """
     arr = np.asarray(x)
-    target, normals = np.asarray(delta_sq, dtype=float), np.asarray(normals)
-    if arr.ndim != 3 or target.shape != arr.shape[:1] or len(normals) != len(arr):
+    target, raw = np.asarray(delta_sq, dtype=float), np.asarray(normals)
+    if arr.ndim != 3 or target.shape != arr.shape[:1] or len(raw) != len(arr):
         raise ValueError("need one squared radius and one normal draw per (K, n) point")
-    K, n = arr.shape[1:]
-    if normals.shape[1:] != (2, K, n):
-        raise ValueError(f"normals of shape {normals.shape[1:]} per point do not match the {(K, n)} manifold of x")
+    if raw.shape[1:] != arr.shape[1:] or not np.iscomplexobj(raw):
+        raise ValueError(f"{raw.dtype} normals {raw.shape[1:]} do not match the complex {arr.shape[1:]} manifold")
     if not target.any():
         return arr
 
-    raw = normals[:, 0] + 1j * normals[:, 1]
     overlap = np.einsum("bkj,bkj->bk", arr.conj(), raw)
     tangent = raw - overlap[..., None] * arr
     weights = np.linalg.norm(tangent, axis=-1)
@@ -332,6 +275,29 @@ def distortion_oracle_quantize(x, delta_sq, normals) -> np.ndarray:
     out = np.sqrt(1.0 - comp_err)[..., None] * arr + np.sqrt(comp_err)[..., None] * tangent
     out /= np.linalg.norm(out, axis=-1, keepdims=True)
     return np.where((target == 0.0)[:, None, None], arr, out)
+
+
+# Not in __all__, with `oracle_radius`: bench/tracer.py times every
+# function listed there, and these run inside the cli's oracle step.
+def feedback_bits(K: int, R: int, L: int, P: float, alpha: float = 1.0) -> int:
+    """Feedback bits of a user at power P: ceil(alpha * K * (R*L - 1) * log2(P)), clamped at zero.
+
+    The budget for a K-user channel with R receive antennas and L taps;
+    ``alpha`` scales an individual user's feedback rate, and alpha = 1 is
+    the full budget under which the quantization error shrinks like 1/P.
+    """
+    return max(0, math.ceil(alpha * K * (R * L - 1) * math.log2(P)))
+
+
+def oracle_radius(bits: int, K: int, n: int) -> float:
+    """Distortion radius an ideal packing of (K, n) points guarantees at `bits`: 2**(-bits / (2 K (n-1))), at most 1.
+
+    A direction is a line in C^n, so n < 2 (one scalar tap) has none and
+    raises ValueError.
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got n={n}: a single scalar tap carries no direction information")
+    return min(1.0, 2.0 ** (-bits / (2.0 * K * (n - 1))))
 
 
 # Not in __all__: bench/tracer.py would time it as a span of its own

@@ -1,4 +1,4 @@
-"""Seeding helpers shared by all modules.
+"""Seeding helpers and the complex Gaussian draw shared by all modules.
 
 Every stochastic entry point accepts an integer seed, a ready
 ``numpy.random.Generator`` or normals already drawn. Monte Carlo drivers
@@ -11,8 +11,19 @@ another. It runs SeedSequence's hash over every key's uint32 words as
 array arithmetic and hands each `PCG64` its seed words through a real
 ``ISeedSequence`` subclass, defined on first use so that importing the
 library does not import ``numpy.random``. What is left per stream is
-that `PCG64` construction. `draw_unit_rows` draws normalized complex
-rows, the quantizer's codewords and sources, in sub-blocks.
+that `PCG64` construction.
+
+Draw order. A complex normal draw of `shape` takes two draws of `shape`
+standard normals off its stream, all real parts first, then all
+imaginary parts: `complex_normal` draws both as one (2, *shape) array,
+and `trial_normals` fills one such array per key. Every complex draw in
+the library keeps that order, so it reads the numbers `complex_normal`
+would, and the callers take complex arrays. `two_pass_normals` draws a
+large one in sub-blocks of its leading axis: all real parts of a batch
+into one array, then the imaginary parts one sub-block at a time. The
+generator fills arrays in C order, so each sub-block reads the numbers of
+the whole draw. It serves `draw_unit_rows`, the quantizer's codewords and
+sources, and `grassmann.ball_hit_count`, the Monte Carlo samples.
 """
 
 from __future__ import annotations
@@ -167,46 +178,63 @@ def _seed_states(seed: int, keys) -> np.ndarray:
 
 
 def trial_normals(seed: int, keys, shape) -> np.ndarray:
-    """One draw of `shape` complex normals' parts per key, from its own stream, stacked.
+    """One `complex_normal` draw of `shape` per key, each from its own stream, stacked.
 
-    Returns float64 of shape ``(M, 2, *shape)`` in `complex_normal`'s
-    layout, real parts at index 0: row m holds exactly the numbers
-    ``trial_generator(seed, *keys[m]).standard_normal((2, *shape))`` draws,
-    the parts of that stream's `complex_normal` draw.
+    Returns complex128 of shape ``(M, *shape)``: row m is bit for bit
+    ``complex_normal(trial_generator(seed, *keys[m]), shape)``.
 
     ``keys`` is an (M, k) array of non-negative integers, one key per row
     (an array of Python integers for keys past 2^64), so every key of a
     call has the same length. Keys of several lengths or not integers, and
     a negative seed or key (as in SeedSequence), raise ValueError. Each
-    row's `PCG64` is built from `_seed_states`' seed words, fills its row
-    in place and is dropped, so no list of generators is held.
+    row's `PCG64` is built from `_seed_states`' seed words, fills that
+    row's (2, *shape) parts in one float buffer and is dropped, so no list
+    of generators is held; the buffer becomes complex once, at the end.
     """
     shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
     states = _seed_states(seed, keys)
-    out = np.empty((len(states), 2, *shape))
+    parts = np.empty((len(states), 2, *shape))
     words_type, bit_generator, generator = _seed_words_type(), np.random.PCG64, np.random.Generator
-    for row, words in zip(out, states):
+    for row, words in zip(parts, states):
         generator(bit_generator(words_type(words))).standard_normal(out=row)
-    return out
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian entries, unscaled.
+    """Circularly-symmetric complex Gaussian entries, unscaled, in the module's draw order.
 
     Real and imaginary parts are independent standard normals, so each
     entry has variance 2; callers needing unit variance divide by sqrt(2).
-    The parts come from one ``rng.standard_normal((2, *shape))`` draw,
-    real parts at index 0 and imaginary parts at index 1. The generator
-    fills that array in C order, so it holds the same numbers as two draws
-    of `shape` each, real parts first. Every complex draw in the library
-    takes this layout: drawn here, per key by `trial_normals`, or straight
-    off the generator in two passes, all real parts and then the imaginary
-    parts one sub-block at a time: `draw_unit_rows` for codewords and
-    sources, `grassmann.ball_hit_count` for Monte Carlo samples.
     """
     shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
     parts = rng.standard_normal((2, *shape))
     return parts[0] + 1j * parts[1]
+
+
+def two_pass_normals(rng: np.random.Generator, shape, tile: int, batch: int | None = None):
+    """Yield (start, real, imag): the parts of `complex_normal` draws, a sub-block of `tile` rows at a time.
+
+    The leading axis of `shape` is cut into batches of ``batch`` rows (one
+    batch by default), and each batch is one `complex_normal(rng, (rows,
+    *shape[1:]))` draw, taken in two passes: all its real parts into one
+    reused array, then its imaginary parts `tile` rows at a time into one
+    reused sub-block. ``real`` and ``imag`` hold the parts of rows
+    ``start .. start + len(imag)``; both are views of those two buffers,
+    which the caller may overwrite and which are valid until the next
+    sub-block is drawn. So the draw holds one batch's real parts and one
+    sub-block, whatever the row count.
+    """
+    count = shape[0]
+    batch = max(1, min(count, batch or count))
+    tile = max(1, min(tile, batch))
+    real_buf, imag_buf = np.empty((batch, *shape[1:])), np.empty((tile, *shape[1:]))
+    for first in range(0, count, batch):
+        real = real_buf[: min(batch, count - first)]
+        rng.standard_normal(out=real)
+        for s in range(0, len(real), tile):
+            imag = imag_buf[: min(tile, len(real) - s)]
+            rng.standard_normal(out=imag)
+            yield first + s, real[s : s + len(imag)], imag
 
 
 # rows per sub-block of `draw_unit_rows`. Sub-blocks of 1024 and 4096
@@ -221,28 +249,18 @@ def draw_unit_rows(rng: np.random.Generator, shape, out: np.ndarray | None = Non
 
     ``rows`` holds the unit rows ``start .. start + len(rows)`` of the
     leading axis, bit for bit what normalizing the whole draw in one go
-    gives: ``z / np.linalg.norm(z, axis=-1, keepdims=True)``. The draw
-    takes two passes over the stream, in `complex_normal`'s layout: all
-    real parts into one float array of `shape`, then the imaginary parts
-    of `UNIT_TILE` rows at a time, each sub-block joined to its real parts
+    gives: ``z / np.linalg.norm(z, axis=-1, keepdims=True)``. The rows
+    come from `two_pass_normals` in sub-blocks of `UNIT_TILE`, each joined
     and normalized in place. With ``out``, a complex array of `shape`,
     each sub-block is written into it and ``rows`` is that slice of
     ``out``; without it, ``rows`` is one reused buffer, valid until the
-    next sub-block is drawn. So no (2, *shape) parts array and no second
-    complex copy is held: beside ``out`` the draw holds the real parts
-    and one sub-block.
+    next sub-block is drawn.
     """
     shape = tuple(shape)
-    count = shape[0]
-    real = rng.standard_normal(shape)
-    tile = min(UNIT_TILE, count)
-    imag = np.empty((tile, *shape[1:]))
-    block = np.empty((tile, *shape[1:]), dtype=complex) if out is None else None
-    for start in range(0, count, tile):
-        part = imag[: min(tile, count - start)]
-        rng.standard_normal(out=part)
-        rows = (block if out is None else out[start:])[: len(part)]
-        rows.real = real[start : start + len(part)]
-        rows.imag = part
+    block = np.empty((min(UNIT_TILE, shape[0]), *shape[1:]), dtype=complex) if out is None else None
+    for start, real, imag in two_pass_normals(rng, shape, UNIT_TILE):
+        rows = (block if out is None else out[start:])[: len(imag)]
+        rows.real = real
+        rows.imag = imag
         rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
         yield start, rows

@@ -38,8 +38,8 @@ def composite_dist_sq(a, b):
 
 
 def seeded_channel(K, R, L, seed):
-    """The taps whose (2, K, K, L, R) normals `seed` (an integer or a Generator) draws in one call."""
-    return generate_channel(K, R, L, as_generator(seed).standard_normal((2, K, K, L, R)))
+    """The taps of one `complex_normal` draw of (K, K, L, R) off `seed` (an integer or a Generator)."""
+    return generate_channel(K, R, L, complex_normal(as_generator(seed), (K, K, L, R)))
 
 
 def direction(taps):

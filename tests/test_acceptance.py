@@ -86,7 +86,7 @@ def test_criterion_3_alignment_exactness():
     hits = 0
     for seed in range(20):
         rec = reconstruct(receiver_feedback(dense.seeded_channel(3, 1, 2, seed))[None], params.N, R=1)
-        bf = build_beamformers(rec, params, "leakage-min", tol=1e-8, rng=seed)
+        bf = build_beamformers(rec, params, "leakage-min", tol=1e-8, rng=[np.random.default_rng(seed)])
         hits += bf.failures == (None,) and bf.alignment_residual[0] <= 1e-8
 
     cj3 = cj3_parameters(2)

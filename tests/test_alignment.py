@@ -20,8 +20,8 @@ from iafb.alignment import (
     mimo_reduce,
 )
 from iafb.channel import generate_channel, receiver_feedback, reconstruct, to_tone_domain
-from iafb.quantizer import FeedbackBudget, distortion_oracle_quantize
-from iafb.rng import trial_normals
+from iafb.quantizer import distortion_oracle_quantize, feedback_bits, oracle_radius
+from iafb.rng import complex_normal, trial_normals
 
 
 def trial_channels(K, R, seed, trials):
@@ -87,7 +87,7 @@ class TestFeasibilityGuard:
         params = IaParameters(K=3, R=1, n=1, N=12, d=(8, 8, 1), scheme="gj-simo")
         rec = perfect_reconstruction(3, 1, 2, 12, seed=0)
         with pytest.raises(AlignmentError, match="cannot fit"):
-            build_beamformers(rec, params, "leakage-min", rng=0)
+            build_beamformers(rec, params, "leakage-min", rng=[np.random.default_rng(0)])
 
 
 class TestLeakageMinEngine:
@@ -95,7 +95,7 @@ class TestLeakageMinEngine:
         params = ia_parameters(3, 1, 1)
         for seed in range(3):
             rec = perfect_reconstruction(3, 1, 2, params.N, seed=seed)
-            bf = build_beamformers(rec, params, "leakage-min", rng=seed + 100)
+            bf = build_beamformers(rec, params, "leakage-min", rng=[np.random.default_rng(seed + 100)])
             assert bf.failures == (None,)
             assert bf.alignment_residual[0] <= 1e-8
             assert bf.signal_min[0] >= 1e-6
@@ -106,7 +106,7 @@ class TestLeakageMinEngine:
         # all K = R+1 users share one direction block at this sizing
         params = ia_parameters(3, 2, 1)
         rec = perfect_reconstruction(3, 2, 2, params.N, seed=3)
-        bf = build_beamformers(rec, params, "leakage-min", rng=7, shared=True)
+        bf = build_beamformers(rec, params, "leakage-min", rng=[np.random.default_rng(7)], shared=True)
         assert bf.failures == (None,)
         assert np.array_equal(bf.v[0], bf.v[1]) and np.array_equal(bf.v[1], bf.v[2])
         assert bf.alignment_residual[0] <= 1e-8
@@ -118,7 +118,9 @@ class TestLeakageMinEngine:
         # back filters with no usable signal
         params = ia_parameters(3, 1, 1)
         rec = perfect_reconstruction(3, 1, 2, params.N, seed=3)
-        bf = build_beamformers(rec, params, "leakage-min", rng=7, shared=True, max_iters=2000)
+        bf = build_beamformers(
+            rec, params, "leakage-min", rng=[np.random.default_rng(7)], shared=True, max_iters=2000
+        )
         if bf.failures[0] is not None:
             assert assert_failed(bf, "leakage-min did not reach").history
         else:
@@ -128,15 +130,28 @@ class TestLeakageMinEngine:
     def test_works_with_multiple_receive_antennas(self):
         params = ia_parameters(3, 2, 1)
         rec = perfect_reconstruction(3, 2, 2, params.N, seed=4)
-        bf = build_beamformers(rec, params, "leakage-min", rng=5)
+        bf = build_beamformers(rec, params, "leakage-min", rng=[np.random.default_rng(5)])
         assert bf.failures == (None,)
         assert bf.alignment_residual[0] <= 1e-8
+
+    @pytest.mark.parametrize(
+        "rng",
+        [None, 7, np.random.default_rng(7), [], [np.random.default_rng(7)] * 2, [7]],
+        ids=["none", "int", "generator", "empty-list", "two-for-one", "int-in-list"],
+    )
+    def test_needs_one_generator_per_element(self, rng):
+        # an unseeded or shared stream would tie an element's start to the
+        # rest of the batch, or not repeat at all
+        params = ia_parameters(3, 1, 1)
+        rec = perfect_reconstruction(3, 1, 2, params.N, seed=3)
+        with pytest.raises(ValueError, match="one per batch element"):
+            build_beamformers(rec, params, "leakage-min", rng=rng)
 
     def test_failure_carries_history(self):
         # one iteration per attempt: the first run and two restarts
         params = ia_parameters(3, 1, 1)
         rec = perfect_reconstruction(3, 1, 2, params.N, seed=6)
-        bf = build_beamformers(rec, params, "leakage-min", rng=8, max_iters=1)
+        bf = build_beamformers(rec, params, "leakage-min", rng=[np.random.default_rng(8)], max_iters=1)
         assert len(assert_failed(bf, "x 3 attempts").history) == 3
         assert not any(arr.any() for arr in bf.v + bf.u)
 
@@ -196,7 +211,7 @@ class TestCj3Engine:
         params = cj3_parameters(1)
         rec = perfect_reconstruction(3, 1, 2, params.N, seed=2)
         for engine in ("cj3", "leakage-min"):
-            bf = build_beamformers(rec, params, engine, rng=3)
+            bf = build_beamformers(rec, params, engine, rng=[np.random.default_rng(3)])
             assert bf.failures == (None,)
             assert bf.alignment_residual[0] <= 1e-8
             assert bf.signal_min[0] >= 1e-6
@@ -272,8 +287,8 @@ class TestZeroForcing:
             fed = cli_directions(params, trial)
             # weak desired signals at large cj3 n still have well-defined filters
             bf = build_beamformers(
-                reconstruct(fed[None], params.N, R=params.R), params, engine, c_min=1e-12, rng=trial + 20,
-                shared=shared,
+                reconstruct(fed[None], params.N, R=params.R), params, engine, c_min=1e-12,
+                rng=[np.random.default_rng(trial + 20)], shared=shared,
             )
             assert bf.failures == (None,)
             for u, ref in zip(bf.u, reference_filters(reconstruct(fed, params.N, R=params.R), bf)):
@@ -363,7 +378,7 @@ class TestZeroForcingVerdicts:
         fed = receiver_feedback(trial_channels(3, 1, 1, range(200)))
         if oracle:
             P = 2.0 ** np.arange(4, 15)[np.arange(600) % 11]
-            delta_sq = np.array([FeedbackBudget(K=3, R=1, L=2, P=p, alpha=0.25).delta_star for p in P]) ** 2
+            delta_sq = np.array([oracle_radius(feedback_bits(3, 1, 2, p, 0.25), 3, 2) for p in P]) ** 2
             normals = trial_normals(1, [[9, r] for r in range(600)], (3, 2))
             rows = distortion_oracle_quantize(fed.reshape(-1, 3, 2), delta_sq, normals)
             fed = rows.reshape(fed.shape)
@@ -392,7 +407,7 @@ class TestZeroForcingVerdicts:
         fed = receiver_feedback(trial_channels(3, 1, 2, range(200)))
         if oracle:
             P = 2.0 ** np.arange(4, 15)[np.arange(600) % 11]
-            delta_sq = np.array([FeedbackBudget(K=3, R=1, L=2, P=p, alpha=0.25).delta_star for p in P]) ** 2
+            delta_sq = np.array([oracle_radius(feedback_bits(3, 1, 2, p, 0.25), 3, 2) for p in P]) ** 2
             normals = trial_normals(2, [[9, r] for r in range(600)], (3, 2))
             rows = distortion_oracle_quantize(fed.reshape(-1, 3, 2), delta_sq, normals)
             fed = rows.reshape(fed.shape)
@@ -700,10 +715,10 @@ class TestQuantizedAlignment:
         # channel the same filters leak at the quantization level
         params = cj3_parameters(1)
         taps = dense.seeded_channel(3, 1, 2, 16)
-        budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**8)
+        radius = oracle_radius(feedback_bits(3, 1, 2, 2.0**8), 3, 2)
         exact = receiver_feedback(taps)
-        normals = np.stack([np.random.default_rng(17 + i).standard_normal((2, 3, 2)) for i in range(3)])
-        fed = distortion_oracle_quantize(exact, np.full(3, budget.delta_star**2), normals)
+        normals = np.stack([complex_normal(np.random.default_rng(17 + i), (3, 2)) for i in range(3)])
+        fed = distortion_oracle_quantize(exact, np.full(3, radius**2), normals)
         bf = build_beamformers(reconstruct(fed[None], params.N, R=1), params, "cj3")
         assert bf.failures == (None,)
         assert bf.alignment_residual[0] <= 1e-9

@@ -13,7 +13,7 @@ from iafb.channel import (
     save_channel,
     to_tone_domain,
 )
-from iafb.quantizer import FeedbackBudget, build_random_codebook, distortion_oracle_quantize, encode
+from iafb.quantizer import build_random_codebook, distortion_oracle_quantize, encode, feedback_bits, oracle_radius
 from iafb.rng import complex_normal
 
 
@@ -25,22 +25,30 @@ class TestGeneration:
 
     @pytest.mark.parametrize("K, R, L", [(3, 1, 2), (3, 2, 2), (2, 3, 1)])
     def test_taps_are_the_complex_normal_draw(self, K, R, L):
-        # drawn normals give, byte for byte, the taps of complex_normal on the same stream
-        taps = generate_channel(K, R, L, np.random.default_rng(4).standard_normal((2, K, K, L, R)))
-        expected = complex_normal(np.random.default_rng(4), (K, K, L, R)) / np.sqrt(2.0)
-        assert np.array_equal(taps, expected)
+        # the taps are complex_normal's draw scaled to unit variance, byte for byte
+        normals = complex_normal(np.random.default_rng(4), (K, K, L, R))
+        taps = generate_channel(K, R, L, normals)
+        assert np.array_equal(taps, normals / np.sqrt(2.0))
+        assert not np.shares_memory(taps, normals)
 
     def test_stacked_normals_give_a_batch(self):
-        normals = np.random.default_rng(5).standard_normal((4, 2, 3, 3, 2, 1))
+        normals = complex_normal(np.random.default_rng(5), (4, 3, 3, 2, 1))
         batch = generate_channel(3, 1, 2, normals)
         assert batch.shape == (4, 3, 3, 2, 1)
         for b in range(4):
             assert np.array_equal(batch[b], generate_channel(3, 1, 2, normals[b]))
 
-    @pytest.mark.parametrize("shape", [(3, 3, 2, 1), (2, 3, 3, 1, 2), (1, 1, 2, 3, 3, 2, 1)])
+    # the wrong tap count, the wrong antenna count, a stack of stacks
+    @pytest.mark.parametrize("shape", [(3, 3, 3, 1), (3, 3, 2, 2), (1, 1, 3, 3, 2, 1)])
     def test_normals_shape_rejected(self, shape):
         with pytest.raises(ValueError, match="shape"):
-            generate_channel(3, 1, 2, np.zeros(shape))
+            generate_channel(3, 1, 2, np.ones(shape, dtype=complex))
+
+    def test_real_normals_rejected(self):
+        # real normals, here in the (2, K, K, L, R) real/imaginary parts
+        # layout, whose shape reads as a batch of two channels
+        with pytest.raises(ValueError, match="complex"):
+            generate_channel(3, 1, 2, np.random.default_rng(6).standard_normal((2, 3, 3, 2, 1)))
 
     def test_shapes(self):
         taps = seeded_channel(2, 1, 1, 2)
@@ -142,7 +150,7 @@ class TestBatchedDirections:
     @pytest.mark.parametrize("batch", [(), (1,), (6,)])
     def test_matches_per_link_reference(self, R, L, batch):
         K = 3
-        taps = generate_channel(K, R, L, np.random.default_rng(10 * R + L).standard_normal((*batch, 2, K, K, L, R)))
+        taps = generate_channel(K, R, L, complex_normal(np.random.default_rng(10 * R + L), (*batch, K, K, L, R)))
         got = receiver_feedback(taps)
         assert got.shape == (*batch, K, K, R * L)
         for t, g in zip(taps.reshape(-1, K, K, L, R), got.reshape(-1, K, K, R * L)):
@@ -196,11 +204,11 @@ class TestFeedback:
 
     def test_oracle_mode_distance(self):
         taps = seeded_channel(3, 1, 2, 17)
-        budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**6)
+        radius = oracle_radius(feedback_bits(3, 1, 2, 2.0**6), 3, 2)
         exact = receiver_feedback(taps)[0]
-        normals = np.random.default_rng(18).standard_normal((1, 2, 3, 2))
-        fed = distortion_oracle_quantize(exact[None], [budget.delta_star**2], normals)[0]
-        assert composite_dist_sq(exact, fed) == pytest.approx(budget.delta_star**2, abs=1e-12)
+        normals = complex_normal(np.random.default_rng(18), (1, 3, 2))
+        fed = distortion_oracle_quantize(exact[None], [radius**2], normals)[0]
+        assert composite_dist_sq(exact, fed) == pytest.approx(radius**2, abs=1e-12)
 
     def test_codebook_count_must_match_users(self):
         taps = seeded_channel(2, 1, 2, 19)
@@ -217,12 +225,12 @@ class TestFeedback:
 
 
 class TestReconstruction:
-    def make_rec(self, seed, K=3, R=2, L=2, N=8, budget=None, rng=None):
+    def make_rec(self, seed, K=3, R=2, L=2, N=8, radius=None, rng=None):
         taps = seeded_channel(K, R, L, seed)
         fed = receiver_feedback(taps)
-        if budget is not None:
-            normals = rng.standard_normal((K, 2, K, R * L))
-            fed = distortion_oracle_quantize(fed, np.full(K, budget.delta_star**2), normals)
+        if radius is not None:
+            normals = np.stack([complex_normal(rng, (K, R * L)) for _ in range(K)])
+            fed = distortion_oracle_quantize(fed, np.full(K, radius**2), normals)
         return taps, to_tone_domain(taps, N), reconstruct(fed, N, R=R)
 
     def test_perfect_feedback_reproduces_normalized_channel(self):
@@ -233,18 +241,18 @@ class TestReconstruction:
                 assert np.allclose(rec.wtones[i, k].reshape(-1), hbar / np.linalg.norm(hbar), atol=1e-12)
 
     def test_unit_norm_reconstruction(self):
-        budget = FeedbackBudget(K=3, R=2, L=2, P=16.0)
-        _, _, rec = self.make_rec(seed=21, budget=budget, rng=np.random.default_rng(2))
+        radius = oracle_radius(feedback_bits(3, 2, 2, 16.0), 3, 4)
+        _, _, rec = self.make_rec(seed=21, radius=radius, rng=np.random.default_rng(2))
         for i in range(3):
             for k in range(3):
                 assert abs(np.linalg.norm(rec.wtones[i, k].reshape(-1)) - 1.0) <= 1e-12
 
     def test_inner_product_preservation(self):
         # <true direction, reconstruction> equals <tap direction, quantized direction>
-        budget = FeedbackBudget(K=3, R=2, L=2, P=16.0)
+        radius = oracle_radius(feedback_bits(3, 2, 2, 16.0), 3, 4)
         taps = seeded_channel(3, 2, 2, 22)
-        normals = np.stack([np.random.default_rng(23 + i).standard_normal((2, 3, 4)) for i in range(3)])
-        fed = distortion_oracle_quantize(receiver_feedback(taps), np.full(3, budget.delta_star**2), normals)
+        normals = np.stack([complex_normal(np.random.default_rng(23 + i), (3, 4)) for i in range(3)])
+        fed = distortion_oracle_quantize(receiver_feedback(taps), np.full(3, radius**2), normals)
         tones = to_tone_domain(taps, 8)
         rec = reconstruct(fed, 8, R=2)
         for i in range(3):

@@ -15,9 +15,9 @@ import dense_reference as dense
 from iafb.channel import reconstruct, save_channel, to_tone_domain
 from iafb.cli import main, parse_config, run_dof_sweep
 from iafb.grassmann import sample_uniform
-from iafb.quantizer import FeedbackBudget, build_random_codebook, distortion_oracle_quantize, encode
+from iafb.quantizer import build_random_codebook, distortion_oracle_quantize, encode, feedback_bits, oracle_radius
 from iafb.rates import CSV_COLUMNS, achievable_rates
-from iafb.rng import trial_generator
+from iafb.rng import complex_normal, trial_generator
 
 
 def read(path):
@@ -343,11 +343,11 @@ class TestIaRunFeedback:
                 cb = build_random_codebook(2, 3, config.bits, seed=seed + i)
                 reference.append(cb.points[encode(dense.directions(taps)[i], cb)])
             elif config.alpha == 0.0:
-                reference.append(sample_uniform(2, 3, rng.standard_normal((2, 3, 2))[None])[0])
+                reference.append(sample_uniform(2, 3, complex_normal(rng, (1, 3, 2)))[0])
             else:
-                budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**config.p_log2, alpha=config.alpha)
-                normals = rng.standard_normal((2, 3, 2))[None]
-                delta_sq = np.square([budget.delta_star])
+                radius = oracle_radius(feedback_bits(3, 1, 2, 2.0**config.p_log2, config.alpha), 3, 2)
+                normals = complex_normal(rng, (1, 3, 2))
+                delta_sq = np.square([radius])
                 reference.append(distortion_oracle_quantize(dense.directions(taps)[i][None], delta_sq, normals)[0])
         # one reconstruction of a batch of one element
         assert len(seen) == 1
@@ -496,7 +496,7 @@ class TestDofSweep:
         batched = iafb.cli._oracle_feedback(config, trials, exact, grid)
 
         def per_key(seed, keys, shape):
-            return np.stack([trial_generator(seed, *key).standard_normal((2, *shape)) for key in keys])
+            return np.stack([complex_normal(trial_generator(seed, *key), shape) for key in keys])
 
         monkeypatch.setattr(iafb.cli, "trial_normals", per_key)
         assert np.array_equal(batched, iafb.cli._oracle_feedback(config, trials, exact, grid))
@@ -522,7 +522,7 @@ def per_point_trial(config, trial):
         """The batch-of-one set built on `fed`; raises its failure, as a point-by-point run stops."""
         bf = build_beamformers(
             reconstruct(fed[None], params.N, R=R), params, config.engine, tol=config.align_tol,
-            max_iters=config.max_iters, rng=trial_generator(config.seed, 7_000_000 + trial),
+            max_iters=config.max_iters, rng=[trial_generator(config.seed, 7_000_000 + trial)],
         )
         if bf.failures[0] is not None:
             raise bf.failures[0]
@@ -543,11 +543,11 @@ def per_point_trial(config, trial):
             fed = []
             for i in range(K):
                 rng = trial_generator(config.seed, (trial * 100_000 + a * 1_000 + j) * 1009 + i)
-                normals = rng.standard_normal((2, K, R * L))[None]
+                normals = complex_normal(rng, (1, K, R * L))
                 if alphas[i] == 0.0:
                     fed.append(sample_uniform(R * L, K, normals)[0])
                 else:
-                    delta_sq = np.square([FeedbackBudget(K=K, R=R, L=L, P=P, alpha=alphas[i]).delta_star])
+                    delta_sq = np.square([oracle_radius(feedback_bits(K, R, L, P, alphas[i]), K, R * L)])
                     fed.append(distortion_oracle_quantize(dense.directions(taps)[i][None], delta_sq, normals)[0])
             bf = build(np.stack(fed))
             stats[a, j] = achievable_rates(tones, bf, P, config.noise)[0]
@@ -718,6 +718,19 @@ USAGE_ERRORS = [
     (["quantizer-scaling", "--n", "0", "--K", "-1"], "--n must be >= 2, got 0"),
     (["quantizer-scaling", "--n", "1"], "--n must be >= 2, got 1"),
     (["quantizer-scaling", "--K", "0"], "--K must be >= 1, got 0"),
+    # an iteration cap and a worker count take at least one; --shared is a
+    # switch. -3 iterations would run three empty attempts, -4 jobs one worker
+    (
+        ["ia-run", "--K", "3", "--R", "1", "--L", "2", "--n", "1", "--engine", "leakage-min", "--max-iters=-3"],
+        "--max-iters must be >= 1, got -3",
+    ),
+    (["ia-run", "--max-iters", "0"], "--max-iters must be >= 1, got 0"),
+    (["dof-sweep", "--engine", "leakage-min", "--max-iters", "0"], "--max-iters must be >= 1, got 0"),
+    (["volume-check", "--jobs=-4"], "--jobs must be >= 1, got -4"),
+    (["volume-check", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+    (["dof-sweep", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+    (["ia-run", "--shared", "2"], "--shared must be 0 or 1, got 2"),
+    (["ia-run", "--shared=-1"], "--shared must be 0 or 1, got -1"),
 ]
 
 

@@ -24,21 +24,28 @@ def line(*coords):
 
 
 def draw(n, K, rng, count=None):
-    """`count` points (count, K, n) in sequence from one generator, or one (K, n) point."""
-    points = sample_uniform(n, K, rng.standard_normal((count or 1, 2, K, n)))
+    """`count` points (count, K, n) from one complex draw, or one (K, n) point."""
+    points = sample_uniform(n, K, complex_normal(rng, (count or 1, K, n)))
     return points if count else points[0]
 
 
 class TestPoints:
     def test_rejects_scalars_and_short_vectors(self):
         with pytest.raises(ValueError):
-            sample_uniform(1, 2, np.random.default_rng(0).standard_normal((1, 2, 2, 1)))
+            sample_uniform(1, 2, complex_normal(np.random.default_rng(0), (1, 2, 1)))
 
-    @pytest.mark.parametrize("shape", [(2, 2, 3), (1, 2, 3, 2), (1, 1, 2, 3), (1, 2, 2, 3, 1)])
+    # an unbatched point, the real/imaginary parts layout, and the wrong K
+    # or n
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 2, 2, 3), (1, 3, 3), (1, 2, 2)])
     def test_rejects_normals_of_another_shape(self, shape):
-        # G_{3,1}^2 takes (B, 2, 2, 3) normals
+        # G_{3,1}^2 takes complex (B, 2, 3) normals
         with pytest.raises(ValueError, match="normals"):
-            sample_uniform(3, 2, np.zeros(shape))
+            sample_uniform(3, 2, np.ones(shape, dtype=complex))
+
+    def test_rejects_real_normals(self):
+        # real (B, K, n) normals would give real points, not uniform ones
+        with pytest.raises(ValueError, match="complex"):
+            sample_uniform(3, 2, np.random.default_rng(0).standard_normal((4, 2, 3)))
 
     def test_composite_requires_equal_dimensions(self):
         # a (K, n) array gives all K components one n; two points must share it
@@ -116,20 +123,19 @@ class TestCompositeDistance:
 
 class TestSampling:
     def test_deterministic_given_seed(self):
-        a = sample_uniform(4, 2, np.random.default_rng(42).standard_normal((1, 2, 2, 4)))
-        b = sample_uniform(4, 2, np.random.default_rng(42).standard_normal((1, 2, 2, 4)))
+        a = sample_uniform(4, 2, complex_normal(np.random.default_rng(42), (1, 2, 4)))
+        b = sample_uniform(4, 2, complex_normal(np.random.default_rng(42), (1, 2, 4)))
         assert np.array_equal(a, b)
 
     def test_one_unit_point_per_generator(self):
         # point b is what a batch-of-one call on generator b's normals gives
-        normals = np.stack([np.random.default_rng(s).standard_normal((2, 2, 3)) for s in range(4)])
+        normals = np.stack([complex_normal(np.random.default_rng(s), (2, 3)) for s in range(4)])
         batch = sample_uniform(3, 2, normals)
         assert batch.shape == (4, 2, 3)
         assert np.abs(np.linalg.norm(batch, axis=-1) - 1.0).max() <= 1e-12
         for s, point in enumerate(batch):
-            raw = complex_normal(np.random.default_rng(s), (2, 3))
             assert np.array_equal(point, sample_uniform(3, 2, normals[s : s + 1])[0])
-            assert np.array_equal(point, raw / np.linalg.norm(raw, axis=-1, keepdims=True))
+            assert np.array_equal(point, normals[s] / np.linalg.norm(normals[s], axis=-1, keepdims=True))
 
     def test_mean_chordal_distance_n2(self):
         # squared chordal distance to a fixed line is uniform on [0, 1]
@@ -239,10 +245,18 @@ def reference_hit_count(n, K, delta, trials, rng):
 
 
 class TestBallHitCount:
-    # MC_CHUNK + 17 runs two chunks, the last one partial; the last three
+    # MC_CHUNK + 17 runs two chunks, the last one partial; the next three
     # cut a sub-block: one past a whole sub-block, one short of a whole
-    # chunk, and a third chunk shorter than one sub-block
-    @pytest.mark.parametrize("trials", [1, 1000, MC_CHUNK + 17, MC_TILE + 1, MC_CHUNK - 1, 2 * MC_CHUNK + MC_TILE - 3])
+    # chunk, and a third chunk shorter than one sub-block. The last four
+    # sit at the edges of the two-pass draw: one short of, at and past a
+    # whole sub-block, and a second chunk of one sample
+    @pytest.mark.parametrize(
+        "trials",
+        [
+            1, 1000, MC_CHUNK + 17, MC_TILE + 1, MC_CHUNK - 1, 2 * MC_CHUNK + MC_TILE - 3,
+            MC_TILE - 1, MC_TILE, MC_CHUNK, MC_CHUNK + 1,
+        ],
+    )
     @pytest.mark.parametrize("n,K", [(2, 1), (2, 2), (3, 2), (2, 3), (4, 3)])
     def test_matches_complex_reference(self, n, K, trials):
         for delta in (0.0, 0.3, 0.8, 1.0, math.sqrt(K)):

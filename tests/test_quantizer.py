@@ -6,20 +6,21 @@ import pytest
 
 from dense_reference import composite_dist_sq, random_codebook_points, unit_rows
 from iafb import quantizer
-from iafb.grassmann import sample_uniform
+from iafb.grassmann import MC_CHUNK, sample_uniform
 from iafb.quantizer import (
     Codebook,
-    FeedbackBudget,
     build_random_codebook,
     distortion_oracle_quantize,
     distortion_scaling_exponent,
     encode,
+    feedback_bits,
     load_codebook,
     measure_distortion,
+    oracle_radius,
     save_codebook,
 )
 from iafb.quantizer import _GEN_CHUNK, _PANEL, _SIM_TILE, _batched_min_dist, _embed
-from iafb.rng import UNIT_TILE, draw_unit_rows, trial_generator, trial_normals
+from iafb.rng import UNIT_TILE, complex_normal, draw_unit_rows, trial_generator, trial_normals
 
 
 def reference_min_dist(sources, points):
@@ -33,8 +34,8 @@ def reference_min_dist(sources, points):
 
 
 def draw(n, K, rng, count=None):
-    """`count` points (count, K, n) in sequence from one generator, or one (K, n) point."""
-    points = sample_uniform(n, K, rng.standard_normal((count or 1, 2, K, n)))
+    """`count` points (count, K, n) from one complex draw, or one (K, n) point."""
+    points = sample_uniform(n, K, complex_normal(rng, (count or 1, K, n)))
     return points if count else points[0]
 
 
@@ -256,9 +257,9 @@ class TestDistortionKernel:
 class TestUnitRowDraws:
     """`draw_unit_rows` gives, byte for byte, one `complex_normal` draw normalized in one go."""
 
-    # one row, a sub-block short of, at and past full, and ten thousand
-    # sources past full sub-blocks
-    COUNTS = [1, UNIT_TILE - 1, UNIT_TILE, UNIT_TILE + 1, 10**4 + 1]
+    # one row, a sub-block short of, at and past full, ten thousand
+    # sources past full sub-blocks, and one row past a Monte Carlo batch
+    COUNTS = [1, UNIT_TILE - 1, UNIT_TILE, UNIT_TILE + 1, 10**4 + 1, MC_CHUNK + 1]
 
     @pytest.mark.parametrize("count", COUNTS)
     @pytest.mark.parametrize("into_out", [False, True])
@@ -307,70 +308,87 @@ class TestDistortionGuard:
 
 
 class TestFeedbackBudget:
+    """`feedback_bits` and `oracle_radius`, the budget and the radius the oracle quantizes to."""
+
     def test_bit_formula(self):
-        budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**10)
-        assert budget.bits == 3 * 1 * 10  # K (RL-1) log2 P
-        assert budget.n == 2
+        assert feedback_bits(3, 1, 2, 2.0**10) == 3 * 1 * 10  # K (RL-1) log2 P
 
     def test_alpha_scaling_and_ceiling(self):
-        budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**10, alpha=0.25)
-        assert budget.bits == math.ceil(0.25 * 3 * 10)
+        assert feedback_bits(3, 1, 2, 2.0**10, alpha=0.25) == math.ceil(0.25 * 3 * 10)
 
     def test_bits_clamped_nonnegative(self):
-        assert FeedbackBudget(K=2, R=1, L=2, P=0.5).bits == 0
+        assert feedback_bits(2, 1, 2, 0.5) == 0
 
     def test_scalar_manifold_rejected(self):
-        with pytest.raises(ValueError):
-            FeedbackBudget(K=2, R=1, L=1, P=4.0)
+        # R*L = 1: a direction in C^1 is no direction
+        with pytest.raises(ValueError, match="n >= 2"):
+            oracle_radius(feedback_bits(2, 1, 1, 4.0), 2, 1)
 
     def test_full_budget_distortion_is_inverse_power(self):
         # bits = K (RL-1) log2 P exactly, so delta*^2 = 1/P with no rounding
         for t in (4, 9, 14):
-            budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**t)
-            assert budget.delta_star**2 == pytest.approx(2.0**-t, rel=1e-12)
+            radius = oracle_radius(feedback_bits(3, 1, 2, 2.0**t), 3, 2)
+            assert radius**2 == pytest.approx(2.0**-t, rel=1e-12)
+
+
+def oracle_radius_sq(K, R, L, P):
+    """The squared full-budget oracle radius of (K, R*L) directions at power P."""
+    return oracle_radius(feedback_bits(K, R, L, P), K, R * L) ** 2
 
 
 class TestDistortionOracle:
     def test_distance_is_exact(self):
-        budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**8)
+        delta_sq = oracle_radius_sq(3, 1, 2, 2.0**8)
         rng = np.random.default_rng(13)
         x = draw(2, 3, rng, count=100)
-        y = distortion_oracle_quantize(x, np.full(100, budget.delta_star**2), rng.standard_normal((100, 2, 3, 2)))
+        y = distortion_oracle_quantize(x, np.full(100, delta_sq), complex_normal(rng, (100, 3, 2)))
         d = np.sqrt(composite_dist_sq(x, y))
-        assert np.abs(d - budget.delta_star).max() <= 1e-9
+        assert np.abs(d - math.sqrt(delta_sq)).max() <= 1e-9
 
     def test_component_error_within_total(self):
-        budget = FeedbackBudget(K=3, R=1, L=2, P=2.0**10)
+        P = 2.0**10
         rng = np.random.default_rng(14)
         x = draw(2, 3, rng, count=50)
-        y = distortion_oracle_quantize(x, np.full(50, budget.delta_star**2), rng.standard_normal((50, 2, 3, 2)))
+        y = distortion_oracle_quantize(x, np.full(50, oracle_radius_sq(3, 1, 2, P)), complex_normal(rng, (50, 3, 2)))
         per_component = composite_dist_sq(x[..., None, :], y[..., None, :])  # (50, K) lines
-        assert per_component.max() <= 1.0 / budget.P + 1e-12
+        assert per_component.max() <= 1.0 / P + 1e-12
 
     def test_huge_budget_returns_input_direction(self):
-        budget = FeedbackBudget(K=2, R=2, L=2, P=2.0**40)
         rng = np.random.default_rng(15)
         x = draw(4, 2, rng)
-        y = distortion_oracle_quantize(x[None], [budget.delta_star**2], rng.standard_normal((1, 2, 2, 4)))[0]
+        y = distortion_oracle_quantize(x[None], [oracle_radius_sq(2, 2, 2, 2.0**40)], complex_normal(rng, (1, 2, 4)))[0]
         assert composite_dist_sq(x, y) <= 1e-6
 
     def test_shape_mismatch(self):
         # normals drawn for a K=2 budget's (2, 2) points, against (3, 2) points
-        budget = FeedbackBudget(K=2, R=1, L=2, P=16.0)
+        delta_sq = oracle_radius_sq(2, 1, 2, 16.0)
         x = draw(2, 3, np.random.default_rng(0), count=2)
-        normals = np.random.default_rng(1).standard_normal((2, 2, 2, 2))
+        normals = complex_normal(np.random.default_rng(1), (2, 2, 2))
         with pytest.raises(ValueError, match="manifold"):
-            distortion_oracle_quantize(x, np.full(2, budget.delta_star**2), normals)
-        normals = np.random.default_rng(1).standard_normal((2, 2, 3, 2))
+            distortion_oracle_quantize(x, np.full(2, delta_sq), normals)
+        normals = complex_normal(np.random.default_rng(1), (2, 3, 2))
         with pytest.raises(ValueError, match="one squared radius"):
-            distortion_oracle_quantize(x, [budget.delta_star**2], normals)
+            distortion_oracle_quantize(x, [delta_sq], normals)
         with pytest.raises(ValueError, match="one normal draw"):
-            distortion_oracle_quantize(x, np.full(2, budget.delta_star**2), normals[:1])
+            distortion_oracle_quantize(x, np.full(2, delta_sq), normals[:1])
+
+    @pytest.mark.parametrize(
+        "normals",
+        [
+            # the real/imaginary parts layout, (B, 2, K, n), and real (B, K, n) normals
+            np.random.default_rng(1).standard_normal((2, 2, 3, 2)),
+            np.random.default_rng(1).standard_normal((2, 3, 2)),
+        ],
+        ids=["parts-layout", "real"],
+    )
+    def test_rejects_real_normals(self, normals):
+        x = draw(2, 3, np.random.default_rng(0), count=2)
+        with pytest.raises(ValueError, match="manifold"):
+            distortion_oracle_quantize(x, np.full(2, 0.1), normals)
 
     def test_deterministic(self):
-        budget = FeedbackBudget(K=2, R=1, L=3, P=64.0)
         x = draw(3, 2, np.random.default_rng(16), count=3)
-        delta_sq = np.full(3, budget.delta_star**2)
+        delta_sq = np.full(3, oracle_radius_sq(2, 1, 3, 64.0))
         normals = trial_normals(17, [[b] for b in range(3)], (2, 3))
         a = distortion_oracle_quantize(x, delta_sq, normals)
         b = distortion_oracle_quantize(x, delta_sq, trial_normals(17, [[b] for b in range(3)], (2, 3)))

@@ -4,7 +4,7 @@ import pytest
 import dense_reference as dense
 from iafb.alignment import BeamformerSet, IaParameters, build_beamformers, cj3_parameters
 from iafb.channel import receiver_feedback, reconstruct, to_tone_domain
-from iafb.quantizer import FeedbackBudget, distortion_oracle_quantize
+from iafb.quantizer import distortion_oracle_quantize, feedback_bits, oracle_radius
 from iafb.cli import _rate_rows, parse_config
 from iafb.rates import (
     achievable_rates,
@@ -184,7 +184,7 @@ class TestInterferenceBoundedness:
                 taps = dense.seeded_channel(3, 1, 2, trial)
                 fed = distortion_oracle_quantize(
                     receiver_feedback(taps),
-                    np.full(3, FeedbackBudget(K=3, R=1, L=2, P=P, alpha=1.0).delta_star ** 2),
+                    np.full(3, oracle_radius(feedback_bits(3, 1, 2, P, 1.0), 3, 2) ** 2),
                     trial_normals(3, [[trial * 100 + j * 10 + i] for i in range(3)], (3, 2)),
                 )
                 bf = build_beamformers(reconstruct(fed[None], params.N, R=1), params, "cj3")

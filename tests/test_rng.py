@@ -8,6 +8,7 @@ from iafb.rng import (
     complex_normal,
     trial_generator,
     trial_normals,
+    two_pass_normals,
 )
 
 
@@ -27,6 +28,22 @@ def test_parts_are_the_complex_draw(shape):
 
 def test_integer_shape():
     assert complex_normal(np.random.default_rng(0), 4).shape == (4,)
+
+
+# batches of 6 rows in sub-blocks of 4: one row; a sub-block short of, at
+# and past full; a whole batch; a second batch of one row, and a third
+# batch shorter than one sub-block
+@pytest.mark.parametrize("count", [1, 3, 4, 5, 6, 7, 13])
+def test_two_pass_draw_is_one_complex_draw_per_batch(count):
+    real, imag = np.empty((count, 2, 3)), np.empty((count, 2, 3))
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    for start, re, im in two_pass_normals(rng, (count, 2, 3), 4, 6):
+        assert len(re) == len(im) <= 4
+        real[start : start + len(re)], imag[start : start + len(im)] = re, im
+    want = np.concatenate([complex_normal(ref, (min(6, count - b), 2, 3)) for b in range(0, count, 6)])
+    assert np.array_equal(real, want.real) and np.array_equal(imag, want.imag)
+    # the stream is left where the batch draws leave it
+    assert rng.standard_normal() == ref.standard_normal()
 
 
 # one, two and three uint32 words each, across the 2^32 and 2^64 boundaries
@@ -90,13 +107,13 @@ class TestTrialGenerators:
 def assert_same_normals(seed, keys, shape):
     got = trial_normals(seed, keys, shape)
     shape = (shape,) if isinstance(shape, int) else tuple(shape)
-    assert got.shape == (len(keys), 2, *shape) and got.dtype == np.float64
+    assert got.shape == (len(keys), *shape) and got.dtype == np.complex128
     for row, key in zip(got, keys):
-        assert np.array_equal(row, trial_generator(seed, *key).standard_normal((2, *shape)))
+        assert np.array_equal(row, complex_normal(trial_generator(seed, *key), shape))
 
 
 class TestTrialNormals:
-    """Row m is the (2, *shape) normals `trial_generator(seed, *keys[m])` draws, bit for bit."""
+    """Row m is `complex_normal(trial_generator(seed, *keys[m]), shape)`, bit for bit."""
 
     @pytest.mark.parametrize("shape", [(3, 2), (2, 3, 2), 4])
     def test_one_word_keys(self, shape):
@@ -124,7 +141,7 @@ class TestTrialNormals:
         # each row draws from a stream of its own, so a repeated key repeats its row
         a, b = trial_normals(3, [(9,), (9,)], 4)
         assert np.array_equal(a, b)
-        assert np.array_equal(a, trial_generator(3, 9).standard_normal((2, 4)))
+        assert np.array_equal(a, complex_normal(trial_generator(3, 9), 4))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_several_word_keys(self, seed):
@@ -140,8 +157,8 @@ class TestTrialNormals:
         assert_same_normals(2**31 + 7, keys, (3, 2))
 
     def test_empty(self):
-        assert trial_normals(0, [], (3, 2)).shape == (0, 2, 3, 2)
-        assert trial_normals(0, np.zeros((0, 1), dtype=np.int64), (3, 2)).shape == (0, 2, 3, 2)
+        assert trial_normals(0, [], (3, 2)).shape == (0, 3, 2)
+        assert trial_normals(0, np.zeros((0, 1), dtype=np.int64), (3, 2)).shape == (0, 3, 2)
         assert_same_normals(5, [()], (3, 2))
         assert_same_normals(5, np.zeros((2, 0), dtype=np.int64), (3, 2))
 
