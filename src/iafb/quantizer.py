@@ -3,8 +3,7 @@
 Two quantizer flavors cover the whole bit-budget range:
 
 * random codebooks hold all 2**bits codewords in memory (at most
-  2**MAX_MATERIALIZED_BITS) and support exhaustive nearest-neighbor
-  search;
+  2**MAX_MATERIALIZED_BITS) and support exact nearest-neighbor search;
 * the distortion oracle emulates an ideal packing codebook at budgets
   far beyond what can be materialized, by returning a point at exactly
   the distortion radius 2**(-bits / (2 K (n-1))) that such a codebook
@@ -25,7 +24,7 @@ into the one (trials, K*n*n) embedding that the kernel scores.
 quantizer-scaling never holds two. Traced peaks: building (n, K, bits) =
 (2, 3, 16), a 6.0 MiB codebook, 7.0 MiB, and 25.0 MiB for 24.0 MiB at
 18 bits; the codebook-distortion argv (n=2, K=2, 6..14 bits, 10**4
-sources) 3.2 MiB.
+sources) 3.3 MiB.
 
 Nearest-neighbor search (``measure_distortion`` and ``encode``) uses the
 half-vectorized projection embedding of Conway, Hardin and Sloane (Exp.
@@ -39,20 +38,68 @@ Geijn (ACM TOMS 2008): each slice of 4096 codewords is embedded straight
 into one reused (K*n*n, 4096) column panel, and every (source slice x
 panel) product writes into one reused 512 KiB similarity tile (2**16
 float64). No embedded chunk and no transposed copy of it is held: at
-n=2, K=2, 14 bits and 10**4 sources the scoring traces 1.9 MiB. A 512
+n=2, K=2, 14 bits and 10**4 sources the full scan traces 1.9 MiB. A 512
 KiB tile stays in a 2 MiB L2 cache between the depth-K*n*n product that
-writes it and the row max that reads it back. Tile-size curve, median
-seconds of the full codebook-distortion argv (n=2, K=2, 6..14 bits, 10**4
-sources, one BLAS thread, 2-core shared VM): 8 MiB 0.71, 2 MiB 0.63,
-1 MiB 0.54, 512 KiB 0.41, 256 KiB 0.45, 128 KiB 0.56; below 512 KiB the
-per-tile call overhead outweighs the cache.
-``encode`` runs the same panels and tiles (`_score_tiles`) for one point
-and reduces each tile by its argmax, where the distortion path takes the
-row max and pays for no argmax. Ties go to the lowest index: the first
-hit within a tile, and a strictly greater score across panels. One point
-cannot amortize embedding a whole codebook, and feedback builds a fresh
-codebook per receiver, so a single-point encode can cost more than a
-per-point scan on the direct formula. Median ms per point, scan then
+writes it and the row max that reads it back. Tile-size curve, measured
+on the full scan before pruning, median seconds of the whole
+codebook-distortion argv (n=2, K=2, 6..14 bits, 10**4 sources, one BLAS
+thread, 2-core shared VM): 8 MiB 0.71, 2 MiB 0.63, 1 MiB 0.54, 512 KiB
+0.41, 256 KiB 0.45, 128 KiB 0.56; below 512 KiB the per-tile call
+overhead outweighs the cache.
+
+``measure_distortion`` prunes the search once the codebook is large
+enough, and stays exact. Every embedded point has squared norm K, so
+||E(x) - E(c)||^2 = 2 d^2(x, c): the composite chordal distance d is a
+Euclidean distance in the embedding and obeys the triangle inequality.
+A cluster of codewords within radius r_g of a pivot p_g then holds no
+codeword nearer x than (d(x, p_g) - r_g)_+, as in pivot-based metric
+search (Chavez et al., ACM Comput. Surv. 2001) and Elkan's
+triangle-inequality k-means (ICML 2003). The first G codewords, already
+i.i.d. uniform, are the pivots, and every codeword joins its nearest
+pivot's cluster (`_pivot_index`). Each source is scored against its own
+pivot's cluster first, which gives its best squared distance D0, then
+against each other cluster whose bound (d(x, p_g) - r_g)_+**2 does not
+exceed its best so far. Every product runs through the same panels and
+tiles on gathered index subsets, one cluster per call, so no (sources x
+pivots) or (sources x cluster) matrix is held. Rounding: d = sqrt(K -
+score) cancels near zero, where an error of 1e-16 in the score moves d
+by up to 1e-8. Every pivot distance is deflated, and every radius
+inflated, by an allowance of 1e-6 (`_PRUNE_SLACK`), which covers errors
+up to 1e-12 in K - score. So no cluster that holds a source's nearest
+codeword is skipped, and each source gets its exact best score up to
+rounding, about 1e-15; at CLI seeds 0-12 the codebook-distortion argv
+writes byte for byte the CSV of the full scan. G is 1, the full scan,
+below 2**(11 + m) codewords, m = K(n-1), and 2**(bits//2 - 1) from there
+(`_pivot_count`).
+G curve, median ms per call with 10**4 sources for G = 1 (the scan), 16,
+32, 64, 128, 256 (one BLAS thread, 2-core shared VM, 5 rounds):
+(n, K, bits) = (2, 1, 11) 16, 13, 15, 17, 30, 57; (2, 1, 12) 31, 13, 19,
+20, 28, 49; (2, 1, 14) 119, 38, 34, 29, 42, 59; (2, 2, 12) 36, 39, 35,
+36, 52, 73; (2, 2, 13) 67, 52, 46, 46, 65, 77; (2, 2, 14) 137, 88, 54,
+46, 63, 75; (2, 3, 13) 104, 99, 104, 95, 108, 137; (2, 3, 14) 197, 167,
+163, 145, 148, 153; (3, 2, 14) 324, 318, 342, 349, 349, 418. For G = 1,
+32, 64, 128, 256, 512 (3 rounds): (2, 1, 16) 501, 91, 60, 77, 94, 226;
+(2, 2, 16) 579, 210, 158, 160, 196, 255; (2, 3, 16) 811, 408, 283, 255,
+266, 327; (3, 2, 15) 565, 465, 446, 392, 464, 513; (3, 2, 16) 1413,
+1057, 832, 645, 562, 633. Each cluster costs a few calls of fixed
+overhead, so G past the curve's minimum loses, and so does pruning below
+2**(11 + m) codewords, where a source's candidate clusters cover much of
+the codebook. Traced peaks of `_batched_min_dist` with its sources'
+embedding: 2.1 MiB pruned at (2, 2, 14) with 10**4 sources; with 2,000
+sources 1.9 MiB at (2, 2, 16) (the scan 1.45) and 3.4 MiB at (2, 1, 18),
+an 8 MiB codebook (the scan 1.0): the index holds an 8-byte position
+per codeword.
+
+``encode`` keeps the full scan. Building the index scores every
+codeword against G pivots, which costs as much as scoring G points, so
+one point cannot pay for it. It runs the same panels and tiles
+(`_score_tiles`) for one point and reduces each tile by its argmax,
+where the distortion path takes the row max and pays for no argmax.
+Ties go to the lowest index: the first hit within a tile, and a strictly
+greater score across panels. One point cannot amortize embedding a whole
+codebook, and feedback builds a fresh codebook per receiver, so a
+single-point encode can cost more than a per-point scan on the direct
+formula. Median ms per point, scan then
 kernel (one BLAS thread, 2-core shared VM, two rounds):
 0.05 and 0.14 at (n, K, bits) = (2, 3, 8); 1.4-1.7 for both at
 (2, 3, 14); 7-9 and 25-30 at (4, 3, 16); 86-113 for both at (2, 3, 20).
@@ -63,6 +110,7 @@ Points and codewords are (K, n) arrays of unit rows; codeword i is
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -88,6 +136,12 @@ _GEN_CHUNK = 1 << 14
 _SIM_TILE = 1 << 16
 # codewords per column panel of an embedded codebook chunk
 _PANEL = 1 << 12
+# the pruned search pays from 2**(11 + K(n-1)) codewords on (G curve in
+# the module docstring)
+_PRUNE_FROM_BITS = 11
+# allowance on every distance sqrt(K - score): it covers rounding of up
+# to 1e-12 in K - score, which near zero moves the root by up to 1e-6
+_PRUNE_SLACK = 1e-6
 
 
 @dataclass
@@ -147,6 +201,15 @@ def build_random_codebook(n: int, K: int, bits: int, seed: int) -> Codebook:
     return Codebook(n=n, K=K, bits=bits, points=points, seed=seed)
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_pairs(n: int):
+    """Row and column indices of the strict upper triangle of an n x n matrix, read-only as every caller shares them."""
+    pairs = np.triu_indices(n, 1)
+    for idx in pairs:
+        idx.setflags(write=False)
+    return pairs
+
+
 def _embed(points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Half-vectorized projection embedding of (..., K, n) unit rows into (..., K*n*n) reals.
 
@@ -162,7 +225,7 @@ def _embed(points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     returned unreshaped.
     """
     n = points.shape[-1]
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = _upper_pairs(n)
     upper = math.sqrt(2.0) * points[..., iu] * points[..., ju].conj()
     dest = np.empty((*points.shape[:-1], n * n)) if out is None else out
     dest[..., :n] = points.real**2 + points.imag**2
@@ -171,31 +234,36 @@ def _embed(points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return dest.reshape(*points.shape[:-2], -1) if out is None else out
 
 
-def _score_tiles(src: np.ndarray, cb: Codebook):
-    """Yield (source offset, panel offset, score tile) over every codeword of `cb`.
+def _score_tiles(src: np.ndarray, cb: Codebook, src_idx=None, cw_idx=None):
+    """Yield (source offset, panel offset, score tile) over codewords of `cb`.
 
-    ``src`` holds the sources' `_embed` rows, (count, K*n*n). Tile row r,
-    column c holds sum_k |<x_k, c_k>|**2 of source ``s0 + r`` and codeword
-    ``cb.points[p0 + c]``. The codebook is scored in column panels of
-    ``_PANEL`` codewords: each slice of ``cb.points`` is embedded straight
-    into one reused (K*n*n, _PANEL) panel buffer, codewords as columns.
-    Every (source slice x panel) pair is one real GEMM into one similarity
-    tile of at most ``_SIM_TILE`` entries, reused by every pair, so the
-    caller must reduce a tile before asking for the next one, while it is
-    still in cache.
+    ``src`` holds the sources' `_embed` rows, (count, K*n*n). ``src_idx``
+    and ``cw_idx``, if given, are index arrays that pick the sources and
+    the codewords scored (all of them by default), and both offsets count
+    positions within them. Tile row r, column c holds sum_k |<x_k, c_k>|**2
+    of source ``s0 + r`` and codeword ``p0 + c``. The codewords are scored
+    in column panels of ``_PANEL``: each slice of them is gathered and
+    embedded straight into one reused (K*n*n, _PANEL) panel buffer,
+    codewords as columns, and each slice of picked sources is gathered
+    per tile. Every (source slice x panel) pair is one real GEMM into one
+    similarity tile of at most ``_SIM_TILE`` entries, reused by every
+    pair, so the caller must reduce a tile before asking for the next one,
+    while it is still in cache.
     """
-    cols = min(cb.size, _PANEL)
+    count = len(src) if src_idx is None else len(src_idx)
+    size = cb.size if cw_idx is None else len(cw_idx)
+    cols = min(size, _PANEL)
     rows = max(1, _SIM_TILE // cols)
     depth = src.shape[1]
     panel_buf = np.empty(depth * cols)
-    tile = np.empty(min(rows, len(src)) * cols)
-    for p0 in range(0, cb.size, cols):
-        block = cb.points[p0 : p0 + cols]
+    tile = np.empty(min(rows, count) * cols)
+    for p0 in range(0, size, cols):
+        block = cb.points[p0 : p0 + cols] if cw_idx is None else cb.points[cw_idx[p0 : p0 + cols]]
         # the panel's transposed (codeword, K, n*n) view is what _embed fills
         panel = panel_buf[: depth * len(block)].reshape(depth, len(block))
         _embed(block, out=panel.reshape(cb.K, -1, len(block)).transpose(2, 0, 1))
-        for s0 in range(0, len(src), rows):
-            part = src[s0 : s0 + rows]
+        for s0 in range(0, count, rows):
+            part = src[s0 : s0 + rows] if src_idx is None else src[src_idx[s0 : s0 + rows]]
             scores = tile[: len(part) * len(block)].reshape(len(part), -1)
             np.matmul(part, panel, out=scores)
             yield s0, p0, scores
@@ -215,12 +283,96 @@ def encode(x: np.ndarray, cb: Codebook) -> int:
     return best_idx
 
 
+def _pivot_count(size: int, m: int) -> int:
+    """Pivots of the pruned search over `size` codewords of complex dimension m = K(n-1); 1 is the full scan.
+
+    The G curve behind it is in the module docstring.
+    """
+    bits = size.bit_length() - 1
+    return 1 if bits < _PRUNE_FROM_BITS + m else 1 << (bits // 2 - 1)
+
+
+def _raise_best(best: np.ndarray, src: np.ndarray, cb: Codebook, src_idx=None, cw_idx=None) -> None:
+    """Raise ``best`` of the picked sources to their best score over the picked codewords (`_score_tiles`)."""
+    acc = best if src_idx is None else best[src_idx]
+    for s0, _, scores in _score_tiles(src, cb, src_idx, cw_idx):
+        part = acc[s0 : s0 + len(scores)]
+        np.maximum(part, scores.max(axis=1), out=part)
+    if src_idx is not None:
+        best[src_idx] = acc
+
+
+def _lower_bounds(scores: np.ndarray, K: int, radius: float) -> np.ndarray:
+    """Turn scores against pivot p_g into squared lower bounds (d(x, p_g) - r_g)_+**2, in place.
+
+    Each pivot distance sqrt(K - score) is deflated by the allowance, and
+    ``radius`` is r_g already inflated by it (`_pivot_index`).
+    """
+    np.subtract(K, scores, out=scores)
+    np.maximum(scores, 0.0, out=scores)
+    np.sqrt(scores, out=scores)
+    scores -= _PRUNE_SLACK
+    scores -= radius
+    np.maximum(scores, 0.0, out=scores)
+    return np.square(scores, out=scores)
+
+
+def _pivot_index(cb: Codebook, pivots: np.ndarray):
+    """Cluster every codeword of `cb` under its nearest pivot.
+
+    Returns the codeword indices grouped by cluster (pivot order, each
+    cluster in index order), the (G + 1) cluster offsets into them, and
+    each cluster's radius inflated by the allowance, -inf if it is empty.
+    Codewords are embedded as sources in slices of one tile each; owners
+    are int16, as G is at most 2**12.
+    """
+    owner = np.empty(cb.size, dtype=np.int16)
+    starts = np.zeros(len(pivots) + 1, dtype=np.intp)
+    radius = np.full(len(pivots), -np.inf)
+    step = _SIM_TILE // len(pivots)
+    for c0 in range(0, cb.size, step):
+        for _, _, scores in _score_tiles(_embed(cb.points[c0 : c0 + step]), cb, cw_idx=pivots):
+            own = scores.argmax(axis=1)
+            owner[c0 : c0 + len(own)] = own
+            starts[1:] += np.bincount(own, minlength=len(pivots))
+            near = np.maximum(cb.K - scores[np.arange(len(own)), own], 0.0)
+            np.maximum.at(radius, own, np.sqrt(near))
+    np.cumsum(starts, out=starts)
+    return np.argsort(owner, kind="stable"), starts, radius + _PRUNE_SLACK
+
+
 def _batched_min_dist(src: np.ndarray, cb: Codebook) -> np.ndarray:
-    """Squared distortion of each `_embed` source row under nearest-neighbor coding: K minus its best score."""
+    """Squared distortion of each `_embed` source row under nearest-neighbor coding: K minus its best score.
+
+    With one pivot (`_pivot_count`) every source meets every codeword.
+    Otherwise the search is pruned, exactly (module docstring): each
+    source is scored against its nearest pivot's cluster, then against
+    each other cluster whose lower bound does not exceed its best squared
+    distance so far.
+    """
     best = np.full(len(src), -np.inf)
-    for s0, _, scores in _score_tiles(src, cb):
-        acc = best[s0 : s0 + len(scores)]
-        np.maximum(acc, scores.max(axis=1), out=acc)
+    pivots = np.arange(_pivot_count(cb.size, cb.K * (cb.n - 1)))
+    if len(pivots) == 1:
+        _raise_best(best, src, cb)
+        return np.maximum(cb.K - best, 0.0)
+    order, starts, radius = _pivot_index(cb, pivots)
+    own = np.empty(len(src), dtype=np.intp)
+    for s0, _, scores in _score_tiles(src, cb, cw_idx=pivots):
+        own[s0 : s0 + len(scores)] = scores.argmax(axis=1)
+    # own cluster first: every source's best squared distance D0
+    by_own = np.argsort(own, kind="stable")
+    bounds = np.zeros(len(pivots) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(own, minlength=len(pivots)), out=bounds[1:])
+    for g in np.flatnonzero((bounds[1:] > bounds[:-1]) & (starts[1:] > starts[:-1])):
+        _raise_best(best, src, cb, by_own[bounds[g] : bounds[g + 1]], order[starts[g] : starts[g + 1]])
+    # then every other cluster that its lower bound cannot rule out
+    for g in np.flatnonzero(starts[1:] > starts[:-1]):
+        for s0, _, scores in _score_tiles(src, cb, cw_idx=pivots[g : g + 1]):
+            span = slice(s0, s0 + len(scores))
+            lower = _lower_bounds(scores[:, 0], cb.K, radius[g])
+            hits = np.flatnonzero((lower <= cb.K - best[span]) & (own[span] != g))
+            if len(hits):
+                _raise_best(best, src, cb, s0 + hits, order[starts[g] : starts[g + 1]])
     return np.maximum(cb.K - best, 0.0)
 
 

@@ -19,7 +19,15 @@ from iafb.quantizer import (
     oracle_radius,
     save_codebook,
 )
-from iafb.quantizer import _GEN_CHUNK, _PANEL, _SIM_TILE, _batched_min_dist, _embed
+from iafb.quantizer import (
+    _GEN_CHUNK,
+    _PANEL,
+    _SIM_TILE,
+    _batched_min_dist,
+    _embed,
+    _pivot_count,
+    _pivot_index,
+)
 from iafb.rng import UNIT_TILE, complex_normal, draw_unit_rows, trial_generator, trial_normals
 
 
@@ -47,6 +55,84 @@ def traced_peak(f) -> float:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def exact_dist(points, p):
+    """Composite distances of (count, K, n) unit rows from the (K, n) point p, without the cancellation in K - score."""
+    overlap = np.einsum("ckj,kj->ck", points, p.conj())
+    resid = points - overlap[..., None] * p
+    return np.sqrt(np.sum(np.abs(resid) ** 2, axis=(1, 2)))
+
+
+def nudge(points, t, seed):
+    """Each (K, n) unit point moved by angle t in every component, along a random tangent direction."""
+    tangent = unit_rows(seed, points.shape)
+    tangent -= np.sum(points.conj() * tangent, axis=-1, keepdims=True) * points
+    tangent /= np.linalg.norm(tangent, axis=-1, keepdims=True)
+    return math.cos(t) * points + math.sin(t) * tangent
+
+
+def near_pivot_layout(n, K, bits, count):
+    """Six far-apart triples on G_{2,1} (n=2, K=1), pivots first, then 26 codewords.
+
+    Pivot 2j is a base point b, codeword 12 + j lies 1e-9 from it toward a
+    source x at angle 0.1, and pivot 2j+1 is x's nearest pivot, a squared
+    distance 1e-10 nearer x than b, alone in its cluster. x's own cluster
+    gives it D0 = sin^2(0.1) - 1e-10, while its nearest codeword, in b's
+    cluster, lies at about sin^2(0.1) - 2e-10; if b's radius rounded to 0
+    the bound sin^2(0.1) would prune that cluster. The last 14 codewords
+    repeat the near ones; ``count`` random sources follow the six x.
+    """
+    assert (n, K, bits) == (2, 1, 5)
+    s = 1 / math.sqrt(2)
+    bases = np.array([[1, 0], [0, 1], [s, s], [s, -s], [s, 1j * s], [s, -1j * s]], dtype=complex)
+    a = 0.1
+    a_near = math.asin(math.sqrt(math.sin(a) ** 2 - 1e-10))
+    pivots, near, xs = [], [], []
+    for b in bases:
+        u = np.array([-b[1].conj(), b[0].conj()])
+        x = math.cos(a) * b + math.sin(a) * u
+        w = -math.sin(a) * b + math.cos(a) * u
+        pivots += [b, math.cos(a_near) * x + math.sin(a_near) * 1j * w]
+        near.append(math.cos(1e-9) * b + math.sin(1e-9) * u)
+        xs.append(x)
+    points = np.array(pivots + near + [near[j % 6] for j in range(14)])[:, None, :]
+    sources = np.concatenate([np.array(xs)[:, None, :], unit_rows(41, (count, 1, 2))])
+    return points, sources
+
+
+def singleton_layout(n, K, bits, count):
+    """Pivot 0 alone in its cluster: every later codeword lies 1e-3 from one of pivots 1-15."""
+    points = random_codebook_points(n, K, bits, seed=42)
+    points[16:] = nudge(points[1 + np.arange(len(points) - 16) % 15], 1e-3, seed=43)
+    sources = np.concatenate([points[:1], nudge(np.repeat(points[:1], 5, axis=0), 0.05, seed=44)])
+    return points, np.concatenate([sources, unit_rows(45, (count, K, n))])
+
+
+LAYOUTS = {
+    "random": lambda n, K, bits, count: (
+        random_codebook_points(n, K, bits, seed=30 + n + K),
+        unit_rows(40 + n + K, (count, K, n)),
+    ),
+    # a quarter of the codewords repeated four times; at 6 bits pivots
+    # 16-31 repeat pivots 0-15, so their clusters are empty
+    "repeated": lambda n, K, bits, count: (
+        np.tile(random_codebook_points(n, K, bits - 2, seed=46), (4, 1, 1)),
+        unit_rows(47, (count, K, n)),
+    ),
+    # every codeword the same point, which is also the first source
+    "identical": lambda n, K, bits, count: (
+        np.repeat(unit_rows(48, (1, K, n)), 1 << bits, axis=0),
+        np.concatenate([unit_rows(48, (1, K, n)), unit_rows(49, (count, K, n))]),
+    ),
+    # every fifth codeword is a source too, at distance 0
+    "sources-on-codewords": lambda n, K, bits, count: (
+        random_codebook_points(n, K, bits, seed=50),
+        np.concatenate([random_codebook_points(n, K, bits, seed=50)[::5], unit_rows(51, (count, K, n))]),
+    ),
+    "near-pivot": near_pivot_layout,
+    "singleton": singleton_layout,
+}
 
 
 class TestBuild:
@@ -204,16 +290,56 @@ class TestDistortionKernel:
         assert _embed(x).shape == (K * n * n,)
         assert _embed(x) @ _embed(c) == pytest.approx(direct, abs=1e-12)
 
-    # 4096-codeword panels bound a source slice to 16 rows, so 300 sources take 19
+    # 4096-codeword panels bound a source slice to 16 rows, so 300 sources
+    # take 19. ``pivots`` forces the pruned search's pivot count (None: the
+    # size rule, which prunes (2, 2, 14) and (2, 1, 16))
     @pytest.mark.parametrize(
-        "n, K, bits, count",
-        [(2, 1, 8, 100), (2, 2, 8, 100), (3, 2, 8, 100), (4, 3, 8, 100), (3, 2, 0, 20), (2, 1, 14, 300)],
+        "n, K, bits, count, pivots, layout",
+        [
+            *(
+                pytest.param(n, K, bits, count, None, "random", id=f"{n}-{K}-{bits}-{count}")
+                for n, K, bits, count in [
+                    (2, 1, 8, 100), (2, 2, 8, 100), (3, 2, 8, 100), (4, 3, 8, 100), (3, 2, 0, 20),
+                    (2, 1, 14, 300), (2, 2, 14, 2000), (2, 1, 16, 2000),
+                ]
+            ),
+            pytest.param(3, 2, 8, 300, 8, "random", id="3-2-8-300-pruned"),
+            pytest.param(4, 3, 8, 300, 8, "random", id="4-3-8-300-pruned"),
+            pytest.param(2, 2, 8, 300, 16, "repeated", id="repeated"),
+            pytest.param(2, 2, 6, 100, 32, "repeated", id="repeated-pivots"),
+            pytest.param(2, 2, 8, 100, 16, "identical", id="identical"),
+            pytest.param(2, 2, 10, 400, 16, "sources-on-codewords", id="sources-on-codewords"),
+            pytest.param(2, 1, 5, 56, 12, "near-pivot", id="near-pivot"),
+            pytest.param(2, 2, 8, 300, 16, "singleton", id="singleton"),
+        ],
     )
-    def test_matches_direct_formula(self, n, K, bits, count):
-        cb = build_random_codebook(n, K, bits, seed=30 + n + K)
-        sources = unit_rows(40 + n + K, (count, K, n))
+    def test_matches_direct_formula(self, monkeypatch, n, K, bits, count, pivots, layout):
+        if pivots is not None:
+            monkeypatch.setattr(quantizer, "_pivot_count", lambda size, m: pivots)
+        points, sources = LAYOUTS[layout](n, K, bits, count)
+        cb = Codebook(n=n, K=K, bits=bits, points=points)
         got = _batched_min_dist(_embed(sources), cb)
         assert np.abs(got - reference_min_dist(sources, cb.points)).max() <= 1e-12
+
+    def test_cluster_radii_cover_their_codewords(self):
+        # a codeword 1e-9 from its pivot: sqrt(K - score) may round its
+        # distance to 0, and only the allowance keeps the radius above it
+        points, _ = LAYOUTS["near-pivot"](2, 1, 5, 0)
+        for pts, count in ((points, 12), (random_codebook_points(2, 2, 10, seed=38), 16)):
+            cb = Codebook(n=pts.shape[2], K=pts.shape[1], bits=int(math.log2(len(pts))), points=pts)
+            order, starts, radius = _pivot_index(cb, np.arange(count))
+            for g in range(count):
+                members = pts[order[starts[g] : starts[g + 1]]]
+                if len(members):
+                    assert radius[g] >= exact_dist(members, pts[g]).max()
+
+    def test_one_pivot_is_the_full_scan(self, monkeypatch):
+        cb = build_random_codebook(2, 2, 14, seed=39)
+        src = _embed(unit_rows(40, (500, 2, 2)))
+        assert _pivot_count(cb.size, 2) > 1
+        pruned = _batched_min_dist(src, cb)
+        monkeypatch.setattr(quantizer, "_pivot_count", lambda size, m: 1)
+        assert np.abs(_batched_min_dist(src, cb) - pruned).max() <= 1e-15
 
     def test_codebook_spanning_several_chunks(self):
         # two codebook chunks, and a last source slice shorter than the tile
@@ -245,10 +371,12 @@ class TestDistortionKernel:
         assert np.abs(got - reference_min_dist(sources, cb.points)).max() <= 1e-12
 
     def test_similarity_block_bounds_peak_memory(self):
-        # the 512 KiB tile, the 256 KiB panel buffer and the embedded
-        # sources: 1.9 MiB traced; an embedded chunk and its transpose
-        # (1 MiB each) peaked at 3.7 MiB, the earlier 8 MiB block at 11.2
-        # MiB and a fresh block per slice at 67 MiB
+        # pruned over 64 pivots: the embedded sources, the cluster index and
+        # one cluster's tile at a time, 2.1 MiB traced. The full scan's 512
+        # KiB tile, 256 KiB panel buffer and embedded sources trace 1.9 MiB;
+        # an embedded chunk and its transpose (1 MiB each) peaked at 3.7
+        # MiB, the earlier 8 MiB block at 11.2 MiB and a fresh block per
+        # slice at 67 MiB
         cb = build_random_codebook(2, 2, 14, seed=52)
         sources = unit_rows(53, (10_000, 2, 2))
         assert traced_peak(lambda: _batched_min_dist(_embed(sources), cb)) < 2.5 * 2**20

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import iafb
 import iafb.cli as cli
+import iafb.quantizer as quantizer
 import iafb.rng as rng
 from iafb.cli import main
 
@@ -57,7 +58,8 @@ def invocations(tmp):
     chan = str(tmp / "chan.txt")
     runs = [
         ["volume-check", "--pairs", "2:1", "--deltas", "0.5", "--trials", "1000"],
-        ["quantizer-scaling", "--bits", "2,3,4", "--trials", "200", "--codebook-out", str(tmp / "cb_")],
+        # 12 bits at n=2, K=1 take the pruned nearest-neighbour search
+        ["quantizer-scaling", "--bits", "2,3,12", "--trials", "200", "--codebook-out", str(tmp / "cb_")],
         ["ia-run", "--engine", "cj3", "--feedback", "codebook", "--bits", "4", "--save-channel", chan],
         ["ia-run", "--engine", "cj3", "--feedback", "oracle", "--channel-file", chan],
         ["ia-run", "--engine", "cj3", "--feedback", "oracle", "--alpha", "0"],
@@ -82,10 +84,12 @@ def test_every_function_is_reached(tmp_path, capsys):
             entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
     runs = invocations(tmp_path)
-    # the runs enter the argparse tree's builder and the seed-words class's
-    # factory as a fresh process would, whatever earlier tests built
+    # the runs enter the argparse tree's builder, the seed-words class's
+    # factory and the embedding's index pairs as a fresh process would,
+    # whatever earlier tests built
     cli._build_parser.cache_clear()
     rng._seed_words_type.cache_clear()
+    quantizer._upper_pairs.cache_clear()
     sys.setprofile(profile)
     try:
         codes = [main(argv) for argv in runs]
