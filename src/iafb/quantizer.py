@@ -56,7 +56,10 @@ codeword nearer x than (d(x, p_g) - r_g)_+, as in pivot-based metric
 search (Chavez et al., ACM Comput. Surv. 2001) and Elkan's
 triangle-inequality k-means (ICML 2003). The first G codewords, already
 i.i.d. uniform, are the pivots, and every codeword joins its nearest
-pivot's cluster (`_pivot_index`). Each source is scored against its own
+pivot's cluster (`_pivot_index`): the codewords, a panel's width at a
+time, are scored as sources against the pivots, so each slice embeds
+the pivots once, and `_nearest` carries every row's best score and its
+position across panels and tiles. Each source is scored against its own
 pivot's cluster first, which gives its best squared distance D0, then
 against each other cluster whose bound (d(x, p_g) - r_g)_+**2 does not
 exceed its best so far. Every product runs through the same panels and
@@ -69,8 +72,8 @@ up to 1e-12 in K - score. So no cluster that holds a source's nearest
 codeword is skipped, and each source gets its exact best score up to
 rounding, about 1e-15; at CLI seeds 0-12 the codebook-distortion argv
 writes byte for byte the CSV of the full scan. G is 1, the full scan,
-below 2**(11 + m) codewords, m = K(n-1), and 2**(bits//2 - 1) from there
-(`_pivot_count`).
+below 2**(11 + m) codewords, m = K(n-1), and for m above 5; elsewhere
+it is 2**(bits//2 - 1), at most 256 (`_pivot_count`).
 G curve, median ms per call with 10**4 sources for G = 1 (the scan), 16,
 32, 64, 128, 256 (one BLAS thread, 2-core shared VM, 5 rounds):
 (n, K, bits) = (2, 1, 11) 16, 13, 15, 17, 30, 57; (2, 1, 12) 31, 13, 19,
@@ -81,20 +84,33 @@ G curve, median ms per call with 10**4 sources for G = 1 (the scan), 16,
 32, 64, 128, 256, 512 (3 rounds): (2, 1, 16) 501, 91, 60, 77, 94, 226;
 (2, 2, 16) 579, 210, 158, 160, 196, 255; (2, 3, 16) 811, 408, 283, 255,
 266, 327; (3, 2, 15) 565, 465, 446, 392, 464, 513; (3, 2, 16) 1413,
-1057, 832, 645, 562, 633. Each cluster costs a few calls of fixed
-overhead, so G past the curve's minimum loses, and so does pruning below
-2**(11 + m) codewords, where a source's candidate clusters cover much of
-the codebook. Traced peaks of `_batched_min_dist` with its sources'
-embedding: 2.1 MiB pruned at (2, 2, 14) with 10**4 sources; with 2,000
-sources 1.9 MiB at (2, 2, 16) (the scan 1.45) and 3.4 MiB at (2, 1, 18),
-an 8 MiB codebook (the scan 1.0): the index holds an 8-byte position
-per codeword.
+1057, 832, 645, 562, 633. For G = 1, 128, 256, 512, 1024 (3 rounds):
+(2, 1, 18) 1996, 206, 230, 376, 535; (2, 2, 18) 2199, 367, 266, 390,
+623; (2, 3, 18) 2344, 655, 588, 617, 898; (3, 2, 18) 5333, 2020, 1808,
+1361, 1592. For G = 1, 128, 256, 512 (2 rounds): (2, 1, 20) 7794, 811,
+816, 1009; (2, 2, 20) 9026, 1292, 1141, 1373; (3, 2, 20) 19493, 7387,
+5070, 3434. Past 256 pivots only (3, 2) gained, so G stops at 256.
+Larger m, for G = 1, 128, 256 (one round): (2, 5, 16) 1401, 1074, 980;
+(2, 5, 18) 5379, 3931, 3215; (3, 3, 17) 3105, 2556, 2599; (3, 3, 19)
+12352, 15049, 12019; and with 2,000 sources (4, 3, 20) 9480 for the
+scan, 11863 for G = 256. The nearest codeword's distance over a
+cluster's radius scales as 2**(-(bits - log2 G) / (2m)), which nears 1
+as m grows, so the bound rules out less: pruning stops at m = 5, the
+largest m measured to win clearly.
+Each cluster costs a few calls of fixed overhead, so G past the curve's
+minimum loses, and so does pruning below 2**(11 + m) codewords, where a
+source's candidate clusters cover much of the codebook. Traced peaks of
+`_batched_min_dist` with its sources' embedding: 1.7 MiB pruned at (2,
+2, 14) with 10**4 sources (the scan 1.9); with 2,000 sources 1.5 MiB at
+(2, 2, 16) (the scan 1.45) and 3.1 MiB at (2, 1, 18), an 8 MiB codebook
+(the scan 1.0): the index holds an 8-byte position per codeword.
 
 ``encode`` keeps the full scan. Building the index scores every
 codeword against G pivots, which costs as much as scoring G points, so
 one point cannot pay for it. It runs the same panels and tiles
-(`_score_tiles`) for one point and reduces each tile by its argmax,
-where the distortion path takes the row max and pays for no argmax.
+(`_score_tiles`) for one point through `_nearest`, which reduces each
+tile by its argmax, where the distortion path takes the row max and
+pays for no argmax.
 Ties go to the lowest index: the first hit within a tile, and a strictly
 greater score across panels. One point cannot amortize embedding a whole
 codebook, and feedback builds a fresh codebook per receiver, so a
@@ -136,9 +152,11 @@ _GEN_CHUNK = 1 << 14
 _SIM_TILE = 1 << 16
 # codewords per column panel of an embedded codebook chunk
 _PANEL = 1 << 12
-# the pruned search pays from 2**(11 + K(n-1)) codewords on (G curve in
-# the module docstring)
+# the pruned search pays from 2**(11 + K(n-1)) codewords on, for K(n-1)
+# up to 5, with at most 256 pivots (G curve in the module docstring)
 _PRUNE_FROM_BITS = 11
+_PRUNE_MAX_M = 5
+_MAX_PIVOTS = 1 << 8
 # allowance on every distance sqrt(K - score): it covers rounding of up
 # to 1e-12 in K - score, which near zero moves the root by up to 1e-6
 _PRUNE_SLACK = 1e-6
@@ -275,21 +293,41 @@ def encode(x: np.ndarray, cb: Codebook) -> int:
         raise ValueError(f"point shape {np.shape(x)} does not match the codebook's {(cb.K, cb.n)}")
     if not np.isfinite(x).all():
         raise ValueError("cannot encode a non-finite point")
-    best_idx, best = 0, -np.inf
-    for _, p0, scores in _score_tiles(_embed(np.asarray(x)[None]), cb):
-        off = int(scores[0].argmax())
-        if scores[0, off] > best:
-            best_idx, best = p0 + off, scores[0, off]
-    return best_idx
+    return int(_nearest(_embed(np.asarray(x)[None]), cb)[0][0])
+
+
+def _nearest(src: np.ndarray, cb: Codebook, cw_idx=None):
+    """Each `_embed` source row's nearest codeword among the picked ones, and its score.
+
+    Returns the position within ``cw_idx`` (every codeword by default) of
+    each source's best score over the `_score_tiles` panels and tiles,
+    and that score. Ties go to the lowest position: the first hit within
+    a tile, and a strictly greater score across panels.
+    """
+    where = np.zeros(len(src), dtype=np.intp)
+    best = np.full(len(src), -np.inf)
+    for s0, p0, scores in _score_tiles(src, cb, cw_idx=cw_idx):
+        off = scores.argmax(axis=1)
+        top = scores[np.arange(len(off)), off]
+        span = slice(s0, s0 + len(off))
+        better = top > best[span]
+        where[span][better] = p0 + off[better]
+        best[span][better] = top[better]
+    return where, best
 
 
 def _pivot_count(size: int, m: int) -> int:
     """Pivots of the pruned search over `size` codewords of complex dimension m = K(n-1); 1 is the full scan.
 
-    The G curve behind it is in the module docstring.
+    G is 1 below 2**(_PRUNE_FROM_BITS + m) codewords or for m above
+    `_PRUNE_MAX_M`, else 2**(bits//2 - 1), at most `_MAX_PIVOTS`. The
+    limits are edges of the G curve in the module docstring: no larger G
+    was measured, and at larger m pruning gained little or lost.
     """
     bits = size.bit_length() - 1
-    return 1 if bits < _PRUNE_FROM_BITS + m else 1 << (bits // 2 - 1)
+    if m > _PRUNE_MAX_M or bits < _PRUNE_FROM_BITS + m:
+        return 1
+    return min(1 << (bits // 2 - 1), _MAX_PIVOTS)
 
 
 def _raise_best(best: np.ndarray, src: np.ndarray, cb: Codebook, src_idx=None, cw_idx=None) -> None:
@@ -323,20 +361,17 @@ def _pivot_index(cb: Codebook, pivots: np.ndarray):
     Returns the codeword indices grouped by cluster (pivot order, each
     cluster in index order), the (G + 1) cluster offsets into them, and
     each cluster's radius inflated by the allowance, -inf if it is empty.
-    Codewords are embedded as sources in slices of one tile each; owners
-    are int16, as G is at most 2**12.
+    Codewords are embedded as sources a panel's width at a time, and the
+    pivots once per slice; owners are int16, as G is at most `_MAX_PIVOTS`.
     """
     owner = np.empty(cb.size, dtype=np.int16)
     starts = np.zeros(len(pivots) + 1, dtype=np.intp)
     radius = np.full(len(pivots), -np.inf)
-    step = _SIM_TILE // len(pivots)
-    for c0 in range(0, cb.size, step):
-        for _, _, scores in _score_tiles(_embed(cb.points[c0 : c0 + step]), cb, cw_idx=pivots):
-            own = scores.argmax(axis=1)
-            owner[c0 : c0 + len(own)] = own
-            starts[1:] += np.bincount(own, minlength=len(pivots))
-            near = np.maximum(cb.K - scores[np.arange(len(own)), own], 0.0)
-            np.maximum.at(radius, own, np.sqrt(near))
+    for c0 in range(0, cb.size, _PANEL):
+        own, score = _nearest(_embed(cb.points[c0 : c0 + _PANEL]), cb, cw_idx=pivots)
+        owner[c0 : c0 + len(own)] = own
+        starts[1:] += np.bincount(own, minlength=len(pivots))
+        np.maximum.at(radius, own, np.sqrt(np.maximum(cb.K - score, 0.0)))
     np.cumsum(starts, out=starts)
     return np.argsort(owner, kind="stable"), starts, radius + _PRUNE_SLACK
 
@@ -356,9 +391,7 @@ def _batched_min_dist(src: np.ndarray, cb: Codebook) -> np.ndarray:
         _raise_best(best, src, cb)
         return np.maximum(cb.K - best, 0.0)
     order, starts, radius = _pivot_index(cb, pivots)
-    own = np.empty(len(src), dtype=np.intp)
-    for s0, _, scores in _score_tiles(src, cb, cw_idx=pivots):
-        own[s0 : s0 + len(scores)] = scores.argmax(axis=1)
+    own = _nearest(src, cb, cw_idx=pivots)[0]
     # own cluster first: every source's best squared distance D0
     by_own = np.argsort(own, kind="stable")
     bounds = np.zeros(len(pivots) + 1, dtype=np.intp)

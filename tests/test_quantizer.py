@@ -290,17 +290,18 @@ class TestDistortionKernel:
         assert _embed(x).shape == (K * n * n,)
         assert _embed(x) @ _embed(c) == pytest.approx(direct, abs=1e-12)
 
+    # ``pivots`` forces the pruned search's pivot count (None: the size
+    # rule, which prunes (2, 2, 14) and (2, 1, 16)). On the full scan,
     # 4096-codeword panels bound a source slice to 16 rows, so 300 sources
-    # take 19. ``pivots`` forces the pruned search's pivot count (None: the
-    # size rule, which prunes (2, 2, 14) and (2, 1, 16))
+    # take 19
     @pytest.mark.parametrize(
         "n, K, bits, count, pivots, layout",
         [
             *(
-                pytest.param(n, K, bits, count, None, "random", id=f"{n}-{K}-{bits}-{count}")
-                for n, K, bits, count in [
-                    (2, 1, 8, 100), (2, 2, 8, 100), (3, 2, 8, 100), (4, 3, 8, 100), (3, 2, 0, 20),
-                    (2, 1, 14, 300), (2, 2, 14, 2000), (2, 1, 16, 2000),
+                pytest.param(n, K, bits, count, pivots, "random", id=f"{n}-{K}-{bits}-{count}")
+                for n, K, bits, count, pivots in [
+                    (2, 1, 8, 100, None), (2, 2, 8, 100, None), (3, 2, 8, 100, None), (4, 3, 8, 100, None),
+                    (3, 2, 0, 20, None), (2, 1, 14, 300, 1), (2, 2, 14, 2000, None), (2, 1, 16, 2000, None),
                 ]
             ),
             pytest.param(3, 2, 8, 300, 8, "random", id="3-2-8-300-pruned"),
@@ -320,6 +321,34 @@ class TestDistortionKernel:
         cb = Codebook(n=n, K=K, bits=bits, points=points)
         got = _batched_min_dist(_embed(sources), cb)
         assert np.abs(got - reference_min_dist(sources, cb.points)).max() <= 1e-12
+
+    # panels of 16 codewords and tiles of 8 or 3 rows: the pivots span
+    # several panels and every slice of sources or codewords several tiles,
+    # so each nearest pivot is found across panel and tile offsets
+    @pytest.mark.parametrize("pivots, panel, tile", [(48, 16, 128), (40, 16, 48)])
+    def test_pruned_search_across_panels_and_tiles(self, monkeypatch, pivots, panel, tile):
+        monkeypatch.setattr(quantizer, "_pivot_count", lambda size, m: pivots)
+        monkeypatch.setattr(quantizer, "_PANEL", panel)
+        monkeypatch.setattr(quantizer, "_SIM_TILE", tile)
+        points, sources = LAYOUTS["random"](2, 2, 10, 200)
+        cb = Codebook(n=2, K=2, bits=10, points=points)
+        got = _batched_min_dist(_embed(sources), cb)
+        assert np.abs(got - reference_min_dist(sources, cb.points)).max() <= 1e-12
+        order, starts, _ = _pivot_index(cb, np.arange(pivots))
+        for c, g in zip(order, np.repeat(np.arange(pivots), np.diff(starts))):
+            d = composite_dist_sq(points[c], points[:pivots])
+            assert d[g] <= d.min() + 1e-12
+
+    def test_pivot_count_rule(self):
+        # the full scan below 2**(11 + m) codewords and above m = 5, else
+        # 2**(bits//2 - 1) pivots, at most 256
+        assert _pivot_count(1 << 12, 2) == 1
+        assert _pivot_count(1 << 13, 2) == 32
+        assert _pivot_count(1 << 14, 2) == 64
+        assert _pivot_count(1 << 16, 5) == 128
+        assert _pivot_count(1 << 26, 1) == 256
+        assert _pivot_count(1 << 17, 6) == 1
+        assert _pivot_count(1 << 26, 9) == 1
 
     def test_cluster_radii_cover_their_codewords(self):
         # a codeword 1e-9 from its pivot: sqrt(K - score) may round its
@@ -341,8 +370,10 @@ class TestDistortionKernel:
         monkeypatch.setattr(quantizer, "_pivot_count", lambda size, m: 1)
         assert np.abs(_batched_min_dist(src, cb) - pruned).max() <= 1e-15
 
-    def test_codebook_spanning_several_chunks(self):
-        # two codebook chunks, and a last source slice shorter than the tile
+    def test_codebook_spanning_several_chunks(self, monkeypatch):
+        # two codebook chunks, and a last source slice shorter than the
+        # tile, on the full scan (the size rule would prune 15 bits)
+        monkeypatch.setattr(quantizer, "_pivot_count", lambda size, m: 1)
         cb = build_random_codebook(2, 2, 15, seed=50)
         rows = _SIM_TILE // _PANEL
         assert cb.size == 2 * _GEN_CHUNK and _GEN_CHUNK % _PANEL == 0
@@ -363,6 +394,9 @@ class TestDistortionKernel:
         ],
     )
     def test_tile_edges(self, monkeypatch, bits, count, panel, tile):
+        # the full scan's edges; the pruned search's are in
+        # test_pruned_search_across_panels_and_tiles
+        monkeypatch.setattr(quantizer, "_pivot_count", lambda size, m: 1)
         monkeypatch.setattr(quantizer, "_PANEL", panel)
         monkeypatch.setattr(quantizer, "_SIM_TILE", tile)
         cb = build_random_codebook(2, 2, bits, seed=54 + bits)
@@ -370,15 +404,17 @@ class TestDistortionKernel:
         got = _batched_min_dist(_embed(sources), cb)
         assert np.abs(got - reference_min_dist(sources, cb.points)).max() <= 1e-12
 
-    def test_similarity_block_bounds_peak_memory(self):
+    def test_similarity_block_bounds_peak_memory(self, monkeypatch):
         # pruned over 64 pivots: the embedded sources, the cluster index and
-        # one cluster's tile at a time, 2.1 MiB traced. The full scan's 512
+        # one cluster's tile at a time, 1.7 MiB traced. The full scan's 512
         # KiB tile, 256 KiB panel buffer and embedded sources trace 1.9 MiB;
         # an embedded chunk and its transpose (1 MiB each) peaked at 3.7
         # MiB, the earlier 8 MiB block at 11.2 MiB and a fresh block per
         # slice at 67 MiB
         cb = build_random_codebook(2, 2, 14, seed=52)
         sources = unit_rows(53, (10_000, 2, 2))
+        assert traced_peak(lambda: _batched_min_dist(_embed(sources), cb)) < 2.5 * 2**20
+        monkeypatch.setattr(quantizer, "_pivot_count", lambda size, m: 1)
         assert traced_peak(lambda: _batched_min_dist(_embed(sources), cb)) < 2.5 * 2**20
 
 
