@@ -24,7 +24,8 @@ into the one (trials, K*n*n) embedding that the kernel scores.
 quantizer-scaling never holds two. Traced peaks: building (n, K, bits) =
 (2, 3, 16), a 6.0 MiB codebook, 7.0 MiB, and 25.0 MiB for 24.0 MiB at
 18 bits; the codebook-distortion argv (n=2, K=2, 6..14 bits, 10**4
-sources) 3.3 MiB.
+sources) 3.2 MiB after a warm-up call, 2.8 MiB under the ball bound
+alone.
 
 Nearest-neighbor search (``measure_distortion`` and ``encode``) uses the
 half-vectorized projection embedding of Conway, Hardin and Sloane (Exp.
@@ -34,76 +35,105 @@ triangle, K*n*n reals per point, so sum_k |<x_k, c_k>|^2 is one real
 inner product and a batch of sources is scored against a codebook panel
 by one real matrix product. Its rounding differs from the direct formula
 at about 1e-15. The product is cut into tiles after Goto and van de
-Geijn (ACM TOMS 2008): each slice of 4096 codewords is embedded straight
-into one reused (K*n*n, 4096) column panel, and every (source slice x
-panel) product writes into one reused 512 KiB similarity tile (2**16
-float64). No embedded chunk and no transposed copy of it is held: at
-n=2, K=2, 14 bits and 10**4 sources the full scan traces 1.9 MiB. A 512
-KiB tile stays in a 2 MiB L2 cache between the depth-K*n*n product that
-writes it and the row max that reads it back. Tile-size curve, measured
-on the full scan before pruning, median seconds of the whole
-codebook-distortion argv (n=2, K=2, 6..14 bits, 10**4 sources, one BLAS
-thread, 2-core shared VM): 8 MiB 0.71, 2 MiB 0.63, 1 MiB 0.54, 512 KiB
-0.41, 256 KiB 0.45, 128 KiB 0.56; below 512 KiB the per-tile call
-overhead outweighs the cache.
+Geijn (ACM TOMS 2008): each slice of codewords is embedded straight into
+one reused column panel of at most 256 KiB (`_panel_width`: the widest
+power of two that fits, 4096 codewords at depth K*n*n = 8, 1024 at (n,
+K) = (3, 2), 512 at (4, 3)), and every (source slice x panel) product
+writes into one reused 512 KiB similarity tile (2**16 float64). No
+embedded chunk and no transposed copy of it is held: at n=2, K=2, 14
+bits and 10**4 sources the full scan traces 1.9 MiB. A 512 KiB tile
+stays in a 2 MiB L2 cache between the depth-K*n*n product that writes
+it and the row max that reads it back, and the panel beside it. A
+4096-codeword panel at (4, 3) is 1.5 MiB: the full scan at (4, 3, 14)
+took 127 ms with 2,000 sources in such panels and 86 ms in 512-codeword
+ones, and at (2, 1, 14), 10**4 sources, 112 ms in 4096-codeword panels
+and 88 ms in 8192-codeword ones; (3, 2, 14) read 259 and 257 ms in 4096-
+and 1024-codeword panels (one BLAS thread, 5 rounds). Tile-size curve, measured on the full scan before pruning, median
+seconds of the whole codebook-distortion argv (n=2, K=2, 6..14 bits,
+10**4 sources, one BLAS thread, 2-core shared VM): 8 MiB 0.71, 2 MiB
+0.63, 1 MiB 0.54, 512 KiB 0.41, 256 KiB 0.45, 128 KiB 0.56; below 512 KiB
+the per-tile call overhead outweighs the cache.
 
 ``measure_distortion`` prunes the search once the codebook is large
 enough, and stays exact. Every embedded point has squared norm K, so
 ||E(x) - E(c)||^2 = 2 d^2(x, c): the composite chordal distance d is a
-Euclidean distance in the embedding and obeys the triangle inequality.
-A cluster of codewords within radius r_g of a pivot p_g then holds no
-codeword nearer x than (d(x, p_g) - r_g)_+, as in pivot-based metric
-search (Chavez et al., ACM Comput. Surv. 2001) and Elkan's
-triangle-inequality k-means (ICML 2003). The first G codewords, already
+Euclidean distance in the embedding. The first G codewords, already
 i.i.d. uniform, are the pivots, and every codeword joins its nearest
 pivot's cluster (`_pivot_index`): the codewords, a panel's width at a
 time, are scored as sources against the pivots, so each slice embeds
 the pivots once, and `_nearest` carries every row's best score and its
 position across panels and tiles. Each source is scored against its own
-pivot's cluster first, which gives its best squared distance D0, then
-against each other cluster whose bound (d(x, p_g) - r_g)_+**2 does not
-exceed its best so far. Every product runs through the same panels and
-tiles on gathered index subsets, one cluster per call, so no (sources x
-pivots) or (sources x cluster) matrix is held. Rounding: d = sqrt(K -
-score) cancels near zero, where an error of 1e-16 in the score moves d
-by up to 1e-8. Every pivot distance is deflated, and every radius
-inflated, by an allowance of 1e-6 (`_PRUNE_SLACK`), which covers errors
-up to 1e-12 in K - score. So no cluster that holds a source's nearest
-codeword is skipped, and each source gets its exact best score up to
-rounding, about 1e-15; at CLI seeds 0-12 the codebook-distortion argv
-writes byte for byte the CSV of the full scan. G is 1, the full scan,
-below 2**(11 + m) codewords, m = K(n-1), and for m above 5; elsewhere
-it is 2**(bits//2 - 1), at most 256 (`_pivot_count`).
-G curve, median ms per call with 10**4 sources for G = 1 (the scan), 16,
-32, 64, 128, 256 (one BLAS thread, 2-core shared VM, 5 rounds):
-(n, K, bits) = (2, 1, 11) 16, 13, 15, 17, 30, 57; (2, 1, 12) 31, 13, 19,
-20, 28, 49; (2, 1, 14) 119, 38, 34, 29, 42, 59; (2, 2, 12) 36, 39, 35,
-36, 52, 73; (2, 2, 13) 67, 52, 46, 46, 65, 77; (2, 2, 14) 137, 88, 54,
-46, 63, 75; (2, 3, 13) 104, 99, 104, 95, 108, 137; (2, 3, 14) 197, 167,
-163, 145, 148, 153; (3, 2, 14) 324, 318, 342, 349, 349, 418. For G = 1,
-32, 64, 128, 256, 512 (3 rounds): (2, 1, 16) 501, 91, 60, 77, 94, 226;
-(2, 2, 16) 579, 210, 158, 160, 196, 255; (2, 3, 16) 811, 408, 283, 255,
-266, 327; (3, 2, 15) 565, 465, 446, 392, 464, 513; (3, 2, 16) 1413,
-1057, 832, 645, 562, 633. For G = 1, 128, 256, 512, 1024 (3 rounds):
-(2, 1, 18) 1996, 206, 230, 376, 535; (2, 2, 18) 2199, 367, 266, 390,
-623; (2, 3, 18) 2344, 655, 588, 617, 898; (3, 2, 18) 5333, 2020, 1808,
-1361, 1592. For G = 1, 128, 256, 512 (2 rounds): (2, 1, 20) 7794, 811,
-816, 1009; (2, 2, 20) 9026, 1292, 1141, 1373; (3, 2, 20) 19493, 7387,
-5070, 3434. Past 256 pivots only (3, 2) gained, so G stops at 256.
-Larger m, for G = 1, 128, 256 (one round): (2, 5, 16) 1401, 1074, 980;
-(2, 5, 18) 5379, 3931, 3215; (3, 3, 17) 3105, 2556, 2599; (3, 3, 19)
-12352, 15049, 12019; and with 2,000 sources (4, 3, 20) 9480 for the
-scan, 11863 for G = 256. The nearest codeword's distance over a
-cluster's radius scales as 2**(-(bits - log2 G) / (2m)), which nears 1
-as m grows, so the bound rules out less: pruning stops at m = 5, the
-largest m measured to win clearly.
-Each cluster costs a few calls of fixed overhead, so G past the curve's
-minimum loses, and so does pruning below 2**(11 + m) codewords, where a
-source's candidate clusters cover much of the codebook. Traced peaks of
-`_batched_min_dist` with its sources' embedding: 1.7 MiB pruned at (2,
-2, 14) with 10**4 sources (the scan 1.9); with 2,000 sources 1.5 MiB at
-(2, 2, 16) (the scan 1.45) and 3.1 MiB at (2, 1, 18), an 8 MiB codebook
-(the scan 1.0): the index holds an 8-byte position per codeword.
+pivot p_h's cluster first, which gives its best squared distance D0,
+then against each other cluster g unless a lower bound on its distance
+to every codeword there exceeds its best so far. The bound is the larger
+of two, after Elkan's triangle-inequality k-means (ICML 2003):
+
+* the ball bound (d(x, p_g) - r_g)_+, with r_g the cluster's radius, as
+  in pivot-based metric search (Chavez et al., ACM Comput. Surv. 2001);
+* the bisector (half-space) bound. With s_j = sum_k |<x_k, p_jk>|**2 the
+  source's score on pivot j, every codeword c of cluster g is no nearer
+  p_h than p_g, so <E(c) - E(x), E(p_g) - E(p_h)> >= s_h - s_g, and by
+  Cauchy-Schwarz d(x, c) >= (s_h - s_g) / (2 d(p_g, p_h)). s_h is the
+  score `_nearest` returns with the source's own pivot, s_g the column
+  that cluster's `_score_tiles` call yields, and the pivot distances come
+  from one G x G product of the pivots' embeddings (`_bisector_scale`).
+
+A cluster's radius is set by its farthest member, while its Voronoi cell
+is far from round, so the ball bound alone rules out few clusters: at
+(2, 2, 14) with 16 pivots and 2,000 sources the search scores 4.5e6
+codeword-source pairs with both bounds and 1.6e7 with the ball bound
+alone. Every product runs through the same panels and tiles on gathered
+index subsets, one cluster per call, so no (sources x pivots) or
+(sources x cluster) matrix is held. Rounding: every score is taken to
+err by at most 1e-12 (its rounding bound is below 2e-14). d = sqrt(K -
+score) cancels near zero, where such an error moves d by up to 1e-6, so
+every pivot distance in the ball bound is deflated, and every radius
+inflated, by 1e-6 (`_PRUNE_SLACK`). The bisector bound's numerator is
+cut by 4e-12 (`_BISECTOR_EPS`), the errors of four scores: the source's
+s_h and s_g, and the codeword's s_g and s_h, on whose order its cluster
+rests. Its denominator is inflated by the factor 1 + 1e-6, which covers
+an error of 1e-12 in K - score only for pivots at least 1e-3 apart
+(`_CLOSE_PIVOTS`): nearer pairs, duplicate pivots among them, get no
+bisector bound. So no cluster that holds a source's nearest codeword is
+skipped, and each source gets its exact best score up to rounding,
+about 1e-15; at CLI seeds 0-12 the codebook-distortion argv writes byte
+for byte the CSV of the full scan. G is 1, the full scan, below
+2**(10 + m) codewords, m = K(n-1), and for m above 5; elsewhere it is
+2**(bits//2 - 3), doubled from m = 3 on, from 8 to 256 (`_pivot_count`).
+G curve, median ms per call with 10**4 sources (one BLAS thread, 2-core
+shared VM). For G = 1 (the scan), 8, 16, 32, 64, 5 rounds: (n, K, bits)
+= (2, 1, 11) 18, 9, 11, 15, 26; (2, 1, 12) 34, 13, 12, 16, 16; (2, 1, 14)
+137, 20, 16, 16, 21; (2, 2, 12) 43, 16, 16, 20, 27; (2, 2, 13) 65, 22,
+29, 32, 41; (2, 2, 14) 130, 43, 30, 29, 53; (2, 3, 13) 112, 63, 59, 64,
+79; (2, 3, 14) 166, 89, 65, 58, 62; (3, 2, 14) 314, 200, 188, 170, 173.
+For G = 1, 16, 32, 64, 128, 256, 5 rounds: (2, 1, 16) 522, 95, 42, 42,
+55, 87; (2, 2, 16) 472, 100, 77, 61, 72, 100; (2, 3, 16) 1002, 295, 151,
+115, 125, 165; (3, 2, 15) 467, 356, 315, 304, 241, 293; (3, 2, 16) 931,
+601, 455, 396, 402, 504. For G = 32, 64, 128, 256, 512, 2 rounds: (2,
+1, 18) 220, 190, 201, 220, 275; (2, 2, 18) 239, 211, 284, 286, 335; (2,
+3, 18) 499, 347, 304, 313, 436; (3, 2, 18), G = 64 on, 1065, 857, 739,
+796 (the scan 4224). One round: (2, 2, 20) 707, 658, 840, 933 for G =
+64-512; (3, 2, 20) 2611, 2175, 2231 for G = 128, 256, 512. Past 256
+pivots no shape gained, so G stops there; under the ball bound alone
+(3, 2) had gained up to 512 (1808 against 1361 ms at (3, 2, 18)).
+Larger m: (2, 5, 15) 485, 434, 413, 396 for G = 1, 16, 32, 64; (2, 5,
+16) 928, 835, 726, 689 for the same G; (2, 5, 18) 3946, 2169, 1795, 1649
+for G = 1, 64, 128, 256; and m = 6, (3, 3, 17), 2365, 2322, 2209, 2173
+for G = 1, 32, 64, 128. The nearest codeword's distance over a cluster's
+extent scales as 2**(-(bits - log2 G) / (2m)), which nears 1 as m
+grows, so both bounds rule out less: pruning stops at m = 5, the
+largest m measured to win clearly. Each cluster costs a few calls of
+fixed overhead, so G past the curve's minimum loses. One bit below the
+threshold, for G = 1, 8, 16, 32: (2, 1, 10) 8, 8, 7, 10; (2, 2, 10), two
+bits below, 10, 11, 13, 17; (2, 2, 11) 17, 12, 14, 18; (2, 3, 12) 37,
+31, 32, 38; (3, 2, 13) 157, 127, 103, 109. Pruning there gained nothing
+at m = 1 and up to 1.5x at m = 4, on calls of 10-160 ms; the threshold
+stays at 2**(10 + m). Traced peaks of `_batched_min_dist` with its
+sources' embedding: 2.1 MiB pruned at (2, 2, 14) with 10**4 sources (the
+scan 1.9); with 2,000 sources 2.1 MiB at (2, 2, 16) (the scan 1.45) and
+3.7 MiB at (2, 1, 18), an 8 MiB codebook (the scan 1.0): the index
+holds an 8-byte position per codeword, and fewer pivots than under the
+ball bound make larger clusters, so larger gathered panels and tiles.
 
 ``encode`` keeps the full scan. Building the index scores every
 codeword against G pivots, which costs as much as scoring G points, so
@@ -150,16 +180,28 @@ _GEN_CHUNK = 1 << 14
 # float64 entries in the (sources x codewords) similarity tile: 512 KiB,
 # resident in L2 (the tile-size curve is in the module docstring)
 _SIM_TILE = 1 << 16
-# codewords per column panel of an embedded codebook chunk
-_PANEL = 1 << 12
-# the pruned search pays from 2**(11 + K(n-1)) codewords on, for K(n-1)
+# bytes of one column panel of embedded codewords (`_panel_width`)
+_PANEL_BYTES = 1 << 18
+# the pruned search pays from 2**(10 + K(n-1)) codewords on, for K(n-1)
 # up to 5, with at most 256 pivots (G curve in the module docstring)
-_PRUNE_FROM_BITS = 11
+_PRUNE_FROM_BITS = 10
 _PRUNE_MAX_M = 5
 _MAX_PIVOTS = 1 << 8
-# allowance on every distance sqrt(K - score): it covers rounding of up
-# to 1e-12 in K - score, which near zero moves the root by up to 1e-6
+# Rounding allowances of the pruned search. Every score, an inner product
+# of two embedded points of depth K*n*n <= 36 and squared norm K <= 5, is
+# taken to err by at most 1e-12 (its rounding bound is below 2e-14).
+# _PRUNE_SLACK goes on every distance sqrt(K - score): an error of 1e-12
+# in K - score moves the root by up to 1e-6 near zero, and by a factor
+# of at most 1 + 1e-6 once the root is _CLOSE_PIVOTS or more. The
+# bisector bound's numerator s_h - s_g is cut by _BISECTOR_EPS, the
+# errors of four scores: s_h and s_g of the source, and s_g and s_h of
+# the codeword, whose nearest-pivot assignment rests on their order. Its
+# denominator 2 d(p_g, p_h) is inflated by the factor 1 + _PRUNE_SLACK,
+# which holds only for pivots at least _CLOSE_PIVOTS apart: nearer pairs,
+# duplicate pivots among them, get no bisector bound.
 _PRUNE_SLACK = 1e-6
+_BISECTOR_EPS = 4e-12
+_CLOSE_PIVOTS = 1e-3
 
 
 @dataclass
@@ -252,6 +294,11 @@ def _embed(points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return dest.reshape(*points.shape[:-2], -1) if out is None else out
 
 
+def _panel_width(depth: int) -> int:
+    """Codewords per column panel of depth-`depth` embeddings: the largest power of two whose panel fits `_PANEL_BYTES`."""
+    return 1 << (max(1, _PANEL_BYTES // (8 * depth)).bit_length() - 1)
+
+
 def _score_tiles(src: np.ndarray, cb: Codebook, src_idx=None, cw_idx=None):
     """Yield (source offset, panel offset, score tile) over codewords of `cb`.
 
@@ -260,8 +307,8 @@ def _score_tiles(src: np.ndarray, cb: Codebook, src_idx=None, cw_idx=None):
     the codewords scored (all of them by default), and both offsets count
     positions within them. Tile row r, column c holds sum_k |<x_k, c_k>|**2
     of source ``s0 + r`` and codeword ``p0 + c``. The codewords are scored
-    in column panels of ``_PANEL``: each slice of them is gathered and
-    embedded straight into one reused (K*n*n, _PANEL) panel buffer,
+    in column panels of `_panel_width` codewords: each slice of them is
+    gathered and embedded straight into one reused panel buffer,
     codewords as columns, and each slice of picked sources is gathered
     per tile. Every (source slice x panel) pair is one real GEMM into one
     similarity tile of at most ``_SIM_TILE`` entries, reused by every
@@ -270,9 +317,9 @@ def _score_tiles(src: np.ndarray, cb: Codebook, src_idx=None, cw_idx=None):
     """
     count = len(src) if src_idx is None else len(src_idx)
     size = cb.size if cw_idx is None else len(cw_idx)
-    cols = min(size, _PANEL)
-    rows = max(1, _SIM_TILE // cols)
     depth = src.shape[1]
+    cols = min(size, _panel_width(depth))
+    rows = max(1, _SIM_TILE // cols)
     panel_buf = np.empty(depth * cols)
     tile = np.empty(min(rows, count) * cols)
     for p0 in range(0, size, cols):
@@ -320,14 +367,15 @@ def _pivot_count(size: int, m: int) -> int:
     """Pivots of the pruned search over `size` codewords of complex dimension m = K(n-1); 1 is the full scan.
 
     G is 1 below 2**(_PRUNE_FROM_BITS + m) codewords or for m above
-    `_PRUNE_MAX_M`, else 2**(bits//2 - 1), at most `_MAX_PIVOTS`. The
-    limits are edges of the G curve in the module docstring: no larger G
-    was measured, and at larger m pruning gained little or lost.
+    `_PRUNE_MAX_M`, else 2**(bits//2 - 3), doubled from m = 3 on, at
+    least 8 and at most `_MAX_PIVOTS`. The rule follows the minima of the
+    G curve in the module docstring, and its limits are the curve's
+    edges: no larger G won, and at larger m pruning gained little.
     """
     bits = size.bit_length() - 1
     if m > _PRUNE_MAX_M or bits < _PRUNE_FROM_BITS + m:
         return 1
-    return min(1 << (bits // 2 - 1), _MAX_PIVOTS)
+    return min(max(8, 1 << (bits // 2 - 3 + m // 3)), _MAX_PIVOTS)
 
 
 def _raise_best(best: np.ndarray, src: np.ndarray, cb: Codebook, src_idx=None, cw_idx=None) -> None:
@@ -367,13 +415,44 @@ def _pivot_index(cb: Codebook, pivots: np.ndarray):
     owner = np.empty(cb.size, dtype=np.int16)
     starts = np.zeros(len(pivots) + 1, dtype=np.intp)
     radius = np.full(len(pivots), -np.inf)
-    for c0 in range(0, cb.size, _PANEL):
-        own, score = _nearest(_embed(cb.points[c0 : c0 + _PANEL]), cb, cw_idx=pivots)
+    width = _panel_width(cb.K * cb.n * cb.n)
+    for c0 in range(0, cb.size, width):
+        own, score = _nearest(_embed(cb.points[c0 : c0 + width]), cb, cw_idx=pivots)
         owner[c0 : c0 + len(own)] = own
         starts[1:] += np.bincount(own, minlength=len(pivots))
         np.maximum.at(radius, own, np.sqrt(np.maximum(cb.K - score, 0.0)))
     np.cumsum(starts, out=starts)
     return np.argsort(owner, kind="stable"), starts, radius + _PRUNE_SLACK
+
+
+def _bisector_scale(cb: Codebook, pivots: np.ndarray) -> np.ndarray:
+    """The (G, G) factors 1 / (2 d(p_g, p_h)) of the bisector bound, allowance included.
+
+    Each pivot distance comes from one product of the pivots' embeddings
+    and is inflated by the factor 1 + `_PRUNE_SLACK`; pairs nearer than
+    `_CLOSE_PIVOTS`, the diagonal and duplicate pivots among them, get 0,
+    which is no bound.
+    """
+    emb = _embed(cb.points[pivots])
+    dist = np.sqrt(np.maximum(cb.K - emb @ emb.T, 0.0))
+    far = dist >= _CLOSE_PIVOTS
+    scale = np.zeros_like(dist)
+    scale[far] = 0.5 / ((1.0 + _PRUNE_SLACK) * dist[far])
+    return scale
+
+
+def _bisector_bounds(own_score: np.ndarray, scores: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Squared bisector bounds ((s_h - s_g - eps)_+ * scale)**2 on the codewords of cluster g.
+
+    ``own_score`` holds each source's score s_h on its own pivot p_h,
+    ``scores`` its score s_g on p_g and ``scale`` its factor 1 / (2 d(p_g,
+    p_h)) from `_bisector_scale`; eps is `_BISECTOR_EPS`.
+    """
+    cut = own_score - scores
+    cut -= _BISECTOR_EPS
+    np.maximum(cut, 0.0, out=cut)
+    cut *= scale
+    return np.square(cut, out=cut)
 
 
 def _batched_min_dist(src: np.ndarray, cb: Codebook) -> np.ndarray:
@@ -382,8 +461,8 @@ def _batched_min_dist(src: np.ndarray, cb: Codebook) -> np.ndarray:
     With one pivot (`_pivot_count`) every source meets every codeword.
     Otherwise the search is pruned, exactly (module docstring): each
     source is scored against its nearest pivot's cluster, then against
-    each other cluster whose lower bound does not exceed its best squared
-    distance so far.
+    each other cluster whose lower bound, the larger of the ball and the
+    bisector bound, does not exceed its best squared distance so far.
     """
     best = np.full(len(src), -np.inf)
     pivots = np.arange(_pivot_count(cb.size, cb.K * (cb.n - 1)))
@@ -391,7 +470,8 @@ def _batched_min_dist(src: np.ndarray, cb: Codebook) -> np.ndarray:
         _raise_best(best, src, cb)
         return np.maximum(cb.K - best, 0.0)
     order, starts, radius = _pivot_index(cb, pivots)
-    own = _nearest(src, cb, cw_idx=pivots)[0]
+    own, own_score = _nearest(src, cb, cw_idx=pivots)
+    scale = _bisector_scale(cb, pivots)
     # own cluster first: every source's best squared distance D0
     by_own = np.argsort(own, kind="stable")
     bounds = np.zeros(len(pivots) + 1, dtype=np.intp)
@@ -402,7 +482,8 @@ def _batched_min_dist(src: np.ndarray, cb: Codebook) -> np.ndarray:
     for g in np.flatnonzero(starts[1:] > starts[:-1]):
         for s0, _, scores in _score_tiles(src, cb, cw_idx=pivots[g : g + 1]):
             span = slice(s0, s0 + len(scores))
-            lower = _lower_bounds(scores[:, 0], cb.K, radius[g])
+            bisector = _bisector_bounds(own_score[span], scores[:, 0], scale[g, own[span]])
+            lower = np.maximum(_lower_bounds(scores[:, 0], cb.K, radius[g]), bisector, out=bisector)
             hits = np.flatnonzero((lower <= cb.K - best[span]) & (own[span] != g))
             if len(hits):
                 _raise_best(best, src, cb, s0 + hits, order[starts[g] : starts[g + 1]])

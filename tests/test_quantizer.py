@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -20,11 +21,16 @@ from iafb.quantizer import (
     save_codebook,
 )
 from iafb.quantizer import (
+    _BISECTOR_EPS,
+    _CLOSE_PIVOTS,
     _GEN_CHUNK,
-    _PANEL,
+    _PANEL_BYTES,
     _SIM_TILE,
     _batched_min_dist,
+    _bisector_bounds,
+    _bisector_scale,
     _embed,
+    _panel_width,
     _pivot_count,
     _pivot_index,
 )
@@ -101,6 +107,54 @@ def near_pivot_layout(n, K, bits, count):
     return points, sources
 
 
+def bloch(v):
+    """The G_{2,1} point (a unit row of C^2) with Bloch vector v: the squared distance of two points is (1 - v.w) / 2."""
+    theta, phi = math.acos(min(1.0, max(-1.0, v[2]))), math.atan2(v[1], v[0])
+    return np.array([math.cos(theta / 2), cmath.exp(1j * phi) * math.sin(theta / 2)])
+
+
+def across_bisector_layout(n, K, bits, count):
+    """Four pivot pairs on G_{2,1} (n=2, K=1), pivots first, a source near each pair's bisector.
+
+    Pair j sits at tetrahedral axis a: pivots g = 2j and h = 2j+1 lie 0.3
+    rad (Bloch angle) to either side of a plane through a, the bisector.
+    Source x lies in that plane 0.5 rad from a, moved alpha toward h, so h
+    is its nearest pivot and it is nearly equidistant from g and h
+    (alpha = 0.05 for pairs 0-1, 1e-7 for 2-3). Codeword 8 + j lies 1e-3
+    across the bisector from x's foot on it: x's nearest codeword, in g's
+    cluster, at a distance only just above the bisector bound. Four random
+    codewords, and ``count`` random sources after the four x, follow.
+    """
+    assert (n, K, bits) == (2, 1, 4)
+    axes = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
+    pivots, near, xs = [], [], []
+    for j, a in enumerate(axes):
+        e1 = np.cross(a, [0.0, 0.0, 1.0] if j else [1.0, 0.0, 0.0])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(a, e1)
+        alpha = 0.05 if j < 2 else 1e-7
+        w = math.cos(0.5) * a + math.sin(0.5) * e2
+        pivots += [bloch(math.cos(0.3) * a + math.sin(0.3) * e1), bloch(math.cos(0.3) * a - math.sin(0.3) * e1)]
+        xs.append(bloch(math.cos(alpha) * w - math.sin(alpha) * e1))
+        near.append(bloch(math.cos(1e-3) * w + math.sin(1e-3) * e1))
+    points = np.concatenate([np.array(pivots + near)[:, None, :], unit_rows(56, (4, 1, 2))])
+    return points, np.concatenate([np.array(xs)[:, None, :], unit_rows(57, (count, 1, 2))])
+
+
+def close_pivots_layout(n, K, bits, count):
+    """Pivots 8-11 repeat pivots 0-3, and pivots 12-15 lie 1e-9 from pivots 4-7 in every component.
+
+    A near pair's bisector splits the codewords around it, so a source
+    by one of its pivots often has its nearest codeword in the other's
+    cluster. Five sources 0.05 from each of pivots 4-7 come first.
+    """
+    points = random_codebook_points(n, K, bits, seed=58)
+    points[8:12] = points[:4]
+    points[12:16] = nudge(points[4:8], 1e-9, seed=59)
+    sources = nudge(np.repeat(points[4:8], 5, axis=0), 0.05, seed=60)
+    return points, np.concatenate([sources, unit_rows(61, (count, K, n))])
+
+
 def singleton_layout(n, K, bits, count):
     """Pivot 0 alone in its cluster: every later codeword lies 1e-3 from one of pivots 1-15."""
     points = random_codebook_points(n, K, bits, seed=42)
@@ -132,6 +186,8 @@ LAYOUTS = {
     ),
     "near-pivot": near_pivot_layout,
     "singleton": singleton_layout,
+    "across-bisector": across_bisector_layout,
+    "close-pivots": close_pivots_layout,
 }
 
 
@@ -218,24 +274,25 @@ class TestEncodeDecode:
             assert encode(cb.points[idx], cb) == idx
 
     def test_round_trip_across_chunks(self):
-        # 15 bits: two codebook chunks of four panels each
+        # 15 bits: two codebook chunks of two panels each
         cb = build_random_codebook(2, 1, 15, seed=12)
-        for idx in (0, _PANEL - 1, _PANEL, _GEN_CHUNK - 1, _GEN_CHUNK, cb.size - 1):
+        panel = _panel_width(4)
+        for idx in (0, panel - 1, panel, _GEN_CHUNK - 1, _GEN_CHUNK, cb.size - 1):
             assert encode(cb.points[idx], cb) == idx
 
-    # 0 and 1 bits: a panel of one and of two codewords; 12 bits: one full
-    # panel; 13 bits: two
+    # 0 and 1 bits: a panel of one and of two codewords; 12 bits: two full
+    # 2048-codeword panels; 13 bits: four
     @pytest.mark.parametrize("bits", [0, 1, 12, 13])
     def test_matches_direct_reference_across_panels(self, bits):
         cb = build_random_codebook(2, 3, bits, seed=13 + bits)
         for x in draw(2, 3, np.random.default_rng(14 + bits), count=40):
             assert encode(x, cb) == int(np.argmin(composite_dist_sq(x, cb.points)))
 
-    @pytest.mark.parametrize("j", [0, 1234, _PANEL - 1])
+    @pytest.mark.parametrize("j", [0, 1234, _panel_width(8) - 1])
     def test_tie_across_panels_goes_to_the_lower_index(self, j):
         # codeword j repeated in the next panel, at the same place in it
         points = build_random_codebook(2, 2, 13, seed=15).points.copy()
-        points[j + _PANEL] = points[j]
+        points[j + _panel_width(8)] = points[j]
         cb = Codebook(n=2, K=2, bits=13, points=points)
         assert encode(points[j], cb) == j
 
@@ -291,9 +348,9 @@ class TestDistortionKernel:
         assert _embed(x) @ _embed(c) == pytest.approx(direct, abs=1e-12)
 
     # ``pivots`` forces the pruned search's pivot count (None: the size
-    # rule, which prunes (2, 2, 14) and (2, 1, 16)). On the full scan,
-    # 4096-codeword panels bound a source slice to 16 rows, so 300 sources
-    # take 19
+    # rule, which prunes (2, 2, 14) and (2, 1, 16)). On the full scan at
+    # (2, 1, 14), 8192-codeword panels bound a source slice to 8 rows, so
+    # 300 sources take 38
     @pytest.mark.parametrize(
         "n, K, bits, count, pivots, layout",
         [
@@ -312,6 +369,8 @@ class TestDistortionKernel:
             pytest.param(2, 2, 10, 400, 16, "sources-on-codewords", id="sources-on-codewords"),
             pytest.param(2, 1, 5, 56, 12, "near-pivot", id="near-pivot"),
             pytest.param(2, 2, 8, 300, 16, "singleton", id="singleton"),
+            pytest.param(2, 1, 4, 60, 8, "across-bisector", id="across-bisector"),
+            pytest.param(2, 2, 8, 300, 16, "close-pivots", id="close-pivots"),
         ],
     )
     def test_matches_direct_formula(self, monkeypatch, n, K, bits, count, pivots, layout):
@@ -328,7 +387,7 @@ class TestDistortionKernel:
     @pytest.mark.parametrize("pivots, panel, tile", [(48, 16, 128), (40, 16, 48)])
     def test_pruned_search_across_panels_and_tiles(self, monkeypatch, pivots, panel, tile):
         monkeypatch.setattr(quantizer, "_pivot_count", lambda size, m: pivots)
-        monkeypatch.setattr(quantizer, "_PANEL", panel)
+        monkeypatch.setattr(quantizer, "_panel_width", lambda depth: panel)
         monkeypatch.setattr(quantizer, "_SIM_TILE", tile)
         points, sources = LAYOUTS["random"](2, 2, 10, 200)
         cb = Codebook(n=2, K=2, bits=10, points=points)
@@ -340,15 +399,78 @@ class TestDistortionKernel:
             assert d[g] <= d.min() + 1e-12
 
     def test_pivot_count_rule(self):
-        # the full scan below 2**(11 + m) codewords and above m = 5, else
-        # 2**(bits//2 - 1) pivots, at most 256
-        assert _pivot_count(1 << 12, 2) == 1
-        assert _pivot_count(1 << 13, 2) == 32
-        assert _pivot_count(1 << 14, 2) == 64
-        assert _pivot_count(1 << 16, 5) == 128
+        # the full scan below 2**(10 + m) codewords and above m = 5, else
+        # 2**(bits//2 - 3) pivots, doubled from m = 3 on, from 8 to 256
+        assert _pivot_count(1 << 11, 2) == 1
+        assert _pivot_count(1 << 12, 2) == 8
+        assert _pivot_count(1 << 14, 2) == 16
+        assert _pivot_count(1 << 13, 4) == 1
+        assert _pivot_count(1 << 14, 4) == 32
+        assert _pivot_count(1 << 15, 4) == 32
+        assert _pivot_count(1 << 16, 5) == 64
+        assert _pivot_count(1 << 20, 2) == 128
         assert _pivot_count(1 << 26, 1) == 256
+        assert _pivot_count(1 << 22, 4) == 256
         assert _pivot_count(1 << 17, 6) == 1
         assert _pivot_count(1 << 26, 9) == 1
+
+    def test_panel_width_rule(self):
+        # the widest power-of-two panel of float64 embeddings within 256 KiB
+        assert _PANEL_BYTES == 1 << 18
+        assert [_panel_width(d) for d in (4, 8, 12, 18, 48)] == [8192, 4096, 2048, 1024, 512]
+        for depth in range(1, 100):
+            width = _panel_width(depth)
+            assert width & (width - 1) == 0
+            assert 8 * depth * width <= _PANEL_BYTES < 16 * depth * width
+        assert _panel_width(1 << 16) == 1
+
+    def test_bisector_allowance(self):
+        # A source on a codeword of cluster g that sits on the bisector of
+        # p_g and its own pivot p_h: four scores, each off by up to 1e-12,
+        # can make s_h - s_g up to 4e-12, yet the distance is 0. Past the
+        # allowance the bound is (s_h - s_g - eps) / (2 d(p_g, p_h))
+        own = np.array([0.75 + 2.0**-38, 0.75 + 2.0**-36])
+        bound = _bisector_bounds(own, np.full(2, 0.75), np.full(2, 0.5))
+        assert 2.0**-38 < _BISECTOR_EPS < 2.0**-36
+        assert bound[0] == 0.0
+        assert bound[1] == pytest.approx((0.5 * (2.0**-36 - _BISECTOR_EPS)) ** 2, rel=1e-3)
+
+    def test_close_pivots_get_no_bisector_bound(self):
+        # pivots 0 and 1 repeated, a pivot 1e-9 and one 0.6 * _CLOSE_PIVOTS
+        # from pivot 2, and one just past _CLOSE_PIVOTS from pivot 3: only
+        # the last pair, and pairs of distinct far pivots, get a bound, and
+        # its factor is at most 1 / (2 d) of the exact distance d
+        base = unit_rows(62, (4, 2, 2))
+        pts = np.concatenate([
+            base, base[:2],
+            nudge(base[2:3], 1e-9, seed=63), nudge(base[2:3], 0.6 * _CLOSE_PIVOTS / math.sqrt(2), seed=64),
+            nudge(base[3:4], 1.2 * _CLOSE_PIVOTS / math.sqrt(2), seed=65), unit_rows(66, (7, 2, 2)),
+        ])
+        cb = Codebook(n=2, K=2, bits=4, points=pts)
+        scale = _bisector_scale(cb, np.arange(9))
+        exact = np.array([exact_dist(pts[:9], p) for p in pts[:9]])
+        assert (exact[8, 3] > _CLOSE_PIVOTS) and (exact[7, 2] < _CLOSE_PIVOTS)
+        assert np.array_equal(scale > 0, exact >= _CLOSE_PIVOTS)
+        assert np.all(scale <= 0.5 / np.maximum(exact, _CLOSE_PIVOTS))
+
+    def test_bisector_bound_prunes_past_the_ball(self, monkeypatch):
+        # codeword-source pairs scored at (2, 2, 14) with 2,000 sources, the
+        # bisector bound beside the ball bound against the ball bound alone
+        cb = build_random_codebook(2, 2, 14, seed=67)
+        src = _embed(unit_rows(68, (2000, 2, 2)))
+        scored = []
+        raise_best = quantizer._raise_best
+
+        def counted(best, src, cb, src_idx=None, cw_idx=None):
+            scored[-1] += len(src_idx) * len(cw_idx)
+            raise_best(best, src, cb, src_idx, cw_idx)
+
+        monkeypatch.setattr(quantizer, "_raise_best", counted)
+        for scale in (_bisector_scale, lambda cb, pivots: np.zeros((len(pivots), len(pivots)))):
+            monkeypatch.setattr(quantizer, "_bisector_scale", scale)
+            scored.append(0)
+            _batched_min_dist(src, cb)
+        assert scored[0] < 0.5 * scored[1]
 
     def test_cluster_radii_cover_their_codewords(self):
         # a codeword 1e-9 from its pivot: sqrt(K - score) may round its
@@ -375,8 +497,8 @@ class TestDistortionKernel:
         # tile, on the full scan (the size rule would prune 15 bits)
         monkeypatch.setattr(quantizer, "_pivot_count", lambda size, m: 1)
         cb = build_random_codebook(2, 2, 15, seed=50)
-        rows = _SIM_TILE // _PANEL
-        assert cb.size == 2 * _GEN_CHUNK and _GEN_CHUNK % _PANEL == 0
+        rows = _SIM_TILE // _panel_width(8)
+        assert cb.size == 2 * _GEN_CHUNK and _GEN_CHUNK % _panel_width(8) == 0
         sources = unit_rows(51, (2 * rows + 5, 2, 2))
         got = _batched_min_dist(_embed(sources), cb)
         assert np.abs(got - reference_min_dist(sources, cb.points)).max() <= 1e-12
@@ -384,20 +506,20 @@ class TestDistortionKernel:
     @pytest.mark.parametrize(
         "bits, count, panel, tile",
         [
-            pytest.param(0, 7, _PANEL, _SIM_TILE, id="one-codeword"),
-            pytest.param(6, 50, _PANEL, _SIM_TILE, id="smaller-than-a-panel"),
+            pytest.param(0, 7, _panel_width(8), _SIM_TILE, id="one-codeword"),
+            pytest.param(6, 50, _panel_width(8), _SIM_TILE, id="smaller-than-a-panel"),
             # 256 codewords in panels of 96: two full panels and one of 64
             pytest.param(8, 50, 96, 96 * 8, id="short-last-panel"),
             # 8 rows per tile: 7 full slices and one of 3, over two chunks
             pytest.param(15, 59, 1 << 12, 1 << 15, id="two-chunks-short-slice"),
-            pytest.param(10, 2 * (_SIM_TILE // 1024) + 1, _PANEL, _SIM_TILE, id="short-last-slice"),
+            pytest.param(10, 2 * (_SIM_TILE // 1024) + 1, _panel_width(8), _SIM_TILE, id="short-last-slice"),
         ],
     )
     def test_tile_edges(self, monkeypatch, bits, count, panel, tile):
         # the full scan's edges; the pruned search's are in
         # test_pruned_search_across_panels_and_tiles
         monkeypatch.setattr(quantizer, "_pivot_count", lambda size, m: 1)
-        monkeypatch.setattr(quantizer, "_PANEL", panel)
+        monkeypatch.setattr(quantizer, "_panel_width", lambda depth: panel)
         monkeypatch.setattr(quantizer, "_SIM_TILE", tile)
         cb = build_random_codebook(2, 2, bits, seed=54 + bits)
         sources = unit_rows(55 + bits, (count, 2, 2))
@@ -405,8 +527,8 @@ class TestDistortionKernel:
         assert np.abs(got - reference_min_dist(sources, cb.points)).max() <= 1e-12
 
     def test_similarity_block_bounds_peak_memory(self, monkeypatch):
-        # pruned over 64 pivots: the embedded sources, the cluster index and
-        # one cluster's tile at a time, 1.7 MiB traced. The full scan's 512
+        # pruned over 16 pivots: the embedded sources, the cluster index and
+        # one cluster's tile at a time, 2.1 MiB traced. The full scan's 512
         # KiB tile, 256 KiB panel buffer and embedded sources trace 1.9 MiB;
         # an embedded chunk and its transpose (1 MiB each) peaked at 3.7
         # MiB, the earlier 8 MiB block at 11.2 MiB and a fresh block per
