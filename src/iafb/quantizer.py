@@ -24,8 +24,7 @@ into the one (trials, K*n*n) embedding that the kernel scores.
 quantizer-scaling never holds two. Traced peaks: building (n, K, bits) =
 (2, 3, 16), a 6.0 MiB codebook, 7.0 MiB, and 25.0 MiB for 24.0 MiB at
 18 bits; the codebook-distortion argv (n=2, K=2, 6..14 bits, 10**4
-sources) 3.2 MiB after a warm-up call, 2.8 MiB under the ball bound
-alone.
+sources) 3.15 MiB after a warm-up call.
 
 Nearest-neighbor search (``measure_distortion`` and ``encode``) uses the
 half-vectorized projection embedding of Conway, Hardin and Sloane (Exp.
@@ -65,75 +64,74 @@ the pivots once, and `_nearest` carries every row's best score and its
 position across panels and tiles. Each source is scored against its own
 pivot p_h's cluster first, which gives its best squared distance D0,
 then against each other cluster g unless a lower bound on its distance
-to every codeword there exceeds its best so far. The bound is the larger
-of two, after Elkan's triangle-inequality k-means (ICML 2003):
-
-* the ball bound (d(x, p_g) - r_g)_+, with r_g the cluster's radius, as
-  in pivot-based metric search (Chavez et al., ACM Comput. Surv. 2001);
-* the bisector (half-space) bound. With s_j = sum_k |<x_k, p_jk>|**2 the
-  source's score on pivot j, every codeword c of cluster g is no nearer
-  p_h than p_g, so <E(c) - E(x), E(p_g) - E(p_h)> >= s_h - s_g, and by
-  Cauchy-Schwarz d(x, c) >= (s_h - s_g) / (2 d(p_g, p_h)). s_h is the
-  score `_nearest` returns with the source's own pivot, s_g the column
-  that cluster's `_score_tiles` call yields, and the pivot distances come
-  from one G x G product of the pivots' embeddings (`_bisector_scale`).
-
-A cluster's radius is set by its farthest member, while its Voronoi cell
-is far from round, so the ball bound alone rules out few clusters: at
-(2, 2, 14) with 16 pivots and 2,000 sources the search scores 4.5e6
-codeword-source pairs with both bounds and 1.6e7 with the ball bound
-alone. Every product runs through the same panels and tiles on gathered
-index subsets, one cluster per call, so no (sources x pivots) or
-(sources x cluster) matrix is held. Rounding: every score is taken to
-err by at most 1e-12 (its rounding bound is below 2e-14). d = sqrt(K -
-score) cancels near zero, where such an error moves d by up to 1e-6, so
-every pivot distance in the ball bound is deflated, and every radius
-inflated, by 1e-6 (`_PRUNE_SLACK`). The bisector bound's numerator is
-cut by 4e-12 (`_BISECTOR_EPS`), the errors of four scores: the source's
-s_h and s_g, and the codeword's s_g and s_h, on whose order its cluster
-rests. Its denominator is inflated by the factor 1 + 1e-6, which covers
-an error of 1e-12 in K - score only for pivots at least 1e-3 apart
-(`_CLOSE_PIVOTS`): nearer pairs, duplicate pivots among them, get no
-bisector bound. So no cluster that holds a source's nearest codeword is
-skipped, and each source gets its exact best score up to rounding,
-about 1e-15; at CLI seeds 0-12 the codebook-distortion argv writes byte
-for byte the CSV of the full scan. G is 1, the full scan, below
-2**(10 + m) codewords, m = K(n-1), and for m above 5; elsewhere it is
-2**(bits//2 - 3), doubled from m = 3 on, from 8 to 256 (`_pivot_count`).
-G curve, median ms per call with 10**4 sources (one BLAS thread, 2-core
-shared VM). For G = 1 (the scan), 8, 16, 32, 64, 5 rounds: (n, K, bits)
-= (2, 1, 11) 18, 9, 11, 15, 26; (2, 1, 12) 34, 13, 12, 16, 16; (2, 1, 14)
-137, 20, 16, 16, 21; (2, 2, 12) 43, 16, 16, 20, 27; (2, 2, 13) 65, 22,
-29, 32, 41; (2, 2, 14) 130, 43, 30, 29, 53; (2, 3, 13) 112, 63, 59, 64,
-79; (2, 3, 14) 166, 89, 65, 58, 62; (3, 2, 14) 314, 200, 188, 170, 173.
-For G = 1, 16, 32, 64, 128, 256, 5 rounds: (2, 1, 16) 522, 95, 42, 42,
-55, 87; (2, 2, 16) 472, 100, 77, 61, 72, 100; (2, 3, 16) 1002, 295, 151,
-115, 125, 165; (3, 2, 15) 467, 356, 315, 304, 241, 293; (3, 2, 16) 931,
-601, 455, 396, 402, 504. For G = 32, 64, 128, 256, 512, 2 rounds: (2,
-1, 18) 220, 190, 201, 220, 275; (2, 2, 18) 239, 211, 284, 286, 335; (2,
-3, 18) 499, 347, 304, 313, 436; (3, 2, 18), G = 64 on, 1065, 857, 739,
-796 (the scan 4224). One round: (2, 2, 20) 707, 658, 840, 933 for G =
-64-512; (3, 2, 20) 2611, 2175, 2231 for G = 128, 256, 512. Past 256
-pivots no shape gained, so G stops there; under the ball bound alone
-(3, 2) had gained up to 512 (1808 against 1361 ms at (3, 2, 18)).
+to every codeword there exceeds its best so far. The bound is the
+bisector (half-space) bound of Elkan's triangle-inequality k-means (ICML
+2003). With s_j = sum_k |<x_k, p_jk>|**2 the source's score on pivot j,
+every codeword c of cluster g is no nearer p_h than p_g, so <E(c) - E(x),
+E(p_g) - E(p_h)> >= s_h - s_g, and by Cauchy-Schwarz d(x, c) >= (s_h -
+s_g) / (2 d(p_g, p_h)). s_h is the score `_nearest` returns with the
+source's own pivot. The pivots are embedded once: one G x G product of
+that embedding gives the pivot distances (`_bisector_scale`), and one
+product of the sources with pivot g's row gives every source's s_g. At
+(2, 2, 14) with 16 pivots and 2,000 sources the search scores 4.5e6 of
+the 3.3e7 codeword-source pairs. Every cluster pass runs through the
+same panels and tiles on gathered index subsets, one cluster per call,
+so no (sources x pivots) or (sources x cluster) matrix is held.
+Rounding: every score is taken to err by at most 1e-12 (its rounding
+bound is below 2e-14). The numerator is cut by 4e-12 (`_BISECTOR_EPS`),
+the errors of four scores: the source's s_h and s_g, and the codeword's
+s_g and s_h, on whose order its cluster rests. The denominator is
+inflated by the factor 1 + 1e-6 (`_PRUNE_SLACK`): d = sqrt(K - score)
+cancels near zero, and the factor covers an error of 1e-12 in K - score
+only for pivots at least 1e-3 apart (`_CLOSE_PIVOTS`). Nearer pairs,
+duplicate pivots among them, get no bound. So no cluster that holds a
+source's nearest codeword is skipped, and each source gets its exact
+best score up to rounding, about 1e-15; at CLI seeds 0-12 the
+codebook-distortion argv writes byte for byte the CSV of the full scan.
+G is 1, the full scan, below 2**(9 + m) codewords, m = K(n-1), and for m
+above 5; elsewhere it is 2**(bits//2 - 3), doubled from m = 3 on, from
+8 to 256 (`_pivot_count`). G curve, median ms per call with 10**4
+sources (one BLAS thread, 2-core shared VM). For G = 1 (the scan), 8,
+16, 32, 64, 5 rounds: (n, K, bits) = (2, 1, 11) 18, 9, 11, 15, 26; (2, 1,
+12) 34, 13, 12, 16, 16; (2, 1, 14) 137, 20, 16, 16, 21; (2, 2, 12) 43,
+16, 16, 20, 27; (2, 2, 13) 65, 22, 29, 32, 41; (2, 2, 14) 130, 43, 30,
+29, 53; (2, 3, 13) 112, 63, 59, 64, 79; (2, 3, 14) 166, 89, 65, 58, 62;
+(3, 2, 14) 314, 200, 188, 170, 173. For G = 1, 16, 32, 64, 128, 256, 5
+rounds: (2, 1, 16) 522, 95, 42, 42, 55, 87; (2, 2, 16) 472, 100, 77, 61,
+72, 100; (2, 3, 16) 1002, 295, 151, 115, 125, 165; (3, 2, 15) 467, 356,
+315, 304, 241, 293; (3, 2, 16) 931, 601, 455, 396, 402, 504. For G = 32,
+64, 128, 256, 512, 2 rounds: (2, 1, 18) 220, 190, 201, 220, 275; (2, 2,
+18) 239, 211, 284, 286, 335; (2, 3, 18) 499, 347, 304, 313, 436; (3, 2,
+18), G = 64 on, 1065, 857, 739, 796 (the scan 4224). One round: (2, 2,
+20) 707, 658, 840, 933 for G = 64-512; (3, 2, 20) 2611, 2175, 2231 for
+G = 128, 256, 512. Past 256 pivots no shape gained, so G stops there.
 Larger m: (2, 5, 15) 485, 434, 413, 396 for G = 1, 16, 32, 64; (2, 5,
 16) 928, 835, 726, 689 for the same G; (2, 5, 18) 3946, 2169, 1795, 1649
 for G = 1, 64, 128, 256; and m = 6, (3, 3, 17), 2365, 2322, 2209, 2173
 for G = 1, 32, 64, 128. The nearest codeword's distance over a cluster's
 extent scales as 2**(-(bits - log2 G) / (2m)), which nears 1 as m
-grows, so both bounds rule out less: pruning stops at m = 5, the
-largest m measured to win clearly. Each cluster costs a few calls of
-fixed overhead, so G past the curve's minimum loses. One bit below the
-threshold, for G = 1, 8, 16, 32: (2, 1, 10) 8, 8, 7, 10; (2, 2, 10), two
-bits below, 10, 11, 13, 17; (2, 2, 11) 17, 12, 14, 18; (2, 3, 12) 37,
-31, 32, 38; (3, 2, 13) 157, 127, 103, 109. Pruning there gained nothing
-at m = 1 and up to 1.5x at m = 4, on calls of 10-160 ms; the threshold
-stays at 2**(10 + m). Traced peaks of `_batched_min_dist` with its
-sources' embedding: 2.1 MiB pruned at (2, 2, 14) with 10**4 sources (the
-scan 1.9); with 2,000 sources 2.1 MiB at (2, 2, 16) (the scan 1.45) and
-3.7 MiB at (2, 1, 18), an 8 MiB codebook (the scan 1.0): the index
-holds an 8-byte position per codeword, and fewer pivots than under the
-ball bound make larger clusters, so larger gathered panels and tiles.
+grows, so the bound rules out less: pruning stops at m = 5, the largest
+m measured to win clearly. Each cluster costs a few calls of fixed
+overhead, so G past the curve's minimum loses. The smallest pruned
+budgets, for G = 1, 8, 16, 32, two passes of 5 rounds each: (2, 1, 10)
+8.9, 6.5, 7.9, 11.0 and 8.0, 4.7, 5.6, 7.5; (2, 2, 11) 18.1, 14.6, 15.4,
+19.2 and 15.8, 12.1, 12.3, 15.4; (2, 3, 12) 37.4, 29.2, 36.2, 38.1 and
+42.9, 32.6, 30.5, 39.5; (3, 2, 13) 117.6, 117.3, 103.1, 111.0 and 121.0,
+116.6, 103.0, 108.7. The rule's G (8, 8, 16, 16) beat the scan in every
+pass, as at (2, 4, 13) and (2, 5, 14), 109.8 and 335.0 ms at G = 16 and
+32 against the scan's 134.9 and 356.0 (7 rounds). One bit lower, (3, 2,
+12) lost at every G (55.6, 58.8, 65.3, 81.9 and 54.7, 62.0, 68.6, 84.5),
+and so did (2, 2, 10) earlier (10, 11, 13, 17). Traced peaks of `_batched_min_dist` with its sources' embedding:
+2.05 MiB pruned at (2, 2, 14) with 10**4 sources (the scan 1.9); with
+2,000 sources 2.08 MiB at (2, 2, 16) (the scan 1.45) and 3.7 MiB at (2,
+1, 18), an 8 MiB codebook (the scan 1.0): the index holds an 8-byte
+position per codeword, and clusters of up to a few thousand codewords
+make large gathered panels and tiles. At (2, 2, 14) the peak is the
+embedded sources (0.61 MiB), one cluster's tile (0.5 MiB), its gathered
+panel and codewords (0.1 MiB each), the codewords' and sources' cluster
+orders (0.2 MiB), four per-source vectors (0.3 MiB) and temporaries
+within one line (0.15 MiB); at (2, 2, 16) the codewords' order is 0.5
+MiB, and a cluster's panel and codewords 0.2 MiB each.
 
 ``encode`` keeps the full scan. Building the index scores every
 codeword against G pivots, which costs as much as scoring G points, so
@@ -182,23 +180,21 @@ _GEN_CHUNK = 1 << 14
 _SIM_TILE = 1 << 16
 # bytes of one column panel of embedded codewords (`_panel_width`)
 _PANEL_BYTES = 1 << 18
-# the pruned search pays from 2**(10 + K(n-1)) codewords on, for K(n-1)
+# the pruned search pays from 2**(9 + K(n-1)) codewords on, for K(n-1)
 # up to 5, with at most 256 pivots (G curve in the module docstring)
-_PRUNE_FROM_BITS = 10
+_PRUNE_FROM_BITS = 9
 _PRUNE_MAX_M = 5
 _MAX_PIVOTS = 1 << 8
 # Rounding allowances of the pruned search. Every score, an inner product
 # of two embedded points of depth K*n*n <= 36 and squared norm K <= 5, is
-# taken to err by at most 1e-12 (its rounding bound is below 2e-14).
-# _PRUNE_SLACK goes on every distance sqrt(K - score): an error of 1e-12
-# in K - score moves the root by up to 1e-6 near zero, and by a factor
-# of at most 1 + 1e-6 once the root is _CLOSE_PIVOTS or more. The
+# taken to err by at most 1e-12 (its rounding bound is below 2e-14). The
 # bisector bound's numerator s_h - s_g is cut by _BISECTOR_EPS, the
 # errors of four scores: s_h and s_g of the source, and s_g and s_h of
 # the codeword, whose nearest-pivot assignment rests on their order. Its
-# denominator 2 d(p_g, p_h) is inflated by the factor 1 + _PRUNE_SLACK,
-# which holds only for pivots at least _CLOSE_PIVOTS apart: nearer pairs,
-# duplicate pivots among them, get no bisector bound.
+# denominator 2 d(p_g, p_h), with d = sqrt(K - score), is inflated by the
+# factor 1 + _PRUNE_SLACK: an error of 1e-12 in K - score moves d by a
+# factor of at most 1 + 1e-6 only once d is _CLOSE_PIVOTS or more, so
+# nearer pairs, duplicate pivots among them, get no bound.
 _PRUNE_SLACK = 1e-6
 _BISECTOR_EPS = 4e-12
 _CLOSE_PIVOTS = 1e-3
@@ -388,53 +384,32 @@ def _raise_best(best: np.ndarray, src: np.ndarray, cb: Codebook, src_idx=None, c
         best[src_idx] = acc
 
 
-def _lower_bounds(scores: np.ndarray, K: int, radius: float) -> np.ndarray:
-    """Turn scores against pivot p_g into squared lower bounds (d(x, p_g) - r_g)_+**2, in place.
-
-    Each pivot distance sqrt(K - score) is deflated by the allowance, and
-    ``radius`` is r_g already inflated by it (`_pivot_index`).
-    """
-    np.subtract(K, scores, out=scores)
-    np.maximum(scores, 0.0, out=scores)
-    np.sqrt(scores, out=scores)
-    scores -= _PRUNE_SLACK
-    scores -= radius
-    np.maximum(scores, 0.0, out=scores)
-    return np.square(scores, out=scores)
-
-
 def _pivot_index(cb: Codebook, pivots: np.ndarray):
     """Cluster every codeword of `cb` under its nearest pivot.
 
     Returns the codeword indices grouped by cluster (pivot order, each
-    cluster in index order), the (G + 1) cluster offsets into them, and
-    each cluster's radius inflated by the allowance, -inf if it is empty.
+    cluster in index order) and the (G + 1) cluster offsets into them.
     Codewords are embedded as sources a panel's width at a time, and the
     pivots once per slice; owners are int16, as G is at most `_MAX_PIVOTS`.
     """
     owner = np.empty(cb.size, dtype=np.int16)
-    starts = np.zeros(len(pivots) + 1, dtype=np.intp)
-    radius = np.full(len(pivots), -np.inf)
     width = _panel_width(cb.K * cb.n * cb.n)
     for c0 in range(0, cb.size, width):
-        own, score = _nearest(_embed(cb.points[c0 : c0 + width]), cb, cw_idx=pivots)
-        owner[c0 : c0 + len(own)] = own
-        starts[1:] += np.bincount(own, minlength=len(pivots))
-        np.maximum.at(radius, own, np.sqrt(np.maximum(cb.K - score, 0.0)))
-    np.cumsum(starts, out=starts)
-    return np.argsort(owner, kind="stable"), starts, radius + _PRUNE_SLACK
+        owner[c0 : c0 + width] = _nearest(_embed(cb.points[c0 : c0 + width]), cb, cw_idx=pivots)[0]
+    starts = np.zeros(len(pivots) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(owner, minlength=len(pivots)), out=starts[1:])
+    return np.argsort(owner, kind="stable"), starts
 
 
-def _bisector_scale(cb: Codebook, pivots: np.ndarray) -> np.ndarray:
+def _bisector_scale(emb: np.ndarray, K: int) -> np.ndarray:
     """The (G, G) factors 1 / (2 d(p_g, p_h)) of the bisector bound, allowance included.
 
-    Each pivot distance comes from one product of the pivots' embeddings
-    and is inflated by the factor 1 + `_PRUNE_SLACK`; pairs nearer than
-    `_CLOSE_PIVOTS`, the diagonal and duplicate pivots among them, get 0,
-    which is no bound.
+    ``emb`` holds the G pivots' `_embed` rows. Each pivot distance comes
+    from one product of them and is inflated by the factor
+    1 + `_PRUNE_SLACK`; pairs nearer than `_CLOSE_PIVOTS`, the diagonal
+    and duplicate pivots among them, get 0, which is no bound.
     """
-    emb = _embed(cb.points[pivots])
-    dist = np.sqrt(np.maximum(cb.K - emb @ emb.T, 0.0))
+    dist = np.sqrt(np.maximum(K - emb @ emb.T, 0.0))
     far = dist >= _CLOSE_PIVOTS
     scale = np.zeros_like(dist)
     scale[far] = 0.5 / ((1.0 + _PRUNE_SLACK) * dist[far])
@@ -461,32 +436,30 @@ def _batched_min_dist(src: np.ndarray, cb: Codebook) -> np.ndarray:
     With one pivot (`_pivot_count`) every source meets every codeword.
     Otherwise the search is pruned, exactly (module docstring): each
     source is scored against its nearest pivot's cluster, then against
-    each other cluster whose lower bound, the larger of the ball and the
-    bisector bound, does not exceed its best squared distance so far.
+    each other cluster whose bisector bound does not exceed its best
+    squared distance so far.
     """
     best = np.full(len(src), -np.inf)
     pivots = np.arange(_pivot_count(cb.size, cb.K * (cb.n - 1)))
     if len(pivots) == 1:
         _raise_best(best, src, cb)
         return np.maximum(cb.K - best, 0.0)
-    order, starts, radius = _pivot_index(cb, pivots)
+    order, starts = _pivot_index(cb, pivots)
     own, own_score = _nearest(src, cb, cw_idx=pivots)
-    scale = _bisector_scale(cb, pivots)
+    emb = _embed(cb.points[pivots])
+    scale = _bisector_scale(emb, cb.K)
     # own cluster first: every source's best squared distance D0
     by_own = np.argsort(own, kind="stable")
     bounds = np.zeros(len(pivots) + 1, dtype=np.intp)
     np.cumsum(np.bincount(own, minlength=len(pivots)), out=bounds[1:])
     for g in np.flatnonzero((bounds[1:] > bounds[:-1]) & (starts[1:] > starts[:-1])):
         _raise_best(best, src, cb, by_own[bounds[g] : bounds[g + 1]], order[starts[g] : starts[g + 1]])
-    # then every other cluster that its lower bound cannot rule out
+    # then every other cluster that its bisector bound cannot rule out
     for g in np.flatnonzero(starts[1:] > starts[:-1]):
-        for s0, _, scores in _score_tiles(src, cb, cw_idx=pivots[g : g + 1]):
-            span = slice(s0, s0 + len(scores))
-            bisector = _bisector_bounds(own_score[span], scores[:, 0], scale[g, own[span]])
-            lower = np.maximum(_lower_bounds(scores[:, 0], cb.K, radius[g]), bisector, out=bisector)
-            hits = np.flatnonzero((lower <= cb.K - best[span]) & (own[span] != g))
-            if len(hits):
-                _raise_best(best, src, cb, s0 + hits, order[starts[g] : starts[g + 1]])
+        bound = _bisector_bounds(own_score, src @ emb[g], scale[g, own])
+        hits = np.flatnonzero((bound <= cb.K - best) & (own != g))
+        if len(hits):
+            _raise_best(best, src, cb, hits, order[starts[g] : starts[g + 1]])
     return np.maximum(cb.K - best, 0.0)
 
 

@@ -85,9 +85,11 @@ def near_pivot_layout(n, K, bits, count):
     source x at angle 0.1, and pivot 2j+1 is x's nearest pivot, a squared
     distance 1e-10 nearer x than b, alone in its cluster. x's own cluster
     gives it D0 = sin^2(0.1) - 1e-10, while its nearest codeword, in b's
-    cluster, lies at about sin^2(0.1) - 2e-10; if b's radius rounded to 0
-    the bound sin^2(0.1) would prune that cluster. The last 14 codewords
-    repeat the near ones; ``count`` random sources follow the six x.
+    cluster, lies at about sin^2(0.1) - 2e-10: the search must score b's
+    cluster for a gain of 1e-10 over D0, and there the squared bisector
+    bound, about 1e-19, rests on s_h - s_g = 1e-10 alone. The last 14
+    codewords repeat the near ones; ``count`` random sources follow the
+    six x.
     """
     assert (n, K, bits) == (2, 1, 5)
     s = 1 / math.sqrt(2)
@@ -393,18 +395,21 @@ class TestDistortionKernel:
         cb = Codebook(n=2, K=2, bits=10, points=points)
         got = _batched_min_dist(_embed(sources), cb)
         assert np.abs(got - reference_min_dist(sources, cb.points)).max() <= 1e-12
-        order, starts, _ = _pivot_index(cb, np.arange(pivots))
+        order, starts = _pivot_index(cb, np.arange(pivots))
         for c, g in zip(order, np.repeat(np.arange(pivots), np.diff(starts))):
             d = composite_dist_sq(points[c], points[:pivots])
             assert d[g] <= d.min() + 1e-12
 
     def test_pivot_count_rule(self):
-        # the full scan below 2**(10 + m) codewords and above m = 5, else
+        # the full scan below 2**(9 + m) codewords and above m = 5, else
         # 2**(bits//2 - 3) pivots, doubled from m = 3 on, from 8 to 256
-        assert _pivot_count(1 << 11, 2) == 1
-        assert _pivot_count(1 << 12, 2) == 8
+        assert _pivot_count(1 << 9, 1) == 1
+        assert _pivot_count(1 << 10, 1) == 8
+        assert _pivot_count(1 << 10, 2) == 1
+        assert _pivot_count(1 << 11, 2) == 8
         assert _pivot_count(1 << 14, 2) == 16
-        assert _pivot_count(1 << 13, 4) == 1
+        assert _pivot_count(1 << 12, 4) == 1
+        assert _pivot_count(1 << 13, 4) == 16
         assert _pivot_count(1 << 14, 4) == 32
         assert _pivot_count(1 << 15, 4) == 32
         assert _pivot_count(1 << 16, 5) == 64
@@ -447,15 +452,16 @@ class TestDistortionKernel:
             nudge(base[3:4], 1.2 * _CLOSE_PIVOTS / math.sqrt(2), seed=65), unit_rows(66, (7, 2, 2)),
         ])
         cb = Codebook(n=2, K=2, bits=4, points=pts)
-        scale = _bisector_scale(cb, np.arange(9))
+        scale = _bisector_scale(_embed(pts[:9]), 2)
         exact = np.array([exact_dist(pts[:9], p) for p in pts[:9]])
         assert (exact[8, 3] > _CLOSE_PIVOTS) and (exact[7, 2] < _CLOSE_PIVOTS)
         assert np.array_equal(scale > 0, exact >= _CLOSE_PIVOTS)
         assert np.all(scale <= 0.5 / np.maximum(exact, _CLOSE_PIVOTS))
 
-    def test_bisector_bound_prunes_past_the_ball(self, monkeypatch):
-        # codeword-source pairs scored at (2, 2, 14) with 2,000 sources, the
-        # bisector bound beside the ball bound against the ball bound alone
+    def test_bisector_bound_prunes_clusters(self, monkeypatch):
+        # codeword-source pairs scored at (2, 2, 14) with 2,000 sources: a
+        # zeroed scale is no bound, so every source meets every codeword,
+        # and the bisector bound scores 4.5e6 of those 3.3e7 pairs (0.138)
         cb = build_random_codebook(2, 2, 14, seed=67)
         src = _embed(unit_rows(68, (2000, 2, 2)))
         scored = []
@@ -466,23 +472,12 @@ class TestDistortionKernel:
             raise_best(best, src, cb, src_idx, cw_idx)
 
         monkeypatch.setattr(quantizer, "_raise_best", counted)
-        for scale in (_bisector_scale, lambda cb, pivots: np.zeros((len(pivots), len(pivots)))):
+        for scale in (_bisector_scale, lambda emb, K: np.zeros((len(emb), len(emb)))):
             monkeypatch.setattr(quantizer, "_bisector_scale", scale)
             scored.append(0)
             _batched_min_dist(src, cb)
-        assert scored[0] < 0.5 * scored[1]
-
-    def test_cluster_radii_cover_their_codewords(self):
-        # a codeword 1e-9 from its pivot: sqrt(K - score) may round its
-        # distance to 0, and only the allowance keeps the radius above it
-        points, _ = LAYOUTS["near-pivot"](2, 1, 5, 0)
-        for pts, count in ((points, 12), (random_codebook_points(2, 2, 10, seed=38), 16)):
-            cb = Codebook(n=pts.shape[2], K=pts.shape[1], bits=int(math.log2(len(pts))), points=pts)
-            order, starts, radius = _pivot_index(cb, np.arange(count))
-            for g in range(count):
-                members = pts[order[starts[g] : starts[g + 1]]]
-                if len(members):
-                    assert radius[g] >= exact_dist(members, pts[g]).max()
+        assert scored[1] == len(src) * cb.size
+        assert scored[0] < 0.2 * scored[1]
 
     def test_one_pivot_is_the_full_scan(self, monkeypatch):
         cb = build_random_codebook(2, 2, 14, seed=39)
@@ -527,9 +522,13 @@ class TestDistortionKernel:
         assert np.abs(got - reference_min_dist(sources, cb.points)).max() <= 1e-12
 
     def test_similarity_block_bounds_peak_memory(self, monkeypatch):
-        # pruned over 16 pivots: the embedded sources, the cluster index and
-        # one cluster's tile at a time, 2.1 MiB traced. The full scan's 512
-        # KiB tile, 256 KiB panel buffer and embedded sources trace 1.9 MiB;
+        # pruned over 16 pivots, 2.05 MiB traced: at its largest the
+        # embedded sources (0.61 MiB), one cluster's tile (0.5 MiB), its
+        # gathered panel and codewords (0.1 MiB each), the codewords' and
+        # the sources' cluster orders (0.2 MiB) and four per-source vectors
+        # (0.3 MiB), and 0.15 MiB of temporaries within one line. The full
+        # scan's 512 KiB tile, 256 KiB panel buffer and embedded sources
+        # trace 1.9 MiB;
         # an embedded chunk and its transpose (1 MiB each) peaked at 3.7
         # MiB, the earlier 8 MiB block at 11.2 MiB and a fresh block per
         # slice at 67 MiB
