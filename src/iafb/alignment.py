@@ -42,11 +42,12 @@ against LAPACK's 410-680 us, 3x2 290-330 us against 780-1,350 us, the
 3x3 rank-2 basis 285-335 us against 1.3-1.5 ms, and the 3x2 rank-1 basis
 135 us against the Jacobi rotation's 415 us.
 
-`build_beamformers` takes a batch of reconstructions (a leading batch
-axis: dof-sweep stacks a block of trials x alphas x powers, and ia-run
-builds a batch of one). cj3 and the zero-forcing step run on the whole
-batch in stacked calls; leakage-min iterates one element at a time. A
-build records each element's failure instead of raising it.
+`build_beamformers` takes a batch of reconstructions, the (B, K, K, N, R)
+tone array of `reconstruct` (a leading batch axis: dof-sweep stacks a
+block of trials x alphas x powers, and ia-run builds a batch of one).
+cj3 and the zero-forcing step run on the whole batch in stacked calls;
+leakage-min iterates one element at a time. A build records each
+element's failure instead of raising it.
 """
 
 from __future__ import annotations
@@ -235,8 +236,10 @@ def mimo_reduce(K: int, M_t: int, M_r: int, L: int, P: float) -> MimoReduction:
     )
 
 
-def _wtilde_matrices(rec: ReconstructedChannel):
-    return [[rec.wtilde_matrix(i, k) for k in range(rec.K)] for i in range(rec.K)]
+def _wtilde_matrices(wtones):
+    """Dense W_ik of one (K, K, N, R) reconstruction, [i][k]."""
+    rec = ReconstructedChannel(wtones)
+    return [[rec.wtilde_matrix(i, k) for k in range(len(wtones))] for i in range(len(wtones))]
 
 
 def _rand_orthonormal(rng, rows: int, cols: int) -> np.ndarray:
@@ -633,7 +636,7 @@ def _check_feasibility(params: IaParameters):
 
 
 def build_beamformers(
-    rec: ReconstructedChannel,
+    wtones: np.ndarray,
     params: IaParameters,
     engine: str = "leakage-min",
     *,
@@ -643,7 +646,7 @@ def build_beamformers(
     rng=None,
     shared: bool = False,
 ) -> BeamformerSet:
-    """Find (u, v) satisfying the alignment conditions against each reconstruction of the batch `rec`.
+    """Find (u, v) satisfying the alignment conditions against each reconstruction of the batch `wtones`.
 
     An element builds when every cross-user and cross-stream inner product
     is below `tol` and every desired-signal inner product above `c_min`,
@@ -658,19 +661,16 @@ def build_beamformers(
     AlignmentError (singular per-tone gains, a swallowed stream, the gate,
     or leakage-min's last attempt with the leakage trajectory attached) in
     ``failures`` and zeroes its beamformers (see `BeamformerSet`). Usage
-    errors (a wrong engine, sizing or generator list, or an unbatched
-    `rec`) raise ValueError, and an allocation that cannot fit any
-    receiver raises AlignmentError.
+    errors raise ValueError: a wrong engine, sizing or generator list, or
+    `wtones` that is not the (B, K, K, N, R) tone array of a batch of
+    `reconstruct` calls at the K, R and N of `params`. An allocation that
+    cannot fit any receiver raises AlignmentError.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
-    if rec.wtones.ndim != 5:
-        raise ValueError(f"need a batch of reconstructions, tones shaped (B, K, K, N, R), got {rec.wtones.shape}")
-    if rec.K != params.K or rec.R != params.R or rec.N != params.N:
-        raise ValueError(
-            f"reconstruction shape (K={rec.K}, R={rec.R}, N={rec.N}) does not match "
-            f"parameters (K={params.K}, R={params.R}, N={params.N})"
-        )
+    expect = (params.K, params.K, params.N, params.R)
+    if wtones.ndim != 5 or wtones.shape[1:] != expect:
+        raise ValueError(f"need a batch of reconstructions (B, K, K, N, R) = (B, {str(expect)[1:]}, got {wtones.shape}")
     _check_feasibility(params)
 
     if engine == "cj3":
@@ -679,7 +679,7 @@ def build_beamformers(
         if shared:
             raise ValueError("the cj3 construction has no shared-direction variant")
         # W_ik is diagonal at R=1: its diagonal is the conjugated tone row
-        h = np.conj(rec.wtones[..., 0])
+        h = np.conj(wtones[..., 0])
         singular = _cj3_singular(h)
         failures = None
         if singular.any():
@@ -690,20 +690,20 @@ def build_beamformers(
                 AlignmentError("cj3 needs invertible per-tone channels; a tone gain is (near) zero") if s else None
                 for s in singular
             ]
-        return _finish(rec.wtones, _cj3_directions(h, params), params, engine, tol, c_min, failures)
+        return _finish(wtones, _cj3_directions(h, params), params, engine, tol, c_min, failures)
 
     rngs = list(rng) if isinstance(rng, (list, tuple)) else []
-    if len(rngs) != len(rec.wtones) or not all(isinstance(g, np.random.Generator) for g in rngs):
-        raise ValueError(f"leakage-min needs a list of {len(rec.wtones)} numpy Generators, one per batch element")
+    if len(rngs) != len(wtones) or not all(isinstance(g, np.random.Generator) for g in rngs):
+        raise ValueError(f"leakage-min needs a list of {len(wtones)} numpy Generators, one per batch element")
     return _concatenated([
-        _leakage_min(replace(rec, wtones=w), params, tol, c_min, max_iters, g, shared)
-        for w, g in zip(rec.wtones, rngs)
+        _leakage_min(w, params, tol, c_min, max_iters, g, shared)
+        for w, g in zip(wtones, rngs)
     ])
 
 
-def _leakage_min(rec, params, tol, c_min, max_iters, rng, shared) -> BeamformerSet:
-    """leakage-min on one element of a batch; a batch-of-one set, its failure recorded."""
-    Wm = _wtilde_matrices(rec)
+def _leakage_min(wtones, params, tol, c_min, max_iters, rng, shared) -> BeamformerSet:
+    """leakage-min on one (K, K, N, R) element of a batch; a batch-of-one set, its failure recorded."""
+    Wm = _wtilde_matrices(wtones)
     target = (0.5 * tol) ** 2
     history_all = []
     attempts = 3  # the first run and up to two restarts
@@ -711,7 +711,7 @@ def _leakage_min(rec, params, tol, c_min, max_iters, rng, shared) -> BeamformerS
         V, _, history = _leakage_min_directions(Wm, params, target, max_iters, rng, shared)
         history_all.extend(history)
         bf = _finish(
-            rec.wtones[None], [v[None] for v in V], params, "leakage-min", tol, c_min,
+            wtones[None], [v[None] for v in V], params, "leakage-min", tol, c_min,
             iterations=len(history),
         )
         last = bf.failures[0]

@@ -1,13 +1,14 @@
 """Frequency-selective K-user channel model and the feedback pipeline.
 
-Channels, tones and feedback stay plain arrays, batched over leading
-axes: `generate_channel` turns drawn complex normals into a
+Channels, tones, feedback and reconstructions stay plain arrays, batched
+over leading axes: `generate_channel` turns drawn complex normals into a
 (..., K, K, L, R) tap array, from whose shape every function reads K, L
 and R,
 `to_tone_domain` gives the (..., K, K, N, R) tones that rates are
 measured on, `receiver_feedback` gives every receiver's (..., K, K, R*L)
-directions in one pass, and `reconstruct` rebuilds the surrogate from
-them. `save_channel` and `load_channel` write and read one unbatched tap
+directions in one pass, and `reconstruct` rebuilds from them the
+read-only (..., K, K, N, R) tone array every node aligns against.
+`save_channel` and `load_channel` write and read one unbatched tap
 array.
 
 Conventions used throughout (pinned by tests, since several downstream
@@ -29,8 +30,6 @@ norm identities depend on them):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .quantizer import encode
@@ -46,25 +45,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ReconstructedChannel:
-    """Channel surrogate every node rebuilds from the fed-back directions.
+    """Leakage-min's dense view of one reconstruction, a (K, K, N, R) `reconstruct` tone array.
 
-    ``wtones[i, k]`` is the fed-back direction of link (i, k), reshaped
-    back to its L x R tap layout, zero-padded and unitary-scaled DFT'd
-    (N x R), so each stacked direction matrix has unit Frobenius norm. A
-    batch of reconstructions, which `build_beamformers` takes, carries a
-    leading batch axis; `wtilde_matrix` serves one element of it.
+    `wtilde_matrix` serves the element's R*N x N block-diagonal matrices.
+    The tone array itself is the reconstruction. The class stays because
+    `bench/tracer.py`'s ``channel.dense`` span wraps ``wtilde_matrix`` from
+    the class dict and reads the instance attributes ``R`` and ``N`` to
+    count its dense bytes; it goes once leakage-min runs on the tones and
+    that span moves with it.
     """
 
-    K: int
-    R: int
-    L: int
-    N: int
-    wtones: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.wtones.setflags(write=False)
+    def __init__(self, wtones: np.ndarray):
+        self.wtones = wtones
+        self.N, self.R = wtones.shape[-2:]
 
     def wtilde_matrix(self, i: int, k: int) -> np.ndarray:
         """Dense R*N x N block-diagonal reconstructed channel matrix."""
@@ -189,7 +183,7 @@ def receiver_feedback(taps: np.ndarray, codebooks=None) -> np.ndarray:
     return fed
 
 
-def reconstruct(directions: np.ndarray, N: int, *, R: int) -> ReconstructedChannel:
+def reconstruct(directions: np.ndarray, N: int, *, R: int) -> np.ndarray:
     """Rebuild the tone-domain channel surrogate from the fed-back directions.
 
     ``directions`` is (K, K, R*L), whose [i] is receiver i's fed-back
@@ -197,19 +191,22 @@ def reconstruct(directions: np.ndarray, N: int, *, R: int) -> ReconstructedChann
     Each direction is reshaped to L x R (undoing the column-major
     vectorization), zero-padded to N taps and DFT'd with the 1/sqrt(N)
     unitary scaling, so every stacked reconstructed direction keeps norm 1.
-    One FFT transforms the whole batch.
+    One FFT transforms the whole batch. Returns the read-only
+    (K, K, N, R) or (B, K, K, N, R) tone array: ``[..., i, k, :, :]`` is
+    link (i, k)'s reconstructed N x R direction matrix.
     """
     vectors = np.asarray(directions)
     if R < 1 or vectors.ndim not in (3, 4) or vectors.shape[-3] != vectors.shape[-2] or vectors.shape[-1] % R:
         raise ValueError(f"need directions shaped (K, K, R*L) or (B, K, K, R*L) for R={R}, got {vectors.shape}")
-    K, L = vectors.shape[-2], vectors.shape[-1] // R
+    L = vectors.shape[-1] // R
     if N < L:
         raise ValueError(f"need at least as many tones as taps (N={N} < L={L})")
 
     # column-major vectorization: entry m*L + l is tap l of antenna m
     taps = np.swapaxes(vectors.reshape(*vectors.shape[:-1], R, L), -1, -2)
     wtones = np.fft.fft(taps, n=N, axis=-2) / np.sqrt(N)
-    return ReconstructedChannel(K=K, R=R, L=L, N=N, wtones=wtones)
+    wtones.setflags(write=False)
+    return wtones
 
 
 def save_channel(taps: np.ndarray, path) -> None:

@@ -170,7 +170,6 @@ __all__ = [
     "distortion_oracle_quantize",
     "distortion_scaling_exponent",
     "save_codebook",
-    "load_codebook",
 ]
 
 MAX_MATERIALIZED_BITS = 26
@@ -586,22 +585,3 @@ def save_codebook(cb: Codebook, path) -> None:
         fh.write(f"n={cb.n} K={cb.K} bits={cb.bits} mode=materialized seed={seed}\n")
         for row in cb.points.reshape(cb.size, cb.K * cb.n):
             fh.write(" ".join(repr(complex(z)) for z in row) + "\n")
-
-
-def load_codebook(path) -> Codebook:
-    """Read a codebook written by `save_codebook`."""
-    with open(path, "r", encoding="ascii") as fh:
-        magic = fh.readline().strip()
-        if magic != "# iafb-codebook v1":
-            raise ValueError(f"not a codebook file: {path}")
-        header = dict(item.split("=", 1) for item in fh.readline().split())
-        n, K, bits = int(header["n"]), int(header["K"]), int(header["bits"])
-        if header["mode"] != "materialized":
-            raise ValueError(f"codebook mode {header['mode']!r} is not supported (only materialized): {path}")
-        seed = None if header["seed"] == "none" else int(header["seed"])
-        rows = []
-        for line in fh:
-            if line.strip():
-                rows.append([complex(tok) for tok in line.split()])
-        points = np.asarray(rows, dtype=complex).reshape(1 << bits, K, n)
-        return Codebook(n=n, K=K, bits=bits, points=points, seed=seed)

@@ -12,14 +12,17 @@ direction, the reference for `iafb.channel.receiver_feedback`, and
 `iafb.rng.draw_unit_rows` makes in sub-blocks, and
 `leakage_min_directions` is the leakage-min loop that forms every image
 twice per iteration, the reference for
-`iafb.alignment._leakage_min_directions`.
+`iafb.alignment._leakage_min_directions`. `codebook_file_seed` checks a
+`iafb.quantizer.save_codebook` file against the codebook its header names.
 """
+
+from pathlib import Path
 
 import numpy as np
 
 from iafb.alignment import _rand_orthonormal
 from iafb.channel import _block_diag_from_rows, generate_channel
-from iafb.quantizer import _GEN_CHUNK
+from iafb.quantizer import _GEN_CHUNK, build_random_codebook
 from iafb.rng import as_generator, complex_normal, trial_generator
 
 
@@ -154,3 +157,22 @@ def leakage_min_directions(Wm, params, target, max_iters, rng, shared):
         elif not tie_break and len(history) >= 200 and leak > 0.98 * history[-200]:
             break
     return V, U, history
+
+
+def codebook_file_seed(path, n, K, bits):
+    """Check that a codebook file is a pure function of its header; returns the header's seed.
+
+    The header names n, K, bits, mode=materialized and a seed, and row c
+    holds the K*n coordinates of codeword c of
+    ``build_random_codebook(n, K, bits, seed)``, component-major, each as
+    ``repr(complex(z))``.
+    """
+    magic, header, *rows = Path(path).read_text().splitlines()
+    assert magic == "# iafb-codebook v1"
+    fields = dict(item.split("=", 1) for item in header.split())
+    assert fields.keys() == {"n", "K", "bits", "mode", "seed"}
+    assert (fields["n"], fields["K"], fields["bits"], fields["mode"]) == (str(n), str(K), str(bits), "materialized")
+    seed = int(fields["seed"])
+    points = build_random_codebook(n, K, bits, seed=seed).points.reshape(1 << bits, K * n)
+    assert rows == [" ".join(repr(complex(z)) for z in row) for row in points]
+    return seed

@@ -211,7 +211,7 @@ def test_criterion_8_pipeline_identities():
         i, k = int(rng.integers(K)), int(rng.integers(K))
 
         # reconstructed directions keep unit norm
-        worst["wnorm"] = max(worst["wnorm"], abs(np.linalg.norm(rec.wtones[i, k]) - 1.0))
+        worst["wnorm"] = max(worst["wnorm"], abs(np.linalg.norm(rec[i, k]) - 1.0))
         # unnormalized-DFT Parseval
         F = tones[i, k]
         T = taps[i, k]

@@ -1,6 +1,5 @@
 import re
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,7 +169,7 @@ class TestLeakageMinLoop:
         # 300 shared iterations: 180 with the tie-breaker, then the polish
         params = ia_parameters(3, R, 1)
         rec = perfect_reconstruction(3, R, 2, params.N, seed=seed)
-        Wm = alignment._wtilde_matrices(replace(rec, wtones=rec.wtones[0]))
+        Wm = alignment._wtilde_matrices(rec[0])
         target = (0.5 * 1e-8) ** 2
         args = (params, target, max_iters)
         V, U, history = alignment._leakage_min_directions(Wm, *args, np.random.default_rng(seed), shared)
@@ -205,6 +204,22 @@ class TestCj3Engine:
         for engine in ENGINES:
             with pytest.raises(ValueError, match="batch of reconstructions"):
                 build_beamformers(unbatched, params, engine)
+
+    @pytest.mark.parametrize(
+        "K, N, R",
+        [(4, 3, 1), (3, 5, 1), (3, 3, 2)],
+        ids=["K", "N", "R"],
+    )
+    def test_rejects_a_reconstruction_off_its_parameters(self, K, N, R):
+        # cj3_parameters(1) sizes K=3, N=3, R=1; each case differs in one.
+        # R=2 reads the R*L=2 directions as L=1 taps of two antennas
+        params = cj3_parameters(1)
+        fed = receiver_feedback(trial_channels(K, 1, 0, [0]))
+        rec = reconstruct(fed, N, R=R)
+        expect = re.escape(f"(B, 3, 3, 3, 1), got {rec.shape}")
+        for engine in ENGINES:
+            with pytest.raises(ValueError, match=expect):
+                build_beamformers(rec, params, engine, rng=[np.random.default_rng(0)])
 
     def test_leakage_min_agrees_on_cj3_sizing(self):
         # both engines align the cj3 sizing
@@ -241,21 +256,23 @@ class TestCj3Engine:
 def reference_filters(rec, bf):
     """Zero-forcing filters one stream at a time, by full SVDs.
 
-    ``rec`` is one unbatched reconstruction and ``bf`` the batch-of-one set
-    built on it. Interference basis as in the library; then each stream's
-    filter is the unit projection of its desired image onto the orthogonal
-    complement of that basis plus the other desired images.
+    ``rec`` is one unbatched (K, K, N, R) reconstruction and ``bf`` the
+    batch-of-one set built on it. Interference basis as in the library;
+    then each stream's filter is the unit projection of its desired image
+    onto the orthogonal complement of that basis plus the other desired
+    images.
     """
     params = bf.params
     K, d, RN = params.K, params.d, params.R * params.N
     V = [v[0] for v in bf.v]
+    Wm = alignment._wtilde_matrices(rec)
     U = []
     for i in range(K):
-        J = np.concatenate([rec.wtilde_matrix(i, k) @ V[k] for k in range(K) if k != i], axis=1)
+        J = np.concatenate([Wm[i][k] @ V[k] for k in range(K) if k != i], axis=1)
         left, sing, _ = np.linalg.svd(J, full_matrices=False)
         keep = min(RN - d[i], J.shape[1], int(np.count_nonzero(sing > RANK_RTOL * sing[0])))
         basis = left[:, :keep]
-        desired = rec.wtilde_matrix(i, i) @ V[i]
+        desired = Wm[i][i] @ V[i]
         filters = np.empty((RN, d[i]), dtype=complex)
         for m in range(d[i]):
             nuisance = np.concatenate([basis, np.delete(desired, m, axis=1)], axis=1)
@@ -315,16 +332,16 @@ class TestZeroForcing:
         rec = reconstruct(fed[None], params.N, R=1)
         bf = build_beamformers(rec, params, "cj3")
         assert bf.failures == (None,)
-        Wm = [[reconstruct(fed, params.N, R=1).wtilde_matrix(i, k) for k in range(3)] for i in range(3)]
+        Wm = alignment._wtilde_matrices(reconstruct(fed, params.N, R=1))
         V = [v.copy() for v in bf.v]
         V[0][0, :, 0] = np.diagonal(Wm[0][1]) / np.diagonal(Wm[0][0]) * V[1][0, :, 0]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert_failed(_finish(rec.wtones, V, params, "cj3", 1e-8, 1e-6), "receiver 0, stream 0: .* swallowed")
+            assert_failed(_finish(rec, V, params, "cj3", 1e-8, 1e-6), "receiver 0, stream 0: .* swallowed")
             # a zero transmit column gives an exactly zero singular value
             V = [v.copy() for v in bf.v]
             V[0][0, :, 1] = 0.0
-            assert_failed(_finish(rec.wtones, V, params, "cj3", 1e-8, 1e-6), "receiver 0, stream 1: .* swallowed")
+            assert_failed(_finish(rec, V, params, "cj3", 1e-8, 1e-6), "receiver 0, stream 1: .* swallowed")
 
 
 def batched_reconstruction(params, trials):

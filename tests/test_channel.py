@@ -238,14 +238,14 @@ class TestReconstruction:
         for i in range(3):
             for k in range(3):
                 hbar = dense.hbar(tones, i, k)
-                assert np.allclose(rec.wtones[i, k].reshape(-1), hbar / np.linalg.norm(hbar), atol=1e-12)
+                assert np.allclose(rec[i, k].reshape(-1), hbar / np.linalg.norm(hbar), atol=1e-12)
 
     def test_unit_norm_reconstruction(self):
         radius = oracle_radius(feedback_bits(3, 2, 2, 16.0), 3, 4)
         _, _, rec = self.make_rec(seed=21, radius=radius, rng=np.random.default_rng(2))
         for i in range(3):
             for k in range(3):
-                assert abs(np.linalg.norm(rec.wtones[i, k].reshape(-1)) - 1.0) <= 1e-12
+                assert abs(np.linalg.norm(rec[i, k].reshape(-1)) - 1.0) <= 1e-12
 
     def test_inner_product_preservation(self):
         # <true direction, reconstruction> equals <tap direction, quantized direction>
@@ -258,7 +258,7 @@ class TestReconstruction:
         for i in range(3):
             for k in range(3):
                 hbar = dense.hbar(tones, i, k)
-                lhs = np.vdot(hbar / np.linalg.norm(hbar), rec.wtones[i, k].reshape(-1))
+                lhs = np.vdot(hbar / np.linalg.norm(hbar), rec[i, k].reshape(-1))
                 rhs = np.vdot(dense.direction(taps[i, k]), fed[i, k])
                 assert abs(lhs - rhs) <= 1e-10
 
@@ -273,8 +273,8 @@ class TestReconstruction:
         base = reconstruct(fed, 6, R=1)
         alt = reconstruct(rotated, 6, R=1)
         hbar = dense.hbar(tones, 0, 1)
-        assert abs(np.vdot(hbar, base.wtones[0, 1].reshape(-1))) == pytest.approx(
-            abs(np.vdot(hbar, alt.wtones[0, 1].reshape(-1))), abs=1e-12
+        assert abs(np.vdot(hbar, base[0, 1].reshape(-1))) == pytest.approx(
+            abs(np.vdot(hbar, alt[0, 1].reshape(-1))), abs=1e-12
         )
 
     def test_direction_shape_rejected(self):
@@ -289,12 +289,22 @@ class TestReconstruction:
         # the inverse DFT of the reconstructed tones, times sqrt(N), holds the
         # fed-back direction in its first L rows, reshaped to L x R
         taps, _, rec = self.make_rec(seed=26)
-        back = np.fft.ifft(rec.wtones, axis=-2) * np.sqrt(rec.N)
+        N, L = rec.shape[-2], taps.shape[-2]
+        back = np.fft.ifft(rec, axis=-2) * np.sqrt(N)
         for i in range(3):
             for k in range(3):
                 expect = taps[i, k] / np.linalg.norm(taps[i, k])
-                assert np.allclose(back[i, k, : rec.L], expect, atol=1e-12)
-                assert np.allclose(back[i, k, rec.L :], 0.0, atol=1e-12)
+                assert np.allclose(back[i, k, :L], expect, atol=1e-12)
+                assert np.allclose(back[i, k, L:], 0.0, atol=1e-12)
+
+    def test_reconstruction_is_read_only(self):
+        # every node aligns against the same reconstruction: no stage may
+        # write to it, batched or not
+        fed = receiver_feedback(seeded_channel(3, 2, 2, 27))
+        for rec in (reconstruct(fed, 8, R=2), reconstruct(np.stack([fed, fed]), 8, R=2)):
+            assert isinstance(rec, np.ndarray)
+            with pytest.raises(ValueError, match="read-only"):
+                rec[..., 0, 1, 0, 0] = 0.0
 
 
 class TestArchive:

@@ -152,8 +152,6 @@ class TestQuantizerScaling:
         assert peak <= 3.6 * 2**20
 
     def test_codebook_export(self, tmp_path):
-        from iafb.quantizer import load_codebook
-
         prefix = str(tmp_path / "cb_")
         code = main([
             "quantizer-scaling", "--n", "2", "--K", "1", "--bits", "4,5,6",
@@ -161,8 +159,9 @@ class TestQuantizerScaling:
             "--out", str(tmp_path / "s.csv"),
         ])
         assert code == 0
-        cb = load_codebook(tmp_path / "cb_6.txt")
-        assert (cb.n, cb.K, cb.bits) == (2, 1, 6)
+        # one file per budget, each the codebook of its own seed
+        seeds = [dense.codebook_file_seed(tmp_path / f"cb_{bits}.txt", 2, 1, bits) for bits in (4, 5, 6)]
+        assert len(set(seeds)) == 3
 
 
 # (ia-run flags, a substring of the usage error they must give)

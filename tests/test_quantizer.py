@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_reference import composite_dist_sq, random_codebook_points, unit_rows
+from dense_reference import codebook_file_seed, composite_dist_sq, random_codebook_points, unit_rows
 from iafb import quantizer
 from iafb.grassmann import MC_CHUNK, sample_uniform
 from iafb.quantizer import (
@@ -15,7 +15,6 @@ from iafb.quantizer import (
     distortion_scaling_exponent,
     encode,
     feedback_bits,
-    load_codebook,
     measure_distortion,
     oracle_radius,
     save_codebook,
@@ -577,15 +576,6 @@ class TestDistortionGuard:
         with pytest.raises(ValueError, match="non-finite"):
             Codebook(n=2, K=2, bits=4, points=points)
 
-    def test_loaded_nan_codeword_raises(self, tmp_path):
-        path = tmp_path / "cb.txt"
-        save_codebook(build_random_codebook(2, 1, 2, seed=62), path)
-        lines = path.read_text().splitlines()
-        lines[3] = "nan " + lines[3].split()[1]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="non-finite"):
-            load_codebook(path)
-
     def test_points_are_read_only(self):
         cb = build_random_codebook(2, 2, 4, seed=63)
         with pytest.raises(ValueError, match="read-only"):
@@ -696,23 +686,8 @@ class TestScalingExponent:
 
 class TestSerialization:
     def test_round_trip_materialized(self, tmp_path):
-        cb = build_random_codebook(3, 2, 5, seed=23)
+        # the file holds the codebook its header names, so the header alone
+        # rebuilds it
         path = tmp_path / "cb.txt"
-        save_codebook(cb, path)
-        loaded = load_codebook(path)
-        assert (loaded.n, loaded.K, loaded.bits, loaded.seed) == (3, 2, 5, 23)
-        assert np.array_equal(loaded.points, cb.points)
-        assert "mode=materialized" in path.read_text().splitlines()[1]
-
-    def test_rejects_implicit_mode(self, tmp_path):
-        # files that stored only a seed are no longer read
-        path = tmp_path / "cb.txt"
-        path.write_text("# iafb-codebook v1\nn=2 K=1 bits=12 mode=implicit seed=24\n")
-        with pytest.raises(ValueError, match="implicit"):
-            load_codebook(path)
-
-    def test_rejects_other_files(self, tmp_path):
-        path = tmp_path / "junk.txt"
-        path.write_text("hello\n")
-        with pytest.raises(ValueError):
-            load_codebook(path)
+        save_codebook(build_random_codebook(3, 2, 5, seed=23), path)
+        assert codebook_file_seed(path, 3, 2, 5) == 23

@@ -25,7 +25,6 @@ PACKAGE = Path(iafb.__file__).parent
 ALLOWED = {
     "sum_dist_sq_cdf": "the nested-span fixture of bench/tests (it calls empirical_ball_cdf)",
     "empirical_ball_cdf": "acceptance criterion 1's estimator, and the benchmark tracer's leaf span",
-    "load_codebook": "the reader for the files quantizer-scaling --codebook-out writes",
 }
 
 
