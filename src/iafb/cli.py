@@ -55,7 +55,7 @@ from .channel import (
     save_channel,
     to_tone_domain,
 )
-from .grassmann import MC_CHUNK, ball_hit_count, ball_volume_normalized, sample_uniform
+from .grassmann import MC_CHUNK, ball_hit_count, ball_volume_normalized
 from .quantizer import (
     MAX_MATERIALIZED_BITS,
     budget_distortions,
@@ -530,23 +530,6 @@ def _pipeline_params(config: ExperimentConfig):
     return params
 
 
-def _oracle_rows(exact: np.ndarray, delta_sq: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Oracle feedback of (M, K, R*L) exact directions, one squared radius and normal draw per row.
-
-    ``normals`` holds each row's complex (K, R*L) normals. A NaN
-    radius marks a user who feeds back nothing: that row is the uniformly
-    random estimate its normals give. Every other row is
-    `distortion_oracle_quantize` of its exact directions.
-    """
-    fed = exact.copy()
-    silent = np.isnan(delta_sq)
-    if silent.any():
-        fed[silent] = sample_uniform(exact.shape[-1], exact.shape[-2], normals[silent])
-    if not silent.all():
-        fed[~silent] = distortion_oracle_quantize(exact[~silent], delta_sq[~silent], normals[~silent])
-    return fed
-
-
 def _oracle_radii(K: int, R: int, L: int, P: float, user_alphas) -> list:
     """One point's oracle radii, one per user; NaN for a silent (alpha 0) user.
 
@@ -610,18 +593,21 @@ def _fed_back(taps: np.ndarray, config: ExperimentConfig, P: float) -> np.ndarra
     """ia-run's fed-back directions of its (K, K, L, R) taps, (K, K, R*L).
 
     Oracle user i draws from trial_generator(seed, 1009 + i); codebook
-    user i quantizes with the codebook of seed `seed + i`, built as it is read.
+    user i quantizes with a codebook built as it is read, whose seed is
+    the i-th of K drawn off trial_generator(seed, 3), a stream no other
+    ia-run stage reads.
     """
     K, R, L = config.K, config.R, config.L
     if config.feedback == "codebook":
-        codebooks = (build_random_codebook(R * L, K, config.bits, seed=config.seed + i) for i in range(K))
+        seeds = trial_generator(config.seed, 3).integers(2**63, size=K)
+        codebooks = (build_random_codebook(R * L, K, config.bits, seed=int(s)) for s in seeds)
         return receiver_feedback(taps, codebooks)
     exact = receiver_feedback(taps)
     if config.feedback == "perfect":
         return exact
     delta_sq = np.square(_oracle_radii(K, R, L, P, [config.alpha] * K))
     keys = 1009 + np.arange(K)[:, None]
-    return _oracle_rows(exact, delta_sq, trial_normals(config.seed, keys, (K, R * L)))
+    return distortion_oracle_quantize(exact, delta_sq, trial_normals(config.seed, keys, (K, R * L)))
 
 
 def cmd_ia_run(config: ExperimentConfig) -> int:
@@ -702,12 +688,12 @@ def _oracle_feedback(config: ExperimentConfig, trials: range, exact: np.ndarray,
     (t, a, j), the trial ``trials[t]`` at point (a, j), is row (t*A + a)*J + j.
     Its user i draws from its own stream,
     trial_generator(seed, (trial*100_000 + a*1_000 + j)*1009 + i); a user
-    with alpha = 0 is silent (see `_oracle_rows`). The block's keys are
-    formed as one integer array, by broadcasting over (trial, a, j, i),
-    and one `trial_normals` call draws every stream's normals (a key
-    passes 2^32, and takes two seed words, from trial 43 on). Each
-    (alpha, power) point's squared radii are computed once and tiled over
-    the trials.
+    with alpha = 0 is silent (see `distortion_oracle_quantize`). The
+    block's keys are formed as one integer array, by broadcasting over
+    (trial, a, j, i), and one `trial_normals` call draws every stream's
+    normals (a key passes 2^32, and takes two seed words, from trial 43
+    on). Each (alpha, power) point's squared radii are computed once and
+    tiled over the trials.
     """
     K, R, L = config.K, config.R, config.L
     radii = []
@@ -722,7 +708,7 @@ def _oracle_feedback(config: ExperimentConfig, trials: range, exact: np.ndarray,
     keys = ((t * 100_000 + a * 1_000 + j) * 1009 + i).reshape(-1, 1)
     rows = np.repeat(exact, points, axis=0).reshape(-1, K, R * L)
     delta_sq = np.tile(np.square(radii), len(trials))
-    fed = _oracle_rows(rows, delta_sq, trial_normals(config.seed, keys, (K, R * L)))
+    fed = distortion_oracle_quantize(rows, delta_sq, trial_normals(config.seed, keys, (K, R * L)))
     return fed.reshape(-1, K, K, R * L)
 
 

@@ -160,6 +160,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grassmann import sample_uniform
 from .rng import as_generator, draw_unit_rows, trial_generator
 
 __all__ = [
@@ -490,6 +491,9 @@ def distortion_oracle_quantize(x, delta_sq, normals) -> np.ndarray:
     spread over the components by the uniformly random tangent direction
     that normals[b] gives. Every component therefore stays within
     delta_sq[b] of its original, which is 1/P at the full feedback budget.
+    A zero radius keeps x[b] itself, and a NaN radius marks a user who
+    feeds back nothing: point b is then `grassmann.sample_uniform` of
+    normals[b]. Only the placed points' tangent draws are checked.
     """
     arr = np.asarray(x)
     target, raw = np.asarray(delta_sq, dtype=float), np.asarray(normals)
@@ -497,22 +501,26 @@ def distortion_oracle_quantize(x, delta_sq, normals) -> np.ndarray:
         raise ValueError("need one squared radius and one normal draw per (K, n) point")
     if raw.shape[1:] != arr.shape[1:] or not np.iscomplexobj(raw):
         raise ValueError(f"{raw.dtype} normals {raw.shape[1:]} do not match the complex {arr.shape[1:]} manifold")
-    if not target.any():
-        return arr
+    silent = np.isnan(target)
+    moved = ~silent & (target != 0.0)
+    out = np.where(silent[:, None, None], sample_uniform(arr.shape[2], arr.shape[1], raw), arr) if silent.any() else arr
+    if not moved.any():
+        return out
 
     overlap = np.einsum("bkj,bkj->bk", arr.conj(), raw)
     tangent = raw - overlap[..., None] * arr
-    weights = np.linalg.norm(tangent, axis=-1)
+    # kept and silent rows take no tangent: weight them 1
+    weights = np.where(moved[:, None], np.linalg.norm(tangent, axis=-1), 1.0)
     # zero tangent components have probability zero; guard anyway
     if np.any(weights == 0.0):
         raise RuntimeError("degenerate tangent draw; retry with a different stream")
     tangent /= weights[..., None]
     alloc = weights**2 / np.sum(weights**2, axis=-1, keepdims=True)
 
-    comp_err = alloc * target[:, None]
-    out = np.sqrt(1.0 - comp_err)[..., None] * arr + np.sqrt(comp_err)[..., None] * tangent
-    out /= np.linalg.norm(out, axis=-1, keepdims=True)
-    return np.where((target == 0.0)[:, None, None], arr, out)
+    comp_err = alloc * np.where(moved, target, 0.0)[:, None]
+    placed = np.sqrt(1.0 - comp_err)[..., None] * arr + np.sqrt(comp_err)[..., None] * tangent
+    placed /= np.linalg.norm(placed, axis=-1, keepdims=True)
+    return np.where(moved[:, None, None], placed, out)
 
 
 # Not in __all__, with `oracle_radius`: bench/tracer.py times every

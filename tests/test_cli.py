@@ -15,7 +15,7 @@ import dense_reference as dense
 from iafb.channel import reconstruct, save_channel, to_tone_domain
 from iafb.cli import main, parse_config, run_dof_sweep
 from iafb.grassmann import sample_uniform
-from iafb.quantizer import build_random_codebook, distortion_oracle_quantize, encode, feedback_bits, oracle_radius
+from iafb.quantizer import _GEN_CHUNK, build_random_codebook, distortion_oracle_quantize, encode, feedback_bits, oracle_radius
 from iafb.rates import CSV_COLUMNS, achievable_rates
 from iafb.rng import complex_normal, trial_generator
 
@@ -335,11 +335,12 @@ class TestIaRunFeedback:
         config = parse_config(argv)
 
         taps = dense.seeded_channel(3, 1, 2, trial_generator(seed, 0))
+        codebook_seeds = trial_generator(seed, 3).integers(2**63, size=3)
         reference = []
         for i in range(3):
             rng = trial_generator(seed, 1009 + i)
             if config.feedback == "codebook":
-                cb = build_random_codebook(2, 3, config.bits, seed=seed + i)
+                cb = build_random_codebook(2, 3, config.bits, seed=int(codebook_seeds[i]))
                 reference.append(cb.points[encode(dense.directions(taps)[i], cb)])
             elif config.alpha == 0.0:
                 reference.append(sample_uniform(2, 3, complex_normal(rng, (1, 3, 2)))[0])
@@ -351,6 +352,32 @@ class TestIaRunFeedback:
         # one reconstruction of a batch of one element
         assert len(seen) == 1
         assert np.array_equal(seen[0], np.stack(reference)[None])
+
+    @pytest.mark.parametrize("bits", [4, 16])
+    def test_codebook_streams_are_their_own(self, tmp_path, monkeypatch, bits):
+        # codebook chunk c of seed s draws from SeedSequence([s, c]); no
+        # chunk may hash to the state of ia-run's channel (seed, 0), its
+        # leakage-min start (seed, 2), the codebook seeds' stream (seed, 3),
+        # an oracle user's stream (seed, 1009 + i) or another chunk
+        seeds = []
+
+        def recording_build(n, K, bits, *, seed):
+            seeds.append(seed)
+            return build(n, K, bits, seed=seed)
+
+        build = iafb.cli.build_random_codebook
+        monkeypatch.setattr(iafb.cli, "build_random_codebook", recording_build)
+        argv = ["ia-run", "--engine", "cj3", "--n", "1", "--feedback", "codebook", "--bits", str(bits), "--seed", "0"]
+        assert main(argv + ["--out", str(tmp_path / "run.csv")]) == 0
+        assert len(seeds) == 3
+
+        def state(*entropy):
+            return tuple(np.random.SeedSequence(list(entropy)).generate_state(4))
+
+        others = {state(0, key) for key in (0, 2, 3, 1009, 1010, 1011)}
+        count = -(-(1 << bits) // _GEN_CHUNK)
+        chunks = {state(s, c) for s in seeds for c in range(count)}
+        assert len(chunks) == 3 * count and not chunks & others
 
 
 # (dof-sweep flags after --trials 2, a substring of the usage error they must give)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -662,16 +663,31 @@ class TestDistortionOracle:
             distortion_oracle_quantize(x, np.full(2, 0.1), normals)
 
     def test_deterministic(self):
-        x = draw(3, 2, np.random.default_rng(16), count=3)
-        delta_sq = np.full(3, oracle_radius_sq(2, 1, 3, 64.0))
-        normals = trial_normals(17, [[b] for b in range(3)], (2, 3))
-        a = distortion_oracle_quantize(x, delta_sq, normals)
-        b = distortion_oracle_quantize(x, delta_sq, trial_normals(17, [[b] for b in range(3)], (2, 3)))
-        assert np.array_equal(a, b)
-        # point b is what a batch-of-one call on its own normals gives
-        for i in range(3):
-            alone = distortion_oracle_quantize(x[i : i + 1], delta_sq[:1], normals[i : i + 1])
+        x = draw(3, 2, np.random.default_rng(16), count=6)
+        # rows 1 and 4 silent (NaN), row 2 kept (zero), the rest placed
+        radius_sq = oracle_radius_sq(2, 1, 3, 64.0)
+        delta_sq = np.array([radius_sq, np.nan, 0.0, radius_sq / 4, np.nan, radius_sq])
+        silent = np.isnan(delta_sq)
+
+        def draw_normals():
+            normals = trial_normals(17, [[b] for b in range(6)], (2, 3))
+            # silent row 4's normals lie along its direction, so its tangent
+            # is degenerate: silent rows must never reach the draw check
+            normals[4] = 2j * x[4]
+            return normals
+
+        normals = draw_normals()
+        with warnings.catch_warnings(action="error"):
+            a = distortion_oracle_quantize(x, delta_sq, normals)
+            everyone_silent = distortion_oracle_quantize(x, np.full(6, np.nan), normals)
+        assert np.array_equal(a, distortion_oracle_quantize(x, delta_sq, draw_normals()))
+        assert np.array_equal(a[silent], sample_uniform(3, 2, normals[silent]))
+        assert np.array_equal(a[2], x[2])
+        # a placed point is what a batch-of-one call on its own normals gives
+        for i in (0, 3, 5):
+            alone = distortion_oracle_quantize(x[i : i + 1], delta_sq[i : i + 1], normals[i : i + 1])
             assert np.array_equal(a[i], alone[0])
+        assert np.array_equal(everyone_silent, sample_uniform(3, 2, normals))
 
 
 class TestScalingExponent:
