@@ -55,7 +55,7 @@ from .channel import (
     save_channel,
     to_tone_domain,
 )
-from .grassmann import MC_CHUNK, ball_hit_count, ball_volume_normalized
+from .grassmann import MC_CHUNK, ball_volume_normalized, empirical_ball_cdf
 from .quantizer import (
     MAX_MATERIALIZED_BITS,
     budget_distortions,
@@ -384,15 +384,18 @@ def _map(fn, args, jobs: int) -> list:
 def _volume_span_hits(args) -> int:
     """Hits of one task's chunks first..stop-1, drawn one chunk at a time.
 
-    Chunk c holds MC_CHUNK samples (the task's last chunk the rest) from
-    its own stream, trial_generator(seed, task, c), so a span's hits do not
-    depend on how the chunks are split into spans.
+    Chunk c holds m = MC_CHUNK samples (the task's last chunk the rest)
+    from its own stream, trial_generator(seed, task, c), so a span's hits
+    do not depend on how the chunks are split into spans. Its count is
+    ``round(p * m)`` of its `empirical_ball_cdf` fraction p, which gives
+    the count back exactly.
     """
     n, K, delta, seed, task, trials, first, stop = args
-    return sum(
-        ball_hit_count(n, K, delta, min(MC_CHUNK, trials - c * MC_CHUNK), trial_generator(seed, task, c))
-        for c in range(first, stop)
-    )
+    hits = 0
+    for c in range(first, stop):
+        m = min(MC_CHUNK, trials - c * MC_CHUNK)
+        hits += round(empirical_ball_cdf(n, K, delta, m, trial_generator(seed, task, c)) * m)
+    return hits
 
 
 def cmd_volume_check(config: ExperimentConfig) -> int:
@@ -543,7 +546,7 @@ def _oracle_radii(K: int, R: int, L: int, P: float, user_alphas) -> list:
 def _channel_normals(config: ExperimentConfig, trials: range) -> np.ndarray:
     """Each trial's complex channel normals, (T, K, K, L, R), trial t's from stream (seed, t)."""
     K, R, L = config.K, config.R, config.L
-    return trial_normals(config.seed, np.arange(trials.start, trials.stop)[:, None], (K, K, L, R))
+    return trial_normals(config.seed, np.arange(trials.start, trials.stop), (K, K, L, R))
 
 
 def _rate_rows(config: ExperimentConfig, P: float, alpha: float, stats: np.ndarray) -> list:
@@ -606,8 +609,7 @@ def _fed_back(taps: np.ndarray, config: ExperimentConfig, P: float) -> np.ndarra
     if config.feedback == "perfect":
         return exact
     delta_sq = np.square(_oracle_radii(K, R, L, P, [config.alpha] * K))
-    keys = 1009 + np.arange(K)[:, None]
-    return distortion_oracle_quantize(exact, delta_sq, trial_normals(config.seed, keys, (K, R * L)))
+    return distortion_oracle_quantize(exact, delta_sq, trial_normals(config.seed, 1009 + np.arange(K), (K, R * L)))
 
 
 def cmd_ia_run(config: ExperimentConfig) -> int:
@@ -705,7 +707,7 @@ def _oracle_feedback(config: ExperimentConfig, trials: range, exact: np.ndarray,
     t, a, j, i = np.ix_(
         np.arange(trials.start, trials.stop), np.arange(len(config.alphas)), np.arange(len(grid)), np.arange(K)
     )
-    keys = ((t * 100_000 + a * 1_000 + j) * 1009 + i).reshape(-1, 1)
+    keys = ((t * 100_000 + a * 1_000 + j) * 1009 + i).reshape(-1)
     rows = np.repeat(exact, points, axis=0).reshape(-1, K, R * L)
     delta_sq = np.tile(np.square(radii), len(trials))
     fed = distortion_oracle_quantize(rows, delta_sq, trial_normals(config.seed, keys, (K, R * L)))

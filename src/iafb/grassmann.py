@@ -6,11 +6,12 @@ direct sum of K such factors; its natural metric is the sum of squared
 per-component chordal distances, sum_k (1 - |<a_k, b_k>|^2). A point is
 a (K, n) array of unit rows, and a batch of points a (..., K, n) array.
 This module provides uniform sampling, the exact normalized volume of a
-metric ball, and a Monte Carlo estimator used to validate the closed
-form. The library scores the metric where it is used: the quantizer
-through its embedded inner products (`quantizer._embed`), the ball count
-against a fixed reference. The tests keep the direct formula as their
-reference metric.
+metric ball, and the one Monte Carlo ball count that validates the
+closed form: `empirical_ball_cdf`, which volume-check and acceptance
+criterion 1 both call. The library scores the metric where it is used:
+the quantizer through its embedded inner products (`quantizer._embed`),
+the ball count against a fixed reference. The tests keep the direct
+formula as their reference metric.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from .rng import as_generator, two_pass_normals
+from .rng import two_pass_normals
 
 __all__ = [
     "sample_uniform",
@@ -97,8 +98,7 @@ def sum_dist_sq_cdf(n: int, K: int, x: float, trials: int = 500_000, rng=None) -
         return 1.0
     if x <= 1.0:
         return _closed_form_cdf(n, K, x)
-    rng = np.random.default_rng(20240901) if rng is None else as_generator(rng)
-    return empirical_ball_cdf(n, K, math.sqrt(x), trials, rng)
+    return empirical_ball_cdf(n, K, math.sqrt(x), trials, 20240901 if rng is None else rng)
 
 
 # Monte Carlo samples drawn per batch, bounding memory at any trial count
@@ -113,22 +113,24 @@ MC_CHUNK = 1 << 16
 MC_TILE = 1 << 12
 
 
-# Not in __all__: bench/tracer.py times every function listed there, and
-# its tests pin `empirical_ball_cdf` as a leaf span.
-def ball_hit_count(n: int, K: int, delta: float, trials: int, rng) -> int:
-    """Count of `trials` uniform samples within composite distance delta.
+def empirical_ball_cdf(n: int, K: int, delta: float, trials: int, rng) -> float:
+    """Monte Carlo estimate of the normalized ball volume at radius delta.
 
-    The distance is taken to a fixed reference; by homogeneity of the
-    manifold the reference is immaterial, so the first canonical basis
-    vector is used in every component. A sample is K unnormalized complex
-    Gaussian rows q_k, and its squared distance to the reference is
+    The fraction of `trials` uniform samples, drawn off
+    ``np.random.default_rng(rng)``, within composite distance delta of a
+    fixed reference; by homogeneity of the manifold the reference is
+    immaterial, so the first canonical basis vector is used in every
+    component. A sample is K unnormalized complex Gaussian rows q_k, and
+    its squared distance to the reference is
     sum_k (1 - |q_k[0]|^2 / ||q_k||^2), so no sample is normalized. The
     kernel works on the real and imaginary parts of the draw
     (|q|^2 = re^2 + im^2) and adds the short n and K axes term by term, in
     order. The samples are `complex_normal(rng, (batch, K, n))` draws of
     `MC_CHUNK` samples each, taken off `rng.two_pass_normals` in
     sub-blocks of `MC_TILE` (the draw order is in the `rng` module
-    docstring). Traced peak of one full batch: 1.10 MiB at (n, K) = (2, 1),
+    docstring). The hit count is ``round(p * trials)`` of the returned p
+    exactly, at any count below 2^50: volume-check adds its chunks' counts
+    that way. Traced peak of one full batch: 1.10 MiB at (n, K) = (2, 1),
     3.29 MiB at (2, 3) and 6.48 MiB at (4, 3).
     """
     _check_manifold(n, K)
@@ -139,7 +141,7 @@ def ball_hit_count(n: int, K: int, delta: float, trials: int, rng) -> int:
     thresh = delta * delta
     chordal_buf = np.empty((min(MC_TILE, trials), K))
     hits = 0
-    for _, real, power in two_pass_normals(as_generator(rng), (trials, K, n), MC_TILE, MC_CHUNK):
+    for _, real, power in two_pass_normals(np.random.default_rng(rng), (trials, K, n), MC_TILE, MC_CHUNK):
         chordal = chordal_buf[: len(power)]
         np.square(real, out=real)
         np.square(power, out=power)
@@ -155,12 +157,4 @@ def ball_hit_count(n: int, K: int, delta: float, trials: int, rng) -> int:
         for k in range(1, K):
             dist_sq += chordal[:, k]
         hits += int(np.count_nonzero(dist_sq <= thresh))
-    return hits
-
-
-def empirical_ball_cdf(n: int, K: int, delta: float, trials: int, rng) -> float:
-    """Monte Carlo estimate of the normalized ball volume at radius delta.
-
-    The fraction of `trials` uniform samples that `ball_hit_count` counts.
-    """
-    return ball_hit_count(n, K, delta, trials, rng) / trials
+    return hits / trials

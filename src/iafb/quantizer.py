@@ -4,11 +4,19 @@ Two quantizer flavors cover the whole bit-budget range:
 
 * random codebooks hold all 2**bits codewords in memory (at most
   2**MAX_MATERIALIZED_BITS) and support exact nearest-neighbor search;
-* the distortion oracle emulates an ideal packing codebook at budgets
-  far beyond what can be materialized, by returning a point at exactly
-  the distortion radius 2**(-bits / (2 K (n-1))) that such a codebook
-  guarantees (`oracle_radius`). Rate/DoF experiments whose bit budgets
-  grow with the transmit power (`feedback_bits`) rely on it.
+* the distortion oracle serves budgets far beyond what can be
+  materialized: it returns a point at exactly the radius
+  delta* = 2**(-bits / (2 K (n-1))) (`oracle_radius`). Rate/DoF
+  experiments whose bit budgets grow with the transmit power
+  (`feedback_bits`) rely on it. No codebook reaches that radius: with
+  m = K(n-1), 2**bits balls of squared radius delta*^2 = 2**(-bits/m)
+  cover at most the fraction c = Gamma(n)^K / Gamma(m+1) of the manifold
+  (`grassmann.ball_volume_normalized`), 1/2 at (n, K) = (2, 2) and 1/6 at
+  (2, 3). So the oracle is an idealization that no codebook realizes: at
+  (2, 3) every codebook's mean squared error is at least
+  m/(m+1) c^(-1/m) = 1.36 times the oracle's delta*^2, wherever
+  c^(-1/m) delta*^2 is at most 1. The slopes that the DoF experiments
+  fit do not see such a constant factor.
 
 Random codebooks stand in for true maximal packings: they attain the
 same distortion scaling exponent, which is the only property the
@@ -161,7 +169,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grassmann import sample_uniform
-from .rng import as_generator, draw_unit_rows, trial_generator
+from .rng import draw_unit_rows, trial_generator
 
 __all__ = [
     "Codebook",
@@ -472,15 +480,14 @@ def measure_distortion(cb: Codebook, trials: int, rng) -> np.ndarray:
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = as_generator(rng)
     src = np.empty((trials, cb.K * cb.n * cb.n))
-    for s0, rows in draw_unit_rows(rng, (trials, cb.K, cb.n)):
+    for s0, rows in draw_unit_rows(np.random.default_rng(rng), (trials, cb.K, cb.n)):
         _embed(rows, out=src[s0 : s0 + len(rows)].reshape(len(rows), cb.K, -1))
     return _batched_min_dist(src, cb)
 
 
 def distortion_oracle_quantize(x, delta_sq, normals) -> np.ndarray:
-    """Emulate an ideal packing codebook at an arbitrarily large budget.
+    """Place each point at its oracle radius, at an arbitrarily large budget.
 
     ``x`` is a (B, K, n) array of unit rows. ``delta_sq`` holds each
     point's squared distortion radius, the square of its `oracle_radius`,
@@ -493,7 +500,9 @@ def distortion_oracle_quantize(x, delta_sq, normals) -> np.ndarray:
     delta_sq[b] of its original, which is 1/P at the full feedback budget.
     A zero radius keeps x[b] itself, and a NaN radius marks a user who
     feeds back nothing: point b is then `grassmann.sample_uniform` of
-    normals[b]. Only the placed points' tangent draws are checked.
+    normals[b]. Only the placed points' tangent draws are checked. No
+    codebook puts every point within its `oracle_radius`, so the oracle is
+    an idealization that no codebook realizes, not a codebook it emulates.
     """
     arr = np.asarray(x)
     target, raw = np.asarray(delta_sq, dtype=float), np.asarray(normals)
@@ -536,10 +545,13 @@ def feedback_bits(K: int, R: int, L: int, P: float, alpha: float = 1.0) -> int:
 
 
 def oracle_radius(bits: int, K: int, n: int) -> float:
-    """Distortion radius an ideal packing of (K, n) points guarantees at `bits`: 2**(-bits / (2 K (n-1))), at most 1.
+    """The oracle's distortion radius at `bits`: delta* = 2**(-bits / (2 K (n-1))), at most 1.
 
-    A direction is a line in C^n, so n < 2 (one scalar tap) has none and
-    raises ValueError.
+    2**bits balls of radius delta* on G_{n,1}^K cover at most the fraction
+    c = Gamma(n)^K / Gamma(K(n-1) + 1) of the manifold, below 1 from
+    K(n-1) = 2 on, so no codebook of 2**bits codewords puts every point
+    within delta* (see the module docstring). A direction is a line in
+    C^n, so n < 2 (one scalar tap) has none and raises ValueError.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}: a single scalar tap carries no direction information")
@@ -556,7 +568,7 @@ def budget_distortions(n: int, K: int, bits_list, trials: int, rng, save=None):
     with each codebook once it is built. The codebook is dropped before
     its distortions are yielded, so no two are ever held at once.
     """
-    rng = as_generator(rng)
+    rng = np.random.default_rng(rng)
     for bits in bits_list:
         cb = build_random_codebook(n, K, bits, seed=int(rng.integers(2**63)))
         if save is not None:

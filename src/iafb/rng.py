@@ -1,17 +1,19 @@
 """Seeding helpers and the complex Gaussian draw shared by all modules.
 
-Every stochastic entry point accepts an integer seed, a ready
-``numpy.random.Generator`` or normals already drawn. Monte Carlo drivers
+Every stochastic entry point accepts normals already drawn or what
+``np.random.default_rng`` accepts: an integer seed, or a ready
+``Generator``, which it passes through unchanged. Monte Carlo drivers
 derive one independent stream per trial from ``(seed, trial_index)``, so
 results do not depend on how trials are distributed over workers.
 `trial_generator` builds one such stream. `trial_normals` draws from many
-at once, one per row of an (M, k) integer array of keys, and keeps no
-generator: a dof-sweep block's channels are one call, its oracle rows
-another. It runs SeedSequence's hash over every key's uint32 words as
-array arithmetic and hands each `PCG64` its seed words through a real
-``ISeedSequence`` subclass, defined on first use so that importing the
-library does not import ``numpy.random``. What is left per stream is
-that `PCG64` construction.
+at once, the streams ``(seed, key)`` of a 1-D array of integer keys
+below 2^64, and keeps no generator: a dof-sweep block's channels are one
+call, its oracle rows another. It runs SeedSequence's hash over the
+seed's uint32 words and each key's one or two as array arithmetic, and
+hands each `PCG64` its seed words through a real ``ISeedSequence``
+subclass, defined on first use so that importing the library does not
+import ``numpy.random``. What is left per stream is that `PCG64`
+construction.
 
 Draw order. A complex normal draw of `shape` takes two draws of `shape`
 standard normals off its stream, all real parts first, then all
@@ -23,7 +25,7 @@ large one in sub-blocks of its leading axis: all real parts of a batch
 into one array, then the imaginary parts one sub-block at a time. The
 generator fills arrays in C order, so each sub-block reads the numbers of
 the whole draw. It serves `draw_unit_rows`, the quantizer's codewords and
-sources, and `grassmann.ball_hit_count`, the Monte Carlo samples.
+sources, and `grassmann.empirical_ball_cdf`, the Monte Carlo samples.
 """
 
 from __future__ import annotations
@@ -62,13 +64,6 @@ _OTHERS = [[dst for dst in range(_POOL) if dst != src] for src in range(_POOL)]
 _STATE = _consts(_INIT_B, _MULT_B, 0, 2 * _POOL)
 
 
-def as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
-    """Return a Generator for `seed`; pass Generators through unchanged."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def trial_generator(seed: int, *key: int) -> np.random.Generator:
     """Independent stream reproducible from (seed, *key), such as (seed, trial).
 
@@ -102,23 +97,6 @@ def _seed_words_type():
     return SeedWords
 
 
-def _uint32_words(values: np.ndarray):
-    """SeedSequence's coercion of non-negative integers: (words, count).
-
-    ``words[..., w]`` holds word w of each value, low first, zero past its
-    last word; ``count`` holds each value's word count (one for zero).
-    Works on integer arrays and on object arrays of Python integers.
-    """
-    words, count = [], np.ones(values.shape, dtype=np.int64)
-    while True:
-        words.append((values & _MASK32).astype(np.uint32))
-        values = values >> 32
-        more = np.asarray(values > 0, dtype=bool)
-        if not more.any():
-            return np.stack(words, axis=-1), count
-        count += more
-
-
 def _hashmix(values: np.ndarray, consts: tuple) -> np.ndarray:
     xor, mult = consts
     values = (values ^ xor) * mult
@@ -131,43 +109,36 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _seed_states(seed: int, keys) -> np.ndarray:
-    """The (M, 4) uint64 PCG64 seed words of [trial_generator(seed, *key) for key in keys].
+    """The (M, 4) uint64 PCG64 seed words of [trial_generator(seed, key) for key in keys].
 
     Checks ``keys`` as `trial_normals` documents and runs numpy's
     SeedSequence hash over every key at once as uint32 array arithmetic,
-    which wraps as the hash's C code does: each row's entropy is the
-    seed's words followed by each key entry's words, however many words
-    each entry takes.
+    which wraps as the hash's C code does. Each row's entropy is the
+    seed's words, formed once, then its key's low word and, for a key
+    past 2^32, its high word. A one-word key's high word is zero, which is
+    also how the hash reads the words past a short entropy's end.
     """
-    if int(seed) < 0:
-        raise ValueError(f"expected non-negative integer seed, got {seed}")
-    try:
-        keys = np.asarray(keys)
-    except ValueError:
-        raise ValueError("keys must form an (M, k) array of integers: one length for every key") from None
-    if not keys.size:  # no keys, or M empty ones; numpy types both as floats
-        return np.tile(np.random.SeedSequence([int(seed)]).generate_state(4, np.uint64), (len(keys), 1))
-    if keys.ndim != 2 or keys.dtype.kind not in "biuO":
-        raise ValueError(f"keys must form an (M, k) array of integers, got {keys.dtype} of shape {keys.shape}")
-    if (keys < 0).any():
-        raise ValueError("expected non-negative integer keys")
-    head, head_count = _uint32_words(np.array([int(seed)]))
-    head = head[0, : head_count[0]]
-    words, count = _uint32_words(keys)
-    # each row's key words in entry order, with the (zero) padding of its
-    # entries moved past its last word
-    padding = (np.arange(words.shape[-1]) >= count[..., None]).reshape(len(keys), -1)
-    body = np.take_along_axis(words.reshape(len(keys), -1), np.argsort(padding, axis=1, kind="stable"), axis=1)
-    length = len(head) + count.sum(axis=1)
-    entropy = np.zeros((len(keys), max(len(head) + body.shape[1], _POOL)), dtype=np.uint32)
-    entropy[:, : len(head)], entropy[:, len(head) : len(head) + body.shape[1]] = head, body
+    seed, keys = int(seed), np.asarray(keys)
+    if seed < 0 or keys.ndim != 1 or keys.dtype.kind not in "iu" or (keys < 0).any():
+        raise ValueError(f"expected a non-negative seed and a 1-D array of non-negative integer keys, got {keys.dtype} "
+                         f"of shape {keys.shape}")
+    head = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        head.append(seed & _MASK32)
+    high = keys >> 32
+    length = len(head) + 1 + (high > 0)
+    entropy = np.zeros((len(keys), max(len(head) + 2, _POOL)), dtype=np.uint32)
+    entropy[:, : len(head)] = head
+    entropy[:, len(head)], entropy[:, len(head) + 1] = keys & _MASK32, high
     # words past a row's length hash as zeros into the pool, as SeedSequence
     # runs its hash out over a short entropy
     pool = _hashmix(entropy[:, :_POOL], _FILL)
     for src in range(_POOL):
         others = _OTHERS[src]
         pool[:, others] = _mix(pool[:, others], _hashmix(pool[:, src, None], _CROSS[src]))
-    # each word past the pool mixes into every pool word, in rows that have it
+    # each word past the pool (seeds past 2^64) mixes into every pool word,
+    # in rows that have it
     for s in range(entropy.shape[1] - _POOL):
         consts = _consts(_INIT_A, _MULT_A, _POOL * (_POOL + s), _POOL)
         mixed = _mix(pool, _hashmix(entropy[:, _POOL + s, None], consts))
@@ -177,21 +148,18 @@ def _seed_states(seed: int, keys) -> np.ndarray:
     return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
 
 
-def trial_normals(seed: int, keys, shape) -> np.ndarray:
+def trial_normals(seed: int, keys, shape: tuple) -> np.ndarray:
     """One `complex_normal` draw of `shape` per key, each from its own stream, stacked.
 
     Returns complex128 of shape ``(M, *shape)``: row m is bit for bit
-    ``complex_normal(trial_generator(seed, *keys[m]), shape)``.
+    ``complex_normal(trial_generator(seed, keys[m]), shape)``.
 
-    ``keys`` is an (M, k) array of non-negative integers, one key per row
-    (an array of Python integers for keys past 2^64), so every key of a
-    call has the same length. Keys of several lengths or not integers, and
-    a negative seed or key (as in SeedSequence), raise ValueError. Each
+    ``keys`` is a 1-D array of M integers in [0, 2^64); a negative seed or
+    key (as in SeedSequence) or any other form raises ValueError. Each
     row's `PCG64` is built from `_seed_states`' seed words, fills that
     row's (2, *shape) parts in one float buffer and is dropped, so no list
     of generators is held; the buffer becomes complex once, at the end.
     """
-    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
     states = _seed_states(seed, keys)
     parts = np.empty((len(states), 2, *shape))
     words_type, bit_generator, generator = _seed_words_type(), np.random.PCG64, np.random.Generator

@@ -23,7 +23,7 @@ import numpy as np
 from iafb.alignment import _rand_orthonormal
 from iafb.channel import _block_diag_from_rows, generate_channel
 from iafb.quantizer import _GEN_CHUNK, build_random_codebook
-from iafb.rng import as_generator, complex_normal, trial_generator
+from iafb.rng import complex_normal, trial_generator
 
 
 def composite_dist_sq(a, b):
@@ -42,7 +42,7 @@ def composite_dist_sq(a, b):
 
 def seeded_channel(K, R, L, seed):
     """The taps of one `complex_normal` draw of (K, K, L, R) off `seed` (an integer or a Generator)."""
-    return generate_channel(K, R, L, complex_normal(as_generator(seed), (K, K, L, R)))
+    return generate_channel(K, R, L, complex_normal(np.random.default_rng(seed), (K, K, L, R)))
 
 
 def direction(taps):
@@ -72,7 +72,7 @@ def hbar_matrix(tones, i, k):
 
 def unit_rows(rng, shape):
     """`complex_normal` of `shape` off `rng` (a seed or a Generator), normalized along its last axis in one go."""
-    raw = complex_normal(as_generator(rng), shape)
+    raw = complex_normal(np.random.default_rng(rng), shape)
     raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
     return raw
 

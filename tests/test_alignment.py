@@ -20,12 +20,12 @@ from iafb.alignment import (
 )
 from iafb.channel import generate_channel, receiver_feedback, reconstruct, to_tone_domain
 from iafb.quantizer import distortion_oracle_quantize, feedback_bits, oracle_radius
-from iafb.rng import complex_normal, trial_normals
+from iafb.rng import complex_normal, trial_generator, trial_normals
 
 
 def trial_channels(K, R, seed, trials):
     """dof-sweep's channels (L = 2) of `trials` at `seed`, one (T, K, K, 2, R) tap array."""
-    return generate_channel(K, R, 2, trial_normals(seed, np.array(trials)[:, None], (K, K, 2, R)))
+    return generate_channel(K, R, 2, trial_normals(seed, np.array(trials), (K, K, 2, R)))
 
 
 def perfect_reconstruction(K, R, L, N, seed):
@@ -396,7 +396,7 @@ class TestZeroForcingVerdicts:
         if oracle:
             P = 2.0 ** np.arange(4, 15)[np.arange(600) % 11]
             delta_sq = np.array([oracle_radius(feedback_bits(3, 1, 2, p, 0.25), 3, 2) for p in P]) ** 2
-            normals = trial_normals(1, [[9, r] for r in range(600)], (3, 2))
+            normals = np.stack([complex_normal(trial_generator(1, 9, r), (3, 2)) for r in range(600)])
             rows = distortion_oracle_quantize(fed.reshape(-1, 3, 2), delta_sq, normals)
             fed = rows.reshape(fed.shape)
         rec = reconstruct(fed, params.N, R=1)
@@ -425,7 +425,7 @@ class TestZeroForcingVerdicts:
         if oracle:
             P = 2.0 ** np.arange(4, 15)[np.arange(600) % 11]
             delta_sq = np.array([oracle_radius(feedback_bits(3, 1, 2, p, 0.25), 3, 2) for p in P]) ** 2
-            normals = trial_normals(2, [[9, r] for r in range(600)], (3, 2))
+            normals = np.stack([complex_normal(trial_generator(2, 9, r), (3, 2)) for r in range(600)])
             rows = distortion_oracle_quantize(fed.reshape(-1, 3, 2), delta_sq, normals)
             fed = rows.reshape(fed.shape)
         rec = reconstruct(fed, params.N, R=1)

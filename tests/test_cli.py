@@ -83,12 +83,21 @@ class TestVolumeCheck:
     def test_spans_add_up_to_their_chunks(self):
         # three chunks, the last one short, each from its own stream
         chunk, trials = iafb.cli.MC_CHUNK, 2 * iafb.cli.MC_CHUNK + 123
+        sizes = [min(chunk, trials - c * chunk) for c in range(3)]
         per_chunk = [
-            iafb.cli.ball_hit_count(2, 2, 0.5, min(chunk, trials - c * chunk), trial_generator(9, 4, c))
-            for c in range(3)
+            round(iafb.cli.empirical_ball_cdf(2, 2, 0.5, m, trial_generator(9, 4, c)) * m) for c, m in enumerate(sizes)
         ]
         spans = [iafb.cli._volume_span_hits((2, 2, 0.5, 9, 4, trials, a, b)) for a, b in [(0, 3), (0, 1), (1, 3)]]
         assert spans == [sum(per_chunk), per_chunk[0], sum(per_chunk[1:])]
+
+    # a whole chunk (2^16 samples) and the last chunks of 10^3, 5*10^4 (the
+    # benchmark's tiny size), 2*10^5 and 10^6 samples (its full size)
+    @pytest.mark.parametrize("m", [iafb.cli.MC_CHUNK, 1000, 50_000, 200_000 % 2**16, 1_000_000 % 2**16])
+    def test_chunk_count_is_recovered_from_its_fraction(self, m):
+        # volume-check adds each chunk's count as round(p * m) of its
+        # fraction p = count / m; every count of the chunk comes back exactly
+        counts = np.arange(m + 1)
+        assert np.array_equal(np.round(counts / m * m), counts)
 
     def test_jobs_do_not_change_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -522,7 +531,7 @@ class TestDofSweep:
         batched = iafb.cli._oracle_feedback(config, trials, exact, grid)
 
         def per_key(seed, keys, shape):
-            return np.stack([complex_normal(trial_generator(seed, *key), shape) for key in keys])
+            return np.stack([complex_normal(trial_generator(seed, key), shape) for key in keys])
 
         monkeypatch.setattr(iafb.cli, "trial_normals", per_key)
         assert np.array_equal(batched, iafb.cli._oracle_feedback(config, trials, exact, grid))
@@ -687,6 +696,88 @@ class TestSweepMatchesPerPoint:
             np.testing.assert_allclose(result.stats, stats, rtol=1e-9, atol=1e-12)
 
 
+# Each command's runs at the benchmark argvs (seed 0), plus the feedback
+# modes and the engine they leave out, so that every stage derives its keys
+STREAM_RUNS = {
+    "ia-run": [
+        ["ia-run", "--K", "3", "--R", "1", "--L", "2", "--n", "2", "--engine", "leakage-min", "--feedback", "perfect"],
+        ["ia-run", "--engine", "cj3", "--n", "1", "--feedback", "oracle"],
+        ["ia-run", "--engine", "cj3", "--n", "1", "--feedback", "codebook", "--bits", "4"],
+    ],
+    "dof-sweep": [
+        ["dof-sweep", "--engine", "cj3", "--n", "1", "--feedback", "oracle", "--alphas", "0.25,0.5,1.0",
+         "--alpha-user", "0", "--trials", "20", "--p-log2-min", "4", "--p-log2-max", "14"],
+        ["dof-sweep", "--engine", "leakage-min", "--feedback", "oracle", "--trials", "2", "--p-log2-max", "6"],
+    ],
+    "volume-check": [["volume-check", "--pairs", "2:1,2:2,3:2,2:3", "--deltas", "0.3,0.5,0.8", "--trials", "1000000"]],
+    "quantizer-scaling": [["quantizer-scaling", "--n", "2", "--K", "2", "--bits", "6,8,10,12,14", "--trials", "10000"]],
+}
+
+
+def listed_keys(command):
+    """(stage, entropy) of every stream the `STREAM_RUNS` of `command` derive at seed 0."""
+    if command == "ia-run":
+        oracle = {("_fed_back", (0, 1009 + i)) for i in range(3)}
+        return {("_channel_normals", (0, 0)), ("cmd_ia_run", (0, 2)), ("_fed_back", (0, 3))} | oracle
+    if command == "dof-sweep":
+        channels = {("_channel_normals", (0, t)) for t in range(20)}
+        tags = [(t * 100_000 + a * 1_000 + j) * 1009 + i for t in range(20) for a in range(3) for j in range(11)
+                for i in range(3)]
+        leakage_min = {("_block_stats", (0, 7_000_000 + t)) for t in range(2)}
+        return channels | {("_oracle_feedback", (0, tag)) for tag in tags} | leakage_min
+    if command == "volume-check":
+        return {("_volume_span_hits", (0, task, c)) for task in range(12) for c in range(16)}
+    return {("cmd_quantizer_scaling", (0, 0)), ("cmd_quantizer_scaling", (0, 1))}
+
+
+# stream entropies that two stages of one command share. The oracle tag of
+# dof-sweep trial 0's first point, (0*100_000 + 0*1_000 + 0)*1009 + i, is i,
+# so that point feeds back user i with trial i's channel stream (ROADMAP
+# item 7). Across commands, volume-check's chunk 0 of task t hashes
+# [s, t, 0] as dof-sweep's channel stream [s, t] (ROADMAP item 18)
+KNOWN_ALIASES = {
+    "dof-sweep": {frozenset({("_channel_normals", (0, i)), ("_oracle_feedback", (0, i))}) for i in range(3)},
+}
+
+
+@pytest.mark.parametrize("command", STREAM_RUNS)
+def test_stream_keys_are_distinct(tmp_path, monkeypatch, command):
+    # every (seed, *key) a command hands to trial_generator or trial_normals,
+    # with the function that derives it, is the listed one, and distinct
+    # entropies hash to distinct SeedSequence states
+    seen = set()
+    generator, normals = iafb.cli.trial_generator, iafb.cli.trial_normals
+
+    def stage():
+        frame = sys._getframe(2)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's frame
+            frame = frame.f_back
+        return frame.f_code.co_name
+
+    def recording_generator(seed, *key):
+        seen.add((stage(), (int(seed), *map(int, key))))
+        return generator(seed, *key)
+
+    def recording_normals(seed, keys, shape):
+        name = stage()
+        seen.update((name, (int(seed), int(k))) for k in keys)
+        return normals(seed, keys, shape)
+
+    monkeypatch.setattr(iafb.cli, "trial_generator", recording_generator)
+    monkeypatch.setattr(iafb.cli, "trial_normals", recording_normals)
+    # volume-check's keys do not depend on its counts: draw no samples
+    monkeypatch.setattr(iafb.cli, "empirical_ball_cdf", lambda *args: 0.0)
+    for r, argv in enumerate(STREAM_RUNS[command]):
+        assert main(argv + ["--seed", "0", "--out", str(tmp_path / f"run{r}.csv")]) in (0, 1)
+    assert seen == listed_keys(command)
+
+    owners = {}
+    for stage_, entropy in seen:
+        state = tuple(np.random.SeedSequence(list(entropy)).generate_state(4))
+        owners.setdefault(state, set()).add((stage_, entropy))
+    assert {frozenset(o) for o in owners.values() if len(o) > 1} == KNOWN_ALIASES.get(command, set())
+
+
 class TestMimoReduce:
     def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "red.json"
@@ -767,7 +858,7 @@ def no_work(monkeypatch):
     def work(*args, **kwargs):
         raise AssertionError("work started before the input was checked")
 
-    for name in ("trial_normals", "generate_channel", "ball_hit_count", "build_random_codebook", "mimo_reduce"):
+    for name in ("trial_normals", "generate_channel", "empirical_ball_cdf", "build_random_codebook", "mimo_reduce"):
         monkeypatch.setattr(iafb.cli, name, work)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from dense_reference import codebook_file_seed, composite_dist_sq, random_codebook_points, unit_rows
 from iafb import quantizer
-from iafb.grassmann import MC_CHUNK, sample_uniform
+from iafb.grassmann import MC_CHUNK, ball_volume_normalized, sample_uniform
 from iafb.quantizer import (
     Codebook,
     build_random_codebook,
@@ -606,6 +606,28 @@ class TestFeedbackBudget:
             radius = oracle_radius(feedback_bits(3, 1, 2, 2.0**t), 3, 2)
             assert radius**2 == pytest.approx(2.0**-t, rel=1e-12)
 
+    # 2^bits balls of squared radius delta*^2 = 2^(-bits/m), m = K(n-1), have
+    # the volume c = Gamma(n)^K / Gamma(m+1) of the manifold, which is below
+    # 1 from m = 2 on: no codebook puts every source within delta*
+    @pytest.mark.parametrize("n, K", [(2, 2), (2, 3), (3, 2), (4, 3)])
+    @pytest.mark.parametrize("bits", [4, 14, 40])
+    def test_oracle_balls_cover_the_fraction_c(self, n, K, bits):
+        c = math.gamma(n) ** K / math.gamma(K * (n - 1) + 1)
+        assert c < 1
+        assert 2**bits * ball_volume_normalized(n, K, oracle_radius(bits, K, n)) == pytest.approx(c, rel=1e-12)
+
+    # so a codebook's sources within delta* of their nearest codeword count
+    # as at most Binomial(trials, c); the allowance, 4.75 binomial standard
+    # errors, is that count's one-sided 1e-6 quantile under the normal
+    # approximation. This seed reads 15.2% against c = 1/6 and 39.2% against
+    # c = 1/2; a random codebook's limit is 1 - e^(-c), 15.4% and 39.3%
+    @pytest.mark.parametrize("n, K, bits", [(2, 3, 10), (2, 2, 10)])
+    def test_random_codebook_covers_at_most_c(self, n, K, bits):
+        c, trials = math.gamma(n) ** K / math.gamma(K * (n - 1) + 1), 20_000
+        dists = measure_distortion(build_random_codebook(n, K, bits, seed=19), trials, 20)
+        within = np.count_nonzero(dists <= oracle_radius(bits, K, n) ** 2) / trials
+        assert within <= c + 4.75 * math.sqrt(c * (1 - c) / trials)
+
 
 def oracle_radius_sq(K, R, L, P):
     """The squared full-budget oracle radius of (K, R*L) directions at power P."""
@@ -670,7 +692,7 @@ class TestDistortionOracle:
         silent = np.isnan(delta_sq)
 
         def draw_normals():
-            normals = trial_normals(17, [[b] for b in range(6)], (2, 3))
+            normals = trial_normals(17, np.arange(6), (2, 3))
             # silent row 4's normals lie along its direction, so its tangent
             # is degenerate: silent rows must never reach the draw check
             normals[4] = 2j * x[4]

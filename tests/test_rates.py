@@ -185,7 +185,7 @@ class TestInterferenceBoundedness:
                 fed = distortion_oracle_quantize(
                     receiver_feedback(taps),
                     np.full(3, oracle_radius(feedback_bits(3, 1, 2, P, 1.0), 3, 2) ** 2),
-                    trial_normals(3, [[trial * 100 + j * 10 + i] for i in range(3)], (3, 2)),
+                    trial_normals(3, trial * 100 + j * 10 + np.arange(3), (3, 2)),
                 )
                 bf = build_beamformers(reconstruct(fed[None], params.N, R=1), params, "cj3")
                 assert bf.failures == (None,)

@@ -24,7 +24,6 @@ PACKAGE = Path(iafb.__file__).parent
 # qualified name -> why it stays although no CLI invocation enters it
 ALLOWED = {
     "sum_dist_sq_cdf": "the nested-span fixture of bench/tests (it calls empirical_ball_cdf)",
-    "empirical_ball_cdf": "acceptance criterion 1's estimator, and the benchmark tracer's leaf span",
 }
 
 

@@ -46,9 +46,10 @@ def test_two_pass_draw_is_one_complex_draw_per_batch(count):
     assert rng.standard_normal() == ref.standard_normal()
 
 
-# one, two and three uint32 words each, across the 2^32 and 2^64 boundaries
+# seeds of one, two and three uint32 words, across the 2^32 and 2^64
+# boundaries, and keys of one and two words, up to the last below 2^64
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5]
-KEYS = [(0,), (2**32 - 1,), (2**32,), (2**64 + 3,), (3, 7), (2**32, 1)]
+KEYS = np.array([0, 2**32 - 1, 2**32, 2**64 - 1, 2**40 + 7, 14_000_000_000_000], dtype=np.uint64)
 
 
 def assert_same_streams(seed, keys):
@@ -58,66 +59,72 @@ def assert_same_streams(seed, keys):
     assert states.shape == (len(keys), 4) and states.dtype == np.uint64
     for words, key in zip(states, keys):
         gen = np.random.Generator(np.random.PCG64(_seed_words_type()(words)))
-        ref = trial_generator(seed, *key)
+        ref = trial_generator(seed, key)
         assert gen.bit_generator.state == ref.bit_generator.state
         assert np.array_equal(gen.standard_normal((2, 3, 2)), ref.standard_normal((2, 3, 2)))
+
+
+# forms `trial_generator` takes but `trial_normals` does not: the former
+# (M, k) key rows, of one entry and of two, and arrays that numpy makes of
+# floats (a uint64 beside a Python int) or of Python objects, which are
+# not keys below 2^64
+UNSUPPORTED = [
+    [[1], [2]],
+    np.array([[3, 7]]),
+    [np.uint64(2**63), 1],
+    np.array([1.0, 2.0]),
+    np.array([2**64 + 3], dtype=object),
+]
 
 
 class TestTrialGenerators:
     """The batched seed words build each key's `trial_generator`, state and stream, bit for bit."""
 
+    # seeds of one to four words: entropies of 2 to 6 words, inside the
+    # 4-word pool and past it
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 + 5, 2**96 + 3])
+    def test_states_are_seed_sequence_states(self, seed):
+        keys = np.array([0, 1, 2**32 - 1, 2**32, 2**40 + 7, int(1.4e13)])
+        want = [np.random.SeedSequence([seed, int(k)]).generate_state(4, np.uint64) for k in keys]
+        assert np.array_equal(_seed_states(seed, keys), want)
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_word_lengths_mixed_in_one_call(self, seed):
-        # key entries of one, two and three words in every combination
-        words = [0, 2**32 - 1, 2**32, 2**64 + 3]
-        assert_same_streams(seed, [(a, b) for a in words for b in words])
+        # keys of one and two words side by side
+        assert_same_streams(seed, np.concatenate([KEYS, KEYS[::-1]]))
 
     def test_sweep_keys(self):
         # dof-sweep's oracle keys for trials 42 and 43, which cross 2^32
-        keys = [((t * 100_000 + j) * 1009 + i,) for t in (42, 43) for j in range(11) for i in range(3)]
+        keys = [(t * 100_000 + j) * 1009 + i for t in (42, 43) for j in range(11) for i in range(3)]
         assert_same_streams(2**31 + 7, keys)
 
     def test_empty(self):
-        assert _seed_states(0, []).shape == (0, 4)
+        assert _seed_states(0, np.arange(0)).shape == (0, 4)
 
-    def test_empty_keys(self):
-        assert_same_streams(5, [()])
-        assert_same_streams(5, np.zeros((2, 0), dtype=np.int64))
-
-    @pytest.mark.parametrize("seed, keys", [(0, [(1,), (-1,)]), (-1, [(1,)]), (0, [(2, -3)])])
+    @pytest.mark.parametrize("seed, keys", [(0, [1, -1]), (-1, [1]), (0, [2, -3])])
     def test_negative_entropy_raises(self, seed, keys):
         with pytest.raises(ValueError, match="non-negative"):
             _seed_states(seed, keys)
 
-    @pytest.mark.parametrize(
-        "keys",
-        [
-            [(1,), (2, 3)],
-            [(), (5,)],
-            [(np.uint64(2**63),), (1,)],
-            np.array([[1.0], [2.0]]),
-            np.arange(3),
-        ],
-    )
+    @pytest.mark.parametrize("keys", UNSUPPORTED)
     def test_unsupported_key_forms_raise(self, keys):
-        with pytest.raises(ValueError, match=r"keys must form an \(M, k\) array of integers"):
+        with pytest.raises(ValueError, match="1-D array of non-negative integer keys"):
             _seed_states(0, keys)
 
 
 def assert_same_normals(seed, keys, shape):
     got = trial_normals(seed, keys, shape)
-    shape = (shape,) if isinstance(shape, int) else tuple(shape)
     assert got.shape == (len(keys), *shape) and got.dtype == np.complex128
     for row, key in zip(got, keys):
-        assert np.array_equal(row, complex_normal(trial_generator(seed, *key), shape))
+        assert np.array_equal(row, complex_normal(trial_generator(seed, key), shape))
 
 
 class TestTrialNormals:
-    """Row m is `complex_normal(trial_generator(seed, *keys[m]), shape)`, bit for bit."""
+    """Row m is `complex_normal(trial_generator(seed, keys[m]), shape)`, bit for bit."""
 
-    @pytest.mark.parametrize("shape", [(3, 2), (2, 3, 2), 4])
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3, 2)])
     def test_one_word_keys(self, shape):
-        assert_same_normals(7, [(k,) for k in range(6)], shape)
+        assert_same_normals(7, range(6), shape)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("key", KEYS)
@@ -125,61 +132,42 @@ class TestTrialNormals:
         assert_same_normals(seed, [key], (3, 2))
 
     def test_rows_past_the_pool(self):
-        # rows of 6 (3 + 3) and 4 (3 + 1) words in one call, and of
-        # 8 (3 + 1 + 3 + 1) and 6 words in another, take the mixing loop past
-        # the 4-word pool beside rows that stop inside it
-        assert_same_normals(2**64 + 5, [(2**64 + 3,), (4,), (2**64 + 3,)], (3, 2))
-        assert_same_normals(2**64 + 5, [(1, 2**64 + 3, 9), (1, 2, 3)], (3, 2))
+        # a 3-word seed and keys of 2 and 1 words: rows of 5 words take the
+        # mixing loop past the 4-word pool beside rows of 4 that stop at it;
+        # a 4-word seed takes every row past it
+        assert_same_normals(2**64 + 5, np.array([2**40 + 7, 4, 2**32]), (3, 2))
+        assert_same_normals(2**96 + 3, np.array([2**40 + 7, 4]), (3, 2))
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
     def test_integer_arrays(self, dtype):
-        keys = np.array([[0, 5], [2**32 - 1, 2**32], [2**33 + 7, 3]], dtype=dtype)
-        assert_same_normals(9, keys, (3, 2))
-        assert_same_normals(9, np.array([[2**64 - 1]], dtype=np.uint64), (3, 2))
+        assert_same_normals(9, np.array([0, 5, 2**32 - 1, 2**32, 2**33 + 7], dtype=dtype), (3, 2))
+        assert_same_normals(9, np.array([2**64 - 1], dtype=np.uint64), (3, 2))
 
     def test_repeated_key(self):
         # each row draws from a stream of its own, so a repeated key repeats its row
-        a, b = trial_normals(3, [(9,), (9,)], 4)
+        a, b = trial_normals(3, [9, 9], (4,))
         assert np.array_equal(a, b)
         assert np.array_equal(a, complex_normal(trial_generator(3, 9), 4))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_several_word_keys(self, seed):
-        # key entries of one, two and three words, past 2^32 and 2^64 (an
-        # object array of Python integers)
-        words = [0, 2**32 - 1, 2**32, 2**64 + 3]
-        assert_same_normals(seed, [(a, b) for a in words for b in words], (3, 2))
-        assert_same_normals(seed, np.array([[2**64 + 3], [2**65 + 1], [5]], dtype=object), (3, 2))
+        # keys of one and two words in one call
+        assert_same_normals(seed, KEYS, (3, 2))
 
     def test_sweep_keys(self):
         # dof-sweep's oracle keys for trials 42 and 43, which cross 2^32
-        keys = np.array([[(t * 100_000 + j) * 1009 + i] for t in (42, 43) for j in range(11) for i in range(3)])
+        keys = np.array([(t * 100_000 + j) * 1009 + i for t in (42, 43) for j in range(11) for i in range(3)])
         assert_same_normals(2**31 + 7, keys, (3, 2))
 
     def test_empty(self):
-        assert trial_normals(0, [], (3, 2)).shape == (0, 3, 2)
-        assert trial_normals(0, np.zeros((0, 1), dtype=np.int64), (3, 2)).shape == (0, 3, 2)
-        assert_same_normals(5, [()], (3, 2))
-        assert_same_normals(5, np.zeros((2, 0), dtype=np.int64), (3, 2))
+        assert trial_normals(0, np.arange(0), (3, 2)).shape == (0, 3, 2)
 
-    @pytest.mark.parametrize("seed, keys", [(0, [(1,), (-1,)]), (-1, [(1,)]), (0, [(2, -3)])])
+    @pytest.mark.parametrize("seed, keys", [(0, [1, -1]), (-1, [1]), (0, [2, -3])])
     def test_negative_entropy_raises(self, seed, keys):
         with pytest.raises(ValueError, match="non-negative"):
             trial_normals(seed, keys, (3, 2))
 
-    # forms `trial_generator` takes but one call of `trial_normals` does
-    # not: keys of several lengths, and an array that numpy would make of
-    # floats (a uint64 beside a Python int), which could not hold every key exactly
-    @pytest.mark.parametrize(
-        "keys",
-        [
-            [(1,), (2, 3)],
-            [(), (5,)],
-            [(np.uint64(2**63),), (1,)],
-            np.array([[1.0], [2.0]]),
-            np.arange(3),
-        ],
-    )
+    @pytest.mark.parametrize("keys", UNSUPPORTED)
     def test_unsupported_key_forms_raise(self, keys):
-        with pytest.raises(ValueError, match=r"keys must form an \(M, k\) array of integers"):
+        with pytest.raises(ValueError, match="1-D array of non-negative integer keys"):
             trial_normals(0, keys, (3, 2))
