@@ -105,7 +105,6 @@ class IaParameters:
     n: int
     N: int
     d: tuple
-    gamma: int | None = None
     scheme: str = "gj-simo"
 
     def __post_init__(self):
@@ -149,14 +148,14 @@ def ia_parameters(K: int, R: int, n: int) -> IaParameters:
     d = tuple(
         R * (n + 1) ** gamma if i < R + 1 else R * n**gamma for i in range(K)
     )
-    return IaParameters(K=K, R=R, n=n, N=N, d=d, gamma=gamma, scheme="gj-simo")
+    return IaParameters(K=K, R=R, n=n, N=N, d=d, scheme="gj-simo")
 
 
 def cj3_parameters(n: int) -> IaParameters:
     """Three-user single-antenna closed-form sizing: N = 2n+1, d = (n+1, n, n)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return IaParameters(K=3, R=1, n=n, N=2 * n + 1, d=(n + 1, n, n), gamma=None, scheme="cj3")
+    return IaParameters(K=3, R=1, n=n, N=2 * n + 1, d=(n + 1, n, n), scheme="cj3")
 
 
 @dataclass(frozen=True)
@@ -624,17 +623,6 @@ def _concatenated(sets) -> BeamformerSet:
     )
 
 
-def _check_feasibility(params: IaParameters):
-    RN = params.R * params.N
-    for i in range(params.K):
-        worst = max(dk for k, dk in enumerate(params.d) if k != i)
-        if params.d[i] + worst > RN:
-            raise AlignmentError(
-                f"receiver {i}: d_i={params.d[i]} desired plus an aligned interference "
-                f"subspace of at least {worst} dimensions cannot fit in R*N={RN}"
-            )
-
-
 def build_beamformers(
     wtones: np.ndarray,
     params: IaParameters,
@@ -663,15 +651,13 @@ def build_beamformers(
     ``failures`` and zeroes its beamformers (see `BeamformerSet`). Usage
     errors raise ValueError: a wrong engine, sizing or generator list, or
     `wtones` that is not the (B, K, K, N, R) tone array of a batch of
-    `reconstruct` calls at the K, R and N of `params`. An allocation that
-    cannot fit any receiver raises AlignmentError.
+    `reconstruct` calls at the K, R and N of `params`.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     expect = (params.K, params.K, params.N, params.R)
     if wtones.ndim != 5 or wtones.shape[1:] != expect:
         raise ValueError(f"need a batch of reconstructions (B, K, K, N, R) = (B, {str(expect)[1:]}, got {wtones.shape}")
-    _check_feasibility(params)
 
     if engine == "cj3":
         if params.scheme != "cj3" or params.K != 3 or params.R != 1:

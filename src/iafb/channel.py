@@ -138,15 +138,15 @@ def to_tone_domain(taps: np.ndarray, N: int) -> np.ndarray:
     return np.fft.fft(taps, n=N, axis=-2)
 
 
-def receiver_feedback(taps: np.ndarray, codebooks=None) -> np.ndarray:
+def receiver_feedback(taps: np.ndarray, codebook=None) -> np.ndarray:
     """Every receiver's fed-back channel directions, (..., K, K, R*L), in one pass.
 
     ``taps`` is a (..., K, K, L, R) tap array. Row [i, k] is link (i, k)'s
     taps, vectorized column-major and scaled to unit norm: exactly
-    ``v / np.linalg.norm(v)`` (perfect feedback). With ``codebooks``, an
-    iterable of one per receiver read and held one at a time, an
-    unbatched tap array's receiver i feeds back the nearest codeword of
-    codebook i (`encode`); a count other than K raises ValueError. A
+    ``v / np.linalg.norm(v)`` (perfect feedback). With ``codebook``, a
+    callable ``i -> Codebook``, an unbatched tap array's receiver i feeds
+    back the nearest codeword (`encode`) of ``codebook(i)``, which is
+    built when called and dropped before the next receiver's. A
     direction is a line in C^(R*L), so R*L = 1 (one scalar tap) is
     rejected, as is a link whose taps are all zero.
     """
@@ -163,23 +163,17 @@ def receiver_feedback(taps: np.ndarray, codebooks=None) -> np.ndarray:
         i, k = np.argwhere(norm[..., 0] == 0.0)[0][-2:]
         raise ValueError(f"channel ({i}, {k}) is identically zero; cannot form a direction")
     exact = vec / norm
-    if codebooks is None:
+    if codebook is None:
         return exact
     if exact.ndim != 3:
         raise ValueError(f"codebook feedback takes one realization, got a batch of shape {exact.shape[:-3]}")
-    # one codebook held at a time: each is dropped before the next is read,
-    # which neither zip's reused result tuple nor a comprehension's loop
-    # variable does, and its codeword is copied out, so no view keeps it
-    codebooks = iter(codebooks)
+    # one codebook held at a time: each is dropped before the next is built,
+    # and its codeword is copied out, so no view keeps it
     fed = np.empty_like(exact)
     for i, x in enumerate(exact):
-        cb = next(codebooks, None)
-        if cb is None:
-            raise ValueError(f"need one codebook per receiver: got {i} for {len(exact)} receivers")
+        cb = codebook(i)
         fed[i] = cb.points[encode(x, cb)]
         del cb
-    if next(codebooks, None) is not None:
-        raise ValueError(f"need one codebook per receiver: got more than {len(exact)}")
     return fed
 
 

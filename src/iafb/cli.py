@@ -55,7 +55,7 @@ from .channel import (
     save_channel,
     to_tone_domain,
 )
-from .grassmann import MC_CHUNK, ball_volume_normalized, empirical_ball_cdf
+from .grassmann import ball_volume_normalized, empirical_ball_cdf
 from .quantizer import (
     MAX_MATERIALIZED_BITS,
     budget_distortions,
@@ -381,6 +381,11 @@ def _map(fn, args, jobs: int) -> list:
 # volume-check
 
 
+# Monte Carlo samples per chunk stream (seed, task, c): each chunk is one
+# `empirical_ball_cdf` draw, which bounds memory at any --trials
+MC_CHUNK = 1 << 16
+
+
 def _volume_span_hits(args) -> int:
     """Hits of one task's chunks first..stop-1, drawn one chunk at a time.
 
@@ -596,15 +601,14 @@ def _fed_back(taps: np.ndarray, config: ExperimentConfig, P: float) -> np.ndarra
     """ia-run's fed-back directions of its (K, K, L, R) taps, (K, K, R*L).
 
     Oracle user i draws from trial_generator(seed, 1009 + i); codebook
-    user i quantizes with a codebook built as it is read, whose seed is
+    user i quantizes with a codebook built on its turn, whose seed is
     the i-th of K drawn off trial_generator(seed, 3), a stream no other
     ia-run stage reads.
     """
     K, R, L = config.K, config.R, config.L
     if config.feedback == "codebook":
         seeds = trial_generator(config.seed, 3).integers(2**63, size=K)
-        codebooks = (build_random_codebook(R * L, K, config.bits, seed=int(s)) for s in seeds)
-        return receiver_feedback(taps, codebooks)
+        return receiver_feedback(taps, lambda i: build_random_codebook(R * L, K, config.bits, seed=int(seeds[i])))
     exact = receiver_feedback(taps)
     if config.feedback == "perfect":
         return exact

@@ -7,11 +7,12 @@ per-component chordal distances, sum_k (1 - |<a_k, b_k>|^2). A point is
 a (K, n) array of unit rows, and a batch of points a (..., K, n) array.
 This module provides uniform sampling, the exact normalized volume of a
 metric ball, and the one Monte Carlo ball count that validates the
-closed form: `empirical_ball_cdf`, which volume-check and acceptance
-criterion 1 both call. The library scores the metric where it is used:
-the quantizer through its embedded inner products (`quantizer._embed`),
-the ball count against a fixed reference. The tests keep the direct
-formula as their reference metric.
+closed form: `empirical_ball_cdf`, which volume-check calls once per
+Monte Carlo chunk (acceptance criterion 1 runs volume-check). The
+library scores the metric where it is used: the quantizer through its
+embedded inner products (`quantizer._embed`), the ball count against a
+fixed reference. The tests keep the direct formula as their reference
+metric.
 """
 
 from __future__ import annotations
@@ -69,16 +70,13 @@ def ball_volume_normalized(n: int, K: int, delta: float) -> float:
 
     Evaluates Gamma(n)^K / Gamma(K(n-1)+1) * delta^(2K(n-1)) through
     log-gamma arithmetic so large n*K stays finite. The closed form holds
-    for 0 <= delta <= 1 only; larger radii are served by the Monte Carlo
-    path of `sum_dist_sq_cdf` and rejected here.
+    for 0 <= delta <= 1 only; larger radii are rejected.
     """
     _check_manifold(n, K)
     if delta < 0:
         raise ValueError("radius must be non-negative")
     if delta * delta > 1.0 + 1e-15:
-        raise ValueError(
-            "closed form requires delta**2 <= 1; use sum_dist_sq_cdf for larger radii"
-        )
+        raise ValueError(f"closed form requires delta**2 <= 1, got delta={delta!r}")
     return _closed_form_cdf(n, K, delta * delta)
 
 
@@ -101,15 +99,13 @@ def sum_dist_sq_cdf(n: int, K: int, x: float, trials: int = 500_000, rng=None) -
     return empirical_ball_cdf(n, K, math.sqrt(x), trials, 20240901 if rng is None else rng)
 
 
-# Monte Carlo samples drawn per batch, bounding memory at any trial count
-MC_CHUNK = 1 << 16
-# samples per sub-block of a batch, whose imaginary parts and (sub-block,
-# K) temporaries stay in L2. Sub-block curve at (n, K) = (2, 3), median ms
-# per full batch over 15 alternating rounds and traced peak (one core,
+# samples per sub-block, whose imaginary parts and (sub-block, K)
+# temporaries stay in L2. Sub-block curve at (n, K) = (2, 3), median ms
+# per 2^16 samples over 15 alternating rounds and traced peak (one core,
 # 2-core shared VM): 1024 15.0 ms 3.07 MiB, 2048 14.8 3.15, 4096 14.8 3.29,
 # 8192 14.7 3.57, 16384 14.4 4.14, 65536 14.9 7.57. The time is the
 # Gaussian generator's and barely moves with the sub-block; at 4096 the
-# peak stays within 10% of the batch's real parts
+# peak stays within 10% of the draw's real parts
 MC_TILE = 1 << 12
 
 
@@ -125,13 +121,15 @@ def empirical_ball_cdf(n: int, K: int, delta: float, trials: int, rng) -> float:
     sum_k (1 - |q_k[0]|^2 / ||q_k||^2), so no sample is normalized. The
     kernel works on the real and imaginary parts of the draw
     (|q|^2 = re^2 + im^2) and adds the short n and K axes term by term, in
-    order. The samples are `complex_normal(rng, (batch, K, n))` draws of
-    `MC_CHUNK` samples each, taken off `rng.two_pass_normals` in
-    sub-blocks of `MC_TILE` (the draw order is in the `rng` module
-    docstring). The hit count is ``round(p * trials)`` of the returned p
-    exactly, at any count below 2^50: volume-check adds its chunks' counts
-    that way. Traced peak of one full batch: 1.10 MiB at (n, K) = (2, 1),
-    3.29 MiB at (2, 3) and 6.48 MiB at (4, 3).
+    order. The samples are one `complex_normal(rng, (trials, K, n))` draw,
+    taken off `rng.two_pass_normals` in sub-blocks of `MC_TILE` (the draw
+    order is in the `rng` module docstring), so the draw holds all
+    `trials` samples' real parts: volume-check bounds it by calling once
+    per chunk of `cli.MC_CHUNK` samples. The hit count is
+    ``round(p * trials)`` of the returned p exactly, at any count below
+    2^50: volume-check adds its chunks' counts that way. Traced peak at
+    2^16 samples: 1.10 MiB at (n, K) = (2, 1), 3.29 MiB at (2, 3) and
+    6.48 MiB at (4, 3).
     """
     _check_manifold(n, K)
     if trials < 1:
@@ -141,7 +139,7 @@ def empirical_ball_cdf(n: int, K: int, delta: float, trials: int, rng) -> float:
     thresh = delta * delta
     chordal_buf = np.empty((min(MC_TILE, trials), K))
     hits = 0
-    for _, real, power in two_pass_normals(np.random.default_rng(rng), (trials, K, n), MC_TILE, MC_CHUNK):
+    for _, real, power in two_pass_normals(np.random.default_rng(rng), (trials, K, n), MC_TILE):
         chordal = chordal_buf[: len(power)]
         np.square(real, out=real)
         np.square(power, out=power)

@@ -213,8 +213,7 @@ class Codebook:
     """An indexed set of 2**bits composite Grassmann codewords.
 
     ``points`` is the (2**bits, K, n) complex array of codewords; ``seed``
-    records the integer they were generated from, if any. A non-finite
-    codeword raises ValueError, as it would score NaN against every point.
+    records the integer they were generated from, if any.
     ``points`` is made read-only, so a codebook is immutable after
     construction and safe to share across parallel encode workers.
     """
@@ -230,10 +229,6 @@ class Codebook:
             raise ValueError("bit budget must be non-negative")
         if self.points.shape != (self.size, self.K, self.n):
             raise ValueError("codeword array shape does not match (2**bits, K, n)")
-        # chunk by chunk: a full-size boolean array would take 2**bits*K*n bytes
-        for c0 in range(0, self.size, _GEN_CHUNK):
-            if not np.isfinite(self.points[c0 : c0 + _GEN_CHUNK]).all():
-                raise ValueError("the codebook holds a non-finite codeword")
         self.points.setflags(write=False)
 
     @property

@@ -21,11 +21,12 @@ imaginary parts: `complex_normal` draws both as one (2, *shape) array,
 and `trial_normals` fills one such array per key. Every complex draw in
 the library keeps that order, so it reads the numbers `complex_normal`
 would, and the callers take complex arrays. `two_pass_normals` draws a
-large one in sub-blocks of its leading axis: all real parts of a batch
-into one array, then the imaginary parts one sub-block at a time. The
-generator fills arrays in C order, so each sub-block reads the numbers of
-the whole draw. It serves `draw_unit_rows`, the quantizer's codewords and
-sources, and `grassmann.empirical_ball_cdf`, the Monte Carlo samples.
+large one in sub-blocks of its leading axis: all real parts into one
+array, then the imaginary parts one sub-block at a time. The generator
+fills arrays in C order, so each sub-block reads the numbers of the whole
+draw. It serves `draw_unit_rows`, the quantizer's codewords and sources,
+and `grassmann.empirical_ball_cdf`, the Monte Carlo samples, whose caller
+bounds the draw: volume-check hands it one chunk at a time.
 """
 
 from __future__ import annotations
@@ -168,41 +169,33 @@ def trial_normals(seed: int, keys, shape: tuple) -> np.ndarray:
     return parts[:, 0] + 1j * parts[:, 1]
 
 
-def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+def complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """Circularly-symmetric complex Gaussian entries, unscaled, in the module's draw order.
 
     Real and imaginary parts are independent standard normals, so each
     entry has variance 2; callers needing unit variance divide by sqrt(2).
     """
-    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
     parts = rng.standard_normal((2, *shape))
     return parts[0] + 1j * parts[1]
 
 
-def two_pass_normals(rng: np.random.Generator, shape, tile: int, batch: int | None = None):
-    """Yield (start, real, imag): the parts of `complex_normal` draws, a sub-block of `tile` rows at a time.
+def two_pass_normals(rng: np.random.Generator, shape, tile: int):
+    """Yield (start, real, imag): the parts of one `complex_normal(rng, shape)` draw, a sub-block of `tile` rows at a time.
 
-    The leading axis of `shape` is cut into batches of ``batch`` rows (one
-    batch by default), and each batch is one `complex_normal(rng, (rows,
-    *shape[1:]))` draw, taken in two passes: all its real parts into one
-    reused array, then its imaginary parts `tile` rows at a time into one
-    reused sub-block. ``real`` and ``imag`` hold the parts of rows
+    The draw is taken in two passes: all its real parts into one array,
+    then its imaginary parts `tile` rows at a time into one reused
+    sub-block. ``real`` and ``imag`` hold the parts of rows
     ``start .. start + len(imag)``; both are views of those two buffers,
     which the caller may overwrite and which are valid until the next
-    sub-block is drawn. So the draw holds one batch's real parts and one
-    sub-block, whatever the row count.
+    sub-block is drawn. So the draw holds the real parts and one sub-block.
     """
-    count = shape[0]
-    batch = max(1, min(count, batch or count))
-    tile = max(1, min(tile, batch))
-    real_buf, imag_buf = np.empty((batch, *shape[1:])), np.empty((tile, *shape[1:]))
-    for first in range(0, count, batch):
-        real = real_buf[: min(batch, count - first)]
-        rng.standard_normal(out=real)
-        for s in range(0, len(real), tile):
-            imag = imag_buf[: min(tile, len(real) - s)]
-            rng.standard_normal(out=imag)
-            yield first + s, real[s : s + len(imag)], imag
+    real = np.empty(shape)
+    rng.standard_normal(out=real)
+    imag_buf = np.empty((min(tile, shape[0]), *shape[1:]))
+    for start in range(0, shape[0], tile):
+        imag = imag_buf[: min(tile, shape[0] - start)]
+        rng.standard_normal(out=imag)
+        yield start, real[start : start + len(imag)], imag
 
 
 # rows per sub-block of `draw_unit_rows`. Sub-blocks of 1024 and 4096

@@ -1,16 +1,15 @@
 """Acceptance suite: one test per headline claim, at desk scale.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line
-per criterion. The slope experiments (criteria 4-6) run ``iafb dof-sweep``'s
-own trial loop, and criterion 1 counts Monte Carlo hits with the function
-``volume-check`` uses. Slope experiments place the power grid in the
-asymptotic regime of the rate expression via the experiment noise floor
-(1e-9 for absolute-slope targets, 0.1 for the perfect-vs-limited
-comparison, where both arms share the same floor); the rate expression
-itself is never altered.
+per criterion. Criteria 1 and 2 run ``iafb volume-check`` and ``iafb
+quantizer-scaling`` and read their CSVs and exit codes; the slope
+experiments (criteria 4-6) run ``iafb dof-sweep``'s own trial loop. Slope
+experiments place the power grid in the asymptotic regime of the rate
+expression via the experiment noise floor (1e-9 for absolute-slope
+targets, 0.1 for the perfect-vs-limited comparison, where both arms share
+the same floor); the rate expression itself is never altered.
 """
 
-import math
 import time
 
 import numpy as np
@@ -19,11 +18,8 @@ import pytest
 import dense_reference as dense
 from iafb.alignment import build_beamformers, cj3_parameters, ia_parameters, mimo_reduce
 from iafb.channel import receiver_feedback, reconstruct, to_tone_domain
-from iafb.cli import parse_config, run_dof_sweep
-from iafb.grassmann import ball_volume_normalized, empirical_ball_cdf
-from iafb.quantizer import distortion_scaling_exponent
+from iafb.cli import main, parse_config, run_dof_sweep
 from iafb.rates import dof_fit, interference_slope
-from iafb.rng import trial_generator
 
 GRID = [2.0**t for t in range(4, 15)]
 RATE, WORST_INTERFERENCE = 0, 4  # stat indices of `run_dof_sweep`
@@ -34,6 +30,15 @@ def sweep(*flags):
     result = run_dof_sweep(parse_config(["dof-sweep", "--trials", "20", *flags]))
     assert result.failures == [] and result.grid == GRID
     return result.stats
+
+
+def run_cli(out, *argv):
+    """Exit code, config, rows and trailer lines of ``iafb <argv> --out <out>``'s CSV."""
+    code = main([*argv, "--out", str(out)])
+    comment, header, *body = out.read_text().splitlines()
+    config = dict(pair.split("=", 1) for pair in comment.split(" | ")[2].split())
+    rows = [dict(zip(header.split(","), line.split(","))) for line in body if not line.startswith("#")]
+    return code, config, rows, [line for line in body if line.startswith("#")]
 
 
 def sum_rate_slope(stats):
@@ -47,34 +52,40 @@ def report(num, name, passed, detail):
     return passed
 
 
-def test_criterion_1_ball_volume_exactness():
+def test_criterion_1_ball_volume_exactness(tmp_path):
+    # volume-check at its defaults: 12 cells of 10^6 samples, each gated at 3 sigma
     start = time.time()
-    worst = 0.0
-    for n, K in ((2, 1), (2, 2), (3, 2), (2, 3)):
-        for delta in (0.3, 0.5, 0.8):
-            trials = 1_000_000
-            analytic = ball_volume_normalized(n, K, delta)
-            est = empirical_ball_cdf(n, K, delta, trials, rng=trial_generator(1, 100 * n + K))
-            sigma = math.sqrt(analytic * (1.0 - analytic) / trials)
-            worst = max(worst, abs(est - analytic) / sigma)
+    code, config, rows, _ = run_cli(tmp_path / "volume_check.csv", "volume-check", "--seed", "1")
     elapsed = time.time() - start
-    passed = worst <= 3.0 and elapsed < 60.0
+    cells = [(int(r["n"]), int(r["K"]), float(r["delta"])) for r in rows]
+    worst = max(float(r["z"]) for r in rows)
+    passed = (
+        code == 0
+        and (config["trials"], config["sigmas"]) == ("1000000", "3.0")
+        and cells == [(n, K, d) for n, K in ((2, 1), (2, 2), (3, 2), (2, 3)) for d in (0.3, 0.5, 0.8)]
+        and all(r["ok"] == "1" for r in rows)
+        and worst <= 3.0
+        and elapsed < 60.0
+    )
     assert report(
         1, "ball-volume exactness", passed,
-        f"worst deviation {worst:.2f} sigma, {elapsed:.1f}s",
+        f"exit {code}, worst deviation {worst:.2f} sigma over {len(rows)} cells, {elapsed:.1f}s",
     )
 
 
-def test_criterion_2_distortion_scaling_exponent():
+def test_criterion_2_distortion_scaling_exponent(tmp_path):
     start = time.time()
     results = []
     ok = True
-    rng = trial_generator(2, 0)
     for n, K in ((2, 1), (2, 2), (3, 1)):
-        slope = distortion_scaling_exponent(n, K, (6, 8, 10, 12, 14), 10_000, rng)
-        target = -1.0 / (K * (n - 1))
-        ok &= abs(slope - target) <= 0.2 * abs(target)
-        results.append(f"(n={n},K={K}): {slope:.3f} vs {target:.3f}")
+        code, _, _, trailer = run_cli(
+            tmp_path / f"quantizer_scaling_{n}_{K}.csv", "quantizer-scaling", "--n", str(n), "--K", str(K),
+            "--bits", "6,8,10,12,14", "--trials", "10000", "--seed", "2",
+        )
+        fit = dict(pair.split("=", 1) for pair in trailer[0].removeprefix("# ").split())
+        slope, target = float(fit["slope"]), -1.0 / (K * (n - 1))
+        ok &= code == 0 and abs(slope - target) <= 0.2 * abs(target)
+        results.append(f"(n={n},K={K}): {slope:.3f} vs {target:.3f}, exit {code}")
     elapsed = time.time() - start
     passed = ok and elapsed < 300.0
     assert report(2, "distortion scaling exponent", passed, "; ".join(results) + f", {elapsed:.0f}s")

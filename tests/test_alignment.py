@@ -43,19 +43,19 @@ def assert_failed(bf, pattern):
 class TestIaParameters:
     def test_three_user_single_antenna(self):
         p = ia_parameters(3, 1, 1)
-        assert (p.gamma, p.N, p.d) == (3, 16, (8, 8, 1))
+        assert (p.N, p.d) == (16, (8, 8, 1))
         assert p.dof_sum_limit == pytest.approx(1.5)
         assert p.dof_target(0) == pytest.approx(0.5)
 
     def test_four_user_single_antenna(self):
         # gamma = 4*1*2 = 8, N = 2*2^8, streams R(n+1)^gamma then R n^gamma
         p = ia_parameters(4, 1, 1)
-        assert (p.gamma, p.N) == (8, 512)
+        assert p.N == 512
         assert p.d == (256, 256, 1, 1)
 
     def test_two_antennas_no_aux_growth(self):
         p = ia_parameters(3, 2, 1)
-        assert (p.gamma, p.N, p.d) == (0, 3, (2, 2, 2))
+        assert (p.N, p.d) == (3, (2, 2, 2))
         assert sum(p.d) / p.N == pytest.approx(p.dof_sum_limit)
 
     def test_zero_forcing_regime_rejected(self):
@@ -78,15 +78,6 @@ class TestIaParameters:
     def test_invalid_allocation_rejected(self):
         with pytest.raises(ValueError):
             IaParameters(K=3, R=1, n=1, N=4, d=(8, 8, 1))
-
-
-class TestFeasibilityGuard:
-    def test_overfull_receiver_rejected(self):
-        # hand-built allocation: 8 desired + 8 aligned interference > R*N
-        params = IaParameters(K=3, R=1, n=1, N=12, d=(8, 8, 1), scheme="gj-simo")
-        rec = perfect_reconstruction(3, 1, 2, 12, seed=0)
-        with pytest.raises(AlignmentError, match="cannot fit"):
-            build_beamformers(rec, params, "leakage-min", rng=[np.random.default_rng(0)])
 
 
 class TestLeakageMinEngine:

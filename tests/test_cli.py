@@ -99,6 +99,20 @@ class TestVolumeCheck:
         counts = np.arange(m + 1)
         assert np.array_equal(np.round(counts / m * m), counts)
 
+    def test_chunks_bound_peak_memory(self, tmp_path):
+        # three chunks and 17 samples at (n, K) = (4, 3): one chunk's draw at a
+        # time, within the bound of test_grassmann's one-chunk peak test
+        argv = ["volume-check", "--pairs", "4:3", "--deltas", "0.8", "--out", str(tmp_path / "x.csv")]
+        main(argv + ["--trials", "10"])  # first-call imports, about 0.9 MiB
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--trials", str(3 * iafb.cli.MC_CHUNK + 17)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 7 * 2**20
+
     def test_jobs_do_not_change_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["volume-check", "--pairs", "2:2", "--deltas", "0.5", "--trials", "200000", "--seed", "9"]

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from dense_reference import composite_dist_sq
+from iafb.cli import MC_CHUNK
 from iafb.grassmann import (
-    MC_CHUNK,
     MC_TILE,
     ball_volume_normalized,
     empirical_ball_cdf,
@@ -234,23 +234,19 @@ class TestEmpiricalBallCdf:
 
 
 def reference_hit_count(n, K, delta, trials, rng):
-    """The count on complex magnitudes: |q|^2 as abs()**2, sums over axes."""
-    hits = 0
-    for start in range(0, trials, MC_CHUNK):
-        power = np.abs(complex_normal(rng, (min(MC_CHUNK, trials - start), K, n))) ** 2
-        dist_sq = np.sum(1.0 - power[:, :, 0] / power.sum(axis=2), axis=1)
-        hits += int(np.count_nonzero(dist_sq <= delta * delta))
-    return hits
+    """The count on complex magnitudes of one draw: |q|^2 as abs()**2, sums over axes."""
+    power = np.abs(complex_normal(rng, (trials, K, n))) ** 2
+    dist_sq = np.sum(1.0 - power[:, :, 0] / power.sum(axis=2), axis=1)
+    return int(np.count_nonzero(dist_sq <= delta * delta))
 
 
 class TestBallHitCount:
     """`empirical_ball_cdf`, the one Monte Carlo ball count, against the count on complex magnitudes."""
 
-    # MC_CHUNK + 17 runs two chunks, the last one partial; the next three
-    # cut a sub-block: one past a whole sub-block, one short of a whole
-    # chunk, and a third chunk shorter than one sub-block. The last four
-    # sit at the edges of the two-pass draw: one short of, at and past a
-    # whole sub-block, and a second chunk of one sample
+    # the counts sit at the edges of the two-pass draw: one sub-block short
+    # of, at and one past full; volume-check's whole chunk (MC_CHUNK); and
+    # draws that end 1, 17, MC_TILE - 3 or MC_TILE - 1 rows into their last
+    # sub-block
     @pytest.mark.parametrize(
         "trials",
         [
@@ -266,9 +262,9 @@ class TestBallHitCount:
             want = reference_hit_count(n, K, delta, trials, np.random.default_rng(seed))
             assert got == want / trials, (n, K, trials, delta)
 
-    # one full chunk: the real parts' (MC_CHUNK, K, n) buffer (3 MiB at
-    # (2, 3), 6 MiB at (4, 3)) and one sub-block's workspace; drawing the
-    # whole chunk at once traced 7.56 and 13.56 MiB
+    # one of volume-check's chunks: the real parts' (MC_CHUNK, K, n) buffer
+    # (3 MiB at (2, 3), 6 MiB at (4, 3)) and one sub-block's workspace;
+    # drawing the whole chunk at once traced 7.56 and 13.56 MiB
     @pytest.mark.parametrize("n,K,bound_mib", [(2, 3, 4), (4, 3, 7)])
     def test_one_chunk_bounds_peak_memory(self, n, K, bound_mib):
         tracemalloc.start()

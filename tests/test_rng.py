@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iafb.grassmann import MC_CHUNK
+from iafb.cli import MC_CHUNK
 from iafb.rng import (
     _seed_states,
     _seed_words_type,
@@ -26,23 +26,18 @@ def test_parts_are_the_complex_draw(shape):
     assert np.array_equal(parts[0], re) and np.array_equal(parts[1], im)
 
 
-def test_integer_shape():
-    assert complex_normal(np.random.default_rng(0), 4).shape == (4,)
-
-
-# batches of 6 rows in sub-blocks of 4: one row; a sub-block short of, at
-# and past full; a whole batch; a second batch of one row, and a third
-# batch shorter than one sub-block
+# sub-blocks of 4 rows: one row; one sub-block short of, at and past full;
+# a second sub-block short of full; and a last sub-block of one row
 @pytest.mark.parametrize("count", [1, 3, 4, 5, 6, 7, 13])
 def test_two_pass_draw_is_one_complex_draw_per_batch(count):
     real, imag = np.empty((count, 2, 3)), np.empty((count, 2, 3))
     rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-    for start, re, im in two_pass_normals(rng, (count, 2, 3), 4, 6):
+    for start, re, im in two_pass_normals(rng, (count, 2, 3), 4):
         assert len(re) == len(im) <= 4
         real[start : start + len(re)], imag[start : start + len(im)] = re, im
-    want = np.concatenate([complex_normal(ref, (min(6, count - b), 2, 3)) for b in range(0, count, 6)])
+    want = complex_normal(ref, (count, 2, 3))
     assert np.array_equal(real, want.real) and np.array_equal(imag, want.imag)
-    # the stream is left where the batch draws leave it
+    # the stream is left where the one draw leaves it
     assert rng.standard_normal() == ref.standard_normal()
 
 
@@ -147,7 +142,7 @@ class TestTrialNormals:
         # each row draws from a stream of its own, so a repeated key repeats its row
         a, b = trial_normals(3, [9, 9], (4,))
         assert np.array_equal(a, b)
-        assert np.array_equal(a, complex_normal(trial_generator(3, 9), 4))
+        assert np.array_equal(a, complex_normal(trial_generator(3, 9), (4,)))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_several_word_keys(self, seed):
