@@ -218,11 +218,13 @@ def save_channel(taps: np.ndarray, path) -> None:
                     fh.write(" ".join(repr(complex(z)) for z in row) + "\n")
 
 
-def load_channel(path) -> np.ndarray:
-    """Read the (K, K, L, R) tap array written by `save_channel`.
+def load_channel(path, shape) -> np.ndarray:
+    """Read the (K, K, L, R) tap array written by `save_channel`, which must have `shape`.
 
     A malformed archive raises ValueError: a wrong first line, a header
-    without K, R or L, an entry outside the K x K links, a tap row without
+    without K, R or L or whose (K, K, L, R) is not `shape` (checked before
+    the taps are allocated, so no header makes the read allocate more than
+    the caller sized), an entry outside the K x K links, a tap row without
     R values, a missing link, a non-finite tap, or a link whose taps are
     all zero (it has no direction to feed back). Other header keys, such
     as the ``noise_power`` that older archives carry, are ignored: the
@@ -236,7 +238,9 @@ def load_channel(path) -> np.ndarray:
         if missing:
             raise ValueError(f"the header lacks {', '.join(missing)}")
         K, R, L = int(header["K"]), int(header["R"]), int(header["L"])
-        taps = np.zeros((K, K, L, R), dtype=complex)
+        if (K, K, L, R) != tuple(shape):
+            raise ValueError(f"the header gives (K, K, L, R) = {(K, K, L, R)}, not {tuple(shape)}")
+        taps = np.zeros(shape, dtype=complex)
         seen = set()
         for line in fh:
             tag = line.split()

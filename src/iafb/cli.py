@@ -8,12 +8,11 @@ Subcommands::
     dof-sweep          DoF slopes over a power grid x alpha list
     mimo-reduce        antenna-discarding reduction arithmetic
 
-Every subcommand accepts ``--config FILE`` holding flat ``key=value``
-lines (same keys as the long flags, dashes as underscores); explicit
-flags override the file. All outputs are deterministic given the
-resolved config and seed, byte for byte, regardless of ``--jobs``:
-per-trial RNG streams are derived from (seed, trial index), and
-Monte Carlo chunks from (seed, task, chunk).
+Options come in as flags only; each CSV's first line records every
+option's value. All outputs are deterministic given the options and
+seed, byte for byte, regardless of ``--jobs``: per-trial RNG streams are
+derived from (seed, trial index), and Monte Carlo chunks from (seed,
+task, chunk).
 
 Exit codes: 0 on pass, 1 when a built-in assertion fails or an alignment
 build fails (a dropped dof-sweep trial, or ia-run's one build; the CSV is
@@ -22,9 +21,8 @@ trial), 2 on a usage error. Every check
 of the input raises `UsageError`, and `main` alone prints it and returns
 2, before any channel draw, Monte Carlo chunk or codebook build and
 before any output is written. Each option's domain sits in `_OPTIONS`
-and holds for flags and ``--config`` values alike (every float must also
-be finite); the checks that read several options, or an input file, run
-at the top of their command.
+(every float must also be finite); the checks that read several
+options, or an input file, run at the top of their command.
 """
 
 from __future__ import annotations
@@ -71,25 +69,7 @@ from .rng import trial_generator, trial_normals
 
 
 # --------------------------------------------------------------------------
-# config plumbing
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved parameters of one subcommand invocation."""
-
-    command: str
-    values: dict
-
-    def __getattr__(self, name):
-        try:
-            return self.values[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def comment_line(self) -> str:
-        pairs = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(self.values.items()))
-        return f"# iafb {__version__} | {self.command} | {pairs}"
+# options
 
 
 def _fmt(value) -> str:
@@ -192,7 +172,15 @@ def _budgets(flag, bits):
     return "" if len(set(bits)) >= 3 else "need at least three distinct bit budgets"
 
 
+# the oracle stream tag trial*100_000 + a*1_000 + j (see `_oracle_feedback`)
+# gives each trial 100 alpha slots: a longer list would hand trial t's
+# alpha 100 the streams of trial t+1's alpha 0
+MAX_ALPHAS = 100
+
+
 def _fractions(flag, alphas):
+    if len(alphas) > MAX_ALPHAS:
+        return f"{flag} lists {len(alphas)} fractions, more than the {MAX_ALPHAS} allowed"
     shown = ", ".join(f"{a:g}" for a in alphas if not 0.0 <= a <= 1.0)
     return f"feedback fractions must lie in [0, 1], got {shown or 'none'}" if shown or not alphas else ""
 
@@ -297,57 +285,11 @@ _OPTIONS = {
 }
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"malformed config line: {raw.rstrip()}")
-        key, val = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
-def _resolve_config(command: str, namespace: argparse.Namespace) -> ExperimentConfig:
-    """The command's config: flags over ``--config`` values over defaults, each in its domain.
-
-    Every float must be finite: a NaN compares false against every gate,
-    so it would pass or fail one silently.
-    """
-    table = _OPTIONS[command]
-    file_values = _load_config_file(namespace.config) if namespace.config else {}
-    unknown = set(file_values) - set(table)
-    if unknown:
-        raise UsageError(f"unknown config keys for {command}: {sorted(unknown)}")
-    values = {}
-    for name, (kind, default, _help, domain) in table.items():
-        flag = "--" + name.replace("_", "-")
-        value = getattr(namespace, name)
-        if value is None and name in file_values:
-            try:
-                value = _PARSERS[kind](file_values[name])
-            except ValueError as exc:
-                raise UsageError(f"{flag}: {exc}") from None
-        values[name] = value = default if value is None else value
-        floats = (value,) if kind == "float" else value if kind == "floatlist" else ()
-        if not all(map(math.isfinite, floats)):
-            raise UsageError(f"{flag} must be finite, got {_fmt(value)}")
-        error = domain(flag, value) if domain else ""
-        if error:
-            raise UsageError(error)
-    return ExperimentConfig(command=command, values=values)
-
-
-def _write_csv(path: str, config: ExperimentConfig, header, rows, trailer=()):
+def _write_csv(path: str, config: argparse.Namespace, header, rows, trailer=()):
+    """Write a CSV under its config line: every option of the command, sorted, as key=value."""
+    pairs = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(vars(config).items()) if k != "command")
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(config.comment_line() + "\n")
+        fh.write(f"# iafb {__version__} | {config.command} | {pairs}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(row[col]) for col in header) + "\n")
@@ -403,7 +345,7 @@ def _volume_span_hits(args) -> int:
     return hits
 
 
-def cmd_volume_check(config: ExperimentConfig) -> int:
+def cmd_volume_check(config: argparse.Namespace) -> int:
     tasks = [(n, K, delta) for n, K in config.pairs for delta in config.deltas]
     # each task's chunks in at most `jobs` spans of consecutive chunks: the
     # work list does not grow with --trials, and each worker draws its
@@ -448,7 +390,7 @@ def cmd_volume_check(config: ExperimentConfig) -> int:
 # quantizer-scaling
 
 
-def cmd_quantizer_scaling(config: ExperimentConfig) -> int:
+def cmd_quantizer_scaling(config: argparse.Namespace) -> int:
     bits_list = [int(b) for b in config.bits]
     rows = []
     save = (lambda cb: save_codebook(cb, f"{config.codebook_out}{cb.bits}.txt")) if config.codebook_out else None
@@ -498,7 +440,7 @@ def _make_params(K, R, L, n, engine):
 MAX_DENSE_ENTRIES = 1 << 26
 
 
-def _pipeline_params(config: ExperimentConfig):
+def _pipeline_params(config: argparse.Namespace):
     """ia-run's or dof-sweep's sizing; a UsageError if R*L < 2, the engine cannot size it, or N < L or N is too large.
 
     A fed-back direction is a line in C^(R*L), so R*L = 1 has none. The
@@ -548,13 +490,13 @@ def _oracle_radii(K: int, R: int, L: int, P: float, user_alphas) -> list:
     return [radius.get(al, math.nan) for al in user_alphas]
 
 
-def _channel_normals(config: ExperimentConfig, trials: range) -> np.ndarray:
+def _channel_normals(config: argparse.Namespace, trials: range) -> np.ndarray:
     """Each trial's complex channel normals, (T, K, K, L, R), trial t's from stream (seed, t)."""
     K, R, L = config.K, config.R, config.L
     return trial_normals(config.seed, np.arange(trials.start, trials.stop), (K, K, L, R))
 
 
-def _rate_rows(config: ExperimentConfig, P: float, alpha: float, stats: np.ndarray) -> list:
+def _rate_rows(config: argparse.Namespace, P: float, alpha: float, stats: np.ndarray) -> list:
     """The CSV_COLUMNS rows of one (power, alpha) point from its (K, 5) user stats."""
     return [
         {
@@ -566,7 +508,7 @@ def _rate_rows(config: ExperimentConfig, P: float, alpha: float, stats: np.ndarr
     ]
 
 
-def _evaluate(config: ExperimentConfig, params, taps: np.ndarray, fed: np.ndarray, P, rngs, **build):
+def _evaluate(config: argparse.Namespace, params, taps: np.ndarray, fed: np.ndarray, P, rngs, **build):
     """Align a block's elements against their fed-back directions and rate each on its trial's true channel.
 
     ``taps`` holds the block's T true channels, (T, K, K, L, R), and ``fed``
@@ -597,7 +539,7 @@ def _evaluate(config: ExperimentConfig, params, taps: np.ndarray, fed: np.ndarra
 # ia-run
 
 
-def _fed_back(taps: np.ndarray, config: ExperimentConfig, P: float) -> np.ndarray:
+def _fed_back(taps: np.ndarray, config: argparse.Namespace, P: float) -> np.ndarray:
     """ia-run's fed-back directions of its (K, K, L, R) taps, (K, K, R*L).
 
     Oracle user i draws from trial_generator(seed, 1009 + i); codebook
@@ -616,7 +558,7 @@ def _fed_back(taps: np.ndarray, config: ExperimentConfig, P: float) -> np.ndarra
     return distortion_oracle_quantize(exact, delta_sq, trial_normals(config.seed, 1009 + np.arange(K), (K, R * L)))
 
 
-def cmd_ia_run(config: ExperimentConfig) -> int:
+def cmd_ia_run(config: argparse.Namespace) -> int:
     params = _pipeline_params(config)
     if config.feedback == "oracle" and not 0.0 <= config.alpha <= 1.0:
         raise UsageError(f"the feedback fraction must lie in [0, 1], got --alpha {config.alpha:g}")
@@ -626,13 +568,11 @@ def cmd_ia_run(config: ExperimentConfig) -> int:
         raise UsageError(f"the cj3 construction has no shared-direction variant, got --shared {config.shared}")
     if config.channel_file:
         try:
-            taps = load_channel(config.channel_file)
+            taps = load_channel(config.channel_file, (config.K, config.K, config.L, config.R))
         except FileNotFoundError:
             raise UsageError(f"channel file not found: {config.channel_file}") from None
         except (OSError, ValueError) as exc:
             raise UsageError(f"malformed channel file {config.channel_file}: {exc}") from None
-        if taps.shape != (config.K, config.K, config.L, config.R):
-            raise UsageError("channel file dimensions do not match the configuration")
     else:
         # trial 0's channel, drawn as dof-sweep draws it
         taps = generate_channel(config.K, config.R, config.L, _channel_normals(config, range(1))[0])
@@ -679,7 +619,7 @@ class SweepResult:
     failures: list
 
 
-def _user_alphas(config: ExperimentConfig, alpha: float) -> list:
+def _user_alphas(config: argparse.Namespace, alpha: float) -> list:
     if config.alpha_user == "all":
         return [alpha] * config.K
     alphas = [1.0] * config.K
@@ -687,7 +627,7 @@ def _user_alphas(config: ExperimentConfig, alpha: float) -> list:
     return alphas
 
 
-def _oracle_feedback(config: ExperimentConfig, trials: range, exact: np.ndarray, grid) -> np.ndarray:
+def _oracle_feedback(config: argparse.Namespace, trials: range, exact: np.ndarray, grid) -> np.ndarray:
     """Oracle-quantized directions of a block's elements, (T*A*J, K, K, R*L).
 
     ``exact`` holds each trial's exact directions, (T, K, K, R*L). Element
@@ -718,7 +658,7 @@ def _oracle_feedback(config: ExperimentConfig, trials: range, exact: np.ndarray,
     return fed.reshape(-1, K, K, R * L)
 
 
-def _block_stats(config: ExperimentConfig, trials: range):
+def _block_stats(config: argparse.Namespace, trials: range):
     """A block of trials: per-(trial, alpha, P, user) stats, (T, A, J, K, 5), and each trial's failure.
 
     Every stage runs once over the block's trial x alpha x power elements:
@@ -755,8 +695,8 @@ def _block_stats(config: ExperimentConfig, trials: range):
 
 def _sweep_block(args):
     """(stats, failures) of a block: the completed trials' stats and (trial, reason) per dropped one."""
-    values, trials = args
-    stats, failures = _block_stats(ExperimentConfig("dof-sweep", values), trials)
+    config, trials = args
+    stats, failures = _block_stats(config, trials)
     ok = [f is None for f in failures]
     return stats[ok], [(t, str(f)) for t, f in zip(trials, failures) if f is not None]
 
@@ -802,7 +742,7 @@ def _power_grid(config):
 MAX_SWEEP_STATS = 1 << 26
 
 
-def run_dof_sweep(config: ExperimentConfig) -> SweepResult:
+def run_dof_sweep(config: argparse.Namespace) -> SweepResult:
     """Run dof-sweep's trials in blocks on `config.jobs` workers; gates and CSV aside.
 
     The trials split into the fewest blocks of whole trials that hold at
@@ -815,7 +755,7 @@ def run_dof_sweep(config: ExperimentConfig) -> SweepResult:
     per_block = max(1, SWEEP_BLOCK // (len(config.alphas) * len(grid)))
     count = -(-T // per_block)
     blocks = [range(T * b // count, T * (b + 1) // count) for b in range(count)]
-    results = _map(_sweep_block, [(config.values, b) for b in blocks], config.jobs)
+    results = _map(_sweep_block, [(config, b) for b in blocks], config.jobs)
     return SweepResult(
         grid=grid,
         stats=np.concatenate([stats for stats, _ in results]),
@@ -823,7 +763,7 @@ def run_dof_sweep(config: ExperimentConfig) -> SweepResult:
     )
 
 
-def cmd_dof_sweep(config: ExperimentConfig) -> int:
+def cmd_dof_sweep(config: argparse.Namespace) -> int:
     params = _pipeline_params(config)
     if config.alpha_user != "all" and not 0 <= int(config.alpha_user) < config.K:
         raise UsageError(f"alpha_user {config.alpha_user} out of range")
@@ -900,7 +840,7 @@ def cmd_dof_sweep(config: ExperimentConfig) -> int:
 # mimo-reduce
 
 
-def cmd_mimo_reduce(config: ExperimentConfig) -> int:
+def cmd_mimo_reduce(config: argparse.Namespace) -> int:
     try:
         red = mimo_reduce(config.K, config.Mt, config.Mr, config.L, 2.0**config.p_log2)
     except ValueError as exc:
@@ -937,17 +877,28 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, table in _OPTIONS.items():
         p = sub.add_parser(command)
-        p.add_argument("--config", default=None, help="key=value config file")
-        for name, (kind, _default, help_text, _domain) in table.items():
+        for name, (kind, default, help_text, _domain) in table.items():
             flag = "--" + name.replace("_", "-")
-            p.add_argument(flag, dest=name, type=_PARSERS[kind], default=None, help=help_text)
+            p.add_argument(flag, dest=name, type=_PARSERS[kind], default=default, help=help_text)
     return parser
 
 
-def parse_config(argv=None) -> ExperimentConfig:
-    """Resolve a command line and its ``--config`` file as `main` does; a bad input raises `UsageError`."""
-    namespace = _build_parser().parse_args(argv)
-    return _resolve_config(namespace.command, namespace)
+def parse_config(argv=None) -> argparse.Namespace:
+    """Parse a command line as `main` does, each option in its domain; a bad input raises `UsageError`.
+
+    Every float must be finite: a NaN compares false against every gate,
+    so it would pass or fail one silently.
+    """
+    config = _build_parser().parse_args(argv)
+    for name, (kind, _default, _help, domain) in _OPTIONS[config.command].items():
+        flag, value = "--" + name.replace("_", "-"), getattr(config, name)
+        floats = (value,) if kind == "float" else value if kind == "floatlist" else ()
+        if not all(map(math.isfinite, floats)):
+            raise UsageError(f"{flag} must be finite, got {_fmt(value)}")
+        error = domain(flag, value) if domain else ""
+        if error:
+            raise UsageError(error)
+    return config
 
 
 def main(argv=None) -> int:

@@ -304,7 +304,7 @@ class TestArchive:
         taps = seeded_channel(3, 2, 4, 27)
         path = tmp_path / "chan.txt"
         save_channel(taps, path)
-        loaded = load_channel(path)
+        loaded = load_channel(path, taps.shape)
         assert loaded.shape == (3, 3, 4, 2)
         assert np.array_equal(loaded, taps)
         assert path.read_text().splitlines()[1] == "K=3 R=2 L=4"
@@ -317,13 +317,13 @@ class TestArchive:
         lines = path.read_text().splitlines()
         lines[1] += " noise_power=0.25"
         path.write_text("\n".join(lines) + "\n")
-        assert np.array_equal(load_channel(path), taps)
+        assert np.array_equal(load_channel(path, taps.shape), taps)
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "nope.txt"
         path.write_text("# something else\n")
         with pytest.raises(ValueError):
-            load_channel(path)
+            load_channel(path, (3, 3, 2, 1))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "(nan+1j)"])
     def test_rejects_a_non_finite_tap(self, tmp_path, value):
@@ -335,7 +335,7 @@ class TestArchive:
         lines[7] = f"{value} {lines[7].split()[1]}"  # tap 1, antenna 0 of link (0, 1)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"link \(0, 1\) holds a non-finite tap"):
-            load_channel(path)
+            load_channel(path, (2, 2, 2, 2))
 
     def test_writes_one_unbatched_channel(self, tmp_path):
         with pytest.raises(ValueError, match="one"):

@@ -287,7 +287,7 @@ class TestIaRun:
         assert code == 0
 
     @pytest.mark.parametrize("flags, shown", INVALID_RUNS)
-    def test_invalid_run_is_usage_error(self, tmp_path, capsys, flags, shown):
+    def test_invalid_run_is_usage_error(self, tmp_path, capsys, no_work, flags, shown):
         # rejected before the channel is drawn: no CSV
         out = tmp_path / "x.csv"
         assert main(["ia-run", *flags, "--out", str(out)]) == 2
@@ -422,6 +422,8 @@ INVALID_SWEEPS = [
     (["--engine", "leakage-min", "--K", "4", "--n", "2"], "dense link matrices"),  # N = 13,122
     (["--engine", "cj3", "--n", "100000"], "dense link matrices"),  # N = 200,001
     (["--L", "4"], "N=3 tones, fewer than the --L 4 taps"),  # cj3 at n=1
+    # trial t's alpha 100 would take the oracle streams of trial t+1's alpha 0
+    (["--alphas", ",".join(["1"] * 101)], "--alphas lists 101 fractions, more than the 100 allowed"),
 ]
 
 
@@ -516,7 +518,7 @@ class TestDofSweep:
         assert code == 2
 
     @pytest.mark.parametrize("flags, shown", INVALID_SWEEPS)
-    def test_invalid_sweep_is_usage_error(self, tmp_path, capsys, flags, shown):
+    def test_invalid_sweep_is_usage_error(self, tmp_path, capsys, no_work, flags, shown):
         out = tmp_path / "x.csv"
         code = main(["dof-sweep", "--trials", "2", *flags, "--out", str(out)])
         assert code == 2
@@ -886,44 +888,9 @@ class TestNumericDomains:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
-    def test_config_file_value_checked(self, tmp_path, capsys):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("noise=nan\n")
-        assert main(["ia-run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
-        assert "--noise must be finite" in capsys.readouterr().err
-
-
-def as_config_file(argv, path):
-    """argv with every option moved into the config file `path`: [command, "--config", path]."""
-    command, *flags = argv
-    lines, tokens = [], iter(flags)
-    for token in tokens:
-        name, eq, value = token[2:].partition("=")
-        lines.append(f"{name.replace('-', '_')}={value if eq else next(tokens)}")
-    path.write_text("\n".join(lines) + "\n")
-    return [command, "--config", str(path)]
-
-
-# every usage-error argv above, with its options given in a config file
-FILE_USAGE_ERRORS = (
-    [pytest.param(argv, shown, id=" ".join(argv)) for argv, shown in USAGE_ERRORS]
-    + [pytest.param(["ia-run", *p.values[0]], p.values[1], id=f"ia-run {p.id}") for p in INVALID_RUNS]
-    + [
-        pytest.param(["dof-sweep", "--trials", "2", *flags], shown, id=" ".join(["dof-sweep", *flags]))
-        for flags, shown in INVALID_SWEEPS
-    ]
-)
-
 
 class TestInputChecks:
-    """Every bad input exits 2 with its message before any work, whether it comes from a flag, a file or an archive."""
-
-    @pytest.mark.parametrize("argv, shown", FILE_USAGE_ERRORS)
-    def test_config_file_values_checked_as_flags(self, tmp_path, capsys, no_work, argv, shown):
-        out = tmp_path / "out.csv"
-        assert main([*as_config_file(argv, tmp_path / "run.cfg"), "--out", str(out)]) == 2
-        assert shown in capsys.readouterr().err
-        assert not out.exists()
+    """Every bad input exits 2 with its message before any work, whether it comes from a flag or an archive."""
 
     @pytest.mark.parametrize(
         "flags, shown",
@@ -948,6 +915,8 @@ class TestInputChecks:
             ("missing-link", "missing link entries"),
             ("zero-link", "link (0, 0) is identically zero"),
             ("nan-tap", "link (0, 0) holds a non-finite tap"),
+            # 262 TiB of taps, were they allocated before the header is checked
+            ("huge", "the header gives (K, K, L, R) = (3000000, 3000000, 2, 1), not (3, 3, 2, 2)"),
         ],
     )
     def test_malformed_channel_archive(self, tmp_path, capsys, no_work, fault, shown):
@@ -964,14 +933,23 @@ class TestInputChecks:
             lines[3] = lines[4] = "0j 0j"  # both taps of link (0, 0)
         elif fault == "nan-tap":
             lines[4] = "nanj " + lines[4].split()[1]  # tap 1, antenna 0 of link (0, 0)
+        elif fault == "huge":
+            lines = [lines[0], "K=3000000 R=1 L=2"]
         else:
             lines = lines[:-3]  # the entry of link (2, 2): its tag and L = 2 tap rows
         chan.write_text("\n".join(lines) + "\n")
         out = tmp_path / "run.csv"
-        assert main(["ia-run", "--R", "2", "--channel-file", str(chan), "--out", str(out)]) == 2
+        tracemalloc.start()
+        try:
+            code = main(["ia-run", "--R", "2", "--channel-file", str(chan), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
         err = capsys.readouterr().err
         assert "malformed channel file" in err and shown in err
         assert not out.exists()
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -1174,21 +1152,26 @@ def test_one_worker_run_loads_no_process_pool(tmp_path):
 
 
 class TestConfigFile:
-    def test_file_values_and_flag_override(self, tmp_path, capsys):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("K=3\nMt=2\nMr=4\nL=1\np_log2=10\n")
-        assert main(["mimo-reduce", "--config", str(cfg)]) == 0
-        base = json.loads(capsys.readouterr().out)
-        assert base["bits_per_original_receiver"] == 120.0
-        # explicit flag wins over the file
-        assert main(["mimo-reduce", "--config", str(cfg), "--p-log2", "20"]) == 0
-        over = json.loads(capsys.readouterr().out)
-        assert over["bits_per_original_receiver"] == 240.0
+    """A CSV's first line records the run's options."""
 
-    def test_unknown_config_key(self, tmp_path):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("bogus=1\n")
-        assert main(["mimo-reduce", "--config", str(cfg)]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["volume-check", "--pairs", "2:1", "--deltas", "0.5", "--trials", "1000"],
+            ["quantizer-scaling", "--bits", "2,3,4", "--trials", "100"],
+            ["ia-run", "--engine", "cj3"],
+            ["dof-sweep", "--trials", "1", "--p-log2-max", "6"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_config_line_names_each_option_once(self, tmp_path, argv):
+        # the parsed namespace also holds the subcommand, which the line
+        # names once, apart from the options
+        out = tmp_path / "run.csv"
+        main([*argv, "--out", str(out)])
+        _, command, pairs = out.read_text().splitlines()[0].split(" | ")
+        assert command == argv[0]
+        assert [pair.partition("=")[0] for pair in pairs.split(" ")] == sorted(iafb.cli._OPTIONS[command])
 
     def test_config_comment_embedded_in_csv(self, tmp_path):
         out = tmp_path / "v.csv"
